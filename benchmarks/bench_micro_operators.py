@@ -124,38 +124,21 @@ def test_micro_pipeline_unfused(benchmark, chunk_rows):
 
 
 @pytest.mark.parametrize("chunk_rows", [1_000, 10_000, 100_000])
-def test_micro_pipeline_fused(benchmark, chunk_rows, monkeypatch):
-    """Fused closure path: one dispatch per morsel, lazy selection
-    between steps.  Compare against ``test_micro_pipeline_unfused``
-    at the same chunk size for the fusion speedup, and against
-    ``test_micro_pipeline_codegen`` for the codegen speedup."""
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
+def test_micro_pipeline_fused(benchmark, chunk_rows):
+    """Fused path: the chain lowered to one generated flat function
+    (predicates inlined, no per-step dispatch or chunks).  Compare
+    against ``test_micro_pipeline_unfused`` at the same chunk size."""
     chunk = big_chunk().slice(0, chunk_rows)
     ops = _pipeline_ops()
     [fused] = fuse_ops(ops)
     reference = _run_unfused(_pipeline_ops(), chunk)
+    # Resolve (generate + compile) outside the timed region.
+    _run_fused(fused, chunk)
+    assert fused.kernel_origin in ("compiled", "memory")
     result = benchmark(_run_fused, fused, chunk)
     assert result.materialize().sorted_rows() == reference.sorted_rows()
     benchmark.extra_info["rows"] = chunk_rows
     benchmark.extra_info["variant"] = "fused"
-
-
-@pytest.mark.parametrize("chunk_rows", [1_000, 10_000, 100_000])
-def test_micro_pipeline_codegen(benchmark, chunk_rows, monkeypatch):
-    """Generated-kernel path: the fused chain lowered to one flat
-    function (predicates inlined, no per-step closures or chunks)."""
-    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
-    chunk = big_chunk().slice(0, chunk_rows)
-    ops = _pipeline_ops()
-    [fused] = fuse_ops(ops)
-    reference = _run_unfused(_pipeline_ops(), chunk)
-    # Resolve (compile or load) outside the timed region.
-    _run_fused(fused, chunk)
-    assert fused.kernel_origin in ("compiled", "memory", "disk")
-    result = benchmark(_run_fused, fused, chunk)
-    assert result.materialize().sorted_rows() == reference.sorted_rows()
-    benchmark.extra_info["rows"] = chunk_rows
-    benchmark.extra_info["variant"] = "codegen"
 
 
 STRING_ROWS = 200_000

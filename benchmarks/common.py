@@ -2,17 +2,12 @@
 
 Every experiment (F1–F6 architecture scenarios, C1–C8 claims; see
 DESIGN.md) prints a table of the series the paper's argument predicts
-and saves it under ``benchmarks/results/`` so EXPERIMENTS.md can
-record paper-vs-measured.
+so EXPERIMENTS.md can record paper-vs-measured.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
-
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "results")
 
 KIB = 1024.0
 MIB = 1024.0 ** 2
@@ -94,9 +89,8 @@ def report(exp_id: str, title: str, claim: str, rows: list[dict],
            columns: Optional[list[str]] = None, notes: str = "") -> str:
     """Print one experiment's result table.
 
-    The canonical machine-readable record is the harness's
-    ``BENCH_<tag>.json`` (``repro bench``); the legacy per-experiment
-    text files are only written when ``REPRO_RESULTS_TXT=1`` is set.
+    The machine-readable record is the harness's
+    ``BENCH_<tag>.json`` (``repro bench``).
     """
     table = format_table(rows, columns)
     text = (f"== {exp_id}: {title} ==\n"
@@ -104,9 +98,4 @@ def report(exp_id: str, title: str, claim: str, rows: list[dict],
     if notes:
         text += f"\nnotes: {notes}\n"
     print("\n" + text)
-    if os.environ.get("REPRO_RESULTS_TXT") == "1":
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        path = os.path.join(RESULTS_DIR, f"{exp_id.lower()}.txt")
-        with open(path, "w") as handle:
-            handle.write(text)
     return text

@@ -363,8 +363,8 @@ def _warm_runtime() -> None:
     np.random.default_rng(0)
     from .engine import kernels  # noqa: F401
     # Query codegen: generating + exec-ing a throwaway kernel pays the
-    # bytecode compiler, hashlib, and regex machinery once, without
-    # touching the counters or the persistent kernel cache.
+    # bytecode compiler and regex machinery once, without touching the
+    # counters or the kernel cache.
     from .engine import codegen
     from .engine.operators import FilterOp, ProjectOp
     from .relational.expressions import col, lit

@@ -270,10 +270,9 @@ def _print_kernels(graph) -> None:
     """Render each fused segment's generated-kernel resolution.
 
     Shows the cache fingerprint, where the kernel came from
-    (compiled / memory / disk — i.e. miss vs hit), and the generated
-    source itself; segments on the closure path say why.
+    (compiled / memory — i.e. miss vs hit), and the generated source
+    itself; a segment codegen declined says so.
     """
-    from .engine import codegen
     from .engine.fusion import FusedOp
     seen: set = set()
     printed = False
@@ -289,18 +288,13 @@ def _print_kernels(graph) -> None:
             printed = True
             print(f"\nkernel for {info['name']}")
             if info["fingerprint"] is None:
-                reason = ("codegen disabled (REPRO_NO_CODEGEN)"
-                          if info["origin"] == "disabled"
-                          else "pipeline not lowerable; closure path")
-                print(f"  {reason}")
+                print("  pipeline not lowerable; runs its operators "
+                      "unfused")
                 continue
             hit = "miss" if info["origin"] == "compiled" else "hit"
             print(f"  fingerprint: {info['fingerprint']}")
             print(f"  origin: {info['origin']} (cache {hit})")
-            source = info["source"]
-            if source is None:
-                source = codegen.cached_source(info["fingerprint"])
-            for line in (source or "").rstrip().splitlines():
+            for line in info["source"].rstrip().splitlines():
                 print(f"  | {line}")
     if not printed:
         print("\nno fused segments (nothing to lower to kernels)")

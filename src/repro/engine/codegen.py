@@ -1,55 +1,44 @@
 """Kernel code generation: fused pipelines lowered to flat source.
 
-The closure-composed :class:`~repro.engine.fusion.FusedOp` already
-runs a whole Filter/Project/Map(/PartialAggregate) chain as one
-dispatch per morsel, but each chunk still walks a list of step
-closures, allocates an intermediate ``Chunk`` per step, and re-derives
-constants the pipeline fixed at compile time.  This module removes
-that last layer: a fused pipeline is lowered **once** to generated
-Python/numpy source — one flat function, predicates inlined, schema
-byte-widths folded to literals, charge replay unrolled — compiled per
-``(pipeline, schema, fabric)`` fingerprint and cached both in-process
-and on disk, so a second process (or a ``bench --jobs N`` worker)
-never generates or compiles the same kernel twice.
+A :class:`~repro.engine.fusion.FusedOp` runs a whole
+Filter/Project/Map(/PartialAggregate) chain as one dispatch per
+morsel.  This module supplies what it dispatches to: the pipeline is
+lowered **once** to generated Python/numpy source — one flat function,
+predicates inlined, schema byte-widths folded to literals, charge
+replay unrolled — compiled per ``(pipeline, entry schema)`` fingerprint
+and cached in-process, so the many fabrics and queries of one process
+never generate or compile the same kernel twice.  (A cold generate +
+``compile()`` costs ~0.4 ms and a process needs one or two kernels, so
+nothing is persisted across processes.)
 
 Bit-identity contract
 ---------------------
-A generated kernel must be indistinguishable from the closure path to
-the simulation: it returns the same chunk values and appends the same
-``(kind, nbytes)`` charge sequence with the same early-exit semantics
-(a part that empties the stream stops the charges exactly where the
-unfused executor would).  Byte counts are folded at generation time as
-``rows x row_nbytes`` of the schema entering each part — exactly what
-``Chunk.nbytes`` reports for dense chunks, selection views, and arena
-windows alike.  ``REPRO_NO_CODEGEN=1`` forces the closure reference
-path; the regression gate compares both at ``--tolerance 0``.
+A generated kernel must be indistinguishable from the unfused
+operators to the simulation: it returns the same chunk values and
+appends the same ``(kind, nbytes)`` charge sequence with the same
+early-exit semantics (a part that empties the stream stops the charges
+exactly where the unfused executor would).  Byte counts are folded at
+generation time as ``rows x row_nbytes`` of the schema entering each
+part — exactly what ``Chunk.nbytes`` reports for dense chunks,
+selection views, and arena windows alike.  ``REPRO_NO_FUSE=1`` runs
+the unfused reference; the regression gate compares both at
+``--tolerance 0``.
 
 Cache key derivation
 --------------------
-``fingerprint = sha256(version | fabric context | fusion flag |
-entry schema sig | part descriptors)`` where part descriptors embed
-the full predicate/expression reprs (constants included), projection
-column lists, map output schemas, and aggregate specs — any change to
-what the pipeline computes, the shape of its input, or the fabric it
-was planned for produces a different key.  Disk entries live under
-``~/.cache/repro-kernels/<fingerprint>.py`` (override with
-``REPRO_KERNEL_CACHE_DIR``; empty disables) with a header recording
-the fingerprint and a sha256 of the source body; a mismatch on load —
-truncation, corruption, version skew — discards the entry and
-regenerates.  Writes go through a temp file + ``os.replace`` so
-parallel forked workers can race safely.
+``fingerprint = sha256(entry schema sig | part descriptors)`` where
+part descriptors embed the full predicate/expression reprs (constants
+included), projection column lists, map output schemas, and aggregate
+specs — everything the generated source depends on, so any change to
+what the pipeline computes or to the shape of its input produces a
+different key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-import tempfile
-from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..relational.expressions import (
     And,
@@ -69,78 +58,30 @@ from .operators import FilterOp, MapOp, PartialAggregate, PhysicalOp, ProjectOp
 
 __all__ = [
     "UnsupportedPipeline",
-    "codegen_enabled",
-    "fabric_context",
-    "fabric_fingerprint",
     "pipeline_fingerprint",
     "generate_source",
-    "get_kernel",
     "resolve",
     "cached_source",
     "counters",
     "reset",
     "drain_trace_counters",
-    "kernel_cache_dir",
 ]
-
-#: Bump when generated source semantics change — stale disk entries
-#: from an older generator are keyed out, never loaded.
-CODEGEN_VERSION = 1
-
-_HEADER_MAGIC = f"# repro-kernel v{CODEGEN_VERSION}"
 
 
 class UnsupportedPipeline(Exception):
     """The pipeline contains a construct codegen does not lower.
 
-    Raised at generation time; the caller falls back to the composed
-    closure path, which supports everything.
+    Raised at generation time and caught by :func:`resolve`;
+    :class:`~repro.engine.fusion.FusedOp` then runs the pipeline's
+    parts themselves, which support everything.
     """
-
-
-def codegen_enabled() -> bool:
-    """Whether fused pipelines lower to generated kernels.
-
-    Read at kernel-resolve time (not import time) so tests can flip
-    the environment per run — the same contract as ``REPRO_NO_FUSE``
-    and ``REPRO_SLOW_KERNEL``.
-    """
-    return not os.environ.get("REPRO_NO_CODEGEN")
-
-
-def fabric_fingerprint(fabric) -> str:
-    """Hash of the fabric's spec and site map (the placement context).
-
-    A different fabric generation — other sites, other link speeds —
-    must not reuse kernels (or, via the serving plan cache which
-    shares this primitive, placements) planned for this one.  Lives
-    here rather than in :mod:`repro.serve` so the engines' hot path
-    never imports the serving stack.
-    """
-    digest = hashlib.sha256()
-    spec = fabric.spec
-    for key in sorted(vars(spec)):
-        digest.update(f"{key}={vars(spec)[key]!r};".encode())
-    for site in sorted(fabric.sites):
-        digest.update(f"{site}\x1f".encode())
-    return digest.hexdigest()
-
-
-def fabric_context(fabric) -> str:
-    """``fabric_fingerprint`` cached on the fabric object itself."""
-    context = getattr(fabric, "_codegen_context", None)
-    if context is None:
-        context = fabric_fingerprint(fabric)
-        fabric._codegen_context = context
-    return context
 
 
 # ---------------------------------------------------------------------------
 # Counters (wall-clock observability; never serialized into records)
 # ---------------------------------------------------------------------------
 
-_COUNTER_NAMES = ("compiles", "memory_hits", "disk_hits", "disk_writes",
-                  "disk_stale", "unsupported", "disabled")
+_COUNTER_NAMES = ("compiles", "memory_hits", "unsupported")
 _counters = {name: 0 for name in _COUNTER_NAMES}
 _drained = {name: 0 for name in _COUNTER_NAMES}
 
@@ -198,20 +139,15 @@ def _part_descriptor(part: PhysicalOp) -> str:
     raise UnsupportedPipeline(f"cannot lower part {part.name!r}")
 
 
-def pipeline_fingerprint(parts: Sequence[PhysicalOp], entry_schema: Schema,
-                         context: str = "") -> str:
+def pipeline_fingerprint(parts: Sequence[PhysicalOp],
+                         entry_schema: Schema) -> str:
     """The cache key for one fused pipeline against one input shape.
 
-    Covers the generator version, the fabric context, the fusion
-    flag, the entry schema (names, dtypes, widths), and the complete
+    Covers the entry schema (names, dtypes, widths) and the complete
     part descriptors — predicates with their constants, projection
     lists, map expressions and output schemas, aggregate specs.
     """
-    from .fusion import fusion_enabled
     digest = hashlib.sha256()
-    digest.update(f"repro-codegen/{CODEGEN_VERSION}\x1e".encode())
-    digest.update(f"context={context}\x1e".encode())
-    digest.update(f"fuse={fusion_enabled()}\x1e".encode())
     digest.update(f"schema={_schema_sig(entry_schema)}\x1e".encode())
     for part in parts:
         digest.update(_part_descriptor(part).encode())
@@ -224,8 +160,8 @@ def schema_chain(parts: Sequence[PhysicalOp],
     """Schemas at each step boundary: ``chain[i]`` enters part ``i``.
 
     ``chain[len(parts)]`` is the pipeline's output schema.  The chain
-    is derived deterministically from the parts, so a kernel loaded
-    from the disk cache binds to the same schemas the generator saw.
+    is derived deterministically from the parts, so a kernel taken
+    from the cache binds to the same schemas the generator saw.
     """
     chain = [entry_schema]
     current = entry_schema
@@ -336,7 +272,7 @@ class _KernelGen:
     def expr_src(self, expr, schema: Schema) -> str:
         """Lower an expression tree to a source fragment.
 
-        Mirrors ``Expression._compile`` closure-for-closure: Const
+        Mirrors ``Expression.evaluate`` node for node: Const
         operands of binary ops bind as raw scalars, Between evaluates
         its operand once, LIKE matches dictionary pools when the
         column is encoded.  Statements (column loads, temps) are
@@ -463,7 +399,7 @@ class _KernelGen:
         self.rows_var = rows
         # Cached column vars are in the old row space; re-gather from
         # the base under the composed selection on next read (the same
-        # cost the selection-view closure path pays).
+        # cost a selection view pays).
         self.col_cache.clear()
 
     def lower_map(self, index: int, part: MapOp) -> None:
@@ -600,86 +536,11 @@ def generate_source(parts: Sequence[PhysicalOp],
 
 
 # ---------------------------------------------------------------------------
-# In-memory + on-disk cache
+# In-process cache
 # ---------------------------------------------------------------------------
 
 #: fingerprint -> (body, exec'd module namespace)
 _memory: dict[str, tuple[str, dict]] = {}
-
-
-def kernel_cache_dir() -> Optional[Path]:
-    """The persistent kernel directory, or None when disabled."""
-    env = os.environ.get("REPRO_KERNEL_CACHE_DIR")
-    if env is not None:
-        return Path(env) if env else None
-    return Path.home() / ".cache" / "repro-kernels"
-
-
-def _disk_path(fingerprint: str) -> Optional[Path]:
-    directory = kernel_cache_dir()
-    if directory is None:
-        return None
-    return directory / f"{fingerprint}.py"
-
-
-def _body_hash(body: str) -> str:
-    return hashlib.sha256(body.encode()).hexdigest()
-
-
-def _load_disk(fingerprint: str) -> Optional[str]:
-    """A verified source body from disk, or None (stale -> discarded)."""
-    path = _disk_path(fingerprint)
-    if path is None:
-        return None
-    try:
-        text = path.read_text()
-    except OSError:
-        return None
-    lines = text.split("\n", 3)
-    stale = True
-    if len(lines) == 4 and lines[0] == _HEADER_MAGIC:
-        recorded_fp = lines[1].removeprefix("# fingerprint: ")
-        recorded_hash = lines[2].removeprefix("# source-sha256: ")
-        body = lines[3]
-        if recorded_fp == fingerprint and _body_hash(body) == recorded_hash:
-            stale = False
-    if stale:
-        _counters["disk_stale"] += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    return body
-
-
-def _store_disk(fingerprint: str, body: str) -> None:
-    """Atomically persist a kernel (safe under forked bench workers)."""
-    path = _disk_path(fingerprint)
-    if path is None:
-        return
-    text = "\n".join([
-        _HEADER_MAGIC,
-        f"# fingerprint: {fingerprint}",
-        f"# source-sha256: {_body_hash(body)}",
-        body,
-    ])
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return
-    _counters["disk_writes"] += 1
 
 
 def _exec_body(fingerprint: str, body: str) -> dict:
@@ -689,69 +550,31 @@ def _exec_body(fingerprint: str, body: str) -> dict:
     return namespace
 
 
-def get_kernel(parts: Sequence[PhysicalOp], entry_schema: Schema,
-               context: str = ""):
+def resolve(parts: Sequence[PhysicalOp], entry_schema: Schema):
     """Resolve (kernel, origin, fingerprint) for one fused pipeline.
 
-    ``origin`` is ``"memory"``, ``"disk"``, or ``"compiled"`` — where
-    the source came from.  Raises :class:`UnsupportedPipeline` when
-    the pipeline cannot be lowered; callers fall back to closures.
+    ``origin`` is ``"memory"`` (cache hit), ``"compiled"`` (fresh
+    generate + compile) or ``"unsupported"``: the pipeline contains a
+    construct codegen does not lower, ``kernel`` and ``fingerprint``
+    are None, and the caller runs the parts themselves.
     """
-    fingerprint = pipeline_fingerprint(parts, entry_schema, context)
-    cached = _memory.get(fingerprint)
-    if cached is not None:
-        body, namespace = cached
-        origin = "memory"
-        _counters["memory_hits"] += 1
-    else:
-        body = _load_disk(fingerprint)
-        origin = "disk"
-        if body is not None:
-            try:
-                namespace = _exec_body(fingerprint, body)
-            except Exception:
-                # Hash-valid but unloadable (e.g. generator skew not
-                # covered by the version bump): discard and rebuild.
-                _counters["disk_stale"] += 1
-                path = _disk_path(fingerprint)
-                if path is not None:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                body = None
-        if body is None:
+    try:
+        fingerprint = pipeline_fingerprint(parts, entry_schema)
+        if fingerprint in _memory:
+            origin = "memory"
+            _counters["memory_hits"] += 1
+        else:
             body = generate_source(parts, entry_schema)
-            namespace = _exec_body(fingerprint, body)
+            _memory[fingerprint] = (body, _exec_body(fingerprint, body))
             origin = "compiled"
             _counters["compiles"] += 1
-            _store_disk(fingerprint, body)
-        else:
-            _counters["disk_hits"] += 1
-        _memory[fingerprint] = (body, namespace)
-    terminal = parts[-1] if isinstance(parts[-1], PartialAggregate) else None
-    schemas = schema_chain(parts, entry_schema)
-    kernel = namespace["make_kernel"](Chunk, schemas, terminal)
-    return kernel, origin, fingerprint
-
-
-def resolve(parts: Sequence[PhysicalOp], entry_schema: Schema,
-            context: str = ""):
-    """Non-raising resolve for executors: (kernel, origin, fingerprint).
-
-    ``kernel`` is None when the pipeline stays on the closure path —
-    either codegen is disabled (``origin == "disabled"``) or the
-    pipeline contains an unlowerable construct (``origin ==
-    "closure"``).  Counters record which.
-    """
-    if not codegen_enabled():
-        _counters["disabled"] += 1
-        return None, "disabled", None
-    try:
-        return get_kernel(parts, entry_schema, context)
     except UnsupportedPipeline:
         _counters["unsupported"] += 1
-        return None, "closure", None
+        return None, "unsupported", None
+    terminal = parts[-1] if isinstance(parts[-1], PartialAggregate) else None
+    schemas = schema_chain(parts, entry_schema)
+    kernel = _memory[fingerprint][1]["make_kernel"](Chunk, schemas, terminal)
+    return kernel, origin, fingerprint
 
 
 def cached_source(fingerprint: str) -> Optional[str]:

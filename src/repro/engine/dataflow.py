@@ -320,10 +320,8 @@ class DataflowEngine:
             # the partial aggregate they feed) into fused operators.
             # Charges are reported per original part, so the stage
             # graph's simulated behavior is bit-identical either way.
-            from . import codegen
-            context = codegen.fabric_context(self.fabric)
             for stage in graph.stages.values():
-                stage.ops = fuse_ops(stage.ops, context)
+                stage.ops = fuse_ops(stage.ops)
         return graph
 
     def execute(self, plan, placement: Optional[Placement] = None,

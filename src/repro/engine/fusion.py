@@ -6,13 +6,12 @@ The engines already express that at the plan level; this module closes
 the gap at the execution level.  A maximal linear run of stateless
 streaming operators — ``Filter → Project → Map``, optionally
 terminated by the ``PartialAggregate`` the run feeds — lowers into a
-single :class:`FusedOp` whose ``process()`` walks a list of composed
-numpy closures built from each operator's ``Expression.compiled()``
-form.  Combined with the selection-vector views
-:meth:`repro.relational.table.Chunk.filter` returns, a fused segment
-moves one lazy view between steps and materialises only at segment
-boundaries (emit, partition, join build/probe, aggregate state
-update).
+single :class:`FusedOp`, which runs the whole run as one generated
+kernel (:mod:`repro.engine.codegen`: flat numpy source, compiled once
+per (pipeline, entry schema) and cached in-process).  A pipeline
+codegen declines threads the chunk through its parts' own
+``process()`` — the reference operators themselves — so there is no
+second implementation of filter/project/map here.
 
 Fusion is a *wall-clock* optimisation and must be invisible to the
 simulation.  :class:`FusedOp` therefore reports device work per
@@ -25,24 +24,15 @@ exactly where the unfused executor's early-exit would.  The pipeline
 result is memoised so the ``process()`` call that follows the charges
 does no second pass.
 
-On top of the closure pipeline, :mod:`repro.engine.codegen` lowers
-each fused chain to generated flat source — compiled once per
-(pipeline, schema, fabric) fingerprint and cached in-process and on
-disk — which replays byte-identical charges.  The closure steps stay
-as the reference path and the fallback for anything codegen declines.
-
-``REPRO_NO_FUSE=1`` forces the reference (unfused) path, mirroring
-the kernel fast path's ``REPRO_SLOW_KERNEL``; ``REPRO_NO_CODEGEN=1``
-keeps fusion but forces the closure pipeline; the regression gate
-compares all of them at ``--tolerance 0``.
+``REPRO_NO_FUSE=1`` forces the reference (unfused) path; the
+equivalence tests and the regression gate compare the two at
+``--tolerance 0``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..relational.table import Chunk
 from .operators import (
@@ -67,67 +57,22 @@ def fusion_enabled() -> bool:
     """Whether compilation lowers chains into fused operators.
 
     Read at compile time (not import time) so tests can flip the
-    environment per run — the same contract as ``REPRO_SLOW_KERNEL``.
+    environment per run.
     """
     return not os.environ.get("REPRO_NO_FUSE")
-
-
-def _filter_step(part: FilterOp) -> Callable[[Chunk], Optional[Chunk]]:
-    predicate = part._predicate_fn
-
-    def step(chunk: Chunk) -> Optional[Chunk]:
-        out = chunk.filter(np.asarray(predicate(chunk), dtype=bool))
-        return out if out.num_rows else None
-    return step
-
-
-def _project_step(part: ProjectOp) -> Callable[[Chunk], Optional[Chunk]]:
-    names = list(part.columns)
-    return lambda chunk: chunk.project(names)
-
-
-def _map_step(part: MapOp) -> Callable[[Chunk], Optional[Chunk]]:
-    expr_fns = list(part._expr_fns)
-    schema = part.output_schema
-
-    def step(chunk: Chunk) -> Optional[Chunk]:
-        columns = dict(chunk.columns)
-        for name, fn in expr_fns:
-            columns[name] = np.asarray(fn(chunk), dtype=np.float64)
-        return Chunk(schema, columns)
-    return step
-
-
-def _generic_step(part: PhysicalOp) -> Callable[[Chunk], Optional[Chunk]]:
-    """Fallback for terminal parts: unwrap the single-emit process."""
-    def step(chunk: Chunk) -> Optional[Chunk]:
-        emits = part.process(chunk)
-        return emits[0].chunk if emits else None
-    return step
-
-
-def _compile_step(part: PhysicalOp) -> Callable[[Chunk], Optional[Chunk]]:
-    if isinstance(part, FilterOp):
-        return _filter_step(part)
-    if isinstance(part, ProjectOp):
-        return _project_step(part)
-    if isinstance(part, MapOp):
-        return _map_step(part)
-    return _generic_step(part)
 
 
 class FusedOp(PhysicalOp):
     """A linear chain of streaming operators run as one dispatch.
 
-    ``process()`` threads one chunk through the composed step
-    closures; intermediate results are lazy selection views, so a
-    filter followed by a projection gathers only the surviving rows
-    of the kept columns, once.  The simulation sees the chain
-    unfused: one ``(kind, nbytes)`` charge per original part, against
-    the bytes that part's input would have had.
+    ``process()`` runs one chunk through the pipeline's generated
+    kernel, which gathers only the surviving rows of the kept columns,
+    once.  The simulation sees the chain unfused: one ``(kind,
+    nbytes)`` charge per original part, against the bytes that part's
+    input would have had.
     """
 
-    def __init__(self, parts: Sequence[PhysicalOp], context: str = ""):
+    def __init__(self, parts: Sequence[PhysicalOp]):
         parts = list(parts)
         if len(parts) < 2:
             raise ValueError("fusion needs at least two operators")
@@ -141,16 +86,14 @@ class FusedOp(PhysicalOp):
         self.parts = parts
         self.kind = parts[0].kind
         self.name = "fused[" + " -> ".join(p.name for p in parts) + "]"
-        self._steps = [(part, _compile_step(part)) for part in parts]
         # One-slot memo: the executor charges (running the pipeline)
         # and then calls process() on the same chunk object.
         self._memo_chunk: Optional[Chunk] = None
         self._memo_out: Optional[Chunk] = None
         # Generated-kernel state: resolved lazily against the first
         # chunk's schema (compile-time plans don't thread schemas into
-        # fusion, and the disk cache key needs the real input shape).
-        # ``False`` marks a pipeline that stays on the closure path.
-        self.context = context
+        # fusion, and the cache key needs the real input shape).
+        # ``_kernel`` stays None for a pipeline codegen declined.
         self._kernel = None
         self._entry_schema = None
         self.kernel_origin: Optional[str] = None
@@ -158,10 +101,9 @@ class FusedOp(PhysicalOp):
 
     def _resolve_kernel(self, schema) -> None:
         from . import codegen
-        kernel, origin, fingerprint = codegen.resolve(
-            self.parts, schema, self.context)
+        kernel, origin, fingerprint = codegen.resolve(self.parts, schema)
         self._entry_schema = schema
-        self._kernel = kernel if kernel is not None else False
+        self._kernel = kernel
         self.kernel_origin = origin
         self.kernel_fingerprint = fingerprint
 
@@ -183,11 +125,11 @@ class FusedOp(PhysicalOp):
 
     def _run(self, chunk: Chunk,
              charges: Optional[list[tuple[str, float]]]) -> Optional[Chunk]:
-        """Thread ``chunk`` through the steps, recording part charges.
+        """Run ``chunk`` through the pipeline, recording part charges.
 
         The first part's charge is ``charge_bytes`` (reported by the
         executor separately), so recording starts at the second part —
-        and stops as soon as a step returns nothing, matching the
+        and stops as soon as a part emits nothing, matching the
         unfused executor, which never charges an operator whose input
         never arrived.
         """
@@ -200,19 +142,17 @@ class FusedOp(PhysicalOp):
             else:
                 self._resolve_kernel(chunk.schema)
         kernel = self._kernel
-        if kernel is not False:
+        if kernel is not None:
             return kernel(chunk, charges)
-        current: Optional[Chunk] = chunk
-        first = True
-        for part, step in self._steps:
-            if first:
-                first = False
-            else:
-                if charges is not None:
-                    charges.append((part.kind, float(current.nbytes)))
-            current = step(current)
-            if current is None:
+        # Codegen declined: the parts themselves, exactly as unfused.
+        current = chunk
+        for index, part in enumerate(self.parts):
+            if index and charges is not None:
+                charges.append((part.kind, part.charge_bytes(current)))
+            emits = part.process(current)
+            if not emits:
                 return None
+            current = emits[0].chunk
         return current
 
     def charge_bytes(self, chunk: Chunk) -> float:
@@ -235,23 +175,21 @@ class FusedOp(PhysicalOp):
         return [Emit(out)]
 
 
-def fuse_ops(ops: Sequence[PhysicalOp],
-             context: str = "") -> list[PhysicalOp]:
+def fuse_ops(ops: Sequence[PhysicalOp]) -> list[PhysicalOp]:
     """Rewrite an operator chain, fusing maximal linear runs.
 
     A run is a maximal stretch of streaming operators
     (filter/project/map), optionally extended by the terminal
     operator it feeds (partial aggregation).  Runs of length >= 2
     become one :class:`FusedOp`; everything else passes through
-    unchanged, in order.  ``context`` (the fabric fingerprint) keys
-    the generated-kernel cache alongside the pipeline itself.
+    unchanged, in order.
     """
     fused: list[PhysicalOp] = []
     run: list[PhysicalOp] = []
 
     def close(run: list[PhysicalOp]) -> None:
         if len(run) >= 2:
-            fused.append(FusedOp(run, context))
+            fused.append(FusedOp(run))
         else:
             fused.extend(run)
 

@@ -104,16 +104,13 @@ class FilterOp(PhysicalOp):
 
     def __init__(self, predicate: Expression):
         self.predicate = predicate
-        # Compiled once per operator: per-chunk evaluation runs a
-        # chain of numpy closures, not a tree walk.
-        self._predicate_fn = predicate.compiled()
         self.kind = predicate.op_kind()
         self.name = f"filter({predicate!r})"
 
     def process(self, chunk: Chunk) -> list[Emit]:
         if chunk.num_rows == 0:
             return []
-        mask = self._predicate_fn(chunk)
+        mask = self.predicate.evaluate(chunk)
         out = chunk.filter(np.asarray(mask, dtype=bool))
         if out.num_rows == 0:
             return []
@@ -142,8 +139,6 @@ class MapOp(PhysicalOp):
 
     def __init__(self, exprs: dict, output_schema: Schema):
         self.exprs = dict(exprs)
-        self._expr_fns = [(name, expr.compiled())
-                          for name, expr in self.exprs.items()]
         self.output_schema = output_schema
         self.name = f"map({','.join(self.exprs)})"
 
@@ -151,8 +146,9 @@ class MapOp(PhysicalOp):
         if chunk.num_rows == 0:
             return []
         columns = dict(chunk.columns)
-        for name, fn in self._expr_fns:
-            columns[name] = np.asarray(fn(chunk), dtype=np.float64)
+        for name, expr in self.exprs.items():
+            columns[name] = np.asarray(expr.evaluate(chunk),
+                                       dtype=np.float64)
         return [Emit(Chunk(self.output_schema, columns))]
 
 

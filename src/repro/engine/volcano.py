@@ -319,8 +319,7 @@ class VolcanoEngine:
         else:
             child = self._build(node)
         if fusion_enabled():
-            from . import codegen
-            ops = fuse_ops(ops, codegen.fabric_context(self.fabric))
+            ops = fuse_ops(ops)
         for op in ops:
             child = _StreamIter(self, child, op)
         return child

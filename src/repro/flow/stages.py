@@ -240,8 +240,10 @@ class Stage:
                 continue
             # Emit is a fusion-segment boundary: settle lazy selection
             # views here so laziness never crosses a channel (the
-            # consumer would re-gather per column otherwise).
-            emit.chunk = emit.chunk.materialize()
+            # consumer would re-gather per column otherwise).  Other
+            # payloads (the cloud tax's wire form) are never views.
+            if isinstance(emit.chunk, Chunk):
+                emit.chunk = emit.chunk.materialize()
             nbytes = float(emit.chunk.nbytes)
             if self.router == "single":
                 yield from self.outputs[0].send(emit.chunk, nbytes)
@@ -409,9 +411,8 @@ class StageGraph:
                 # Serving context: tag every event this stage's
                 # process (and the device/storage code it drives)
                 # emits with the owning query.  The kernel sets/
-                # resets ``current_qid`` around each resume — same
-                # dynamic extent as a :meth:`Trace.scoped` wrapper
-                # without the extra generator frame per step.
+                # resets ``current_qid`` around each resume, so the
+                # tag covers exactly the process's dynamic extent.
                 proc._scope = (self.trace, self.qid)
 
     def _validate(self) -> None:

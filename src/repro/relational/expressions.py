@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,31 +59,14 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
 class Expression:
     """Base class for all expression nodes.
 
-    ``evaluate`` walks the tree per chunk; hot loops should call
-    :meth:`compiled` once per operator instead — it flattens the tree
-    into a chain of numpy closures (no isinstance dispatch, no regex
-    or set re-derivation per chunk) that computes the *same* array.
+    ``evaluate`` walks the tree per chunk.  It is the one interpreter:
+    lone operators and the unfused reference path call it, and the
+    kernels :mod:`repro.engine.codegen` generates must return arrays
+    equal to it in value and dtype.
     """
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         raise NotImplementedError
-
-    def compiled(self) -> Callable[[Chunk], np.ndarray]:
-        """A cached closure computing this expression over a chunk.
-
-        The closure is built once per expression object and returns
-        results bit-identical to :meth:`evaluate`.
-        """
-        fn = getattr(self, "_compiled_fn", None)
-        if fn is None:
-            fn = self._compile()
-            self._compiled_fn = fn
-        return fn
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        # Subclasses override; unknown extension nodes fall back to
-        # the interpreted walk.
-        return self.evaluate
 
     def required_columns(self) -> set[str]:
         raise NotImplementedError
@@ -157,25 +140,6 @@ def _wrap(value) -> "Expression":
     return value if isinstance(value, Expression) else Const(value)
 
 
-def _compile_binary(ufunc, left: "Expression",
-                    right: "Expression") -> Callable[[Chunk], np.ndarray]:
-    """A closure for ``ufunc(left, right)`` with literals bound raw.
-
-    A :class:`Const` operand broadcasts as a python scalar instead of
-    the ``np.full`` array ``evaluate`` builds — the ufunc result is
-    the same array, minus one temporary per chunk.  (Both-const stays
-    on the array path so the output keeps the chunk's row count.)
-    """
-    if isinstance(right, Const) and not isinstance(left, Const):
-        left_fn, value = left.compiled(), right.value
-        return lambda chunk: ufunc(left_fn(chunk), value)
-    if isinstance(left, Const) and not isinstance(right, Const):
-        value, right_fn = left.value, right.compiled()
-        return lambda chunk: ufunc(value, right_fn(chunk))
-    left_fn, right_fn = left.compiled(), right.compiled()
-    return lambda chunk: ufunc(left_fn(chunk), right_fn(chunk))
-
-
 class Col(Expression):
     """A column reference."""
 
@@ -183,11 +147,7 @@ class Col(Expression):
         self.name = name
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
-        return chunk.column(self.name)
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        name = self.name
-        return lambda chunk: chunk.columns[name]
+        return chunk.columns[self.name]
 
     def required_columns(self) -> set[str]:
         return {self.name}
@@ -205,10 +165,6 @@ class Const(Expression):
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         return np.full(chunk.num_rows, self.value)
 
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        value = self.value
-        return lambda chunk: np.full(chunk.num_rows, value)
-
     def required_columns(self) -> set[str]:
         return set()
 
@@ -216,30 +172,46 @@ class Const(Expression):
         return f"lit({self.value!r})"
 
 
-class Compare(Expression):
+class _BinaryOp(Expression):
+    """``left <op> right`` through the numpy ufunc ``_OPS[op]``."""
+
+    _OPS: dict = {}
+
+    def __init__(self, op: str, left: Expression, right: Expression):
+        if op not in self._OPS:
+            raise ValueError(
+                f"unknown {type(self).__name__.lower()} op {op!r}")
+        self.op = op
+        self.left = left
+        self.right = right
+
+    def evaluate(self, chunk: Chunk) -> np.ndarray:
+        # A lone Const operand is passed as a python scalar, not as the
+        # ``np.full`` array its own ``evaluate`` builds: numpy then
+        # keeps the column's dtype (``int32 + 1`` stays int32), which
+        # is also what the generated kernels do.  Both-const stays on
+        # the array path so the output keeps the chunk's row count.
+        ufunc, left, right = self._OPS[self.op], self.left, self.right
+        if isinstance(right, Const) and not isinstance(left, Const):
+            return ufunc(left.evaluate(chunk), right.value)
+        if isinstance(left, Const) and not isinstance(right, Const):
+            return ufunc(left.value, right.evaluate(chunk))
+        return ufunc(left.evaluate(chunk), right.evaluate(chunk))
+
+    def required_columns(self) -> set[str]:
+        return self.left.required_columns() | self.right.required_columns()
+
+    def __repr__(self):
+        return f"({self.left!r} {self.op} {self.right!r})"
+
+
+class Compare(_BinaryOp):
     """A comparison producing a boolean mask."""
 
     _OPS = {
         "==": np.equal, "!=": np.not_equal, "<": np.less,
         "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
     }
-
-    def __init__(self, op: str, left: Expression, right: Expression):
-        if op not in self._OPS:
-            raise ValueError(f"unknown comparison {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def evaluate(self, chunk: Chunk) -> np.ndarray:
-        return self._OPS[self.op](self.left.evaluate(chunk),
-                                  self.right.evaluate(chunk))
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        return _compile_binary(self._OPS[self.op], self.left, self.right)
-
-    def required_columns(self) -> set[str]:
-        return self.left.required_columns() | self.right.required_columns()
 
     def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
         # Range predicates over known min/max interpolate; equality
@@ -262,35 +234,12 @@ class Compare(Expression):
                     return 1.0 - frac
         return {"==": 0.1, "!=": 0.9}.get(self.op, 0.33)
 
-    def __repr__(self):
-        return f"({self.left!r} {self.op} {self.right!r})"
 
-
-class Arith(Expression):
+class Arith(_BinaryOp):
     """Element-wise arithmetic."""
 
     _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply,
             "/": np.divide}
-
-    def __init__(self, op: str, left: Expression, right: Expression):
-        if op not in self._OPS:
-            raise ValueError(f"unknown arithmetic op {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def evaluate(self, chunk: Chunk) -> np.ndarray:
-        return self._OPS[self.op](self.left.evaluate(chunk),
-                                  self.right.evaluate(chunk))
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        return _compile_binary(self._OPS[self.op], self.left, self.right)
-
-    def required_columns(self) -> set[str]:
-        return self.left.required_columns() | self.right.required_columns()
-
-    def __repr__(self):
-        return f"({self.left!r} {self.op} {self.right!r})"
 
 
 class And(Expression):
@@ -301,10 +250,6 @@ class And(Expression):
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         return np.logical_and(self.left.evaluate(chunk),
                               self.right.evaluate(chunk))
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        left, right = self.left.compiled(), self.right.compiled()
-        return lambda chunk: np.logical_and(left(chunk), right(chunk))
 
     def required_columns(self) -> set[str]:
         return self.left.required_columns() | self.right.required_columns()
@@ -330,10 +275,6 @@ class Or(Expression):
         return np.logical_or(self.left.evaluate(chunk),
                              self.right.evaluate(chunk))
 
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        left, right = self.left.compiled(), self.right.compiled()
-        return lambda chunk: np.logical_or(left(chunk), right(chunk))
-
     def required_columns(self) -> set[str]:
         return self.left.required_columns() | self.right.required_columns()
 
@@ -356,10 +297,6 @@ class Not(Expression):
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         return np.logical_not(self.operand.evaluate(chunk))
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        operand = self.operand.compiled()
-        return lambda chunk: np.logical_not(operand(chunk))
 
     def required_columns(self) -> set[str]:
         return self.operand.required_columns()
@@ -385,46 +322,35 @@ class Like(Expression):
         self.operand = operand
         self.pattern = pattern
         self._compiled = _like_regex(pattern)
+        #: id(pool) -> (pool, per-entry verdicts); see ``evaluate``.
+        self._pool_masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _match(self, values: np.ndarray) -> np.ndarray:
+        match = self._compiled.match
+        # tolist() converts to python scalars in one pass, which is
+        # much cheaper than per-element numpy indexing.
+        data = values.tolist()
+        return np.fromiter((match(str(v)) is not None for v in data),
+                           dtype=bool, count=len(data))
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
-        return self.compiled()(chunk)
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        match = self._compiled.match
-        operand = self.operand.compiled()
-
-        def run_values(values: list) -> np.ndarray:
-            # tolist() converts to python scalars in one pass, which
-            # is much cheaper than per-element numpy indexing.
-            return np.fromiter(
-                (match(str(v)) is not None for v in values),
-                dtype=bool, count=len(values))
-
-        if not isinstance(self.operand, Col):
-            return lambda chunk: run_values(operand(chunk).tolist())
-
-        # Column operand: dictionary-encoded arena columns match the
-        # regex against the (small, shared) pool once, then gather the
-        # boolean verdicts by code — identical values, one regex per
-        # distinct string instead of one per row.  The per-pool mask
-        # is cached; holding the pool in the cache entry keeps its id
-        # stable, so the identity check is exact.
-        name = self.operand.name
-        pool_masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        def run(chunk: Chunk) -> np.ndarray:
-            codes = chunk.dict_codes(name)
-            if codes is None:
-                return run_values(operand(chunk).tolist())
-            pool = chunk.dict_pool(name)
-            entry = pool_masks.get(id(pool))
-            if entry is None or entry[0] is not pool:
-                mask = run_values(pool.tolist())
-                pool_masks[id(pool)] = (pool, mask)
-            else:
-                mask = entry[1]
-            return mask[codes]
-        return run
+        operand = self.operand
+        codes = (chunk.dict_codes(operand.name)
+                 if isinstance(operand, Col) else None)
+        if codes is None:
+            return self._match(operand.evaluate(chunk))
+        # Dictionary-encoded arena column: match the regex against the
+        # (small, shared) pool once, then gather the boolean verdicts
+        # by code — identical values, one regex per distinct string
+        # instead of one per row.  The per-pool mask is cached; holding
+        # the pool in the cache entry keeps its id stable, so the
+        # identity check is exact.
+        pool = chunk.dict_pool(operand.name)
+        entry = self._pool_masks.get(id(pool))
+        if entry is None or entry[0] is not pool:
+            entry = (pool, self._match(pool))
+            self._pool_masks[id(pool)] = entry
+        return entry[1][codes]
 
     def required_columns(self) -> set[str]:
         return self.operand.required_columns()
@@ -448,26 +374,14 @@ class Between(Expression):
         self.high = _wrap(high)
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
-        values = self.operand.evaluate(chunk)
-        return np.logical_and(values >= self.low.evaluate(chunk),
-                              values <= self.high.evaluate(chunk))
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        operand = self.operand.compiled()
-        if isinstance(self.low, Const) and isinstance(self.high, Const):
-            lo, hi = self.low.value, self.high.value
-
-            def run(chunk: Chunk) -> np.ndarray:
-                values = operand(chunk)
-                return np.logical_and(values >= lo, values <= hi)
-            return run
-        low, high = self.low.compiled(), self.high.compiled()
-
-        def run(chunk: Chunk) -> np.ndarray:
-            values = operand(chunk)
-            return np.logical_and(values >= low(chunk),
-                                  values <= high(chunk))
-        return run
+        values = self.operand.evaluate(chunk)    # once, for both bounds
+        low, high = self.low, self.high
+        if isinstance(low, Const) and isinstance(high, Const):
+            # Literal bounds bind raw, as in ``_BinaryOp.evaluate``.
+            return np.logical_and(values >= low.value,
+                                  values <= high.value)
+        return np.logical_and(values >= low.evaluate(chunk),
+                              values <= high.evaluate(chunk))
 
     def required_columns(self) -> set[str]:
         return (self.operand.required_columns()
@@ -498,11 +412,6 @@ class InSet(Expression):
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         return np.isin(self.operand.evaluate(chunk), self.values)
-
-    def _compile(self) -> Callable[[Chunk], np.ndarray]:
-        operand = self.operand.compiled()
-        values = self.values
-        return lambda chunk: np.isin(operand(chunk), values)
 
     def required_columns(self) -> set[str]:
         return self.operand.required_columns()

@@ -23,13 +23,27 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..engine.codegen import fabric_context, fabric_fingerprint
 from ..engine.logical import PlanNode, Query, Scan
 from ..engine.placement import Placement
 from ..optimizer.optimizer import RankedPlacement
 
 __all__ = ["PlanCache", "plan_fingerprint", "schema_fingerprint",
            "fabric_fingerprint"]
+
+
+def fabric_fingerprint(fabric) -> str:
+    """Hash of the fabric's spec and site map (the placement context).
+
+    A different fabric generation — other sites, other link speeds —
+    must not reuse placements planned for this one.
+    """
+    digest = hashlib.sha256()
+    spec = fabric.spec
+    for key in sorted(vars(spec)):
+        digest.update(f"{key}={vars(spec)[key]!r};".encode())
+    for site in sorted(fabric.sites):
+        digest.update(f"{site}\x1f".encode())
+    return digest.hexdigest()
 
 
 def _plan_of(plan) -> PlanNode:
@@ -171,7 +185,7 @@ class PlanCache:
         if cached is not None:
             return cached
         context = (schema_fingerprint(catalog, list(tables))
-                   + ":" + fabric_context(fabric))
+                   + ":" + fabric_fingerprint(fabric))
         if len(self._context_memo) >= 64:
             self._context_memo.clear()
         self._context_memo[memo_key] = context

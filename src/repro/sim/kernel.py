@@ -11,28 +11,18 @@ Everything in :mod:`repro` ultimately runs on this kernel: simulated
 CPU cores, NIC processors, DMA engines, and flow-control loops are all
 processes, so their interleaving is explicit and replayable.
 
-Fast path
+One queue
 ---------
-Most events in a run are *zero-delay*: ``succeed()``, process resume,
-interrupt, and Store/Resource grants all schedule at the current
-instant.  Pushing those through the time-ordered heap costs two
-``O(log n)`` operations for an entry whose timestamp is already known
-to be ``now``.  The kernel therefore keeps a FIFO deque of
-``(seq, event)`` pairs for zero-delay events and only uses the heap
-for real timeouts.  The dispatch rule compares the global sequence
-number of the deque head against the heap head whenever both are due
-at the same instant, so the total event order is *bit-identical* to
-the heap-only ordering — the fast path changes wall-clock time, never
-simulated time.  Set ``REPRO_SLOW_KERNEL=1`` to force every event
-through the heap (the reference path the determinism guard tests
-compare against).
+Every pending event — zero-delay ``succeed()``/resume/grant and real
+timeout alike — sits in one heap keyed ``(due time, schedule sequence
+number)``; that key *is* the ordering guarantee above.  Zero-delay
+events do not get a FIFO of their own: it buys nothing end to end
+(``docs/performance.md``, "Fast-path audit").
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -348,21 +338,13 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a clock plus a priority queue of pending events.
-
-    Zero-delay events take a fast path: they are appended to a FIFO
-    deque instead of the heap (see the module docstring).  Dispatch
-    interleaves deque and heap by global sequence number, so the event
-    order is identical to a heap-only kernel.
-    """
+    """The event loop: a clock plus a priority queue of pending events."""
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
-        self._immediate: deque[tuple[int, Event]] = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.fast_path = not os.environ.get("REPRO_SLOW_KERNEL")
         #: Interrupt flag for :meth:`run_until_wake` (see :meth:`wake`).
         self.woken = False
 
@@ -370,13 +352,7 @@ class Simulator:
 
     def _schedule(self, delay: float, event: Event) -> None:
         self._seq += 1
-        if delay == 0.0 and self.fast_path:
-            # Entries in the immediate deque are always due at the
-            # current instant: time only advances when the deque is
-            # empty, so ``now`` at dispatch equals ``now`` at schedule.
-            self._immediate.append((self._seq, event))
-        else:
-            heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` to run after ``delay``, as a raw callback.
@@ -428,19 +404,7 @@ class Simulator:
     # -- running -------------------------------------------------------
 
     def _pop(self) -> Event:
-        """The next due event across the deque and the heap.
-
-        Deque entries are due at ``now``; a heap entry wins only when
-        it is *also* due at ``now`` and carries an earlier sequence
-        number (it was scheduled before the deque head).
-        """
-        immediate = self._immediate
-        if immediate:
-            queue = self._queue
-            if queue and queue[0][0] <= self.now \
-                    and queue[0][1] < immediate[0][0]:
-                return heapq.heappop(queue)[2]
-            return immediate.popleft()[1]
+        """Remove the next due event and advance the clock to it."""
         when, _seq, event = heapq.heappop(self._queue)
         if when < self.now:
             raise SimulationError("event scheduled in the past")
@@ -471,13 +435,10 @@ class Simulator:
         if until is not None and until < self.now:
             raise SimulationError(
                 f"until={until!r} is in the past (now={self.now!r})")
-        # The hot loop: step() inlined with local bindings.  Immediate
-        # events are always due now (<= until), so the horizon check
-        # only consults the heap when the deque is empty.
-        pop, immediate, queue = self._pop, self._immediate, self._queue
-        while queue or immediate:
-            if until is not None and not immediate \
-                    and queue[0][0] > until:
+        # The hot loop: step() inlined with local bindings.
+        pop, queue = self._pop, self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return
             event = pop()
@@ -532,14 +493,12 @@ class Simulator:
             raise SimulationError(
                 f"until={until!r} is in the past (now={self.now!r})")
         self.woken = False
-        pop, immediate, queue = self._pop, self._immediate, self._queue
+        pop, queue = self._pop, self._queue
         while not self.woken:
-            if not immediate:
-                if not queue or (until is not None
-                                 and queue[0][0] > until):
-                    if until is not None:
-                        self.now = until
-                    return
+            if not queue or (until is not None and queue[0][0] > until):
+                if until is not None:
+                    self.now = until
+                return
             event = pop()
             callbacks = event.callbacks
             if callbacks is None:
@@ -572,17 +531,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (for tests/diagnostics)."""
-        return len(self._queue) + len(self._immediate)
+        return len(self._queue)
 
     def peek_next_time(self) -> Optional[float]:
         """Due time of the next pending event, or ``None`` if idle.
 
-        Immediate (zero-delay) events are due at the current instant.
         External drivers (the serving front-end) use this to advance
         the clock event-by-event without overshooting a wake-up.
         """
-        if self._immediate:
-            return self.now
-        if self._queue:
-            return self._queue[0][0]
-        return None
+        return self._queue[0][0] if self._queue else None

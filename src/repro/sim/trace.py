@@ -129,8 +129,8 @@ class Trace:
     #: runs register one per query so events are tenant-attributable.
     contexts: dict[int, dict] = field(default_factory=dict)
     #: The ambient query context events default to (0 = none).  Set
-    #: for the dynamic extent of a query's processes via
-    #: :meth:`scoped`; never touched in batch runs.
+    #: for the dynamic extent of a query's processes by the kernel
+    #: (``Process._scope``); never touched in batch runs.
     current_qid: int = 0
     _flow_seq: int = field(default=0, repr=False)
     _ctx_seq: int = field(default=0, repr=False)
@@ -200,40 +200,6 @@ class Trace:
         qid = self._ctx_seq
         self.contexts[qid] = {"name": name, "tenant": tenant}
         return qid
-
-    def scoped(self, qid: int, gen):
-        """Run generator ``gen`` with :attr:`current_qid` = ``qid``.
-
-        A delegating wrapper for simulation processes: every time the
-        inner generator resumes, the ambient context is set to
-        ``qid``; every time it suspends (yields to the kernel) or
-        exits, the context is reset to 0.  This gives exact
-        dynamic-extent scoping — events emitted from shared hardware
-        code (storage media, NICs, memory, cloud taxes) during this
-        process's execution are tagged with the query that caused
-        them, while interleaved processes of other queries are not.
-
-        Setting an attribute cannot alter the event schedule, so a
-        scoped run is simulation-bit-identical to an unscoped one.
-        """
-        value = None
-        error: Optional[BaseException] = None
-        while True:
-            self.current_qid = qid
-            try:
-                if error is not None:
-                    exc, error = error, None
-                    item = gen.throw(exc)
-                else:
-                    item = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            finally:
-                self.current_qid = 0
-            try:
-                value = yield item
-            except BaseException as exc:
-                error = exc
 
     def next_flow_id(self) -> int:
         """A fresh id tying a chunk_emit to its chunk_recv."""

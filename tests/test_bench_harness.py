@@ -166,20 +166,3 @@ def test_cli_bench_list(capsys):
     out = capsys.readouterr().out
     assert "filter_project" in out
     assert "f1" in out and "e6" in out
-
-
-def test_results_txt_gated_by_env(tmp_path, monkeypatch, capsys):
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "bench_common",
-        os.path.join(bench.default_bench_dir(), "common.py"))
-    common = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(common)
-    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_RESULTS_TXT", raising=False)
-    common.report("x1", "t", "c", [{"a": 1}])
-    assert not os.path.exists(tmp_path / "x1.txt")
-    monkeypatch.setenv("REPRO_RESULTS_TXT", "1")
-    common.report("x1", "t", "c", [{"a": 1}])
-    assert os.path.exists(tmp_path / "x1.txt")
-    capsys.readouterr()

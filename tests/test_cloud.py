@@ -14,6 +14,7 @@ from repro.cloud import (
     xor_cipher,
 )
 from repro.engine import AggSpec, Query
+from repro.flow import StageGraph
 from repro.hardware import ComputationalStorage, build_fabric, dataflow_spec
 from repro.relational import (
     col,
@@ -176,6 +177,25 @@ def test_tax_extra_charges_reported():
     assert kinds == ["compress", "encrypt"]
     none = EgressOp(TaxConfig(compress=False, encrypt=False))
     assert none.extra_charges(chunk) == []
+
+
+def test_tax_stages_roundtrip_across_a_channel():
+    """Paper claim C2's shape: an egress stage's wire payloads cross a
+    channel into an ingress stage (the payload is not a Chunk)."""
+    fabric = build_fabric(dataflow_spec())
+    table = make_lineitem(3000, chunk_rows=1000)
+    graph = StageGraph(fabric, name="tax")
+    src = graph.source("scan", table, medium=fabric.storage.medium)
+    egress = graph.stage("egress", "storage.nic", [EgressOp(TaxConfig())])
+    ingress = graph.stage("ingress", "compute0.nic",
+                          [IngressOp(TaxConfig())])
+    sink = graph.sink("out", "compute0.cpu")
+    graph.connect(src, egress)
+    graph.connect(egress, ingress)
+    graph.connect(ingress, sink)
+    result = graph.run()
+    assert result.table().sorted_rows() == table.sorted_rows()
+    assert fabric.sim.pending_events == 0
 
 
 # ---------------------------------------------------------------------------

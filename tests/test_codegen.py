@@ -1,35 +1,33 @@
-"""Generated kernels: cache keys, disk persistence, and bit-identity.
+"""Generated kernels: cache keys, fallback, and agreement with evaluate.
 
-The contract under test: a generated kernel is indistinguishable from
-the closure pipeline (same chunks, same charges, same ring events),
-the cache key covers everything that could change the generated code
-(pipeline, entry schema, fabric context, fusion flag), and the disk
-cache survives process boundaries while rejecting corrupt or stale
-entries instead of loading them.
+The contract under test: the cache key covers everything the generated
+code depends on (pipeline, entry schema); a pipeline codegen declines
+runs its parts' own ``process()`` with the same chunks and charges;
+and a kernel computes arrays equal in value *and dtype* to
+``Expression.evaluate``.  (Kernel vs unfused engine runs, down to the
+event ring: ``tests/test_fusion.py``.)
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import DataflowEngine, VolcanoEngine, codegen
+from repro.engine import DataflowEngine, codegen
 from repro.engine.fusion import FusedOp
-from repro.engine.logical import AggSpec, Query
+from repro.engine.logical import Query
 from repro.engine.operators import FilterOp, MapOp, ProjectOp
 from repro.hardware import build_fabric, dataflow_spec
-from repro.obs import table_checksum
 from repro.relational import Catalog
 from repro.relational.datagen import make_lineitem, make_orders
 from repro.relational.expressions import Expression, col, lit
 from repro.relational.schema import DataType, Field, Schema
+from repro.relational.table import Chunk
 
 ROWS = 4000
 
 
 @pytest.fixture(autouse=True)
-def _isolated_kernel_cache(tmp_path, monkeypatch):
-    """Each test gets a private disk cache and fresh module state."""
-    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kernels"))
-    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
+def _fresh_kernel_cache(monkeypatch):
+    """Each test starts with an empty kernel cache and zero counters."""
     monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
     codegen.reset()
     yield
@@ -51,117 +49,38 @@ def _pipeline():
 # ---------------------------------------------------------------------------
 
 def test_same_pipeline_same_schema_same_fingerprint():
-    fp1 = codegen.pipeline_fingerprint(_pipeline(), _schema(), "ctx")
-    fp2 = codegen.pipeline_fingerprint(_pipeline(), _schema(), "ctx")
+    fp1 = codegen.pipeline_fingerprint(_pipeline(), _schema())
+    fp2 = codegen.pipeline_fingerprint(_pipeline(), _schema())
     assert fp1 == fp2
 
 
 def test_schema_change_changes_fingerprint():
-    base = codegen.pipeline_fingerprint(_pipeline(), _schema(), "ctx")
+    base = codegen.pipeline_fingerprint(_pipeline(), _schema())
     widened = codegen.pipeline_fingerprint(
-        _pipeline(), _schema([Field("c", DataType.STRING, 8)]), "ctx")
+        _pipeline(), _schema([Field("c", DataType.STRING, 8)]))
     assert base != widened
-
-
-def test_fabric_context_change_changes_fingerprint():
-    one = codegen.pipeline_fingerprint(_pipeline(), _schema(), "fab-a")
-    two = codegen.pipeline_fingerprint(_pipeline(), _schema(), "fab-b")
-    assert one != two
-
-
-def test_fusion_flag_changes_fingerprint(monkeypatch):
-    enabled = codegen.pipeline_fingerprint(_pipeline(), _schema(), "ctx")
-    monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    disabled = codegen.pipeline_fingerprint(_pipeline(), _schema(), "ctx")
-    assert enabled != disabled
 
 
 def test_predicate_constant_changes_fingerprint():
     loose = codegen.pipeline_fingerprint(
-        [FilterOp(col("a") > lit(5))], _schema(), "ctx")
+        [FilterOp(col("a") > lit(5))], _schema())
     tight = codegen.pipeline_fingerprint(
-        [FilterOp(col("a") > lit(6))], _schema(), "ctx")
+        [FilterOp(col("a") > lit(6))], _schema())
     assert loose != tight
 
 
-def test_distinct_fabrics_have_distinct_contexts():
-    fabric = build_fabric(dataflow_spec())
-    other = build_fabric(dataflow_spec(network_gbits=400.0))
-    assert codegen.fabric_context(fabric) != codegen.fabric_context(other)
-    # Cached on the object: second call is the same string.
-    assert codegen.fabric_context(fabric) is codegen.fabric_context(fabric)
-
-
-# ---------------------------------------------------------------------------
-# Cache tiers: compile -> memory -> disk, with verification on load
-# ---------------------------------------------------------------------------
-
-def test_compile_then_memory_then_disk_hit():
-    kernel, origin, fp = codegen.get_kernel(_pipeline(), _schema(), "ctx")
+def test_compile_then_memory_hit():
+    kernel, origin, fp = codegen.resolve(_pipeline(), _schema())
     assert origin == "compiled" and kernel is not None
-    _, origin2, fp2 = codegen.get_kernel(_pipeline(), _schema(), "ctx")
+    _, origin2, fp2 = codegen.resolve(_pipeline(), _schema())
     assert origin2 == "memory" and fp2 == fp
-    codegen._memory.clear()          # simulate a fresh process
-    _, origin3, fp3 = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    assert origin3 == "disk" and fp3 == fp
     stats = codegen.counters()
     assert stats["compiles"] == 1
     assert stats["memory_hits"] == 1
-    assert stats["disk_hits"] == 1
-    assert stats["disk_writes"] == 1
-
-
-def test_corrupt_disk_entry_discarded_and_recompiled():
-    _, _, fp = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    path = codegen.kernel_cache_dir() / f"{fp}.py"
-    path.write_text(path.read_text()[:-40] + "# truncated\n")
-    codegen._memory.clear()
-    _, origin, _ = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    assert origin == "compiled"
-    assert codegen.counters()["disk_stale"] == 1
-    assert not path.read_text().endswith("# truncated\n")
-
-
-def test_wrong_fingerprint_header_discarded():
-    _, _, fp = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    path = codegen.kernel_cache_dir() / f"{fp}.py"
-    text = path.read_text()
-    path.write_text(text.replace(fp, "0" * 64))
-    codegen._memory.clear()
-    _, origin, _ = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    assert origin == "compiled"
-    assert codegen.counters()["disk_stale"] == 1
-
-
-def test_unparseable_disk_body_discarded():
-    _, _, fp = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    path = codegen.kernel_cache_dir() / f"{fp}.py"
-    bad_body = "def make_kernel(:\n"
-    import hashlib
-    path.write_text("\n".join([
-        f"# repro-kernel v{codegen.CODEGEN_VERSION}",
-        f"# fingerprint: {fp}",
-        f"# source-sha256: "
-        f"{hashlib.sha256(bad_body.encode()).hexdigest()}",
-        bad_body,
-    ]))
-    codegen._memory.clear()
-    _, origin, _ = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    assert origin == "compiled"
-    assert codegen.counters()["disk_stale"] == 1
-
-
-def test_empty_cache_dir_env_disables_disk():
-    import os
-    os.environ["REPRO_KERNEL_CACHE_DIR"] = ""
-    assert codegen.kernel_cache_dir() is None
-    _, origin, _ = codegen.get_kernel(_pipeline(), _schema(), "ctx")
-    assert origin == "compiled"
-    assert codegen.counters()["disk_writes"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Fallbacks
+# Fallback: a declined pipeline runs its parts' own process()
 # ---------------------------------------------------------------------------
 
 class _Opaque(Expression):
@@ -177,33 +96,86 @@ class _Opaque(Expression):
         return "opaque()"
 
 
-def test_unsupported_expression_falls_back_to_closures():
-    parts = [FilterOp(_Opaque()), ProjectOp(["a"])]
-    kernel, origin, fp = codegen.resolve(parts, _schema(), "ctx")
-    assert kernel is None and origin == "closure" and fp is None
-    assert codegen.counters()["unsupported"] == 1
-    # The fused op still runs correctly on the closure path.
-    from repro.relational.table import Chunk
-    fused = FusedOp(parts, "ctx")
+def _run_parts(parts, chunk):
+    """Output chunk and charges of the parts' process() in sequence."""
+    charges = []
+    current = chunk
+    for index, part in enumerate(parts):
+        if index:       # the executor charges the first part itself
+            charges.append((part.kind, part.charge_bytes(current)))
+        emits = part.process(current)
+        if not emits:
+            return None, charges
+        current = emits[0].chunk
+    return current, charges
+
+
+@pytest.mark.parametrize("cutoff, survivors", [(7, 2), (100, 0)])
+def test_unsupported_expression_runs_the_parts_themselves(cutoff,
+                                                          survivors):
+    def parts():
+        return [FilterOp(_Opaque()), ProjectOp(["a"]),
+                FilterOp(col("a") > lit(cutoff)),
+                MapOp({"c": col("a") * lit(2)},
+                      Schema([Field("a", DataType.INT64),
+                              Field("c", DataType.FLOAT64)]))]
     chunk = Chunk(_schema(), {
         "a": np.arange(10, dtype=np.int64),
         "b": np.zeros(10)})
+    fused = FusedOp(parts())
     charges = fused.extra_charges(chunk)
     emits = fused.process(chunk)
-    assert fused.kernel_origin == "closure"
-    assert [len(c) for c in (charges,)] == [1]
-    assert emits[0].chunk.num_rows == 4
-
-
-def test_no_codegen_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    kernel, origin, fp = codegen.resolve(_pipeline(), _schema(), "ctx")
-    assert kernel is None and origin == "disabled" and fp is None
-    assert codegen.counters()["disabled"] == 1
+    assert fused.kernel_origin == "unsupported"
+    assert codegen.counters()["unsupported"] == 1
+    expected, expected_charges = _run_parts(parts(), chunk)
+    assert charges == expected_charges
+    # cutoff 100: the second filter empties the stream mid-chain, so
+    # the map behind it is never charged.
+    assert len(charges) == (3 if survivors else 2)
+    if not survivors:
+        assert emits == [] and expected is None
+        return
+    [emit] = emits
+    assert emit.chunk.schema.names == expected.schema.names
+    assert emit.chunk.sorted_rows() == expected.sorted_rows()
+    assert emit.chunk.num_rows == survivors
 
 
 # ---------------------------------------------------------------------------
-# End-to-end bit-identity and cold/warm equivalence
+# Kernels agree with Expression.evaluate in value and dtype
+# ---------------------------------------------------------------------------
+
+def _kernel_value(expr, chunk):
+    """The array the generated source computes for ``expr``."""
+    gen = codegen._KernelGen(
+        [FilterOp(expr), ProjectOp(chunk.schema.names)], chunk.schema)
+    value = gen.expr_src(expr, chunk.schema)
+    namespace = {"np": np, "base0": chunk.columns, "n0": chunk.num_rows}
+    exec("\n".join(gen.w.lines + [f"result = {value}"]), namespace)
+    return namespace["result"]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("expr", [
+    col("x") > lit(3), lit(3) <= col("x"), col("x") == lit(2.5),
+    col("x") + lit(1), lit(2) * col("x"), col("x") - lit(0.5),
+    col("x") / lit(2), col("x").between(2, 5),
+    col("x").between(lit(2), col("x") + lit(1)),
+    (col("x") + lit(1)) * lit(3) > lit(10),
+], ids=repr)
+def test_evaluate_matches_kernel_in_value_and_dtype(expr, dtype):
+    schema = Schema([Field("x", DataType.INT64)])
+    # _from_valid keeps the array's own dtype (as dictionary codes
+    # do), so the int32 case really computes in int32.
+    chunk = Chunk._from_valid(schema, {"x": np.arange(8).astype(dtype)})
+    interpreted = expr.evaluate(chunk)
+    generated = _kernel_value(expr, chunk)
+    assert interpreted.dtype == generated.dtype
+    assert interpreted.tolist() == generated.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Engines: counters and kernel diagnostics
 # ---------------------------------------------------------------------------
 
 def _catalog():
@@ -214,69 +186,15 @@ def _catalog():
     return catalog
 
 
-def _queries():
-    return {
-        "filter_project": (
-            Query.scan("lineitem")
+def _filter_project():
+    return (Query.scan("lineitem")
             .filter(col("l_quantity") > 40)
-            .project(["l_orderkey", "l_extendedprice"])),
-        "like_map_agg": (
-            Query.scan("lineitem")
-            .filter(col("l_comment").like("%a%"))
-            .with_column("disc", col("l_extendedprice")
-                         * (lit(1.0) - col("l_discount")))
-            .aggregate(["l_returnflag"],
-                       [AggSpec("sum", "disc", "rev"),
-                        AggSpec("count", alias="n")])),
-        "inset_between": (
-            Query.scan("lineitem")
-            .filter(col("l_returnflag").isin(["A", "R"]))
-            .filter(col("l_quantity").between(5, 45))
-            .project(["l_orderkey", "l_quantity"])),
-    }
-
-
-def _run_engine(engine_cls, query):
-    fabric = build_fabric(dataflow_spec())
-    result = engine_cls(fabric, _catalog()).execute(query)
-    return {
-        "checksum": table_checksum(result.table),
-        "sim_time_s": result.elapsed,
-        "movement": result.movement,
-        "ledger": fabric.trace.movement_ledger(),
-        "ring": [event.to_dict() for event in fabric.trace.events],
-    }
-
-
-@pytest.mark.parametrize("engine_cls", [DataflowEngine, VolcanoEngine])
-@pytest.mark.parametrize("name", sorted(_queries()))
-def test_codegen_and_closure_runs_bit_identical(monkeypatch, engine_cls,
-                                                name):
-    query = _queries()[name]
-    generated = _run_engine(engine_cls, query)
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    closures = _run_engine(engine_cls, query)
-    assert generated["checksum"] == closures["checksum"]
-    assert generated["sim_time_s"] == closures["sim_time_s"]
-    assert generated["movement"] == closures["movement"]
-    assert generated["ledger"] == closures["ledger"]
-    assert generated["ring"] == closures["ring"]
-
-
-def test_cold_and_warm_cache_runs_bit_identical():
-    query = _queries()["like_map_agg"]
-    cold = _run_engine(DataflowEngine, query)
-    assert codegen.counters()["compiles"] >= 1
-    codegen._memory.clear()          # fresh process, disk cache warm
-    warm = _run_engine(DataflowEngine, query)
-    assert codegen.counters()["disk_hits"] >= 1
-    assert cold == warm
+            .project(["l_orderkey", "l_extendedprice"]))
 
 
 def test_counters_surface_in_query_result():
     fabric = build_fabric(dataflow_spec())
-    result = DataflowEngine(fabric, _catalog()).execute(
-        _queries()["filter_project"])
+    result = DataflowEngine(fabric, _catalog()).execute(_filter_project())
     assert result.counters.get("codegen.compiles", 0) >= 1
     # Counters never leak into the simulated accounting.
     assert not any(k.startswith("codegen.")
@@ -286,13 +204,13 @@ def test_counters_surface_in_query_result():
 def test_resolved_kernels_report_info():
     fabric = build_fabric(dataflow_spec())
     engine = DataflowEngine(fabric, _catalog())
-    graph = engine.compile(_queries()["filter_project"])
+    graph = engine.compile(_filter_project())
     graph.run()
     infos = [op.kernel_info()
              for stage in graph.stages.values()
              for op in stage.ops if isinstance(op, FusedOp)]
     assert infos, "expected at least one fused segment"
     for info in infos:
-        assert info["origin"] in ("compiled", "memory", "disk")
+        assert info["origin"] in ("compiled", "memory")
         assert info["fingerprint"]
         assert "def kernel(chunk, charges):" in info["source"]

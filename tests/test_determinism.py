@@ -1,17 +1,19 @@
-"""Determinism guarantees: repeat runs and the kernel fast path.
+"""Determinism guarantees: repeat runs and the reference switches.
 
-Two properties the perf work must never erode:
+Properties the perf work must never erode:
 
 * the stack is bit-deterministic — the same seeded scenario run twice
   produces identical checksums, simulated times, movement ledgers,
   and event rings;
-* the zero-delay fast path in :class:`repro.sim.Simulator` is an
-  implementation detail — forcing the heap-only reference path via
-  ``REPRO_SLOW_KERNEL=1`` yields the exact same trace;
-* pipeline fusion is likewise an implementation detail — forcing the
-  unfused reference path via ``REPRO_NO_FUSE=1`` yields the exact
-  same trace (see ``tests/test_fusion.py`` for the full matrix).
+* the kernel fires same-instant events in schedule order;
+* pipeline fusion is an implementation detail — forcing the unfused
+  reference path via ``REPRO_NO_FUSE=1`` yields the exact same trace
+  (see ``tests/test_fusion.py`` for the full matrix);
+* the reference switches are exactly the ones documented.
 """
+
+import re
+from pathlib import Path
 
 from repro import bench
 from repro.engine import AggSpec, DataflowEngine, Query
@@ -70,49 +72,6 @@ def test_smoke_records_are_bit_identical():
         assert first[key] == second[key], key
 
 
-def test_slow_kernel_flag_disables_fast_path(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    assert Simulator().fast_path is True
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    sim = Simulator()
-    assert sim.fast_path is False
-
-    def proc():
-        yield sim.timeout(0.0)
-        evt = sim.event()
-        evt.succeed("x")
-        value = yield evt
-        return value
-
-    # With the fast path off every event goes through the heap.
-    assert sim.run_process(proc()) == "x"
-    assert not sim._immediate
-
-
-def test_fast_and_slow_kernel_traces_identical(monkeypatch):
-    """The fast path must not change a single simulated quantity."""
-    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    fast = _run_once()
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    slow = _run_once()
-    assert fast["checksum"] == slow["checksum"]
-    assert fast["sim_time_s"] == slow["sim_time_s"]
-    assert fast["ledger"] == slow["ledger"]
-    assert fast["ring"] == slow["ring"]
-
-
-def test_fast_and_slow_smoke_scenarios_identical(monkeypatch):
-    """Guard at harness level too, over the join+agg scenario."""
-    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    fast = bench.run_smoke(rows=ROWS, only=["join_agg"])[0]
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    slow = bench.run_smoke(rows=ROWS, only=["join_agg"])[0]
-    for key in sorted(set(fast) | set(slow)):
-        if key == "wall_time_s":
-            continue
-        assert fast[key] == slow[key], key
-
-
 def test_fused_and_unfused_traces_identical(monkeypatch):
     """Fusion must not change a single simulated quantity."""
     monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
@@ -147,8 +106,8 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
         order.append((tag, sim.now, value))
 
     def driver():
-        # A zero-delay timeout (heap on slow path, deque on fast) and
-        # a succeed() race at the same instant; sequence order wins.
+        # A timeout due at t=1 and a succeed() issued at t=1 race at
+        # the same instant; sequence order wins.
         t = sim.timeout(1.0, "t")
         e = sim.event()
         sim.process(waiter("a", t))
@@ -159,3 +118,12 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
 
     sim.run_process(driver())
     assert order == [("a", 1.0, "t"), ("b", 1.0, "e")]
+
+
+def test_env_switch_inventory():
+    """One reference switch per surviving fast path, plus one path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = {name for path in src.rglob("*.py")
+             for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
+    assert names == {"REPRO_BENCH_DIR", "REPRO_NO_FUSE",
+                     "REPRO_SLOW_FLOW"}

@@ -302,6 +302,19 @@ def _queries():
                   "l_orderkey", "o_orderkey")
             .aggregate(["o_priority"],
                        [AggSpec("sum", "l_extendedprice", "rev")])),
+        "like_map_agg": (
+            Query.scan("lineitem")
+            .filter(col("l_comment").like("%a%"))
+            .with_column("disc", col("l_extendedprice")
+                         * (lit(1.0) - col("l_discount")))
+            .aggregate(["l_returnflag"],
+                       [AggSpec("sum", "disc", "rev"),
+                        AggSpec("count", alias="n")])),
+        "inset_between": (
+            Query.scan("lineitem")
+            .filter(col("l_returnflag").isin(["A", "R"]))
+            .filter(col("l_quantity").between(5, 45))
+            .project(["l_orderkey", "l_quantity"])),
     }
 
 

@@ -1,9 +1,8 @@
 """Property test: the hot-path rewrites are observably invisible.
 
-PR 9 moved the simulator and credit-flow hot paths onto raw
-callbacks (``Simulator.call_later``, the ``_Delivery`` /
-``_CreditReturn`` chains) while keeping the generator/heap reference
-implementations behind ``REPRO_SLOW_KERNEL=1`` and
+PR 9 moved the credit-flow hot path onto raw callbacks
+(``Simulator.call_later``, the ``_Delivery`` / ``_CreditReturn``
+chains) while keeping the generator reference implementation behind
 ``REPRO_SLOW_FLOW=1``.  These properties pin the contract with
 randomized workloads instead of hand-picked scenarios:
 
@@ -11,10 +10,10 @@ randomized workloads instead of hand-picked scenarios:
   (random credit windows, link shapes, message sizes, producer gaps,
   consumer think times) produce **bit-identical** observable state —
   event ring, movement ledger, counters, payload order, final clock —
-  on the fast paths and on both reference paths;
+  on the fast path and on the reference path;
 * every run drains: ``Simulator.pending_events == 0`` afterwards
   (a leaked event means a callback or credit return outlived the
-  workload, which the fast paths could otherwise hide).
+  workload, which the fast path could otherwise hide).
 """
 
 import os
@@ -49,22 +48,17 @@ workloads = st.fixed_dictionaries({
 })
 
 
-def _run_workload(spec: dict, slow_kernel: bool = False,
-                  slow_flow: bool = False) -> dict:
+def _run_workload(spec: dict, slow_flow: bool = False) -> dict:
     """One deterministic run of ``spec``; returns observable state.
 
-    The reference flags are read at ``Simulator`` / ``CreditChannel``
-    construction, so setting them around the build is enough; saved
-    and restored manually because hypothesis re-enters this function
-    many times per test (no per-example fixture).
+    The reference flag is read at ``CreditChannel`` construction, so
+    setting it around the build is enough; saved and restored
+    manually because hypothesis re-enters this function many times
+    per test (no per-example fixture).
     """
-    saved = {key: os.environ.get(key)
-             for key in ("REPRO_SLOW_KERNEL", "REPRO_SLOW_FLOW")}
+    saved = os.environ.get("REPRO_SLOW_FLOW")
     try:
-        os.environ.pop("REPRO_SLOW_KERNEL", None)
         os.environ.pop("REPRO_SLOW_FLOW", None)
-        if slow_kernel:
-            os.environ["REPRO_SLOW_KERNEL"] = "1"
         if slow_flow:
             os.environ["REPRO_SLOW_FLOW"] = "1"
         sim = Simulator()
@@ -115,23 +109,20 @@ def _run_workload(spec: dict, slow_kernel: bool = False,
             "max_outstanding": channel.max_outstanding,
         }
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SLOW_FLOW", None)
+        else:
+            os.environ["REPRO_SLOW_FLOW"] = saved
 
 
 @given(spec=workloads)
 @settings(max_examples=40, deadline=None)
 def test_fast_and_reference_paths_bit_identical(spec):
     fast = _run_workload(spec)
-    slow_kernel = _run_workload(spec, slow_kernel=True)
     slow_flow = _run_workload(spec, slow_flow=True)
-    for reference in (slow_kernel, slow_flow):
-        assert reference == fast
+    assert slow_flow == fast
     # Each path drained and delivered FIFO within the credit window.
-    for state in (fast, slow_kernel, slow_flow):
+    for state in (fast, slow_flow):
         assert state["pending"] == 0
         assert state["received"] == list(range(len(spec["messages"])))
         assert state["max_outstanding"] <= spec["credits"]
