@@ -24,7 +24,7 @@ Three layers on top of the observability substrate:
 
 from .critical_path import (
     Attribution,
-    IntervalIndex,
+    WinnerTimeline,
     attribute,
     attribute_query,
     raw_intervals,
@@ -65,7 +65,7 @@ __all__ = [
     "Attribution",
     "attribute",
     "attribute_query",
-    "IntervalIndex",
+    "WinnerTimeline",
     "raw_intervals",
     "OBSERVATORY_SCHEMA",
     "Observatory",

@@ -36,15 +36,14 @@ tests with zero tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from ..sim import EventKind, Trace
 
-__all__ = ["Attribution", "IntervalIndex", "attribute",
+__all__ = ["Attribution", "WinnerTimeline", "attribute",
            "attribute_query", "raw_intervals"]
 
 
@@ -177,46 +176,6 @@ def raw_intervals(trace: Trace
     return out
 
 
-class IntervalIndex:
-    """Vectorized clip over one trace's raw interval list.
-
-    Wrap :func:`raw_intervals` output once, then hand the index to
-    :func:`attribute` for each window: the per-window clip becomes a
-    numpy mask over the start/end arrays instead of a Python loop over
-    every interval in the trace.  Comparison and min/max on float64
-    match Python-float semantics exactly, so the clipped set is
-    bit-identical to :func:`_clip` on the same list (open spans are
-    held as ``+inf``, which clips to ``q1`` just as ``None`` does).
-    """
-
-    __slots__ = ("_starts", "_ends", "_meta")
-
-    def __init__(self, intervals):
-        self._meta = [(iv[2], iv[3]) for iv in intervals]
-        self._starts = np.array([iv[0] for iv in intervals],
-                                dtype=np.float64)
-        self._ends = np.array(
-            [math.inf if iv[1] is None else iv[1] for iv in intervals],
-            dtype=np.float64)
-
-    def clip(self, q0: float, q1: float
-             ) -> list[tuple[float, float, str, int]]:
-        starts, ends = self._starts, self._ends
-        hit = np.nonzero((starts < q1) & (ends > q0))[0]
-        if not len(hit):
-            return []
-        lo = np.maximum(starts[hit], q0).tolist()
-        hi = np.minimum(ends[hit], q1).tolist()
-        meta = self._meta
-        out = []
-        for i, j in enumerate(hit.tolist()):
-            start, end = lo[i], hi[i]
-            if end > start:
-                bucket, prio = meta[j]
-                out.append((start, end, bucket, prio))
-        return out
-
-
 def _clip(intervals, q0: float, q1: float
           ) -> list[tuple[float, float, str, int]]:
     """Clip raw intervals to ``[q0, q1]``, dropping empty results.
@@ -266,10 +225,7 @@ def attribute(trace: Trace, started_at: float, finished_at: float,
 
     if intervals is None:
         intervals = raw_intervals(trace)
-    if isinstance(intervals, IntervalIndex):
-        intervals = intervals.clip(started_at, finished_at)
-    else:
-        intervals = _clip(intervals, started_at, finished_at)
+    intervals = _clip(intervals, started_at, finished_at)
     # The sweep runs on raw floats: every float is exactly one
     # rational, so float comparison, hashing, and sorting agree with
     # their Fraction counterparts.  Only segment *widths* need exact
@@ -317,6 +273,141 @@ def attribute(trace: Trace, started_at: float, finished_at: float,
     attribution.buckets = buckets
     attribution.segments = raw_segments
     return attribution
+
+
+def partial_reason(dropped: int) -> str:
+    """Why attributions over a ring that dropped events are partial."""
+    if dropped <= 0:
+        return ""
+    return (f"event ring dropped {dropped} events; wire/credit "
+            "intervals incomplete")
+
+
+class WinnerTimeline:
+    """The winner of every instant of a run, swept once.
+
+    Attribution is linear in the interval stream: which source wins an
+    instant does not depend on the window asked about.  So one global
+    priority sweep over :func:`raw_intervals` — the same half-open
+    ``[start, end)`` intervals, ``(prio, bucket)`` tie-break and
+    dropped zero-width intervals as :func:`_clip` + :func:`attribute`
+    — yields a step function of maximal same-winner runs covering
+    ``(-inf, +inf)`` (a still-open span is held as ending at ``+inf``),
+    and :meth:`attribute` answers any window as a slice of it: two
+    bisects, two exact edge pieces, and one prefix-sum difference per
+    bucket for the runs wholly inside.
+
+    Exactness: every float is a dyadic rational, so run widths are
+    kept as Python ints over one common power-of-two denominator —
+    prefix sums add without a gcd — and become
+    :class:`~fractions.Fraction` only when a window's buckets are
+    filled.  Rational addition is associative, so the sums equal the
+    reference sweep's however the runs are grouped.
+
+    :func:`attribute` stays the reference this is checked against
+    (``Observatory.observatory_violations``, the property tests); the
+    two share nothing but the interval list.
+    """
+
+    def __init__(self, trace: Trace, intervals: Optional[list] = None):
+        self.trace = trace
+        #: The :func:`raw_intervals` list the timeline was swept from.
+        self.intervals = (raw_intervals(trace) if intervals is None
+                          else intervals)
+        keys = sorted({(prio, bucket)
+                       for _s, _e, bucket, prio in self.intervals})
+        rank = {key: i for i, key in enumerate(keys)}
+        edges: list[tuple[float, int, int]] = []
+        for start, end, bucket, prio in self.intervals:
+            if end is None:
+                end = math.inf
+            if end > start:
+                key = rank[(prio, bucket)]
+                edges.append((start, key, 1))
+                edges.append((end, key, -1))
+        edges.sort()
+
+        # Run ``i`` is ``[starts[i], starts[i + 1])`` won by
+        # ``winners[i]``; the last run extends to +inf.
+        starts = self._starts = [-math.inf]
+        winners = self._winners = [WAIT_OTHER]
+        counts = [0] * len(keys)
+        live: set[int] = set()
+        i, n = 0, len(edges)
+        while i < n:
+            point = edges[i][0]
+            if point == math.inf:
+                break  # open spans never close inside any window
+            while i < n and edges[i][0] == point:
+                _point, key, step = edges[i]
+                counts[key] += step
+                if counts[key] == 0:
+                    live.discard(key)
+                else:
+                    live.add(key)
+                i += 1
+            winner = keys[min(live)][1] if live else WAIT_OTHER
+            if winner != winners[-1]:
+                starts.append(point)
+                winners.append(winner)
+        self._segments = list(zip(starts, starts[1:] + [math.inf],
+                                  winners))
+
+        # The finite boundaries ``starts[1:]`` as integer ticks of
+        # ``1 / self._denom``: every denominator is a power of two, so
+        # the largest is their common one.
+        ratios = [point.as_integer_ratio() for point in starts[1:]]
+        self._denom = max((d for _n, d in ratios), default=1)
+        ticks = [n * (self._denom // d) for n, d in ratios]
+        #: bucket -> (indices of the finite runs it won, ascending;
+        #: running sum of their widths in ticks, with a leading 0).
+        self._prefix: dict[str, tuple[list[int], list[int]]] = {}
+        for run in range(1, len(starts) - 1):
+            runs, sums = self._prefix.setdefault(winners[run],
+                                                 ([], [0]))
+            runs.append(run)
+            sums.append(sums[-1] + ticks[run] - ticks[run - 1])
+
+    def attribute(self, started_at: float,
+                  finished_at: float) -> Attribution:
+        """The slice ``[started_at, finished_at]`` of the timeline.
+
+        Equal to ``attribute(trace, started_at, finished_at,
+        intervals=self.intervals)`` in every field.
+        """
+        dropped = self.trace.events.dropped
+        attribution = Attribution(
+            started_at=started_at, finished_at=finished_at,
+            partial=dropped > 0, partial_reason=partial_reason(dropped))
+        if finished_at <= started_at:
+            return attribution
+        starts, winners = self._starts, self._winners
+        first = bisect_right(starts, started_at) - 1
+        last = bisect_left(starts, finished_at) - 1
+        if first == last:
+            attribution.buckets = {
+                winners[first]:
+                    Fraction(finished_at) - Fraction(started_at)}
+            attribution.segments = [
+                (started_at, finished_at, winners[first])]
+            return attribution
+
+        buckets: dict[str, Fraction] = {}
+        for bucket, (runs, sums) in self._prefix.items():
+            ticks = (sums[bisect_left(runs, last)]
+                     - sums[bisect_left(runs, first + 1)])
+            if ticks:
+                buckets[bucket] = Fraction(ticks, self._denom)
+        head = Fraction(starts[first + 1]) - Fraction(started_at)
+        tail = Fraction(finished_at) - Fraction(starts[last])
+        buckets[winners[first]] = buckets.get(winners[first], 0) + head
+        buckets[winners[last]] = buckets.get(winners[last], 0) + tail
+        attribution.buckets = buckets
+        attribution.segments = [
+            (started_at, starts[first + 1], winners[first]),
+            *self._segments[first + 1:last],
+            (starts[last], finished_at, winners[last])]
+        return attribution
 
 
 def attribute_query(trace: Trace, result) -> Attribution:

@@ -10,10 +10,9 @@ workload ran, derived purely from records the run already produces.
 Three derived products, all pure observation:
 
 * **Saturation series.**  The run's horizon is tiled into tumbling
-  windows and every window is attributed with the same exact
-  critical-path sweep queries use
-  (:func:`~repro.analysis.critical_path.attribute` over one shared
-  :class:`~repro.analysis.critical_path.IntervalIndex`).  Per window
+  windows and every window is a slice of the run's one
+  :class:`~repro.analysis.critical_path.WinnerTimeline` — the exact
+  critical-path priority sweep, done once for the whole run.  Per window
   and per device pool that yields busy seconds, the queueing-delay
   contribution (``wait:other``), the credit-stall share
   (``wait:credit``) and wire time — and, from the clipped ``link.*``
@@ -53,8 +52,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ..sim import Trace
-from .critical_path import (Attribution, IntervalIndex, attribute,
-                            raw_intervals)
+from .critical_path import (Attribution, WinnerTimeline, attribute,
+                            partial_reason)
 
 __all__ = ["Observatory", "OBSERVATORY_SCHEMA", "bound_class",
            "effective_cost", "render_top"]
@@ -131,11 +130,14 @@ class Observatory:
 
     The :class:`~repro.serve.server.QueryServer` hands every completed
     query (record, planned variants, the executor's variant decision)
-    to :meth:`on_complete`; :meth:`finalize` derives every series in
-    one pass over the shared trace.  :meth:`payload` /
-    :meth:`digest` produce the ``repro.observatory/v1`` artifact and
-    :meth:`observatory_violations` recomputes everything through the
-    scalar reference path at tolerance 0.
+    to :meth:`on_complete`; :meth:`finalize` derives every series as
+    slices of :attr:`timeline` (the server hands the drained run's one
+    timeline to both observers; a standalone observatory sweeps its
+    own).  :meth:`payload` / :meth:`digest` produce the
+    ``repro.observatory/v1`` artifact and
+    :meth:`observatory_violations` recomputes everything, the windows
+    and a query sample through the scalar reference sweep, at
+    tolerance 0.
     """
 
     def __init__(self, tenants, trace: Trace,
@@ -162,8 +164,10 @@ class Observatory:
         self._bound: list[dict] = []
         self._regret: list[dict] = []
         self._horizon = 0.0
-        self._raw: list = []
-        self._index: Optional[IntervalIndex] = None
+        #: The run's winner timeline; every window and query window
+        #: is a slice of it.  Swept by :meth:`finalize` unless set.
+        self.timeline: Optional[WinnerTimeline] = None
+        self._canon = ""
 
     # -- lifecycle hook (called by QueryServer at completion) --------------
 
@@ -184,16 +188,20 @@ class Observatory:
         if self._finalized:
             return
         self._horizon = max(now, self.trace.clock)
-        self._raw = raw_intervals(self.trace)
-        self._index = IntervalIndex(self._raw)
+        if self.timeline is None:
+            self.timeline = WinnerTimeline(self.trace)
         self._edges = self._tile(self._horizon)
         for i in range(len(self._edges) - 1):
-            att = attribute(self.trace, self._edges[i],
-                            self._edges[i + 1], intervals=self._index)
+            att = self.timeline.attribute(self._edges[i],
+                                          self._edges[i + 1])
             self._window_buckets.append(att.buckets)
         self._link_bytes = self._fold_link_bytes()
         self._classify()
         self._score_regret()
+        # Nothing changes after this point: one canonical document
+        # serves every payload() and digest() call.
+        self._canon = json.dumps(self._payload(), sort_keys=True,
+                                 separators=(",", ":"))
         self._finalized = True
 
     def _tile(self, horizon: float) -> list[float]:
@@ -219,7 +227,8 @@ class Observatory:
         out: list[dict[str, float]] = [
             {} for _ in range(len(self._edges) - 1)]
         links = [(start, end, bucket[len("link:"):])
-                 for start, end, bucket, _prio in self._raw
+                 for start, end, bucket, _prio
+                 in self.timeline.intervals
                  if bucket.startswith("link:") and end is not None]
         for start, end, link in links:
             bandwidth = self.link_bandwidth.get(link)
@@ -239,8 +248,7 @@ class Observatory:
 
     def _query_attribution(self, record, started: float,
                            finished: float) -> Attribution:
-        return attribute(self.trace, started, finished,
-                         intervals=self._index)
+        return self.timeline.attribute(started, finished)
 
     def _classify(self) -> None:
         """Tag every completed query with its dominant bound bucket."""
@@ -359,10 +367,7 @@ class Observatory:
             "leaders": leaders[:self.regret_leaders],
         }
 
-    def payload(self) -> dict:
-        """The canonical ``repro.observatory/v1`` document."""
-        if not self._finalized:
-            raise RuntimeError("finalize() the observatory first")
+    def _payload(self) -> dict:
         dropped = self.trace.events.dropped
         totals: dict[str, Fraction] = {}
         for buckets in self._window_buckets:
@@ -375,9 +380,7 @@ class Observatory:
             "horizon_s": self._horizon,
             "events_dropped": dropped,
             "partial": dropped > 0,
-            "partial_reason": (
-                f"event ring dropped {dropped} events; wire/credit "
-                "intervals incomplete" if dropped > 0 else ""),
+            "partial_reason": partial_reason(dropped),
             "pools": sorted(totals),
             "totals": {name: float(value)
                        for name, value in sorted(totals.items())},
@@ -386,11 +389,22 @@ class Observatory:
             "regret": self._regret_rollup(),
         }
 
+    def payload(self) -> dict:
+        """The canonical ``repro.observatory/v1`` document.
+
+        Built once by :meth:`finalize`; every call parses a fresh copy
+        of the canonical JSON, so a caller editing its copy cannot
+        reach the digest or the next caller.
+        """
+        if not self._finalized:
+            raise RuntimeError("finalize() the observatory first")
+        return json.loads(self._canon)
+
     def digest(self) -> str:
         """SHA-256 over the canonical JSON payload (bit-reproducible)."""
-        canon = json.dumps(self.payload(), sort_keys=True,
-                           separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        if not self._finalized:
+            raise RuntimeError("finalize() the observatory first")
+        return hashlib.sha256(self._canon.encode()).hexdigest()
 
     # -- self-validation ---------------------------------------------------
 
@@ -400,12 +414,14 @@ class Observatory:
 
         [] = exact.  All at tolerance 0 (Fraction arithmetic):
 
-        * every window's vectorized attribution equals the scalar
-          reference path (:func:`~repro.analysis.critical_path._clip`)
-          and tiles its window exactly;
-        * window sums telescope to the whole-horizon attribution;
-        * the first ``query_sample`` completed queries' own
-          ``attribute()`` buckets equal their window-clipped sums;
+        * every window's timeline slice equals the scalar reference
+          sweep (:func:`~repro.analysis.critical_path.attribute`) and
+          tiles its window exactly;
+        * window sums telescope to the reference's whole-horizon
+          attribution;
+        * the first ``query_sample`` completed queries' timeline
+          slices equal their own reference sweeps and their
+          window-clipped sums;
         * every bound tag and regret entry is reproduced by an
           independent recomputation;
         * the ``partial`` flag agrees with the ring's drop counter.
@@ -417,10 +433,10 @@ class Observatory:
         for i, buckets in enumerate(self._window_buckets):
             w0, w1 = self._edges[i], self._edges[i + 1]
             reference = attribute(self.trace, w0, w1,
-                                  intervals=list(self._raw))
+                                  intervals=self.timeline.intervals)
             if reference.buckets != buckets:
                 errors.append(
-                    f"window {i}: vectorized buckets diverge from "
+                    f"window {i}: timeline buckets diverge from "
                     "the scalar reference path")
             width = Fraction(w1) - Fraction(w0)
             if sum(buckets.values(), Fraction(0)) != width:
@@ -431,7 +447,7 @@ class Observatory:
         if self._edges:
             whole = attribute(self.trace, self._edges[0],
                               self._edges[-1],
-                              intervals=list(self._raw))
+                              intervals=self.timeline.intervals)
             if whole.buckets != totals:
                 errors.append("window sums do not telescope to the "
                               "whole-horizon attribution")
@@ -439,17 +455,24 @@ class Observatory:
         errors.extend(self._classifier_violations(records))
         errors.extend(self._regret_violations())
         dropped = self.trace.events.dropped
-        if (dropped > 0) != (self.payload()["partial"]):
+        if (dropped > 0) != self.payload()["partial"]:
             errors.append("partial flag disagrees with the ring's "
                           "drop counter")
         return errors
 
     def _query_reconciliation(self, sample: int) -> list[str]:
-        """Per-query attribute() == its window-clipped sums, exactly."""
+        """Sampled queries: slice == reference == window-clipped sums."""
         errors: list[str] = []
         for record, _v, _d in self._completed[:sample]:
             whole = attribute(self.trace, record.arrival,
-                              record.finished, intervals=self._index)
+                              record.finished,
+                              intervals=self.timeline.intervals)
+            sliced = self._query_attribution(record, record.arrival,
+                                             record.finished)
+            if sliced.buckets != whole.buckets:
+                errors.append(
+                    f"{record.name}: timeline slice diverges from "
+                    "the scalar reference path")
             pieces: dict[str, Fraction] = {}
             lo = self._window_of(record.arrival)
             hi = self._window_of(record.finished)
@@ -458,8 +481,7 @@ class Observatory:
                 q1 = min(record.finished, self._edges[i + 1])
                 if q1 <= q0:
                     continue
-                part = attribute(self.trace, q0, q1,
-                                 intervals=self._index)
+                part = self.timeline.attribute(q0, q1)
                 for name, value in part.buckets.items():
                     pieces[name] = pieces.get(name, Fraction(0)) \
                         + value
@@ -483,9 +505,9 @@ class Observatory:
         if tagged != len(self._bound):
             errors.append("per-tenant bound counts do not sum to the "
                           "tagged query count")
+        by_name = {r.name: r for r, _v, _d in self._completed}
         for entry in self._bound:
-            record = next((r for r, _v, _d in self._completed
-                           if r.name == entry["name"]), None)
+            record = by_name.get(entry["name"])
             if record is None:
                 errors.append(f"bound entry {entry['name']} has no "
                               "completion record")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..analysis.critical_path import WinnerTimeline
 from ..analysis.observatory import Observatory
 from ..engine.logical import Query
 from ..hardware.presets import HeterogeneousFabric
@@ -400,15 +401,33 @@ class QueryServer:
             "completion_order": list(self.completion_order),
         }
         record.update(self.metrics())
+        self._finalize_observers()
         if self.telemetry is not None:
-            self.telemetry.finalize(self.fabric.sim.now)
             record["telemetry"] = self.telemetry.payload()
             record["telemetry_digest"] = self.telemetry.digest()
         if self.observatory is not None:
-            self.observatory.finalize(self.fabric.sim.now)
             record["observatory"] = self.observatory.payload()
             record["observatory_digest"] = self.observatory.digest()
         return record
+
+    def _finalize_observers(self) -> None:
+        """Finalize both observers over the run's one winner timeline.
+
+        One ``raw_intervals`` pass and one priority sweep per drained
+        run; the telemetry's exemplars and every observatory window
+        and query window are slices of it.  The sweep reads the ring
+        as the run left it, before the telemetry's closing windows
+        emit their last alerts (which are not interval sources).
+        Idempotent, like the observers' own ``finalize``.
+        """
+        observers = [o for o in (self.telemetry, self.observatory)
+                     if o is not None]
+        if observers and all(o.timeline is None for o in observers):
+            timeline = WinnerTimeline(self.fabric.trace)
+            for observer in observers:
+                observer.timeline = timeline
+        for observer in observers:
+            observer.finalize(self.fabric.sim.now)
 
     def accounting_violations(self) -> list[str]:
         """Recompute every aggregate from raw records; [] = exact.
@@ -483,7 +502,7 @@ class QueryServer:
         """
         if self.telemetry is None:
             return []
-        self.telemetry.finalize(self.fabric.sim.now)
+        self._finalize_observers()
         return self.telemetry.telemetry_violations(self.records)
 
     def observatory_violations(self) -> list[str]:
@@ -497,5 +516,5 @@ class QueryServer:
         """
         if self.observatory is None:
             return []
-        self.observatory.finalize(self.fabric.sim.now)
+        self._finalize_observers()
         return self.observatory.observatory_violations(self.records)

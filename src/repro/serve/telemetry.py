@@ -22,8 +22,8 @@ telemetry pipeline would:
   full per-query event slice (by trace context id) and an exact
   critical-path attribution of ``[arrival, finished]`` against the
   shared fabric — the "what was the fabric doing while my p99 query
-  waited" view.  Attribution reuses one
-  :func:`~repro.analysis.critical_path.raw_intervals` pass and
+  waited" view.  Each attribution is a slice of the run's one
+  :class:`~repro.analysis.critical_path.WinnerTimeline` and
   reconciles with the window width exactly (tolerance 0, CI-gated).
 * **Burn-rate alerts.**  One
   :class:`~repro.analysis.slo.BurnRateMonitor` per tenant watches the
@@ -53,8 +53,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analysis.critical_path import (IntervalIndex, attribute,
-                                      raw_intervals)
+from ..analysis.critical_path import WinnerTimeline
 from ..analysis.slo import BurnRateMonitor, SLOPolicy, alert_mismatches
 from ..sim import EventKind, Trace
 
@@ -301,6 +300,9 @@ class ServeTelemetry:
         self.alerts: list[dict] = []
         self._candidates: list[_Exemplar] = []
         self.exemplars: list[dict] = []
+        #: The run's winner timeline, sliced per exemplar.  Swept by
+        #: :meth:`finalize` unless the server set the shared one.
+        self.timeline: Optional[WinnerTimeline] = None
         self._finalized = False
         for name in sorted(tenants):
             tenant = tenants[name]
@@ -394,6 +396,8 @@ class ServeTelemetry:
                    + [i for open_ in self._open.values()
                       for i in open_])
         self._close_through(last)
+        if self.timeline is None:
+            self.timeline = WinnerTimeline(self.trace)
         self._build_exemplars()
         self._finalized = True
 
@@ -417,7 +421,7 @@ class ServeTelemetry:
                                        c.record.name))
 
         # One pass over the ring groups event slices by context id;
-        # one raw-interval collection serves every attribution.
+        # the one winner timeline serves every attribution.
         slices: dict[int, list] = {
             c.record.qid: [] for c in chosen if c.record.qid}
         oldest_ts: Optional[float] = None
@@ -426,7 +430,6 @@ class ServeTelemetry:
                 oldest_ts = event.ts
             if event.qid in slices:
                 slices[event.qid].append(event)
-        intervals = IntervalIndex(raw_intervals(self.trace))
         dropped = self.trace.events.dropped
 
         self.exemplars = []
@@ -437,9 +440,8 @@ class ServeTelemetry:
             complete = (dropped == 0
                         or (oldest_ts is not None
                             and oldest_ts <= record.arrival))
-            attribution = attribute(self.trace, record.arrival,
-                                    record.finished,
-                                    intervals=intervals)
+            attribution = self.timeline.attribute(record.arrival,
+                                                  record.finished)
             self.exemplars.append({
                 "name": record.name,
                 "tenant": record.tenant,

@@ -5,21 +5,23 @@ same server/record.  Exactness claims are all tolerance 0 — the
 observatory is Fraction arithmetic end to end.
 """
 
+import collections
 import copy
 import dataclasses
+import functools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repro.analysis import (
-    IntervalIndex,
     Observatory,
     OBSERVATORY_SCHEMA,
+    WinnerTimeline,
     attribute,
     bound_class,
     effective_cost,
-    raw_intervals,
     render_top,
 )
 from repro.obs import report_violations, make_report
@@ -72,20 +74,85 @@ def test_every_window_tiles_exactly(server):
 def test_per_query_attribution_equals_window_clipped_sums(server):
     obs = server.observatory
     trace = server.fabric.trace
-    index = IntervalIndex(raw_intervals(trace))
+    timeline = WinnerTimeline(trace)
     for rec in [r for r in server.records if r.completed][:10]:
+        # The reference sweep of the query's own window ...
         whole = attribute(trace, rec.arrival, rec.finished,
-                          intervals=index)
+                          intervals=timeline.intervals)
         pieces = {}
         for i in range(len(obs._edges) - 1):
             q0 = max(rec.arrival, obs._edges[i])
             q1 = min(rec.finished, obs._edges[i + 1])
             if q1 <= q0:
                 continue
-            part = attribute(trace, q0, q1, intervals=index)
+            # ... equals its window-clipped timeline slices, summed.
+            part = timeline.attribute(q0, q1)
             for name, value in part.buckets.items():
                 pieces[name] = pieces.get(name, Fraction(0)) + value
         assert pieces == whole.buckets
+        assert timeline.attribute(rec.arrival,
+                                  rec.finished).buckets == whole.buckets
+
+
+# ---------------------------------------------------------------------------
+# Observer budget, by count: one sweep per run, verify cost independent
+# of the number of queries
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count raw-interval passes, timeline builds, reference sweeps."""
+    from repro.analysis import critical_path
+    counts = collections.Counter()
+
+    def counted(name, function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(critical_path, "raw_intervals", counted(
+        "raw_intervals", critical_path.raw_intervals))
+    monkeypatch.setattr(WinnerTimeline, "__init__", counted(
+        "timeline_builds", WinnerTimeline.__init__))
+    reference = counted("reference_sweeps", attribute)
+    for module in list(sys.modules.values()):
+        if getattr(module, "attribute", None) is attribute:
+            monkeypatch.setattr(module, "attribute", reference)
+    return counts
+
+
+def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
+    sample = 5
+    for queries in (30, 90):
+        server = serve_scenario_server("two_tenant_bursty",
+                                       queries=queries)
+        calls.clear()
+        server.report("budget")  # both observers' finalize
+        assert server.telemetry.timeline is server.observatory.timeline
+        assert server.telemetry.exemplars
+        assert dict(calls) == {"raw_intervals": 1, "timeline_builds": 1}
+
+        calls.clear()
+        obs = server.observatory
+        assert obs.observatory_violations(
+            server.records, query_sample=sample) == []
+        assert len(obs._completed) > sample
+        # Every tumbling window, the whole horizon, each sampled query
+        # — whatever the number of completed queries.
+        assert dict(calls) == {
+            "reference_sweeps": obs.windows + 1 + sample}
+
+
+def test_payload_is_built_once_and_handed_out_as_copies(server, record):
+    obs = server.observatory
+    first = obs.payload()
+    assert first == record["observatory"] and first is not obs.payload()
+    first["series"].clear()
+    first["bound"]["queries"][0]["bucket"] = "tampered"
+    assert obs.payload() == record["observatory"]
+    assert obs.digest() == record["observatory_digest"]
 
 
 def test_payload_structure(record):

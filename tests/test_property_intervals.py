@@ -1,20 +1,22 @@
-"""Property test: IntervalIndex window clipping == scalar reference.
+"""Property test: a winner-timeline slice == the scalar reference sweep.
 
-The vectorized clip (:class:`repro.analysis.IntervalIndex`) claims
-bit-identity with the scalar `_clip` path for every interval/window
-shape — zero-width intervals, open (still-running) spans, edges that
-land exactly on window boundaries, fully-contained and
-fully-straddling spans.  Hypothesis drives the claim; the attribution
-built on either path must agree Fraction-exactly.
+:class:`repro.analysis.WinnerTimeline` sweeps an interval set once and
+claims that any window sliced out of it equals
+``attribute(trace, q0, q1, intervals=list)`` — the per-window clip and
+sweep it shares nothing with but the interval list — for every
+interval/window shape: zero-width intervals, open (still-running)
+spans, duplicates, equal-priority ties between buckets, edges that
+land exactly on window boundaries, windows before, after, inside and
+across the runs.  Hypothesis drives the claim; buckets must agree
+Fraction-exactly.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import IntervalIndex, attribute
-from repro.analysis.critical_path import _clip
-from repro.sim import Trace
+from repro.analysis import WinnerTimeline, attribute
+from repro.sim import EventKind, EventRing, Trace
 
 # A coarse binary grid makes exact window-edge collisions common
 # (0.125 steps are exact in binary floating point), while the float
@@ -24,8 +26,11 @@ _REAL = st.floats(min_value=-1.0, max_value=3.0,
                   allow_nan=False, allow_infinity=False)
 _POINT = st.one_of(_GRID, _REAL)
 
-_BUCKETS = [("device:cpu", 0), ("storage:media", 1), ("nic:dma", 2),
-            ("link:bus", 3), ("wait:wire", 4), ("wait:credit", 5)]
+# Two buckets share priority 0 and two share priority 3: overlapping
+# equal-priority sources are decided by bucket name.
+_BUCKETS = [("device:cpu", 0), ("device:gpu", 0), ("storage:media", 1),
+            ("nic:dma", 2), ("link:bus", 3), ("link:alt", 3),
+            ("wait:wire", 4), ("wait:credit", 5)]
 
 
 @st.composite
@@ -43,64 +48,152 @@ def _interval(draw):
 
 
 @st.composite
-def _window(draw):
-    q0 = draw(_POINT)
-    width = draw(st.one_of(st.just(0.0), _GRID.map(abs), _REAL.map(abs)))
-    return q0, q0 + width
+def _intervals(draw):
+    intervals = draw(st.lists(_interval(), max_size=24))
+    # Exact duplicates must count twice in the active multiset.
+    repeats = draw(st.lists(st.sampled_from(intervals), max_size=4)) \
+        if intervals else []
+    return intervals + repeats
 
 
-@given(intervals=st.lists(_interval(), max_size=24),
-       window=_window())
-@settings(max_examples=300, deadline=None)
-def test_vectorized_clip_matches_scalar_reference(intervals, window):
-    q0, q1 = window
-    assert IntervalIndex(intervals).clip(q0, q1) \
-        == _clip(intervals, q0, q1)
+@st.composite
+def _window(draw, intervals):
+    # Interval endpoints are the timeline's run boundaries, so drawing
+    # q0 / q1 from them puts window edges exactly on a boundary.
+    edges = [point for start, end, _b, _p in intervals
+             for point in (start, end) if point is not None]
+    point = st.one_of(_POINT, st.sampled_from(edges)) if edges \
+        else _POINT
+    q0 = draw(point)
+    q1 = draw(st.one_of(
+        point,                                    # may be <= q0
+        st.one_of(st.just(0.0), _GRID.map(abs),
+                  _REAL.map(abs)).map(lambda w: q0 + w)))
+    return q0, q1
 
 
-@given(intervals=st.lists(_interval(), max_size=24),
-       window=_window())
-@settings(max_examples=200, deadline=None)
-def test_attribution_identical_on_either_path(intervals, window):
-    q0, q1 = window
-    trace = Trace()
-    via_index = attribute(trace, q0, q1,
-                          intervals=IntervalIndex(intervals))
-    via_list = attribute(trace, q0, q1, intervals=list(intervals))
-    assert via_index.buckets == via_list.buckets  # Fraction-exact
-    assert via_index.segments == via_list.segments
+@st.composite
+def _case(draw):
+    intervals = draw(_intervals())
+    return intervals, draw(_window(intervals))
+
+
+def _assert_slice_equals_reference(trace, intervals, q0, q1):
+    sliced = WinnerTimeline(trace, intervals).attribute(q0, q1)
+    reference = attribute(trace, q0, q1, intervals=list(intervals))
+    assert sliced.buckets == reference.buckets  # Fraction-exact
+    assert all(type(v) is Fraction for v in sliced.buckets.values())
+    assert sliced.segments == reference.segments
+    assert sliced.partial == reference.partial
+    assert sliced.partial_reason == reference.partial_reason
+    assert (sliced.started_at, sliced.finished_at) == (q0, q1)
     if q1 > q0:
-        width = Fraction(q1) - Fraction(q0)
-        assert via_index.total == width  # tiles the window exactly
+        assert sliced.total == Fraction(q1) - Fraction(q0)
+    else:
+        assert sliced.buckets == {} and sliced.segments == []
+
+
+@given(case=_case())
+@settings(max_examples=500, deadline=None)
+def test_timeline_slice_equals_reference_sweep(case):
+    intervals, (q0, q1) = case
+    _assert_slice_equals_reference(Trace(), intervals, q0, q1)
+
+
+@given(case=_case())
+@settings(max_examples=50, deadline=None)
+def test_slice_of_a_dropped_ring_is_partial_like_the_reference(case):
+    intervals, (q0, q1) = case
+    trace = Trace(events=EventRing(1))
+    trace.emit(0.0, EventKind.CHUNK_EMIT, "chan")
+    trace.emit(0.1, EventKind.CHUNK_EMIT, "chan")
+    assert trace.events.dropped == 1
+    _assert_slice_equals_reference(trace, intervals, q0, q1)
+    assert WinnerTimeline(trace, intervals).attribute(q0, q1).partial
+
+
+@given(intervals=_intervals(),
+       cuts=st.lists(_POINT, min_size=2, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_adjacent_slices_telescope(intervals, cuts):
+    cuts = sorted(cuts)
+    timeline = WinnerTimeline(Trace(), intervals)
+    pieces: dict[str, Fraction] = {}
+    for q0, q1 in zip(cuts, cuts[1:]):
+        for name, value in timeline.attribute(q0, q1).buckets.items():
+            pieces[name] = pieces.get(name, Fraction(0)) + value
+    assert pieces == timeline.attribute(cuts[0], cuts[-1]).buckets
 
 
 # -- pinned edge cases the strategy must never regress on ------------------
 
+def _both(intervals, q0, q1):
+    trace = Trace()
+    _assert_slice_equals_reference(trace, intervals, q0, q1)
+    return WinnerTimeline(trace, intervals).attribute(q0, q1)
+
+
+def test_empty_trace_is_all_wait_other():
+    att = WinnerTimeline(Trace()).attribute(0.25, 1.0)
+    assert att.buckets == {"wait:other": Fraction(3, 4)}
+    assert att.segments == [(0.25, 1.0, "wait:other")]
+    assert att == attribute(Trace(), 0.25, 1.0)
+
+
 def test_zero_width_interval_contributes_nothing():
-    intervals = [(0.5, 0.5, "device:cpu", 0)]
-    assert IntervalIndex(intervals).clip(0.0, 1.0) == []
-    assert _clip(intervals, 0.0, 1.0) == []
+    att = _both([(0.5, 0.5, "device:cpu", 0)], 0.0, 1.0)
+    assert att.buckets == {"wait:other": Fraction(1)}
 
 
 def test_exactly_aligned_edges_are_half_open():
     # A span ending exactly at q0 or starting exactly at q1 is out.
     intervals = [(0.0, 0.25, "device:cpu", 0),
                  (0.75, 1.0, "link:bus", 3)]
-    for path in (IntervalIndex(intervals).clip,
-                 lambda a, b: _clip(intervals, a, b)):
-        assert path(0.25, 0.75) == []
-        assert path(0.0, 0.25) == [(0.0, 0.25, "device:cpu", 0)]
+    assert _both(intervals, 0.25, 0.75).buckets == {
+        "wait:other": Fraction(1, 2)}
+    assert _both(intervals, 0.0, 0.25).buckets == {
+        "device:cpu": Fraction(1, 4)}
+    assert _both(intervals, 0.75, 1.0).segments == [
+        (0.75, 1.0, "link:bus")]
 
 
-def test_fully_contained_and_straddling_spans():
-    contained = (0.4, 0.6, "device:cpu", 0)
-    straddling = (0.0, 2.0, "storage:media", 1)
-    open_span = (0.5, None, "nic:dma", 2)
-    clipped = IntervalIndex(
-        [contained, straddling, open_span]).clip(0.25, 0.75)
-    assert clipped == [
-        (0.4, 0.6, "device:cpu", 0),
-        (0.25, 0.75, "storage:media", 1),
-        (0.5, 0.75, "nic:dma", 2)]
-    assert clipped == _clip([contained, straddling, open_span],
-                            0.25, 0.75)
+def test_fully_contained_straddling_and_open_spans():
+    intervals = [(0.4, 0.6, "device:cpu", 0),
+                 (0.0, 2.0, "storage:media", 1),
+                 (0.5, None, "nic:dma", 2)]
+    att = _both(intervals, 0.25, 0.75)
+    assert att.segments == [(0.25, 0.4, "storage:media"),
+                            (0.4, 0.6, "device:cpu"),
+                            (0.6, 0.75, "storage:media")]
+    # Past every closed span only the open one is left, forever.
+    assert _both(intervals, 2.5, 1e6).buckets == {
+        "nic:dma": Fraction(1e6) - Fraction(2.5)}
+
+
+def test_windows_outside_every_interval():
+    intervals = [(1.0, 2.0, "device:cpu", 0)]
+    assert _both(intervals, -3.0, 0.5).dominant() == "wait:other"
+    assert _both(intervals, 2.0, 9.0).dominant() == "wait:other"
+    assert _both(intervals, 0.5, 2.5).buckets == {
+        "wait:other": Fraction(1), "device:cpu": Fraction(1)}
+
+
+def test_equal_priority_tie_goes_to_the_smaller_bucket_name():
+    intervals = [(0.0, 1.0, "device:gpu", 0),
+                 (0.5, 1.5, "device:cpu", 0)]
+    assert _both(intervals, 0.0, 1.5).segments == [
+        (0.0, 0.5, "device:gpu"), (0.5, 1.5, "device:cpu")]
+
+
+def test_duplicate_interval_survives_one_copy_ending():
+    # The same key is active twice; one copy ending must not drop it.
+    intervals = [(0.0, 1.0, "link:bus", 3), (0.0, 0.5, "link:bus", 3),
+                 (0.0, 1.0, "wait:wire", 4)]
+    assert _both(intervals, 0.0, 1.0).buckets == {
+        "link:bus": Fraction(1)}
+
+
+def test_empty_and_inverted_windows():
+    intervals = [(0.0, 1.0, "device:cpu", 0)]
+    assert _both(intervals, 0.5, 0.5).buckets == {}
+    assert _both(intervals, 0.75, 0.25).buckets == {}
