@@ -30,8 +30,8 @@ from ..hardware.presets import HeterogeneousFabric
 from .logical import (Aggregate, Filter, Join, Limit, Map, PlanNode,
                       Project, Scan, Sort)
 
-__all__ = ["Placement", "data_path_sites", "cpu_only", "pushdown",
-           "PlacementError"]
+__all__ = ["Placement", "check_chain", "data_path_sites", "cpu_only",
+           "pushdown", "PlacementError"]
 
 
 class PlacementError(Exception):
@@ -61,19 +61,26 @@ class Placement:
                  fabric: HeterogeneousFabric) -> None:
         """Check that every referenced site exists and supports its op."""
         for node in plan.walk():
-            if isinstance(node, Scan):
-                continue
-            for site in self.chain(node):
-                if not fabric.has_site(site):
-                    raise PlacementError(
-                        f"site {site!r} absent from fabric "
-                        f"(node {node!r})")
-                device = fabric.site_device(site)
-                kind = _node_kind(node)
-                if not device.supports(kind):
-                    raise PlacementError(
-                        f"device at {site!r} does not support "
-                        f"{kind!r} (node {node!r})")
+            if not isinstance(node, Scan):
+                check_chain(node, self.chain(node), fabric)
+
+
+def check_chain(node: PlanNode, chain: list[str],
+                fabric: HeterogeneousFabric) -> None:
+    """Raise unless every site of ``chain`` exists and can run ``node``.
+
+    A property of one (node, chain) option, whatever the rest of the
+    placement says, so enumeration checks options, not products.
+    """
+    kind = _node_kind(node)
+    for site in chain:
+        if not fabric.has_site(site):
+            raise PlacementError(
+                f"site {site!r} absent from fabric (node {node!r})")
+        if not fabric.site_device(site).supports(kind):
+            raise PlacementError(
+                f"device at {site!r} does not support "
+                f"{kind!r} (node {node!r})")
 
 
 def _node_kind(node: PlanNode) -> str:

@@ -95,53 +95,93 @@ class CostModel:
 
     # -- the model ---------------------------------------------------
 
+    def for_plan(self, plan: PlanNode) -> "_PlanCoster":
+        """Estimate ``plan`` once; the coster prices its placements."""
+        return _PlanCoster(self, plan)
+
     def cost(self, plan: PlanNode, placement: Placement) -> PlanCost:
         """Predict segment bytes, device time, and makespan."""
+        return self.for_plan(plan).cost(placement)
+
+
+class _PlanCoster:
+    """Everything about one plan that no placement changes.
+
+    Rows, bytes and partial-state row sizes per node are derived in one
+    pass; routes and device rates are resolved on first use.  A coster
+    lives for one ``rank()`` (or one ``CostModel.cost``), so the next
+    call sees catalog and fabric changes.
+    """
+
+    def __init__(self, model: CostModel, plan: PlanNode):
+        self.fabric = model.fabric
+        self.plan = plan
+        self.rows: dict[int, float] = {}
+        self.nbytes: dict[int, float] = {}
+        self.state_row: dict[int, int] = {}     # aggregates only
+        self.kind: dict[int, str] = {}          # streaming operators only
+        self._links: dict[tuple[str, str], list] = {}
+        self._rates: dict[tuple[str, str], float] = {}
+        # Walk order is children-first, the order costs are charged in.
+        self._steps = []
+        schemas = {}
+        for node in plan.walk():
+            nid = node.node_id
+            schemas[nid] = schema = node.output_schema(model.catalog)
+            self.rows[nid] = model.rows_out(node)
+            self.nbytes[nid] = self.rows[nid] * schema.row_nbytes
+            if isinstance(node, Scan):
+                visit = self._visit_scan
+            elif isinstance(node, Aggregate):
+                self.state_row[nid] = partial_state_schema(
+                    schemas[node.child.node_id], node.group_by,
+                    node.aggs).row_nbytes
+                visit = self._visit_aggregate
+            elif isinstance(node, Join):
+                visit = self._visit_join
+            else:
+                self.kind[nid] = _node_kind(node)
+                visit = self._visit_streaming
+            self._steps.append((visit, node))
+
+    def cost(self, placement: Placement) -> PlanCost:
         out = PlanCost(placement=placement)
-        self._visit(plan, placement, out)
+        for visit, node in self._steps:
+            visit(node, placement, out)
         # Final hop: root output to the result site.
-        root_site = self._output_site(plan, placement)
-        self._charge_move(out, root_site, placement.result_site,
-                          self.bytes_out(plan))
+        self._charge_move(out, self._output_site(self.plan, placement),
+                          placement.result_site,
+                          self.nbytes[self.plan.node_id])
         return out
 
-    def _visit(self, node: PlanNode, placement: Placement,
-               out: PlanCost) -> None:
-        for child in node.children:
-            self._visit(child, placement, out)
-        if isinstance(node, Scan):
-            # Storage read: the medium's time is a device-like cost.
-            nbytes = self.bytes_out(node)
-            out.device_time["storage.media"] = (
-                out.device_time.get("storage.media", 0.0)
-                + nbytes / self.fabric.storage.medium.read_bandwidth)
-            out.segment_bytes["storage"] = (
-                out.segment_bytes.get("storage", 0.0) + nbytes)
-            return
-        if isinstance(node, Aggregate):
-            self._visit_aggregate(node, placement, out)
-            return
-        if isinstance(node, Join):
-            self._visit_join(node, placement, out)
-            return
+    def _visit_scan(self, node: Scan, placement: Placement,
+                    out: PlanCost) -> None:
+        # Storage read: the medium's time is a device-like cost.
+        nbytes = self.nbytes[node.node_id]
+        out.device_time["storage.media"] = (
+            out.device_time.get("storage.media", 0.0)
+            + nbytes / self.fabric.storage.medium.read_bandwidth)
+        out.segment_bytes["storage"] = (
+            out.segment_bytes.get("storage", 0.0) + nbytes)
+
+    def _visit_streaming(self, node: PlanNode, placement: Placement,
+                         out: PlanCost) -> None:
         # Streaming unary operators: move input to the site, do work.
         child = node.children[0]
         site = placement.site(node)
-        in_bytes = self.bytes_out(child)
+        in_bytes = self.nbytes[child.node_id]
         self._charge_move(out, self._output_site(child, placement),
                           site, in_bytes)
-        self._charge_work(out, site, _node_kind(node), in_bytes)
+        self._charge_work(out, site, self.kind[node.node_id], in_bytes)
 
     def _visit_aggregate(self, node: Aggregate, placement: Placement,
                          out: PlanCost) -> None:
         child = node.children[0]
         chain = placement.chain(node)
-        in_bytes = self.bytes_out(child)
-        in_rows = self.rows_out(child)
-        groups = self.rows_out(node)
-        state_row = partial_state_schema(
-            node.child.output_schema(self.catalog), node.group_by,
-            node.aggs).row_nbytes
+        in_bytes = self.nbytes[child.node_id]
+        in_rows = self.rows[child.node_id]
+        groups = self.rows[node.node_id]
+        state_row = self.state_row[node.node_id]
         # Chunked partials: each chunk emits at most `groups` states.
         chunk_rows = 65536.0
         n_chunks = max(1.0, in_rows / chunk_rows)
@@ -164,8 +204,8 @@ class CostModel:
     def _visit_join(self, node: Join, placement: Placement,
                     out: PlanCost) -> None:
         site = placement.site(node)
-        build_bytes = self.bytes_out(node.right)
-        probe_bytes = self.bytes_out(node.left)
+        build_bytes = self.nbytes[node.right.node_id]
+        probe_bytes = self.nbytes[node.left.node_id]
         if placement.partitions > 1:
             self._visit_partitioned_join(node, placement, out,
                                          build_bytes, probe_bytes)
@@ -204,7 +244,7 @@ class CostModel:
                 self._charge_work(out, node_site, kind, nbytes / n)
         # Gather: remote nodes' shares of the output converge on the
         # join's nominal site (node 0), where the parent continues.
-        out_bytes = self.bytes_out(node)
+        out_bytes = self.nbytes[node.node_id]
         for i in range(1, n):
             node_site = placement.site(node).replace(
                 "compute0", f"compute{i}")
@@ -229,9 +269,12 @@ class CostModel:
                      nbytes: float) -> None:
         if nbytes <= 0:
             return
-        src = self._site_location(src_site)
-        dst = self._site_location(dst_site)
-        for link in self.fabric.route(src, dst):
+        links = self._links.get((src_site, dst_site))
+        if links is None:
+            links = self._links[src_site, dst_site] = self.fabric.route(
+                self._site_location(src_site),
+                self._site_location(dst_site))
+        for link in links:
             out.segment_bytes[link.segment] = (
                 out.segment_bytes.get(link.segment, 0.0) + nbytes)
             out.link_time[link.name] = (
@@ -243,8 +286,11 @@ class CostModel:
                      nbytes: float) -> None:
         if nbytes <= 0:
             return
-        device = self.fabric.site_device(site)
+        rate = self._rates.get((site, kind))
+        if rate is None:
+            rate = self._rates[site, kind] = self.fabric.site_device(
+                site).rate_for(kind)
         # Same formula the simulator charges (Device.service_time),
         # minus per-op startup, which depends on chunking.
         out.device_time[site] = (
-            out.device_time.get(site, 0.0) + nbytes / device.rate_for(kind))
+            out.device_time.get(site, 0.0) + nbytes / rate)

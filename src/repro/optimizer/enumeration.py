@@ -10,27 +10,28 @@ needs as a variant (§7.3).
 
 Monotonicity prunes the space: data flows storage → CPU and never
 backward, so site indices must be nondecreasing from a node's child
-to the node.  The product is capped (``max_placements``) to keep
-enumeration predictable on deep plans.
+to the node.  Site existence and device support belong to one
+(node, chain) option and are checked per option; monotonicity is
+checked while an assignment is extended node by node, so a backward
+step cuts off every product below it.  The output is capped
+(``max_placements``) to keep enumeration predictable on deep plans.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from ..engine.logical import (
     Aggregate,
     Filter,
     Join,
-    Limit,
     Map,
     PlanNode,
     Project,
     Scan,
-    Sort,
 )
-from ..engine.placement import Placement, _node_kind, data_path_sites
+from ..engine.placement import (Placement, PlacementError, _node_kind,
+                                check_chain, data_path_sites)
 from ..hardware.device import OpKind
 from ..hardware.presets import HeterogeneousFabric
 
@@ -74,35 +75,45 @@ def _aggregate_chains(fabric: HeterogeneousFabric, path: list[str],
     return unique
 
 
+def _valid(node: PlanNode, chain: list[str],
+           fabric: HeterogeneousFabric) -> bool:
+    """Whether ``chain`` can host ``node``; any other error is a bug."""
+    try:
+        check_chain(node, chain, fabric)
+    except PlacementError:
+        return False
+    return True
+
+
 def enumerate_placements(plan: PlanNode, fabric: HeterogeneousFabric,
                          node: int = 0,
                          max_placements: int = 256) -> Iterator[Placement]:
-    """Yield candidate placements for ``plan`` on ``fabric``."""
+    """Yield valid, monotone candidate placements for ``plan``."""
     path = data_path_sites(fabric, node)
     cpu = fabric.cpu_site(node)
     nic_site = f"compute{node}.nic"
     cpu_index = len(path) - 1 if path else 0
+    index_of = {site: i for i, site in enumerate(path)}
 
     nodes = list(plan.walk())
-    # Per-node option lists.  Each option is (chain, reached_index).
-    options: dict[int, list[tuple[list[str], int]]] = {}
+    # Per-node options (chain, first index, last index): the path
+    # positions where the chain takes its input and leaves its output
+    # (an off-path site counts as the CPU).
+    options: list[list[tuple[list[str], int, int]]] = []
     for n in nodes:
         if isinstance(n, Scan):
-            options[n.node_id] = [([path[0] if path else cpu], 0)]
+            chains = [[path[0] if path else cpu]]
         elif isinstance(n, (Filter, Project, Map)):
-            kind = _node_kind(n)
-            opts = [([path[i]], i) for i in
-                    _site_options(fabric, path, kind, 0)]
-            if not opts:
-                opts = [([cpu], cpu_index)]
-            options[n.node_id] = opts
+            chains = [[path[i]] for i in _site_options(
+                fabric, path, _node_kind(n), 0)] or [[cpu]]
         elif isinstance(n, Aggregate):
             chains = _aggregate_chains(fabric, path, n, 0, cpu, nic_site)
-            options[n.node_id] = [(c, cpu_index) for c in chains]
-        elif isinstance(n, (Join, Sort, Limit)):
-            options[n.node_id] = [([cpu], cpu_index)]
         else:
-            options[n.node_id] = [([cpu], cpu_index)]
+            chains = [[cpu]]
+        if not isinstance(n, Scan):     # as in Placement.validate
+            chains = [c for c in chains if _valid(n, c, fabric)]
+        options.append([(c, index_of.get(c[0], cpu_index),
+                         index_of.get(c[-1], cpu_index)) for c in chains])
 
     # Multi-node fabrics add the Figure 4 alternative: the same
     # logical join executed n-ways via NIC scattering.
@@ -112,40 +123,30 @@ def enumerate_placements(plan: PlanNode, fabric: HeterogeneousFabric,
     if has_join and n_nodes > 1:
         partition_options.append(n_nodes)
 
+    chosen: dict[int, tuple[list[str], int, int]] = {}
+
+    def extend(k: int) -> Iterator[dict]:
+        """Monotone completions of ``nodes[:k]``'s choice, product order."""
+        if k == len(nodes):
+            yield dict(chosen)
+            return
+        for option in options[k]:
+            # Data never flows backward along the path: walk order is
+            # children first, so every input of node k is already
+            # chosen and must end at or before where this chain starts.
+            if all(chosen[c.node_id][2] <= option[1]
+                   for c in nodes[k].children):
+                chosen[nodes[k].node_id] = option
+                yield from extend(k + 1)
+
     produced = 0
-    ids = [n.node_id for n in nodes]
-    for combo in itertools.product(*(options[i] for i in ids)):
-        assignment = dict(zip(ids, combo))
-        if not _monotone(plan, assignment, path):
-            continue
+    for assignment in extend(0):
         for partitions in partition_options:
-            placement = Placement(
-                sites={i: list(chain)
-                       for i, (chain, _idx) in assignment.items()},
+            yield Placement(
+                sites={i: list(option[0])
+                       for i, option in assignment.items()},
                 result_site=cpu, partitions=partitions,
                 name="enumerated")
-            yield placement
             produced += 1
             if produced >= max_placements:
                 return
-
-
-def _index_of(chain: list[str], path: list[str]) -> int:
-    """Path index reached by the end of a chain (CPU if off-path)."""
-    last = chain[-1]
-    return path.index(last) if last in path else len(path) - 1
-
-
-def _monotone(plan: PlanNode,
-              assignment: dict[int, tuple[list[str], int]],
-              path: list[str]) -> bool:
-    """Data never flows backward along the path."""
-    for node in plan.walk():
-        chain, _reach = assignment[node.node_id]
-        my_index = (path.index(chain[0]) if chain[0] in path
-                    else len(path) - 1)
-        for child in node.children:
-            child_chain, _r = assignment[child.node_id]
-            if _index_of(child_chain, path) > my_index:
-                return False
-    return True

@@ -53,20 +53,15 @@ class Optimizer:
     def rank(self, plan, node: int = 0) -> list[RankedPlacement]:
         """All candidate placements, best (lowest makespan) first."""
         plan = self._plan_of(plan)
-        ranked = []
-        for placement in enumerate_placements(
-                plan, self.fabric, node=node,
-                max_placements=self.max_placements):
-            try:
-                placement.validate(plan, self.fabric)
-            except Exception:
-                continue
-            ranked.append(RankedPlacement(
-                placement, self.model.cost(plan, placement)))
+        # One estimate of the plan prices every candidate of this call.
+        coster = self.model.for_plan(plan)
+        ranked = [RankedPlacement(placement, coster.cost(placement))
+                  for placement in enumerate_placements(
+                      plan, self.fabric, node=node,
+                      max_placements=self.max_placements)]
         # The CPU-only fallback is always a candidate.
         fallback = cpu_only(plan, self.fabric, node=node)
-        ranked.append(RankedPlacement(
-            fallback, self.model.cost(plan, fallback)))
+        ranked.append(RankedPlacement(fallback, coster.cost(fallback)))
         # Makespan first; among equal-makespan plans (a pipeline is
         # often bottlenecked on the scan), prefer less total movement —
         # the datacenter-level efficiency argument of §1.

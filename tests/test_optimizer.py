@@ -1,7 +1,12 @@
 """Tests for the cost model, enumeration, and optimizer ranking."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.scenarios import SCENARIOS, _catalog
 from repro.engine import (
     AggSpec,
     DataflowEngine,
@@ -9,6 +14,7 @@ from repro.engine import (
     cpu_only,
     pushdown,
 )
+from repro.engine.logical import Filter
 from repro.hardware import build_fabric, conventional_spec, dataflow_spec
 from repro.optimizer import (
     CostModel,
@@ -16,6 +22,10 @@ from repro.optimizer import (
     enumerate_placements,
 )
 from repro.relational import Catalog, col, make_lineitem, make_orders
+from repro.relational.expressions import Between, Compare
+
+from . import golden_ranking
+from .test_property_engines import fresh_env, query_plans
 
 
 def make_env(rows=4000, compute_nodes=1, **spec_overrides):
@@ -266,3 +276,123 @@ def test_optimizer_picks_distributed_join_when_it_wins():
     engine = DataflowEngine(fabric, catalog)
     result = engine.execute(JOIN_QUERY, placement=best.placement)
     assert result.rows == 5
+
+
+# ---------------------------------------------------------------------------
+# Ranking: pinned output, one estimate per call, loud failures
+# ---------------------------------------------------------------------------
+
+_GOLDEN = json.loads(golden_ranking.FIXTURE.read_text())
+_CASES = list(golden_ranking.cases())
+
+
+@pytest.mark.parametrize("name,spec,query,rows", _CASES,
+                         ids=[case[0] for case in _CASES])
+def test_rank_matches_golden_fixture(name, spec, query, rows):
+    """Placements, their order and the cost figures the scheduler reads
+    are the ones recorded before ranking was made cheap (PR 16)."""
+    plan = query().plan
+    ranked = Optimizer(build_fabric(spec()), _catalog(rows)).rank(plan)
+    assert golden_ranking.differences(
+        {name: _GOLDEN[name]},
+        {name: golden_ranking.ranking_record(ranked, plan)}) == []
+
+
+def test_golden_fixture_covers_every_case():
+    assert set(_GOLDEN) == {case[0] for case in _CASES}
+
+
+@given(query=query_plans(),
+       injected=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_rank_costs_equal_a_fresh_cost_model(query, injected):
+    """The shared per-rank estimate changes no number: every ranked
+    entry equals ``CostModel.cost`` on a model built for it alone."""
+    fabric, catalog = fresh_env()
+    plan = query.plan
+    cardinalities = {node.node_id: rows
+                     for node, rows in zip(plan.walk(), injected)}
+    ranked = Optimizer(fabric, catalog,
+                       cardinalities=cardinalities).rank(plan)
+    assert len(ranked) >= 2
+    for entry in ranked:
+        fresh = CostModel(fabric, catalog, cardinalities=cardinalities)
+        assert entry.cost == fresh.cost(plan, entry.placement)
+
+
+def test_rank_follows_a_reregistered_table():
+    """Nothing estimated in one ``rank()`` survives into the next."""
+    fabric, catalog = make_env(rows=4000)
+    optimizer = Optimizer(fabric, catalog)
+    plan = SELECTIVE.plan
+    before = optimizer.rank(plan)[0].cost.segment_bytes["storage"]
+    catalog.register("lineitem",
+                     make_lineitem(1000, orders=250, chunk_rows=500))
+    after = optimizer.rank(plan)[0].cost
+    assert after.segment_bytes["storage"] == pytest.approx(
+        catalog.table("lineitem").nbytes, rel=0.01)
+    assert after.segment_bytes["storage"] < 0.3 * before
+    assert after == CostModel(fabric, catalog).cost(plan, after.placement)
+
+
+@pytest.mark.parametrize("max_placements", [1, 16, 256])
+def test_rank_estimates_selectivity_once_per_plan(monkeypatch,
+                                                  max_placements):
+    """A count, not a clock: ``rank()`` of F6 (2 filters, 4 levels)
+    estimates selectivities per plan, not per candidate placement."""
+    calls = []
+    for cls in (Between, Compare):
+        original = cls.estimate_selectivity
+        monkeypatch.setattr(
+            cls, "estimate_selectivity",
+            lambda self, stats=None, _orig=original:
+                calls.append(self) or _orig(self, stats))
+    scenario = SCENARIOS["f6"]
+    plan = scenario.query().plan
+    filters = sum(isinstance(n, Filter) for n in plan.walk())
+    assert filters == 2
+    ranked = Optimizer(build_fabric(scenario.spec()), _catalog(3000),
+                       max_placements=max_placements).rank(plan)
+    assert len(ranked) == min(max_placements, 25) + 1
+    # Each node's estimate re-walks its own subtree once: a filter is
+    # estimated for itself, the join and the aggregate above it.
+    assert len(calls) == 3 * filters
+
+
+def test_rank_drops_an_invalid_option_and_nothing_else(monkeypatch):
+    from repro.engine.placement import PlacementError, check_chain
+    from repro.optimizer import enumeration
+
+    fabric, catalog = make_env()
+    plan = SELECTIVE.plan
+    everything = Optimizer(fabric, catalog).rank(plan)
+
+    def no_storage_cu(node, chain, fabric):
+        if "storage.cu" in chain:
+            raise PlacementError("storage.cu is out of service")
+        check_chain(node, chain, fabric)
+
+    monkeypatch.setattr(enumeration, "check_chain", no_storage_cu)
+    ranked = Optimizer(fabric, catalog).rank(plan)
+    non_scan = [n.node_id for n in plan.walk() if n.children]
+
+    def uses_cu(entry):
+        return any("storage.cu" in entry.placement.sites[i]
+                   for i in non_scan)
+
+    assert ranked and not any(uses_cu(e) for e in ranked)
+    assert len(ranked) == sum(not uses_cu(e) for e in everything)
+
+
+def test_rank_propagates_a_bug_in_validation(monkeypatch):
+    """Only PlacementError means "not a candidate"; anything else is a
+    bug and must not silently shrink the candidate set."""
+    from repro.optimizer import enumeration
+
+    def broken(node, chain, fabric):
+        raise RuntimeError("validation bug")
+
+    monkeypatch.setattr(enumeration, "check_chain", broken)
+    fabric, catalog = make_env()
+    with pytest.raises(RuntimeError, match="validation bug"):
+        Optimizer(fabric, catalog).rank(SELECTIVE.plan)
