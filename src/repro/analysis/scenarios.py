@@ -29,38 +29,11 @@ from ..engine import (
 from ..engine.results import QueryResult
 from ..hardware import build_fabric, conventional_spec, dataflow_spec
 from ..hardware.presets import FabricSpec, HeterogeneousFabric
-from ..relational import (
-    Catalog,
-    col,
-    make_lineitem,
-    make_orders,
-    make_uniform_table,
-)
+from ..relational import Catalog, col, standard_catalog
 from .critical_path import Attribution, attribute_query
 
 __all__ = ["Scenario", "ScenarioRun", "SCENARIOS", "run_scenario",
            "run_digest"]
-
-_CHUNK = 1000
-
-# Seeded generators return identical rows for a given count, and
-# scenarios treat tables as read-only, so catalogs memoize per row
-# count (the what-if sweep runs the same scenario dozens of times).
-_CATALOG_CACHE: dict[int, Catalog] = {}
-
-
-def _catalog(rows: int) -> Catalog:
-    catalog = _CATALOG_CACHE.get(rows)
-    if catalog is None:
-        catalog = Catalog()
-        catalog.register("lineitem", make_lineitem(
-            rows, orders=max(1, rows // 4), chunk_rows=_CHUNK))
-        catalog.register("orders", make_orders(
-            max(1, rows // 4), chunk_rows=_CHUNK))
-        catalog.register("uniform", make_uniform_table(
-            rows, columns=3, distinct=50, chunk_rows=_CHUNK))
-        _CATALOG_CACHE[rows] = catalog
-    return catalog
 
 
 @dataclass
@@ -206,7 +179,7 @@ def run_scenario(name: str, engine: str = "dataflow",
     if engine not in ("dataflow", "volcano"):
         raise ValueError(f"unknown engine {engine!r}")
     rows = rows if rows is not None else scenario.rows
-    catalog = _catalog(rows)
+    catalog = standard_catalog(rows)
     query = scenario.query()
 
     fabric = build_fabric(scenario.spec())

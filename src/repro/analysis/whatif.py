@@ -246,15 +246,15 @@ def optimizer_crosscheck(query: str, rows: Optional[int] = None,
     from ..engine import DataflowEngine
     from ..hardware import build_fabric
     from ..optimizer import Optimizer
+    from ..relational import standard_catalog
     from .critical_path import attribute_query
-    from .scenarios import _catalog
 
     if query not in SCENARIOS:
         raise KeyError(f"unknown query {query!r} "
                        f"(have: {sorted(SCENARIOS)})")
     scenario = SCENARIOS[query]
     rows = rows if rows is not None else scenario.rows
-    catalog = _catalog(rows)
+    catalog = standard_catalog(rows)
     plan = scenario.query()
 
     rank_fabric = build_fabric(scenario.spec())

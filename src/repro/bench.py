@@ -1,44 +1,44 @@
-"""Machine-readable benchmark harness (``repro bench``).
+"""The exact-output harness (``repro bench``).
 
-Two layers:
+A report is a pure function of the code and the arguments: checksums,
+simulated times, bytes per link, ledgers, attributions and digests —
+model outputs that repeat bit for bit on any host, at any ``--jobs``
+count and under either reference switch.  Host time is not recorded
+here; ``perfbench/`` measures it.
 
-* **Smoke scenarios** — small, fully instrumented query runs executed
-  on *both* engines.  Each scenario reports wall time, simulated
-  time, bytes moved per segment, per-link byte/chunk totals, device
-  utilization, the critical-path summary, and a canonical result
-  checksum; the harness fails loudly if the Volcano and data-flow
-  answers disagree.  These are the always-on health probes CI runs on
-  every push (``repro bench --smoke``).
-* **Experiment scripts** — the ``benchmarks/bench_*.py`` studies
-  (F1–F6, C1–C8, E1–E6).  The harness imports each script and calls
-  its ``run_<id>()`` entry point, recording wall time and the result
-  rows.  These are opt-in (``repro bench --exp f1,c3`` or ``--exp
-  all``) because the full set takes minutes.
+Four sections, one row each in :data:`SUITES`, all run by
+:func:`run_tasks` and gated by :func:`compare_reports`:
 
-Both layers land in one schema-versioned JSON report
-(``BENCH_<tag>.json``, schema :data:`repro.obs.REPORT_SCHEMA`) so
-runs are diffable across commits and machines.
+* **smoke** — small, fully instrumented queries executed on *both*
+  engines; the harness fails loudly if the Volcano and data-flow
+  answers disagree or a simulator does not drain.
+* **scale** — F2/F4/F6-shaped queries at 100k–1M rows (``--scale``).
+* **serving** — the multi-tenant serving scenarios (``--serve``),
+  each verified against standalone oracle runs.
+* **experiments** — the ``benchmarks/bench_*.py`` studies (``--exp
+  f1,c3`` or ``--exp all``; opt-in because the full set takes
+  minutes).
 
-Parallelism: every scenario owns its :class:`~repro.sim.Simulator`
-and builds its fabric fresh, so scenarios are independent and
-``--jobs N`` fans them out across worker processes — determinism is
-free, and per-scenario ``wall_time_s`` stays a single-process
-measurement (it is clocked inside the worker).  The report's
-``totals.wall_time_s`` therefore remains comparable across job
-counts, while ``totals.harness_wall_s`` shows the parallel win.
-``--profile`` wraps the in-process run in cProfile and embeds the
-top functions (by cumulative time) in the report.
+They land in one JSON report (``BENCH_<tag>.json``, schema
+:data:`repro.obs.REPORT_SCHEMA`).  ``--compare BASELINE`` re-runs
+every record of a baseline report from the parameters the record
+carries and diffs the two, leaf by leaf.
+
+Every scenario owns its :class:`~repro.sim.Simulator` and builds its
+fabric fresh, so scenarios are independent and ``--jobs N`` fans them
+out across worker processes without changing a byte of the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
 import sys
-import time
-from typing import Callable, Optional
+from datetime import datetime, timezone
+from typing import Callable, Collection, Iterator, NamedTuple, Optional
 
 from .engine import (
     AggSpec,
@@ -55,18 +55,11 @@ from .obs import (
     table_checksum,
     validate_report,
 )
-from .relational import (
-    Catalog,
-    col,
-    make_lineitem,
-    make_orders,
-    make_uniform_table,
-)
+from .relational import col, standard_catalog
 
-__all__ = ["SMOKE_SCENARIOS", "SCALE_CHUNK", "run_smoke",
-           "run_serving", "run_scale", "run_experiments",
-           "write_report", "compare_reports", "run_compare",
-           "profile_call", "run_cli", "main"]
+__all__ = ["EXPERIMENTS", "SMOKE_SCENARIOS", "SCALE_CHUNK", "SUITES",
+           "suite_tasks", "cli_tasks", "run_tasks", "run_suite",
+           "write_report", "compare_reports", "run_compare", "run_cli"]
 
 DEFAULT_ROWS = 6000
 _CHUNK = 1000
@@ -76,41 +69,20 @@ SCALE_CHUNK = 16_384
 
 Large chunks keep the simulator's event count (which scales with
 *chunks*, not rows) modest while the relational kernels chew through
-100k–1M rows — the point of the tier is that simulated wall time
-stays flat-ish as data grows, because the hot path is per-chunk.
+100k–1M rows.
 """
 
 DEFAULT_TOLERANCE = 0.01
-"""Relative tolerance for time/byte comparisons in ``--compare``.
+"""Relative tolerance for float leaves in ``--compare``.
 
 The simulator is bit-deterministic, so the tolerance only absorbs
 deliberate model refinements small enough to be non-regressions;
-checksums and row counts must always match exactly.
+everything that is not a float must always match exactly.
 """
 
 
-# Catalogs are memoized per (row count, chunk size): the generators
-# are seeded (the same rows come back bit for bit) and scenarios
-# treat tables as immutable, so rebuilding the catalog per scenario
-# only burned wall time.  Worker processes (--jobs) each fill their
-# own cache.
-_CATALOG_CACHE: dict[tuple[int, int], Catalog] = {}
-
-
-def _make_catalog(rows: int, chunk: int = _CHUNK) -> Catalog:
-    catalog = _CATALOG_CACHE.get((rows, chunk))
-    if catalog is None:
-        catalog = Catalog()
-        catalog.register("lineitem", make_lineitem(rows,
-                                                   orders=rows // 4,
-                                                   chunk_rows=chunk))
-        catalog.register("orders", make_orders(rows // 4,
-                                               chunk_rows=chunk))
-        catalog.register("uniform", make_uniform_table(rows, columns=3,
-                                                       distinct=50,
-                                                       chunk_rows=chunk))
-        _CATALOG_CACHE[(rows, chunk)] = catalog
-    return catalog
+def _quiet(_line: str) -> None:
+    """The default ``echo``: print nothing."""
 
 
 def _assert_drained(sim, scenario: str) -> None:
@@ -127,6 +99,10 @@ def _assert_drained(sim, scenario: str) -> None:
             f"scenario {scenario!r} leaked {pending} pending "
             "simulator event(s) after completion")
 
+
+# ---------------------------------------------------------------------------
+# Smoke scenarios
+# ---------------------------------------------------------------------------
 
 def _smoke_queries() -> dict[str, Query]:
     return {
@@ -166,17 +142,24 @@ def _engine_summary(result) -> dict:
 
 
 def _run_query_scenario(name: str, query: Query, rows: int,
-                        spec_factory: Callable = dataflow_spec,
+                        chunk: int = _CHUNK,
+                        volcano_spec: Callable = dataflow_spec,
                         placement_factory: Optional[Callable] = None,
-                        chunk: int = _CHUNK) -> dict:
-    """Run one query on both engines over fresh fabrics; compare."""
-    started = time.perf_counter()
-    catalog = _make_catalog(rows, chunk)
+                        headline: str = "dataflow") -> dict:
+    """Run one query on both engines over fresh fabrics; compare.
 
-    fabric_v = build_fabric(spec_factory())
+    The ``headline`` engine's fabric is the architecture under study:
+    its snapshot, simulated time and exact critical-path attribution
+    (every simulated nanosecond in a device | link | wait bucket) are
+    the record's top-level movement/utilization figures.
+    """
+    from .analysis import attribute_query
+    catalog = standard_catalog(rows, chunk)
+
+    fabric_v = build_fabric(volcano_spec())
     res_v = VolcanoEngine(fabric_v, catalog).execute(query)
 
-    fabric_d = build_fabric(spec_factory())
+    fabric_d = build_fabric(dataflow_spec())
     placement = (placement_factory(query.plan, fabric_d)
                  if placement_factory else None)
     res_d = DataflowEngine(fabric_d, catalog).execute(
@@ -185,77 +168,47 @@ def _run_query_scenario(name: str, query: Query, rows: int,
     _assert_drained(fabric_d.sim, name)
 
     sum_v, sum_d = res_v.checksum(), res_d.checksum()
+    if sum_v != sum_d:
+        raise AssertionError(
+            f"scenario {name!r}: engine results disagree "
+            f"(volcano {sum_v[:12]}..., dataflow {sum_d[:12]}...)")
+    fabric, result = {"volcano": (fabric_v, res_v),
+                      "dataflow": (fabric_d, res_d)}[headline]
     record = {
         "name": name,
         "rows": rows,
         "chunk_rows": chunk,
-        "wall_time_s": time.perf_counter() - started,
-        "sim_time_s": res_d.elapsed,
+        "sim_time_s": result.elapsed,
         "checksum": sum_d,
-        "agree": sum_v == sum_d,
+        "agree": True,
         "engines": {"volcano": _engine_summary(res_v),
                     "dataflow": _engine_summary(res_d)},
     }
-    # The data-flow fabric is the architecture under study; its
-    # snapshot is the scenario's headline movement/utilization.
-    record.update({k: v for k, v in fabric_snapshot(fabric_d).items()
+    record.update({k: v for k, v in fabric_snapshot(fabric).items()
                    if k != "sim_time_s"})
-    # Exact critical-path attribution of the data-flow run: every
-    # simulated nanosecond in a (device | link | wait) bucket, with
-    # the "exact" flag asserting reconciliation against elapsed.
-    from .analysis import attribute_query
-    record["attribution"] = attribute_query(fabric_d.trace,
-                                            res_d).to_dict()
-    if not record["agree"]:
-        raise AssertionError(
-            f"smoke scenario {name!r}: engine results disagree "
-            f"(volcano {sum_v[:12]}..., dataflow {sum_d[:12]}...)")
+    record["attribution"] = attribute_query(fabric.trace,
+                                            result).to_dict()
     return record
 
 
-def _run_conventional_scan(rows: int) -> dict:
+def _conventional_scan(rows: int) -> dict:
     """Volcano on the conventional fabric vs dataflow (cpu placement).
 
     Exercises the conventional preset (no smart devices) and the
-    cpu_only placement path; the two answers must still agree.
+    cpu_only placement path; the two answers must still agree, and
+    the Volcano fabric is the headline.
     """
     query = (Query.scan("lineitem")
              .filter(col("l_quantity") > 30)
              .aggregate(["l_returnflag"],
                         [AggSpec("count", alias="n")]))
-    started = time.perf_counter()
-    catalog = _make_catalog(rows)
-
-    fabric_v = build_fabric(conventional_spec())
-    res_v = VolcanoEngine(fabric_v, catalog).execute(query)
-
-    fabric_d = build_fabric(dataflow_spec())
-    res_d = DataflowEngine(fabric_d, catalog).execute(
-        query, placement=cpu_only(query.plan, fabric_d))
-    _assert_drained(fabric_v.sim, "conventional_scan")
-    _assert_drained(fabric_d.sim, "conventional_scan")
-
-    sum_v, sum_d = res_v.checksum(), res_d.checksum()
-    record = {
-        "name": "conventional_scan",
-        "rows": rows,
-        "wall_time_s": time.perf_counter() - started,
-        "sim_time_s": res_v.elapsed,
-        "checksum": sum_v,
-        "agree": sum_v == sum_d,
-        "engines": {"volcano": _engine_summary(res_v),
-                    "dataflow": _engine_summary(res_d)},
-    }
-    record.update({k: v for k, v in fabric_snapshot(fabric_v).items()
-                   if k != "sim_time_s"})
-    from .analysis import attribute_query
-    record["attribution"] = attribute_query(fabric_v.trace,
-                                            res_v).to_dict()
-    if not record["agree"]:
-        raise AssertionError(
-            "smoke scenario 'conventional_scan': engine results "
-            f"disagree (volcano {sum_v[:12]}..., dataflow "
-            f"{sum_d[:12]}...)")
+    record = _run_query_scenario(
+        "conventional_scan", query, rows,
+        volcano_spec=conventional_spec, placement_factory=cpu_only,
+        headline="volcano")
+    # This record has never pinned its chunking, and the checked-in
+    # baseline is exactly what a fresh run writes.
+    del record["chunk_rows"]
     return record
 
 
@@ -263,8 +216,7 @@ def _run_scheduler_mix(rows: int) -> dict:
     """Concurrent queries through the scheduler, checked per query."""
     from .scheduler import Scheduler
 
-    started = time.perf_counter()
-    catalog = _make_catalog(rows)
+    catalog = standard_catalog(rows, _CHUNK)
     queries = {
         "q_filter": (Query.scan("lineitem")
                      .filter(col("l_quantity") > 40)
@@ -294,10 +246,13 @@ def _run_scheduler_mix(rows: int) -> dict:
         _assert_drained(oracle_fabric.sim, "scheduler_mix")
         agree = agree and (table_checksum(oracle.table)
                            == checksums[rec.name])
+    if not agree:
+        raise AssertionError(
+            "smoke scenario 'scheduler_mix': a scheduled query's "
+            "result disagrees with the Volcano oracle")
     record = {
         "name": "scheduler_mix",
         "rows": rows,
-        "wall_time_s": time.perf_counter() - started,
         "sim_time_s": scheduler.makespan(),
         "checksum": combine_checksums(checksums),
         "agree": agree,
@@ -307,112 +262,15 @@ def _run_scheduler_mix(rows: int) -> dict:
     }
     record.update({k: v for k, v in fabric_snapshot(fabric).items()
                    if k != "sim_time_s"})
-    if not agree:
-        raise AssertionError(
-            "smoke scenario 'scheduler_mix': a scheduled query's "
-            "result disagrees with the Volcano oracle")
     return record
 
 
-SMOKE_SCENARIOS: dict[str, Callable[[int], dict]] = {}
-
-
-def _register_smoke() -> None:
-    for name, query in _smoke_queries().items():
-        SMOKE_SCENARIOS[name] = (
-            lambda rows, n=name, q=query:
-            _run_query_scenario(n, q, rows))
-    SMOKE_SCENARIOS["conventional_scan"] = _run_conventional_scan
-    SMOKE_SCENARIOS["scheduler_mix"] = _run_scheduler_mix
-
-
-_register_smoke()
-
-
-def _run_smoke_task(task: tuple[str, int]) -> dict:
-    """One (scenario name, rows) unit of work — picklable for --jobs."""
-    name, rows = task
-    return SMOKE_SCENARIOS[name](rows)
-
-
-def _map_tasks(worker: Callable, tasks: list, jobs: int) -> list:
-    """Map ``worker`` over ``tasks``, fanning out when ``jobs`` > 1.
-
-    Each task runs in its own worker process; results come back in
-    task order, so the merged report is independent of the job count.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    import multiprocessing
-    with multiprocessing.get_context().Pool(
-            processes=min(jobs, len(tasks))) as pool:
-        return pool.map(worker, tasks)
-
-
-def _warm_runtime() -> None:
-    """Pay one-time lazy-initialisation costs outside the timed regions.
-
-    ``np.unique`` imports ``numpy.ma`` on its first call,
-    ``np.random`` loads on first attribute access, and the kernel
-    compiler module loads on first use; each would otherwise land
-    inside whichever scenario happens to run first and distort its
-    wall clock.  Idempotent and ~free once warm.
-    """
-    import numpy as np
-    np.unique(np.empty(0, dtype=np.int64))
-    np.random.default_rng(0)
-    from .engine import kernels  # noqa: F401
-    # Query codegen: generating + exec-ing a throwaway kernel pays the
-    # bytecode compiler and regex machinery once, without touching the
-    # counters or the kernel cache.
-    from .engine import codegen
-    from .engine.operators import FilterOp, ProjectOp
-    from .relational.expressions import col, lit
-    from .relational.schema import DataType, Field, Schema
-    schema = Schema([Field("w", DataType.INT64)])
-    parts = [FilterOp(col("w") > lit(0)), ProjectOp(["w"])]
-    codegen._exec_body("warmup", codegen.generate_source(parts, schema))
-
-
-def _warm_catalogs(tasks: list[tuple[str, int]], jobs: int) -> None:
-    """Fill the catalog cache in the parent before fanning out.
-
-    Forked workers inherit the cache copy-on-write, so every job
-    count pays the (dominant) table-generation cost exactly once and
-    per-scenario ``wall_time_s`` stays comparable across ``--jobs``.
-    On spawn platforms this is merely a no-op warm-up for the parent.
-    """
-    if jobs > 1:
-        for rows in sorted({rows for _name, rows in tasks}):
-            _make_catalog(rows)
-
-
-def run_smoke(rows: int = DEFAULT_ROWS,
-              only: Optional[list[str]] = None,
-              echo: Callable[[str], None] = lambda _line: None,
-              jobs: int = 1) -> list[dict]:
-    """Run the smoke scenarios; returns one record per scenario.
-
-    ``jobs`` > 1 fans scenarios out across worker processes.  Each
-    scenario owns its simulator and fabric, so the records (simulated
-    times, checksums, ledgers) are identical at any job count; only
-    harness wall time changes.
-    """
-    names = only if only is not None else sorted(SMOKE_SCENARIOS)
-    unknown = [n for n in names if n not in SMOKE_SCENARIOS]
-    if unknown:
-        raise ValueError(f"unknown smoke scenarios {unknown} "
-                         f"(have {sorted(SMOKE_SCENARIOS)})")
-    tasks = [(name, rows) for name in names]
-    _warm_runtime()
-    _warm_catalogs(tasks, jobs)
-    records = _map_tasks(_run_smoke_task, tasks, jobs)
-    for record in records:
-        echo(f"  smoke {record['name']:18} "
-             f"sim {record['sim_time_s']:.6f}s  "
-             f"wall {record['wall_time_s']:.2f}s  "
-             f"checksum {record['checksum'][:12]}")
-    return records
+SMOKE_SCENARIOS: dict[str, Callable[[int], dict]] = {
+    **{name: functools.partial(_run_query_scenario, name, query)
+       for name, query in _smoke_queries().items()},
+    "conventional_scan": _conventional_scan,
+    "scheduler_mix": _run_scheduler_mix,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -454,44 +312,14 @@ def _scale_queries() -> dict[str, tuple[Query, int]]:
     }
 
 
-def _run_scale_task(name: str) -> dict:
-    """One scale scenario by name — picklable for --jobs."""
+def _run_scale(name: str) -> dict:
+    """One scale scenario; the record pins ``chunk_rows`` for compare."""
     query, rows = _scale_queries()[name]
     return _run_query_scenario(name, query, rows, chunk=SCALE_CHUNK)
 
 
-def run_scale(only: Optional[list[str]] = None,
-              echo: Callable[[str], None] = lambda _line: None,
-              jobs: int = 1) -> list[dict]:
-    """Run the scale tier; one smoke-shaped record per scenario.
-
-    The records carry ``chunk_rows`` so ``--compare`` baselines pin
-    the chunking; wall time per *simulated* second is the headline —
-    the event count grows with chunks, not rows, so the 1M-row run
-    should not cost 167x the 6k-row smoke scenarios.
-    """
-    scenarios = _scale_queries()
-    names = only if only is not None else sorted(scenarios)
-    unknown = [n for n in names if n not in scenarios]
-    if unknown:
-        raise ValueError(f"unknown scale scenarios {unknown} "
-                         f"(have {sorted(scenarios)})")
-    _warm_runtime()
-    if jobs > 1:  # parent-side warm-up; workers inherit via COW fork
-        for name in names:
-            _make_catalog(scenarios[name][1], SCALE_CHUNK)
-    records = _map_tasks(_run_scale_task, list(names), jobs)
-    for record in records:
-        echo(f"  scale {record['name']:24} "
-             f"rows {record['rows']:>9,}  "
-             f"sim {record['sim_time_s']:.6f}s  "
-             f"wall {record['wall_time_s']:.2f}s  "
-             f"checksum {record['checksum'][:12]}")
-    return records
-
-
 # ---------------------------------------------------------------------------
-# Serving scenarios (the ``serving`` section of repro.bench/v3)
+# Serving scenarios (the ``serving`` section)
 # ---------------------------------------------------------------------------
 
 SERVE_BENCH_QUERIES = 200
@@ -503,17 +331,25 @@ reproduces the same p50/p99/p999 bit for bit.
 """
 
 
-def _run_serve_task(task: tuple[str, Optional[int], Optional[int]]
-                    ) -> dict:
-    """One (scenario, rows, queries) serving run — picklable."""
-    name, rows, queries = task
+def _serve_scenarios() -> Collection[str]:
+    from .serve import SERVE_SCENARIOS
+    return SERVE_SCENARIOS
+
+
+def _run_serving(name: str, rows: Optional[int] = None,
+                 queries: Optional[int] = SERVE_BENCH_QUERIES) -> dict:
+    """One serving run, verified, reduced to its bench record.
+
+    ``run_scenario`` verifies itself (zero accounting, telemetry and
+    observatory violations, checksums bit-identical to standalone
+    oracle runs).  The per-query record dicts, completion order and
+    full observer payloads are bulky and fully re-derivable from a
+    ``repro serve`` run; the bench report keeps the aggregates, the
+    checksum, and the payload *digests* (bit-reproducible, so
+    ``--compare`` gates on them without carrying the payloads).
+    """
     from .serve import run_scenario
     record = run_scenario(name, rows=rows, queries=queries)
-    # The per-query record dicts, completion order and full telemetry
-    # payload are bulky and fully re-derivable from a `repro serve`
-    # run; the bench report keeps the aggregates, the checksum, and
-    # the telemetry *digest* (bit-reproducible, so `--compare` can
-    # gate on it without carrying the whole payload).
     record.pop("records", None)
     record.pop("completion_order", None)
     telemetry = record.pop("telemetry", None)
@@ -528,41 +364,51 @@ def _run_serve_task(task: tuple[str, Optional[int], Optional[int]]
     return record
 
 
-def run_serving(names: Optional[list[str]] = None,
-                rows: Optional[int] = None,
-                queries: Optional[int] = SERVE_BENCH_QUERIES,
-                echo: Callable[[str], None] = lambda _line: None,
-                jobs: int = 1) -> list[dict]:
-    """Run the named serving scenarios; one v3 record each.
-
-    Every run verifies itself (zero accounting violations, zero
-    telemetry violations — alert streams reconstructible, exemplar
-    attributions exact — and checksums bit-identical to standalone
-    oracle runs) before reporting.
-    """
-    from .serve import SERVE_SCENARIOS
-    names = names if names is not None else sorted(SERVE_SCENARIOS)
-    unknown = [n for n in names if n not in SERVE_SCENARIOS]
-    if unknown:
-        raise ValueError(f"unknown serve scenarios {unknown} "
-                         f"(have {sorted(SERVE_SCENARIOS)})")
-    tasks = [(name, rows, queries) for name in names]
-    records = _map_tasks(_run_serve_task, tasks, jobs)
-    for record in records:
-        echo(f"  serve {record['name']:18} "
-             f"q {record['queries']:5d}  "
-             f"p50 {record['latency']['p50_s']:.6f}s  "
-             f"p99 {record['latency']['p99_s']:.6f}s  "
-             f"goodput {record['goodput_qps']:8.1f}/s  "
-             f"shed {record['shed']:4d}  "
-             f"alerts {record.get('telemetry_alerts', 0):3d}  "
-             f"checksum {record['checksum'][:12]}")
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Experiment scripts (benchmarks/bench_*.py)
 # ---------------------------------------------------------------------------
+
+EXPERIMENTS = [
+    ("F1", "conventional data path amplification",
+     "bench_f1_conventional_path.py"),
+    ("F2", "storage pushdown of selection/projection",
+     "bench_f2_storage_pushdown.py"),
+    ("F3", "staged group-by pipeline across NICs",
+     "bench_f3_nic_pipeline.py"),
+    ("F4", "NIC-scattered distributed join + COUNT on NIC",
+     "bench_f4_scatter_join.py"),
+    ("F5", "near-memory filter / pointer-chase / GC units",
+     "bench_f5_near_memory.py"),
+    ("F6", "full pipeline storage->cores (+A2 DMA ablation)",
+     "bench_f6_full_pipeline.py"),
+    ("C1", "single-core vs controller memory bandwidth",
+     "bench_c1_membw.py"),
+    ("C2", "data-center tax + bytes-scanned billing",
+     "bench_c2_datacenter_tax.py"),
+    ("C3", "credit-based flow control window sweep",
+     "bench_c3_credit_flow.py"),
+    ("C4", "interference-aware scheduling (+A1 ablation)",
+     "bench_c4_scheduling.py"),
+    ("C5", "no more buffer pools", "bench_c5_no_bufferpool.py"),
+    ("C6", "no more data caches", "bench_c6_no_caches.py"),
+    ("C7", "which operators to push down",
+     "bench_c7_pushdown_survey.py"),
+    ("C8", "CXL coherence + PCIe ladder",
+     "bench_c8_cxl_coherence.py"),
+    ("E1", "zone maps (extension)", "bench_e1_zonemaps.py"),
+    ("E2", "disaggregated-memory offload (extension)",
+     "bench_e2_disagg_memory.py"),
+    ("E3", "compressed memory + on-demand decompress (extension)",
+     "bench_e3_compressed_memory.py"),
+    ("E4", "kernel installation break-even (extension)",
+     "bench_e4_kernel_overhead.py"),
+    ("E5", "pre-sorting at storage (extension)",
+     "bench_e5_presort.py"),
+    ("E6", "storage->GPU: GPUDirect vs host staging (extension)",
+     "bench_e6_gpudirect.py"),
+]
+"""(id, description, script under ``benchmarks/``) per experiment."""
+
 
 def default_bench_dir() -> str:
     """Locate the ``benchmarks/`` directory.
@@ -586,7 +432,6 @@ def default_bench_dir() -> str:
 def experiment_index(bench_dir: Optional[str] = None
                      ) -> dict[str, str]:
     """Map experiment id (lowercase) -> bench script path."""
-    from .cli import EXPERIMENTS
     bench_dir = bench_dir or default_bench_dir()
     return {exp_id.lower(): os.path.join(bench_dir, script)
             for exp_id, _desc, script in EXPERIMENTS}
@@ -616,12 +461,7 @@ def _sanitize(value, depth: int = 0):
 def run_experiment(exp_id: str, bench_dir: Optional[str] = None
                    ) -> dict:
     """Import one bench script and call its ``run_<id>()`` entry."""
-    exp_id = exp_id.lower()
-    index = experiment_index(bench_dir)
-    if exp_id not in index:
-        raise ValueError(f"unknown experiment {exp_id!r} "
-                         f"(have {sorted(index)})")
-    path = index[exp_id]
+    path = experiment_index(bench_dir)[exp_id]
     bench_home = os.path.dirname(path)
     module_name = os.path.splitext(os.path.basename(path))[0]
     added = bench_home not in sys.path
@@ -631,363 +471,224 @@ def run_experiment(exp_id: str, bench_dir: Optional[str] = None
         spec = importlib.util.spec_from_file_location(module_name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        entry = getattr(module, f"run_{exp_id}")
-        started = time.perf_counter()
-        rows = entry()
-        wall = time.perf_counter() - started
+        rows = getattr(module, f"run_{exp_id}")()
     finally:
         if added:
             sys.path.remove(bench_home)
     return {
         "name": exp_id,
         "script": os.path.basename(path),
-        "wall_time_s": wall,
         "rows": _sanitize(rows),
     }
 
 
-def _run_experiment_task(task: tuple[str, Optional[str]]) -> dict:
-    """One (experiment id, bench_dir) unit of work for --jobs."""
-    exp_id, bench_dir = task
-    return run_experiment(exp_id, bench_dir)
+# ---------------------------------------------------------------------------
+# The suite table and its one runner
+# ---------------------------------------------------------------------------
+
+class Suite(NamedTuple):
+    """One report section: how to list, parameterise, run, print it."""
+
+    names: Callable[[], Collection[str]]
+    """Every scenario name the section knows."""
+    from_args: Callable[[argparse.Namespace], dict]
+    """``run`` keyword arguments for a CLI invocation..."""
+    from_record: Callable[[dict], dict]
+    """...or the ones that reproduce a (validated) baseline record."""
+    run: Callable[..., dict]
+    """``run(name, **params) -> record``."""
+    line: Callable[[dict], str]
+    """The progress line for one record."""
 
 
-def run_experiments(exp_ids: list[str],
-                    bench_dir: Optional[str] = None,
-                    echo: Callable[[str], None] = lambda _line: None,
-                    jobs: int = 1) -> list[dict]:
-    records = _map_tasks(_run_experiment_task,
-                         [(exp_id, bench_dir) for exp_id in exp_ids],
-                         jobs)
-    for record in records:
-        echo(f"  exp {record['name']:6} ({record['script']})  "
-             f"wall {record['wall_time_s']:.2f}s")
-    return records
+def _query_line(record: dict) -> str:
+    return (f"{record['name']:24} rows {record['rows']:>9,}  "
+            f"sim {record['sim_time_s']:.6f}s  "
+            f"checksum {record['checksum'][:12]}")
+
+
+def _serving_line(record: dict) -> str:
+    return (f"{record['name']:18} q {record['queries']:5d}  "
+            f"p50 {record['latency']['p50_s']:.6f}s  "
+            f"p99 {record['latency']['p99_s']:.6f}s  "
+            f"goodput {record['goodput_qps']:8.1f}/s  "
+            f"shed {record['shed']:4d}  "
+            f"alerts {record.get('telemetry_alerts', 0):3d}  "
+            f"checksum {record['checksum'][:12]}")
+
+
+SUITES: dict[str, Suite] = {
+    "smoke": Suite(
+        names=lambda: SMOKE_SCENARIOS,
+        from_args=lambda args: {"rows": args.rows},
+        from_record=lambda record: {"rows": record["rows"]},
+        run=lambda name, rows=DEFAULT_ROWS: SMOKE_SCENARIOS[name](rows),
+        line=_query_line),
+    "serving": Suite(
+        names=_serve_scenarios,
+        from_args=lambda args: {"queries": args.serve_queries},
+        from_record=lambda record: {
+            "rows": record.get("rows"),
+            "queries": record.get("requested_queries")},
+        run=_run_serving, line=_serving_line),
+    "experiments": Suite(
+        names=experiment_index,
+        from_args=lambda args: {"bench_dir": args.bench_dir},
+        from_record=lambda record: {},
+        run=run_experiment,
+        line=lambda record: f"{record['name']:6} ({record['script']})"),
+    "scale": Suite(
+        names=_scale_queries,
+        from_args=lambda args: {},
+        from_record=lambda record: {},
+        run=_run_scale, line=_query_line),
+}
+"""Report section -> its row, in the order sections run."""
+
+Task = tuple[str, str, dict]
+"""(section, scenario name, ``run`` keyword arguments) — plain data."""
+
+
+def suite_tasks(section: str, only: Optional[list[str]] = None,
+                **params) -> list[Task]:
+    """Tasks for ``only`` (default: every scenario) of one section."""
+    have = SUITES[section].names()
+    names = sorted(have) if only is None else only
+    unknown = [name for name in names if name not in have]
+    if unknown:
+        raise ValueError(f"unknown {section} scenario {unknown} "
+                         f"(have {sorted(have)})")
+    return [(section, name, params) for name in names]
+
+
+def _run_task(task: Task) -> dict:
+    section, name, params = task
+    return SUITES[section].run(name, **params)
+
+
+def run_tasks(tasks: list[Task],
+              echo: Callable[[str], None] = _quiet,
+              jobs: int = 1) -> dict[str, list[dict]]:
+    """Run ``tasks``; records grouped by section, in task order.
+
+    ``jobs`` > 1 fans the tasks out across worker processes.  Each
+    scenario owns its simulator and fabric, so the records are
+    identical at any job count.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        records = [_run_task(task) for task in tasks]
+    else:
+        import multiprocessing
+        with multiprocessing.get_context().Pool(
+                processes=min(jobs, len(tasks))) as pool:
+            records = pool.map(_run_task, tasks)
+    by_section: dict[str, list[dict]] = {s: [] for s in SUITES}
+    for (section, _name, _params), record in zip(tasks, records):
+        echo(f"  {section:11} {SUITES[section].line(record)}")
+        by_section[section].append(record)
+    return by_section
+
+
+def run_suite(section: str, only: Optional[list[str]] = None,
+              echo: Callable[[str], None] = _quiet, jobs: int = 1,
+              **params) -> list[dict]:
+    """Run one section (``only``: a subset); one record per scenario."""
+    tasks = suite_tasks(section, only, **params)
+    return run_tasks(tasks, echo, jobs)[section]
 
 
 # ---------------------------------------------------------------------------
 # Baseline comparison (the regression gate)
 # ---------------------------------------------------------------------------
 
-def _rel_close(baseline: float, fresh: float,
-               tolerance: float) -> bool:
-    if baseline == fresh:
-        return True
-    scale = max(abs(baseline), abs(fresh))
-    return abs(fresh - baseline) <= tolerance * scale
+def _diff(base, fresh, tolerance: float, path: str) -> Iterator[str]:
+    """Every leaf of ``base`` that ``fresh`` does not reproduce."""
+    if isinstance(base, dict) and isinstance(fresh, dict):
+        for key, value in base.items():
+            if key not in fresh:
+                yield f"{path}.{key}: missing from fresh run"
+            else:
+                yield from _diff(value, fresh[key], tolerance,
+                                 f"{path}.{key}")
+    elif isinstance(base, list) and isinstance(fresh, list):
+        if len(base) != len(fresh):
+            yield f"{path}: {len(base)} entries -> {len(fresh)}"
+        for index, (b, f) in enumerate(zip(base, fresh)):
+            yield from _diff(b, f, tolerance, f"{path}[{index}]")
+    elif isinstance(base, float) and isinstance(fresh, float):
+        if base != fresh and abs(fresh - base) > tolerance * max(
+                abs(base), abs(fresh)):
+            yield (f"{path}: {base!r} -> {fresh!r} "
+                   f"(tolerance {tolerance:.1%})")
+    elif base != fresh:
+        yield f"{path}: {base!r} -> {fresh!r}"
 
 
-def compare_reports(baseline: dict, fresh: list[dict],
-                    tolerance: float = DEFAULT_TOLERANCE,
-                    fresh_serving: Optional[list[dict]] = None,
-                    fresh_scale: Optional[list[dict]] = None
-                    ) -> list[str]:
-    """Diff fresh smoke records against a baseline report.
+def compare_reports(baseline: dict, fresh: dict[str, list[dict]],
+                    tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
+    """Diff every baseline record against its fresh twin.
 
-    Checksums, row counts, and engine agreement must match exactly;
-    ``sim_time_s``, per-segment ``movement_bytes``, and per-link byte
-    totals must be within ``tolerance`` (relative).  Only quantities
-    present in the baseline are compared, so a v1 baseline gates a v2
-    run.  When the baseline carries a v3 ``serving`` section,
-    ``fresh_serving`` is diffed too: checksums and the shed /
-    SLO-violation / query counts must match exactly (the simulator is
-    deterministic), latency percentiles and goodput within
-    ``tolerance``.  A baseline ``scale`` section gates
-    ``fresh_scale`` with the smoke rules (the records share their
-    shape).  Returns human-readable violations (empty = pass).
+    ``fresh`` maps section -> records (a report, or what
+    :func:`run_tasks` returns).  Every key a baseline record carries
+    must be present in the fresh record of the same section and name;
+    floats must be within ``tolerance`` (relative), everything else
+    equal.  Keys only the fresh record has are ignored.  Returns one
+    line per violation, each naming the JSON path that moved
+    (``smoke[join_agg].ledger[3].bytes``); empty = pass.
     """
     violations: list[str] = []
-    violations.extend(_compare_serving(baseline, fresh_serving or [],
-                                       tolerance))
-    violations.extend(_compare_query_records(
-        baseline.get("smoke", []), fresh, tolerance, label=""))
-    violations.extend(_compare_query_records(
-        baseline.get("scale", []), fresh_scale or [], tolerance,
-        label="scale"))
-    return violations
-
-
-def _compare_query_records(base_records: list[dict],
-                           fresh: list[dict], tolerance: float,
-                           label: str) -> list[str]:
-    """Smoke-shaped record diff (shared by smoke and scale tiers)."""
-    violations: list[str] = []
-    by_name = {rec["name"]: rec for rec in fresh}
-    for base in base_records:
-        name = base["name"]
-        if label:
-            name = f"{label}[{base['name']}]"
-        rec = by_name.get(base["name"])
-        if rec is None:
-            violations.append(f"{name}: scenario missing from fresh run")
-            continue
-        if base.get("checksum") != rec.get("checksum"):
-            violations.append(
-                f"{name}: checksum changed "
-                f"({base.get('checksum', '')[:12]}... -> "
-                f"{rec.get('checksum', '')[:12]}...)")
-        if base.get("rows") != rec.get("rows"):
-            violations.append(f"{name}: rows {base.get('rows')} -> "
-                              f"{rec.get('rows')}")
-        if base.get("chunk_rows") not in (None, rec.get("chunk_rows")):
-            violations.append(
-                f"{name}: chunk_rows {base['chunk_rows']} -> "
-                f"{rec.get('chunk_rows')} (must match exactly)")
-        if base.get("agree", True) and not rec.get("agree", False):
-            violations.append(f"{name}: engines no longer agree")
-        if "sim_time_s" in base and not _rel_close(
-                base["sim_time_s"], rec.get("sim_time_s", 0.0),
-                tolerance):
-            violations.append(
-                f"{name}: sim_time_s {base['sim_time_s']:.6g} -> "
-                f"{rec.get('sim_time_s', 0.0):.6g} "
-                f"(tolerance {tolerance:.1%})")
-        for seg, nbytes in base.get("movement_bytes", {}).items():
-            got = rec.get("movement_bytes", {}).get(seg, 0.0)
-            if not _rel_close(nbytes, got, tolerance):
+    for section in SUITES:
+        twins = {rec["name"]: rec for rec in fresh.get(section, [])}
+        for base in baseline.get(section, []):
+            where = f"{section}[{base['name']}]"
+            if base["name"] not in twins:
                 violations.append(
-                    f"{name}: movement_bytes[{seg}] {nbytes:.6g} -> "
-                    f"{got:.6g} (tolerance {tolerance:.1%})")
-        for link, entry in base.get("links", {}).items():
-            got = rec.get("links", {}).get(link, {}).get("bytes", 0.0)
-            if not _rel_close(entry.get("bytes", 0.0), got, tolerance):
-                violations.append(
-                    f"{name}: links[{link}].bytes "
-                    f"{entry.get('bytes', 0.0):.6g} -> {got:.6g} "
-                    f"(tolerance {tolerance:.1%})")
-    return violations
-
-
-# telemetry_digest / observatory_digest are the strongest of these:
-# byte-identical derived payloads (windows, sketches, alerts,
-# exemplars; saturation series, bound tags, regret scores) for the
-# same seed, regardless of --jobs or host.  Keys absent from an older
-# baseline are skipped, so adding one here stays backward-compatible.
-_SERVE_EXACT_KEYS = ("queries", "completed", "shed",
-                     "slo_violations", "telemetry_digest",
-                     "telemetry_windows", "telemetry_alerts",
-                     "telemetry_exemplars", "observatory_digest",
-                     "observatory_windows", "observatory_partial")
-
-_SERVE_TOLERANCE_KEYS = ("p50_s", "p99_s", "p999_s")
-
-
-def _compare_serving(baseline: dict, fresh: list[dict],
-                     tolerance: float) -> list[str]:
-    """Serving-section violations (helper of :func:`compare_reports`)."""
-    violations: list[str] = []
-    by_name = {rec["name"]: rec for rec in fresh}
-    for base in baseline.get("serving", []):
-        name = base["name"]
-        rec = by_name.get(name)
-        if rec is None:
-            violations.append(
-                f"serving[{name}]: scenario missing from fresh run")
-            continue
-        if base.get("checksum") != rec.get("checksum"):
-            violations.append(
-                f"serving[{name}]: checksum changed "
-                f"({base.get('checksum', '')[:12]}... -> "
-                f"{rec.get('checksum', '')[:12]}...)")
-        for key in _SERVE_EXACT_KEYS:
-            if key in base and base[key] != rec.get(key):
-                violations.append(
-                    f"serving[{name}]: {key} {base[key]} -> "
-                    f"{rec.get(key)} (must match exactly)")
-        base_latency = base.get("latency", {})
-        fresh_latency = rec.get("latency", {})
-        for key in _SERVE_TOLERANCE_KEYS:
-            if key in base_latency and not _rel_close(
-                    base_latency[key], fresh_latency.get(key, 0.0),
-                    tolerance):
-                violations.append(
-                    f"serving[{name}]: latency.{key} "
-                    f"{base_latency[key]:.6g} -> "
-                    f"{fresh_latency.get(key, 0.0):.6g} "
-                    f"(tolerance {tolerance:.1%})")
-        if "goodput_qps" in base and not _rel_close(
-                base["goodput_qps"], rec.get("goodput_qps", 0.0),
-                tolerance):
-            violations.append(
-                f"serving[{name}]: goodput_qps "
-                f"{base['goodput_qps']:.6g} -> "
-                f"{rec.get('goodput_qps', 0.0):.6g} "
-                f"(tolerance {tolerance:.1%})")
+                    f"{where}: scenario missing from fresh run")
+            else:
+                violations.extend(_diff(base, twins[base["name"]],
+                                        tolerance, where))
     return violations
 
 
 def run_compare(baseline_path: str,
                 tolerance: float = DEFAULT_TOLERANCE,
-                echo: Callable[[str], None] = lambda _line: None,
+                echo: Callable[[str], None] = _quiet,
                 jobs: int = 1) -> int:
-    """Re-run the baseline's scenarios and diff; 0 = pass, 1 = fail.
+    """Re-run a baseline's records and diff them.
 
-    Besides the gating checks (checksums/rows exact, times and bytes
-    within ``tolerance``), prints the wall-time delta against the
-    baseline — informational only, since wall clocks differ across
-    machines.
+    Returns 0 when every record is reproduced, 1 on a regression (one
+    ``REGRESSION:`` line per violation on stderr), 2 when the baseline
+    cannot be read or is not a valid report.
     """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    validate_report(baseline)
+    try:
+        with open(baseline_path) as handle:
+            baseline = json.load(handle)
+        validate_report(baseline)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: {baseline_path}: {reason}", file=sys.stderr)
+        return 2
     echo(f"comparing against {baseline_path} "
-         f"(schema {baseline.get('schema')}, "
-         f"tolerance {tolerance:.1%}):")
-    tasks = [(base["name"], base.get("rows", DEFAULT_ROWS))
-             for base in baseline.get("smoke", [])
-             if base["name"] in SMOKE_SCENARIOS]
-    # Scenarios not in SMOKE_SCENARIOS are reported as missing by
-    # compare_reports.
-    _warm_runtime()
-    _warm_catalogs(tasks, jobs)
-    fresh = _map_tasks(_run_smoke_task, tasks, jobs)
-    for record in fresh:
-        echo(f"  rerun {record['name']:18} "
-             f"sim {record['sim_time_s']:.6f}s  "
-             f"wall {record['wall_time_s']:.2f}s  "
-             f"checksum {record['checksum'][:12]}")
-    fresh_serving: list[dict] = []
-    serve_base = baseline.get("serving", [])
-    if serve_base:
-        from .serve import SERVE_SCENARIOS
-        serve_tasks = [
-            (base["name"], base.get("rows"),
-             base.get("requested_queries"))
-            for base in serve_base
-            if base["name"] in SERVE_SCENARIOS]
-        fresh_serving = _map_tasks(_run_serve_task, serve_tasks, jobs)
-        for record in fresh_serving:
-            echo(f"  rerun serve {record['name']:18} "
-                 f"p50 {record['latency']['p50_s']:.6f}s  "
-                 f"p99 {record['latency']['p99_s']:.6f}s  "
-                 f"checksum {record['checksum'][:12]}")
-    fresh_scale: list[dict] = []
-    scale_base = baseline.get("scale", [])
-    if scale_base:
-        scale_names = [base["name"] for base in scale_base
-                       if base["name"] in _scale_queries()]
-        fresh_scale = _map_tasks(_run_scale_task, scale_names, jobs)
-        for record in fresh_scale:
-            echo(f"  rerun scale {record['name']:24} "
-                 f"sim {record['sim_time_s']:.6f}s  "
-                 f"wall {record['wall_time_s']:.2f}s  "
-                 f"checksum {record['checksum'][:12]}")
-    _echo_wall_delta(baseline, fresh, echo)
-    _echo_wall_trend(baseline_path, echo)
-    violations = compare_reports(baseline, fresh, tolerance,
-                                 fresh_serving=fresh_serving,
-                                 fresh_scale=fresh_scale)
+         f"(tolerance {tolerance:.1%}):")
+    # A scenario this code no longer knows is left out here and
+    # reported as missing by compare_reports.
+    tasks: list[Task] = []
+    for section, suite in SUITES.items():
+        known = suite.names()
+        tasks += [(section, record["name"], suite.from_record(record))
+                  for record in baseline.get(section, [])
+                  if record["name"] in known]
+    violations = compare_reports(baseline,
+                                 run_tasks(tasks, echo, jobs),
+                                 tolerance)
+    for line in violations:
+        print(f"REGRESSION: {line}", file=sys.stderr)
     if violations:
-        for line in violations:
-            print(f"REGRESSION: {line}", file=sys.stderr)
         return 1
-    echo(f"baseline comparison passed "
-         f"({len(baseline.get('smoke', []))} smoke + "
-         f"{len(serve_base)} serving + "
-         f"{len(scale_base)} scale scenarios)")
+    echo("baseline comparison passed ("
+         + " + ".join(f"{len(baseline.get(section, []))} {section}"
+                      for section in SUITES) + ")")
     return 0
-
-
-def _echo_wall_delta(baseline: dict, fresh: list[dict],
-                     echo: Callable[[str], None]) -> None:
-    """Print the wall-time trajectory vs. the baseline (non-gating).
-
-    Degrades explicitly instead of confusingly: a baseline without
-    usable wall times (or an empty fresh run) gets a clear note, and
-    pre-``harness_wall_s`` baselines are called out rather than
-    silently compared as if the harness figures existed.
-    """
-    base_wall = sum(r.get("wall_time_s", 0.0)
-                    for r in baseline.get("smoke", []))
-    fresh_wall = sum(r.get("wall_time_s", 0.0) for r in fresh)
-    if base_wall <= 0 or fresh_wall <= 0:
-        echo("wall time (informational): baseline carries no "
-             "per-scenario wall times; skipping the delta")
-        return
-    ratio = base_wall / fresh_wall
-    direction = "speedup" if ratio >= 1.0 else "slowdown"
-    echo(f"wall time (informational): baseline {base_wall:.3f}s -> "
-         f"fresh {fresh_wall:.3f}s  ({ratio:.2f}x {direction})")
-    if "harness_wall_s" not in baseline.get("totals", {}):
-        echo("note: baseline predates totals.harness_wall_s "
-             "(pre-parallel-harness report); the delta above sums "
-             "per-scenario wall times only")
-
-
-def _echo_wall_trend(baseline_path: str,
-                     echo: Callable[[str], None]) -> None:
-    """Wall-clock trajectory across every sibling ``BENCH_*.json``.
-
-    Non-gating: wall clocks differ across machines, so this is a
-    chronology (by each report's ``created`` stamp) of the
-    checked-in baselines next to the one being compared against —
-    enough to eyeball whether the harness has been getting faster or
-    slower across PRs without opening each file.
-    """
-    import glob
-    directory = os.path.dirname(os.path.abspath(baseline_path))
-    entries = []
-    for path in sorted(glob.glob(os.path.join(directory,
-                                              "BENCH_*.json"))):
-        try:
-            with open(path) as handle:
-                report = json.load(handle)
-        except (OSError, ValueError):
-            continue  # unreadable sibling: not this trend's problem
-        totals = report.get("totals", {})
-        entries.append((report.get("created", ""),
-                        report.get("tag", os.path.basename(path)),
-                        totals.get("harness_wall_s"),
-                        totals.get("wall_time_s"),
-                        totals.get("jobs", 1)))
-    if len(entries) < 2:
-        return
-    entries.sort()  # ISO-8601 'created' stamps sort chronologically
-    echo(f"wall trend across {len(entries)} checked-in baselines "
-         "(informational, machines differ):")
-    for created, tag, harness, wall, jobs in entries:
-        harness_s = (f"{harness:8.3f}s" if isinstance(harness,
-                                                      (int, float))
-                     else "       -")
-        wall_s = (f"{wall:8.3f}s" if isinstance(wall, (int, float))
-                  else "       -")
-        echo(f"  {tag:10} {created or '<unstamped>':25} "
-             f"harness {harness_s}  wall {wall_s}  jobs {jobs}")
-
-
-# ---------------------------------------------------------------------------
-# Profiling (--profile)
-# ---------------------------------------------------------------------------
-
-def profile_call(fn: Callable[[], object], top: int = 25
-                 ) -> tuple[object, dict]:
-    """Run ``fn`` under cProfile; return (result, profile section).
-
-    The section lists the ``top`` functions by cumulative time plus
-    the grand totals — enough to spot the hot path from the JSON
-    artifact without shipping the raw .prof file.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn)
-    stats = pstats.Stats(profiler)
-    entries = []
-    for (filename, line, func), (cc, nc, tt, ct, _callers) in sorted(
-            stats.stats.items(), key=lambda item: -item[1][3])[:top]:
-        entries.append({
-            "function": f"{os.path.basename(filename)}:{line}({func})",
-            "ncalls": nc,
-            "primitive_calls": cc,
-            "tottime_s": round(tt, 6),
-            "cumtime_s": round(ct, 6),
-        })
-    return result, {
-        "top_by_cumtime": entries,
-        "total_calls": stats.total_calls,
-        "total_tt_s": round(stats.total_tt, 6),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1005,118 +706,49 @@ def write_report(report: dict, out_dir: str) -> str:
     return path
 
 
+def cli_tasks(args: argparse.Namespace) -> list[Task]:
+    """The tasks a (non-compare) CLI invocation asks for."""
+    exp_ids = [e.strip().lower() for e in args.exp.split(",")
+               if e.strip()]
+    selected = {  # None = every scenario of the section
+        "smoke": None if args.smoke or not exp_ids else [],
+        "serving": None if args.serve else [],
+        "experiments": None if exp_ids == ["all"] else exp_ids,
+        "scale": None if args.scale else [],
+    }
+    return [task for section, only in selected.items()
+            for task in suite_tasks(section, only,
+                                    **SUITES[section].from_args(args))]
+
+
 def run_cli(args) -> int:
-    echo = (lambda _line: None) if args.quiet else print
-    jobs = max(1, getattr(args, "jobs", 1) or 1)
-    # Exempt interpreter/startup objects from cyclic GC for the life
-    # of this (short-lived) process: otherwise a threshold-triggered
-    # full collection lands inside an arbitrary scenario and smears
-    # ~10ms of pause onto its wall clock.  CLI only — library callers
-    # (tests import run_smoke directly) keep normal GC behaviour.
-    import gc
-    _warm_runtime()
-    gc.collect()
-    gc.freeze()
-    if getattr(args, "compare", None):
-        return run_compare(args.compare,
-                           tolerance=getattr(args, "tolerance",
-                                             DEFAULT_TOLERANCE),
-                           echo=echo,
-                           jobs=jobs)
+    echo = _quiet if args.quiet else print
+    jobs = max(1, args.jobs)
+    if args.compare:
+        return run_compare(args.compare, tolerance=args.tolerance,
+                           echo=echo, jobs=jobs)
     if args.list:
-        print("smoke scenarios:")
-        for name in sorted(SMOKE_SCENARIOS):
-            print(f"  {name}")
-        from .serve import SERVE_SCENARIOS
-        print("serving scenarios (--serve):")
-        for name in sorted(SERVE_SCENARIOS):
-            print(f"  {name}")
-        print("scale scenarios (--scale):")
-        for name, (_query, rows) in sorted(_scale_queries().items()):
-            print(f"  {name}  ({rows:,} rows, "
-                  f"chunk {SCALE_CHUNK:,})")
-        print("experiments:")
-        for exp_id, path in sorted(experiment_index(args.bench_dir
-                                                    ).items()):
-            print(f"  {exp_id:6} {os.path.basename(path)}")
+        for section, suite in SUITES.items():
+            print(f"{section}:")
+            for name in sorted(suite.names()):
+                print(f"  {name}")
         return 0
 
-    exp_ids: list[str] = []
-    if args.exp:
-        if args.exp.strip().lower() == "all":
-            exp_ids = sorted(experiment_index(args.bench_dir))
-        else:
-            exp_ids = [e.strip().lower()
-                       for e in args.exp.split(",") if e.strip()]
-    run_smoke_set = args.smoke or not exp_ids
-
-    profiling = getattr(args, "profile", False)
-    if profiling and jobs > 1:
-        echo("--profile runs in-process; ignoring --jobs")
-        jobs = 1
-
-    serve_set = getattr(args, "serve", False)
-
-    def run_all() -> tuple[list[dict], list[dict], list[dict]]:
-        smoke: list[dict] = []
-        if run_smoke_set:
-            echo(f"running smoke scenarios (rows={args.rows}"
-                 + (f", jobs={jobs}" if jobs > 1 else "") + "):")
-            smoke = run_smoke(rows=args.rows, echo=echo, jobs=jobs)
-        serving: list[dict] = []
-        if serve_set:
-            echo(f"running serving scenarios "
-                 f"(queries={args.serve_queries}):")
-            serving = run_serving(queries=args.serve_queries,
-                                  echo=echo, jobs=jobs)
-        experiments: list[dict] = []
-        if exp_ids:
-            echo(f"running experiments: {', '.join(exp_ids)}")
-            experiments = run_experiments(exp_ids, args.bench_dir,
-                                          echo=echo, jobs=jobs)
-        return smoke, serving, experiments
-
-    harness_started = time.perf_counter()
-    profile: Optional[dict] = None
-    if profiling:
-        (smoke, serving, experiments), profile = profile_call(
-            run_all, top=getattr(args, "profile_top", 25))
-        for entry in profile["top_by_cumtime"][:5]:
-            echo(f"  profile {entry['cumtime_s']:8.3f}s cum  "
-                 f"{entry['function']}")
-    else:
-        smoke, serving, experiments = run_all()
-    harness_wall = time.perf_counter() - harness_started
-
-    # The scale tier runs outside the harness window on purpose:
-    # totals.harness_wall_s is the cross-commit smoke/serve figure,
-    # and folding 1M-row runs into it would break comparability with
-    # every baseline recorded before the tier existed.  It gets its
-    # own totals.scale_wall_s instead.
-    scale: list[dict] = []
-    extra_totals = {"harness_wall_s": harness_wall, "jobs": jobs}
-    if getattr(args, "scale", False):
-        echo(f"running scale scenarios (chunk={SCALE_CHUNK}"
-             + (f", jobs={jobs}" if jobs > 1 else "") + "):")
-        scale_started = time.perf_counter()
-        scale = run_scale(echo=echo, jobs=jobs)
-        extra_totals["scale_wall_s"] = (time.perf_counter()
-                                        - scale_started)
-
-    from datetime import datetime, timezone
+    try:
+        tasks = cli_tasks(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    echo(f"running {len(tasks)} benchmarks"
+         + (f" (jobs={jobs})" if jobs > 1 else "") + ":")
     report = make_report(
-        args.tag, smoke, experiments,
+        args.tag,
         created=datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
-        extra_totals=extra_totals,
-        profile=profile,
-        serving=serving,
-        scale=scale)
+        **run_tasks(tasks, echo, jobs))
     path = write_report(report, args.out)
     echo(f"report: {path}  "
-         f"({report['totals']['benchmarks']} benchmarks, "
-         f"wall {report['totals']['wall_time_s']:.2f}s, "
-         f"harness {harness_wall:.2f}s)")
+         f"({report['totals']['benchmarks']} benchmarks)")
     return 0
 
 
@@ -1129,7 +761,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                              "(f1..f6,c1..c8,e1..e6) or 'all'")
     parser.add_argument("--serve", action="store_true",
                         help="also run the multi-tenant serving "
-                             "scenarios (v3 'serving' section)")
+                             "scenarios ('serving' section)")
     parser.add_argument("--serve-queries", type=int,
                         default=SERVE_BENCH_QUERIES,
                         dest="serve_queries", metavar="N",
@@ -1137,8 +769,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", action="store_true",
                         help="also run the 100k-1M row scale tier "
                              "(f2/f4/f6-shaped queries, large "
-                             "chunks); timed separately as "
-                             "totals.scale_wall_s")
+                             "chunks; 'scale' section)")
     parser.add_argument("--tag", default="local",
                         help="report tag (file is BENCH_<tag>.json)")
     parser.add_argument("--out", default=".",
@@ -1148,36 +779,19 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bench-dir", default=None,
                         help="override the benchmarks/ directory")
     parser.add_argument("--compare", default=None, metavar="BASELINE",
-                        help="re-run a baseline report's scenarios and "
-                             "diff (non-zero exit on regression)")
+                        help="re-run a baseline report's records and "
+                             "diff them leaf by leaf (exit 1 on "
+                             "regression, 2 on an unusable baseline)")
     parser.add_argument("--tolerance", type=float,
                         default=DEFAULT_TOLERANCE,
-                        help="relative tolerance for time/byte diffs "
-                             "in --compare (checksums stay exact)")
+                        help="relative tolerance for float leaves in "
+                             "--compare (everything else is exact)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run scenarios/experiments across N "
-                             "worker processes (results are identical "
-                             "at any job count)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and embed the top "
-                             "functions by cumulative time in the "
-                             "report (forces in-process execution)")
-    parser.add_argument("--profile-top", type=int, default=25,
-                        metavar="N", dest="profile_top",
-                        help="number of functions kept by --profile")
+                             "worker processes (the report is "
+                             "identical at any job count)")
     parser.add_argument("--list", action="store_true",
-                        help="list scenarios and experiments, then exit")
+                        help="list every section's scenarios, then "
+                             "exit")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="machine-readable benchmark harness")
-    add_bench_arguments(parser)
-    return run_cli(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -36,11 +36,12 @@ Commands
 ``experiments``
     List every reproduced experiment and its benchmark file.
 ``bench``
-    Run the machine-readable benchmark harness: instrumented smoke
-    scenarios (``--smoke``), serving scenarios (``--serve``), and/or
-    experiment scripts (``--exp``), emitting a schema-versioned
-    ``BENCH_<tag>.json`` report.  ``--compare BENCH_x.json`` re-runs
-    a baseline's scenarios and exits non-zero on regression.
+    Run the exact-output harness: instrumented smoke scenarios
+    (``--smoke``), the scale tier (``--scale``), serving scenarios
+    (``--serve``), and/or experiment scripts (``--exp``), emitting a
+    schema-versioned ``BENCH_<tag>.json`` report of repeatable model
+    outputs.  ``--compare BENCH_x.json`` re-runs a baseline's records
+    and exits non-zero on any leaf that moved.
 ``serve``
     Serve a named multi-tenant scenario (open/closed tenant
     populations, admission control, weighted fair queueing, plan
@@ -68,6 +69,7 @@ import argparse
 import os
 import sys
 
+from .bench import EXPERIMENTS, add_bench_arguments, run_cli
 from .engine import (
     AggSpec,
     DataflowEngine,
@@ -80,47 +82,7 @@ from .engine import (
 from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
 from .optimizer import Optimizer
-from .relational import Catalog, col, make_lineitem
-
-EXPERIMENTS = [
-    ("F1", "conventional data path amplification",
-     "bench_f1_conventional_path.py"),
-    ("F2", "storage pushdown of selection/projection",
-     "bench_f2_storage_pushdown.py"),
-    ("F3", "staged group-by pipeline across NICs",
-     "bench_f3_nic_pipeline.py"),
-    ("F4", "NIC-scattered distributed join + COUNT on NIC",
-     "bench_f4_scatter_join.py"),
-    ("F5", "near-memory filter / pointer-chase / GC units",
-     "bench_f5_near_memory.py"),
-    ("F6", "full pipeline storage->cores (+A2 DMA ablation)",
-     "bench_f6_full_pipeline.py"),
-    ("C1", "single-core vs controller memory bandwidth",
-     "bench_c1_membw.py"),
-    ("C2", "data-center tax + bytes-scanned billing",
-     "bench_c2_datacenter_tax.py"),
-    ("C3", "credit-based flow control window sweep",
-     "bench_c3_credit_flow.py"),
-    ("C4", "interference-aware scheduling (+A1 ablation)",
-     "bench_c4_scheduling.py"),
-    ("C5", "no more buffer pools", "bench_c5_no_bufferpool.py"),
-    ("C6", "no more data caches", "bench_c6_no_caches.py"),
-    ("C7", "which operators to push down",
-     "bench_c7_pushdown_survey.py"),
-    ("C8", "CXL coherence + PCIe ladder",
-     "bench_c8_cxl_coherence.py"),
-    ("E1", "zone maps (extension)", "bench_e1_zonemaps.py"),
-    ("E2", "disaggregated-memory offload (extension)",
-     "bench_e2_disagg_memory.py"),
-    ("E3", "compressed memory + on-demand decompress (extension)",
-     "bench_e3_compressed_memory.py"),
-    ("E4", "kernel installation break-even (extension)",
-     "bench_e4_kernel_overhead.py"),
-    ("E5", "pre-sorting at storage (extension)",
-     "bench_e5_presort.py"),
-    ("E6", "storage->GPU: GPUDirect vs host staging (extension)",
-     "bench_e6_gpudirect.py"),
-]
+from .relational import Catalog, col, make_lineitem, standard_catalog
 
 
 def _routed_output(path, default_name: str) -> str:
@@ -521,11 +483,11 @@ def cmd_optimize(args) -> int:
     from .analysis import optimizer_crosscheck
 
     if not args.validate_whatif:
-        from .analysis.scenarios import SCENARIOS, _catalog
+        from .analysis.scenarios import SCENARIOS
         scenario = SCENARIOS[args.query]
         fabric = build_fabric(scenario.spec())
         rows = args.rows or scenario.rows
-        ranked = Optimizer(fabric, _catalog(rows)).rank(
+        ranked = Optimizer(fabric, standard_catalog(rows)).rank(
             scenario.query())[:args.top_k]
         print(f"top-{len(ranked)} placements for {args.query} "
               f"({rows:,} rows), by predicted makespan:")
@@ -571,11 +533,6 @@ def cmd_experiments(_args) -> int:
     print("\nrun all:  repro bench --exp all"
           "   (or: pytest benchmarks/ --benchmark-only)")
     return 0
-
-
-def cmd_bench(args) -> int:
-    from .bench import run_cli
-    return run_cli(args)
 
 
 def cmd_serve(args) -> int:
@@ -868,11 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="list reproduced experiments")
     experiments.set_defaults(func=cmd_experiments)
 
-    from .bench import add_bench_arguments
     bench = sub.add_parser(
         "bench", help="run the benchmark harness -> BENCH_<tag>.json")
     add_bench_arguments(bench)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=run_cli)
 
     serve = sub.add_parser(
         "serve", help="serve a multi-tenant scenario on one warm "

@@ -6,25 +6,24 @@ made of:
 
 * :func:`table_checksum` — a canonical content hash of a result
   table, stable across engines and placements (row order and float
-  summation order do not matter), so every perf run doubles as a
+  summation order do not matter), so every run doubles as a
   correctness run;
 * :func:`fabric_snapshot` — one fabric's movement, per-link
   byte/chunk totals, device/link utilization, and critical-path
   summary as a plain dict;
-* :func:`make_report` / :func:`validate_report` — the schema-versioned
-  JSON benchmark report (``BENCH_<tag>.json``) the harness emits and
-  CI archives.
+* :func:`make_report` / :func:`validate_report` — the JSON report
+  (``BENCH_<tag>.json``) the harness emits and ``--compare`` re-runs:
+  exact, repeatable model outputs only, no host time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 __all__ = [
     "REPORT_SCHEMA",
-    "ACCEPTED_REPORT_SCHEMAS",
     "CHECKSUM_FLOAT_DIGITS",
     "table_checksum",
     "fabric_snapshot",
@@ -34,22 +33,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "repro.bench/v3"
-"""Schema identifier embedded in benchmark reports.
-
-v2 added per-scenario event-ring stats (``events`` /
-``events_truncated``), the backpressure ``stalls`` report, and the
-movement ``ledger`` to every smoke record.  v3 adds the ``serving``
-section: multi-tenant serving records with latency percentiles
-(p50/p99/p999), goodput, shed and SLO-violation counts alongside the
-exact result checksums.
-"""
-
-_SCHEMA_V2 = "repro.bench/v2"
-
-ACCEPTED_REPORT_SCHEMAS = ("repro.bench/v1", _SCHEMA_V2,
-                           REPORT_SCHEMA)
-"""Schemas :func:`validate_report` accepts (v1 lacks event stats,
-v2 lacks the serving section)."""
+"""The one schema identifier benchmark reports carry and accept."""
 
 CHECKSUM_FLOAT_DIGITS = 6
 """Significant digits floats are rounded to before hashing.
@@ -156,64 +140,45 @@ def fabric_snapshot(fabric, elapsed: Optional[float] = None,
 # Benchmark reports
 # ---------------------------------------------------------------------------
 
-def make_report(tag: str, smoke: list[dict],
-                experiments: Optional[list[dict]] = None,
-                created: str = "",
-                extra_totals: Optional[dict] = None,
-                profile: Optional[dict] = None,
-                serving: Optional[list[dict]] = None,
-                scale: Optional[list[dict]] = None) -> dict:
+def make_report(tag: str, smoke: Sequence[dict] = (),
+                experiments: Sequence[dict] = (), created: str = "",
+                serving: Sequence[dict] = (),
+                scale: Sequence[dict] = ()) -> dict:
     """Assemble the schema-versioned benchmark report.
 
-    ``totals.wall_time_s`` is always the *sum* of per-benchmark wall
-    times (each clocked inside its worker), so it stays comparable
-    across ``--jobs`` counts; harness-level figures such as
-    ``harness_wall_s`` and ``jobs`` arrive via ``extra_totals``.  An
-    optional ``profile`` section (``repro bench --profile``) carries
-    the cProfile hot-function table; ``serving`` carries the v3
-    multi-tenant serving records (``repro serve``); ``scale``
-    carries the 100k–1M row tier (``repro bench --scale``,
-    smoke-shaped records, validated whenever present).
+    One list of records per section (``scale`` and ``serving`` records
+    come from ``repro bench --scale`` / ``--serve``).  Below the
+    ``tag`` / ``created`` / ``python`` header the report depends on
+    the records alone.
     """
-    experiments = experiments or []
-    serving = serving or []
-    scale = scale or []
-    wall = sum(r.get("wall_time_s", 0.0)
-               for r in smoke + experiments + serving + scale)
-    totals = {
-        "benchmarks": (len(smoke) + len(experiments) + len(serving)
-                       + len(scale)),
-        "wall_time_s": wall,
-    }
-    totals.update(extra_totals or {})
-    report = {
+    sections = {"smoke": list(smoke), "experiments": list(experiments),
+                "serving": list(serving), "scale": list(scale)}
+    return {
         "schema": REPORT_SCHEMA,
         "tag": tag,
         "created": created,
         "python": "%d.%d.%d" % sys.version_info[:3],
-        "smoke": smoke,
-        "experiments": experiments,
-        "serving": serving,
-        "scale": scale,
-        "totals": totals,
+        **sections,
+        "totals": {"benchmarks": sum(map(len, sections.values()))},
     }
-    if profile is not None:
-        report["profile"] = profile
-    return report
 
 
-# "checksum" is checked separately (missing vs malformed get distinct
-# reason strings), so it is not in the generic required tuple.
-_SMOKE_REQUIRED = ("name", "wall_time_s", "sim_time_s", "rows",
-                   "movement_bytes", "links", "utilization", "agree")
+_NUMBER = (int, float)
 
-_SMOKE_REQUIRED_V2 = _SMOKE_REQUIRED + ("events", "events_truncated")
+# Required keys and their JSON types, checked before any value so the
+# value checks can assume the shapes they read.  "checksum" is checked
+# separately (missing vs malformed get distinct reason strings).
+_QUERY_SHAPE = {"name": str, "sim_time_s": _NUMBER, "rows": int,
+                "movement_bytes": dict, "links": dict,
+                "utilization": dict, "agree": bool, "events": dict,
+                "events_truncated": bool}
 
 _EVENT_STAT_KEYS = ("recorded", "capacity", "dropped", "truncated")
 
-_SERVING_REQUIRED = ("name", "wall_time_s", "sim_time_s", "queries",
-                     "completed", "shed", "slo_violations", "latency",
-                     "goodput_qps", "tenants")
+_SERVING_SHAPE = {"name": str, "sim_time_s": _NUMBER, "queries": int,
+                  "completed": int, "shed": int, "slo_violations": int,
+                  "latency": dict, "goodput_qps": _NUMBER,
+                  "tenants": dict}
 
 _LATENCY_KEYS = ("p50_s", "p99_s", "p999_s")
 
@@ -244,135 +209,140 @@ def _is_hex_digest(value) -> bool:
             and all(c in "0123456789abcdef" for c in value))
 
 
-def report_violations(report: dict) -> list[str]:
-    """Every schema violation in a benchmark report (empty = valid).
+def _is_a(value, kind) -> bool:
+    """``isinstance`` for JSON values: ``true`` is not a number."""
+    return isinstance(value, kind) and (
+        kind is bool or not isinstance(value, bool))
 
-    The non-raising core of :func:`validate_report`: callers that want
-    to *inspect* problems (CI annotations, the what-if cross-checks)
-    use this; callers that want a gate use :func:`validate_report`.
-    """
-    errors: list[str] = []
-    schema = report.get("schema")
-    if schema not in ACCEPTED_REPORT_SCHEMAS:
-        errors.append(f"schema is {schema!r}, expected one of "
-                      f"{ACCEPTED_REPORT_SCHEMAS!r}")
-    required = (_SMOKE_REQUIRED_V2
-                if schema in (_SCHEMA_V2, REPORT_SCHEMA)
-                else _SMOKE_REQUIRED)
-    for key in ("tag", "smoke", "experiments", "totals"):
-        if key not in report:
-            errors.append(f"missing top-level key {key!r}")
-    strict_events = schema in (_SCHEMA_V2, REPORT_SCHEMA)
-    for record in report.get("smoke", []):
-        errors.extend(_query_record_violations(record, "smoke",
-                                               required,
-                                               strict_events))
-    # The scale section (``repro bench --scale``) is optional at
-    # every schema version, but whenever present its records must
-    # satisfy the full smoke contract plus the chunk pin.
-    for record in report.get("scale", []):
-        errors.extend(_query_record_violations(
-            record, "scale", _SMOKE_REQUIRED_V2 + ("chunk_rows",),
-            strict_events=True))
-    if schema == REPORT_SCHEMA and "serving" not in report:
-        errors.append("v3 report missing 'serving' section")
-    for record in report.get("serving", []):
-        name = record.get("name", "<unnamed>")
-        for key in _SERVING_REQUIRED:
-            if key not in record:
-                errors.append(f"serving[{name}]: missing {key!r}")
-        latency = record.get("latency", {})
-        for key in _LATENCY_KEYS:
-            if key not in latency:
-                errors.append(f"serving[{name}]: latency missing "
-                              f"{key!r}")
-        if "checksum" not in record:
-            errors.append(f"serving[{name}]: checksum missing")
-        elif not _is_hex_digest(record["checksum"]):
-            errors.append(f"serving[{name}]: checksum "
-                          f"{record['checksum']!r} is not a "
-                          "sha256 hex digest")
-        for key in ("queries", "completed", "shed", "slo_violations"):
-            if record.get(key, 0) < 0:
-                errors.append(f"serving[{name}]: {key} negative")
-        if record.get("completed", 0) + record.get("shed", 0) \
-                > record.get("queries", 0):
-            errors.append(f"serving[{name}]: completed + shed "
-                          "exceeds submitted queries")
-        if record.get("slo_violations", 0) > record.get("completed", 0):
-            errors.append(f"serving[{name}]: more SLO violations "
-                          "than completions")
-        if "records" in record and not record["records"]:
-            # A serving record that carries the per-query list must
-            # carry a non-empty one: an empty list means the run
-            # served nothing, and every aggregate above is vacuous.
-            errors.append(f"serving[{name}]: 'records' list is "
-                          "empty — the run served no queries")
-        if "telemetry" in record:
-            errors.extend(
-                f"serving[{name}]: {violation}" for violation in
-                _telemetry_section_violations(record["telemetry"]))
-            digest = record.get("telemetry_digest")
-            if not _is_hex_digest(digest):
-                errors.append(f"serving[{name}]: telemetry_digest "
-                              f"{digest!r} is not a sha256 hex "
-                              "digest")
-        if "observatory" in record:
-            errors.extend(
-                f"serving[{name}]: {violation}" for violation in
-                _observatory_section_violations(
-                    record["observatory"], record))
-            digest = record.get("observatory_digest")
-            if not _is_hex_digest(digest):
-                errors.append(f"serving[{name}]: observatory_digest "
-                              f"{digest!r} is not a sha256 hex "
-                              "digest")
-    for record in report.get("experiments", []):
-        if "name" not in record or "wall_time_s" not in record:
-            errors.append("experiment record missing name/wall_time_s")
+
+def _shape_violations(record: dict, where: str, required: dict,
+                      optional: dict) -> list[str]:
+    """Missing and wrong-typed keys of one record ([] = well-formed)."""
+    errors = [f"{where}: missing {key!r}"
+              for key in required if key not in record]
+    for key, kind in {**required, **optional}.items():
+        if key in record and not _is_a(record[key], kind):
+            errors.append(f"{where}: {key!r} is {record[key]!r}, expected "
+                          f"{getattr(kind, '__name__', 'number')}")
     return errors
 
 
-def _query_record_violations(record: dict, section: str,
-                             required: tuple, strict_events: bool
-                             ) -> list[str]:
-    """Structural checks for one smoke-shaped scenario record."""
-    errors: list[str] = []
-    name = record.get("name", "<unnamed>")
-    for key in required:
-        if key not in record:
-            errors.append(f"{section}[{name}]: missing {key!r}")
-    if strict_events:
-        events = record.get("events", {})
-        for key in _EVENT_STAT_KEYS:
-            if key not in events:
-                errors.append(
-                    f"{section}[{name}]: events missing {key!r}")
-        if not isinstance(record.get("events_truncated", False),
-                          bool):
-            errors.append(f"{section}[{name}]: events_truncated "
-                          "is not a bool")
+def _checksum_violations(record: dict, where: str) -> list[str]:
     if "checksum" not in record:
-        errors.append(f"{section}[{name}]: checksum missing")
-    elif not _is_hex_digest(record["checksum"]):
-        errors.append(f"{section}[{name}]: checksum "
-                      f"{record['checksum']!r} is not a "
-                      "sha256 hex digest")
-    if record.get("sim_time_s", 0.0) <= 0.0:
-        errors.append(f"{section}[{name}]: sim_time_s not positive")
-    for dev, value in record.get("utilization", {}).items():
-        if not 0.0 <= value <= 1.0:
-            errors.append(f"{section}[{name}]: utilization[{dev}] "
-                          f"= {value} outside [0, 1]")
-    for seg, nbytes in record.get("movement_bytes", {}).items():
-        if nbytes < 0:
-            errors.append(f"{section}[{name}]: movement_bytes[{seg}] "
-                          "negative")
-    links = record.get("links", {})
-    if links and sum(entry.get("bytes", 0.0)
-                     for entry in links.values()) <= 0.0:
-        errors.append(f"{section}[{name}]: all per-link byte "
-                      "counters are zero")
+        return [f"{where}: checksum missing"]
+    if not _is_hex_digest(record["checksum"]):
+        return [f"{where}: checksum {record['checksum']!r} is not a "
+                "sha256 hex digest"]
+    return []
+
+
+def _query_record_violations(record: dict, where: str) -> list[str]:
+    """Value checks for one well-formed smoke-shaped record."""
+    errors = [f"{where}: events missing {key!r}"
+              for key in _EVENT_STAT_KEYS if key not in record["events"]]
+    errors.extend(_checksum_violations(record, where))
+    if record["sim_time_s"] <= 0.0:
+        errors.append(f"{where}: sim_time_s not positive")
+    for dev, value in record["utilization"].items():
+        if not (_is_a(value, _NUMBER) and 0.0 <= value <= 1.0):
+            errors.append(f"{where}: utilization[{dev}] = {value!r} "
+                          "outside [0, 1]")
+    for seg, nbytes in record["movement_bytes"].items():
+        if not (_is_a(nbytes, _NUMBER) and nbytes >= 0):
+            errors.append(f"{where}: movement_bytes[{seg}] = "
+                          f"{nbytes!r} is not a byte count")
+    link_bytes = [entry.get("bytes") if isinstance(entry, dict)
+                  else None for entry in record["links"].values()]
+    if not all(_is_a(nbytes, _NUMBER) for nbytes in link_bytes):
+        errors.append(f"{where}: a link entry has no numeric 'bytes'")
+    elif link_bytes and sum(link_bytes) <= 0.0:
+        errors.append(f"{where}: all per-link byte counters are zero")
+    return errors
+
+
+def _serving_record_violations(record: dict, where: str) -> list[str]:
+    """Value checks for one well-formed serving record."""
+    errors = [f"{where}: latency missing {key!r}"
+              for key in _LATENCY_KEYS if key not in record["latency"]]
+    errors.extend(_checksum_violations(record, where))
+    for key in ("queries", "completed", "shed", "slo_violations"):
+        if record[key] < 0:
+            errors.append(f"{where}: {key} negative")
+    if record["completed"] + record["shed"] > record["queries"]:
+        errors.append(f"{where}: completed + shed exceeds submitted "
+                      "queries")
+    if record["slo_violations"] > record["completed"]:
+        errors.append(f"{where}: more SLO violations than "
+                      "completions")
+    if "records" in record and not record["records"]:
+        # A serving record that carries the per-query list must
+        # carry a non-empty one: an empty list means the run
+        # served nothing, and every aggregate above is vacuous.
+        errors.append(f"{where}: 'records' list is empty — the run "
+                      "served no queries")
+    for key, check in (
+            ("telemetry", _telemetry_section_violations),
+            ("observatory", lambda payload:
+             _observatory_section_violations(payload, record))):
+        if key not in record:
+            continue
+        # The section validators read payloads this package wrote;
+        # one malformed enough to break their reads is the violation.
+        try:
+            errors.extend(f"{where}: {violation}"
+                          for violation in check(record[key]))
+        except (AttributeError, TypeError) as exc:
+            errors.append(f"{where}: malformed {key} section ({exc})")
+        digest = record.get(f"{key}_digest")
+        if not _is_hex_digest(digest):
+            errors.append(f"{where}: {key}_digest {digest!r} is not "
+                          "a sha256 hex digest")
+    return errors
+
+
+# Section -> (required keys, keys typed whenever present, value checks).
+# ``--compare`` re-runs a serving record from the two optional keys.
+_SECTION_CHECKS = {
+    "smoke": (_QUERY_SHAPE, {}, _query_record_violations),
+    "scale": ({**_QUERY_SHAPE, "chunk_rows": int}, {},
+              _query_record_violations),
+    "serving": (_SERVING_SHAPE,
+                {"rows": int, "requested_queries": int},
+                _serving_record_violations),
+    "experiments": ({"name": str}, {}, lambda record, where: []),
+}
+
+
+def report_violations(report) -> list[str]:
+    """Every schema violation in a benchmark report (empty = valid).
+
+    The non-raising core of :func:`validate_report`, and total — any
+    JSON value in, reasons out: a baseline file is outside input.  A
+    record with a missing or wrong-typed key gets those violations
+    only; the value checks need the shape.
+    """
+    if not isinstance(report, dict):
+        return ["report is not a JSON object"]
+    errors: list[str] = []
+    if report.get("schema") != REPORT_SCHEMA:
+        errors.append(f"schema is {report.get('schema')!r}, expected "
+                      f"{REPORT_SCHEMA!r}")
+    for key in ("tag", "smoke", "experiments", "serving", "totals"):
+        if key not in report:
+            errors.append(f"missing top-level key {key!r}")
+    for section, (required, optional, check) in _SECTION_CHECKS.items():
+        records = report.get(section, [])
+        if not isinstance(records, list):
+            errors.append(f"{section!r} section is not a list")
+            continue
+        for record in records:
+            if not isinstance(record, dict):
+                errors.append(f"{section}: a record is not an object")
+                continue
+            where = f"{section}[{record.get('name', '<unnamed>')}]"
+            errors.extend(
+                _shape_violations(record, where, required, optional)
+                or check(record, where))
     return errors
 
 
@@ -501,20 +471,15 @@ def _observatory_section_violations(observatory: dict,
     return errors
 
 
-def validate_report(report: dict, strict: bool = True) -> str:
-    """Check a benchmark report against the v1/v2/v3 schema.
+def validate_report(report, strict: bool = True) -> str:
+    """Check a benchmark report against :data:`REPORT_SCHEMA`.
 
-    v1 reports (pre event-tracing) remain valid so historical
-    baselines like ``BENCH_seed.json`` still load; v2 additionally
-    requires per-scenario event-ring stats and a checksum per smoke
-    record; v3 adds the ``serving`` section (validated whenever
-    present, including its telemetry and observatory sections and a
-    rejection of empty per-query ``records`` lists).  Returns the reason string —
-    ``""`` when the report is
-    valid, otherwise every violation joined with ``"; "``.  With
-    ``strict`` (the default) an invalid report raises
-    :class:`ValueError` carrying the same reason instead.
-    Deliberately dependency-free (no jsonschema in the image).
+    Runs before every report is written and on every baseline load.
+    Returns the reason string — ``""`` when the report is valid,
+    otherwise every violation joined with ``"; "``.  With ``strict``
+    (the default) an invalid report raises :class:`ValueError`
+    carrying the same reason instead.  Deliberately dependency-free
+    (no jsonschema in the image).
     """
     errors = report_violations(report)
     if not errors:

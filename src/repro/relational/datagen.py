@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .catalog import Catalog
 from .schema import DataType, Field, Schema
 from .table import Table
 
@@ -27,6 +28,7 @@ __all__ = [
     "make_customer",
     "make_sensor_readings",
     "make_uniform_table",
+    "standard_catalog",
 ]
 
 _WORDS = (
@@ -203,3 +205,26 @@ def make_uniform_table(n: int, columns: int = 4, distinct: int = 1000,
             for i in range(columns)}
     return Table.from_arrays(schema, data, name="uniform",
                              chunk_rows=chunk_rows)
+
+
+# The generators are seeded (the same rows come back bit for bit) and
+# every scenario treats tables as read-only, so one catalog per
+# (rows, chunk rows) serves the bench harness, the figure scenarios
+# and the serving scenarios of a process alike.
+_STANDARD_CATALOGS: dict[tuple[int, int], Catalog] = {}
+
+
+def standard_catalog(rows: int, chunk_rows: int = 1000) -> Catalog:
+    """The memoised lineitem + orders (rows / 4) + uniform catalog."""
+    catalog = _STANDARD_CATALOGS.get((rows, chunk_rows))
+    if catalog is None:
+        orders = max(1, rows // 4)
+        catalog = Catalog()
+        catalog.register("lineitem", make_lineitem(
+            rows, orders=orders, chunk_rows=chunk_rows))
+        catalog.register("orders", make_orders(
+            orders, chunk_rows=chunk_rows))
+        catalog.register("uniform", make_uniform_table(
+            rows, columns=3, distinct=50, chunk_rows=chunk_rows))
+        _STANDARD_CATALOGS[(rows, chunk_rows)] = catalog
+    return catalog

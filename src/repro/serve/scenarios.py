@@ -17,7 +17,6 @@ cache must not change its answer.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,13 +25,7 @@ import numpy as np
 from ..engine import AggSpec, Query, VolcanoEngine
 from ..hardware import build_fabric, dataflow_spec
 from ..obs import table_checksum
-from ..relational import (
-    Catalog,
-    col,
-    make_lineitem,
-    make_orders,
-    make_uniform_table,
-)
+from ..relational import col, standard_catalog
 from .frontend import AsyncFrontEnd, ShedResponse
 from .loadgen import schedule_for
 from .server import QueryServer, ServeConfig
@@ -40,29 +33,6 @@ from .tenants import ArrivalSpec, TenantClass
 
 __all__ = ["SERVE_SCENARIOS", "ServeScenario", "serve_templates",
            "run_scenario", "serve_scenario_server"]
-
-_CHUNK = 1000
-
-# Serving runs re-submit the same templates thousands of times, so
-# the catalog is memoized per row count just like the bench harness
-# does (generators are seeded; tables are treated as immutable).
-_CATALOG_CACHE: dict[int, Catalog] = {}
-
-
-def _make_catalog(rows: int) -> Catalog:
-    catalog = _CATALOG_CACHE.get(rows)
-    if catalog is None:
-        catalog = Catalog()
-        catalog.register("lineitem", make_lineitem(rows,
-                                                   orders=rows // 4,
-                                                   chunk_rows=_CHUNK))
-        catalog.register("orders", make_orders(rows // 4,
-                                               chunk_rows=_CHUNK))
-        catalog.register("uniform", make_uniform_table(rows, columns=3,
-                                                       distinct=50,
-                                                       chunk_rows=_CHUNK))
-        _CATALOG_CACHE[rows] = catalog
-    return catalog
 
 
 def serve_templates() -> dict[str, Callable[[], Query]]:
@@ -267,7 +237,7 @@ def _verify_against_oracle(server: QueryServer, rows: int) -> dict:
     same catalog) yields the oracle checksum; every served record of
     that template must match it exactly.
     """
-    catalog = _make_catalog(rows)
+    catalog = standard_catalog(rows)
     templates = serve_templates()
     completed = [r for r in server.records if r.completed]
     oracle: dict[str, str] = {}
@@ -306,7 +276,7 @@ def serve_scenario_server(name: str, rows: Optional[int] = None,
     rows = rows if rows is not None else scenario.rows
     n = queries if queries is not None else scenario.queries
     config = config if config is not None else scenario.config
-    catalog = _make_catalog(rows)
+    catalog = standard_catalog(rows)
     fabric = build_fabric(dataflow_spec())
     tenants, counts = scenario.build_tenants(n)
     server = QueryServer(fabric, catalog, tenants,
@@ -336,11 +306,9 @@ def run_scenario(name: str, rows: Optional[int] = None,
     rows = rows if rows is not None else scenario.rows
     n = queries if queries is not None else scenario.queries
 
-    started = time.perf_counter()
     server = serve_scenario_server(name, rows=rows, queries=n,
                                    config=config)
-    record = server.report(scenario.name,
-                           wall_time_s=time.perf_counter() - started)
+    record = server.report(scenario.name)
     record["rows"] = rows
     # The *requested* total, as distinct from the submitted count
     # (ceiling splits and closed-loop retries can push ``queries``

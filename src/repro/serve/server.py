@@ -388,13 +388,12 @@ class QueryServer:
             "queue_max_depth": self.queue.max_depth,
         }
 
-    def report(self, name: str, wall_time_s: float = 0.0) -> dict:
+    def report(self, name: str) -> dict:
         """The ``repro.bench/v3`` serving record."""
         checksums = {r.name: r.checksum for r in self.records
                      if r.completed and r.checksum}
         record = {
             "name": name,
-            "wall_time_s": wall_time_s,
             "sim_time_s": self.fabric.sim.now,
             "checksum": combine_checksums(checksums),
             "records": [r.to_dict() for r in self.records],

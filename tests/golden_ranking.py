@@ -19,9 +19,10 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.scenarios import SCENARIOS, _catalog
+from repro.analysis.scenarios import SCENARIOS
 from repro.hardware import build_fabric, dataflow_spec
 from repro.optimizer import Optimizer
+from repro.relational import standard_catalog
 from repro.serve import serve_templates
 
 FIXTURE = Path(__file__).with_name("golden_ranking.json")
@@ -53,9 +54,10 @@ def current() -> dict[str, list[dict]]:
     out = {}
     for name, spec, query, rows in cases():
         plan = query().plan
-        # The figure scenarios' memoized, read-only catalog (lineitem,
-        # orders, uniform), the same one ``repro optimize`` ranks on.
-        ranked = Optimizer(build_fabric(spec()), _catalog(rows)).rank(plan)
+        # The memoized, read-only standard catalog (lineitem, orders,
+        # uniform), the same one ``repro optimize`` ranks on.
+        ranked = Optimizer(build_fabric(spec()),
+                           standard_catalog(rows)).rank(plan)
         out[name] = ranking_record(ranked, plan)
     return out
 

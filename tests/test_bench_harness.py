@@ -1,8 +1,10 @@
 """The benchmark harness: smoke scenarios, report schema, CLI."""
 
+import argparse
 import copy
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,31 @@ from repro.relational import make_uniform_table
 ROWS = 3000
 
 
+HOST_TIME_KEYS = {"wall_time_s", "harness_wall_s", "scale_wall_s",
+                  "profile", "jobs"}
+
+
+def _keys(node):
+    """Every dict key anywhere inside a JSON value."""
+    if isinstance(node, dict):
+        yield from node
+        for value in node.values():
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def _below_header(path):
+    report = json.loads(path.read_text())
+    for key in ("tag", "created", "python"):
+        del report[key]
+    return report
+
+
 @pytest.fixture(scope="module")
 def smoke_record():
-    return bench.run_smoke(rows=ROWS, only=["filter_project"])[0]
+    return bench.run_suite("smoke", ["filter_project"], rows=ROWS)[0]
 
 
 def test_smoke_record_is_complete_and_sane(smoke_record):
@@ -30,7 +54,6 @@ def test_smoke_record_is_complete_and_sane(smoke_record):
     assert record["name"] == "filter_project"
     assert record["agree"] is True
     assert record["sim_time_s"] > 0
-    assert record["wall_time_s"] > 0
     # Nonzero per-link byte counters on the data path.
     assert record["links"]
     assert sum(entry["bytes"]
@@ -47,17 +70,30 @@ def test_smoke_record_is_complete_and_sane(smoke_record):
 
 
 def test_smoke_runs_are_deterministic():
-    """Two identical runs: identical byte counters and checksums."""
-    first = bench.run_smoke(rows=ROWS, only=["group_by_sum"])[0]
-    second = bench.run_smoke(rows=ROWS, only=["group_by_sum"])[0]
-    for key in ("checksum", "sim_time_s", "movement_bytes", "links",
-                "utilization", "rows", "agree"):
-        assert first[key] == second[key], key
+    """A record is a pure function: two runs are ``==``, whole."""
+    assert bench.run_suite("smoke", rows=ROWS) \
+        == bench.run_suite("smoke", rows=ROWS)
+
+
+def test_experiment_record_is_deterministic():
+    first = bench.run_suite("experiments", ["c8"])
+    assert first == bench.run_suite("experiments", ["c8"])
+    assert first[0]["name"] == "c8" and first[0]["rows"]
+    assert validate_report(make_report("unit", experiments=first)) == ""
 
 
 def test_run_smoke_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown smoke"):
-        bench.run_smoke(rows=ROWS, only=["no_such_scenario"])
+        bench.run_suite("smoke", ["no_such_scenario"], rows=ROWS)
+
+
+@pytest.mark.parametrize("section", list(bench.SUITES))
+def test_unknown_scenario_message_is_the_same_everywhere(section):
+    have = sorted(bench.SUITES[section].names())
+    with pytest.raises(ValueError) as raised:
+        bench.suite_tasks(section, [have[0], "nope"])
+    assert str(raised.value) == (
+        f"unknown {section} scenario ['nope'] (have {have})")
 
 
 def test_table_checksum_order_insensitive_and_content_sensitive():
@@ -161,8 +197,61 @@ def test_cli_smoke_writes_valid_report(tmp_path, capsys):
     assert report["totals"]["benchmarks"] == len(names)
 
 
+def test_cli_report_is_the_same_at_any_job_count(tmp_path):
+    """Below the tag/created/python header the file depends on the
+    code and the arguments only — not on --jobs, not on the clock."""
+    for tag, jobs in (("one", "1"), ("two", "2")):
+        assert cli_main(["bench", "--smoke", "--rows", "2500",
+                         "--jobs", jobs, "--tag", tag, "--quiet",
+                         "--out", str(tmp_path)]) == 0
+    one = _below_header(tmp_path / "BENCH_one.json")
+    assert one == _below_header(tmp_path / "BENCH_two.json")
+    assert not HOST_TIME_KEYS & set(_keys(one))
+
+
+def test_checked_in_baseline_has_no_host_time():
+    path = Path(__file__).parent.parent / "benchmarks" / "BENCH_pr10.json"
+    assert not HOST_TIME_KEYS & set(_keys(json.loads(path.read_text())))
+
+
+@pytest.mark.parametrize("argv,sections", [
+    ([], {"smoke": 6}),
+    (["--exp", "F1, c3"], {"experiments": 2}),
+    (["--exp", "all"], {"experiments": 20}),
+    (["--smoke", "--exp", "all", "--serve", "--scale"],
+     {"smoke": 6, "serving": 3, "experiments": 20, "scale": 3}),
+], ids=["default", "exp-only", "exp-all", "everything"])
+def test_cli_selects_sections(argv, sections):
+    parser = argparse.ArgumentParser()
+    bench.add_bench_arguments(parser)
+    tasks = bench.cli_tasks(parser.parse_args(argv))
+    counted = {}
+    for section, _name, _params in tasks:
+        counted[section] = counted.get(section, 0) + 1
+    assert counted == sections
+
+
+def test_cli_unknown_experiment_is_one_error_line(tmp_path, capsys):
+    assert cli_main(["bench", "--exp", "f1,zz", "--out",
+                     str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: unknown experiments scenario ['zz'] (have ['c1', ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bench_list(capsys):
     assert cli_main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "filter_project" in out
-    assert "f1" in out and "e6" in out
+    out = capsys.readouterr().out.splitlines()
+    listed = {section: sorted(suite.names())
+              for section, suite in bench.SUITES.items()}
+    assert list(listed) == ["smoke", "serving", "experiments", "scale"]
+    expected = []
+    for section, names in listed.items():
+        expected.append(f"{section}:")
+        expected.extend(f"  {name}" for name in names)
+    assert out == expected
+    assert "  filter_project" in out and "  scale_f4_join_300k" in out
+    assert "  f1" in out and "  e6" in out

@@ -63,13 +63,10 @@ def test_repeat_runs_are_bit_identical():
 
 
 def test_smoke_records_are_bit_identical():
-    """Harness-level repeat: everything but wall time matches."""
-    first = bench.run_smoke(rows=ROWS, only=["scheduler_mix"])[0]
-    second = bench.run_smoke(rows=ROWS, only=["scheduler_mix"])[0]
-    for key in sorted(set(first) | set(second)):
-        if key == "wall_time_s":
-            continue
-        assert first[key] == second[key], key
+    """Harness-level repeat: the whole record matches."""
+    first = bench.run_suite("smoke", ["scheduler_mix"], rows=ROWS)
+    assert first == bench.run_suite("smoke", ["scheduler_mix"],
+                                    rows=ROWS)
 
 
 def test_fused_and_unfused_traces_identical(monkeypatch):
@@ -87,13 +84,9 @@ def test_fused_and_unfused_traces_identical(monkeypatch):
 def test_fused_and_unfused_smoke_scenarios_identical(monkeypatch):
     """Guard at harness level too, over the join+agg scenario."""
     monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
-    fused = bench.run_smoke(rows=ROWS, only=["join_agg"])[0]
+    fused = bench.run_suite("smoke", ["join_agg"], rows=ROWS)
     monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    unfused = bench.run_smoke(rows=ROWS, only=["join_agg"])[0]
-    for key in sorted(set(fused) | set(unfused)):
-        if key == "wall_time_s":
-            continue
-        assert fused[key] == unfused[key], key
+    assert fused == bench.run_suite("smoke", ["join_agg"], rows=ROWS)
 
 
 def test_kernel_orders_same_instant_events_by_schedule_order():

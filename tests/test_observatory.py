@@ -416,8 +416,8 @@ def test_run_scenario_gates_observatory():
 
 
 def test_bench_record_keeps_digest_drops_payload():
-    from repro.bench import _run_serve_task
-    rec = _run_serve_task(("two_tenant_bursty", None, 25))
+    from repro.bench import run_suite
+    rec = run_suite("serving", ["two_tenant_bursty"], queries=25)[0]
     assert "observatory" not in rec
     assert len(rec["observatory_digest"]) == 64
     assert rec["observatory_windows"] > 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.scenarios import SCENARIOS, _catalog
+from repro.analysis.scenarios import SCENARIOS
 from repro.engine import (
     AggSpec,
     DataflowEngine,
@@ -21,7 +21,13 @@ from repro.optimizer import (
     Optimizer,
     enumerate_placements,
 )
-from repro.relational import Catalog, col, make_lineitem, make_orders
+from repro.relational import (
+    Catalog,
+    col,
+    make_lineitem,
+    make_orders,
+    standard_catalog,
+)
 from repro.relational.expressions import Between, Compare
 
 from . import golden_ranking
@@ -292,7 +298,8 @@ def test_rank_matches_golden_fixture(name, spec, query, rows):
     """Placements, their order and the cost figures the scheduler reads
     are the ones recorded before ranking was made cheap (PR 16)."""
     plan = query().plan
-    ranked = Optimizer(build_fabric(spec()), _catalog(rows)).rank(plan)
+    ranked = Optimizer(build_fabric(spec()),
+                       standard_catalog(rows)).rank(plan)
     assert golden_ranking.differences(
         {name: _GOLDEN[name]},
         {name: golden_ranking.ranking_record(ranked, plan)}) == []
@@ -351,7 +358,8 @@ def test_rank_estimates_selectivity_once_per_plan(monkeypatch,
     plan = scenario.query().plan
     filters = sum(isinstance(n, Filter) for n in plan.walk())
     assert filters == 2
-    ranked = Optimizer(build_fabric(scenario.spec()), _catalog(3000),
+    ranked = Optimizer(build_fabric(scenario.spec()),
+                       standard_catalog(3000),
                        max_placements=max_placements).rank(plan)
     assert len(ranked) == min(max_placements, 25) + 1
     # Each node's estimate re-walks its own subtree once: a filter is

@@ -1,11 +1,10 @@
 """End-to-end tests for the multi-tenant serving stack."""
 
 import asyncio
-import json
 
 import pytest
 
-from repro.bench import compare_reports, run_serving
+from repro.bench import compare_reports, run_suite
 from repro.obs import make_report, validate_report
 from repro.serve import (
     AdmissionController,
@@ -20,13 +19,13 @@ from repro.serve import (
     schedule_for,
     serve_templates,
 )
-from repro.serve.scenarios import _make_catalog
 from repro.hardware import build_fabric, dataflow_spec
+from repro.relational import standard_catalog
 
 
 def make_server(config=None, tenants=None):
     fabric = build_fabric(dataflow_spec())
-    catalog = _make_catalog(1500)
+    catalog = standard_catalog(1500)
     tenants = tenants or [
         TenantClass(name="a", weight=2.0, slo_s=0.01, seed=1,
                     arrival=ArrivalSpec(kind="poisson", rate=500.0),
@@ -270,6 +269,10 @@ def test_scenario_two_tenant_bursty_end_to_end():
 
 def test_scenario_three_tenant_classes():
     record = run_scenario("three_tenant_mix", queries=90)
+    assert record["requested_queries"] == 90
+    assert record["queries"] >= 90  # ceiling splits never undershoot
+    assert record["verification"]["queries_checked"] \
+        == record["completed"]
     assert len(record["tenants"]) == 3
     for tenant in record["tenants"].values():
         assert tenant["completed"] > 0  # nobody starved
@@ -289,16 +292,11 @@ def test_scenario_overload_sheds_and_protects_steady_tenant():
 
 
 def test_scenario_is_deterministic():
-    def strip(record):
-        record = dict(record)
-        record.pop("wall_time_s", None)
-        return json.dumps(record, sort_keys=True, default=str)
-
     first = run_scenario("two_tenant_bursty", queries=40,
                          verify=False)
     second = run_scenario("two_tenant_bursty", queries=40,
                           verify=False)
-    assert strip(first) == strip(second)
+    assert first == second
 
 
 def test_scenario_unknown_name():
@@ -311,7 +309,7 @@ def test_scenario_unknown_name():
 # ---------------------------------------------------------------------------
 
 def test_v3_report_with_serving_validates():
-    serving = run_serving(names=["two_tenant_bursty"], queries=40)
+    serving = run_suite("serving", ["two_tenant_bursty"], queries=40)
     report = make_report("t", smoke=[], serving=serving)
     assert report["schema"] == "repro.bench/v3"
     assert validate_report(report) == ""
@@ -324,15 +322,8 @@ def test_v3_report_missing_serving_section_fails():
         validate_report(report)
 
 
-def test_v2_report_without_serving_still_valid():
-    report = make_report("t", smoke=[])
-    report["schema"] = "repro.bench/v2"
-    del report["serving"]
-    assert validate_report(report) == ""
-
-
 def test_serving_record_schema_violations_detected():
-    serving = run_serving(names=["two_tenant_bursty"], queries=40)
+    serving = run_suite("serving", ["two_tenant_bursty"], queries=40)
     report = make_report("t", smoke=[], serving=serving)
     report["serving"][0]["slo_violations"] = \
         report["serving"][0]["completed"] + 1
@@ -341,34 +332,33 @@ def test_serving_record_schema_violations_detected():
 
 
 def test_compare_gates_serving_metrics():
-    serving = run_serving(names=["two_tenant_bursty"], queries=40)
+    serving = run_suite("serving", ["two_tenant_bursty"], queries=40)
     baseline = make_report("base", smoke=[], serving=serving)
 
     fresh = [dict(serving[0])]
-    assert compare_reports(baseline, [], fresh_serving=fresh) == []
+    assert compare_reports(baseline, {"serving": fresh}) == []
 
     # Checksums and counts gate exactly.
     broken = [dict(serving[0])]
     broken[0]["checksum"] = "0" * 64
-    violations = compare_reports(baseline, [], fresh_serving=broken)
+    violations = compare_reports(baseline, {"serving": broken})
     assert any("checksum" in v for v in violations)
 
     drifted = [dict(serving[0])]
     drifted[0]["shed"] = serving[0]["shed"] + 1
-    violations = compare_reports(baseline, [],
-                                 fresh_serving=drifted)
+    violations = compare_reports(baseline, {"serving": drifted})
     assert any("shed" in v for v in violations)
 
     # Percentiles gate within tolerance.
     slow = [dict(serving[0])]
     slow[0]["latency"] = dict(serving[0]["latency"])
     slow[0]["latency"]["p99_s"] = serving[0]["latency"]["p99_s"] * 2
-    violations = compare_reports(baseline, [], fresh_serving=slow)
+    violations = compare_reports(baseline, {"serving": slow})
     assert any("latency.p99_s" in v for v in violations)
-    assert compare_reports(baseline, [], tolerance=2.0,
-                           fresh_serving=slow) == []
+    assert compare_reports(baseline, {"serving": slow},
+                           tolerance=2.0) == []
 
-    missing = compare_reports(baseline, [], fresh_serving=[])
+    missing = compare_reports(baseline, {"serving": []})
     assert any("missing from fresh run" in v for v in missing)
 
 
@@ -376,10 +366,10 @@ def test_serving_rerun_reproduces_baseline():
     """The full regression-gate loop: re-running a serving scenario
     with the baseline's (rows, requested_queries) reproduces every
     gated metric bit for bit."""
-    first = run_serving(names=["two_tenant_bursty"], queries=40)
+    first = run_suite("serving", ["two_tenant_bursty"], queries=40)
     baseline = make_report("base", smoke=[], serving=first)
-    again = run_serving(
-        names=["two_tenant_bursty"],
+    again = run_suite(
+        "serving", ["two_tenant_bursty"],
         rows=first[0]["rows"],
         queries=first[0]["requested_queries"])
-    assert compare_reports(baseline, [], fresh_serving=again) == []
+    assert compare_reports(baseline, {"serving": again}) == []

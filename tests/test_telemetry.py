@@ -11,6 +11,7 @@ payload digest is bit-reproducible.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,15 @@ def test_alerts_fire_and_reconcile_on_bursty_scenario():
     # alerts arrive window-ordered, tenants sorted within a window.
     keys = [(a["window"], a["tenant"]) for a in telemetry["alerts"]]
     assert keys == sorted(keys)
+    # Independent replay from the *serialized* payload alone: policies
+    # rebuilt from their JSON form, the alert stream from the series.
+    stored = json.loads(json.dumps(telemetry))
+    policies = {tenant: SLOPolicy(**data["policy"])
+                for tenant, data in stored["tenants"].items()}
+    series = {tenant: data["series"]
+              for tenant, data in stored["tenants"].items()}
+    assert alert_mismatches(series, policies, stored["alerts"],
+                            stored["window_s"]) == []
 
 
 def test_serve_record_carries_qid_per_query():
