@@ -22,6 +22,7 @@ from repro.engine.operators import (
     PartitionOp,
     ProjectOp,
     SortOp,
+    run_chain,
 )
 from repro.relational import (
     DataType,
@@ -97,28 +98,13 @@ def _pipeline_ops():
     ]
 
 
-def _run_unfused(ops, chunk):
-    current = chunk
-    for op in ops:
-        emits = op.process(current)
-        if not emits:
-            return None
-        current = emits[0].chunk
-    return current
-
-
-def _run_fused(fused, chunk):
-    emits = fused.process(chunk)
-    return emits[0].chunk if emits else None
-
-
 @pytest.mark.parametrize("chunk_rows", [1_000, 10_000, 100_000])
 def test_micro_pipeline_unfused(benchmark, chunk_rows):
     """Reference path: one dispatch and one intermediate per op."""
     chunk = big_chunk().slice(0, chunk_rows)
     ops = _pipeline_ops()
-    result = benchmark(_run_unfused, ops, chunk)
-    assert result is not None and result.num_rows > 0
+    [emit], _ = benchmark(run_chain, ops, chunk)
+    assert emit.chunk.num_rows > 0
     benchmark.extra_info["rows"] = chunk_rows
     benchmark.extra_info["variant"] = "unfused"
 
@@ -131,12 +117,14 @@ def test_micro_pipeline_fused(benchmark, chunk_rows):
     chunk = big_chunk().slice(0, chunk_rows)
     ops = _pipeline_ops()
     [fused] = fuse_ops(ops)
-    reference = _run_unfused(_pipeline_ops(), chunk)
+    [reference], charges = run_chain(_pipeline_ops(), chunk)
     # Resolve (generate + compile) outside the timed region.
-    _run_fused(fused, chunk)
+    fused.run(chunk)
     assert fused.kernel_origin in ("compiled", "memory")
-    result = benchmark(_run_fused, fused, chunk)
-    assert result.materialize().sorted_rows() == reference.sorted_rows()
+    [emit], fused_charges = benchmark(fused.run, chunk)
+    assert fused_charges == charges
+    assert (emit.chunk.materialize().sorted_rows()
+            == reference.chunk.sorted_rows())
     benchmark.extra_info["rows"] = chunk_rows
     benchmark.extra_info["variant"] = "fused"
 

@@ -102,25 +102,24 @@ def _pool_rho(shares: dict[str, float], kind: str, key: str) -> float:
     return rho
 
 
-def effective_cost(cost, shares: dict[str, float],
-                   rho_cap: float = RHO_CAP) -> float:
+def effective_cost(cost, shares: dict[str, float]) -> float:
     """A plan variant's bottleneck time on the *observed* fabric.
 
     The cost model's per-resource busy seconds, each inflated by the
     measured saturation of the pool it lands on::
 
-        eff = max_r  T_r / (1 - min(rho_r, rho_cap))  +  latency
+        eff = max_r  T_r / (1 - min(rho_r, RHO_CAP))  +  latency
 
     With every ``rho`` at 0 this reduces exactly to
     :attr:`~repro.optimizer.cost.PlanCost.bottleneck_time`.
     """
-    floor = 1.0 - rho_cap
+    floor = 1.0 - RHO_CAP
     worst = 0.0
     for site, seconds in cost.device_time.items():
-        rho = min(_pool_rho(shares, "device", site), rho_cap)
+        rho = min(_pool_rho(shares, "device", site), RHO_CAP)
         worst = max(worst, seconds / max(1.0 - rho, floor))
     for link, seconds in cost.link_time.items():
-        rho = min(_pool_rho(shares, "link", link), rho_cap)
+        rho = min(_pool_rho(shares, "link", link), RHO_CAP)
         worst = max(worst, seconds / max(1.0 - rho, floor))
     return worst + cost.latency
 
@@ -142,16 +141,12 @@ class Observatory:
 
     def __init__(self, tenants, trace: Trace,
                  window_s: float = 0.005,
-                 link_bandwidth: Optional[dict[str, float]] = None,
-                 rho_cap: float = RHO_CAP,
-                 regret_leaders: int = REGRET_LEADERS):
+                 link_bandwidth: Optional[dict[str, float]] = None):
         if window_s <= 0:
             raise ValueError("observatory window must be positive")
         self.trace = trace
         self.window_s = window_s
         self.link_bandwidth = dict(link_bandwidth or {})
-        self.rho_cap = rho_cap
-        self.regret_leaders = regret_leaders
         self.tenant_names = sorted(tenants)
         #: (record, variants, decision) per completed query, in
         #: completion order.
@@ -276,7 +271,7 @@ class Observatory:
         shares = att.shares()
         chosen_name = (decision.chosen if decision is not None
                        else record.variant_name)
-        effs = [(effective_cost(v.cost, shares, self.rho_cap),
+        effs = [(effective_cost(v.cost, shares),
                  v.placement.name) for v in variants]
         chosen_eff = next((eff for eff, name in effs
                            if name == chosen_name), effs[0][0])
@@ -361,10 +356,10 @@ class Observatory:
         leaders = sorted(self._regret,
                          key=lambda e: (-e["regret_s"], e["name"]))
         return {
-            "rho_cap": self.rho_cap,
+            "rho_cap": RHO_CAP,
             "queries": list(self._regret),
             "by_tenant": dict(sorted(by_tenant.items())),
-            "leaders": leaders[:self.regret_leaders],
+            "leaders": leaders[:REGRET_LEADERS],
         }
 
     def _payload(self) -> dict:

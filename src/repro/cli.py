@@ -99,13 +99,21 @@ def _routed_output(path, default_name: str) -> str:
     return out
 
 
-def _spec(name: str):
-    if name == "dataflow":
-        return dataflow_spec()
-    if name == "conventional":
-        return conventional_spec()
-    raise SystemExit(f"unknown fabric spec {name!r} "
-                     "(choose: dataflow, conventional)")
+def _input_error(reason) -> int:
+    """Bad user input: one ``error:`` line, exit status 2 (as argparse)."""
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for row and query counts."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)      # argparse: "invalid positive_int value"
+    return value
+
+
+SPECS = {"dataflow": dataflow_spec, "conventional": conventional_spec}
 
 
 def cmd_demo(args) -> int:
@@ -142,7 +150,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_sites(args) -> int:
-    fabric = build_fabric(_spec(args.spec))
+    fabric = build_fabric(SPECS[args.spec]())
     print(f"fabric: {args.spec}  "
           f"(data path: {' -> '.join(data_path_sites(fabric))})\n")
     kinds = [OpKind.FILTER, OpKind.REGEX, OpKind.PROJECT,
@@ -168,7 +176,7 @@ def cmd_query(args) -> int:
              .filter(col("l_quantity") <= cutoff)
              .project(["l_orderkey", "l_extendedprice"]))
 
-    fabric = build_fabric(_spec(args.spec))
+    fabric = build_fabric(SPECS[args.spec]())
     engine = DataflowEngine(fabric, catalog,
                             use_zonemaps=args.zonemaps)
     if args.placement == "optimize":
@@ -346,14 +354,19 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sql(args) -> int:
-    from .relational.sql import parse_sql
+    from .relational.sql import SqlError, parse_sql
     catalog = Catalog()
     catalog.register("lineitem", make_lineitem(args.rows,
                                                chunk_rows=8192))
     from .relational import make_orders
     catalog.register("orders", make_orders(args.rows // 4,
                                            chunk_rows=8192))
-    query = parse_sql(args.statement)
+    try:
+        query = parse_sql(args.statement)
+        # Bind every name now: an unknown one is a KeyError.
+        query.plan.output_schema(catalog)
+    except (SqlError, KeyError) as exc:
+        return _input_error(exc.args[0])   # str() of a KeyError is a repr
     fabric = build_fabric(dataflow_spec())
     if args.placement == "optimize":
         placement = Optimizer(fabric, catalog).optimize(query).placement
@@ -419,16 +432,20 @@ def cmd_whatif(args) -> int:
         run_whatif,
         whatif_violations,
     )
-    vary = parse_vary(args.vary) if args.vary else []
-    factors = ([float(f) for f in args.factors.split(",")]
-               if args.factors else DEFAULT_FACTORS)
     resources = (args.resources.split(",") if args.resources
                  else None)
-    payload = run_whatif(args.query, engine=args.engine,
-                         rows=args.rows, factors=factors,
-                         resources=[] if vary and resources is None
-                         else resources,
-                         vary=vary)
+    try:
+        # Malformed --factors / --vary, or a resource this fabric lacks.
+        vary = parse_vary(args.vary) if args.vary else []
+        factors = ([float(f) for f in args.factors.split(",")]
+                   if args.factors else DEFAULT_FACTORS)
+        payload = run_whatif(args.query, engine=args.engine,
+                             rows=args.rows, factors=factors,
+                             resources=[] if vary and resources is None
+                             else resources,
+                             vary=vary)
+    except ValueError as exc:
+        return _input_error(exc)
     _print_whatif(payload)
     violations = whatif_violations(payload)
     if args.out is not None:
@@ -468,6 +485,10 @@ def cmd_report(args) -> int:
     out = _routed_output(args.out, "attribution.html")
     names = (sorted(SCENARIOS) if args.queries == "all"
              else [q.strip() for q in args.queries.split(",")])
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        return _input_error(f"unknown query {unknown[0]!r} "
+                            f"(have: {sorted(SCENARIOS)})")
     payloads = []
     for name in names:
         print(f"analyzing {name}...")
@@ -618,18 +639,24 @@ def cmd_top(args) -> int:
     from .analysis.observatory import OBSERVATORY_SCHEMA, render_top
 
     if getattr(args, "from_file", None):
-        with open(args.from_file) as handle:
-            doc = json.load(handle)
+        try:
+            with open(args.from_file) as handle:
+                doc = json.load(handle)
+        except OSError as exc:
+            return _input_error(exc)
+        except json.JSONDecodeError as exc:
+            return _input_error(f"{args.from_file}: {exc}")
         # Accept either a bare observatory payload or a wrapper
         # (serving record, `top --json` artifact) that embeds one.
-        if doc.get("schema") == OBSERVATORY_SCHEMA and "series" in doc:
+        if not isinstance(doc, dict):
+            payload = None
+        elif doc.get("schema") == OBSERVATORY_SCHEMA and "series" in doc:
             payload = doc
         else:
             payload = doc.get("observatory")
         if payload is None:
-            print(f"error: {args.from_file} carries no "
-                  f"{OBSERVATORY_SCHEMA} section", file=sys.stderr)
-            return 1
+            return _input_error(f"{args.from_file} carries no "
+                                f"{OBSERVATORY_SCHEMA} section")
         name = doc.get("name", args.from_file)
         print(render_top(payload, name=name, follow=args.follow))
         return 0
@@ -691,6 +718,10 @@ def cmd_loadgen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis import SCENARIOS
+    from .serve import SERVE_SCENARIOS
+    figures, scenarios = sorted(SCENARIOS), sorted(SERVE_SCENARIOS)
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Data-flow query processing on simulated modern "
@@ -698,21 +729,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="baseline vs data-flow demo")
-    demo.add_argument("--rows", type=int, default=100_000)
+    demo.add_argument("--rows", type=positive_int, default=100_000)
     demo.set_defaults(func=cmd_demo)
 
     sites = sub.add_parser("sites", help="list fabric sites")
     sites.add_argument("--spec", default="dataflow",
-                       choices=["dataflow", "conventional"])
+                       choices=sorted(SPECS))
     sites.set_defaults(func=cmd_sites)
 
     query = sub.add_parser("query", help="run a configurable query")
-    query.add_argument("--rows", type=int, default=100_000)
+    query.add_argument("--rows", type=positive_int, default=100_000)
     query.add_argument("--selectivity", type=float, default=0.1)
     query.add_argument("--placement", default="optimize",
                        choices=["optimize", "pushdown", "cpu"])
     query.add_argument("--spec", default="dataflow",
-                       choices=["dataflow", "conventional"])
+                       choices=sorted(SPECS))
     query.add_argument("--zonemaps", action="store_true")
     query.add_argument("--show-kernel", action="store_true",
                        help="print each fused segment's generated "
@@ -739,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output .json path (trace_events "
                             "format); omitted or bare -o defaults "
                             "under benchmarks/results/")
-    trace.add_argument("--rows", type=int, default=50_000)
+    trace.add_argument("--rows", type=positive_int, default=50_000)
     trace.add_argument("--engine", default="dataflow",
                        choices=["dataflow", "volcano", "both"])
     trace.add_argument("--serve", action="store_true",
@@ -747,8 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of the demo query (per-tenant "
                             "lanes, serve lifecycle events)")
     trace.add_argument("--scenario", default="two_tenant_bursty",
+                       choices=scenarios,
                        help="serving scenario for --serve")
-    trace.add_argument("--queries", type=int, default=None,
+    trace.add_argument("--queries", type=positive_int, default=None,
                        help="requested queries for --serve")
     trace.set_defaults(func=cmd_trace)
 
@@ -756,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sql", help="run a SQL statement over synthetic "
                     "lineitem/orders tables")
     sql.add_argument("statement")
-    sql.add_argument("--rows", type=int, default=50_000)
+    sql.add_argument("--rows", type=positive_int, default=50_000)
     sql.add_argument("--max-rows", type=int, default=20)
     sql.add_argument("--placement", default="optimize",
                      choices=["optimize", "pushdown", "cpu"])
@@ -765,11 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
     whatif = sub.add_parser(
         "whatif", help="causal what-if profiler (per-resource "
                        "virtual speedups)")
-    whatif.add_argument("--query", default="f6",
+    whatif.add_argument("--query", default="f6", choices=figures,
                         help="figure scenario (f1..f6)")
     whatif.add_argument("--engine", default="dataflow",
                         choices=["dataflow", "volcano"])
-    whatif.add_argument("--rows", type=int, default=None)
+    whatif.add_argument("--rows", type=positive_int, default=None)
     whatif.add_argument("--factors", default=None,
                         help="comma-separated improvement factors "
                              "(default 1.25,1.5,2,4)")
@@ -799,21 +831,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated scenarios or 'all'")
     report.add_argument("--engine", default="dataflow",
                         choices=["dataflow", "volcano"])
-    report.add_argument("--rows", type=int, default=None)
+    report.add_argument("--rows", type=positive_int, default=None)
     report.add_argument("--serve", action="store_true",
                         help="render the serving telemetry dashboard "
                              "instead of the attribution report")
     report.add_argument("--serve-scenario",
-                        default="two_tenant_bursty",
+                        default="two_tenant_bursty", choices=scenarios,
                         help="serving scenario for --serve")
     report.set_defaults(func=cmd_report)
 
     optimize = sub.add_parser(
         "optimize", help="rank placements; --validate-whatif "
                          "cross-checks against simulation")
-    optimize.add_argument("--query", default="f6",
+    optimize.add_argument("--query", default="f6", choices=figures,
                           help="figure scenario (f1..f6)")
-    optimize.add_argument("--rows", type=int, default=None)
+    optimize.add_argument("--rows", type=positive_int, default=None)
     optimize.add_argument("-k", "--top-k", type=int, default=3)
     optimize.add_argument("--validate-whatif", action="store_true",
                           help="simulate the top-k plans and print "
@@ -834,12 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a multi-tenant scenario on one warm "
                       "fabric")
     serve.add_argument("--scenario", default="two_tenant_bursty",
+                       choices=scenarios,
                        help="serving scenario (see `repro bench "
                             "--list`)")
-    serve.add_argument("--rows", type=int, default=None,
+    serve.add_argument("--rows", type=positive_int, default=None,
                        help="base table rows (scenario default "
                             "otherwise)")
-    serve.add_argument("--queries", type=int, default=None,
+    serve.add_argument("--queries", type=positive_int, default=None,
                        help="requested total queries across tenants")
     serve.add_argument("--no-verify", action="store_true",
                        help="skip the standalone-oracle checksum and "
@@ -860,20 +893,18 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="saturation observatory snapshot (pools, bound "
                     "tenants, placement-regret leaders)")
     top.add_argument("--scenario", default="two_tenant_bursty",
+                     choices=scenarios,
                      help="serving scenario to observe")
-    top.add_argument("--rows", type=int, default=None,
+    top.add_argument("--rows", type=positive_int, default=None,
                      help="base table rows (scenario default "
                           "otherwise)")
-    top.add_argument("--queries", type=int, default=None,
+    top.add_argument("--queries", type=positive_int, default=None,
                      help="requested total queries across tenants")
     top.add_argument("--from", dest="from_file", default=None,
                      metavar="JSON",
                      help="render from a recorded "
                           "repro.observatory/v1 JSON (or a serving "
                           "record embedding one) instead of serving")
-    top.add_argument("--once", action="store_true",
-                     help="point-in-time summary only (the default; "
-                          "kept explicit for scripting)")
     top.add_argument("--follow", action="store_true",
                      help="add the per-window playback above the "
                           "summary tables")
@@ -888,8 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="materialize a scenario's open-tenant "
                         "arrival schedule as JSON")
     loadgen.add_argument("--scenario", default="two_tenant_bursty",
+                         choices=scenarios,
                          help="serving scenario name")
-    loadgen.add_argument("--queries", type=int, default=None,
+    loadgen.add_argument("--queries", type=positive_int, default=None,
                          help="requested total queries")
     loadgen.add_argument("-o", "--out", default=None,
                          help="output JSON path (stdout otherwise)")

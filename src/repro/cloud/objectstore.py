@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..engine.operators import FilterOp
+from ..engine.operators import FilterOp, ProjectOp, run_chain
 from ..hardware.storage import ComputationalStorage
 from ..relational.expressions import Expression
 from ..relational.formats import (
@@ -138,18 +138,19 @@ class ObjectStore:
                 obj.payload, obj.uncompressed_nbytes, obj.num_rows))
         else:
             chunk = deserialize_chunk(obj.payload)
+        ops = []
         if predicate is not None:
-            op = FilterOp(predicate)
-            yield from self.storage.cu.execute(op.kind, chunk.nbytes)
-            emits = op.process(chunk)
-            if not emits:
-                return chunk.slice(0, 0)
-            chunk = emits[0].chunk
+            ops.append(FilterOp(predicate))
         if columns is not None:
-            yield from self.storage.cu.execute(OpKind.PROJECT,
-                                               chunk.nbytes)
-            chunk = chunk.project(columns)
-        return chunk
+            ops.append(ProjectOp(columns))
+        emits, charges = run_chain(ops, chunk)
+        for kind, nbytes in charges:
+            yield from self.storage.cu.execute(kind, nbytes)
+        if emits:
+            return emits[0].chunk
+        # Nothing survived: an empty answer, in the schema asked for.
+        empty = chunk.slice(0, 0)
+        return empty if columns is None else empty.project(columns)
 
     def _lookup(self, key: str) -> StoredObject:
         if key not in self.objects:

@@ -98,24 +98,23 @@ class EgressOp(PhysicalOp):
             self.trace.add("tax.egress.raw_bytes", chunk.nbytes)
             self.trace.add("tax.egress.wire_bytes", len(payload))
             self.trace.add("tax.egress.chunks", 1)
-            # Tax ops run inside a stage; the trace clock watermark is
-            # the best available timestamp (ops hold no sim handle).
+            # Ops hold no sim handle, so the trace clock watermark is
+            # the best available timestamp: executors run an op before
+            # they replay its charges, so it reads the start of that work.
             self.trace.emit(self.trace.clock, EventKind.TAX_EGRESS,
                             "tax.egress", label=self.name,
                             nbytes=float(len(payload)))
         return [Emit(WirePayload(payload, chunk.num_rows, chunk.nbytes,
                                  self.config))]
 
-    def charge_bytes(self, chunk) -> float:
-        return float(chunk.nbytes)
-
-    def extra_charges(self, chunk) -> list[tuple[str, float]]:
-        charges = []
+    def run(self, chunk):
+        nbytes = float(chunk.nbytes)
+        charges = [(self.kind, nbytes)]
         if self.config.compress:
-            charges.append((OpKind.COMPRESS, float(chunk.nbytes)))
+            charges.append((OpKind.COMPRESS, nbytes))
         if self.config.encrypt:
-            charges.append((OpKind.ENCRYPT, float(chunk.nbytes)))
-        return charges
+            charges.append((OpKind.ENCRYPT, nbytes))
+        return self.process(chunk), charges
 
 
 class IngressOp(PhysicalOp):
@@ -149,13 +148,11 @@ class IngressOp(PhysicalOp):
                             nbytes=float(payload.nbytes))
         return [Emit(deserialize_chunk(raw))]
 
-    def charge_bytes(self, payload) -> float:
-        return float(payload.nbytes)
-
-    def extra_charges(self, payload) -> list[tuple[str, float]]:
-        charges = []
+    def run(self, payload):
+        nbytes = float(payload.nbytes)
+        charges = [(self.kind, nbytes)]
         if self.config.encrypt:
-            charges.append((OpKind.DECRYPT, float(payload.nbytes)))
+            charges.append((OpKind.DECRYPT, nbytes))
         if self.config.compress:
-            charges.append((OpKind.DECOMPRESS, float(payload.nbytes)))
-        return charges
+            charges.append((OpKind.DECOMPRESS, nbytes))
+        return self.process(payload), charges

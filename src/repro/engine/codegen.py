@@ -4,8 +4,8 @@ A :class:`~repro.engine.fusion.FusedOp` runs a whole
 Filter/Project/Map(/PartialAggregate) chain as one dispatch per
 morsel.  This module supplies what it dispatches to: the pipeline is
 lowered **once** to generated Python/numpy source — one flat function,
-predicates inlined, schema byte-widths folded to literals, charge
-replay unrolled — compiled per ``(pipeline, entry schema)`` fingerprint
+predicates inlined, schema byte-widths folded to literals, one charge
+append per part — compiled per ``(pipeline, entry schema)`` fingerprint
 and cached in-process, so the many fabrics and queries of one process
 never generate or compile the same kernel twice.  (A cold generate +
 ``compile()`` costs ~0.4 ms and a process needs one or two kernels, so
@@ -15,9 +15,10 @@ Bit-identity contract
 ---------------------
 A generated kernel must be indistinguishable from the unfused
 operators to the simulation: it returns the same chunk values and
-appends the same ``(kind, nbytes)`` charge sequence with the same
-early-exit semantics (a part that empties the stream stops the charges
-exactly where the unfused executor would).  Byte counts are folded at
+appends, to the list ``FusedOp.run`` hands it, the same ``(kind,
+nbytes)`` charge sequence ``run_chain`` over the parts would return,
+with the same early-exit semantics (a part that empties the stream
+stops the charges there).  Byte counts are folded at
 generation time as ``rows x row_nbytes`` of the schema entering each
 part — exactly what ``Chunk.nbytes`` reports for dense chunks,
 selection views, and arena windows alike.  ``REPRO_NO_FUSE=1`` runs
@@ -72,8 +73,8 @@ class UnsupportedPipeline(Exception):
     """The pipeline contains a construct codegen does not lower.
 
     Raised at generation time and caught by :func:`resolve`;
-    :class:`~repro.engine.fusion.FusedOp` then runs the pipeline's
-    parts themselves, which support everything.
+    :class:`~repro.engine.fusion.FusedOp` then runs ``run_chain`` over
+    the pipeline's parts themselves, which support everything.
     """
 
 
@@ -213,11 +214,12 @@ class _KernelGen:
     """Lowers one fused pipeline into a self-contained module body.
 
     The generated module defines ``make_kernel(Chunk, schemas,
-    terminal)`` returning ``kernel(chunk, charges)``; everything the
-    hot path touches — column names, dtype byte widths, predicate
-    constants, LIKE regexes, charge kinds — is folded into the source
-    as literals, so per-chunk execution is straight-line numpy with
-    no dispatch, no intermediate chunks, and no tree walks.
+    terminal)`` returning ``kernel(chunk, charges)`` (``charges`` is
+    always a list, already holding the first part's charge);
+    everything the hot path touches — column names, dtype byte widths,
+    predicate constants, LIKE regexes, charge kinds — is folded into
+    the source as literals, so per-chunk execution is straight-line
+    numpy with no dispatch, no intermediate chunks, and no tree walks.
     """
 
     def __init__(self, parts: Sequence[PhysicalOp], entry_schema: Schema):
@@ -377,8 +379,7 @@ class _KernelGen:
         """Replay part ``index``'s (kind, nbytes) charge (index >= 1)."""
         part = self.parts[index]
         row_nbytes = self.chain[index].row_nbytes
-        self.w.emit("if charges is not None:")
-        self.w.emit(f"    charges.append(({part.kind!r}, "
+        self.w.emit(f"charges.append(({part.kind!r}, "
                     f"float({self.rows_var} * {row_nbytes})))")
 
     def lower_filter(self, index: int, part: FilterOp) -> None:

@@ -9,20 +9,15 @@ terminated by the ``PartialAggregate`` the run feeds — lowers into a
 single :class:`FusedOp`, which runs the whole run as one generated
 kernel (:mod:`repro.engine.codegen`: flat numpy source, compiled once
 per (pipeline, entry schema) and cached in-process).  A pipeline
-codegen declines threads the chunk through its parts' own
-``process()`` — the reference operators themselves — so there is no
-second implementation of filter/project/map here.
+codegen declines is ``run_chain`` over its parts — the reference
+operators themselves — so there is no second implementation of
+filter/project/map here.
 
 Fusion is a *wall-clock* optimisation and must be invisible to the
-simulation.  :class:`FusedOp` therefore reports device work per
-original operator: ``charge_bytes`` is the first part's charge and
-``extra_charges`` replays the remaining parts' ``(kind, nbytes)``
-pairs — computed by actually running the fused pipeline, so the bytes
-charged for each part are the bytes of the chunk that part would have
-seen unfused, and a part that empties the stream stops the charges
-exactly where the unfused executor's early-exit would.  The pipeline
-result is memoised so the ``process()`` call that follows the charges
-does no second pass.
+simulation.  :meth:`FusedOp.run` therefore returns what ``run_chain``
+over the parts would: one ``(kind, nbytes)`` charge per original part,
+against the bytes of the chunk that part would have seen unfused, and
+none past the part that empties the stream.
 
 ``REPRO_NO_FUSE=1`` forces the reference (unfused) path; the
 equivalence tests and the regression gate compare the two at
@@ -42,6 +37,7 @@ from .operators import (
     PartialAggregate,
     PhysicalOp,
     ProjectOp,
+    run_chain,
 )
 
 __all__ = ["FusedOp", "fuse_ops", "fusion_enabled", "describe_op"]
@@ -65,7 +61,7 @@ def fusion_enabled() -> bool:
 class FusedOp(PhysicalOp):
     """A linear chain of streaming operators run as one dispatch.
 
-    ``process()`` runs one chunk through the pipeline's generated
+    ``run()`` sends one chunk through the pipeline's generated
     kernel, which gathers only the surviving rows of the kept columns,
     once.  The simulation sees the chain unfused: one ``(kind,
     nbytes)`` charge per original part, against the bytes that part's
@@ -86,10 +82,6 @@ class FusedOp(PhysicalOp):
         self.parts = parts
         self.kind = parts[0].kind
         self.name = "fused[" + " -> ".join(p.name for p in parts) + "]"
-        # One-slot memo: the executor charges (running the pipeline)
-        # and then calls process() on the same chunk object.
-        self._memo_chunk: Optional[Chunk] = None
-        self._memo_out: Optional[Chunk] = None
         # Generated-kernel state: resolved lazily against the first
         # chunk's schema (compile-time plans don't thread schemas into
         # fusion, and the cache key needs the real input shape).
@@ -123,56 +115,26 @@ class FusedOp(PhysicalOp):
     def fused_parts(self) -> list[PhysicalOp]:
         return list(self.parts)
 
-    def _run(self, chunk: Chunk,
-             charges: Optional[list[tuple[str, float]]]) -> Optional[Chunk]:
-        """Run ``chunk`` through the pipeline, recording part charges.
-
-        The first part's charge is ``charge_bytes`` (reported by the
-        executor separately), so recording starts at the second part —
-        and stops as soon as a part emits nothing, matching the
-        unfused executor, which never charges an operator whose input
-        never arrived.
-        """
+    def run(self, chunk: Chunk) -> tuple[list[Emit], list[tuple[str, float]]]:
+        charges = [(self.kind, float(chunk.nbytes))]
         if chunk.num_rows == 0:
-            return None
+            return [], charges
         if self._entry_schema is not chunk.schema:
             if (self._entry_schema is not None
                     and self._entry_schema.fields == chunk.schema.fields):
                 self._entry_schema = chunk.schema
             else:
                 self._resolve_kernel(chunk.schema)
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel(chunk, charges)
-        # Codegen declined: the parts themselves, exactly as unfused.
-        current = chunk
-        for index, part in enumerate(self.parts):
-            if index and charges is not None:
-                charges.append((part.kind, part.charge_bytes(current)))
-            emits = part.process(current)
-            if not emits:
-                return None
-            current = emits[0].chunk
-        return current
-
-    def charge_bytes(self, chunk: Chunk) -> float:
-        return self.parts[0].charge_bytes(chunk)
-
-    def extra_charges(self, chunk: Chunk) -> list[tuple[str, float]]:
-        charges: list[tuple[str, float]] = []
-        self._memo_chunk = chunk
-        self._memo_out = self._run(chunk, charges)
-        return charges
+        if self._kernel is None:
+            # Codegen declined: the parts themselves, exactly as unfused.
+            return run_chain(self.parts, chunk)
+        # The kernel appends one charge per later part, stopping where
+        # a part empties the stream.
+        out = self._kernel(chunk, charges)
+        return ([] if out is None else [Emit(out)]), charges
 
     def process(self, chunk: Chunk) -> list[Emit]:
-        if chunk is self._memo_chunk:
-            out = self._memo_out
-            self._memo_chunk = self._memo_out = None
-        else:
-            out = self._run(chunk, None)
-        if out is None:
-            return []
-        return [Emit(out)]
+        return self.run(chunk)[0]
 
 
 def fuse_ops(ops: Sequence[PhysicalOp]) -> list[PhysicalOp]:

@@ -4,6 +4,10 @@ Every operator consumes and produces :class:`~repro.relational.table.Chunk`
 objects; the engines wrap them with simulated device time, so the same
 implementation runs "on" a storage computational unit, a SmartNIC, a
 near-memory accelerator, or a CPU core — only the charged rate differs.
+Executors call one method, :meth:`PhysicalOp.run` (:func:`run_chain`
+for a list of operators): it returns the emitted chunks and the ordered
+``(kind, nbytes)`` device work they cost.  Operators never see the
+simulator; the executor replays the charges on the device it chose.
 
 The streaming/stateless-first design mirrors §3.3: filters, projections,
 partitioning, and *partial* aggregation are per-chunk (safe to place on
@@ -33,6 +37,7 @@ from ..relational.table import Chunk
 __all__ = [
     "Emit",
     "PhysicalOp",
+    "run_chain",
     "FilterOp",
     "ProjectOp",
     "MapOp",
@@ -64,7 +69,6 @@ class PhysicalOp:
     """Base class: a (possibly stateful) chunk transformer."""
 
     kind: str = OpKind.GENERIC
-    stateful: bool = False
     name: str = "op"
 
     def process(self, chunk: Chunk) -> list[Emit]:
@@ -74,19 +78,17 @@ class PhysicalOp:
         """Flush any state at end of stream."""
         return []
 
-    def charge_bytes(self, chunk: Chunk) -> float:
-        """Bytes of device work this chunk represents."""
-        return float(chunk.nbytes)
+    def run(self, chunk: Chunk) -> tuple[list[Emit], list[tuple[str, float]]]:
+        """Process ``chunk``; returns ``(emits, charges)``.
 
-    def extra_charges(self, chunk: Chunk) -> list[tuple[str, float]]:
-        """Additional (kind, nbytes) device charges per input chunk.
-
-        Composite operators (e.g. the data-center-tax egress, which
-        serializes, compresses, and encrypts in one pass) report the
-        extra work here; the stage executor charges it alongside the
-        primary kind.
+        The one method executors call.  ``charges`` is the ordered
+        ``(kind, nbytes)`` device work the chunk cost, the operator's
+        own charge first; composite operators (a fused pipeline, the
+        data-center-tax egress that serializes, compresses and encrypts
+        in one pass) list every step.
         """
-        return []
+        nbytes = float(chunk.nbytes)
+        return self.process(chunk), [(self.kind, nbytes)]
 
     def fused_parts(self) -> list["PhysicalOp"]:
         """The original operators this op stands for (itself, unless
@@ -97,6 +99,29 @@ class PhysicalOp:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+def run_chain(ops: Sequence[PhysicalOp], chunk: Chunk,
+              ) -> tuple[list[Emit], list[tuple[str, float]]]:
+    """Thread ``chunk`` through ``ops``; returns ``(emits, charges)``.
+
+    The one chain loop every executor shares: each operator runs over
+    every emit of the one before it, its charges appended in that
+    order, and the walk stops at the operator that empties the stream
+    — no later operator is charged for input that never arrived.
+    """
+    emits = [Emit(chunk)]
+    charges: list[tuple[str, float]] = []
+    for op in ops:
+        produced: list[Emit] = []
+        for emit in emits:
+            out, cost = op.run(emit.chunk)
+            produced += out
+            charges += cost
+        emits = produced
+        if not emits:
+            break
+    return emits, charges
 
 
 class FilterOp(PhysicalOp):
@@ -348,7 +373,6 @@ class MergeAggregate(PhysicalOp):
         self.state_schema = partial_state_schema(input_schema, group_by,
                                                  aggs)
         self.final = final
-        self.stateful = final
         self.output_schema = output_schema
         # Non-final merges coalesce a bounded window of `batch` state
         # chunks before merging: that is what makes *chained* merge
@@ -465,7 +489,6 @@ class HashJoinBuild(PhysicalOp):
     """Accumulate the build side; installs state, emits nothing."""
 
     kind = OpKind.JOIN_BUILD
-    stateful = True
 
     def __init__(self, key: str, state: JoinState):
         self.key = key
@@ -536,7 +559,6 @@ class SortOp(PhysicalOp):
     """Accumulate and sort at end of stream (blocking)."""
 
     kind = OpKind.SORT
-    stateful = True
 
     def __init__(self, keys: Sequence[str]):
         self.keys = list(keys)
@@ -627,7 +649,6 @@ class MergeRuns(PhysicalOp):
     """
 
     kind = OpKind.GENERIC
-    stateful = True
 
     def __init__(self, keys: Sequence[str]):
         self.keys = list(keys)

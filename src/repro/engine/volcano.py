@@ -106,14 +106,11 @@ class _StreamIter(_Iterator):
             chunk = yield from self.child.next()
             if chunk is None:
                 return None
-            yield from self.engine.charge(self.op.kind,
-                                          self.op.charge_bytes(chunk))
-            # Fused chains report their inner parts' work here; plain
-            # streaming ops report nothing extra.  Either way the CPU
+            # One charge per original operator, fused or not: the CPU
             # is charged exactly what the unfused chain would be.
-            for kind, nbytes in self.op.extra_charges(chunk):
+            emits, charges = self.op.run(chunk)
+            for kind, nbytes in charges:
                 yield from self.engine.charge(kind, nbytes)
-            emits = self.op.process(chunk)
             if emits:
                 # Streaming ops used here are 1-in/<=1-out.
                 return emits[0].chunk
@@ -128,7 +125,6 @@ class _AggregateIter(_Iterator):
         self.engine = engine
         self.child = child
         self.node = node
-        self._result: Optional[Chunk] = None
         self._exhausted = False
 
     def next(self) -> Generator:

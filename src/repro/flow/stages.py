@@ -9,11 +9,11 @@ downstream, so the whole pipeline streams — the opposite of the
 pull-based Volcano model (§1, §7).
 
 Each stage is one simulation process.  Its loop: take a message from
-the inbox, run the chunk through the stage's operator chain (charging
-the stage's device for every operator), route the results to output
-channels, return the credit.  Stateful operators flush at end of
-stream.  ``depends_on`` lets a probe stage wait for its build stage —
-the one control dependency hash joins need.
+the inbox, run the chunk through the stage's operator chain
+(``run_chain``), replay the charges it returns on the stage's device,
+route the results to output channels, return the credit.  Stateful
+operators flush at end of stream.  ``depends_on`` lets a probe stage
+wait for its build stage — the one control dependency hash joins need.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence
 
-from ..engine.operators import Emit, PhysicalOp
+from ..engine.operators import Emit, PhysicalOp, run_chain
 from ..hardware.device import Device
 from ..hardware.storage import StorageMedium
 from ..relational.table import Chunk, Table
@@ -177,7 +177,7 @@ class Stage:
         trace = self.graph.trace
         span = trace.open_span(self._metric, self.graph.sim.now)
         try:
-            emits = yield from self._apply(chunk, start=0)
+            emits = yield from self._apply(self.ops, chunk)
         finally:
             trace.close_span(span, self.graph.sim.now)
         yield from self._route(emits)
@@ -197,39 +197,25 @@ class Stage:
         if stall > 1e-12:
             self._stall_device.add(stall)
 
-    def _apply(self, chunk: Chunk, start: int) -> Generator:
-        """Run ``chunk`` through ops[start:]; returns resulting emits."""
-        emits = [Emit(chunk)]
-        for op in self.ops[start:]:
-            produced: list[Emit] = []
-            for emit in emits:
-                if self.device is not None:
-                    yield from self._charge(
-                        op.kind, op.charge_bytes(emit.chunk))
-                    for kind, nbytes in op.extra_charges(emit.chunk):
-                        yield from self._charge(kind, nbytes)
-                produced.extend(op.process(emit.chunk))
-            emits = produced
-            if not emits:
-                break
+    def _apply(self, ops: Sequence[PhysicalOp], chunk: Chunk) -> Generator:
+        """Run ``chunk`` through ``ops``; returns the resulting emits."""
+        emits, charges = run_chain(ops, chunk)
+        if self.device is not None:
+            for kind, nbytes in charges:
+                yield from self._charge(kind, nbytes)
         return emits
 
     def _flush(self) -> Generator:
         """End of stream: flush stateful operators in chain order."""
         for index, op in enumerate(self.ops):
+            tail = self.ops[index + 1:]
             for emit in op.finish():
                 if self.device is not None:
-                    yield from self._charge(
-                        op.kind, emit.chunk.nbytes)
-                downstream = yield from self._apply_tail(
-                    emit, start=index + 1)
+                    yield from self._charge(op.kind, emit.chunk.nbytes)
+                downstream = [emit]
+                if tail:
+                    downstream = yield from self._apply(tail, emit.chunk)
                 yield from self._route(downstream)
-
-    def _apply_tail(self, emit: Emit, start: int) -> Generator:
-        if start >= len(self.ops):
-            return [emit]
-        result = yield from self._apply(emit.chunk, start=start)
-        return result
 
     def _route(self, emits: list[Emit]) -> Generator:
         for emit in emits:

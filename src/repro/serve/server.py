@@ -62,23 +62,11 @@ class ServeConfig:
 
     max_concurrency: int = 4
     max_queue: int = 32
-    variants_per_query: int = 3
-    policy: str = "interference+ratelimit"
-    plan_cache_capacity: int = 256
-    checksum_results: bool = True
     telemetry: bool = True
-    telemetry_window_s: float = 0.005
-    sketch_capacity: int = 256
-    exemplars_per_window: int = 2
-    max_exemplars: int = 32
-    burn_threshold: float = 1.0
-    fast_windows: int = 3
-    slow_windows: int = 12
     #: The saturation observatory (windowed fabric attribution, bound
     #: classifier, placement regret) — pure observer like telemetry,
     #: gated by its own observer-effect CI leg.
     observatory: bool = True
-    observatory_window_s: float = 0.005
 
 
 @dataclass
@@ -162,38 +150,25 @@ class QueryServer:
                 raise ValueError(
                     f"tenant {tenant.name!r} references unknown "
                     f"templates {sorted(missing)}")
-        self.executor = QueryExecutor(
-            fabric, catalog, policy=self.config.policy,
-            variants_per_query=self.config.variants_per_query)
+        self.executor = QueryExecutor(fabric, catalog)
         self.admission = AdmissionController(
             self.config.max_queue, self.config.max_concurrency)
         self.queue = WeightedFairQueue()
-        self.plan_cache = PlanCache(
-            capacity=self.config.plan_cache_capacity)
+        self.plan_cache = PlanCache()
         self.records: list[ServeRecord] = []
         #: Completion order by record name — bit-identical between
         #: telemetry-on and telemetry-off runs (observer-effect gate).
         self.completion_order: list[str] = []
         self.telemetry: Optional[ServeTelemetry] = None
         if self.config.telemetry:
-            self.telemetry = ServeTelemetry(
-                self.tenants, fabric.trace,
-                window_s=self.config.telemetry_window_s,
-                sketch_capacity=self.config.sketch_capacity,
-                exemplars_per_window=self.config.exemplars_per_window,
-                max_exemplars=self.config.max_exemplars,
-                burn_threshold=self.config.burn_threshold,
-                fast_windows=self.config.fast_windows,
-                slow_windows=self.config.slow_windows)
+            self.telemetry = ServeTelemetry(self.tenants, fabric.trace)
         self.observatory: Optional[Observatory] = None
         if self.config.observatory:
             bandwidth = {
                 data["link"].name: data["link"].bandwidth
                 for _a, _b, data in fabric.graph.edges(data=True)}
             self.observatory = Observatory(
-                self.tenants, fabric.trace,
-                window_s=self.config.observatory_window_s,
-                link_bandwidth=bandwidth)
+                self.tenants, fabric.trace, link_bandwidth=bandwidth)
         self._running: set[str] = set()
         self._backlog_cost_s = 0.0
         self._seq = 0
@@ -298,8 +273,7 @@ class QueryServer:
         yield from self.executor.execute(
             record.name, pending.query, pending.variants, record,
             qid=record.qid)
-        if self.config.checksum_results:
-            record.checksum = table_checksum(record.table)
+        record.checksum = table_checksum(record.table)
         self._last_finish = max(self._last_finish, record.finished)
         self._running.discard(record.name)
         self.completion_order.append(record.name)

@@ -62,6 +62,12 @@ __all__ = ["QuantileSketch", "ServeTelemetry", "TELEMETRY_SCHEMA",
 
 TELEMETRY_SCHEMA = "repro.serve-telemetry/v1"
 
+#: Tumbling-window width (simulated seconds) and the exemplar budget,
+#: per window and per run.
+WINDOW_S = 0.005
+EXEMPLARS_PER_WINDOW = 2
+MAX_EXEMPLARS = 32
+
 
 def nearest_rank(total_weight: int, q: float) -> int:
     """The 1-based nearest rank for quantile ``q`` over ``n`` points.
@@ -237,7 +243,7 @@ class _Window:
     violations: int = 0
     queue_depth_max: int = 0
     latencies: list[float] = field(default_factory=list)
-    sketch: Optional[QuantileSketch] = None
+    sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def series_entry(self, index: int) -> dict:
         entry = {
@@ -249,7 +255,7 @@ class _Window:
             "violations": self.violations,
             "queue_depth_max": self.queue_depth_max,
         }
-        if self.sketch is not None and self.sketch.count:
+        if self.sketch.count:
             entry["p50_s"] = self.sketch.quantile(0.50)
             entry["p99_s"] = self.sketch.quantile(0.99)
         return entry
@@ -278,18 +284,7 @@ class ServeTelemetry:
     Purely observational: no simulator interaction, ever.
     """
 
-    def __init__(self, tenants: dict[str, "object"], trace: Trace,
-                 window_s: float = 0.005, sketch_capacity: int = 256,
-                 exemplars_per_window: int = 2,
-                 max_exemplars: int = 32,
-                 burn_threshold: float = 1.0, fast_windows: int = 3,
-                 slow_windows: int = 12):
-        if window_s <= 0:
-            raise ValueError("telemetry window must be positive")
-        self.window_s = window_s
-        self.sketch_capacity = sketch_capacity
-        self.exemplars_per_window = exemplars_per_window
-        self.max_exemplars = max_exemplars
+    def __init__(self, tenants: dict[str, "object"], trace: Trace):
         self.trace = trace
         self.policies: dict[str, SLOPolicy] = {}
         self.monitors: dict[str, BurnRateMonitor] = {}
@@ -306,9 +301,7 @@ class ServeTelemetry:
         self._finalized = False
         for name in sorted(tenants):
             tenant = tenants[name]
-            self.policies[name] = SLOPolicy(
-                target=tenant.slo_target, threshold=burn_threshold,
-                fast_windows=fast_windows, slow_windows=slow_windows)
+            self.policies[name] = SLOPolicy(target=tenant.slo_target)
             self.monitors[name] = BurnRateMonitor(self.policies[name])
             self.closed[name] = []
             self._open[name] = {}
@@ -316,15 +309,14 @@ class ServeTelemetry:
     # -- window plumbing ---------------------------------------------------
 
     def _index(self, ts: float) -> int:
-        return int(ts / self.window_s)
+        return int(ts / WINDOW_S)
 
     def _window(self, tenant: str, ts: float) -> _Window:
         index = self._index(ts)
         self._close_through(index - 1)
         window = self._open[tenant].get(index)
         if window is None:
-            window = _Window(sketch=QuantileSketch(
-                self.sketch_capacity))
+            window = _Window()
             self._open[tenant][index] = window
         return window
 
@@ -332,12 +324,11 @@ class ServeTelemetry:
         """Close windows densely up to and including index ``last``."""
         while self._next_window <= last:
             index = self._next_window
-            closing = (index + 1) * self.window_s
+            closing = (index + 1) * WINDOW_S
             for tenant in sorted(self.monitors):
                 window = self._open[tenant].pop(index, None)
                 if window is None:
-                    window = _Window(sketch=QuantileSketch(
-                        self.sketch_capacity))
+                    window = _Window()
                 self.closed[tenant].append(window)
                 alert = self.monitors[tenant].observe(
                     index, window.completions, window.violations,
@@ -411,12 +402,12 @@ class ServeTelemetry:
         for index in sorted(by_window):
             ranked = sorted(by_window[index],
                             key=lambda c: (-c.latency, c.record.name))
-            chosen.extend(ranked[:self.exemplars_per_window])
-        if len(chosen) > self.max_exemplars:
+            chosen.extend(ranked[:EXEMPLARS_PER_WINDOW])
+        if len(chosen) > MAX_EXEMPLARS:
             chosen = sorted(chosen,
                             key=lambda c: (-c.latency,
                                            c.record.name))
-            chosen = chosen[:self.max_exemplars]
+            chosen = chosen[:MAX_EXEMPLARS]
             chosen.sort(key=lambda c: (c.window, -c.latency,
                                        c.record.name))
 
@@ -466,10 +457,9 @@ class ServeTelemetry:
         tenants = {}
         for name in sorted(self.closed):
             windows = self.closed[name]
-            merged = QuantileSketch(self.sketch_capacity)
+            merged = QuantileSketch()
             for window in windows:
-                if window.sketch is not None:
-                    merged.merge(window.sketch)
+                merged.merge(window.sketch)
             policy = self.policies[name]
             tenants[name] = {
                 "policy": {
@@ -487,7 +477,7 @@ class ServeTelemetry:
             }
         return {
             "schema": TELEMETRY_SCHEMA,
-            "window_s": self.window_s,
+            "window_s": WINDOW_S,
             "windows": self._next_window,
             "tenants": tenants,
             "alerts": list(self.alerts),
@@ -545,10 +535,10 @@ class ServeTelemetry:
                         f"{tenant}: windowed {key} sum to "
                         f"{sums[key]}, records say {expect[key]}")
             # Sketch vs exact nearest-rank, per window and merged.
-            merged = QuantileSketch(self.sketch_capacity)
+            merged = QuantileSketch()
             all_latencies: list[float] = []
             for i, window in enumerate(windows):
-                if window.sketch is None or not window.sketch.count:
+                if not window.sketch.count:
                     continue
                 merged.merge(window.sketch)
                 all_latencies.extend(window.latencies)
@@ -562,7 +552,7 @@ class ServeTelemetry:
                       for i, w in enumerate(ws)]
                   for t, ws in self.closed.items()}
         errors.extend(alert_mismatches(series, self.policies,
-                                       self.alerts, self.window_s))
+                                       self.alerts, WINDOW_S))
         for exemplar in self.exemplars:
             label = exemplar["name"]
             if not exemplar["attribution"]["exact"]:

@@ -2,13 +2,17 @@
 
 import importlib.util
 import os
+import re
+import shlex
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                             "examples")
+CI_YML = os.path.join(os.path.dirname(__file__), os.pardir,
+                      ".github", "workflows", "ci.yml")
 
 
 def run_example(name: str, capsys) -> str:
@@ -123,7 +127,7 @@ def test_cli_report_default_routes_to_results(capsys, tmp_path,
 def test_cli_top_json_routes_to_results(capsys, tmp_path,
                                         monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["top", "--queries", "30", "--once", "--json"]) == 0
+    assert main(["top", "--queries", "30", "--json"]) == 0
     out = capsys.readouterr().out
     assert "placement-regret leaders" in out
     expected = os.path.join(RESULTS, "TOP_two_tenant_bursty.json")
@@ -132,6 +136,94 @@ def test_cli_top_json_routes_to_results(capsys, tmp_path,
     assert main(["top", "--from", expected, "--follow"]) == 0
     followed = capsys.readouterr().out
     assert "bytes moved" in followed
+
+
+HOSTILE = {
+    "sql-garbage": (["sql", "garbage"], "expected SELECT"),
+    "sql-unknown-column": (["sql", "select nope from lineitem",
+                            "--rows", "400"], "no column 'nope' (have:"),
+    "whatif-query": (["whatif", "--query", "nope"], "'f1', 'f2'"),
+    "optimize-query": (["optimize", "--query", "nope"], "'f1', 'f2'"),
+    "report-queries": (["report", "--queries", "nope"],
+                       "unknown query 'nope' (have: ['f1', 'f2'"),
+    "serve-scenario": (["serve", "--scenario", "nope"],
+                       "'two_tenant_bursty'"),
+    "top-scenario": (["top", "--scenario", "nope"],
+                     "'two_tenant_bursty'"),
+    "loadgen-scenario": (["loadgen", "--scenario", "nope"],
+                         "'two_tenant_bursty'"),
+    "trace-scenario": (["trace", "--serve", "--scenario", "nope"],
+                       "'two_tenant_bursty'"),
+    "whatif-vary-resource": (["whatif", "--query", "f2", "--rows", "800",
+                              "--vary", "bogus=2x"],
+                             "unknown or absent resource 'bogus' "
+                             "(this fabric has: ['cache.bw'"),
+    "whatif-factors": (["whatif", "--query", "f2", "--factors", "abc"],
+                       "could not convert string to float: 'abc'"),
+    "query-rows": (["query", "--rows", "-5"],
+                   "invalid positive_int value: '-5'"),
+    "top-from-missing": (["top", "--from", "{tmp}/missing.json"],
+                         "No such file"),
+    "top-from-not-json": (["top", "--from", "{tmp}/bad.json"],
+                          "bad.json: Expecting value"),
+    "top-from-a-list": (["top", "--from", "{tmp}/list.json"],
+                        "list.json carries no repro.observatory/v1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_cli_hostile_input_is_one_error_line_and_exit_2(case, capsys,
+                                                        tmp_path):
+    # Each of these was a Python traceback and exit 1.
+    (tmp_path / "bad.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[1,2]")
+    argv, message = HOSTILE[case]
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:        # argparse's own rejections
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [ln for ln in err.splitlines() if "error: " in ln]
+    assert message in line           # the library's message survives
+
+
+def _ci_command_lines():
+    """(``ci.yml:<line>``, argv) of every ``python -m repro ...`` step.
+
+    Env prefixes sit before the marker; the argv ends at the first
+    redirection or shell operator.
+    """
+    commands = []
+    with open(CI_YML) as handle:
+        for number, line in enumerate(handle, 1):
+            _, found, tail = line.partition("python -m repro ")
+            if not found:
+                continue
+            argv = []
+            for token in shlex.split(tail, comments=True):
+                if re.match(r"\d*[<>|]|&&$|;$", token):
+                    break
+                argv.append(token)
+            commands.append((f"ci.yml:{number}", argv))
+    return commands
+
+
+def test_every_ci_command_line_still_parses(capsys):
+    # A flag or name dropped from the CLI must not survive in CI (or
+    # be found there only when the workflow next runs).
+    commands = _ci_command_lines()
+    assert len(commands) >= 10
+    parser = build_parser()
+    rejected = []
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(
+                f"{where}: {capsys.readouterr().err.splitlines()[-1]}")
+    assert rejected == []
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.relational import (
     make_lineitem,
     make_uniform_table,
 )
-from repro.sim import Simulator, Trace
+from repro.sim import EventKind, Simulator, Trace
 
 
 def storage_env():
@@ -107,6 +107,31 @@ def test_objectstore_select_on_empty_match():
     assert chunk.num_rows == 0
 
 
+def test_objectstore_select_empty_match_keeps_the_requested_schema():
+    # Zero selectivity used to return before the projection: all of the
+    # object's columns came back instead of the ones asked for.
+    sim, trace, storage = storage_env()
+    store = ObjectStore(storage, trace)
+    table = make_uniform_table(100, distinct=10, chunk_rows=100)
+    [key] = store.put_table("t", table)
+
+    def run(cutoff):
+        return (yield from store.select(key, predicate=col("k0") > cutoff,
+                                        columns=["k0"]))
+
+    some = sim.run_process(run(4))
+    none = sim.run_process(run(999))
+    assert some.num_rows > 0 and none.num_rows == 0
+    assert none.schema == some.schema
+    assert none.schema.names == ["k0"]
+    # The projection's input never arrived, so only the surviving
+    # select was charged for one.
+    row_nbytes = table.chunks[0].nbytes // 100
+    assert trace.counters["device.s.cu.bytes.filter"] == 2 * 100 * row_nbytes
+    assert (trace.counters["device.s.cu.bytes.project"]
+            == some.num_rows * row_nbytes)
+
+
 def test_objectstore_missing_key():
     sim, trace, storage = storage_env()
     store = ObjectStore(storage, trace)
@@ -169,14 +194,23 @@ def test_ingress_rejects_raw_chunk():
         IngressOp().process(table.chunks[0])
 
 
-def test_tax_extra_charges_reported():
+def test_tax_ops_report_every_step_they_charge():
     table = make_uniform_table(100, chunk_rows=100)
     chunk = table.chunks[0]
-    egress = EgressOp(TaxConfig())
-    kinds = [k for k, _ in egress.extra_charges(chunk)]
-    assert kinds == ["compress", "encrypt"]
-    none = EgressOp(TaxConfig(compress=False, encrypt=False))
-    assert none.extra_charges(chunk) == []
+    [wire], charges = EgressOp(TaxConfig()).run(chunk)
+    assert charges == [("serialize", float(chunk.nbytes)),
+                       ("compress", float(chunk.nbytes)),
+                       ("encrypt", float(chunk.nbytes))]
+    [back], charges = IngressOp(TaxConfig()).run(wire.chunk)
+    assert charges == [("deserialize", float(wire.chunk.nbytes)),
+                       ("decrypt", float(wire.chunk.nbytes)),
+                       ("decompress", float(wire.chunk.nbytes))]
+    assert back.chunk.sorted_rows() == chunk.sorted_rows()
+    off = TaxConfig(compress=False, encrypt=False)
+    [plain], charges = EgressOp(off).run(chunk)
+    assert charges == [("serialize", float(chunk.nbytes))]
+    assert IngressOp(off).run(plain.chunk)[1] == [
+        ("deserialize", float(plain.chunk.nbytes))]
 
 
 def test_tax_stages_roundtrip_across_a_channel():
@@ -196,6 +230,29 @@ def test_tax_stages_roundtrip_across_a_channel():
     result = graph.run()
     assert result.table().sorted_rows() == table.sorted_rows()
     assert fabric.sim.pending_events == 0
+
+
+def test_tax_event_is_stamped_where_the_ops_work_starts():
+    # Tax ops hold no sim handle and stamp their ring event from the
+    # trace clock as they run; an executor runs an op first and then
+    # replays its charges, so that is the start of the chunk's work on
+    # the device (it used to be the end of it).
+    fabric = build_fabric(dataflow_spec())
+    table = make_lineitem(1000, chunk_rows=1000)
+    graph = StageGraph(fabric, name="tax")
+    src = graph.source("scan", table, medium=fabric.storage.medium)
+    egress = graph.stage("egress", "storage.nic",
+                         [EgressOp(TaxConfig(), trace=fabric.trace)])
+    sink = graph.sink("out", "compute0.cpu", [IngressOp(TaxConfig())])
+    graph.connect(src, egress)
+    graph.connect(egress, sink)
+    graph.run()
+    [event] = [e for e in fabric.trace.events
+               if e.kind == EventKind.TAX_EGRESS]
+    serialize, compress, encrypt = fabric.trace.spans[
+        f"device.{egress.device.name}"]
+    assert event.ts == serialize.start < serialize.end
+    assert serialize.end <= compress.start < encrypt.end
 
 
 # ---------------------------------------------------------------------------

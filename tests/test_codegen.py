@@ -2,7 +2,7 @@
 
 The contract under test: the cache key covers everything the generated
 code depends on (pipeline, entry schema); a pipeline codegen declines
-runs its parts' own ``process()`` with the same chunks and charges;
+is ``run_chain`` over its parts, same chunks and charges;
 and a kernel computes arrays equal in value *and dtype* to
 ``Expression.evaluate``.  (Kernel vs unfused engine runs, down to the
 event ring: ``tests/test_fusion.py``.)
@@ -14,7 +14,7 @@ import pytest
 from repro.engine import DataflowEngine, codegen
 from repro.engine.fusion import FusedOp
 from repro.engine.logical import Query
-from repro.engine.operators import FilterOp, MapOp, ProjectOp
+from repro.engine.operators import FilterOp, MapOp, ProjectOp, run_chain
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import Catalog
 from repro.relational.datagen import make_lineitem, make_orders
@@ -80,41 +80,30 @@ def test_compile_then_memory_hit():
 
 
 # ---------------------------------------------------------------------------
-# Fallback: a declined pipeline runs its parts' own process()
+# Fallback: a declined pipeline is run_chain over its parts
 # ---------------------------------------------------------------------------
 
 class _Opaque(Expression):
-    """An expression codegen has never heard of."""
+    """``inner`` behind a node type codegen has never heard of."""
+
+    def __init__(self, inner):
+        self.inner = inner
 
     def evaluate(self, chunk):
-        return np.asarray(chunk.columns["a"] > 5)
+        return self.inner.evaluate(chunk)
 
     def required_columns(self):
-        return {"a"}
+        return self.inner.required_columns()
 
     def __repr__(self):
-        return "opaque()"
-
-
-def _run_parts(parts, chunk):
-    """Output chunk and charges of the parts' process() in sequence."""
-    charges = []
-    current = chunk
-    for index, part in enumerate(parts):
-        if index:       # the executor charges the first part itself
-            charges.append((part.kind, part.charge_bytes(current)))
-        emits = part.process(current)
-        if not emits:
-            return None, charges
-        current = emits[0].chunk
-    return current, charges
+        return f"opaque({self.inner!r})"
 
 
 @pytest.mark.parametrize("cutoff, survivors", [(7, 2), (100, 0)])
 def test_unsupported_expression_runs_the_parts_themselves(cutoff,
                                                           survivors):
     def parts():
-        return [FilterOp(_Opaque()), ProjectOp(["a"]),
+        return [FilterOp(_Opaque(col("a") > 5)), ProjectOp(["a"]),
                 FilterOp(col("a") > lit(cutoff)),
                 MapOp({"c": col("a") * lit(2)},
                       Schema([Field("a", DataType.INT64),
@@ -123,22 +112,23 @@ def test_unsupported_expression_runs_the_parts_themselves(cutoff,
         "a": np.arange(10, dtype=np.int64),
         "b": np.zeros(10)})
     fused = FusedOp(parts())
-    charges = fused.extra_charges(chunk)
-    emits = fused.process(chunk)
+    emits, charges = fused.run(chunk)
     assert fused.kernel_origin == "unsupported"
     assert codegen.counters()["unsupported"] == 1
-    expected, expected_charges = _run_parts(parts(), chunk)
+    expected, expected_charges = run_chain(parts(), chunk)
     assert charges == expected_charges
-    # cutoff 100: the second filter empties the stream mid-chain, so
-    # the map behind it is never charged.
-    assert len(charges) == (3 if survivors else 2)
+    # The opaque filter keeps a in 6..9 (4 rows of 16 bytes, 8 once
+    # projected).  cutoff 100: the second filter empties the stream
+    # mid-chain, so the map behind it is never charged.
+    assert [nbytes for _, nbytes in charges] == (
+        [160.0, 64.0, 32.0] + ([8.0 * survivors] if survivors else []))
     if not survivors:
-        assert emits == [] and expected is None
+        assert emits == [] and expected == []
         return
-    [emit] = emits
-    assert emit.chunk.schema.names == expected.schema.names
-    assert emit.chunk.sorted_rows() == expected.sorted_rows()
-    assert emit.chunk.num_rows == survivors
+    [emit], [expected] = emits, expected
+    assert emit.chunk.schema.names == expected.chunk.schema.names == ["a", "c"]
+    assert emit.chunk.sorted_rows() == expected.chunk.sorted_rows()
+    assert emit.chunk.sorted_rows() == [(8, 16.0), (9, 18.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from repro.engine.operators import (
     MergeAggregate,
     PartialAggregate,
     PartitionOp,
+    PhysicalOp,
     ProjectOp,
     SortOp,
     group_inverse,
     partial_state_schema,
+    run_chain,
 )
 from repro.hardware import OpKind
 from repro.relational import Chunk, DataType, Field, Schema, col
@@ -26,6 +28,54 @@ def ints_chunk(**cols):
     schema = Schema([Field(n, DataType.INT64) for n in cols])
     return Chunk(schema, {n: np.asarray(v, dtype=np.int64)
                           for n, v in cols.items()})
+
+
+# ---------------------------------------------------------------------------
+# The executor-facing contract: run(chunk) -> (emits, charges)
+# ---------------------------------------------------------------------------
+
+def test_physical_op_contract_inventory():
+    """One executor-facing method; a second cannot creep back unseen."""
+    import repro.cloud.tax          # noqa: F401 - defines overrides
+    import repro.engine.fusion      # noqa: F401
+
+    public = {name for name, member in vars(PhysicalOp).items()
+              if callable(member) and not name.startswith("_")}
+    assert public == {"process", "run", "finish", "fused_parts"}
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    composite = {cls.__name__ for cls in subclasses(PhysicalOp)
+                 if cls.__module__.startswith("repro.")
+                 and "run" in vars(cls)}
+    assert composite == {"FusedOp", "EgressOp", "IngressOp"}
+
+
+def test_run_reports_the_input_bytes_under_the_ops_own_kind():
+    chunk = ints_chunk(a=[1, 5, 9], b=[2, 2, 2])
+    op = FilterOp(col("a") > 4)
+    [emit], charges = op.run(chunk)
+    assert emit.chunk.to_rows() == [(5, 2), (9, 2)]
+    assert charges == [(OpKind.FILTER, 48.0)]
+
+
+def test_run_chain_charges_per_emit_and_stops_at_an_empty_stream():
+    chunk = ints_chunk(a=[1, 5, 9, 13], b=[2, 2, 2, 2])
+    emits, charges = run_chain(
+        [PartitionOp("a", 2), ProjectOp(["a"])], chunk)
+    parts = PartitionOp("a", 2).process(chunk)
+    assert [e.chunk.num_rows for e in emits] == [
+        p.chunk.num_rows for p in parts]
+    assert charges == [(OpKind.PARTITION, 64.0)] + [
+        (OpKind.PROJECT, float(p.chunk.nbytes)) for p in parts]
+    # Nothing survives the filter: the projection is never charged.
+    assert run_chain([FilterOp(col("a") > 99), ProjectOp(["a"])],
+                     chunk) == ([], [(OpKind.FILTER, 64.0)])
+    # No operators: the chunk passes through, free.
+    [same], free = run_chain([], chunk)
+    assert same.chunk is chunk and free == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.engine.operators import (
     PartialAggregate,
     PartitionOp,
     ProjectOp,
+    run_chain,
 )
 from repro.flow import END, CreditChannel, RateLimiter, StageGraph
 from repro.hardware import build_fabric, dataflow_spec
@@ -275,6 +276,49 @@ def test_stage_graph_partition_router():
     combined = (result.tables["n0"].sorted_rows()
                 + result.tables["n1"].sorted_rows())
     assert sorted(combined) == table.sorted_rows()
+
+
+def test_stage_charges_its_device_exactly_what_run_chain_returns():
+    fabric = build_fabric(dataflow_spec())
+    table = make_uniform_table(1200, columns=2, distinct=50, seed=13,
+                               chunk_rows=400)
+
+    def free_ops():
+        return [FilterOp(col("k0") < 30)]
+
+    def charged_ops():
+        # Several emits per input: the projection runs once per
+        # partition, and is charged once per partition.
+        return [PartitionOp("k1", 3), ProjectOp(["k0"])]
+
+    graph = StageGraph(fabric, name="charges")
+    src = graph.source("scan", table, ops=free_ops())   # no site
+    sink = graph.sink("work", "compute0.cpu", charged_ops())
+    graph.connect(src, sink)
+    result = graph.run()
+    assert result.table().num_rows == int((table.column("k0") < 30).sum())
+
+    expected = []
+    for chunk in table.chunks:
+        [survivors], _ = run_chain(free_ops(), chunk)
+        emits, charges = run_chain(charged_ops(), survivors.chunk)
+        assert len(emits) == 3
+        expected += charges
+    assert [kind for kind, _ in expected] == (
+        ["partition", "project", "project", "project"] * 3)
+
+    device, trace = sink.device, fabric.trace
+    busy = [span.end - span.start
+            for span in trace.spans[f"device.{device.name}"]]
+    assert busy == pytest.approx(
+        [device.service_time(kind, nbytes) for kind, nbytes in expected])
+    for kind in ("partition", "project"):
+        assert trace.counter(f"device.{device.name}.bytes.{kind}") == sum(
+            nbytes for k, nbytes in expected if k == kind)
+    assert trace.counter(f"device.{device.name}.ops") == len(expected)
+    # The source has no device: its filter ran and cost nothing.
+    assert not [name for name in trace.counters
+                if name.endswith(".bytes.filter")]
 
 
 def test_stage_graph_rejects_unconnected_stage():

@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 * unit: ``fuse_ops`` rewrites exactly the maximal linear runs, and a
-  :class:`FusedOp` replays the same ``(kind, nbytes)`` charge sequence
-  the unfused executor would have produced;
+  :class:`FusedOp` returns the same ``(kind, nbytes)`` charge sequence
+  ``run_chain`` over its parts does;
 * chunk: selection-vector views are lazy, compose under chained
   filters, report the same ``nbytes`` as their materialised form, and
   settle at segment boundaries;
@@ -15,6 +15,8 @@ Three layers of guarantees:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.engine import (
@@ -34,6 +36,7 @@ from repro.engine.operators import (
     PartialAggregate,
     PartitionOp,
     ProjectOp,
+    run_chain,
 )
 from repro.hardware import build_fabric, dataflow_spec
 from repro.obs import table_checksum
@@ -41,12 +44,16 @@ from repro.relational import (
     Catalog,
     Chunk,
     DataType,
+    Field,
     Schema,
     col,
     lit,
     make_lineitem,
     make_orders,
 )
+
+from .test_codegen import _Opaque
+from .test_property_engines import COLUMNS, DISTINCT, column_names, predicates
 
 ROWS = 2000
 
@@ -131,26 +138,6 @@ def test_describe_op_marks_fused_segments():
 # Charge-sequence equivalence
 # ---------------------------------------------------------------------------
 
-def _unfused_charges(ops, chunk):
-    """The (kind, nbytes) sequence the unfused executor would charge."""
-    charges = []
-    current = chunk
-    for op in ops:
-        charges.append((op.kind, float(op.charge_bytes(current))))
-        charges.extend(op.extra_charges(current))
-        emits = op.process(current)
-        if not emits:
-            break
-        current = emits[0].chunk
-    return charges
-
-
-def _fused_charges(fused, chunk):
-    charges = [(fused.kind, float(fused.charge_bytes(chunk)))]
-    charges.extend(fused.extra_charges(chunk))
-    return charges
-
-
 def test_fused_charge_sequence_matches_unfused():
     ops = [FilterOp(col("a") > 3), ProjectOp(["a"]),
            MapOp({"c": col("a") * lit(2)},
@@ -158,33 +145,107 @@ def test_fused_charge_sequence_matches_unfused():
                            ("c", DataType.FLOAT64)))]
     chunk = _chunk(10)
     fused = fuse_ops(list(ops))[0]
-    assert _fused_charges(fused, chunk) == _unfused_charges(ops, chunk)
+    emits, charges = fused.run(chunk)
+    expected_emits, expected_charges = run_chain(ops, chunk)
+    assert charges == expected_charges
+    assert [kind for kind, _ in charges] == [op.kind for op in ops]
+    assert ([e.chunk.sorted_rows() for e in emits]
+            == [e.chunk.sorted_rows() for e in expected_emits])
 
 
 def test_fused_charges_stop_where_the_stream_empties():
     # The first filter keeps nothing: downstream parts are not charged,
-    # exactly like the unfused executor's early exit.
+    # exactly like the chain runner's early exit.
     ops = [FilterOp(col("a") > 100), ProjectOp(["a"])]
     chunk = _chunk(10)
     fused = fuse_ops(list(ops))[0]
-    fused_seq = _fused_charges(fused, chunk)
-    assert fused_seq == _unfused_charges(ops, chunk)
-    assert len(fused_seq) == 1  # only the filter itself
+    emits, charges = fused.run(chunk)
+    assert (emits, charges) == run_chain(ops, chunk)
+    assert emits == []
+    assert charges == [(ops[0].kind, float(chunk.nbytes))]
     assert fused.process(chunk) == []
 
 
-def test_fused_process_memo_serves_the_charged_chunk_once():
-    ops = [FilterOp(col("a") > 3), ProjectOp(["a"])]
-    fused = fuse_ops(list(ops))[0]
-    chunk = _chunk(10)
-    fused.extra_charges(chunk)          # executor charges first...
-    emits = fused.process(chunk)        # ...then processes same chunk
-    assert fused._memo_chunk is None    # memo consumed
-    [emit] = emits
-    assert emit.chunk.sorted_rows() == [(i,) for i in range(4, 10)]
-    # A process() without a preceding charge still computes correctly.
-    [again] = fused.process(chunk)
-    assert again.chunk.sorted_rows() == emit.chunk.sorted_rows()
+#: ``k0..k2`` (int64, what ``predicates`` compares) plus a float payload.
+_KEYED = Schema.of(*[(name, DataType.INT64) for name in COLUMNS],
+                   ("v", DataType.FLOAT64))
+
+
+@st.composite
+def _chains(draw):
+    """Operator recipes for a random Filter / Project / Map chain.
+
+    Over ``_KEYED``; projections keep the keys and drop some of the
+    rest, so every later filter stays bound.  Returns a factory —
+    operators carry state, each side of the comparison gets its own —
+    that can hide every expression from codegen.
+    """
+    steps = draw(st.lists(st.sampled_from(["filter", "project", "map"]),
+                          min_size=2, max_size=4)
+                 .filter(lambda kinds: kinds != ["project"] * len(kinds)))
+    schema = _KEYED
+    makers = []     # hide -> operator; hide wraps each expression
+    for index, step in enumerate(steps):
+        if step == "filter":
+            # Zero and full selectivity on purpose, the rest at random.
+            predicate = draw(st.one_of(
+                predicates(),
+                st.sampled_from([col("k0") < 0, col("k0") >= 0])))
+            makers.append(lambda hide, predicate=predicate:
+                          FilterOp(hide(predicate)))
+        elif step == "project":
+            keep = list(draw(st.permutations(COLUMNS)))
+            extras = [n for n in schema.names if n not in COLUMNS]
+            if extras:
+                keep += draw(st.lists(st.sampled_from(extras),
+                                      unique=True))
+            schema = schema.project(keep)
+            makers.append(lambda hide, keep=keep: ProjectOp(keep))
+        else:
+            left, right = draw(column_names), draw(column_names)
+            expr = draw(st.sampled_from([
+                col(left) * lit(2), col(left) + col(right),
+                col(left) - lit(0.5)]))
+            name = f"c{index}"
+            schema = Schema(list(schema.fields)
+                            + [Field(name, DataType.FLOAT64)])
+            makers.append(lambda hide, name=name, expr=expr, schema=schema:
+                          MapOp({name: hide(expr)}, schema))
+    if draw(st.booleans()):
+        group, summed = draw(column_names), draw(column_names)
+        makers.append(lambda hide, schema=schema: PartialAggregate(
+            schema, [group], [AggSpec("sum", summed, "s"),
+                              AggSpec("count", alias="n")]))
+
+    def build(opaque=False):
+        hide = _Opaque if opaque else (lambda expr: expr)
+        return [make(hide) for make in makers]
+    return build
+
+
+@pytest.mark.parametrize("declined", [False, True],
+                         ids=["kernel", "declined"])
+@given(build=_chains(), rows=st.sampled_from([0, 1, 64]))
+@settings(max_examples=40, deadline=None)
+def test_fused_run_equals_run_chain_over_its_parts(declined, build, rows):
+    rng = np.random.default_rng(rows)
+    chunk = Chunk(_KEYED, {
+        **{name: rng.integers(0, DISTINCT, rows) for name in COLUMNS},
+        "v": rng.random(rows)})
+    fused = FusedOp(build(opaque=declined))
+    emits, charges = fused.run(chunk)
+    expected, expected_charges = run_chain(build(opaque=declined), chunk)
+    if rows:
+        assert (fused.kernel_origin == "unsupported") == declined
+    assert charges == expected_charges
+    assert len(emits) == len(expected)
+    for emit, reference in zip(emits, expected):
+        got, want = emit.chunk.materialize(), reference.chunk.materialize()
+        assert emit.route == reference.route
+        assert got.schema == want.schema
+        for name in want.schema.names:
+            assert got.columns[name].dtype == want.columns[name].dtype
+            assert np.array_equal(got.columns[name], want.columns[name])
 
 
 # ---------------------------------------------------------------------------

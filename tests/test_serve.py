@@ -1,9 +1,12 @@
 """End-to-end tests for the multi-tenant serving stack."""
 
 import asyncio
+import dataclasses
+import inspect
 
 import pytest
 
+from repro.analysis.observatory import Observatory
 from repro.bench import compare_reports, run_suite
 from repro.obs import make_report, validate_report
 from repro.serve import (
@@ -19,6 +22,7 @@ from repro.serve import (
     schedule_for,
     serve_templates,
 )
+from repro.serve.telemetry import ServeTelemetry
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import standard_catalog
 
@@ -37,6 +41,16 @@ def make_server(config=None, tenants=None):
     server = QueryServer(fabric, catalog, tenants, serve_templates(),
                          config or ServeConfig())
     return server
+
+
+def test_serve_plane_option_inventory():
+    """The options some caller sets; the rest are module constants."""
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "max_concurrency", "max_queue", "telemetry", "observatory"]
+    assert list(inspect.signature(ServeTelemetry).parameters) == [
+        "tenants", "trace"]
+    assert list(inspect.signature(Observatory).parameters) == [
+        "tenants", "trace", "window_s", "link_bandwidth"]
 
 
 # ---------------------------------------------------------------------------
