@@ -25,6 +25,7 @@ from repro.engine.operators import (
     run_chain,
 )
 from repro.relational import (
+    Chunk,
     DataType,
     Field,
     Schema,
@@ -69,21 +70,55 @@ def test_micro_partial_aggregate_throughput(benchmark):
     benchmark.extra_info["rows"] = ROWS
 
 
-def test_micro_hash_join_probe_throughput(benchmark):
-    build_chunk = big_chunk(distinct=50_000, seed=1)
-    probe_chunk = big_chunk(distinct=50_000, seed=2)
+def _join_sides(scale):
+    """500k build rows and 50k probe rows keyed ``k0 * scale``.
+
+    ``scale`` 1 leaves the 50k distinct keys dense (the direct-address
+    index); a large one spreads them out (the binary-search path).  A
+    probe slice keeps the fan-out bounded.
+    """
+    schema = Schema([Field("k0", DataType.INT64),
+                     Field("k1", DataType.INT64)])
+    build, probe = (
+        Chunk(schema, {"k0": chunk.column("k0") * scale,
+                       "k1": chunk.column("k1")})
+        for chunk in (big_chunk(distinct=50_000, seed=1),
+                      big_chunk(distinct=50_000, seed=2).slice(0, 50_000)))
+    return schema, build, probe
+
+
+def _match_count(build, probe):
+    """Joined rows by a dict oracle; probe rows with a partner by isin."""
+    keys, counts = np.unique(build.column("k0"), return_counts=True)
+    per_key = dict(zip(keys.tolist(), counts.tolist()))
+    total = sum(per_key.get(k, 0) for k in probe.column("k0").tolist())
+    return total, int(np.isin(probe.column("k0"), keys).sum())
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 9], ids=["dense", "sparse"])
+def test_micro_hash_join_probe_throughput(benchmark, scale):
+    schema, build_chunk, probe_chunk = _join_sides(scale)
     state = JoinState()
     build = HashJoinBuild("k0", state)
     build.process(build_chunk)
     build.finish()
-    output = Schema([Field("k0", DataType.INT64),
-                     Field("k1", DataType.INT64)])
-    probe = HashJoinProbe("k0", state, output, {})
-    # Probe a slice so the fan-out stays bounded.
-    small_probe = probe_chunk.slice(0, 50_000)
-    result = benchmark(probe.process, small_probe)
-    assert result and result[0].chunk.num_rows > 0
-    benchmark.extra_info["probe_rows"] = 50_000
+    assert (state.starts is not None) == (scale == 1)
+    probe = HashJoinProbe("k0", state, schema, {})
+    [emit] = benchmark(probe.process, probe_chunk)
+    joined, _partnered = _match_count(build_chunk, probe_chunk)
+    assert emit.chunk.num_rows == joined
+    benchmark.extra_info["probe_rows"] = probe_chunk.num_rows
+
+
+def test_micro_hash_join_build_install_throughput(benchmark):
+    _schema, build_chunk, probe_chunk = _join_sides(1)
+    state = JoinState()
+    benchmark(state.install, build_chunk, "k0")
+    probe_idx, build_idx = state.match(probe_chunk.column("k0"))
+    joined, partnered = _match_count(build_chunk, probe_chunk)
+    assert len(probe_idx) == len(build_idx) == joined
+    assert len(np.unique(probe_idx)) == partnered
+    benchmark.extra_info["build_rows"] = ROWS
 
 
 def _pipeline_ops():

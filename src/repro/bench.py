@@ -752,6 +752,14 @@ def run_cli(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for row and query counts (every subcommand's)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)      # argparse: "invalid positive_int value"
+    return value
+
+
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="run the instrumented smoke scenarios "
@@ -774,7 +782,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="report tag (file is BENCH_<tag>.json)")
     parser.add_argument("--out", default=".",
                         help="directory the report is written to")
-    parser.add_argument("--rows", type=int, default=DEFAULT_ROWS,
+    parser.add_argument("--rows", type=positive_int, default=DEFAULT_ROWS,
                         help="base table rows for smoke scenarios")
     parser.add_argument("--bench-dir", default=None,
                         help="override the benchmarks/ directory")

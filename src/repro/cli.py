@@ -69,7 +69,7 @@ import argparse
 import os
 import sys
 
-from .bench import EXPERIMENTS, add_bench_arguments, run_cli
+from .bench import EXPERIMENTS, add_bench_arguments, positive_int, run_cli
 from .engine import (
     AggSpec,
     DataflowEngine,
@@ -103,14 +103,6 @@ def _input_error(reason) -> int:
     """Bad user input: one ``error:`` line, exit status 2 (as argparse)."""
     print(f"error: {reason}", file=sys.stderr)
     return 2
-
-
-def positive_int(text: str) -> int:
-    """argparse ``type=`` for row and query counts."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)      # argparse: "invalid positive_int value"
-    return value
 
 
 SPECS = {"dataflow": dataflow_spec, "conventional": conventional_spec}
@@ -211,9 +203,9 @@ def cmd_query(args) -> int:
 def _print_plan(graph, placement) -> None:
     """Render the compiled stage graph with fusion-segment boundaries.
 
-    Each stage lists its operators; a fused segment shows its parts
-    indented under one header, so the boundaries where selection
-    views materialize (stage emits) are visible at a glance.
+    Each stage lists its operators, a fused segment its parts
+    indented under one header, then the channels it emits on (chunks
+    cross them lazily: a column is gathered where it is first read).
     """
     from .engine import describe_op
     print(f"placement: {placement.name}   "
@@ -231,9 +223,8 @@ def _print_plan(graph, placement) -> None:
             for line in describe_op(op):
                 print(f"  {line}")
         if stage.outputs:
-            print(f"  -> materialize at stage boundary "
-                  f"({len(stage.outputs)} output channel"
-                  f"{'s' if len(stage.outputs) != 1 else ''})")
+            print(f"  -> {len(stage.outputs)} output channel"
+                  f"{'s' if len(stage.outputs) != 1 else ''}")
 
 
 def _print_kernels(graph) -> None:

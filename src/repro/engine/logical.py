@@ -38,6 +38,19 @@ __all__ = [
 _node_ids = itertools.count()
 
 
+def _bind(schema: Schema, names) -> Schema:
+    """``schema``, once it is known to have every one of ``names``.
+
+    ``Schema.field``'s ``KeyError`` (the name and the columns there
+    are) otherwise: a plan binds every name it mentions in
+    ``output_schema()``, before anything runs, not inside a column
+    mapping mid-simulation.
+    """
+    for name in names:
+        schema.field(name)
+    return schema
+
+
 @dataclass(frozen=True)
 class AggSpec:
     """One aggregate: ``AggSpec("sum", "l_extendedprice", "revenue")``."""
@@ -124,13 +137,14 @@ class Filter(PlanNode):
     def __init__(self, child: PlanNode, predicate: Expression):
         super().__init__([child])
         self.predicate = predicate
+        self._names = sorted(predicate.required_columns())
 
     @property
     def child(self) -> PlanNode:
         return self.children[0]
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        return self.child.output_schema(catalog)
+        return _bind(self.child.output_schema(catalog), self._names)
 
     def selectivity(self, catalog: Catalog) -> float:
         stats = self._column_stats(catalog)
@@ -186,13 +200,15 @@ class Map(PlanNode):
         if not exprs:
             raise ValueError("map requires at least one expression")
         self.exprs = dict(exprs)
+        self._names = sorted(set().union(
+            *(expr.required_columns() for expr in self.exprs.values())))
 
     @property
     def child(self) -> PlanNode:
         return self.children[0]
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        child_schema = self.child.output_schema(catalog)
+        child_schema = _bind(self.child.output_schema(catalog), self._names)
         fields = list(child_schema.fields)
         for name in self.exprs:
             if name in child_schema:
@@ -224,7 +240,8 @@ class Aggregate(PlanNode):
         return self.children[0]
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        child_schema = self.child.output_schema(catalog)
+        child_schema = _bind(self.child.output_schema(catalog),
+                             [a.column for a in self.aggs if a.column])
         fields = [child_schema.field(g) for g in self.group_by]
         fields += [Field(a.alias, a.result_dtype) for a in self.aggs]
         return Schema(fields)
@@ -271,8 +288,10 @@ class Join(PlanNode):
         return self.children[1]
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
+        left_schema = _bind(self.left.output_schema(catalog),
+                            [self.left_key])
+        right_schema = _bind(self.right.output_schema(catalog),
+                             [self.right_key])
         # Disambiguate clashes with an r_ prefix (right side).
         clashes = set(left_schema.names) & set(right_schema.names)
         fields = list(left_schema.fields)
@@ -318,7 +337,7 @@ class Sort(PlanNode):
         return self.children[0]
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        return self.child.output_schema(catalog)
+        return _bind(self.child.output_schema(catalog), self.keys)
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return self.child.estimate_rows(catalog)

@@ -11,9 +11,12 @@ pull-based Volcano model (§1, §7).
 Each stage is one simulation process.  Its loop: take a message from
 the inbox, run the chunk through the stage's operator chain
 (``run_chain``), replay the charges it returns on the stage's device,
-route the results to output channels, return the credit.  Stateful
-operators flush at end of stream.  ``depends_on`` lets a probe stage
-wait for its build stage — the one control dependency hash joins need.
+route the results to output channels, return the credit.  Chunks cross
+channels as the lazy views the operators produced — a channel charges
+the logical ``nbytes`` and the consumer gathers the columns it reads.
+Stateful operators flush at end of stream.  ``depends_on`` lets a
+probe stage wait for its build stage — the one control dependency
+hash joins need.
 """
 
 from __future__ import annotations
@@ -224,12 +227,8 @@ class Stage:
             if self.is_sink or not self.outputs:
                 self.collected.append(emit.chunk)
                 continue
-            # Emit is a fusion-segment boundary: settle lazy selection
-            # views here so laziness never crosses a channel (the
-            # consumer would re-gather per column otherwise).  Other
-            # payloads (the cloud tax's wire form) are never views.
-            if isinstance(emit.chunk, Chunk):
-                emit.chunk = emit.chunk.materialize()
+            # Lazy chunks cross the channel as they are: ``nbytes`` is
+            # logical, and the consumer gathers the columns it reads.
             nbytes = float(emit.chunk.nbytes)
             if self.router == "single":
                 yield from self.outputs[0].send(emit.chunk, nbytes)

@@ -6,6 +6,13 @@ produces chunks, and ``chunk.nbytes`` is the quantity charged to
 devices and links — the data the simulation moves is the data the
 query actually processes.
 
+Chunks materialise late: filters, takes, concatenations, arena
+windows and join outputs are views (:class:`_LazyColumns`) whose
+columns are produced when an operator first reads them, not when the
+chunk crosses a channel, while ``nbytes`` stays the logical ``rows x
+row_nbytes`` — the host pays for the columns a query reads, the
+simulation charges the rows it moves.
+
 A :class:`Table` is a list of chunks with one schema; it is what the
 catalog stores and what scans iterate over.
 """
@@ -13,7 +20,7 @@ catalog stores and what scans iterate over.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,88 +30,41 @@ from .schema import Field, Schema
 __all__ = ["Chunk", "Table"]
 
 
-class _SelectionColumns(Mapping):
-    """Columns viewed through a selection index, gathered lazily.
+class _LazyColumns(Mapping):
+    """Columns produced on first read and cached: late materialisation.
 
-    Backs a chunk in selection-vector mode: ``base`` holds the dense
-    parent columns (a plain dict or an :class:`_ArenaColumns` over
-    arena storage), ``sel`` the row indices this view selects.  A
-    column is gathered (``base[name][sel]``) only when first read and
-    cached, so fused pipeline stages that never touch a column never
-    pay for it.  Iteration (``dict(...)``, ``.items()``) gathers every
-    column — exactly the materialisation a fusion-segment boundary
-    needs.
+    The one mapping behind every chunk that is not a plain dict of
+    arrays.  A column costs nothing until an operator reads it, is
+    produced once (``produce(name)``: a concatenation, a gather
+    through a join's match indices) and then cached, so data crossing
+    channels, build tables and join outputs pays only for the columns
+    somebody reads.  ``num_rows`` and ``nbytes`` are logical — ``rows x
+    schema.row_nbytes``, exactly what the materialised chunk reports
+    (every source went through the checked constructor or an arena
+    build once, so dtypes are the schema's) — which keeps every
+    simulated charge independent of what has been gathered.
     """
 
-    __slots__ = ("schema", "names", "base", "sel", "_cache")
+    __slots__ = ("schema", "num_rows", "_produce", "_cache")
 
-    def __init__(self, schema: Schema, base, sel: np.ndarray):
-        self.schema = schema
-        self.names = tuple(schema.names)
-        self.base = base
-        self.sel = sel
-        self._cache: dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        column = self._cache.get(name)
-        if column is None:
-            if name not in self.names:
-                raise KeyError(name)
-            column = self.base[name][self.sel]
-            self._cache[name] = column
-        return column
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.sel)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the gathered columns occupy — without gathering.
-
-        ``rows x row_nbytes`` of the viewed schema: the base columns
-        went through the checked constructor (or arena build) once,
-        so their dtypes are exactly the schema's declared dtypes.
-        """
-        return len(self.sel) * self.schema.row_nbytes
-
-
-class _ArenaColumns(Mapping):
-    """Columns backed by a ``[start, stop)`` window of arena storage.
-
-    Zero-copy for plain columns (a contiguous buffer slice) and
-    decode-on-first-read for dictionary-encoded ones, with the decoded
-    slice cached so repeated reads (stage boundaries, checksums) pay
-    once.  ``nbytes`` is the *logical* size — rows times the schema's
-    declared row width — never the encoded physical size, so the
-    simulation charges arena-backed chunks identically to dense ones.
-    """
-
-    __slots__ = ("arena", "start", "stop", "schema", "_cache")
-
-    def __init__(self, arena: Arena, start: int, stop: int,
-                 schema: Schema,
+    def __init__(self, schema: Schema, num_rows: int,
+                 produce: Optional[Callable[[str], np.ndarray]] = None,
                  cache: Optional[dict[str, np.ndarray]] = None):
-        self.arena = arena
-        self.start = start
-        self.stop = stop
         self.schema = schema
-        self._cache: dict[str, np.ndarray] = (
-            {} if cache is None else cache)
+        self.num_rows = num_rows
+        self._produce = produce
+        self._cache: dict[str, np.ndarray] = {} if cache is None else cache
+
+    def _load(self, name: str) -> np.ndarray:
+        """Produce column ``name`` (subclasses: gather, decode)."""
+        return self._produce(name)
 
     def __getitem__(self, name: str) -> np.ndarray:
         column = self._cache.get(name)
         if column is None:
             if name not in self.schema:
                 raise KeyError(name)
-            column = self.arena.column_slice(name, self.start, self.stop)
-            self._cache[name] = column
+            column = self._cache[name] = self._load(name)
         return column
 
     def __iter__(self) -> Iterator[str]:
@@ -114,12 +74,51 @@ class _ArenaColumns(Mapping):
         return len(self.schema.names)
 
     @property
-    def num_rows(self) -> int:
-        return self.stop - self.start
-
-    @property
     def nbytes(self) -> int:
-        return (self.stop - self.start) * self.schema.row_nbytes
+        return self.num_rows * self.schema.row_nbytes
+
+
+class _SelectionColumns(_LazyColumns):
+    """Columns viewed through a selection index, gathered on read.
+
+    ``base`` holds the parent columns (a plain dict or any
+    :class:`_LazyColumns`), ``sel`` the row indices this view selects;
+    chained filters and takes compose their indices over the same
+    base instead of gathering between steps.
+    """
+
+    __slots__ = ("base", "sel")
+
+    def __init__(self, schema: Schema, base, sel: np.ndarray):
+        super().__init__(schema, len(sel))
+        self.base = base
+        self.sel = sel
+
+    def _load(self, name: str) -> np.ndarray:
+        return self.base[name][self.sel]
+
+
+class _ArenaColumns(_LazyColumns):
+    """Columns backed by a ``[start, stop)`` window of arena storage.
+
+    Zero-copy for plain columns (a contiguous buffer slice) and
+    decode-on-first-read for dictionary-encoded ones.  ``nbytes`` is
+    never the encoded physical size, so the simulation charges
+    arena-backed chunks identically to dense ones.
+    """
+
+    __slots__ = ("arena", "start", "stop")
+
+    def __init__(self, arena: Arena, start: int, stop: int,
+                 schema: Schema,
+                 cache: Optional[dict[str, np.ndarray]] = None):
+        super().__init__(schema, stop - start, cache=cache)
+        self.arena = arena
+        self.start = start
+        self.stop = stop
+
+    def _load(self, name: str) -> np.ndarray:
+        return self.arena.column_slice(name, self.start, self.stop)
 
     def codes(self, name: str) -> Optional[np.ndarray]:
         """Dictionary codes for ``name`` over this window, or None."""
@@ -178,28 +177,33 @@ class Chunk:
 
     @classmethod
     def _view(cls, schema: Schema, base, sel: np.ndarray) -> "Chunk":
-        """A zero-copy selection view over dense ``base`` columns.
+        """A zero-copy selection view over ``base`` columns.
 
         Nothing is gathered until a column is read; ``num_rows`` and
         ``nbytes`` come straight from the selection index, so charging
         a lazy chunk costs the same bytes as charging its
         materialised form.
         """
-        chunk = cls.__new__(cls)
-        chunk.schema = schema
-        chunk.columns = _SelectionColumns(schema, base, sel)
+        chunk = cls._from_valid(schema,
+                                _SelectionColumns(schema, base, sel))
         chunk._sel = sel
         return chunk
+
+    @classmethod
+    def _lazy(cls, schema: Schema, num_rows: int,
+              produce: Callable[[str], np.ndarray]) -> "Chunk":
+        """``num_rows`` rows whose columns are ``produce(name)``, each
+        called at most once, when the column is first read."""
+        return cls._from_valid(schema,
+                               _LazyColumns(schema, num_rows, produce))
 
     @classmethod
     def _from_arena(cls, schema: Schema, arena: Arena, start: int,
                     stop: int,
                     cache: Optional[dict[str, np.ndarray]] = None) -> "Chunk":
         """A zero-copy window over arena storage (rows [start, stop))."""
-        chunk = cls.__new__(cls)
-        chunk.schema = schema
-        chunk.columns = _ArenaColumns(arena, start, stop, schema, cache)
-        return chunk
+        return cls._from_valid(
+            schema, _ArenaColumns(arena, start, stop, schema, cache))
 
     @classmethod
     def empty(cls, schema: Schema) -> "Chunk":
@@ -211,16 +215,17 @@ class Chunk:
         """Concatenate chunks sharing a schema into one.
 
         A single chunk is returned as-is (chunks are immutable by
-        convention, so aliasing is safe) — no reallocation.
+        convention, so aliasing is safe) — no reallocation.  Several
+        are concatenated column by column, each on first read.
         """
         if not chunks:
             raise ValueError("concat of zero chunks")
         if len(chunks) == 1:
             return chunks[0]
-        schema = chunks[0].schema
-        return cls._from_valid(schema, {
-            name: np.concatenate([c.columns[name] for c in chunks])
-            for name in schema.names})
+        chunks = list(chunks)
+        return cls._lazy(
+            chunks[0].schema, sum(c.num_rows for c in chunks),
+            lambda name: np.concatenate([c.columns[name] for c in chunks]))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -228,8 +233,6 @@ class Chunk:
     def num_rows(self) -> int:
         if not self.schema.names:
             return 0
-        if self._sel is not None:
-            return len(self._sel)
         columns = self.columns
         if type(columns) is dict:
             return len(columns[self.schema.names[0]])
@@ -285,17 +288,12 @@ class Chunk:
         return Chunk._view(self.schema, self.columns, np.flatnonzero(mask))
 
     def take(self, indices: np.ndarray) -> "Chunk":
-        """Rows at ``indices`` (may repeat / reorder)."""
+        """Rows at ``indices`` (may repeat / reorder) — a lazy view:
+        only the columns actually read pay a gather or a decode."""
         if self._sel is not None:
             return Chunk._view(self.schema, self.columns.base,
                                self._sel[indices])
-        if type(self.columns) is _ArenaColumns:
-            # Gather lazily: only columns actually read pay a decode.
-            return Chunk._view(self.schema, self.columns,
-                               np.asarray(indices))
-        return Chunk._from_valid(
-            self.schema,
-            {n: col[indices] for n, col in self.columns.items()})
+        return Chunk._view(self.schema, self.columns, np.asarray(indices))
 
     def slice(self, start: int, stop: int) -> "Chunk":
         if self._sel is not None:
@@ -317,16 +315,16 @@ class Chunk:
 
         Dense and arena-backed chunks return themselves (arena windows
         already are settled storage — reads are buffer slices or
-        cached decodes); selection views gather each column once
-        (through the view's cache) and drop the index.
-        Fusion-segment boundaries — emit onto a channel, partition,
-        join build/probe, aggregate state update, table assembly —
-        call this so laziness never escapes a pipeline segment.
+        cached decodes); every other lazy chunk produces each column
+        once (through its cache) into a plain dict.  Only owners of
+        long-lived data call this (:meth:`Table.append`); everything
+        else reads the columns it needs.
         """
-        if self._sel is None:
+        columns = self.columns
+        if type(columns) in (dict, _ArenaColumns):
             return self
         return Chunk._from_valid(
-            self.schema, {n: self.columns[n] for n in self.schema.names})
+            self.schema, {n: columns[n] for n in self.schema.names})
 
     def with_column(self, field: Field, values: np.ndarray) -> "Chunk":
         """A new chunk with one extra column appended."""
@@ -471,8 +469,9 @@ class Table:
         # An appended chunk breaks the single-arena invariant, so
         # whole-column reads fall back to per-chunk concatenation.
         self._arena = None
-        # Tables are long-lived; a lazy selection view appended here
-        # would re-gather on every read, so settle it once.
+        # Tables are long-lived; a lazy chunk appended here would pin
+        # whatever it views (a build side, a scanned window), so
+        # settle it once.
         self._chunks.append(chunk.materialize())
 
     @property

@@ -142,6 +142,30 @@ HOSTILE = {
     "sql-garbage": (["sql", "garbage"], "expected SELECT"),
     "sql-unknown-column": (["sql", "select nope from lineitem",
                             "--rows", "400"], "no column 'nope' (have:"),
+    # Every clause binds its names before anything runs (each was a
+    # bare KeyError from inside a column mapping, mid-simulation).
+    "sql-unknown-where": (["sql", "select l_orderkey from lineitem "
+                           "where nope > 3", "--rows", "400"],
+                          "no column 'nope' (have: ['l_orderkey', "),
+    "sql-unknown-order-by": (["sql", "select l_orderkey from lineitem "
+                              "order by nope limit 3", "--rows", "400"],
+                             "no column 'nope' (have: ['l_orderkey'])"),
+    "sql-unknown-agg-arg": (["sql", "select l_returnflag, sum(nope) as s "
+                             "from lineitem group by l_returnflag",
+                             "--rows", "400"],
+                            "no column 'nope' (have: ['l_orderkey', "),
+    "sql-unknown-left-key": (["sql", "select o_priority, count(*) as n "
+                              "from lineitem join orders on nope = "
+                              "o_orderkey group by o_priority",
+                              "--rows", "400"],
+                             "no column 'nope' (have: ['l_orderkey', "),
+    "sql-unknown-right-key": (["sql", "select o_priority, count(*) as n "
+                               "from lineitem join orders on l_orderkey "
+                               "= nope group by o_priority",
+                               "--rows", "400"],
+                              "no column 'nope' (have: ['o_orderkey', "),
+    "bench-rows": (["bench", "--smoke", "--rows", "-5"],
+                   "invalid positive_int value: '-5'"),
     "whatif-query": (["whatif", "--query", "nope"], "'f1', 'f2'"),
     "optimize-query": (["optimize", "--query", "nope"], "'f1', 'f2'"),
     "report-queries": (["report", "--queries", "nope"],

@@ -433,4 +433,5 @@ def test_query_plan_flag_prints_fusion_boundaries(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "fused segment" in out
-    assert "materialize at stage boundary" in out
+    assert "-> 1 output channel" in out
+    assert "materialize" not in out      # chunks cross channels lazily
