@@ -347,8 +347,7 @@ class HeterogeneousFabric(Fabric):
         return cls.RESOURCE_ALIASES.get(resource, resource)
 
     def _links_by_segment(self, segment: str) -> list:
-        return [data["link"] for _, _, data in self.graph.edges(data=True)
-                if data["link"].segment == segment]
+        return [link for link in self.links() if link.segment == segment]
 
     def _all_nics(self) -> list[NIC]:
         nics = [node.nic for node in self.compute]

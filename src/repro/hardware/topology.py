@@ -3,8 +3,10 @@
 A :class:`Fabric` owns the simulator, the trace, a set of named
 devices, and an undirected graph whose nodes are *locations* (strings)
 and whose edges carry :class:`~repro.hardware.interconnect.Link`
-objects.  Devices sit at locations; data moves between locations along
-shortest paths, store-and-forward per chunk.
+objects — a plain ``{location: {neighbour: link}}`` adjacency routed
+by breadth-first search (in every preset fabric the fewest-hop path
+between two locations is unique).  Devices sit at locations; data moves
+between locations along shortest paths, store-and-forward per chunk.
 
 The fabric is the substrate every experiment shares: the CPU-centric
 baseline and the data-flow engine run on the *same* fabric, so their
@@ -13,9 +15,7 @@ byte counters are directly comparable.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-import networkx as nx
+from typing import Generator, Iterator, Optional
 
 from ..sim import Simulator, Trace
 from .device import Device
@@ -35,7 +35,7 @@ class Fabric:
                  trace: Optional[Trace] = None):
         self.sim = sim if sim is not None else Simulator()
         self.trace = trace if trace is not None else Trace()
-        self.graph = nx.Graph()
+        self._adjacent: dict[str, dict[str, Link]] = {}
         self.devices: dict[str, Device] = {}
         self._locations: dict[str, str] = {}  # device name -> node
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
@@ -44,7 +44,7 @@ class Fabric:
 
     def add_location(self, node: str) -> str:
         """Declare a passive location (e.g. ``dram0``, ``ssd0``)."""
-        self.graph.add_node(node)
+        self._adjacent.setdefault(node, {})
         self._route_cache.clear()
         return node
 
@@ -59,10 +59,9 @@ class Fabric:
 
     def connect(self, a: str, b: str, link: Link) -> Link:
         """Join locations ``a`` and ``b`` with ``link``."""
-        self.graph.add_node(a)
-        self.graph.add_node(b)
-        self.graph.add_edge(a, b, link=link)
-        self._route_cache.clear()
+        self.add_location(a)
+        self.add_location(b)
+        self._adjacent[a][b] = self._adjacent[b][a] = link
         return link
 
     # -- lookup ------------------------------------------------------------
@@ -77,7 +76,16 @@ class Fabric:
 
     def link_between(self, a: str, b: str) -> Link:
         """The direct link joining two adjacent locations."""
-        return self.graph.edges[a, b]["link"]
+        return self._adjacent[a][b]
+
+    def links(self) -> Iterator[Link]:
+        """Every link once: locations in the order they were declared,
+        each one's links in the order they were connected."""
+        done: set[str] = set()
+        for node, neighbours in self._adjacent.items():
+            yield from (link for other, link in neighbours.items()
+                        if other not in done)
+            done.add(node)
 
     def device_slots(self) -> dict[str, int]:
         """Parallel slot count per device (for utilization math)."""
@@ -98,15 +106,20 @@ class Fabric:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        if src == dst:
-            self._route_cache[key] = []
-            return []
-        try:
-            nodes = nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NoRouteError(f"no route {src!r} -> {dst!r}") from exc
-        links = [self.graph.edges[a, b]["link"]
-                 for a, b in zip(nodes, nodes[1:])]
+        # Breadth-first from dst: every location reached learns its
+        # next hop toward dst, so the walk from src is in travel order.
+        toward = {dst: dst}
+        for node in (reached := [dst]):
+            for other in self._adjacent.get(node, ()):
+                if other not in toward:
+                    toward[other] = node
+                    reached.append(other)
+        if src not in toward:
+            raise NoRouteError(f"no route {src!r} -> {dst!r}")
+        links = []
+        while src != dst:
+            links.append(self._adjacent[src][toward[src]])
+            src = toward[src]
         self._route_cache[key] = links
         return links
 
@@ -162,12 +175,9 @@ class Fabric:
         report: dict[str, float] = {}
         for name, device in sorted(self.devices.items()):
             report[f"device:{name}"] = device.utilization(elapsed)
-        seen: set[str] = set()
-        for _a, _b, data in self.graph.edges(data=True):
-            link = data["link"]
-            if link.name not in seen:
-                seen.add(link.name)
-                report[f"link:{link.name}"] = link.utilization(elapsed)
+        for link in self.links():
+            report.setdefault(f"link:{link.name}",
+                              link.utilization(elapsed))
         return report
 
     def run(self, until: Optional[float] = None) -> None:

@@ -4,13 +4,21 @@ A :class:`Arena` owns the physical storage of a table built in one
 shot (``Table.from_arrays``): each column is a single contiguous
 array covering every row, and chunks become zero-copy ``[start,
 stop)`` views instead of per-chunk copies.  String columns are
-dictionary-encoded — a *sorted* pool of distinct values plus an
-``int32`` code per row — so gathers, group-bys, and equality work
-touch 4-byte codes instead of fixed-width unicode rows.  Because the
-pool is sorted, code order equals lexicographic order: ``np.unique``
-over codes and ``np.unique`` over the decoded strings yield the same
-groups in the same order, which is what keeps dictionary encoding
-invisible to checksums and simulated byte counts.
+dictionary-encoded — a *sorted* pool of exactly the distinct values
+that occur plus an ``int32`` code per row — so gathers, group-bys, and
+equality work touch 4-byte codes instead of fixed-width unicode rows.
+Because the pool is sorted, code order equals lexicographic order:
+``np.unique`` over codes and ``np.unique`` over the decoded strings
+yield the same groups in the same order, which is what keeps
+dictionary encoding invisible to checksums and simulated byte counts.
+
+A string column gets there from either input form: a dense ``<U``
+array (hand-built tables) is deduplicated by :func:`_encode`; an
+:class:`Encoded` one — indices into a small pool, the form generators
+draw strings in — is adopted by :func:`_adopt` with integer work over
+the codes and string work over the pool, never building ``rows x
+width`` unicode.  Both share one dict-or-plain decision and yield
+bit-identical columns for the same values.
 
 The arena is a *physical* layout change only.  Logical byte counts —
 ``chunk.nbytes``, the quantity charged to devices and links — are
@@ -26,13 +34,14 @@ round-trip contracts are in place and tested.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import DataType, Schema
+from .schema import DataType, Field, Schema
 
-__all__ = ["Arena", "ArenaColumn"]
+__all__ = ["Arena", "ArenaColumn", "Encoded"]
 
 #: Dictionary-encode a string column only when the pool is smaller
 #: than the rows it describes — a pool as large as the data would
@@ -78,9 +87,57 @@ class ArenaColumn:
         return self.pool[self.codes[start:stop]]
 
 
+@dataclass(frozen=True, eq=False)
+class Encoded:
+    """A string column handed over as drawn: row i is ``pool[codes[i]]``.
+
+    An *input* form for ``Table.from_arrays``, not a storage layout:
+    ``pool`` may repeat values, hold values no row uses and be wider
+    than the field; :func:`_adopt` makes the canonical column of it.
+    """
+
+    codes: np.ndarray
+    pool: Union[np.ndarray, Sequence[str]]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def checked(self, field: Field) -> "Encoded":
+        """In-range integer codes into a ``field``-typed pool, or a
+        ``ValueError`` here rather than an ``IndexError`` in a gather."""
+        what = f"encoded column {field.name!r}"
+        if field.dtype != DataType.STRING:
+            raise ValueError(f"{what}: field is {field.dtype}, only "
+                             f"string columns take codes + pool")
+        try:
+            pool = np.asarray(self.pool, dtype=field.numpy_dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}: pool is not coercible to "
+                             f"{field.numpy_dtype.str}: {exc}") from exc
+        codes = np.asarray(self.codes)
+        if pool.ndim != 1 or codes.ndim != 1:
+            raise ValueError(f"{what}: pool and codes must be 1-D, got "
+                             f"shapes {pool.shape} and {codes.shape}")
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"{what}: codes must be integers, "
+                             f"got dtype {codes.dtype}")
+        if len(codes) and not (0 <= codes.min()
+                               and codes.max() < len(pool)):
+            raise ValueError(
+                f"{what}: codes span [{codes.min()}, {codes.max()}], "
+                f"outside the pool's [0, {len(pool)})")
+        return Encoded(codes.astype(np.intp, copy=False), pool)
+
+
+def _dict_pays(pool_size: int, rows: int) -> bool:
+    """The one dict-or-plain decision, given the distinct-value count."""
+    return 0 < pool_size <= _DICT_MAX_POOL_FRACTION * rows
+
+
 def _encode(values: np.ndarray) -> ArenaColumn:
-    """Dictionary-encode ``values`` when profitable, else store plain."""
-    if values.dtype.kind == "U" and len(values):
+    """Dense ``values`` stored plain, or, for strings where it pays,
+    dictionary-encoded."""
+    if values.dtype.kind == "U":
         # Equivalent to np.unique(values, return_inverse=True) but
         # ~3x faster on low-cardinality string columns: hash-dedup
         # via a Python set, then one vectorized searchsorted for the
@@ -88,44 +145,54 @@ def _encode(values: np.ndarray) -> ArenaColumn:
         # so the pool (and therefore codes and downstream checksums)
         # is bit-identical to the np.unique form.
         uniques = sorted(set(values.tolist()))
-        pool = np.array(uniques, dtype=values.dtype)
-        if len(pool) <= _DICT_MAX_POOL_FRACTION * len(values):
+        if _dict_pays(len(uniques), len(values)):
+            pool = np.array(uniques, dtype=values.dtype)
             codes = np.searchsorted(pool, values)
             return ArenaColumn(codes=np.ascontiguousarray(
                 codes, dtype=np.int32), pool=pool)
     return ArenaColumn(buffer=np.ascontiguousarray(values))
 
 
+def _adopt(column: Encoded) -> ArenaColumn:
+    """What :func:`_encode` makes of ``pool[codes]``, without making
+    it: ``bincount`` finds the pool entries that occur, ``np.unique``
+    sorts and dedups them, one int32 gather renumbers the codes."""
+    codes, pool = column.codes, column.pool
+    used = np.bincount(codes, minlength=len(pool)) > 0
+    uniques, rank = np.unique(pool[used], return_inverse=True)
+    if not _dict_pays(len(uniques), len(codes)):
+        return ArenaColumn(buffer=pool[codes])
+    remap = np.zeros(len(pool), dtype=np.int32)
+    remap[used] = rank
+    return ArenaColumn(codes=remap[codes], pool=uniques)
+
+
 class Arena:
     """Contiguous SoA storage for one table's rows."""
 
-    __slots__ = ("schema", "num_rows", "columns", "_row_nbytes",
-                 "_full_cache")
+    __slots__ = ("schema", "num_rows", "columns", "_full_cache")
 
     def __init__(self, schema: Schema, columns: dict[str, ArenaColumn],
                  num_rows: int):
         self.schema = schema
         self.columns = columns
         self.num_rows = num_rows
-        self._row_nbytes = schema.row_nbytes
         # Full-column decodes (Table.column, checksums) cached once.
         self._full_cache: dict[str, np.ndarray] = {}
 
     @classmethod
-    def build(cls, schema: Schema, columns: dict[str, np.ndarray],
-              validity: Optional[dict[str, np.ndarray]] = None,
-              dictionary: bool = True) -> "Arena":
-        """Arena storage for already-validated, schema-typed arrays."""
+    def build(cls, schema: Schema,
+              columns: dict[str, Union[np.ndarray, Encoded]],
+              validity: Optional[dict[str, np.ndarray]] = None) -> "Arena":
+        """Arena storage for already-validated, schema-typed columns."""
         validity = validity or {}
         store: dict[str, ArenaColumn] = {}
         rows = 0
         for field in schema.fields:
             values = columns[field.name]
             rows = len(values)
-            if dictionary and field.dtype == DataType.STRING:
-                column = _encode(values)
-            else:
-                column = ArenaColumn(buffer=np.ascontiguousarray(values))
+            column = (_adopt(values) if isinstance(values, Encoded)
+                      else _encode(values))
             mask = validity.get(field.name)
             if mask is not None:
                 mask = np.ascontiguousarray(mask, dtype=bool)

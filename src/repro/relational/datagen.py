@@ -5,12 +5,18 @@ controllable scale) plus generic helpers with tunable skew.  All
 generators are seeded, so every experiment is reproducible bit for
 bit.  The schemas carry wide comment columns on purpose: they make
 projection pushdown matter, which is the point of Figure 2.
+
+String columns are born encoded: a generator draws ``n`` indices into
+a small pool of phrases and hands the table exactly that (an
+:class:`~repro.relational.arena.Encoded`); ``n x width`` unicode is
+never built just for the arena to turn it back into those indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .arena import Encoded
 from .catalog import Catalog
 from .schema import DataType, Field, Schema
 from .table import Table
@@ -57,13 +63,13 @@ def zipf_ints(rng: np.random.Generator, n: int, n_values: int,
     return ((raw - 1) % n_values).astype(np.int64)
 
 
-def random_strings(rng: np.random.Generator, n: int, words: int = 4,
-                   width: int = 32, pool: int = 4096) -> np.ndarray:
+def _phrases(rng: np.random.Generator, n: int, words: int,
+             width: int, pool: int = 4096) -> Encoded:
     """``n`` phrases of ``words`` dictionary words, truncated to width.
 
-    Phrases are drawn from a pre-built pool of ``pool`` distinct
-    combinations (a bounded vocabulary, like real comment columns),
-    which keeps generation vectorized.
+    Phrases are drawn from a pre-built pool of ``pool`` combinations
+    (a bounded vocabulary, like real comment columns), which keeps
+    generation vectorized and the column encoded from birth.
     """
     pool = min(pool, max(1, n))
     picks = rng.integers(0, len(_WORDS), size=(pool, words))
@@ -71,7 +77,14 @@ def random_strings(rng: np.random.Generator, n: int, words: int = 4,
     # a per-row ``" ".join(...)[:width]``.
     phrases = np.array([" ".join([_WORDS[j] for j in row])
                         for row in picks.tolist()], dtype=f"<U{width}")
-    return phrases[rng.integers(0, pool, size=n)]
+    return Encoded(rng.integers(0, pool, size=n), phrases)
+
+
+def random_strings(rng: np.random.Generator, n: int, words: int = 4,
+                   width: int = 32, pool: int = 4096) -> np.ndarray:
+    """:func:`_phrases` decoded into a dense ``<U{width}`` array."""
+    column = _phrases(rng, n, words, width, pool)
+    return column.pool[column.codes]
 
 
 def lineitem_schema(comment_width: int = 44) -> Schema:
@@ -134,8 +147,8 @@ def make_lineitem(n: int, seed: int = 7, orders: int = 0,
         "l_extendedprice": rng.uniform(1.0, 100000.0, size=n),
         "l_discount": rng.uniform(0.0, 0.1, size=n).round(2),
         "l_shipdate": uniform_ints(rng, n, 8000, 11000),
-        "l_returnflag": rng.choice(np.array(["A", "N", "R"]), size=n),
-        "l_comment": random_strings(rng, n, words=5, width=44),
+        "l_returnflag": Encoded(rng.choice(3, size=n), ["A", "N", "R"]),
+        "l_comment": _phrases(rng, n, words=5, width=44),
     }
     return Table.from_arrays(schema, columns, name="lineitem",
                              chunk_rows=chunk_rows)
@@ -153,7 +166,7 @@ def make_orders(n: int, seed: int = 11, customers: int = 0,
         "o_totalprice": rng.uniform(100.0, 500000.0, size=n),
         "o_orderdate": uniform_ints(rng, n, 8000, 11000),
         "o_priority": uniform_ints(rng, n, 1, 5),
-        "o_comment": random_strings(rng, n, words=4, width=32),
+        "o_comment": _phrases(rng, n, words=4, width=32),
     }
     return Table.from_arrays(schema, columns, name="orders",
                              chunk_rows=chunk_rows)
@@ -169,7 +182,7 @@ def make_customer(n: int, seed: int = 13,
         "c_nationkey": uniform_ints(rng, n, 0, 24),
         "c_acctbal": rng.uniform(-999.0, 9999.0, size=n),
         "c_mktsegment": uniform_ints(rng, n, 0, 4),
-        "c_comment": random_strings(rng, n, words=4, width=32),
+        "c_comment": _phrases(rng, n, words=4, width=32),
     }
     return Table.from_arrays(schema, columns, name="customer",
                              chunk_rows=chunk_rows)

@@ -20,11 +20,11 @@ catalog stores and what scans iterate over.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .arena import Arena
+from .arena import Arena, Encoded
 from .schema import Field, Schema
 
 __all__ = ["Chunk", "Table"]
@@ -349,6 +349,12 @@ class Chunk:
 
     # -- dictionary / validity introspection -----------------------------------
 
+    def _arena_window(self) -> Optional[_ArenaColumns]:
+        """The arena window this chunk reads, directly or through a
+        selection view; None over any other storage."""
+        base = self.columns if self._sel is None else self.columns.base
+        return base if type(base) is _ArenaColumns else None
+
     def dict_codes(self, name: str) -> Optional[np.ndarray]:
         """Dictionary codes for column ``name``, or None if not encoded.
 
@@ -358,43 +364,24 @@ class Chunk:
         results bit-identical to the decoded column.  Selection views
         over arena storage gather the codes through their index.
         """
-        columns = self.columns
-        if self._sel is not None:
-            base = columns.base
-            if type(base) is _ArenaColumns:
-                codes = base.codes(name)
-                if codes is not None:
-                    return codes[self._sel]
-            return None
-        if type(columns) is _ArenaColumns:
-            return columns.codes(name)
-        return None
+        window = self._arena_window()
+        codes = None if window is None else window.codes(name)
+        if codes is None or self._sel is None:
+            return codes
+        return codes[self._sel]
 
     def dict_pool(self, name: str) -> Optional[np.ndarray]:
         """The sorted dictionary pool for ``name``, or None."""
-        columns = self.columns
-        if self._sel is not None:
-            base = columns.base
-            if type(base) is _ArenaColumns:
-                return base.pool(name)
-            return None
-        if type(columns) is _ArenaColumns:
-            return columns.pool(name)
-        return None
+        window = self._arena_window()
+        return None if window is None else window.pool(name)
 
     def validity(self, name: str) -> Optional[np.ndarray]:
         """Row validity mask for ``name`` (None means all valid)."""
-        columns = self.columns
-        if self._sel is not None:
-            base = columns.base
-            if type(base) is _ArenaColumns:
-                mask = base.validity(name)
-                if mask is not None:
-                    return mask[self._sel]
-            return None
-        if type(columns) is _ArenaColumns:
-            return columns.validity(name)
-        return None
+        window = self._arena_window()
+        mask = None if window is None else window.validity(name)
+        if mask is None or self._sel is None:
+            return mask
+        return mask[self._sel]
 
     # -- test/oracle helpers ---------------------------------------------------
 
@@ -428,36 +415,40 @@ class Table:
             self.append(chunk)
 
     @classmethod
-    def from_arrays(cls, schema: Schema, columns: dict[str, np.ndarray],
+    def from_arrays(cls, schema: Schema,
+                    columns: dict[str, Union[np.ndarray, Encoded]],
                     name: str = "", chunk_rows: int = 65536) -> "Table":
         """Build a table over arena storage, chunked as window views.
 
-        The arrays become one contiguous arena (strings dictionary-
-        encoded when profitable); each chunk is a zero-copy ``[start,
-        stop)`` view of it, so chunking copies nothing and whole-
-        column reads (:meth:`column`, :meth:`combined`) come straight
-        off the arena.
+        The columns become one contiguous arena (strings dictionary-
+        encoded when profitable, an :class:`Encoded` one without ever
+        being made dense); each chunk is a zero-copy ``[start, stop)``
+        view of it, so chunking copies nothing and whole-column reads
+        (:meth:`column`, :meth:`combined`) come straight off the arena.
         """
         if set(columns) != set(schema.names):
             raise ValueError(
                 f"columns {sorted(columns)} do not match schema "
                 f"{schema.names}")
-        arrays = {
-            name_: np.asarray(columns[name_],
-                              dtype=schema.field(name_).numpy_dtype)
-            for name_ in schema.names
-        }
-        lengths = {len(col) for col in arrays.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        rows = lengths.pop() if lengths else 0
-        arena = Arena.build(schema, arrays)
+        arrays = {}
+        for field in schema.fields:
+            column = columns[field.name]
+            arrays[field.name] = (
+                column.checked(field) if isinstance(column, Encoded)
+                else np.asarray(column, dtype=field.numpy_dtype))
+        lengths = {name_: len(col) for name_, col in arrays.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"ragged columns: lengths {lengths}")
+        return cls._windowed(Arena.build(schema, arrays), name, chunk_rows)
+
+    @classmethod
+    def _windowed(cls, arena: Arena, name: str, chunk_rows: int) -> "Table":
+        """A table of ``chunk_rows``-row windows over ``arena``."""
+        schema, rows = arena.schema, arena.num_rows
         table = cls(schema, name=name)
         for start in range(0, max(rows, 1), chunk_rows):
-            stop = min(start + chunk_rows, rows)
-            if stop - start or rows == 0:
-                table._chunks.append(
-                    Chunk._from_arena(schema, arena, start, stop))
+            table._chunks.append(Chunk._from_arena(
+                schema, arena, start, min(start + chunk_rows, rows)))
         table._arena = arena
         return table
 
@@ -505,7 +496,10 @@ class Table:
         return Chunk.concat(self._chunks)
 
     def rechunk(self, chunk_rows: int) -> "Table":
-        """The same rows re-split into chunks of ``chunk_rows``."""
+        """The same rows re-split into chunks of ``chunk_rows`` (new
+        windows over the same arena when the table has one)."""
+        if self._arena is not None:
+            return Table._windowed(self._arena, self.name, chunk_rows)
         return Table.from_arrays(self.schema, self.combined().columns,
                                  name=self.name, chunk_rows=chunk_rows)
 

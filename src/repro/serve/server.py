@@ -164,9 +164,7 @@ class QueryServer:
             self.telemetry = ServeTelemetry(self.tenants, fabric.trace)
         self.observatory: Optional[Observatory] = None
         if self.config.observatory:
-            bandwidth = {
-                data["link"].name: data["link"].bandwidth
-                for _a, _b, data in fabric.graph.edges(data=True)}
+            bandwidth = {link.name: link.bandwidth for link in fabric.links()}
             self.observatory = Observatory(
                 self.tenants, fabric.trace, link_bandwidth=bandwidth)
         self._running: set[str] = set()
