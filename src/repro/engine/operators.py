@@ -281,7 +281,7 @@ def group_inverse(chunk: Chunk,
         else:
             unique, inverse = _unique_inverse(chunk.columns[g])
         groups = Chunk(chunk.schema.project([g]), {g: unique})
-        return groups, inverse.astype(np.int64)
+        return groups, inverse.astype(np.int64, copy=False)
     dtype = [(g, chunk.columns[g].dtype) for g in group_by]
     records = np.empty(n, dtype=dtype)
     for g in group_by:
@@ -290,7 +290,7 @@ def group_inverse(chunk: Chunk,
     schema = chunk.schema.project(group_by)
     groups = Chunk(schema, {g: np.ascontiguousarray(unique[g])
                             for g in group_by})
-    return groups, inverse.astype(np.int64)
+    return groups, inverse.astype(np.int64, copy=False)
 
 
 def _state_fields(aggs) -> list[tuple[str, str, str]]:
@@ -324,28 +324,29 @@ def partial_state_schema(input_schema: Schema, group_by: Sequence[str],
 
 
 def _reduce_states(groups: Chunk, inverse: np.ndarray, chunk: Chunk,
-                   aggs, schema: Schema, from_states: bool) -> Chunk:
-    """Collapse rows of ``chunk`` into one state row per group."""
-    n_groups = max(1, groups.num_rows) if groups.schema.names else 1
-    if groups.schema.names:
-        n_groups = groups.num_rows
+                   fields, schema: Schema, from_states: bool) -> Chunk:
+    """Collapse rows of ``chunk`` into one state row per group.
+
+    ``fields`` is ``_state_fields(aggs)``, derived once per operator.
+    """
+    n_groups = groups.num_rows if groups.schema.names else 1
     columns = dict(groups.columns)
-    for name, dtype, source in _state_fields(aggs):
-        if from_states:
-            values = chunk.column(name)
-        elif name.endswith("$cnt"):
-            values = np.ones(chunk.num_rows, dtype=np.int64)
-        else:
-            values = chunk.column(source).astype(np.float64)
+    for name, dtype, source in fields:
+        if name.endswith("$cnt") and not from_states:
+            # Counting raw rows: an unweighted integer bincount.
+            columns[name] = np.bincount(
+                inverse, minlength=n_groups).astype(np.int64, copy=False)
+            continue
+        values = chunk.column(name if from_states else source).astype(
+            np.float64, copy=False)
         if name.endswith("$min"):
             out = np.full(n_groups, np.inf)
-            np.minimum.at(out, inverse, values.astype(np.float64))
+            np.minimum.at(out, inverse, values)
         elif name.endswith("$max"):
             out = np.full(n_groups, -np.inf)
-            np.maximum.at(out, inverse, values.astype(np.float64))
+            np.maximum.at(out, inverse, values)
         else:
-            out = np.bincount(inverse, weights=values.astype(np.float64),
-                              minlength=n_groups)
+            out = np.bincount(inverse, weights=values, minlength=n_groups)
             if name.endswith("$cnt"):
                 out = out.astype(np.int64)
         columns[name] = out
@@ -358,18 +359,21 @@ class PartialAggregate(PhysicalOp):
     kind = OpKind.AGGREGATE
 
     def __init__(self, input_schema: Schema, group_by: Sequence[str],
-                 aggs):
+                 aggs, state_schema: Optional[Schema] = None):
         self.group_by = list(group_by)
         self.aggs = list(aggs)
-        self.state_schema = partial_state_schema(input_schema, group_by,
-                                                 aggs)
+        # A compiler that builds this operator once per query derives
+        # the state schema once per plan and hands it in.
+        self.state_schema = state_schema or partial_state_schema(
+            input_schema, group_by, aggs)
+        self._fields = _state_fields(aggs)
         self.name = f"partial_agg({','.join(group_by) or '*'})"
 
     def process(self, chunk: Chunk) -> list[Emit]:
         if chunk.num_rows == 0:
             return []
         groups, inverse = group_inverse(chunk, self.group_by)
-        state = _reduce_states(groups, inverse, chunk, self.aggs,
+        state = _reduce_states(groups, inverse, chunk, self._fields,
                                self.state_schema, from_states=False)
         return [Emit(state)]
 
@@ -387,11 +391,13 @@ class MergeAggregate(PhysicalOp):
                  aggs, final: bool = False,
                  output_schema: Optional[Schema] = None,
                  batch: int = 8,
-                 expected_groups: Optional[int] = None):
+                 expected_groups: Optional[int] = None,
+                 state_schema: Optional[Schema] = None):
         self.group_by = list(group_by)
         self.aggs = list(aggs)
-        self.state_schema = partial_state_schema(input_schema, group_by,
-                                                 aggs)
+        self.state_schema = state_schema or partial_state_schema(
+            input_schema, group_by, aggs)
+        self._fields = _state_fields(aggs)
         self.final = final
         self.output_schema = output_schema
         # Non-final merges coalesce a bounded window of `batch` state
@@ -412,7 +418,7 @@ class MergeAggregate(PhysicalOp):
 
     def _merge(self, chunk: Chunk) -> Chunk:
         groups, inverse = group_inverse(chunk, self.group_by)
-        return _reduce_states(groups, inverse, chunk, self.aggs,
+        return _reduce_states(groups, inverse, chunk, self._fields,
                               self.state_schema, from_states=True)
 
     def process(self, chunk: Chunk) -> list[Emit]:

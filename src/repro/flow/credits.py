@@ -26,9 +26,14 @@ bit-identical, while each message skips several Event/Process/
 generator-frame allocations.  The only slot deliberately removed in
 *both* paths is the former unconditional ``timeout(0.0)`` a
 zero-latency credit return used to yield — pure event churn.  Set
-``REPRO_SLOW_FLOW=1`` (read at channel construction) to force the
-generator-based reference flows the determinism gates compare
-against.
+``REPRO_SLOW_FLOW=1`` to force the generator-based reference flows
+the determinism gates compare against (read once per stage graph, or
+at construction by a channel built on its own).
+
+A served query builds its channels anew, so construction derives
+nothing a link already knows: the per-hop span name and counters are
+the :class:`~repro.hardware.interconnect.Link`'s own handles, and the
+stall counters are bound when the first stall is charged.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ __all__ = ["END", "CreditChannel", "flow_fast_path"]
 
 
 def flow_fast_path() -> bool:
-    """Whether new channels/stages use the callback fast path."""
+    """Whether new stage graphs/channels use the callback fast path."""
     return not os.environ.get("REPRO_SLOW_FLOW")
 
 
@@ -189,7 +194,7 @@ class CreditChannel:
                  rate_limiter: Optional[RateLimiter] = None,
                  cpu_mediator: Optional[Device] = None,
                  actor: str = "", direction: str = "",
-                 qid: int = 0):
+                 qid: int = 0, fast: Optional[bool] = None):
         if credits < 1:
             raise ValueError("credit window must be >= 1")
         self.sim = sim
@@ -213,21 +218,19 @@ class CreditChannel:
         self.qid = qid
         self._tokens = Store(sim, capacity=credits,
                              name=f"{name}.credits")
-        for _ in range(credits):
-            self._tokens.items.append(True)
+        self._tokens.items.extend([True] * credits)
         self.in_flight_or_queued = 0
         self.max_outstanding = 0
+        # Summed here, not kept per route: a link's latency is a
+        # what-if knob, and the next channel must see it turned.
         self._reverse_latency = sum(link.latency
                                     for link in self.links)
         # Callback fast path unless the reference flag forces the
-        # generator flows (read here so tests can toggle per channel).
-        self._fast = flow_fast_path()
+        # generator flows (a stage graph reads it once and passes it).
+        self._fast = flow_fast_path() if fast is None else fast
         # Counter handles and per-hop terms, resolved once instead of
         # per message (the f-string keys used to dominate trace.add).
-        self._stall_credit = trace.counter_handle(
-            f"flow.{name}.stall.credit_s")
-        self._stall_link = trace.counter_handle(
-            f"flow.{name}.stall.link_s")
+        self._stall_credit = self._stall_link = None
         self._flow_bytes = trace.counter_handle(f"flow.{name}.bytes")
         self._messages = trace.counter_handle(f"flow.{name}.messages")
         self._control_bytes = trace.counter_handle(
@@ -235,11 +238,8 @@ class CreditChannel:
         self._control_total = trace.counter_handle(
             "flow.control.total_bytes")
         self._hops = [
-            (link,
-             f"link.{link.name}",
-             trace.counter_handle(f"link.{link.name}.bytes"),
-             trace.counter_handle(f"link.{link.name}.chunks"),
-             trace.counter_handle(f"movement.{link.segment}.bytes"),
+            (link, link._span_name, link._byte_count, link._chunk_count,
+             link._segment_bytes,
              # Pre-built movement-ledger key — record_movement's
              # per-call tuple construction, hoisted.
              (link.name, self.actor, self.direction))
@@ -276,6 +276,9 @@ class CreditChannel:
             # queue was full.  This is the "credit-starved" bucket of
             # the backpressure attribution report.
             stall = sim.now - credit_wait_from
+            if self._stall_credit is None:
+                self._stall_credit = trace.counter_handle(
+                    f"flow.{self.name}.stall.credit_s")
             self._stall_credit.add(stall)
             trace.emit(credit_wait_from, EventKind.CREDIT_STALL,
                        self.name, nbytes=nbytes, dur=stall)
@@ -329,6 +332,9 @@ class CreditChannel:
             # other traffic on the route (rate limiter, port
             # contention, CPU mediation) — the "downstream-full"
             # bucket.
+            if self._stall_link is None:
+                self._stall_link = trace.counter_handle(
+                    f"flow.{self.name}.stall.link_s")
             self._stall_link.add(wire_overhead)
         flow_id = trace.next_flow_id()
         trace.emit(sim.now, EventKind.CHUNK_EMIT, self.name,

@@ -72,13 +72,10 @@ class Stage:
         self.chunks_out = 0
         self._rr = itertools.count()
         self._metric = f"stage.{graph.name}.{name}"
-        # Hot-path interning: the per-message series key, the
-        # device-stall counter handle, and the flow fast-path flag
-        # (resolved once, like CreditChannel does).
+        # Hot-path interning: the per-message series key and the
+        # device-stall counter handle (bound at the first stall).
         self._inbox_series = f"{self._metric}.inbox"
-        self._stall_device = graph.trace.counter_handle(
-            f"{self._metric}.stall.device_s")
-        self._fast = flow_fast_path()
+        self._stall_device = None
 
     # -- execution ---------------------------------------------------------
 
@@ -148,7 +145,7 @@ class Stage:
             raise RuntimeError(
                 f"stage {self.name!r} has no inputs and no source")
         sim, trace, inbox = self.graph.sim, self.graph.trace, self.inbox
-        fast = self._fast
+        fast = self.graph.fast
         # Prebound series list + inlined tick: one sample per message.
         # (A consumer always samples at least once — one END per
         # input — so creating the series entry up front adds no key.)
@@ -198,6 +195,9 @@ class Stage:
         stall = ((self.graph.sim.now - before)
                  - self.device.service_time(kind, nbytes))
         if stall > 1e-12:
+            if self._stall_device is None:
+                self._stall_device = self.graph.trace.counter_handle(
+                    f"{self._metric}.stall.device_s")
             self._stall_device.add(stall)
 
     def _apply(self, ops: Sequence[PhysicalOp], chunk: Chunk) -> Generator:
@@ -301,6 +301,12 @@ class StageGraph:
         # from shared hardware code — is tenant-attributable.
         self.qid = qid
         self.default_credits = default_credits
+        # The flow fast-path switch, read once for every stage and
+        # channel of this graph.
+        self.fast = flow_fast_path()
+        #: The engine recipe this graph is an instance of (None for a
+        #: hand-wired graph); set by the compiler that built it.
+        self.recipe = None
         self.stages: dict[str, Stage] = {}
         self.channels: list[CreditChannel] = []
         self.started_at: Optional[float] = None
@@ -338,21 +344,21 @@ class StageGraph:
     def stage(self, name: str, site: str,
               ops: Sequence[PhysicalOp],
               router: str = "single",
-              depends_on: Iterable[Event] = ()) -> Stage:
+              depends_on: Iterable[Event] = (),
+              is_sink: bool = False) -> Stage:
         """A processing stage pinned to a fabric site."""
         device = self.fabric.site_device(site)
         location = self.fabric.site_location(site)
         return self._add(Stage(self, name, device, location, ops=ops,
-                               router=router, depends_on=depends_on))
+                               router=router, depends_on=depends_on,
+                               is_sink=is_sink))
 
     def sink(self, name: str, site: str,
              ops: Sequence[PhysicalOp] = (),
              depends_on: Iterable[Event] = ()) -> Stage:
         """A terminal stage that collects its output chunks."""
-        device = self.fabric.site_device(site)
-        location = self.fabric.site_location(site)
-        return self._add(Stage(self, name, device, location, ops=ops,
-                               depends_on=depends_on, is_sink=True))
+        return self.stage(name, site, ops, depends_on=depends_on,
+                          is_sink=True)
 
     def connect(self, src: Stage, dst: Stage,
                 credits: Optional[int] = None,
@@ -369,7 +375,7 @@ class StageGraph:
             rate_limiter=rate_limiter, cpu_mediator=cpu_mediator,
             actor=f"{self.name}.{src.name}",
             direction=f"{src.location}->{dst.location}",
-            qid=self.qid)
+            qid=self.qid, fast=self.fast)
         src.outputs.append(channel)
         dst.inputs.append(channel)
         self.channels.append(channel)

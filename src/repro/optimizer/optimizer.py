@@ -10,7 +10,7 @@ pick one at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..engine.logical import PlanNode, Query
@@ -29,6 +29,11 @@ class RankedPlacement:
 
     placement: Placement
     cost: PlanCost
+    #: The engine's pipeline recipe for this placement, kept here by an
+    #: executor that runs the variant more than once; the optimizer
+    #: neither sets nor reads it.
+    recipe: Optional[object] = field(default=None, repr=False,
+                                     compare=False)
 
     @property
     def score(self) -> float:

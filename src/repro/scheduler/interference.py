@@ -12,7 +12,6 @@ of the most loaded resource if that variant were admitted now.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Mapping
 
 from ..optimizer.cost import PlanCost
@@ -25,14 +24,16 @@ def demand_vector(cost: PlanCost) -> dict[str, float]:
 
     Devices and links are both resources; keys are site names and
     link names, so variants that use disjoint hardware have disjoint
-    vectors.
+    vectors.  The vector is kept on the cost it was derived from (a
+    finished cost is not edited): a cached variant is scored and
+    admitted once per query.  Callers must not mutate it.
     """
-    vector: dict[str, float] = {}
-    for site, seconds in cost.device_time.items():
-        vector[f"device:{site}"] = vector.get(f"device:{site}", 0.0) \
-            + seconds
-    for link, seconds in cost.link_time.items():
-        vector[f"link:{link}"] = vector.get(f"link:{link}", 0.0) + seconds
+    vector = cost.__dict__.get("_demand_vector")
+    if vector is None:
+        vector = cost._demand_vector = {
+            f"device:{site}": s for site, s in cost.device_time.items()}
+        vector.update(
+            (f"link:{link}", s) for link, s in cost.link_time.items())
     return vector
 
 
@@ -41,26 +42,31 @@ class LoadTracker:
 
     def __init__(self):
         self._loads: dict[str, dict[str, float]] = {}
+        self._total = None      # load(), until the mix next changes
 
     def admit(self, job_name: str, vector: Mapping[str, float]) -> None:
         if job_name in self._loads:
             raise ValueError(f"job {job_name!r} already admitted")
         self._loads[job_name] = dict(vector)
+        self._total = None
 
     def release(self, job_name: str) -> None:
         self._loads.pop(job_name, None)
+        self._total = None
 
     @property
     def active_jobs(self) -> list[str]:
         return sorted(self._loads)
 
     def load(self) -> dict[str, float]:
-        """Current total demand per resource."""
-        total: dict[str, float] = defaultdict(float)
-        for vector in self._loads.values():
-            for resource, seconds in vector.items():
-                total[resource] += seconds
-        return dict(total)
+        """Current total demand per resource (summed once per mix: one
+        pick scores every variant against it; do not mutate)."""
+        if self._total is None:
+            total = self._total = {}
+            for vector in self._loads.values():
+                for resource, seconds in vector.items():
+                    total[resource] = total.get(resource, 0.0) + seconds
+        return self._total
 
     def interference_score(self, vector: Mapping[str, float]) -> float:
         """Projected busiest-resource time if ``vector`` is admitted."""

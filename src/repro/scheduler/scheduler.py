@@ -212,21 +212,18 @@ class QueryExecutor:
 
         engine = DataflowEngine(self.fabric, self.catalog,
                                 rate_limiter=limiter)
+        # The recipe stays beside the variant: the next query that
+        # picks it instantiates the pipeline instead of re-deriving it.
         graph = engine.compile(query, variant.placement, name=name,
-                               qid=qid)
+                               qid=qid, recipe=variant.recipe)
+        variant.recipe = graph.recipe
         graph.start()
         yield sim.all_of([s.done for s in graph.stages.values()])
 
         record.finished = sim.now
         trace.close_span(span, sim.now)
         trace.add("sched.completed", 1)
-        sinks = [s for s in graph.stages.values() if s.is_sink]
-        schema = query.plan.output_schema(self.catalog)
-        table = Table(schema)
-        for sink in sinks:
-            for chunk in sink.collected:
-                table.append(chunk)
-        record.table = table
+        record.table = graph.recipe.result_table(graph)
         self.tracker.release(name)
         trace.sample("sched.active", sim.now,
                      len(self.tracker.active_jobs))

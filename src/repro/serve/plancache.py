@@ -1,30 +1,38 @@
-"""The plan cache: repeat queries skip optimization entirely.
+"""The plan cache: a served template is planned and prepared once.
 
 Optimization (placement enumeration + costing) dominates the
-server-side CPU cost of a small query, and serving workloads repeat
-the same templates thousands of times.  The cache is keyed on the
-*logical query fingerprint* plus the *context fingerprint* (schema +
-statistics of the referenced tables, and the fabric's shape) so a
-schema change, a data change, or a different fabric invalidates
-stale entries instead of silently replaying a wrong placement.
+server-side CPU cost of a small query, what follows from its result
+(demand vectors, schemas, the stage graph's shape) is as fixed as the
+result, and serving workloads repeat the same templates thousands of
+times.  The cache is keyed on the *logical query fingerprint* plus
+the *context fingerprint* (schema + statistics of the referenced
+tables, and the fabric's shape) so a schema change, a data change, or
+a different fabric invalidates stale entries instead of silently
+replaying a wrong placement.
 
-Placements are stored in a plan-instance-independent form: node ids
-are rebased onto the plan's deterministic walk order, so a cached
-entry re-binds onto the *fresh* plan object each submission builds
-(fresh plans keep node ids unique across concurrent queries).  A hit
-therefore yields placements and costs bit-identical to what the
-optimizer would have produced — cached and uncached runs simulate
-identically, which the tests pin.
+An entry holds the plan it was stored with and that plan's ranked
+variants as they are.  A lookup with the same plan instance (the
+server keeps one ``Query`` per template) returns those very objects,
+and with them what later layers keep there: the scheduler's demand
+vector on each cost, the engine's pipeline recipe on each variant
+(which checks for itself that catalog version, fabric and engine
+options still hold).  Eviction and invalidation drop it all.
+
+Placements are also stored in a plan-instance-independent form (node
+ids rebased onto the plan's deterministic walk order), so a lookup
+with a *different* instance of an equal plan re-binds the entry onto
+it.  Either way a hit yields placements and costs bit-identical to
+what the optimizer would have produced — cached and uncached runs
+simulate identically, which the tests pin.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..engine.logical import PlanNode, Query, Scan
-from ..engine.placement import Placement
 from ..optimizer.optimizer import RankedPlacement
 
 __all__ = ["PlanCache", "plan_fingerprint", "schema_fingerprint",
@@ -58,8 +66,8 @@ def plan_fingerprint(plan) -> str:
     operator, predicate, column list, or tree shape changes it.
     The digest is cached on the root node: logical trees are
     immutable once built (the cache already relies on lookup-time
-    and store-time fingerprints agreeing), and serving templates
-    reuse one plan object across every query.
+    and store-time fingerprints agreeing), and the server reuses one
+    plan object per template across every query.
     """
     root = _plan_of(plan)
     cached = root.__dict__.get("_fingerprint")
@@ -102,21 +110,31 @@ def schema_fingerprint(catalog, tables: list[str]) -> str:
     return digest.hexdigest()
 
 
+def _context(catalog, fabric, tables: list[str]) -> str:
+    return (schema_fingerprint(catalog, tables) + ":"
+            + fabric_fingerprint(fabric))
+
+
 @dataclass
 class _CachedVariant:
-    """One placement in walk-order (instance-independent) form."""
+    """One placement's site chains in walk order: the one part of a
+    ranked variant that is bound to a plan instance (by node id)."""
 
-    chains: list[list[str]]
-    result_site: str
-    partitions: int
-    name: str
-    cost: object  # PlanCost — plan-instance independent
+    chains: list[Optional[list[str]]]
 
 
 @dataclass
 class _CacheEntry:
     context: str
     variants: list[_CachedVariant]
+    #: The plan instance the entry was stored with, its base tables,
+    #: and its ranked variants exactly as stored.
+    plan: PlanNode
+    tables: list[str]
+    ranked: list[RankedPlacement]
+    #: (catalog, its version, fabric) the context last held under: a
+    #: hit under the same three re-derives no digest.
+    held_under: tuple
     hits: int = 0
 
 
@@ -135,21 +153,15 @@ def _detach(plan: PlanNode,
                     "store() must receive the same plan object the "
                     "variants were planned for")
             chains[index] = list(chain)
-        variants.append(_CachedVariant(
-            chains=chains,
-            result_site=candidate.placement.result_site,
-            partitions=candidate.placement.partitions,
-            name=candidate.placement.name,
-            cost=candidate.cost))
+        variants.append(_CachedVariant(chains))
     return variants
 
 
-def _rebind(plan: PlanNode,
-            variants: list[_CachedVariant]) -> list[RankedPlacement]:
-    """Bind cached placements onto a fresh plan instance."""
+def _rebind(plan: PlanNode, entry: "_CacheEntry") -> list[RankedPlacement]:
+    """Bind an entry's placements onto another instance of its plan."""
     nodes = list(plan.walk())
     ranked = []
-    for variant in variants:
+    for variant, stored in zip(entry.variants, entry.ranked):
         if len(variant.chains) != len(nodes):
             raise ValueError("cached placement does not match plan "
                              "shape")
@@ -157,10 +169,7 @@ def _rebind(plan: PlanNode,
                  for i, chain in enumerate(variant.chains)
                  if chain is not None}
         ranked.append(RankedPlacement(
-            Placement(sites=sites, result_site=variant.result_site,
-                      partitions=variant.partitions,
-                      name=variant.name),
-            variant.cost))
+            replace(stored.placement, sites=sites), stored.cost))
     return ranked
 
 
@@ -173,30 +182,15 @@ class PlanCache:
     misses: int = 0
     invalidations: int = 0
     _entries: dict[str, _CacheEntry] = field(default_factory=dict)
-    #: Memoized context keys: (catalog id+version, tables, fabric id)
-    #: -> digest.  Serving recomputes the same context per query;
-    #: the catalog version bump keeps invalidation semantics intact.
-    _context_memo: dict = field(default_factory=dict, repr=False)
-
-    def context_key(self, catalog, fabric, plan) -> str:
-        tables = tuple(referenced_tables(plan))
-        memo_key = (id(catalog), catalog.version, tables, id(fabric))
-        cached = self._context_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        context = (schema_fingerprint(catalog, list(tables))
-                   + ":" + fabric_fingerprint(fabric))
-        if len(self._context_memo) >= 64:
-            self._context_memo.clear()
-        self._context_memo[memo_key] = context
-        return context
 
     def lookup(self, plan, catalog, fabric
                ) -> Optional[list[RankedPlacement]]:
-        """Cached variants re-bound to ``plan``, or None on miss.
+        """Cached variants bound to ``plan``, or None on miss.
 
-        An entry planned under a different schema or fabric context
-        is *invalidated* (dropped and counted) rather than returned.
+        The entry's own variants when ``plan`` is the instance it was
+        stored with, otherwise a re-binding onto ``plan``.  An entry
+        planned under a different schema or fabric context is
+        *invalidated* (dropped and counted) rather than returned.
         """
         plan = _plan_of(plan)
         key = plan_fingerprint(plan)
@@ -204,14 +198,20 @@ class PlanCache:
         if entry is None:
             self.misses += 1
             return None
-        if entry.context != self.context_key(catalog, fabric, plan):
-            del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
-            return None
+        under = (catalog, catalog.version, fabric)
+        if entry.held_under != under:
+            # Equal fingerprints scan equal tables: the entry's serve.
+            if entry.context != _context(catalog, fabric, entry.tables):
+                del self._entries[key]
+                self.invalidations += 1
+                self.misses += 1
+                return None
+            entry.held_under = under
         entry.hits += 1
         self.hits += 1
-        return _rebind(plan, entry.variants)
+        if plan is entry.plan:
+            return entry.ranked
+        return _rebind(plan, entry)
 
     def store(self, plan, catalog, fabric,
               ranked: list[RankedPlacement]) -> None:
@@ -219,17 +219,17 @@ class PlanCache:
         key = plan_fingerprint(plan)
         if len(self._entries) >= self.capacity \
                 and key not in self._entries:
-            # Evict the least-hit (then oldest) entry.
+            # Evict the least-hit entry, the oldest among equals:
+            # ``min`` keeps the first it sees and ``_entries`` is in
+            # insertion order.
             victim = min(self._entries,
-                         key=lambda k: (self._entries[k].hits, k))
+                         key=lambda k: self._entries[k].hits)
             del self._entries[victim]
+        tables = referenced_tables(plan)
         self._entries[key] = _CacheEntry(
-            context=self.context_key(catalog, fabric, plan),
-            variants=_detach(plan, ranked))
-
-    def invalidate_all(self) -> None:
-        self.invalidations += len(self._entries)
-        self._entries.clear()
+            context=_context(catalog, fabric, tables),
+            variants=_detach(plan, ranked), plan=plan, tables=tables,
+            ranked=ranked, held_under=(catalog, catalog.version, fabric))
 
     def __len__(self) -> int:
         return len(self._entries)

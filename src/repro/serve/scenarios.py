@@ -38,9 +38,9 @@ __all__ = ["SERVE_SCENARIOS", "ServeScenario", "serve_templates",
 def serve_templates() -> dict[str, Callable[[], Query]]:
     """The query templates tenants draw from.
 
-    Factories, not instances: every submission builds a fresh plan
-    (node ids are globally unique), and the plan cache proves the
-    fresh instances fingerprint identically.
+    Factories, not instances: each server calls a factory once and
+    keeps the plan (node ids are globally unique across servers); the
+    plan cache proves fresh instances fingerprint identically.
     """
     return {
         "count_hot": lambda: (

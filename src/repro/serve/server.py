@@ -144,6 +144,10 @@ class QueryServer:
         if len(self.tenants) != len(tenants):
             raise ValueError("duplicate tenant names")
         self.templates = dict(templates)
+        #: One ``Query`` per template name, built at its first admitted
+        #: submission: the plan instance its plan-cache entry is stored
+        #: with, so a hit hands back the entry's own prepared variants.
+        self._queries: dict[str, Query] = {}
         for tenant in tenants:
             missing = set(tenant.templates) - set(self.templates)
             if missing:
@@ -225,7 +229,9 @@ class QueryServer:
                 on_done(record)
             return record
 
-        query = self.templates[template]()
+        query = self._queries.get(template)
+        if query is None:
+            query = self._queries[template] = self.templates[template]()
         variants = self.plan_cache.lookup(query, self.catalog,
                                           self.fabric)
         if variants is None:
