@@ -73,6 +73,7 @@ def run(pushdown: bool) -> dict:
     return {
         "mode": "select-pushdown" if pushdown else "get-then-filter",
         "revenue": revenue,
+        "objects": len(store.keys("sales/")),
         "bytes_scanned": store.bill.bytes_scanned,
         "bill": store.bill.dollars,
         "bytes_returned": returned,
@@ -84,10 +85,12 @@ def main() -> None:
     baseline = run(pushdown=False)
     pushed = run(pushdown=True)
     print(f"{'':>18} {'get-then-filter':>18} {'select-pushdown':>18}")
-    for field in ("revenue", "bytes_scanned", "bill", "bytes_returned",
-                  "elapsed_ms"):
+    for field in ("objects", "revenue", "bytes_scanned", "bill",
+                  "bytes_returned", "elapsed_ms"):
         a, b = baseline[field], pushed[field]
-        if field == "bill":
+        if field == "objects":
+            print(f"{field:>18} {a:>18,d} {b:>18,d}")
+        elif field == "bill":
             print(f"{field:>18} {a:>18.8f} {b:>18.8f}")
         else:
             print(f"{field:>18} {a:>18,.1f} {b:>18,.1f}")

@@ -12,7 +12,9 @@ proposes near-memory functional units for exactly this gap:
 
 This example runs a batch of point lookups plus a format conversion
 both ways — CPU-centric and near-memory — over the same real data
-structures, and compares memory-bus traffic and time.
+structures, and compares memory-bus traffic and time.  It opens with
+the conventional server's own handicap (§5.1): the same scan homed on
+the neighbour socket pays the NUMA hop.
 
 Run:  python examples/near_memory_htap.py
 """
@@ -25,6 +27,7 @@ from repro.hardware import (
     HierarchicalBlockStore,
     NearMemoryAccelerator,
     OpKind,
+    Server,
     chase_near_memory,
     chase_on_cpu,
 )
@@ -65,6 +68,7 @@ def lookup_batch(on_accel: bool) -> dict:
 
     found = sim.run_process(run())
     return {"found": found, "tree_height": store.height,
+            "dram_gib_s": socket.aggregate_bandwidth() / (1 << 30),
             "membus_mib": trace.counter("movement.membus.bytes")
             / (1 << 20),
             "elapsed_ms": sim.now * 1e3}
@@ -75,10 +79,11 @@ def transpose(on_accel: bool) -> dict:
                      Field("amount", DataType.FLOAT64),
                      Field("flag", DataType.BOOL)])
     rng = np.random.default_rng(11)
-    columnar = Chunk(schema, {
+    columnar = Chunk(Schema(schema.fields[:2]), {
         "order_id": np.arange(TRANSPOSE_ROWS, dtype=np.int64),
         "amount": rng.uniform(0, 1000, TRANSPOSE_ROWS),
-        "flag": rng.uniform(0, 1, TRANSPOSE_ROWS) > 0.5})
+    }).with_column(schema.field("flag"),
+                   rng.uniform(0, 1, TRANSPOSE_ROWS) > 0.5)
     rows = to_row_major(columnar)           # the OLTP-resident layout
     sim, trace, socket, accel = env()
 
@@ -107,11 +112,23 @@ def transpose(on_accel: bool) -> dict:
             "elapsed_ms": sim.now * 1e3}
 
 
+def numa_scan_ms(home_socket: int) -> float:
+    """Socket 0 scans 64 MiB homed on ``home_socket`` of a 2-socket box."""
+    sim = Simulator()
+    server = Server(sim, Trace(), "srv", sockets=2)
+    sim.run_process(server.memory_read(64 << 20, socket=0,
+                                       home_socket=home_socket))
+    return sim.now * 1e3
+
+
 def main() -> None:
+    print(f"64 MiB scan from socket 0: local {numa_scan_ms(0):.2f} ms, "
+          f"remote (NUMA) {numa_scan_ms(1):.2f} ms\n")
     cpu_lookup = lookup_batch(on_accel=False)
     nm_lookup = lookup_batch(on_accel=True)
     print(f"point lookups ({LOOKUPS} probes, tree height "
-          f"{cpu_lookup['tree_height']}):")
+          f"{cpu_lookup['tree_height']}, host DRAM "
+          f"{cpu_lookup['dram_gib_s']:.0f} GiB/s):")
     print(f"{'':>14} {'membus MiB':>12} {'elapsed ms':>12}")
     print(f"{'cpu':>14} {cpu_lookup['membus_mib']:>12.2f} "
           f"{cpu_lookup['elapsed_ms']:>12.2f}")

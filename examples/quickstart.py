@@ -24,6 +24,7 @@ from repro import (
     col,
     cpu_only,
     dataflow_spec,
+    lit,
     make_lineitem,
 )
 
@@ -42,7 +43,8 @@ def main() -> None:
                         [AggSpec("sum", "l_extendedprice", "revenue"),
                          AggSpec("count", alias="orders")]))
 
-    print("query: revenue by return flag for quantity > 45\n")
+    print("query: revenue by return flag for quantity > 45 "
+          f"(tables: {catalog.names})\n")
     results = {}
 
     fabric = build_fabric(dataflow_spec())
@@ -68,7 +70,9 @@ def main() -> None:
 
     print("\nchosen offload sites:",
           sorted({s for chain in best.placement.sites.values()
-                  for s in chain}))
+                  for s in chain}),
+          f"(predicted network: "
+          f"{fmt_mib(best.cost.network_bytes).strip()})")
     print("\nresult rows (identical across engines):")
     for row in results["dataflow, optimized"].table.sorted_rows():
         print(" ", row)
@@ -77,6 +81,19 @@ def main() -> None:
     for name, res in results.items():
         assert res.table.sorted_rows() == reference, name
     print("\nall three engines agree ✓")
+
+    # A computed column travels the same pipeline: the Map runs where
+    # the placement puts it, and only its survivors cross the network.
+    net = (Query.scan("lineitem")
+           .filter(col("l_quantity") > 49)
+           .with_column("net", col("l_extendedprice")
+                        * (lit(1) - col("l_discount")))
+           .project(["l_orderkey", "net"]))
+    priced = DataflowEngine(build_fabric(dataflow_spec()),
+                            catalog).execute(net)
+    print(f"\ncomputed column: {priced.rows} rows of (l_orderkey, net), "
+          f"{fmt_mib(priced.bytes_on('network')).strip()} over the "
+          "network")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 A full reproduction of Lerner & Alonso, *Data Flow Architectures for
 Data Processing on Modern Hardware* (ICDE 2024): a discrete-event
 simulated fabric of heterogeneous devices (computational storage,
-SmartNICs/DPUs, near-memory accelerators, CXL interconnects), a real
+SmartNICs, near-memory accelerators, CXL interconnects), a real
 columnar relational engine with two execution models — the pull-based
 CPU-centric Volcano baseline and the push-based data-flow architecture
 the paper proposes — plus a movement-aware optimizer, an
@@ -66,7 +66,6 @@ from .relational import (
     Table,
     col,
     lit,
-    make_customer,
     make_lineitem,
     make_orders,
     make_sensor_readings,
@@ -119,7 +118,6 @@ __all__ = [
     "data_path_sites",
     "dataflow_spec",
     "lit",
-    "make_customer",
     "make_lineitem",
     "make_orders",
     "make_sensor_readings",

@@ -165,14 +165,31 @@ def _query_section(payload: dict) -> list[str]:
     return out
 
 
-def render_report(payloads: Sequence[dict],
-                  title: str = "Bottleneck attribution report") -> str:
-    """Render what-if payloads as one self-contained HTML page."""
-    parts = [
+def _page_head(title: str, css: str = _CSS) -> list[str]:
+    """The opening of every page this package writes, up to <body>."""
+    return [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
         f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
+        f"<style>{css}</style></head><body>",
+    ]
+
+
+def _write_page(path: str, html_text: str, twin: dict) -> tuple[str, str]:
+    """Write a page and its JSON twin (same basename, ``.json``)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(html_text)
+    json_path = os.path.splitext(path)[0] + ".json"
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(twin, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path, json_path
+
+
+def render_report(payloads: Sequence[dict],
+                  title: str = "Bottleneck attribution report") -> str:
+    """Render what-if payloads as one self-contained HTML page."""
+    parts = _page_head(title) + [
         f"<h1>{_esc(title)}</h1>",
         f"<p class=meta>schema {_esc(WHATIF_SCHEMA)} &middot; "
         f"{len(payloads)} quer"
@@ -192,13 +209,6 @@ def write_report(path: str, payloads: Sequence[dict],
     The JSON lands next to the HTML (same basename, ``.json``) and
     carries the raw ``repro.whatif/v1`` payloads for CI consumption.
     """
-    html_text = render_report(payloads, title=title)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(html_text)
-    json_path = os.path.splitext(path)[0] + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"schema": WHATIF_SCHEMA, "title": title,
-                   "queries": list(payloads)}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
-    return path, json_path
+    return _write_page(path, render_report(payloads, title=title),
+                       {"schema": WHATIF_SCHEMA, "title": title,
+                        "queries": list(payloads)})

@@ -628,6 +628,7 @@ def cmd_top(args) -> int:
     import json
 
     from .analysis.observatory import OBSERVATORY_SCHEMA, render_top
+    from .obs import _observatory_section_violations
 
     if getattr(args, "from_file", None):
         try:
@@ -648,6 +649,16 @@ def cmd_top(args) -> int:
         if payload is None:
             return _input_error(f"{args.from_file} carries no "
                                 f"{OBSERVATORY_SCHEMA} section")
+        # The file is outside input: render a well-formed section or
+        # name what is wrong with it.  A wrapper that is a serving
+        # record is what the section's query counts are checked against.
+        try:
+            violations = _observatory_section_violations(
+                payload, {} if payload is doc else doc)
+        except (AttributeError, TypeError) as exc:
+            violations = [f"malformed observatory section ({exc})"]
+        if violations:
+            return _input_error(f"{args.from_file}: {violations[0]}")
         name = doc.get("name", args.from_file)
         print(render_top(payload, name=name, follow=args.follow))
         return 0

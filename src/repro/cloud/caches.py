@@ -84,9 +84,6 @@ class DataCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -93,12 +93,6 @@ class Kernel:
     def register_count(self) -> int:
         return len(self.registers)
 
-    def describe(self) -> str:
-        parts = [f"{self.register_count} regs"]
-        if self.logic_bytes:
-            parts.append(f"{self.logic_bytes}B logic")
-        return f"kernel[{self.op_name}: {', '.join(parts)}]"
-
 
 # ---------------------------------------------------------------------------
 # Expression compilation

@@ -91,11 +91,6 @@ class PlanNode:
     def estimate_rows(self, catalog: Catalog) -> float:
         raise NotImplementedError
 
-    def estimate_bytes(self, catalog: Catalog) -> float:
-        """Estimated output volume, the optimizer's core quantity."""
-        return (self.estimate_rows(catalog)
-                * self.output_schema(catalog).row_nbytes)
-
     def walk(self):
         """All nodes, depth-first, children before parents."""
         for child in self.children:

@@ -24,9 +24,6 @@ class TraceSnapshot:
         self.trace = trace
         self._at = dict(trace.counters)
 
-    def delta(self, counter: str) -> float:
-        return self.trace.counter(counter) - self._at.get(counter, 0.0)
-
     def delta_prefix(self, prefix: str) -> dict[str, float]:
         out = {}
         for key, value in self.trace.counters.items():
@@ -105,12 +102,3 @@ class QueryResult:
     def bytes_on(self, segment: str) -> float:
         """Bytes moved on one segment class (``network``, ``pcie``...)."""
         return self.movement.get(f"{segment}.bytes", 0.0)
-
-    def summary(self) -> dict[str, float]:
-        """A flat dict convenient for printing benchmark rows."""
-        out = {"engine": self.engine, "rows": self.rows,
-               "elapsed_s": self.elapsed,
-               "total_moved_bytes": self.total_bytes_moved}
-        for segment, value in sorted(self.movement.items()):
-            out[f"moved_{segment.replace('.bytes', '')}"] = value
-        return out

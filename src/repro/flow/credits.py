@@ -17,9 +17,9 @@ occupy link bandwidth, matching their negligible size.
 Hot path
 --------
 Wire delivery and credit return are one-shot, straight-line flows, so
-by default they run as *scheduled callback chains*
-(:meth:`~repro.sim.Simulator.call_later`-style slots) instead of
-detached generator processes: each step occupies exactly the
+by default they run as *scheduled callback chains* (raw-callback
+slots, see :meth:`~repro.sim.Simulator.run`) instead of detached
+generator processes: each step occupies exactly the
 ``(time, seq)`` slot its event-based equivalent would, so the total
 event order — and therefore every trace, ledger, and checksum — is
 bit-identical, while each message skips several Event/Process/

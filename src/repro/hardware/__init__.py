@@ -1,7 +1,7 @@
 """Simulated hardware: devices, links, and fabric topologies.
 
 Device models follow the paper's taxonomy — computational storage
-(§3), SmartNICs/DPUs (§4), near-memory accelerators and disaggregated
+(§3), SmartNICs (§4), near-memory accelerators and disaggregated
 memory (§5), PCIe/CXL interconnects with coherence (§6) — plus the
 conventional CPU socket (§2.1, §5.1) they are compared against.
 """
@@ -31,12 +31,11 @@ from .interconnect import (
     cxl_link,
     ethernet_link,
     memory_bus,
-    nvlink_link,
     pcie_link,
     rdma_link,
 )
 from .memory import DRAM, DisaggregatedMemoryNode, NearMemoryAccelerator
-from .nic import DPU, NIC, SmartNIC
+from .nic import NIC, SmartNIC
 from .presets import (
     ComputeNode,
     FabricSpec,
@@ -58,7 +57,6 @@ __all__ = [
     "CPUSocket",
     "Device",
     "DisaggregatedMemoryNode",
-    "DPU",
     "DRAM",
     "Fabric",
     "FabricSpec",
@@ -90,7 +88,6 @@ __all__ = [
     "gc_on_cpu",
     "gpu_rates",
     "memory_bus",
-    "nvlink_link",
     "pcie_link",
     "rack_spec",
     "rdma_link",

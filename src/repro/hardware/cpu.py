@@ -123,9 +123,6 @@ class MemoryController:
         self.trace.add(f"memctrl.{self.name}.bytes.{direction}", nbytes)
         self.trace.add("movement.membus.bytes", nbytes)
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        return self._port.utilization(elapsed)
-
 
 @dataclass
 class CacheLevelSpec:
@@ -220,10 +217,6 @@ class LRUCache:
             self._blocks.popitem(last=False)
             self.evictions += 1
         return False
-
-    def evict(self, key) -> bool:
-        """Drop ``key`` if present; returns whether it was present."""
-        return self._blocks.pop(key, None) is not None
 
     @property
     def hit_rate(self) -> float:

@@ -7,7 +7,7 @@ scheduling section (§7.3) is about.
 
 Factories encode the protocol generations the paper discusses (§6):
 PCIe 3 through 7 (doubling bandwidth per generation), CXL on top of
-PCIe 5/6, RDMA-over-Ethernet at 100–800 Gb/s, NVLink, and the on-chip
+PCIe 5/6, RDMA-over-Ethernet at 100–800 Gb/s, and the on-chip
 memory/cache buses of Figure 1.
 
 :class:`CoherenceDomain` models §6.2's key contrast: with *software*
@@ -32,7 +32,6 @@ __all__ = [
     "cxl_link",
     "ethernet_link",
     "rdma_link",
-    "nvlink_link",
     "memory_bus",
     "cache_bus",
     "PCIE_LANE_GBPS",
@@ -51,7 +50,7 @@ class Link:
     """A point-to-point pipe with bandwidth, latency, and port contention.
 
     ``segment`` classifies the link for movement accounting
-    (``network``, ``pcie``, ``cxl``, ``membus``, ``cache``, ``nvlink``)
+    (``network``, ``pcie``, ``cxl``, ``membus``, ``cache``)
     so experiments can report "bytes moved over the network" as one
     number regardless of topology.
     """
@@ -180,16 +179,6 @@ def rdma_link(sim: Simulator, trace: Trace, name: str,
     """An RDMA (RoCE-style) link: Ethernet speeds, much lower latency."""
     return Link(sim, trace, name, bandwidth=gbits / 8.0 * 1e9,
                 latency=2e-6, segment="network", ports=ports)
-
-
-def nvlink_link(sim: Simulator, trace: Trace, name: str,
-                generation: int = 4, ports: int = 2) -> Link:
-    """NVLink point-to-point link (closed protocol, §6.1)."""
-    per_gen_gib = {2: 25.0, 3: 50.0, 4: 100.0}
-    if generation not in per_gen_gib:
-        raise ValueError(f"unknown NVLink generation {generation}")
-    return Link(sim, trace, name, bandwidth=per_gen_gib[generation] * GIB,
-                latency=300e-9, segment="nvlink", ports=ports)
 
 
 def memory_bus(sim: Simulator, trace: Trace, name: str,

@@ -81,12 +81,6 @@ class DRAM:
         self.trace.add(f"dram.{self.name}.frees", 1)
         self.trace.sample(f"dram.{self.name}.used", self.sim.now, self.used)
 
-    @property
-    def peak_used(self) -> float:
-        """High-water mark of allocation (bytes)."""
-        samples = self.trace.series.get(f"dram.{self.name}.used", [])
-        return max((v for _t, v in samples), default=0.0)
-
 
 class NearMemoryAccelerator(Device):
     """An accelerator on the memory controller's data path (§5.2)."""

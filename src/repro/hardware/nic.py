@@ -1,23 +1,21 @@
-"""NICs, SmartNICs and DPUs (§4).
+"""NICs and SmartNICs (§4).
 
-A plain :class:`NIC` is a DMA engine: it moves bytes between the host
-and the wire without touching them.  A :class:`SmartNIC` adds an
-on-NIC processor that can operate on the stream as it flows — the
-bump-in-the-wire accelerator of §4.3 — supporting hashing,
-partitioning, filtering, (pre-)aggregation, COUNT, and the collective
-operations (scatter/gather) of §4.4.  A :class:`DPU` is a beefier
-SmartNIC (BlueField-class) that can in addition terminate storage
-protocols and run join stages.
+A plain :class:`NIC` moves bytes between the host and the wire
+without touching them.  A :class:`SmartNIC` adds an on-NIC processor
+that can operate on the stream as it flows — the bump-in-the-wire
+accelerator of §4.3 — supporting hashing, partitioning, filtering,
+(pre-)aggregation, COUNT, and the collective operations
+(scatter/gather) of §4.4.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
-from ..sim import EventKind, Resource, Simulator, Trace
-from .device import GIB, Device, OpKind
+from ..sim import Simulator, Trace
+from .device import Device, OpKind
 
-__all__ = ["NIC", "SmartNIC", "DPU", "smartnic_rates", "dpu_rates"]
+__all__ = ["NIC", "SmartNIC", "smartnic_rates"]
 
 
 def smartnic_rates(line_rate: float) -> dict[str, float]:
@@ -44,41 +42,19 @@ def smartnic_rates(line_rate: float) -> dict[str, float]:
     }
 
 
-def dpu_rates(line_rate: float) -> dict[str, float]:
-    """A DPU adds modest join/regex capability on its ARM cores."""
-    rates = smartnic_rates(line_rate)
-    rates.update({
-        OpKind.REGEX: 1.5 * GIB,
-        OpKind.JOIN_BUILD: 1.0 * GIB,
-        OpKind.JOIN_PROBE: 1.5 * GIB,
-        OpKind.GENERIC: 2.0 * GIB,
-    })
-    return rates
-
-
 class NIC:
-    """A conventional NIC: DMA engines only, no stream processing.
-
-    ``dma`` is the resource query stages hold while a transfer is in
-    flight; the scheduler rate-limits flows at this granularity
-    (§7.3).
-    """
+    """A conventional NIC: no stream processing."""
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 gbits: float = 100.0, dma_engines: int = 4):
+                 gbits: float = 100.0):
         self.sim = sim
         self.trace = trace
         self.name = name
         self.line_rate = gbits / 8.0 * 1e9
-        self.dma = Resource(sim, capacity=dma_engines, name=f"{name}.dma")
         self.processor: Optional[Device] = None
 
-    @property
-    def is_smart(self) -> bool:
-        return self.processor is not None
-
     def scale_line_rate(self, factor: float) -> None:
-        """What-if perturbation hook: multiply the DMA line rate.
+        """What-if perturbation hook: multiply the line rate.
 
         ``factor=1.0`` is an exact no-op (baseline bit-identity).
         Does not touch the on-NIC processor; use
@@ -89,73 +65,14 @@ class NIC:
                 f"nic {self.name}: line-rate factor must be positive")
         self.line_rate *= factor
 
-    def dma_transfer(self, nbytes: float, label: str = "") -> Generator:
-        """Occupy one DMA engine for ``nbytes`` at line rate.
-
-        The NIC's DMA engines are the §4.1 data movers: a transfer
-        holds one engine for ``nbytes / line_rate`` seconds, so
-        concurrent flows queue once all engines are busy.  Emits
-        ``dma_issue`` / ``dma_complete`` events and byte counters.
-        """
-        issued = self.sim.now
-        self.trace.emit(issued, EventKind.DMA_ISSUE,
-                        f"nic.{self.name}", label=label, nbytes=nbytes)
-        if not self.dma.try_acquire():
-            yield self.dma.request()
-        span = self.trace.open_span(f"nic.{self.name}.dma",
-                                    self.sim.now)
-        try:
-            yield self.sim.timeout(nbytes / self.line_rate)
-        finally:
-            self.trace.close_span(span, self.sim.now)
-            self.dma.release()
-        self.trace.tick(self.sim.now)
-        self.trace.emit(issued, EventKind.DMA_COMPLETE,
-                        f"nic.{self.name}", label=label, nbytes=nbytes,
-                        dur=self.sim.now - issued)
-        self.trace.add(f"nic.{self.name}.dma_transfers", 1)
-        self.trace.add(f"nic.{self.name}.dma_bytes", nbytes)
-
-    def supports(self, kind: str) -> bool:
-        """Whether the on-NIC processor (if any) can host ``kind``."""
-        return self.processor is not None and self.processor.supports(kind)
-
-    def utilization(self, elapsed: Optional[float] = None
-                    ) -> dict[str, float]:
-        """Busy fractions of the DMA engines and on-NIC processor.
-
-        The quantities §7.3's scheduler reasons about when deciding
-        whether a NIC has headroom for another offloaded stage.
-        """
-        out = {"dma": self.dma.utilization(elapsed)}
-        if self.processor is not None:
-            out["processor"] = self.processor.utilization(elapsed)
-        return out
-
 
 class SmartNIC(NIC):
     """A NIC with a bump-in-the-wire stream processor (§4.3)."""
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 gbits: float = 100.0, dma_engines: int = 4,
-                 processor_slots: int = 2):
-        super().__init__(sim, trace, name, gbits=gbits,
-                         dma_engines=dma_engines)
+                 gbits: float = 100.0, processor_slots: int = 2):
+        super().__init__(sim, trace, name, gbits=gbits)
         self.processor = Device(sim, trace, f"{name}.proc",
                                 rates=smartnic_rates(self.line_rate),
-                                startup=1e-6, slots=processor_slots,
-                                programmable=True)
-
-
-class DPU(NIC):
-    """A data processing unit: SmartNIC + general-purpose cores (§4.2)."""
-
-    def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 gbits: float = 200.0, dma_engines: int = 8,
-                 processor_slots: int = 4):
-        super().__init__(sim, trace, name, gbits=gbits,
-                         dma_engines=dma_engines)
-        self.processor = Device(sim, trace, f"{name}.proc",
-                                rates=dpu_rates(self.line_rate),
                                 startup=1e-6, slots=processor_slots,
                                 programmable=True)

@@ -41,7 +41,7 @@ from .interconnect import (
 )
 from .gpu import GPU
 from .memory import DRAM, DisaggregatedMemoryNode, NearMemoryAccelerator
-from .nic import DPU, NIC, SmartNIC
+from .nic import NIC, SmartNIC
 from .storage import ComputationalStorage, StorageMedium
 from .topology import Fabric
 
@@ -67,11 +67,11 @@ class FabricSpec:
     ssd_gib_per_s: float = 3.0
     smart_storage: bool = True
     storage_cu_scale: float = 1.0
-    storage_nic: str = "smart"                # "smart", "dumb", "dpu"
+    storage_nic: str = "smart"                # "smart" or "dumb"
 
     # Compute nodes (§4, §5).
     compute_nodes: int = 1
-    compute_nic: str = "smart"                # "smart", "dumb", "dpu"
+    compute_nic: str = "smart"                # "smart" or "dumb"
     near_memory: bool = True
     nearmem_gib_per_s: float = 40.0
     dram_capacity: int = 64 << 30
@@ -166,8 +166,6 @@ class ComputeNode:
 def _make_nic(kind: str, sim, trace, name: str, gbits: float) -> NIC:
     if kind == "smart":
         return SmartNIC(sim, trace, name, gbits=gbits)
-    if kind == "dpu":
-        return DPU(sim, trace, name, gbits=max(gbits, 200.0))
     if kind == "dumb":
         return NIC(sim, trace, name, gbits=gbits)
     raise ValueError(f"unknown NIC kind {kind!r}")

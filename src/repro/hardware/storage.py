@@ -1,8 +1,7 @@
 """Storage media and computational storage (§3).
 
 :class:`StorageMedium` models the passive device: bandwidth plus a
-per-request access latency (seek for HDD, translation-layer latency
-for SSD).  :class:`ComputationalStorage` couples a medium with a small
+per-request access latency (the translation layer of an SSD).  :class:`ComputationalStorage` couples a medium with a small
 computational unit (CU) that can run *streaming, mostly stateless*
 operators — selection, projection, regex, hashing, pre-aggregation —
 as the data leaves the device (§3.3).  The CU is deliberately slower
@@ -53,15 +52,12 @@ class StorageMedium:
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
                  read_bandwidth: float = 3.0 * GIB,
-                 write_bandwidth: Optional[float] = None,
                  access_latency: float = 80e-6,
                  queue_depth: int = 8):
         self.sim = sim
         self.trace = trace
         self.name = name
         self.read_bandwidth = read_bandwidth
-        self.write_bandwidth = (write_bandwidth if write_bandwidth is not None
-                                else read_bandwidth * 0.8)
         self.access_latency = access_latency
         self._channel = Resource(sim, capacity=queue_depth,
                                  name=f"{name}.chan")
@@ -73,25 +69,12 @@ class StorageMedium:
         return cls(sim, trace, name, read_bandwidth=gib_per_s * GIB,
                    access_latency=80e-6, queue_depth=8)
 
-    @classmethod
-    def hdd(cls, sim: Simulator, trace: Trace, name: str) -> "StorageMedium":
-        """A magnetic disk: slow and seek-bound."""
-        return cls(sim, trace, name, read_bandwidth=0.2 * GIB,
-                   access_latency=8e-3, queue_depth=1)
-
-    @classmethod
-    def object_store_backend(cls, sim: Simulator, trace: Trace,
-                             name: str) -> "StorageMedium":
-        """Cheap, slow disks behind a cloud object store (§7.5)."""
-        return cls(sim, trace, name, read_bandwidth=0.5 * GIB,
-                   access_latency=2e-3, queue_depth=16)
-
     def read_time(self, nbytes: float) -> float:
         """Predicted uncontended read time."""
         return self.access_latency + nbytes / self.read_bandwidth
 
     def scale_bandwidth(self, factor: float) -> None:
-        """What-if perturbation hook: multiply both bandwidths.
+        """What-if perturbation hook: multiply the read bandwidth.
 
         ``factor=1.0`` is an exact no-op (what-if baseline
         verification relies on this).
@@ -100,7 +83,6 @@ class StorageMedium:
             raise ValueError(
                 f"medium {self.name}: bandwidth factor must be positive")
         self.read_bandwidth *= factor
-        self.write_bandwidth *= factor
 
     def scale_latency(self, factor: float) -> None:
         """What-if perturbation hook: multiply the access latency."""
@@ -132,30 +114,6 @@ class StorageMedium:
         self.trace.add(f"storage.{self.name}.bytes.read", nbytes)
         self.trace.add("movement.storage.bytes", nbytes)
 
-    def write(self, nbytes: float) -> Generator:
-        """Write ``nbytes`` to the medium (simulation process)."""
-        issued = self.sim.now
-        self.trace.emit(issued, EventKind.DMA_ISSUE,
-                        f"storage.{self.name}", label="write",
-                        nbytes=nbytes)
-        if not self._channel.try_acquire():
-            yield self._channel.request()
-        span = self.trace.open_span(f"storage.{self.name}",
-                                    self.sim.now)
-        try:
-            yield self.sim.timeout(
-                self.access_latency + nbytes / self.write_bandwidth)
-        finally:
-            self.trace.close_span(span, self.sim.now)
-            self._channel.release()
-        self.trace.tick(self.sim.now)
-        self.trace.emit(issued, EventKind.DMA_COMPLETE,
-                        f"storage.{self.name}", label="write",
-                        nbytes=nbytes, dur=self.sim.now - issued)
-        self.trace.add(f"storage.{self.name}.writes", 1)
-        self.trace.add(f"storage.{self.name}.bytes.write", nbytes)
-        self.trace.add("movement.storage.bytes", nbytes)
-
 
 class ComputationalStorage:
     """A storage medium with an embedded computational unit (§3.3).
@@ -177,7 +135,3 @@ class ComputationalStorage:
                          rates=storage_cu_rates(cu_scale),
                          startup=2e-6, slots=cu_slots,
                          programmable=True)
-
-    def supports(self, kind: str) -> bool:
-        """Whether the CU can host operators of ``kind``."""
-        return self.cu.supports(kind)

@@ -66,18 +66,6 @@ class Fabric:
 
     # -- lookup ------------------------------------------------------------
 
-    def device(self, name: str) -> Device:
-        """The device registered under ``name``."""
-        return self.devices[name]
-
-    def location_of(self, device_name: str) -> str:
-        """The location a device sits at."""
-        return self._locations[device_name]
-
-    def link_between(self, a: str, b: str) -> Link:
-        """The direct link joining two adjacent locations."""
-        return self._adjacent[a][b]
-
     def links(self) -> Iterator[Link]:
         """Every link once: locations in the order they were declared,
         each one's links in the order they were connected."""
@@ -123,21 +111,6 @@ class Fabric:
         self._route_cache[key] = links
         return links
 
-    def path_latency(self, src: str, dst: str) -> float:
-        """Sum of link latencies along the route."""
-        return sum(link.latency for link in self.route(src, dst))
-
-    def path_bandwidth(self, src: str, dst: str) -> float:
-        """Bottleneck bandwidth along the route (inf if colocated)."""
-        links = self.route(src, dst)
-        if not links:
-            return float("inf")
-        return min(link.bandwidth for link in links)
-
-    def transfer_time(self, src: str, dst: str, nbytes: float) -> float:
-        """Predicted uncontended store-and-forward transfer time."""
-        return sum(link.transfer_time(nbytes) for link in self.route(src, dst))
-
     # -- movement ------------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: float,
@@ -160,10 +133,6 @@ class Fabric:
         return {key[len(prefix):]: value
                 for key, value in sorted(self.trace.counters.items())
                 if key.startswith(prefix)}
-
-    def total_bytes_moved(self) -> float:
-        """Bytes moved across all links (each hop counted once)."""
-        return self.trace.total("movement.")
 
     def utilization_report(self, elapsed: Optional[float] = None
                            ) -> dict[str, float]:

@@ -195,13 +195,17 @@ _ALERT_KEYS = ("tenant", "window", "ts", "kind", "fast_burn",
 
 _OBSERVATORY_SCHEMA = "repro.observatory/v1"
 
-_OBSERVATORY_REQUIRED = ("schema", "window_s", "windows",
-                         "horizon_s", "events_dropped", "partial",
-                         "partial_reason", "pools", "totals",
-                         "series", "bound", "regret")
+_OBSERVATORY_SHAPE = {"schema": str, "window_s": _NUMBER, "windows": int,
+                      "horizon_s": _NUMBER, "events_dropped": int,
+                      "partial": bool, "partial_reason": str,
+                      "pools": list, "totals": dict, "series": list,
+                      "bound": dict, "regret": dict}
 
 _OBSERVATORY_SERIES_KEYS = ("window", "start", "end", "pools",
                             "saturation", "link_bytes")
+
+_OBSERVATORY_LEADER_KEYS = ("name", "tenant", "chosen", "best",
+                            "regret_s", "regret_ratio")
 
 
 def _is_hex_digest(value) -> bool:
@@ -405,21 +409,31 @@ def _telemetry_section_violations(telemetry: dict) -> list[str]:
 
 def _observatory_section_violations(observatory: dict,
                                     record: dict) -> list[str]:
-    """Structural checks for one ``repro.observatory/v1`` section."""
-    errors: list[str] = []
+    """Structural checks for one ``repro.observatory/v1`` section.
+
+    ``record`` is the serving record (or other wrapper document) the
+    section came in, ``{}`` for a bare payload.  A section with a
+    missing or wrong-typed member gets those violations only; the
+    value checks need the shape.
+    """
     if not isinstance(observatory, dict):
         return ["observatory section is not an object"]
-    for key in _OBSERVATORY_REQUIRED:
-        if key not in observatory:
-            errors.append(f"observatory missing {key!r}")
-    if observatory.get("schema") not in (None, _OBSERVATORY_SCHEMA):
+    errors = _shape_violations(observatory, "observatory",
+                               _OBSERVATORY_SHAPE, {})
+    if errors:
+        return errors
+    if observatory["schema"] != _OBSERVATORY_SCHEMA:
         errors.append(f"observatory schema is "
-                      f"{observatory.get('schema')!r}, expected "
+                      f"{observatory['schema']!r}, expected "
                       f"{_OBSERVATORY_SCHEMA!r}")
-    if observatory.get("window_s", 1.0) <= 0:
+    if observatory["window_s"] <= 0:
         errors.append("observatory window_s not positive")
-    windows = observatory.get("windows", 0)
-    series = observatory.get("series", [])
+    for pool, seconds in observatory["totals"].items():
+        if not _is_a(seconds, _NUMBER):
+            errors.append(f"observatory totals[{pool}] = {seconds!r} "
+                          "is not a number")
+    windows = observatory["windows"]
+    series = observatory["series"]
     if len(series) != windows:
         errors.append(f"observatory series has {len(series)} "
                       f"entries for {windows} windows "
@@ -437,14 +451,13 @@ def _observatory_section_violations(observatory: dict,
             break
     # Partial semantics: dropped ring events imply (and are the only
     # reason for) a partial section, and partial requires a reason.
-    dropped = observatory.get("events_dropped", 0)
-    if bool(observatory.get("partial", False)) != (dropped > 0):
+    dropped = observatory["events_dropped"]
+    if observatory["partial"] != (dropped > 0):
         errors.append("observatory partial flag disagrees with "
                       f"events_dropped={dropped}")
-    if observatory.get("partial", False) \
-            and not observatory.get("partial_reason"):
+    if observatory["partial"] and not observatory["partial_reason"]:
         errors.append("observatory marked partial without a reason")
-    bound = observatory.get("bound", {})
+    bound = observatory["bound"]
     tagged = bound.get("queries", [])
     completed = record.get("completed")
     if completed is not None and len(tagged) != completed:
@@ -457,13 +470,18 @@ def _observatory_section_violations(observatory: dict,
     if by_tenant_total != len(tagged):
         errors.append("observatory per-tenant bound counts do not "
                       "sum to the tagged query count")
-    regret = observatory.get("regret", {})
+    regret = observatory["regret"]
     for entry in regret.get("queries", []):
         if entry.get("regret_s", 0.0) < 0.0:
             errors.append(f"observatory regret for "
                           f"{entry.get('name')} is negative")
             break
     leaders = regret.get("leaders", [])
+    for position, entry in enumerate(leaders):
+        missing = [k for k in _OBSERVATORY_LEADER_KEYS if k not in entry]
+        if missing:
+            return errors + [f"observatory regret leader {position} "
+                             f"missing {missing}"]
     if [e.get("regret_s") for e in leaders] != sorted(
             (e.get("regret_s") for e in leaders), reverse=True):
         errors.append("observatory regret leaders are not sorted by "

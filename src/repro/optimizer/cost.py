@@ -66,10 +66,6 @@ class PlanCost:
             busiest = max(busiest, max(self.link_time.values()))
         return busiest + self.latency
 
-    def score(self, bytes_weight: float = 0.0) -> float:
-        """Ranking score: makespan, optionally blended with movement."""
-        return self.bottleneck_time + bytes_weight * self.total_bytes
-
 
 class CostModel:
     """Predicts movement and time for (plan, placement) pairs."""
@@ -87,11 +83,6 @@ class CostModel:
         if node.node_id in self.cardinalities:
             return self.cardinalities[node.node_id]
         return node.estimate_rows(self.catalog)
-
-    def bytes_out(self, node: PlanNode) -> float:
-        """Estimated output bytes of a node."""
-        return (self.rows_out(node)
-                * node.output_schema(self.catalog).row_nbytes)
 
     # -- the model ---------------------------------------------------
 

@@ -35,10 +35,6 @@ class RankedPlacement:
     recipe: Optional[object] = field(default=None, repr=False,
                                      compare=False)
 
-    @property
-    def score(self) -> float:
-        return self.cost.bottleneck_time
-
 
 class Optimizer:
     """Ranks offloading placements by predicted movement/makespan."""

@@ -3,15 +3,12 @@
 from .arena import Encoded
 from .catalog import Catalog, ColumnStats, TableStats, compute_stats
 from .datagen import (
-    make_customer,
     make_lineitem,
     make_orders,
     make_sensor_readings,
     make_uniform_table,
-    random_strings,
     standard_catalog,
     uniform_ints,
-    zipf_ints,
 )
 from .expressions import (
     And,
@@ -73,12 +70,10 @@ __all__ = [
     "decompress_chunk",
     "deserialize_chunk",
     "lit",
-    "make_customer",
     "make_lineitem",
     "make_orders",
     "make_sensor_readings",
     "make_uniform_table",
-    "random_strings",
     "serialize_chunk",
     "standard_catalog",
     "SqlError",
@@ -86,5 +81,4 @@ __all__ = [
     "to_column_major",
     "to_row_major",
     "uniform_ints",
-    "zipf_ints",
 ]

@@ -76,10 +76,6 @@ class ArenaColumn:
     def is_dict(self) -> bool:
         return self.codes is not None
 
-    def __len__(self) -> int:
-        store = self.codes if self.buffer is None else self.buffer
-        return len(store)
-
     def decode(self, start: int, stop: int) -> np.ndarray:
         """The logical values of rows [start, stop) as a dense array."""
         if self.buffer is not None:

@@ -1,9 +1,8 @@
 """Synthetic workload generators.
 
-TPC-H-flavoured relations (lineitem / orders / customer at a
-controllable scale) plus generic helpers with tunable skew.  All
-generators are seeded, so every experiment is reproducible bit for
-bit.  The schemas carry wide comment columns on purpose: they make
+TPC-H-flavoured relations (lineitem / orders at a controllable
+scale) plus generic helpers.  All generators are seeded, so every
+experiment is reproducible bit for bit.  The schemas carry wide comment columns on purpose: they make
 projection pushdown matter, which is the point of Figure 2.
 
 String columns are born encoded: a generator draws ``n`` indices into
@@ -23,15 +22,11 @@ from .table import Table
 
 __all__ = [
     "uniform_ints",
-    "zipf_ints",
-    "random_strings",
     "lineitem_schema",
     "orders_schema",
-    "customer_schema",
     "sensor_schema",
     "make_lineitem",
     "make_orders",
-    "make_customer",
     "make_sensor_readings",
     "make_uniform_table",
     "standard_catalog",
@@ -51,18 +46,6 @@ def uniform_ints(rng: np.random.Generator, n: int, low: int,
     return rng.integers(low, high + 1, size=n, dtype=np.int64)
 
 
-def zipf_ints(rng: np.random.Generator, n: int, n_values: int,
-              skew: float = 1.1) -> np.ndarray:
-    """``n`` integers in [0, n_values) with Zipfian skew.
-
-    ``skew`` must be > 1 (numpy's zipf); larger = more skewed.
-    """
-    if skew <= 1.0:
-        raise ValueError("zipf skew must be > 1")
-    raw = rng.zipf(skew, size=n)
-    return ((raw - 1) % n_values).astype(np.int64)
-
-
 def _phrases(rng: np.random.Generator, n: int, words: int,
              width: int, pool: int = 4096) -> Encoded:
     """``n`` phrases of ``words`` dictionary words, truncated to width.
@@ -78,13 +61,6 @@ def _phrases(rng: np.random.Generator, n: int, words: int,
     phrases = np.array([" ".join([_WORDS[j] for j in row])
                         for row in picks.tolist()], dtype=f"<U{width}")
     return Encoded(rng.integers(0, pool, size=n), phrases)
-
-
-def random_strings(rng: np.random.Generator, n: int, words: int = 4,
-                   width: int = 32, pool: int = 4096) -> np.ndarray:
-    """:func:`_phrases` decoded into a dense ``<U{width}`` array."""
-    column = _phrases(rng, n, words, width, pool)
-    return column.pool[column.codes]
 
 
 def lineitem_schema(comment_width: int = 44) -> Schema:
@@ -108,16 +84,6 @@ def orders_schema(comment_width: int = 32) -> Schema:
         Field("o_orderdate", DataType.INT64),
         Field("o_priority", DataType.INT64),       # 1..5
         Field("o_comment", DataType.STRING, comment_width),
-    ])
-
-
-def customer_schema(comment_width: int = 32) -> Schema:
-    return Schema([
-        Field("c_custkey", DataType.INT64),
-        Field("c_nationkey", DataType.INT64),
-        Field("c_acctbal", DataType.FLOAT64),
-        Field("c_mktsegment", DataType.INT64),     # 0..4
-        Field("c_comment", DataType.STRING, comment_width),
     ])
 
 
@@ -169,22 +135,6 @@ def make_orders(n: int, seed: int = 11, customers: int = 0,
         "o_comment": _phrases(rng, n, words=4, width=32),
     }
     return Table.from_arrays(schema, columns, name="orders",
-                             chunk_rows=chunk_rows)
-
-
-def make_customer(n: int, seed: int = 13,
-                  chunk_rows: int = 65536) -> Table:
-    """A customer-flavoured dimension table; c_custkey dense 0..n-1."""
-    rng = np.random.default_rng(seed)
-    schema = customer_schema()
-    columns = {
-        "c_custkey": np.arange(n, dtype=np.int64),
-        "c_nationkey": uniform_ints(rng, n, 0, 24),
-        "c_acctbal": rng.uniform(-999.0, 9999.0, size=n),
-        "c_mktsegment": uniform_ints(rng, n, 0, 4),
-        "c_comment": _phrases(rng, n, words=4, width=32),
-    }
-    return Table.from_arrays(schema, columns, name="customer",
                              chunk_rows=chunk_rows)
 
 

@@ -131,11 +131,3 @@ class Schema:
     def project(self, names: Iterable[str]) -> "Schema":
         """A schema containing only ``names``, in the given order."""
         return Schema([self.field(n) for n in names])
-
-    def concat(self, other: "Schema", prefix: str = "") -> "Schema":
-        """This schema followed by ``other`` (optionally prefixed)."""
-        fields = list(self.fields)
-        for f in other.fields:
-            name = prefix + f.name
-            fields.append(Field(name, f.dtype, f.width))
-        return Schema(fields)

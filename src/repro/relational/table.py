@@ -338,15 +338,6 @@ class Chunk:
         columns[field.name] = values
         return Chunk._from_valid(schema, columns)
 
-    def rename(self, mapping: dict[str, str]) -> "Chunk":
-        """A new chunk with columns renamed per ``mapping``."""
-        fields = [Field(mapping.get(f.name, f.name), f.dtype, f.width)
-                  for f in self.schema.fields]
-        schema = Schema(fields)
-        columns = {mapping.get(n, n): col
-                   for n, col in self.columns.items()}
-        return Chunk._from_valid(schema, columns)
-
     # -- dictionary / validity introspection -----------------------------------
 
     def _arena_window(self) -> Optional[_ArenaColumns]:
@@ -494,14 +485,6 @@ class Table:
         if not self._chunks:
             return Chunk.empty(self.schema)
         return Chunk.concat(self._chunks)
-
-    def rechunk(self, chunk_rows: int) -> "Table":
-        """The same rows re-split into chunks of ``chunk_rows`` (new
-        windows over the same arena when the table has one)."""
-        if self._arena is not None:
-            return Table._windowed(self._arena, self.name, chunk_rows)
-        return Table.from_arrays(self.schema, self.combined().columns,
-                                 name=self.name, chunk_rows=chunk_rows)
 
     def __iter__(self) -> Iterator[Chunk]:
         return iter(self._chunks)

@@ -2,8 +2,7 @@
 
 from .interference import LoadTracker, demand_vector
 from .scheduler import POLICIES, QueryExecutor, ScheduledQuery, Scheduler
-from .workloads import WorkloadMix, bursty_arrivals, diurnal_arrivals, \
-    poisson_arrivals
+from .workloads import bursty_arrivals, diurnal_arrivals, poisson_arrivals
 
 __all__ = [
     "LoadTracker",
@@ -11,7 +10,6 @@ __all__ = [
     "QueryExecutor",
     "ScheduledQuery",
     "Scheduler",
-    "WorkloadMix",
     "bursty_arrivals",
     "demand_vector",
     "diurnal_arrivals",

@@ -77,11 +77,3 @@ class LoadTracker:
         # Resources the candidate does not touch still bound nothing
         # for it — only shared resources interfere.
         return busiest
-
-    def jobs_sharing(self, vector: Mapping[str, float]) -> int:
-        """How many active jobs share any resource with ``vector``."""
-        count = 0
-        for job_vector in self._loads.values():
-            if set(job_vector) & set(vector):
-                count += 1
-        return count

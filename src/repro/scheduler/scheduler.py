@@ -71,10 +71,6 @@ class ScheduledQuery:
     def latency(self) -> float:
         return self.finished - self.arrival
 
-    @property
-    def run_time(self) -> float:
-        return self.finished - self.started
-
 
 @dataclass
 class _Job:
@@ -121,11 +117,6 @@ class QueryExecutor:
         """The diverse variant set the policy picks from at runtime."""
         return self.optimizer.plan_variants(
             query, n=self.variants_per_query)
-
-    def pick_variant(self, variants: list[RankedPlacement]
-                     ) -> RankedPlacement:
-        """Choose the variant minimizing projected interference."""
-        return self._pick_scored(variants)[0]
 
     def _pick_scored(self, variants: list[RankedPlacement]
                      ) -> tuple[RankedPlacement, VariantDecision]:
@@ -247,14 +238,6 @@ class Scheduler:
         self._jobs: list[_Job] = []
         self.records: dict[str, ScheduledQuery] = {}
 
-    @property
-    def tracker(self) -> LoadTracker:
-        return self.executor.tracker
-
-    @property
-    def optimizer(self) -> Optimizer:
-        return self.executor.optimizer
-
     # -- submission ---------------------------------------------------------
 
     def submit(self, name: str, query: Query,
@@ -298,7 +281,3 @@ class Scheduler:
         records = list(self.records.values())
         return (max(r.finished for r in records)
                 - min(r.arrival for r in records))
-
-    def mean_latency(self) -> float:
-        records = list(self.records.values())
-        return sum(r.latency for r in records) / len(records)

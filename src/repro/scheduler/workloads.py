@@ -1,25 +1,15 @@
 """Workload generation for scheduling experiments (§7.3).
 
 Open workloads: queries arrive over time rather than all at once.
-:func:`poisson_arrivals` draws seeded exponential inter-arrival times;
-:class:`WorkloadMix` pairs a set of query templates with weights and
-submits a whole arrival process to a
-:class:`~repro.scheduler.scheduler.Scheduler` in one call, so policy
-comparisons run the *identical* (seeded) workload.
+Each generator draws seeded inter-arrival times, so policy comparisons
+run the *identical* workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
-from ..engine.logical import Query
-from .scheduler import ScheduledQuery, Scheduler
-
-__all__ = ["poisson_arrivals", "bursty_arrivals", "diurnal_arrivals",
-           "WorkloadMix"]
+__all__ = ["poisson_arrivals", "bursty_arrivals", "diurnal_arrivals"]
 
 
 def poisson_arrivals(n: int, rate: float, seed: int = 0) -> list[float]:
@@ -90,58 +80,3 @@ def diurnal_arrivals(n: int, base_rate: float, amplitude: float,
         if rng.uniform() * peak <= rate:
             arrivals.append(t)
     return arrivals
-
-
-@dataclass
-class WorkloadMix:
-    """A weighted mix of query templates with a seeded arrival process.
-
-    ``templates`` maps a name to a zero-argument callable producing a
-    fresh :class:`Query` (fresh plans per submission keep node ids
-    unique).
-    """
-
-    templates: dict[str, Callable[[], Query]]
-    weights: Optional[dict[str, float]] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.templates:
-            raise ValueError("a workload needs at least one template")
-        if self.weights is None:
-            self.weights = {name: 1.0 for name in self.templates}
-        missing = set(self.templates) - set(self.weights)
-        if missing:
-            raise ValueError(f"weights missing for {sorted(missing)}")
-
-    def draw(self, n: int) -> list[str]:
-        """``n`` template names drawn by weight (seeded)."""
-        rng = np.random.default_rng(self.seed)
-        names = sorted(self.templates)
-        probabilities = np.array([self.weights[name] for name in names],
-                                 dtype=float)
-        probabilities /= probabilities.sum()
-        picks = rng.choice(len(names), size=n, p=probabilities)
-        return [names[i] for i in picks]
-
-    def submit_to(self, scheduler: Scheduler, n: int,
-                  rate: float) -> list[str]:
-        """Submit ``n`` arrivals at ``rate``/s; returns the job names."""
-        arrivals = poisson_arrivals(n, rate, seed=self.seed)
-        picks = self.draw(n)
-        job_names = []
-        for index, (template, arrival) in enumerate(zip(picks,
-                                                        arrivals)):
-            name = f"{template}#{index}"
-            scheduler.submit(name, self.templates[template](),
-                             arrival=arrival)
-            job_names.append(name)
-        return job_names
-
-    def run_policy(self, scheduler_factory: Callable[[str], Scheduler],
-                   policy: str, n: int,
-                   rate: float) -> list[ScheduledQuery]:
-        """Build a scheduler for ``policy``, run the mix, return records."""
-        scheduler = scheduler_factory(policy)
-        self.submit_to(scheduler, n, rate)
-        return scheduler.run()

@@ -16,52 +16,23 @@ critical-path attribution bars.
 
 from __future__ import annotations
 
-import html
-import json
-import os
-
+from ..analysis.report import (
+    _CSS as _REPORT_CSS,
+    _badge,
+    _esc,
+    _page_head,
+    _write_page,
+)
 from .telemetry import TELEMETRY_SCHEMA
 
 __all__ = ["render_dashboard", "write_dashboard"]
 
-_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 72rem; color: #1c2733;
-       background: #fafbfc; }
-h1 { font-size: 1.5rem; border-bottom: 2px solid #d0d7de;
-     padding-bottom: .4rem; }
-h2 { font-size: 1.2rem; margin-top: 2.2rem; }
-h3 { font-size: 1rem; color: #57606a; }
-table { border-collapse: collapse; margin: .6rem 0 1.2rem;
-        font-size: .85rem; }
-th, td { border: 1px solid #d0d7de; padding: .3rem .6rem;
-         text-align: right; }
-th { background: #eef1f4; }
-td.name, th.name { text-align: left; font-family: ui-monospace,
-                   'SF Mono', Menlo, monospace; }
-.bar { display: inline-block; height: .7rem; background: #4078c0;
-       vertical-align: middle; margin-right: .4rem; }
-.bar.wait { background: #d1242f; }
-.badge { display: inline-block; padding: .1rem .45rem;
-         border-radius: .6rem; font-size: .75rem; color: #fff; }
-.badge.ok { background: #1a7f37; }
-.badge.bad { background: #d1242f; }
-.badge.off { background: #9a6700; }
-.meta { color: #57606a; font-size: .85rem; }
+_CSS = _REPORT_CSS + """\
 .spark { vertical-align: middle; background: #fff;
          border: 1px solid #d0d7de; }
 .kpi { display: inline-block; margin-right: 1.6rem; }
 .kpi b { font-size: 1.15rem; }
 """
-
-
-def _esc(value) -> str:
-    return html.escape(str(value))
-
-
-def _badge(ok: bool, yes: str, no: str) -> str:
-    cls, text = ("ok", yes) if ok else ("bad", no)
-    return f'<span class="badge {cls}">{_esc(text)}</span>'
 
 
 def _sparkline(values: list[float], color: str = "#4078c0",
@@ -315,11 +286,7 @@ def render_dashboard(record: dict,
                      title: str = "Serving dashboard") -> str:
     """Render one serving record as a self-contained HTML page."""
     telemetry = record.get("telemetry", {})
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
+    parts = _page_head(title, _CSS) + [
         f"<h1>{_esc(title)} &mdash; {_esc(record.get('name'))}</h1>",
         "<p class=meta>"
         f"schema {_esc(telemetry.get('schema', TELEMETRY_SCHEMA))} "
@@ -353,18 +320,11 @@ def write_dashboard(path: str, record: dict,
     carries the raw ``repro.serve-telemetry/v1`` payload plus the
     digest, for ``bench --serve --compare`` and CI consumption.
     """
-    html_text = render_dashboard(record, title=title)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(html_text)
-    json_path = os.path.splitext(path)[0] + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"schema": TELEMETRY_SCHEMA,
-                   "name": record.get("name", ""),
-                   "digest": record.get("telemetry_digest", ""),
-                   "telemetry": record.get("telemetry", {}),
-                   "observatory": record.get("observatory", {}),
-                   "observatory_digest":
-                       record.get("observatory_digest", "")},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path, json_path
+    return _write_page(
+        path, render_dashboard(record, title=title),
+        {"schema": TELEMETRY_SCHEMA,
+         "name": record.get("name", ""),
+         "digest": record.get("telemetry_digest", ""),
+         "telemetry": record.get("telemetry", {}),
+         "observatory": record.get("observatory", {}),
+         "observatory_digest": record.get("observatory_digest", "")})

@@ -81,6 +81,3 @@ class WeightedFairQueue:
         if not self._depth[tenant]:
             del self._depth[tenant]
         return tenant, item
-
-    def tenants_waiting(self) -> list[str]:
-        return sorted(self._depth)

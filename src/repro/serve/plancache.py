@@ -231,9 +231,6 @@ class PlanCache:
             variants=_detach(plan, ranked), plan=plan, tables=tables,
             ranked=ranked, held_under=(catalog, catalog.version, fabric))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def counters(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,

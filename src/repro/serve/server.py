@@ -305,15 +305,6 @@ class QueryServer:
         """True when nothing is queued or running."""
         return not self._running and not len(self.queue)
 
-    def drain(self) -> None:
-        """Run the simulator until the server is idle (batch mode)."""
-        self.fabric.run()
-        if not self.idle:
-            raise RuntimeError(
-                f"server not idle after drain: "
-                f"{sorted(self._running)} running, "
-                f"{len(self.queue)} queued")
-
     # -- reporting ---------------------------------------------------------
 
     def metrics(self) -> dict:

@@ -209,16 +209,6 @@ class QuantileSketch:
                        for value, weight in self._points],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuantileSketch":
-        sketch = cls(capacity=int(data["capacity"]))
-        sketch._points = [(float(v), int(w))
-                          for v, w in data.get("points", [])]
-        sketch.count = int(data["count"])
-        sketch.rank_error_bound = int(data["rank_error_bound"])
-        sketch.compactions = int(data.get("compactions", 0))
-        return sketch
-
 
 def _coalesce(points: list[tuple[float, int]]
               ) -> list[tuple[float, int]]:

@@ -17,7 +17,7 @@ from .kernel import (
 )
 from .chrometrace import chrome_trace, export_chrome_trace
 from .events import EventKind, EventRing, TraceEvent
-from .resources import Gate, Resource, Store
+from .resources import Resource, Store
 from .trace import Span, Trace
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventRing",
-    "Gate",
     "Interrupt",
     "Process",
     "Resource",

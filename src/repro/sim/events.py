@@ -55,7 +55,7 @@ work, or any event from a non-serving (batch) run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = ["EventKind", "TraceEvent", "EventRing",
            "DEFAULT_EVENT_CAPACITY"]
@@ -136,16 +136,6 @@ class TraceEvent:
             out["qid"] = self.qid
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(ts=float(data["ts"]), kind=data["kind"],
-                   actor=data.get("actor", ""),
-                   label=data.get("label", ""),
-                   nbytes=float(data.get("nbytes", 0.0)),
-                   dur=float(data.get("dur", 0.0)),
-                   flow_id=int(data.get("flow_id", 0)),
-                   qid=int(data.get("qid", 0)))
-
 
 class EventRing:
     """A bounded ring of :class:`TraceEvent` — keeps the newest.
@@ -172,22 +162,6 @@ class EventRing:
             self._next = (self._next + 1) % self.capacity
             self.dropped += 1
 
-    def extend(self, events: "Iterator[TraceEvent]") -> None:
-        for event in events:
-            self.append(event)
-
-    def grow(self, capacity: int) -> None:
-        """Raise the capacity (never shrinks; order is preserved)."""
-        if capacity <= self.capacity:
-            return
-        self._buf = list(self)
-        self._next = 0
-        self.capacity = capacity
-
-    def clear(self) -> None:
-        self._buf = []
-        self._next = 0
-
     @property
     def truncated(self) -> bool:
         """True when at least one event was overwritten."""
@@ -207,11 +181,6 @@ class EventRing:
         if self._next:
             return iter(self._buf[self._next:] + self._buf[:self._next])
         return iter(self._buf)
-
-    def last(self, n: Optional[int] = None) -> list[TraceEvent]:
-        """The newest ``n`` events (all, if ``n`` is None)."""
-        ordered = list(self)
-        return ordered if n is None else ordered[-n:]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<EventRing {len(self._buf)}/{self.capacity}"

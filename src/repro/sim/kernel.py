@@ -37,31 +37,6 @@ __all__ = [
 ]
 
 
-class _Callback:
-    """A raw scheduled callback: one ``(time, seq)`` slot, no Event.
-
-    The dispatch loop recognizes these by ``callbacks is None`` — a
-    real :class:`Event` always carries a list (possibly empty) until
-    the moment it is dispatched, and every event is scheduled exactly
-    once, so the marker is unambiguous.  ``_Callback`` (and any object
-    following the same protocol: class-level ``callbacks = None`` plus
-    an ``fn`` attribute) therefore occupies exactly the queue slot an
-    Event would, keeping the total ``(time, seq)`` order bit-identical
-    while skipping Event/Process/generator allocation for one-shot
-    work.  Used by the flow-control fast path; see
-    :meth:`Simulator.call_later`.
-    """
-
-    __slots__ = ("fn",)
-
-    callbacks = None    # dispatch marker (never an instance attribute)
-    _ok = True          # cannot fail: there is no waiter to notify
-    _defused = True
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-
-
 class SimulationError(Exception):
     """Raised for misuse of the kernel (e.g. yielding a non-event)."""
 
@@ -105,16 +80,6 @@ class Event:
     def processed(self) -> bool:
         """True once callbacks have run."""
         return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return bool(self._ok)
-
-    @property
-    def value(self) -> Any:
-        """The event's payload (or exception, if it failed)."""
-        return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with an optional payload."""
@@ -354,31 +319,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn()`` to run after ``delay``, as a raw callback.
-
-        The callback occupies the same ``(time, seq)`` slot an
-        :class:`Event` scheduled at this point would, so interleaving
-        with every other pending event is *bit-identical* to the
-        event-based formulation — the invariant the flow-control fast
-        path is built on.  Unlike an event, nothing can wait on the
-        callback, it cannot fail, and it allocates a single two-slot
-        holder instead of an Event (or a Process plus a generator
-        frame for one-shot flows).
-
-        Invariants callers must respect:
-
-        * ``fn`` runs inside the dispatch loop at its due instant;
-          it may schedule further events/callbacks but must not block.
-        * Exceptions propagate out of :meth:`run`/:meth:`step` like a
-          failed, undefused event would.
-        * A callback counts toward :attr:`pending_events` until it
-          runs, exactly like the event it replaces.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        self._schedule(delay, _Callback(fn))
-
     # -- factory helpers -----------------------------------------------
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -411,31 +351,11 @@ class Simulator:
         self.now = when
         return event
 
-    def step(self) -> None:
-        """Process the single next event."""
-        event = self._pop()
-        callbacks = event.callbacks
-        if callbacks is None:
-            # A raw scheduled callback (see call_later): same slot,
-            # no Event machinery.
-            event.fn()
-            return
-        event.callbacks = None
-        if len(callbacks) == 1:
-            callbacks[0](event)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(
                 f"until={until!r} is in the past (now={self.now!r})")
-        # The hot loop: step() inlined with local bindings.
         pop, queue = self._pop, self._queue
         while queue:
             if until is not None and queue[0][0] > until:
@@ -444,8 +364,13 @@ class Simulator:
             event = pop()
             callbacks = event.callbacks
             if callbacks is None:
-                # Raw scheduled callback (call_later): same (time,
-                # seq) slot as an event, none of the machinery.
+                # A raw scheduled callback, not an Event: an object
+                # with class-level ``callbacks = None`` and an ``fn``
+                # (the flow fast path's ``_Delivery`` / ``_CreditReturn``).
+                # A real Event carries a list until it is dispatched
+                # and is scheduled exactly once, so the marker is
+                # unambiguous; the holder occupies the (time, seq)
+                # slot an Event would, with none of the machinery.
                 event.fn()
                 continue
             event.callbacks = None
@@ -478,7 +403,7 @@ class Simulator:
         The interruptible counterpart of :meth:`run`, for external
         drivers (the serving front-end) that must regain control the
         moment a completion callback fires — without paying a Python
-        ``peek``/``step`` round-trip per event.  Dispatch order is
+        ``peek``/dispatch round-trip per event.  Dispatch order is
         bit-identical to :meth:`run`; only where control returns
         differs:
 

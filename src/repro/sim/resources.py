@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from .kernel import Event, SimulationError, Simulator
 
-__all__ = ["Store", "Resource", "Gate"]
+__all__ = ["Store", "Resource"]
 
 
 class _StorePut(Event):
@@ -68,14 +68,6 @@ class Store:
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self.items:
-            item = self.items.pop(0)
-            self._dispatch()
-            return True, item
-        return False, None
 
     def try_put(self, item: Any) -> bool:
         """Allocation-free put fast path; ``True`` if enqueued.
@@ -214,25 +206,3 @@ class Resource:
         if horizon <= 0:
             return 0.0
         return total / horizon
-
-
-class Gate:
-    """A re-arming broadcast signal.
-
-    ``wait()`` returns an event that fires at the next ``fire()``.
-    Used for completion barriers and for waking rate-limited senders.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._waiters: list[Event] = []
-
-    def wait(self) -> Event:
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
-
-    def fire(self, value: Any = None) -> None:
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed(value)

@@ -9,7 +9,7 @@ kinds of records:
   chunks per channel, cache hits, dollars billed);
 * **series** — (time, value) samples (queue occupancy over time);
 * **spans** — named intervals (per-stage busy periods), from which
-  utilization and critical-path summaries are derived;
+  busy time and critical-path summaries are derived;
 * **events** — a bounded ring of typed :class:`~repro.sim.events.
   TraceEvent`s (chunk emit/recv, credit grant/stall, DMA
   issue/complete, cache hit/miss, operator open/close), the
@@ -22,17 +22,9 @@ kinds of records:
 
 A single :class:`Trace` is threaded through a fabric.  On top of the
 raw records it derives the quantities reports need: per-span busy
-time and utilization (:meth:`Trace.busy_time`,
-:meth:`Trace.utilization`), per-device utilization from the
-``device.<name>.busy_s`` counters every :class:`~repro.hardware.device.
-Device` maintains (:meth:`Trace.device_utilization`), per-link
-byte/chunk totals (:meth:`Trace.link_report`), and a critical-path
-summary ranking span names by total busy time
-(:meth:`Trace.critical_path`).
-
-Traces serialize to a schema-versioned plain dict
-(:meth:`Trace.to_dict` / :meth:`Trace.from_dict`) so benchmark
-harnesses can persist them as JSON.
+time (:meth:`Trace.busy_time`), per-link byte/chunk totals
+(:meth:`Trace.link_report`), and a critical-path summary ranking span
+names by total busy time (:meth:`Trace.critical_path`).
 
 The trace keeps a *clock watermark* — the largest simulated time it
 has seen — so that spans still open at report time have a well-defined
@@ -48,14 +40,7 @@ from typing import Optional
 
 from .events import EventRing, TraceEvent
 
-__all__ = ["Trace", "Span", "CounterHandle", "TRACE_SCHEMA"]
-
-TRACE_SCHEMA = "repro.trace/v3"
-"""Schema identifier embedded in serialized traces."""
-
-_ACCEPTED_SCHEMAS = ("repro.trace/v1", "repro.trace/v2", TRACE_SCHEMA)
-"""Schemas :meth:`Trace.from_dict` accepts (v1 lacked events/ledger,
-v2 lacked query contexts)."""
+__all__ = ["Trace", "Span", "CounterHandle"]
 
 
 @dataclass
@@ -94,8 +79,8 @@ class CounterHandle:
     counter dict on every increment.  A handle is bound once — at
     channel/link/device construction — and after that each
     :meth:`add` is a single dict update with an interned key.  Handles
-    write to the same public ``trace.counters`` mapping, so readers,
-    serialization, and merge are unaffected.
+    write to the same public ``trace.counters`` mapping, so readers
+    are unaffected.
     """
 
     __slots__ = ("counters", "key")
@@ -246,7 +231,7 @@ class Trace:
     def close_open_spans(self, time: Optional[float] = None) -> int:
         """Close every still-open span at ``time`` (default: the clock).
 
-        Returns the number of spans closed.  Used before serializing a
+        Returns the number of spans closed.  Used before exporting a
         trace mid-run so the snapshot is self-contained.
         """
         when = self.clock if time is None else time
@@ -278,85 +263,12 @@ class Trace:
         """
         return sum(s.duration for s in self.spans.get(span_name, []))
 
-    def utilization(self, span_name: str,
-                    elapsed: Optional[float] = None) -> float:
-        """Busy fraction for one span name, clamped to [0, 1].
-
-        ``elapsed`` defaults to the clock watermark.  Overlapping
-        spans (multi-slot devices) are clamped rather than summed
-        past 1.
-        """
-        horizon = self.clock if elapsed is None else elapsed
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time(span_name) / horizon)
-
     def peak(self, series_name: str) -> float:
         """Maximum sampled value of a series (0 if empty)."""
         samples = self.series.get(series_name, [])
         if not samples:
             return 0.0
         return max(v for _t, v in samples)
-
-    def merge(self, other: "Trace") -> None:
-        """Fold another trace's records into this one, losslessly.
-
-        Counters add, series and span lists concatenate, ledger cells
-        add, and the two event rings interleave in timestamp order.
-        The merged ring's capacity grows to hold every event both
-        sides currently retain, so a merge itself never drops events
-        (``dropped`` carries over what each side had already lost
-        before the merge).  Query contexts union; when both sides
-        registered the same qid for *different* queries, the other
-        side's contexts (and its events' qids) are remapped to fresh
-        ids so attribution stays unambiguous.
-        """
-        remap: dict[int, int] = {}
-        for qid, ctx in sorted(other.contexts.items()):
-            if qid not in self.contexts:
-                self.contexts[qid] = dict(ctx)
-                self._ctx_seq = max(self._ctx_seq, qid)
-            elif self.contexts[qid] != ctx:
-                self._ctx_seq = max(self._ctx_seq,
-                                    max(self.contexts)) + 1
-                remap[qid] = self._ctx_seq
-                self.contexts[self._ctx_seq] = dict(ctx)
-        other_events = list(other.events)
-        if remap:
-            other_events = [
-                TraceEvent(ts=e.ts, kind=e.kind, actor=e.actor,
-                           label=e.label, nbytes=e.nbytes, dur=e.dur,
-                           flow_id=e.flow_id,
-                           qid=remap.get(e.qid, e.qid))
-                for e in other_events]
-        for key, value in other.counters.items():
-            self.counters[key] += value
-        for key, samples in other.series.items():
-            self.series[key].extend(samples)
-        for key, spans in other.spans.items():
-            self.spans[key].extend(spans)
-        for key, (nbytes, chunks) in other.ledger.items():
-            cell = self.ledger.setdefault(key, [0.0, 0.0])
-            cell[0] += nbytes
-            cell[1] += chunks
-        combined = sorted(list(self.events) + other_events,
-                          key=lambda e: e.ts)
-        capacity = max(self.events.capacity, other.events.capacity,
-                       len(combined) or 1)
-        dropped = self.events.dropped + other.events.dropped
-        merged = EventRing(capacity)
-        merged.extend(iter(combined))
-        merged.dropped = dropped
-        self.events = merged
-        self._flow_seq = max(self._flow_seq, other._flow_seq)
-        self._ctx_seq = max(self._ctx_seq, other._ctx_seq,
-                            max(self.contexts, default=0))
-        self.tick(other.clock)
-
-    def report(self, prefix: str = "") -> dict[str, float]:
-        """Counters (optionally filtered by prefix) as a plain dict."""
-        return {k: v for k, v in sorted(self.counters.items())
-                if k.startswith(prefix)}
 
     # -- derived reports ---------------------------------------------------
 
@@ -398,25 +310,6 @@ class Trace:
                            if horizon > 0 else 0.0)}
                 for name, stats in ranked]
 
-    def device_utilization(self, elapsed: Optional[float] = None
-                           ) -> dict[str, float]:
-        """Per-device busy fraction from ``device.<name>.busy_s``.
-
-        Values are clamped to [0, 1]; devices that never executed are
-        absent.  ``elapsed`` defaults to the clock watermark.
-        """
-        horizon = self.clock if elapsed is None else elapsed
-        out: dict[str, float] = {}
-        prefix, suffix = "device.", ".busy_s"
-        for key, value in sorted(self.counters.items()):
-            if key.startswith(prefix) and key.endswith(suffix):
-                name = key[len(prefix):-len(suffix)]
-                if horizon > 0:
-                    out[name] = min(1.0, value / horizon)
-                else:
-                    out[name] = 0.0
-        return out
-
     def movement_ledger(self) -> list[dict]:
         """The movement ledger: bytes × link × actor × direction.
 
@@ -429,13 +322,6 @@ class Trace:
                  "bytes": cell[0], "chunks": cell[1]}
                 for (link, actor, direction), cell
                 in sorted(self.ledger.items())]
-
-    def ledger_link_totals(self) -> dict[str, float]:
-        """Total ledger bytes per link (for link_report reconciliation)."""
-        out: dict[str, float] = {}
-        for (link, _actor, _direction), cell in self.ledger.items():
-            out[link] = out.get(link, 0.0) + cell[0]
-        return dict(sorted(out.items()))
 
     def stall_report(self) -> dict[str, dict[str, float]]:
         """Per-stage stall seconds split by cause.
@@ -501,62 +387,3 @@ class Trace:
             out.setdefault(name, {"bytes": 0.0, "chunks": 0.0})
             out[name][metric] += value
         return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Schema-versioned plain-dict form (JSON-serializable)."""
-        return {
-            "schema": TRACE_SCHEMA,
-            "clock": self.clock,
-            "counters": dict(sorted(self.counters.items())),
-            "series": {name: [[t, v] for t, v in samples]
-                       for name, samples in sorted(self.series.items())},
-            "spans": {name: [[s.start, s.end] for s in spans]
-                      for name, spans in sorted(self.spans.items())},
-            "events": {"capacity": self.events.capacity,
-                       "dropped": self.events.dropped,
-                       "items": [e.to_dict() for e in self.events]},
-            "ledger": [[link, actor, direction, cell[0], cell[1]]
-                       for (link, actor, direction), cell
-                       in sorted(self.ledger.items())],
-            "contexts": {str(qid): dict(ctx) for qid, ctx
-                         in sorted(self.contexts.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trace":
-        """Rebuild a trace from :meth:`to_dict` output.
-
-        Accepts both the current schema and ``repro.trace/v1`` (which
-        predates events and the ledger — those come back empty).
-        """
-        schema = data.get("schema")
-        if schema not in _ACCEPTED_SCHEMAS:
-            raise ValueError(
-                f"unsupported trace schema {schema!r} "
-                f"(expected one of {_ACCEPTED_SCHEMAS!r})")
-        trace = cls()
-        trace.clock = float(data.get("clock", 0.0))
-        for name, value in data.get("counters", {}).items():
-            trace.counters[name] = value
-        for name, samples in data.get("series", {}).items():
-            trace.series[name] = [(t, v) for t, v in samples]
-        for name, spans in data.get("spans", {}).items():
-            trace.spans[name] = [Span(name, start, end, trace=trace)
-                                 for start, end in spans]
-        events = data.get("events")
-        if events:
-            trace.events = EventRing(
-                int(events.get("capacity", 1)) or 1)
-            for item in events.get("items", []):
-                trace.events.append(TraceEvent.from_dict(item))
-            trace.events.dropped = int(events.get("dropped", 0))
-        for link, actor, direction, nbytes, chunks in data.get(
-                "ledger", []):
-            trace.ledger[(link, actor, direction)] = [float(nbytes),
-                                                      float(chunks)]
-        for qid, ctx in data.get("contexts", {}).items():
-            trace.contexts[int(qid)] = dict(ctx)
-        trace._ctx_seq = max(trace.contexts, default=0)
-        return trace

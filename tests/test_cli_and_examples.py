@@ -1,13 +1,20 @@
 """Smoke tests: the CLI and every example run end to end."""
 
+import hashlib
+import importlib
 import importlib.util
+import json
 import os
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+from . import reach
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                             "examples")
@@ -138,6 +145,26 @@ def test_cli_top_json_routes_to_results(capsys, tmp_path,
     assert "bytes moved" in followed
 
 
+def test_html_pages_are_byte_stable(tmp_path, capsys):
+    # Both pages share one skeleton (head, CSS, JSON twin); the bytes
+    # were recorded before they did.
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    report = tmp_path / "attribution.html"
+    assert main(["report", "-o", str(report), "--queries", "f2",
+                 "--rows", "2000"]) == 0
+    assert sha256(report) == (
+        "681544ecdcbd56c0a4801df223c2a0edb5cec1a2c2981f72c75b9e7e3dc4b0e1")
+    dashboard = tmp_path / "dashboard.html"
+    assert main(["serve", "--queries", "60", "--no-verify",
+                 "--report", str(dashboard)]) == 0
+    assert sha256(dashboard) == (
+        "d119a10325574207d73996205e980454c3ad41ec5b92ead51378d7a2f1119aee")
+    assert sha256(dashboard.with_suffix(".json")) == (
+        "5d5145f73d3a57b848898ba673946b0714e5aaf0bc782aa9be647ac28bd1cfda")
+
+
 HOSTILE = {
     "sql-garbage": (["sql", "garbage"], "expected SELECT"),
     "sql-unknown-column": (["sql", "select nope from lineitem",
@@ -192,6 +219,37 @@ HOSTILE = {
                           "bad.json: Expecting value"),
     "top-from-a-list": (["top", "--from", "{tmp}/list.json"],
                         "list.json carries no repro.observatory/v1"),
+    # A section that is there but malformed or incomplete (a traceback,
+    # or an empty-looking dashboard, before the payload was validated).
+    "top-from-section-not-object": (
+        ["top", "--from", "{tmp}/section-list.json"],
+        "section-list.json: observatory section is not an object"),
+    "top-from-section-incomplete": (
+        ["top", "--from", "{tmp}/section-sparse.json"],
+        "section-sparse.json: observatory: missing 'schema'"),
+    "top-from-section-wrong-type": (
+        ["top", "--from", "{tmp}/section-typed.json"],
+        "section-typed.json: observatory: 'totals' is 7, expected dict"),
+    "top-from-bare-incomplete": (
+        ["top", "--from", "{tmp}/bare.json"],
+        "bare.json: observatory: missing 'window_s'"),
+}
+
+_OBSERVATORY = {
+    "schema": "repro.observatory/v1", "window_s": 0.005, "windows": 0,
+    "horizon_s": 0.0, "events_dropped": 0, "partial": False,
+    "partial_reason": "", "pools": [], "totals": {}, "series": [],
+    "bound": {}, "regret": {}}
+
+HOSTILE_FILES = {
+    "bad.json": "not json",
+    "list.json": "[1,2]",
+    "section-list.json": json.dumps({"observatory": [1]}),
+    "section-sparse.json": json.dumps({"observatory": {"windows": 3}}),
+    "section-typed.json": json.dumps(
+        {"observatory": {**_OBSERVATORY, "totals": 7}}),
+    "bare.json": json.dumps({"schema": "repro.observatory/v1",
+                             "series": [{"window": 0}]}),
 }
 
 
@@ -199,8 +257,8 @@ HOSTILE = {
 def test_cli_hostile_input_is_one_error_line_and_exit_2(case, capsys,
                                                         tmp_path):
     # Each of these was a Python traceback and exit 1.
-    (tmp_path / "bad.json").write_text("not json")
-    (tmp_path / "list.json").write_text("[1,2]")
+    for name, text in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(text)
     argv, message = HOSTILE[case]
     try:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -251,8 +309,36 @@ def test_every_ci_command_line_still_parses(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Examples
+# The surface: what may stay unreached, and what the packages export
 # ---------------------------------------------------------------------------
+
+def test_reach_allowed_list_names_one_def_each_with_a_reason():
+    # The drive itself is ``python tests/reach.py`` (CI); its list must
+    # not rot between drives.
+    defined = [d.name for d in reach.defined_functions()]
+    for name, reason in reach.ALLOWED.items():
+        assert defined.count(name) == 1, name
+        assert reason.strip(), name
+
+
+def _repro_modules():
+    yield "repro"
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":      # runs the CLI on import
+            yield info.name
+
+
+def test_every_dunder_all_name_resolves():
+    # A deleted function must leave its export lists with it.
+    checked = 0
+    for module_name in _repro_modules():
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.{name}"
+            checked += 1
+    assert checked > 400
+
+
 
 def test_example_quickstart(capsys):
     out = run_example("quickstart", capsys)

@@ -12,7 +12,7 @@ by values and by bytes, never by the clock:
   returned — kept here verbatim as the reference — so the RNG stream
   did not shift;
 * building a table no longer peaks far above what it retains;
-* statistics and re-chunking read the arena, they do not rebuild it;
+* statistics read the arena, they do not rebuild it;
 * a malformed encoded column is a ``ValueError`` naming the column.
 """
 
@@ -24,10 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational import (Catalog, DataType, Encoded, Field, Schema,
-                              Table, random_strings)
+                              Table)
 from repro.relational.arena import _DICT_MAX_POOL_FRACTION, _adopt, _encode
-from repro.relational.datagen import (_WORDS, customer_schema,
-                                      lineitem_schema, make_customer,
+from repro.relational.datagen import (_WORDS, lineitem_schema,
                                       make_lineitem, make_orders,
                                       orders_schema, uniform_ints)
 
@@ -96,7 +95,7 @@ def test_pool_fraction_boundary(rows, distinct, is_dict):
 # ---------------------------------------------------------------------------
 
 def dense_random_strings(rng, n, words=4, width=32, pool=4096):
-    """``random_strings`` as it was before PR 20, verbatim."""
+    """The phrase generator as it was before PR 20, verbatim."""
     pool = min(pool, max(1, n))
     picks = rng.integers(0, len(_WORDS), size=(pool, words))
     phrases = np.array([" ".join([_WORDS[j] for j in row])
@@ -132,21 +131,9 @@ def dense_orders(n, seed=11):
     })
 
 
-def dense_customer(n, seed=13):
-    rng = np.random.default_rng(seed)
-    return Table.from_arrays(customer_schema(), {
-        "c_custkey": np.arange(n, dtype=np.int64),
-        "c_nationkey": uniform_ints(rng, n, 0, 24),
-        "c_acctbal": rng.uniform(-999.0, 9999.0, size=n),
-        "c_mktsegment": uniform_ints(rng, n, 0, 4),
-        "c_comment": dense_random_strings(rng, n, words=4, width=32),
-    })
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 100, 2_000, 3_000, 100_000])
 @pytest.mark.parametrize("make,dense", [
-    (make_lineitem, dense_lineitem), (make_orders, dense_orders),
-    (make_customer, dense_customer)])
+    (make_lineitem, dense_lineitem), (make_orders, dense_orders)])
 def test_generators_equal_their_dense_predecessors(make, dense, n):
     for seed in ({}, {"seed": 3}):
         got, want = make(n, **seed), dense(n, **seed)
@@ -157,17 +144,6 @@ def test_generators_equal_their_dense_predecessors(make, dense, n):
             a, b = got.column(field.name), want.column(field.name)
             assert a.dtype == b.dtype == field.numpy_dtype
             assert np.array_equal(a, b)
-
-
-def test_random_strings_is_still_dense():
-    """(e) the public helper returns what it returned before."""
-    for n, kwargs in ((0, {}), (1, {}), (300, {"words": 5, "width": 12}),
-                      (9_000, {"pool": 64})):
-        got = random_strings(np.random.default_rng(5), n, **kwargs)
-        want = dense_random_strings(np.random.default_rng(5), n, **kwargs)
-        assert type(got) is np.ndarray and got.shape == (n,)
-        assert got.dtype == want.dtype == f"<U{kwargs.get('width', 32)}"
-        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +192,6 @@ def test_plain_string_statistics_keep_the_set_based_count():
     catalog = Catalog()
     catalog.register("t", table)
     assert catalog.stats("t").columns["s"].distinct == 40
-
-
-def test_rechunk_rewindows_the_same_arena():
-    """(d) same storage, same rows, chunk sizes as asked."""
-    table = make_lineitem(1_000, chunk_rows=300)
-    again = table.rechunk(128)
-    assert [c.num_rows for c in again.chunks] == [128] * 7 + [104]
-    assert again.name == table.name and again._arena is table._arena
-    assert np.shares_memory(again.chunks[2].columns["l_quantity"],
-                            table.column("l_quantity"))
-    assert (again.chunks[0].dict_codes("l_returnflag").base
-            is table._arena.columns["l_returnflag"].codes)
-    assert again.sorted_rows() == table.sorted_rows()
-
-    # A table without an arena still re-chunks, by copying.
-    table.append(table.chunks[0])
-    assert table._arena is None
-    copied = table.rechunk(500)
-    assert [c.num_rows for c in copied.chunks] == [500, 500, 300]
-    assert copied.sorted_rows() == table.sorted_rows()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import (
     Catalog,
     col,
-    make_customer,
     make_lineitem,
     make_orders,
     make_uniform_table,
@@ -37,8 +36,6 @@ def make_env(compute_nodes=1):
     catalog.register("lineitem", make_lineitem(ROWS, orders=ROWS // 4,
                                                chunk_rows=CHUNK))
     catalog.register("orders", make_orders(ROWS // 4, chunk_rows=CHUNK))
-    catalog.register("customer", make_customer(ROWS // 10,
-                                               chunk_rows=CHUNK))
     catalog.register("uniform", make_uniform_table(ROWS, columns=3,
                                                    distinct=50,
                                                    chunk_rows=CHUNK))

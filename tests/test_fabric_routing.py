@@ -38,7 +38,6 @@ PRESETS = {
     "no-rdma-10gbit": (
         lambda: dataflow_spec(network_gbits=10, rdma=False), 0),
     "slow-storage-cu": (lambda: dataflow_spec(storage_cu_scale=0.3), 0),
-    "dpu-storage-nic": (lambda: dataflow_spec(storage_nic="dpu"), 0),
     "pcie": (lambda: dataflow_spec(use_cxl=False), 0),
     "rack-4": (lambda: rack_spec(4), 0),
     "rack-8": (lambda: rack_spec(8), 0),

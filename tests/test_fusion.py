@@ -315,8 +315,6 @@ def test_boundary_operations_materialize_views():
     wide = view.with_column(Field("d", DataType.FLOAT64),
                             np.zeros(view.num_rows))
     assert wide._sel is None                 # with_column settles
-    renamed = view.rename({"a": "z"})
-    assert renamed._sel is None and "z" in renamed.schema
     from repro.relational import Table
     table = Table(view.schema)
     table.append(view)                       # table storage settles

@@ -144,13 +144,6 @@ def test_lru_occupancy_never_exceeds_capacity():
         assert len(cache) <= 3
 
 
-def test_lru_explicit_evict():
-    cache = LRUCache(capacity_blocks=4)
-    cache.access("x")
-    assert cache.evict("x") is True
-    assert cache.evict("x") is False
-
-
 def test_lru_requires_positive_capacity():
     import pytest
     with pytest.raises(ValueError):

@@ -166,21 +166,16 @@ def test_rdma_bandwidth_matches_gbits():
 
 
 def test_remaining_link_factories():
-    from repro.hardware import cache_bus, ethernet_link, memory_bus, \
-        nvlink_link
+    from repro.hardware import cache_bus, ethernet_link, memory_bus
     sim, trace = make_env()
     eth = ethernet_link(sim, trace, "e", gbits=400.0)
     assert eth.bandwidth == pytest.approx(50e9)
     assert eth.segment == "network"
-    nvl = nvlink_link(sim, trace, "n", generation=4)
-    assert nvl.segment == "nvlink"
     mem = memory_bus(sim, trace, "m", gib_per_s=20.0)
     assert mem.segment == "membus"
     cache = cache_bus(sim, trace, "c")
     assert cache.segment == "cache"
     assert cache.latency < mem.latency < eth.latency
-    with pytest.raises(ValueError):
-        nvlink_link(sim, trace, "bad", generation=9)
 
 
 def test_cxl_requires_gen5_plus():
@@ -188,30 +183,3 @@ def test_cxl_requires_gen5_plus():
     sim, trace = make_env()
     with pytest.raises(ValueError):
         cxl_link(sim, trace, "bad", generation=4)
-
-
-def test_storage_medium_presets():
-    from repro.hardware import StorageMedium
-    sim, trace = make_env()
-    ssd = StorageMedium.nvme_ssd(sim, trace, "ssd")
-    hdd = StorageMedium.hdd(sim, trace, "hdd")
-    backend = StorageMedium.object_store_backend(sim, trace, "obj")
-    assert ssd.read_bandwidth > backend.read_bandwidth > \
-        hdd.read_bandwidth
-    assert hdd.access_latency > ssd.access_latency
-    # Writes are slower than reads by default.
-    assert ssd.write_bandwidth < ssd.read_bandwidth
-
-
-def test_storage_medium_write_charges():
-    from repro.hardware import StorageMedium
-    from repro.sim import Simulator, Trace
-    sim = Simulator()
-    trace = Trace()
-    ssd = StorageMedium.nvme_ssd(sim, trace, "ssd")
-
-    def proc():
-        yield from ssd.write(1 << 20)
-
-    sim.run_process(proc())
-    assert trace.counter("storage.ssd.bytes.write") == float(1 << 20)

@@ -161,9 +161,9 @@ def test_stateful_op_on_accelerator_fails_loudly():
     from repro.flow import StageGraph
     from repro.hardware import build_fabric, dataflow_spec
     from repro.relational import make_uniform_table
-    fabric = build_fabric(dataflow_spec(storage_nic="dpu"))
-    # A DPU supports JOIN_BUILD by rate table, but a *final grouped*
-    # aggregate still has no kernel form — the runtime must refuse.
+    fabric = build_fabric(dataflow_spec())
+    # A SmartNIC supports AGGREGATE by rate table, but a *final
+    # grouped* aggregate has no kernel form — the runtime must refuse.
     table = make_uniform_table(100, chunk_rows=50)
     specs = [AggSpec("count", alias="n")]
     out = Schema([Field("k0", DataType.INT64),

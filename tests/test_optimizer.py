@@ -213,7 +213,7 @@ def test_plan_variants_include_best_and_cpu_only():
     names = [v.placement.name for v in variants]
     assert "cpu-only" in names
     # Best first.
-    scores = [v.score for v in variants[:-1]]
+    scores = [v.cost.bottleneck_time for v in variants[:-1]]
     assert scores == sorted(scores)
 
 

@@ -97,7 +97,7 @@ def test_distinct_templates_are_distinct_entries():
     cache.store(planned, catalog, fabric,
                 optimizer.plan_variants(planned, n=2))
     assert cache.lookup(other_template(), catalog, fabric) is None
-    assert len(cache) == 1
+    assert cache.counters()["entries"] == 1
 
 
 def test_schema_change_invalidates():
@@ -111,7 +111,7 @@ def test_schema_change_invalidates():
     _fabric, catalog_changed = make_env(rows=4000)
     assert cache.lookup(template(), catalog_changed, fabric) is None
     assert cache.counters()["invalidations"] == 1
-    assert len(cache) == 0  # stale entry dropped, not kept
+    assert cache.counters()["entries"] == 0  # stale entry dropped
 
 
 def test_placement_context_change_invalidates():
@@ -135,7 +135,7 @@ def test_capacity_eviction():
                 optimizer.plan_variants(planned_a, n=1))
     cache.store(planned_b, catalog, fabric,
                 optimizer.plan_variants(planned_b, n=1))
-    assert len(cache) == 1
+    assert cache.counters()["entries"] == 1
     assert cache.lookup(other_template(), catalog, fabric) is not None
 
 

@@ -200,7 +200,8 @@ def test_later_instances_return_the_first_instances_answer(template,
                     telemetry=False, observatory=False))
     for _ in range(6):
         server.submit("t", template)
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     oracle = table_checksum(VolcanoEngine(
         build_fabric(dataflow_spec()), catalog).execute(
             serve_templates()[template]()).table)
@@ -356,12 +357,14 @@ def test_server_reprepares_when_a_table_is_replaced_in_place():
         ServeConfig(telemetry=False, observatory=False))
     for _ in range(2):
         server.submit("t", "group_by_flag")
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     catalog.register("lineitem", make_lineitem(
         2000, seed=99, orders=500, chunk_rows=500))
     for _ in range(2):
         server.submit("t", "group_by_flag")
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     old, old2, new, new2 = [r.checksum for r in server.records]
     oracle = table_checksum(VolcanoEngine(
         build_fabric(dataflow_spec()), catalog).execute(
@@ -425,4 +428,4 @@ def test_eviction_is_least_hit_then_oldest():
     store(cache, third)
     assert cache.lookup(second, catalog, fabric) is None
     assert cache.lookup(first, catalog, fabric) is not None
-    assert len(cache) == 2
+    assert cache.counters()["entries"] == 2

@@ -1,8 +1,7 @@
 """Property test: the hot-path rewrites are observably invisible.
 
-PR 9 moved the credit-flow hot path onto raw callbacks
-(``Simulator.call_later``, the ``_Delivery`` / ``_CreditReturn``
-chains) while keeping the generator reference implementation behind
+PR 9 moved the credit-flow hot path onto raw callbacks (the
+``_Delivery`` / ``_CreditReturn`` chains) while keeping the generator reference implementation behind
 ``REPRO_SLOW_FLOW=1``.  These properties pin the contract with
 randomized workloads instead of hand-picked scenarios:
 

@@ -12,7 +12,6 @@ from repro.relational import (
     compute_stats,
     decompress_chunk,
     deserialize_chunk,
-    make_customer,
     make_lineitem,
     make_orders,
     make_sensor_readings,
@@ -20,7 +19,6 @@ from repro.relational import (
     serialize_chunk,
     to_column_major,
     to_row_major,
-    zipf_ints,
 )
 
 
@@ -124,10 +122,10 @@ def test_stats_exact_min_max_distinct():
 
 
 def test_stats_string_columns_have_no_range():
-    table = make_customer(100)
+    table = make_orders(100)
     stats = compute_stats(table)
-    assert stats.columns["c_comment"].min is None
-    assert stats.columns["c_comment"].distinct > 0
+    assert stats.columns["o_comment"].min is None
+    assert stats.columns["o_comment"].distinct > 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +157,3 @@ def test_sensor_error_rate_approximate():
     status = table.column("status")
     error_frac = (status == 2).mean()
     assert 0.005 < error_frac < 0.02
-
-
-def test_zipf_skews_distribution():
-    rng = np.random.default_rng(0)
-    values = zipf_ints(rng, 100000, n_values=1000, skew=1.5)
-    counts = np.bincount(values, minlength=1000)
-    # The most popular value dominates under skew.
-    assert counts.max() > 10 * np.median(counts[counts > 0])
-    assert values.min() >= 0 and values.max() < 1000
-
-
-def test_zipf_requires_skew_above_one():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        zipf_ints(rng, 10, n_values=5, skew=1.0)

@@ -50,13 +50,6 @@ def test_schema_project_unknown_column():
         small_schema().project(["nope"])
 
 
-def test_schema_concat_with_prefix():
-    left = Schema.of(("a", DataType.INT64))
-    right = Schema.of(("a", DataType.INT64), ("b", DataType.FLOAT64))
-    joined = left.concat(right, prefix="r_")
-    assert joined.names == ["a", "r_a", "r_b"]
-
-
 # ---------------------------------------------------------------------------
 # Chunk
 # ---------------------------------------------------------------------------
@@ -120,12 +113,6 @@ def test_chunk_with_column():
     assert out.column("c").tolist() == [7, 8, 9]
 
 
-def test_chunk_rename():
-    out = small_chunk().rename({"a": "alpha"})
-    assert out.schema.names == ["alpha", "b", "s"]
-    assert out.column("alpha").tolist() == [1, 2, 3]
-
-
 def test_chunk_to_rows():
     rows = small_chunk().to_rows()
     assert rows[0] == (1, 1.5, "x")
@@ -161,14 +148,6 @@ def test_table_schema_mismatch_rejected():
     table = Table(schema)
     with pytest.raises(ValueError):
         table.append(Chunk(other, {"b": np.array([1])}))
-
-
-def test_table_rechunk_preserves_rows():
-    schema = Schema.of(("a", DataType.INT64))
-    table = Table.from_arrays(schema, {"a": np.arange(100)}, chunk_rows=7)
-    rechunked = table.rechunk(25)
-    assert rechunked.sorted_rows() == table.sorted_rows()
-    assert [c.num_rows for c in rechunked.chunks] == [25, 25, 25, 25]
 
 
 def test_empty_table():

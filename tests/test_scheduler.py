@@ -63,8 +63,6 @@ def test_interference_score_only_counts_shared_resources():
     overlapping = {"device:x": 1.0}
     assert tracker.interference_score(disjoint) == 1.0
     assert tracker.interference_score(overlapping) == 11.0
-    assert tracker.jobs_sharing(disjoint) == 0
-    assert tracker.jobs_sharing(overlapping) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +169,12 @@ def test_scheduler_makespan_and_latency_reporting():
     scheduler.submit("b", LIGHT, arrival=1e-4)
     scheduler.run()
     assert scheduler.makespan() > 0
-    assert scheduler.mean_latency() > 0
+    assert all(r.latency > 0 for r in scheduler.records.values())
 
 
 def test_scheduled_query_latency_properties():
     record = ScheduledQuery("q", arrival=1.0, started=2.0, finished=5.0)
     assert record.latency == 4.0
-    assert record.run_time == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,41 +196,3 @@ def test_poisson_requires_positive_rate():
     from repro.scheduler import poisson_arrivals
     with pytest.raises(ValueError):
         poisson_arrivals(5, rate=0.0)
-
-
-def test_workload_mix_runs_open_workload():
-    from repro.scheduler import Scheduler, WorkloadMix
-    fabric, catalog = make_env()
-    mix = WorkloadMix(
-        templates={
-            "heavy": lambda: (Query.scan("lineitem")
-                              .filter(col("l_quantity") > 5)
-                              .count()),
-            "light": lambda: (Query.scan("uniform")
-                              .filter(col("k0") < 5).count()),
-        },
-        weights={"heavy": 1.0, "light": 3.0}, seed=11)
-    scheduler = Scheduler(fabric, catalog, policy="interference")
-    names = mix.submit_to(scheduler, n=6, rate=5000.0)
-    records = scheduler.run()
-    assert len(records) == 6
-    assert all(r.table is not None for r in records)
-    kinds = {name.split("#")[0] for name in names}
-    assert kinds <= {"heavy", "light"}
-
-
-def test_workload_mix_draw_respects_weights_roughly():
-    from repro.scheduler import WorkloadMix
-    mix = WorkloadMix(templates={"a": lambda: None,
-                                 "b": lambda: None},
-                      weights={"a": 9.0, "b": 1.0}, seed=3)
-    picks = mix.draw(500)
-    assert picks.count("a") > 350
-
-
-def test_workload_mix_validation():
-    from repro.scheduler import WorkloadMix
-    with pytest.raises(ValueError):
-        WorkloadMix(templates={})
-    with pytest.raises(ValueError):
-        WorkloadMix(templates={"a": lambda: None}, weights={})

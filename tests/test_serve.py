@@ -133,7 +133,8 @@ def test_arrival_kind_validation():
 def test_server_batch_submit_and_drain():
     server = make_server()
     records = [server.submit("a", "count_hot") for _ in range(5)]
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     assert all(r.completed for r in records)
     assert all(r.checksum for r in records)
     assert len({r.checksum for r in records}) == 1  # same template
@@ -144,7 +145,8 @@ def test_server_plan_cache_hits_after_first():
     server = make_server()
     for _ in range(4):
         server.submit("a", "count_hot")
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     counters = server.plan_cache.counters()
     assert counters["misses"] == 1
     assert counters["hits"] == 3
@@ -160,7 +162,8 @@ def test_server_sheds_above_queue_bound():
         record = server.submit("a", "count_hot",
                                on_done=seen.append)
     del record
-    server.drain()
+    server.fabric.run()
+    assert server.idle
     shed = [r for r in server.records if not r.admitted]
     # 1 running + 1 queued admitted at submission time; rest shed.
     assert len(shed) == 3

@@ -1,8 +1,8 @@
-"""Unit tests for Store, Resource and Gate primitives."""
+"""Unit tests for the Store and Resource primitives."""
 
 import pytest
 
-from repro.sim import Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +87,6 @@ def test_store_max_occupancy_tracked():
     sim.run()
     assert store.max_occupancy == 4
     assert len(store) == 4
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert (ok, item) == (False, None)
-
-    def producer():
-        yield store.put("a")
-
-    sim.process(producer())
-    sim.run()
-    ok, item = store.try_get()
-    assert (ok, item) == (True, "a")
 
 
 def test_store_occupancy_never_exceeds_capacity():
@@ -248,50 +233,3 @@ def test_resource_utilization():
     sim.run()
     assert sim.now == 10.0
     assert res.utilization() == pytest.approx(0.3)
-
-
-# ---------------------------------------------------------------------------
-# Gate
-# ---------------------------------------------------------------------------
-
-def test_gate_broadcasts_to_all_waiters():
-    sim = Simulator()
-    gate = Gate(sim)
-    woken = []
-
-    def waiter(tag):
-        value = yield gate.wait()
-        woken.append((sim.now, tag, value))
-
-    def firer():
-        yield sim.timeout(2.0)
-        gate.fire("go")
-
-    sim.process(waiter("a"))
-    sim.process(waiter("b"))
-    sim.process(firer())
-    sim.run()
-    assert woken == [(2.0, "a", "go"), (2.0, "b", "go")]
-
-
-def test_gate_rearms_after_fire():
-    sim = Simulator()
-    gate = Gate(sim)
-    woken = []
-
-    def waiter():
-        yield gate.wait()
-        woken.append(sim.now)
-        yield gate.wait()
-        woken.append(sim.now)
-
-    def firer():
-        yield sim.timeout(1.0)
-        gate.fire()
-        yield sim.timeout(1.0)
-        gate.fire()
-
-    sim.process(waiter())
-    sim.process(firer())
-    sim.run()
-    assert woken == [1.0, 2.0]

@@ -1,4 +1,4 @@
-"""The trace metrics registry: spans, serialization, derived reports."""
+"""The trace metrics registry: spans and derived reports."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.engine.results import TraceSnapshot
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import Catalog, col, make_lineitem
 from repro.sim import Trace
-from repro.sim.trace import TRACE_SCHEMA, Span
+from repro.sim.trace import Span
 
 
 def test_open_span_duration_uses_clock_watermark():
@@ -65,30 +65,6 @@ def test_span_summary_and_critical_path():
     assert trace.critical_path(top=1)[0]["span"] == "long"
 
 
-def test_utilization_clamped():
-    trace = Trace()
-    # Two overlapping spans (a 2-slot device): raw busy > horizon.
-    for _ in range(2):
-        span = trace.open_span("dev", 0.0)
-        trace.close_span(span, 10.0)
-    assert trace.busy_time("dev") == pytest.approx(20.0)
-    assert trace.utilization("dev") == 1.0
-    assert trace.utilization("dev", elapsed=40.0) == pytest.approx(0.5)
-    assert Trace().utilization("missing") == 0.0
-
-
-def test_device_utilization_from_counters():
-    trace = Trace()
-    trace.add("device.cpu.busy_s", 3.0)
-    trace.add("device.nic.busy_s", 30.0)   # over-busy multi-slot
-    trace.add("device.cpu.ops", 7)         # not a busy counter
-    trace.tick(10.0)
-    util = trace.device_utilization()
-    assert util == {"cpu": pytest.approx(0.3), "nic": 1.0}
-    assert trace.device_utilization(elapsed=0.0) == {"cpu": 0.0,
-                                                     "nic": 0.0}
-
-
 def test_link_report_groups_bytes_and_chunks():
     trace = Trace()
     trace.add("link.net0.bytes", 4096.0)
@@ -99,50 +75,6 @@ def test_link_report_groups_bytes_and_chunks():
     assert report["net0"] == {"bytes": 4096.0, "chunks": 4.0}
     assert report["pcie0"] == {"bytes": 1024.0, "chunks": 0.0}
     assert "movement.network" not in report
-
-
-def test_trace_round_trip():
-    trace = Trace()
-    trace.add("bytes", 512.0)
-    trace.sample("queue", 1.0, 3.0)
-    closed = trace.open_span("stage", 0.0)
-    trace.close_span(closed, 2.0)
-    trace.open_span("stage", 4.0)        # still open
-    trace.tick(6.0)
-
-    data = trace.to_dict()
-    assert data["schema"] == TRACE_SCHEMA
-    import json
-    rebuilt = Trace.from_dict(json.loads(json.dumps(data)))
-    assert rebuilt.clock == trace.clock
-    assert dict(rebuilt.counters) == dict(trace.counters)
-    assert rebuilt.series["queue"] == [(1.0, 3.0)]
-    spans = rebuilt.spans["stage"]
-    assert [(s.start, s.end) for s in spans] == [(0.0, 2.0), (4.0, None)]
-    # The rebuilt open span is owned by the rebuilt trace.
-    assert spans[1].duration == pytest.approx(2.0)
-    assert rebuilt.to_dict() == data
-
-
-def test_from_dict_rejects_wrong_schema():
-    with pytest.raises(ValueError, match="schema"):
-        Trace.from_dict({"schema": "repro.trace/v0"})
-    with pytest.raises(ValueError, match="schema"):
-        Trace.from_dict({})
-
-
-def test_merge_combines_all_records_and_clock():
-    a, b = Trace(), Trace()
-    a.add("n", 1)
-    b.add("n", 2)
-    b.sample("s", 1.0, 9.0)
-    span = b.open_span("w", 0.0)
-    b.close_span(span, 5.0)
-    a.merge(b)
-    assert a.counter("n") == 3
-    assert a.series["s"] == [(1.0, 9.0)]
-    assert a.busy_time("w") == pytest.approx(5.0)
-    assert a.clock == 5.0
 
 
 def test_snapshot_busy_and_utilization_delta():
@@ -174,8 +106,6 @@ def test_query_populates_spans_and_device_busy_counters():
     assert trace.busy_time("query.volcano") == pytest.approx(
         result.elapsed)
     assert trace.total("device.") > 0
-    util = trace.device_utilization(elapsed=result.elapsed)
-    assert util and all(0.0 <= v <= 1.0 for v in util.values())
     assert result.utilization
     assert all(0.0 <= v <= 1.0 for v in result.utilization.values())
     links = trace.link_report()

@@ -37,7 +37,7 @@ def test_perturbable_resources_reflect_the_fabric():
 
 def test_apply_perturbation_scales_hardware():
     fabric = build_fabric(dataflow_spec())
-    link = fabric.link_between("storage.node", "switch")
+    link = fabric.route("storage.node", "switch")[0]
     before_bw = link.bandwidth
     before_line = fabric.compute[0].nic.line_rate
     fabric.apply_perturbation("net.bw", 2.0)
@@ -64,7 +64,7 @@ def test_apply_perturbation_rejects_unknown_and_absent():
 def test_alias_resolution():
     fabric = build_fabric(dataflow_spec())
     assert fabric.canonical_resource("nic.bw") == "net.bw"
-    link = fabric.link_between("storage.node", "switch")
+    link = fabric.route("storage.node", "switch")[0]
     before = link.bandwidth
     fabric.apply_perturbation("nic.bw", 2.0)
     assert link.bandwidth == before * 2.0
