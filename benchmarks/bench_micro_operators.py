@@ -71,19 +71,22 @@ def test_micro_partial_aggregate_throughput(benchmark):
 
 
 def _join_sides(scale):
-    """500k build rows and 50k probe rows keyed ``k0 * scale``.
+    """500k build rows keyed by a shuffled ``arange`` and 50k probe rows,
+    every key times ``scale``.
 
-    ``scale`` 1 leaves the 50k distinct keys dense (the direct-address
-    index); a large one spreads them out (the binary-search path).  A
-    probe slice keeps the fan-out bounded.
+    ``scale`` 1 leaves the build keys dense and unique (the direct row
+    table); a large one spreads them out (the sorted index and its
+    binary search).  Half the probe keys have no partner.
     """
     schema = Schema([Field("k0", DataType.INT64),
                      Field("k1", DataType.INT64)])
-    build, probe = (
-        Chunk(schema, {"k0": chunk.column("k0") * scale,
-                       "k1": chunk.column("k1")})
-        for chunk in (big_chunk(distinct=50_000, seed=1),
-                      big_chunk(distinct=50_000, seed=2).slice(0, 50_000)))
+    payload = big_chunk(seed=1)
+    probe_rows = big_chunk(distinct=2 * ROWS, seed=2).slice(0, 50_000)
+    build = Chunk(schema, {
+        "k0": np.random.default_rng(1).permutation(ROWS) * scale,
+        "k1": payload.column("k1")})
+    probe = Chunk(schema, {"k0": probe_rows.column("k0") * scale,
+                           "k1": probe_rows.column("k1")})
     return schema, build, probe
 
 
@@ -102,7 +105,7 @@ def test_micro_hash_join_probe_throughput(benchmark, scale):
     build = HashJoinBuild("k0", state)
     build.process(build_chunk)
     build.finish()
-    assert (state.starts is not None) == (scale == 1)
+    assert (state.row_of is not None) == (scale == 1)
     probe = HashJoinProbe("k0", state, schema, {})
     [emit] = benchmark(probe.process, probe_chunk)
     joined, _partnered = _match_count(build_chunk, probe_chunk)

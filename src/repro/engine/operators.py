@@ -480,32 +480,42 @@ class MergeAggregate(PhysicalOp):
 class JoinState:
     """Shared build-side state handed from build to probe.
 
-    The index is the build rows in stable key order (``sort_order``);
-    a probe key's matches are one run ``[left, right)`` of it.  Any
-    key type finds its run by binary search over ``sorted_keys``;
-    dense integer keys (:func:`_dense_span` — every join of the
-    benchmark workloads and paper experiments) also get ``starts``,
-    the run offsets addressed by ``key - lo``, which replaces two
-    cache-missing searches per probe key with two array reads.
+    ``install`` indexes the build side by what it is.  Dense, unique
+    integer keys (:func:`_dense_span` — every join of the benchmark
+    workloads and paper experiments builds on a primary key) get
+    ``row_of``: ``row_of[key - lo]`` is the build row or -1, so a probe
+    is one table read.  Everything else — duplicates, sparse, string,
+    float keys — gets the build rows in stable key order
+    (``sort_order``); a probe key's matches are one run of it, found
+    by binary search over ``sorted_keys``.
     """
 
     def __init__(self):
         self.build_chunk: Optional[Chunk] = None
+        self.row_of: Optional[np.ndarray] = None
         self.sorted_keys: Optional[np.ndarray] = None
         self.sort_order: Optional[np.ndarray] = None
-        self.starts: Optional[np.ndarray] = None
 
     def install(self, chunk: Chunk, key: str) -> None:
-        self.build_chunk = chunk
+        self.build_chunk, self._key = chunk, key
+        self.row_of = self.sorted_keys = self.sort_order = None
         keys = chunk.column(key)
-        self.sort_order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.sort_order]
-        self.starts = None
         dense = _dense_span(keys)
         if dense is not None:
             lo, span = dense
-            counts = np.bincount(keys - lo, minlength=span)
-            self.starts = np.concatenate(([0], np.cumsum(counts)))
+            row_of = np.full(span, -1, dtype=np.int64)
+            row_of[keys - lo] = np.arange(len(keys))
+            # Unique iff no build row overwrote another's slot.
+            if np.count_nonzero(row_of >= 0) == len(keys):
+                self.row_of = row_of
+                self._bounds = np.int64(lo), np.int64(lo + span - 1)
+                return
+        self._sort()
+
+    def _sort(self) -> None:
+        keys = self.build_chunk.column(self._key)
+        self.sort_order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.sort_order]
 
     @property
     def ready(self) -> bool:
@@ -513,20 +523,20 @@ class JoinState:
 
     def match(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(probe_indices, build_indices) of all equi matches."""
-        if self.starts is None or probe_keys.dtype.kind != "i":
-            left = np.searchsorted(self.sorted_keys, probe_keys,
-                                   side="left")
-            right = np.searchsorted(self.sorted_keys, probe_keys,
-                                    side="right")
-        else:
+        if self.row_of is not None and probe_keys.dtype.kind == "i":
             # Range test before the subtraction: a probe key outside
             # [lo, hi] — at the type's limits, or of a narrower int
             # type — can neither wrap into the table nor raise.
-            lo, hi = self.sorted_keys[0], self.sorted_keys[-1]
+            lo, hi = self._bounds
             inside = (probe_keys >= lo) & (probe_keys <= hi)
-            slot = np.where(inside, probe_keys, lo) - lo
-            left = self.starts[slot]
-            right = np.where(inside, self.starts[slot + 1], left)
+            rows = self.row_of[np.where(inside, probe_keys, lo) - lo]
+            probe_idx = np.flatnonzero(inside & (rows >= 0))
+            return probe_idx, rows[probe_idx]
+        if self.sorted_keys is None:
+            # A non-integer probe column against the direct table.
+            self._sort()
+        left = np.searchsorted(self.sorted_keys, probe_keys, side="left")
+        right = np.searchsorted(self.sorted_keys, probe_keys, side="right")
         counts = right - left
         probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
         total = int(counts.sum())

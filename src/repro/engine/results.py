@@ -80,15 +80,20 @@ class QueryResult:
     #: ``finished_at - started_at == elapsed`` exactly.
     started_at: float = 0.0
     finished_at: float = 0.0
+    _rendered: tuple = field(default=(None, ""), init=False, repr=False,
+                            compare=False)
 
     def checksum(self) -> str:
         """Canonical content hash of the result table.
 
         Identical across engines and placements for the same logical
         answer (row order and float summation order are normalized).
+        Rendered once, and again only if ``table`` is replaced.
         """
         from ..obs import table_checksum
-        return table_checksum(self.table)
+        if self._rendered[0] is not self.table:
+            self._rendered = self.table, table_checksum(self.table)
+        return self._rendered[1]
 
     @property
     def rows(self) -> int:

@@ -193,6 +193,11 @@ SQL_STATEMENTS = [
     "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity = 50 "
     "ORDER BY l_orderkey ASC, l_quantity LIMIT 5",
     "SELECT * FROM orders WHERE o_priority IN (1, 2) LIMIT 3",
+    # The join above written the other way round: the build side is
+    # the many side, so its keys repeat and it gets the sorted index.
+    "SELECT o_priority, COUNT(*) AS n FROM orders JOIN lineitem "
+    "ON o_orderkey = l_orderkey WHERE l_quantity <= 10 "
+    "AND o_priority != 3 GROUP BY o_priority",
 ]
 
 
@@ -213,6 +218,7 @@ sql {sql1} --rows 8000
 sql {sql2} --rows 8000 --placement pushdown
 sql {sql3} --rows 8000 --placement cpu --max-rows 2
 sql {sql4} --rows 8000
+sql {sql5} --rows 8000
 whatif --query f6 --rows 2000 -o {tmp}/whatif.json
 whatif --query f2 --rows 2000 --engine volcano --factors 2 --resources net.bw,ssd.bw
 whatif --query f4 --rows 2000 --vary nic.bw=2x,cxl.lat=0.5x

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.engine import (
     AggSpec,
     DataflowEngine,
@@ -80,7 +81,7 @@ def test_trace_snapshot_delta():
 # QueryResult
 # ---------------------------------------------------------------------------
 
-def test_query_result_summary():
+def test_query_result_summary(monkeypatch):
     schema = Schema.of(("a", DataType.INT64))
     table = Table(schema, [Chunk(schema, {"a": np.array([1, 2])})])
     result = QueryResult(table=table, elapsed=0.5, engine="x",
@@ -90,6 +91,16 @@ def test_query_result_summary():
     assert result.total_bytes_moved == 15.0
     assert result.bytes_on("network") == 10.0
     assert result.bytes_on("absent") == 0.0
+    # The canonical rendering happens once per table, not per call.
+    rendered = []
+    render = obs.table_checksum
+    monkeypatch.setattr(obs, "table_checksum",
+                        lambda t: rendered.append(t) or render(t))
+    assert result.checksum() == result.checksum() == render(table)
+    assert rendered == [table]
+    result.table = Table(schema, [Chunk(schema, {"a": np.array([1, 3])})])
+    assert result.checksum() == render(result.table) != render(table)
+    assert rendered == [table, result.table]
 
 
 # ---------------------------------------------------------------------------
