@@ -5,8 +5,8 @@ Three layers on top of the observability substrate:
 * :mod:`critical_path` — walk a query's event/span window and
   attribute every instant of simulated time to a
   ``device | link | wait-reason`` bucket, with the bucket sums
-  reconciling *exactly* (rational arithmetic) to the query's elapsed
-  time.
+  reconciling *exactly* (integer ticks of a power-of-two
+  denominator) to the query's elapsed time.
 * :mod:`whatif` — the causal profiler: re-run the deterministic
   simulation with one resource scaled at a time and measure the real
   speedup, COZ-style but exact because the simulator is a model we
@@ -27,6 +27,7 @@ from .critical_path import (
     WinnerTimeline,
     attribute,
     attribute_query,
+    attribute_windows,
     raw_intervals,
 )
 from .observatory import (
@@ -65,6 +66,7 @@ __all__ = [
     "Attribution",
     "attribute",
     "attribute_query",
+    "attribute_windows",
     "WinnerTimeline",
     "raw_intervals",
     "OBSERVATORY_SCHEMA",

@@ -26,11 +26,11 @@ When several sources overlap, the *highest-priority* one wins
 (device > storage > nic > link > wire > credit), so compute hides
 concurrent movement the way a pipelined system's critical path does.
 
-Exactness: segment boundaries are converted to
-:class:`fractions.Fraction` (exact for every float), so the per-bucket
-sums telescope to precisely ``Fraction(finished_at) -
-Fraction(started_at)`` — no float drift, asserted by the reconciliation
-tests with zero tolerance.
+Exactness: every float is a dyadic rational, so segment boundaries are
+whole numbers of *ticks* of one power-of-two denominator and the
+per-bucket sums are Python ints that telescope to precisely
+``Fraction(finished_at) - Fraction(started_at)`` — no float drift,
+asserted by the reconciliation tests with zero tolerance.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
+
+import numpy as np
 
 from ..sim import EventKind, Trace
 
 __all__ = ["Attribution", "WinnerTimeline", "attribute",
-           "attribute_query", "raw_intervals"]
+           "attribute_query", "attribute_windows", "raw_intervals"]
 
 
 # Lower number wins when sources overlap.
@@ -71,14 +74,22 @@ def _span_bucket(name: str) -> Optional[tuple[str, int]]:
     return None  # query.*, graph.*, stage.* — structural, not busy.
 
 
-@dataclass
+@dataclass(eq=False)
 class Attribution:
-    """Exact partition of one query window into busy/wait buckets."""
+    """Exact partition of one query window into busy/wait buckets.
+
+    Charges are Python-int ticks of ``1 / denom`` (a power of two), so
+    sums are integer work, and ``t / total`` is the correctly rounded
+    share that ``float(Fraction / Fraction)`` gives.  :attr:`buckets`
+    is their exact value, and what equality compares, whatever the
+    denominators.
+    """
 
     started_at: float
     finished_at: float
-    #: Bucket name -> exact seconds (rational arithmetic).
-    buckets: dict[str, Fraction] = field(default_factory=dict)
+    #: Bucket name -> exact seconds in ticks of ``1 / denom`` (no zeros).
+    ticks: dict[str, int] = field(default_factory=dict)
+    denom: int = 1
     #: Merged timeline of ``(start, end, bucket)`` segments, in order.
     segments: list[tuple[float, float, str]] = field(
         default_factory=list)
@@ -90,6 +101,20 @@ class Attribution:
     partial_reason: str = ""
 
     @property
+    def buckets(self) -> dict[str, Fraction]:
+        """Bucket name -> exact seconds."""
+        return {name: Fraction(t, self.denom)
+                for name, t in self.ticks.items()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Attribution):
+            return NotImplemented
+        return self.buckets == other.buckets and all(
+            getattr(self, name) == getattr(other, name)
+            for name in ("started_at", "finished_at", "segments",
+                         "partial", "partial_reason"))
+
+    @property
     def elapsed(self) -> Fraction:
         """The window width, exactly."""
         return Fraction(self.finished_at) - Fraction(self.started_at)
@@ -97,34 +122,32 @@ class Attribution:
     @property
     def total(self) -> Fraction:
         """Sum of all bucket charges, exactly."""
-        return sum(self.buckets.values(), Fraction(0))
+        return Fraction(sum(self.ticks.values()), self.denom)
 
     @property
     def exact(self) -> bool:
         """Whether the buckets reconcile exactly with the window."""
         return self.total == self.elapsed
 
+    def _ranked(self) -> list[tuple[str, int]]:
+        return sorted(self.ticks.items(), key=lambda kv: (-kv[1], kv[0]))
+
     def bucket_seconds(self) -> dict[str, float]:
         """Buckets as floats, largest first."""
-        return {name: float(value) for name, value in
-                sorted(self.buckets.items(),
-                       key=lambda kv: (-kv[1], kv[0]))}
+        return {name: t / self.denom for name, t in self._ranked()}
 
     def shares(self) -> dict[str, float]:
         """Buckets as fractions of elapsed, largest first."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
+        total = sum(self.ticks.values())
+        if total <= 0:
             return {}
-        return {name: float(value / elapsed) for name, value in
-                sorted(self.buckets.items(),
-                       key=lambda kv: (-kv[1], kv[0]))}
+        return {name: t / total for name, t in self._ranked()}
 
     def dominant(self) -> str:
         """The bucket charged the most time (the bottleneck)."""
-        if not self.buckets:
+        if not self.ticks:
             return WAIT_OTHER
-        return max(self.buckets.items(),
-                   key=lambda kv: (kv[1], kv[0]))[0]
+        return max(self.ticks.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
     def to_dict(self) -> dict:
         """JSON-ready form (floats; exactness recorded as a flag)."""
@@ -146,11 +169,9 @@ def raw_intervals(trace: Trace
     """Every busy/wait interval source, *unclipped*.
 
     One pass over the trace's spans and event ring; the result can be
-    handed to :func:`attribute` via ``intervals=`` to amortize the
-    collection cost across many windows (the tail-exemplar path, which
-    attributes dozens of query windows against one trace).  ``end`` is
-    ``None`` for a still-open span (clipped to the window at
-    attribution time).
+    handed to :func:`attribute_windows` or :class:`WinnerTimeline` via
+    ``intervals`` to share the collection cost.  ``end`` is ``None``
+    for a still-open span (clipped to the window at attribution time).
     """
     out: list[tuple[float, Optional[float], str, int]] = []
     for name, spans in trace.spans.items():
@@ -176,23 +197,93 @@ def raw_intervals(trace: Trace
     return out
 
 
-def _clip(intervals, q0: float, q1: float
-          ) -> list[tuple[float, float, str, int]]:
-    """Clip raw intervals to ``[q0, q1]``, dropping empty results.
+def partial_reason(dropped: int) -> str:
+    """Why attributions over a ring that dropped events are partial."""
+    if dropped <= 0:
+        return ""
+    return (f"event ring dropped {dropped} events; wire/credit "
+            "intervals incomplete")
 
-    Runs once per attributed window over every interval in the trace
-    (the tail-exemplar path attributes dozens of windows), so the
-    comparisons are inlined rather than ``max``/``min`` calls.
+
+def attribute_windows(trace: Trace, windows,
+                      intervals: Optional[list] = None
+                      ) -> list[Attribution]:
+    """Attribute every ``(started_at, finished_at)`` of ``windows``.
+
+    The reference, in one pass however many windows (they may
+    overlap).  Every interval endpoint and window edge cuts the line
+    into elementary segments; numpy counts, per ``(prio, bucket)`` key,
+    the half-open ``[start, end)`` intervals covering each segment (a
+    still-open span never ends, a zero-width one covers nothing), and
+    the first key in ``(prio, bucket)`` order with a nonzero count wins
+    it — ``wait:other`` when none does.  A window is a run of whole
+    segments: its buckets are the exact widths of its maximal
+    same-winner runs (endpoints as Python-int ticks of one power-of-two
+    denominator), summed per bucket.  An empty or inverted window
+    attributes nothing.
+
+    ``intervals`` (from :func:`raw_intervals`) skips the trace walk.
     """
-    out: list[tuple[float, float, str, int]] = []
-    append = out.append
-    for start, end, bucket, prio in intervals:
-        if end is None or end > q1:  # still-open span, or past window
-            end = q1
-        if start < q0:
-            start = q0
-        if end > start:
-            append((start, end, bucket, prio))
+    if not windows:
+        return []
+    if intervals is None:
+        intervals = raw_intervals(trace)
+    starts, ends, buckets, prios = zip(*intervals) if intervals \
+        else ((),) * 4
+    keys = sorted(set(zip(prios, buckets)))
+    names = [bucket for _prio, bucket in keys] + [WAIT_OTHER]
+    rank = {key: i for i, key in enumerate(keys)}
+    which = np.array([rank[key] for key in zip(prios, buckets)],
+                     dtype=np.intp)
+    starts = np.array(starts, dtype=float)
+    ends = np.array(ends, dtype=float)          # None (open) -> nan
+    ends[np.isnan(ends)] = math.inf
+    live = ends > starts
+    starts, ends, which = starts[live], ends[live], which[live]
+    edges = np.array(windows, dtype=float).reshape(-1, 2)
+    points = np.unique(np.concatenate(
+        [starts, ends[ends < math.inf], edges.ravel()]))
+
+    # Coverage count of every key over every segment; the last row is
+    # ``wait:other``, which covers everything at the lowest priority.
+    cover = np.zeros((len(names), len(points) + 1), dtype=np.int32)
+    cover[-1, 0] = 1
+    np.add.at(cover, (which, np.searchsorted(points, starts)), 1)
+    np.add.at(cover, (which, np.searchsorted(points, ends)), -1)
+    winner = (np.cumsum(cover, axis=1)[:, :len(points) - 1] > 0
+              ).argmax(axis=0)
+    change = np.flatnonzero(winner[1:] != winner[:-1]) + 1
+
+    # Exact ticks: point = mantissa * 2**exponent with a 53-bit integer
+    # mantissa, so every point is a whole number of 2**low.
+    mantissa, exponent = np.frexp(points)
+    exponent -= 53
+    low = min(int(exponent.min()), 0)
+    ticks = (np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+             << (exponent - low).astype(object))
+
+    dropped = trace.events.dropped
+    out = []
+    for (q0, q1), first, end in zip(
+            windows, np.searchsorted(points, edges[:, 0]).tolist(),
+            np.searchsorted(points, edges[:, 1]).tolist()):
+        attribution = Attribution(
+            started_at=q0, finished_at=q1, denom=1 << -low,
+            partial=dropped > 0, partial_reason=partial_reason(dropped))
+        out.append(attribution)
+        if end <= first:
+            continue
+        cuts = change[np.searchsorted(change, first, "right"):
+                      np.searchsorted(change, end)]
+        lo = np.concatenate(([first], cuts))
+        hi = np.concatenate((cuts, [end]))
+        won = winner[lo]
+        widths = ticks[hi] - ticks[lo]
+        attribution.ticks = {names[k]: int(widths[won == k].sum())
+                             for k in np.unique(won).tolist()}
+        attribution.segments = list(zip(
+            points[lo].tolist(), points[hi].tolist(),
+            [names[k] for k in won.tolist()]))
     return out
 
 
@@ -200,87 +291,23 @@ def attribute(trace: Trace, started_at: float, finished_at: float,
               intervals: Optional[list] = None) -> Attribution:
     """Attribute every instant of ``[started_at, finished_at]``.
 
-    Boundary sweep over the clipped interval set: between two adjacent
-    boundaries exactly one set of sources is active, and the segment
-    is charged to the highest-priority one (``wait:other`` when none).
-    All widths are summed as :class:`~fractions.Fraction`, so the
-    result reconciles exactly.
-
-    ``intervals`` (from :func:`raw_intervals`) skips the per-call
-    trace walk when attributing many windows against one trace.
+    The one-window case of :func:`attribute_windows`.
     """
-    attribution = Attribution(started_at=started_at,
-                              finished_at=finished_at)
-    dropped = trace.events.dropped
-    if dropped > 0:
-        # A bounded ring that overflowed lost CHUNK_EMIT/RECV and
-        # CREDIT_STALL events: the wire/credit sources are truncated
-        # and the window must not be presented as fully reconciled.
-        attribution.partial = True
-        attribution.partial_reason = (
-            f"event ring dropped {dropped} events; wire/credit "
-            "intervals incomplete")
-    if finished_at <= started_at:
-        return attribution
-
-    if intervals is None:
-        intervals = raw_intervals(trace)
-    intervals = _clip(intervals, started_at, finished_at)
-    # The sweep runs on raw floats: every float is exactly one
-    # rational, so float comparison, hashing, and sorting agree with
-    # their Fraction counterparts.  Only segment *widths* need exact
-    # arithmetic, and segments tile the window, so per-bucket widths
-    # telescope across each merged same-winner run — two Fraction
-    # conversions per run instead of one per boundary point.
-    bounds = {started_at, finished_at}
-    starts: dict[float, list[tuple[int, str]]] = {}
-    ends: dict[float, list[tuple[int, str]]] = {}
-    for start, end, bucket, prio in intervals:
-        bounds.add(start)
-        bounds.add(end)
-        starts.setdefault(start, []).append((prio, bucket))
-        ends.setdefault(end, []).append((prio, bucket))
-
-    points = sorted(bounds)
-    active: dict[tuple[int, str], int] = {}
-    raw_segments: list[tuple[float, float, str]] = []
-    get_starts, get_ends = starts.get, ends.get
-    for index in range(len(points) - 1):
-        left = points[index]
-        for key in get_ends(left, ()):
-            count = active.get(key, 0) - 1
-            if count > 0:
-                active[key] = count
-            else:
-                active.pop(key, None)
-        for key in get_starts(left, ()):
-            active[key] = active.get(key, 0) + 1
-        winner = min(active)[1] if active else WAIT_OTHER
-        # Adjacent segments always share a boundary, so contiguous
-        # same-winner segments merge into one run.
-        if raw_segments and raw_segments[-1][2] == winner:
-            prev = raw_segments[-1]
-            raw_segments[-1] = (prev[0], points[index + 1], winner)
-        else:
-            raw_segments.append((left, points[index + 1], winner))
-
-    buckets: dict[str, Fraction] = {}
-    zero = Fraction(0)
-    for lo, hi, winner in raw_segments:
-        buckets[winner] = buckets.get(winner, zero) + (
-            Fraction(hi) - Fraction(lo))
-
-    attribution.buckets = buckets
-    attribution.segments = raw_segments
-    return attribution
+    return attribute_windows(trace, [(started_at, finished_at)],
+                             intervals)[0]
 
 
-def partial_reason(dropped: int) -> str:
-    """Why attributions over a ring that dropped events are partial."""
-    if dropped <= 0:
-        return ""
-    return (f"event ring dropped {dropped} events; wire/credit "
-            "intervals incomplete")
+def summed(parts: list[Attribution], started_at: float,
+           finished_at: float) -> Attribution:
+    """The per-bucket exact sum of ``parts``, as one attribution."""
+    denom = max((part.denom for part in parts), default=1)
+    ticks: dict[str, int] = {}
+    for part in parts:
+        scale = denom // part.denom      # powers of two: exact
+        for name, t in part.ticks.items():
+            ticks[name] = ticks.get(name, 0) + t * scale
+    return Attribution(started_at=started_at, finished_at=finished_at,
+                       ticks=ticks, denom=denom)
 
 
 class WinnerTimeline:
@@ -290,21 +317,21 @@ class WinnerTimeline:
     instant does not depend on the window asked about.  So one global
     priority sweep over :func:`raw_intervals` — the same half-open
     ``[start, end)`` intervals, ``(prio, bucket)`` tie-break and
-    dropped zero-width intervals as :func:`_clip` + :func:`attribute`
-    — yields a step function of maximal same-winner runs covering
-    ``(-inf, +inf)`` (a still-open span is held as ending at ``+inf``),
-    and :meth:`attribute` answers any window as a slice of it: two
+    dropped zero-width intervals as :func:`attribute_windows` — yields
+    a step function of maximal same-winner runs covering ``(-inf,
+    +inf)`` (a still-open span is held as ending at ``+inf``), and
+    :meth:`attribute` answers any window as a slice of it: two
     bisects, two exact edge pieces, and one prefix-sum difference per
     bucket for the runs wholly inside.
 
-    Exactness: every float is a dyadic rational, so run widths are
-    kept as Python ints over one common power-of-two denominator —
-    prefix sums add without a gcd — and become
-    :class:`~fractions.Fraction` only when a window's buckets are
-    filled.  Rational addition is associative, so the sums equal the
-    reference sweep's however the runs are grouped.
+    Exactness: run boundaries are Python-int ticks over one common
+    power-of-two denominator, so the dense per-bucket prefix sums add
+    without a gcd and a slice's charges are integer differences; a
+    window edge finer than every boundary widens the denominator by a
+    shift.  Rational addition is associative, so the sums equal the
+    reference's however the runs are grouped.
 
-    :func:`attribute` stays the reference this is checked against
+    :func:`attribute_windows` is the reference this is checked against
     (``Observatory.observatory_violations``, the property tests); the
     two share nothing but the interval list.
     """
@@ -352,28 +379,34 @@ class WinnerTimeline:
                 winners.append(winner)
         self._segments = list(zip(starts, starts[1:] + [math.inf],
                                   winners))
+        #: Every bucket that wins some instant.
+        self.buckets = frozenset(winners)
 
-        # The finite boundaries ``starts[1:]`` as integer ticks of
-        # ``1 / self._denom``: every denominator is a power of two, so
-        # the largest is their common one.
+        # The finite boundaries as integer ticks of ``1 / self._denom``
+        # (index 0, the ``-inf`` start, is never read): every
+        # denominator is a power of two, so the largest is their
+        # common one.
         ratios = [point.as_integer_ratio() for point in starts[1:]]
         self._denom = max((d for _n, d in ratios), default=1)
-        ticks = [n * (self._denom // d) for n, d in ratios]
-        #: bucket -> (indices of the finite runs it won, ascending;
-        #: running sum of their widths in ticks, with a leading 0).
-        self._prefix: dict[str, tuple[list[int], list[int]]] = {}
-        for run in range(1, len(starts) - 1):
-            runs, sums = self._prefix.setdefault(winners[run],
-                                                 ([], [0]))
-            runs.append(run)
-            sums.append(sums[-1] + ticks[run] - ticks[run - 1])
+        ticks = self._ticks = [0] + [n * (self._denom // d)
+                                     for n, d in ratios]
+        # Width of every run but the last; the two infinite runs never
+        # lie wholly inside a window, so they count 0.
+        widths = [0] + [b - a for a, b in zip(ticks[1:-1], ticks[2:])]
+        #: bucket -> ticks it won in the runs before run ``i``, for
+        #: every ``i`` (dense, so a slice reads two entries).
+        self._prefix: dict[str, list[int]] = {
+            bucket: list(accumulate(
+                (w if won == bucket else 0
+                 for w, won in zip(widths, winners)), initial=0))
+            for bucket in set(winners[1:-1])}
 
     def attribute(self, started_at: float,
                   finished_at: float) -> Attribution:
         """The slice ``[started_at, finished_at]`` of the timeline.
 
         Equal to ``attribute(trace, started_at, finished_at,
-        intervals=self.intervals)`` in every field.
+        intervals=self.intervals)``.
         """
         dropped = self.trace.events.dropped
         attribution = Attribution(
@@ -381,28 +414,30 @@ class WinnerTimeline:
             partial=dropped > 0, partial_reason=partial_reason(dropped))
         if finished_at <= started_at:
             return attribution
-        starts, winners = self._starts, self._winners
+        starts, winners, ticks = self._starts, self._winners, self._ticks
         first = bisect_right(starts, started_at) - 1
         last = bisect_left(starts, finished_at) - 1
+        n0, d0 = started_at.as_integer_ratio()
+        n1, d1 = finished_at.as_integer_ratio()
+        shift = max(0, max(d0, d1).bit_length()
+                    - self._denom.bit_length())
+        denom = attribution.denom = self._denom << shift
+        t0, t1 = n0 * (denom // d0), n1 * (denom // d1)
         if first == last:
-            attribution.buckets = {
-                winners[first]:
-                    Fraction(finished_at) - Fraction(started_at)}
+            attribution.ticks = {winners[first]: t1 - t0}
             attribution.segments = [
                 (started_at, finished_at, winners[first])]
             return attribution
 
-        buckets: dict[str, Fraction] = {}
-        for bucket, (runs, sums) in self._prefix.items():
-            ticks = (sums[bisect_left(runs, last)]
-                     - sums[bisect_left(runs, first + 1)])
-            if ticks:
-                buckets[bucket] = Fraction(ticks, self._denom)
-        head = Fraction(starts[first + 1]) - Fraction(started_at)
-        tail = Fraction(finished_at) - Fraction(starts[last])
-        buckets[winners[first]] = buckets.get(winners[first], 0) + head
-        buckets[winners[last]] = buckets.get(winners[last], 0) + tail
-        attribution.buckets = buckets
+        charged = attribution.ticks
+        for bucket, sums in self._prefix.items():
+            inner = sums[last] - sums[first + 1]
+            if inner:
+                charged[bucket] = inner << shift
+        head = (ticks[first + 1] << shift) - t0
+        tail = t1 - (ticks[last] << shift)
+        charged[winners[first]] = charged.get(winners[first], 0) + head
+        charged[winners[last]] = charged.get(winners[last], 0) + tail
         attribution.segments = [
             (started_at, starts[first + 1], winners[first]),
             *self._segments[first + 1:last],

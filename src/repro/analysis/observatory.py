@@ -17,9 +17,9 @@ Three derived products, all pure observation:
   contribution (``wait:other``), the credit-stall share
   (``wait:credit``) and wire time — and, from the clipped ``link.*``
   serialization spans times each link's bandwidth, bytes moved per
-  link.  Window sums reconcile with the scalar reference path and
-  telescope to the whole-horizon attribution *exactly* (Fraction
-  arithmetic, tolerance 0, CI-gated).
+  link.  Window sums reconcile with the reference pass and telescope
+  to the whole-horizon attribution *exactly* (integer ticks,
+  tolerance 0, CI-gated).
 * **Bound-resource classifier.**  Every completed query is tagged
   with the dominant bucket of its ``[arrival, finished]`` attribution
   (``device`` / ``storage`` / ``nic`` / ``link`` / ``wait:*``),
@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
+from bisect import bisect_right
+from functools import partial
 from typing import Optional
 
 from ..sim import Trace
-from .critical_path import (Attribution, WinnerTimeline, attribute,
-                            partial_reason)
+from .critical_path import (Attribution, WinnerTimeline,
+                            attribute_windows, partial_reason, summed)
 
 __all__ = ["Observatory", "OBSERVATORY_SCHEMA", "bound_class",
            "effective_cost", "render_top"]
@@ -81,28 +82,25 @@ def bound_class(bucket: str) -> str:
     return bucket.split(":", 1)[0]
 
 
-def _pool_rho(shares: dict[str, float], kind: str, key: str) -> float:
-    """The observed saturation of the pool(s) a cost-model key maps to.
+def _matching_pools(pools, kind: str, key: str) -> tuple[str, ...]:
+    """The observed pool(s) among ``pools`` a cost-model key maps to.
 
     ``device_time`` keys are *site* names; the observed pools carry
     span-derived names (``device:compute0.nic.proc``,
     ``nic:compute0.nic.dma``, ``storage:storage.media``), so a site
     matches any pool it prefixes.  ``link_time`` keys are link names
-    and match exactly.  Several matching pools take the max — the
-    variant queues behind the most saturated one.
+    and match exactly.
     """
     if kind == "link":
-        return shares.get(f"link:{key}", 0.0)
-    rho = 0.0
+        return (f"link:{key}",)
     exact = (f"device:{key}", f"storage:{key}")
     prefixes = (f"device:{key}.", f"nic:{key}", f"storage:{key}.")
-    for pool, value in shares.items():
-        if pool in exact or pool.startswith(prefixes):
-            rho = max(rho, value)
-    return rho
+    return tuple(pool for pool in pools
+                 if pool in exact or pool.startswith(prefixes))
 
 
-def effective_cost(cost, shares: dict[str, float]) -> float:
+def effective_cost(cost, shares: dict[str, float],
+                   pools_of=None) -> float:
     """A plan variant's bottleneck time on the *observed* fabric.
 
     The cost model's per-resource busy seconds, each inflated by the
@@ -110,17 +108,23 @@ def effective_cost(cost, shares: dict[str, float]) -> float:
 
         eff = max_r  T_r / (1 - min(rho_r, RHO_CAP))  +  latency
 
-    With every ``rho`` at 0 this reduces exactly to
-    :attr:`~repro.optimizer.cost.PlanCost.bottleneck_time`.
+    Several matching pools take the max — the variant queues behind
+    the most saturated one.  With every ``rho`` at 0 this reduces
+    exactly to :attr:`~repro.optimizer.cost.PlanCost.bottleneck_time`.
+    ``pools_of(kind, key)`` (an observatory's index) names the pools a
+    key lands on; by default they are matched against ``shares``.
     """
+    if pools_of is None:
+        pools_of = partial(_matching_pools, shares)
+    get = shares.get
     floor = 1.0 - RHO_CAP
     worst = 0.0
-    for site, seconds in cost.device_time.items():
-        rho = min(_pool_rho(shares, "device", site), RHO_CAP)
-        worst = max(worst, seconds / max(1.0 - rho, floor))
-    for link, seconds in cost.link_time.items():
-        rho = min(_pool_rho(shares, "link", link), RHO_CAP)
-        worst = max(worst, seconds / max(1.0 - rho, floor))
+    for kind, times in (("device", cost.device_time),
+                        ("link", cost.link_time)):
+        for key, seconds in times.items():
+            rho = min(max([get(pool, 0.0) for pool in pools_of(kind, key)],
+                          default=0.0), RHO_CAP)
+            worst = max(worst, seconds / max(1.0 - rho, floor))
     return worst + cost.latency
 
 
@@ -135,8 +139,7 @@ class Observatory:
     own).  :meth:`payload` / :meth:`digest` produce the
     ``repro.observatory/v1`` artifact and
     :meth:`observatory_violations` recomputes everything, the windows
-    and a query sample through the scalar reference sweep, at
-    tolerance 0.
+    and a query sample in one reference pass, at tolerance 0.
     """
 
     def __init__(self, tenants, trace: Trace,
@@ -153,8 +156,10 @@ class Observatory:
         self._completed: list[tuple] = []
         self._finalized = False
         self._edges: list[float] = []
-        #: Exact per-window bucket charges (Fraction seconds).
-        self._window_buckets: list[dict[str, Fraction]] = []
+        #: The exact attribution of every tumbling window.
+        self._windows: list[Attribution] = []
+        #: (kind, cost-model key) -> the observed pools it lands on.
+        self._pool_index: dict[tuple[str, str], tuple[str, ...]] = {}
         self._link_bytes: list[dict[str, float]] = []
         self._bound: list[dict] = []
         self._regret: list[dict] = []
@@ -173,10 +178,23 @@ class Observatory:
     # -- derivation --------------------------------------------------------
 
     def _window_of(self, ts: float) -> int:
-        """The window index containing ``ts`` (clamped to the run)."""
+        """The window index containing ``ts`` (clamped to the run).
+
+        Read off the edges themselves: ``i * window_s`` is rounded, so
+        ``int(ts / window_s)`` can disagree with it within an ulp.
+        """
         if not self._edges:
             return 0
-        return min(int(ts / self.window_s), len(self._edges) - 2)
+        return max(0, min(bisect_right(self._edges, ts) - 1,
+                          len(self._edges) - 2))
+
+    def _pools_of(self, kind: str, key: str) -> tuple[str, ...]:
+        """The pools a cost-model key lands on, matched once per key."""
+        pools = self._pool_index.get((kind, key))
+        if pools is None:
+            pools = self._pool_index[kind, key] = _matching_pools(
+                self.timeline.buckets, kind, key)
+        return pools
 
     def finalize(self, now: float) -> None:
         """Derive every series from the trace; idempotent per run."""
@@ -186,10 +204,8 @@ class Observatory:
         if self.timeline is None:
             self.timeline = WinnerTimeline(self.trace)
         self._edges = self._tile(self._horizon)
-        for i in range(len(self._edges) - 1):
-            att = self.timeline.attribute(self._edges[i],
-                                          self._edges[i + 1])
-            self._window_buckets.append(att.buckets)
+        self._windows = [self.timeline.attribute(w0, w1) for w0, w1
+                         in zip(self._edges, self._edges[1:])]
         self._link_bytes = self._fold_link_bytes()
         self._classify()
         self._score_regret()
@@ -271,7 +287,7 @@ class Observatory:
         shares = att.shares()
         chosen_name = (decision.chosen if decision is not None
                        else record.variant_name)
-        effs = [(effective_cost(v.cost, shares),
+        effs = [(effective_cost(v.cost, shares, self._pools_of),
                  v.placement.name) for v in variants]
         chosen_eff = next((eff for eff, name in effs
                            if name == chosen_name), effs[0][0])
@@ -302,25 +318,15 @@ class Observatory:
         return max(len(self._edges) - 1, 0)
 
     def _series(self) -> list[dict]:
-        out = []
-        for i, buckets in enumerate(self._window_buckets):
-            w0, w1 = self._edges[i], self._edges[i + 1]
-            width = Fraction(w1) - Fraction(w0)
-            pools = {name: float(value) for name, value in
-                     sorted(buckets.items())}
-            saturation = {name: float(value / width) for name, value
-                          in sorted(buckets.items())} if width > 0 \
-                else {}
-            out.append({
-                "window": i,
-                "start": w0,
-                "end": w1,
-                "pools": pools,
-                "saturation": saturation,
-                "link_bytes": dict(sorted(
-                    self._link_bytes[i].items())),
-            })
-        return out
+        # Key order is the canonical JSON's (sorted) in every payload.
+        return [{
+            "window": i,
+            "start": att.started_at,
+            "end": att.finished_at,
+            "pools": att.bucket_seconds(),
+            "saturation": att.shares(),
+            "link_bytes": self._link_bytes[i],
+        } for i, att in enumerate(self._windows)]
 
     def _bound_rollup(self) -> dict:
         by_tenant: dict[str, dict[str, int]] = {
@@ -364,10 +370,7 @@ class Observatory:
 
     def _payload(self) -> dict:
         dropped = self.trace.events.dropped
-        totals: dict[str, Fraction] = {}
-        for buckets in self._window_buckets:
-            for name, value in buckets.items():
-                totals[name] = totals.get(name, Fraction(0)) + value
+        totals = summed(self._windows, 0.0, self._horizon)
         return {
             "schema": OBSERVATORY_SCHEMA,
             "window_s": self.window_s,
@@ -376,9 +379,8 @@ class Observatory:
             "events_dropped": dropped,
             "partial": dropped > 0,
             "partial_reason": partial_reason(dropped),
-            "pools": sorted(totals),
-            "totals": {name: float(value)
-                       for name, value in sorted(totals.items())},
+            "pools": sorted(totals.ticks),
+            "totals": totals.bucket_seconds(),
             "series": self._series(),
             "bound": self._bound_rollup(),
             "regret": self._regret_rollup(),
@@ -407,46 +409,48 @@ class Observatory:
                                query_sample: int = 25) -> list[str]:
         """Every observatory invariant, recomputed from scratch.
 
-        [] = exact.  All at tolerance 0 (Fraction arithmetic):
+        [] = exact.  All at tolerance 0 (exact values):
 
-        * every window's timeline slice equals the scalar reference
-          sweep (:func:`~repro.analysis.critical_path.attribute`) and
+        * every window's timeline slice equals the reference
+          (:func:`~repro.analysis.critical_path.attribute_windows`) and
           tiles its window exactly;
         * window sums telescope to the reference's whole-horizon
           attribution;
         * the first ``query_sample`` completed queries' timeline
-          slices equal their own reference sweeps and their
+          slices equal their own reference attributions and their
           window-clipped sums;
         * every bound tag and regret entry is reproduced by an
           independent recomputation;
         * the ``partial`` flag agrees with the ring's drop counter.
+
+        The reference answers every window, the horizon and the
+        sampled queries in one pass.
         """
         if not self._finalized:
             return ["observatory never finalized"]
         errors: list[str] = []
-        totals: dict[str, Fraction] = {}
-        for i, buckets in enumerate(self._window_buckets):
-            w0, w1 = self._edges[i], self._edges[i + 1]
-            reference = attribute(self.trace, w0, w1,
-                                  intervals=self.timeline.intervals)
-            if reference.buckets != buckets:
+        windows = list(zip(self._edges, self._edges[1:]))
+        horizon = [(self._edges[0], self._edges[-1])] if windows else []
+        sampled = self._completed[:query_sample]
+        references = attribute_windows(
+            self.trace, windows + horizon
+            + [(r.arrival, r.finished) for r, _v, _d in sampled],
+            intervals=self.timeline.intervals)
+        for i, (att, reference) in enumerate(zip(self._windows,
+                                                 references)):
+            if att != reference:
                 errors.append(
-                    f"window {i}: timeline buckets diverge from "
-                    "the scalar reference path")
-            width = Fraction(w1) - Fraction(w0)
-            if sum(buckets.values(), Fraction(0)) != width:
+                    f"window {i}: timeline slice diverges from the "
+                    "reference")
+            if not att.exact:
                 errors.append(f"window {i}: buckets do not tile the "
                               "window exactly")
-            for name, value in buckets.items():
-                totals[name] = totals.get(name, Fraction(0)) + value
-        if self._edges:
-            whole = attribute(self.trace, self._edges[0],
-                              self._edges[-1],
-                              intervals=self.timeline.intervals)
-            if whole.buckets != totals:
-                errors.append("window sums do not telescope to the "
-                              "whole-horizon attribution")
-        errors.extend(self._query_reconciliation(query_sample))
+        if horizon and (summed(self._windows, *horizon[0]).buckets
+                        != references[len(windows)].buckets):
+            errors.append("window sums do not telescope to the "
+                          "whole-horizon attribution")
+        errors.extend(self._query_reconciliation(
+            sampled, references[len(windows) + len(horizon):]))
         errors.extend(self._classifier_violations(records))
         errors.extend(self._regret_violations())
         dropped = self.trace.events.dropped
@@ -455,32 +459,26 @@ class Observatory:
                           "drop counter")
         return errors
 
-    def _query_reconciliation(self, sample: int) -> list[str]:
+    def _query_reconciliation(self, sampled, references) -> list[str]:
         """Sampled queries: slice == reference == window-clipped sums."""
         errors: list[str] = []
-        for record, _v, _d in self._completed[:sample]:
-            whole = attribute(self.trace, record.arrival,
-                              record.finished,
-                              intervals=self.timeline.intervals)
+        for (record, _v, _d), whole in zip(sampled, references):
             sliced = self._query_attribution(record, record.arrival,
                                              record.finished)
-            if sliced.buckets != whole.buckets:
+            if sliced != whole:
                 errors.append(
                     f"{record.name}: timeline slice diverges from "
-                    "the scalar reference path")
-            pieces: dict[str, Fraction] = {}
+                    "the reference")
+            pieces = []
             lo = self._window_of(record.arrival)
             hi = self._window_of(record.finished)
             for i in range(lo, hi + 1):
                 q0 = max(record.arrival, self._edges[i])
                 q1 = min(record.finished, self._edges[i + 1])
-                if q1 <= q0:
-                    continue
-                part = self.timeline.attribute(q0, q1)
-                for name, value in part.buckets.items():
-                    pieces[name] = pieces.get(name, Fraction(0)) \
-                        + value
-            if pieces != whole.buckets:
+                if q1 > q0:
+                    pieces.append(self.timeline.attribute(q0, q1))
+            if summed(pieces, record.arrival,
+                      record.finished).buckets != whole.buckets:
                 errors.append(
                     f"{record.name}: per-query attribution does not "
                     "equal its window-clipped sums")

@@ -477,7 +477,7 @@ class QueryServer:
         """Observatory invariant check ([] when it is off).
 
         Finalizes the observatory if needed and recomputes every
-        window attribution through the scalar reference path, the
+        window attribution through the reference pass, the
         telescoped horizon sum, per-query reconciliation, and the
         bound/regret entries — the serve-smoke CI job asserts this
         is empty.

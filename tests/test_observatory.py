@@ -2,7 +2,7 @@
 
 The expensive serving run is shared module-wide; every test reads the
 same server/record.  Exactness claims are all tolerance 0 — the
-observatory is Fraction arithmetic end to end.
+observatory is exact integer-tick arithmetic end to end.
 """
 
 import collections
@@ -10,8 +10,10 @@ import copy
 import dataclasses
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.analysis import (
     OBSERVATORY_SCHEMA,
     WinnerTimeline,
     attribute,
+    attribute_windows,
     bound_class,
     effective_cost,
     render_top,
@@ -57,18 +60,19 @@ def test_window_sums_telescope_to_whole_horizon(server):
     trace = server.fabric.trace
     whole = attribute(trace, 0.0, obs._horizon)
     totals = {}
-    for buckets in obs._window_buckets:
-        for name, value in buckets.items():
+    for window in obs._windows:
+        for name, value in window.buckets.items():
             totals[name] = totals.get(name, Fraction(0)) + value
     assert totals == whole.buckets  # Fraction-exact, tolerance 0
 
 
 def test_every_window_tiles_exactly(server):
     obs = server.observatory
-    for i, buckets in enumerate(obs._window_buckets):
+    for i, window in enumerate(obs._windows):
         width = (Fraction(obs._edges[i + 1])
                  - Fraction(obs._edges[i]))
-        assert sum(buckets.values(), Fraction(0)) == width
+        assert sum(window.buckets.values(), Fraction(0)) == width
+        assert window.exact
 
 
 def test_per_query_attribution_equals_window_clipped_sums(server):
@@ -94,14 +98,46 @@ def test_per_query_attribution_equals_window_clipped_sums(server):
                                   rec.finished).buckets == whole.buckets
 
 
+def test_window_of_agrees_with_the_edges_it_slices_on():
+    window_s = 0.001
+    # One ulp below the edges 9 * window_s and 13 * window_s, where
+    # ``int(ts / window_s)`` rounds up into the next window.
+    below_9 = math.nextafter(9 * window_s, 0.0)
+    below_13 = math.nextafter(13 * window_s, 0.0)
+    assert int(below_9 / window_s) == 9
+    assert int(below_13 / window_s) == 13
+    trace = Trace()
+    trace.close_span(trace.open_span("device.cpu", 0.0085), 0.0095)
+    trace.close_span(trace.open_span("link.bus", below_9), 0.0095)
+    obs = Observatory(["t"], trace, window_s=window_s,
+                      link_bandwidth={"bus": 1e9})
+    records = [
+        SimpleNamespace(name="a", tenant="t", arrival=below_9,
+                        started=below_9, finished=0.0105,
+                        completed=True, variant_name="v"),
+        SimpleNamespace(name="b", tenant="t", arrival=0.0101,
+                        started=0.0101, finished=below_13,
+                        completed=True, variant_name="v")]
+    for record in records:
+        obs.on_complete(record)
+    obs.finalize(0.02)
+    assert obs._window_of(below_9) == 8 and obs._window_of(9 * window_s) == 9
+    # Query "a"'s first piece, [below_9, edge 9), is one ulp wide.
+    assert obs.observatory_violations(records) == []
+    payload = obs.payload()
+    assert "bus" in payload["series"][8]["link_bytes"]
+    assert [entry["window"] for entry in payload["bound"]["queries"]] \
+        == [10, 12]
+
+
 # ---------------------------------------------------------------------------
-# Observer budget, by count: one sweep per run, verify cost independent
-# of the number of queries
+# Observer budget, by count: one sweep per run, one reference pass per
+# verification whatever the number of queries or samples
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count raw-interval passes, timeline builds, reference sweeps."""
+    """Count raw-interval passes, timeline builds, reference passes."""
     from repro.analysis import critical_path
     counts = collections.Counter()
 
@@ -116,15 +152,16 @@ def calls(monkeypatch):
         "raw_intervals", critical_path.raw_intervals))
     monkeypatch.setattr(WinnerTimeline, "__init__", counted(
         "timeline_builds", WinnerTimeline.__init__))
-    reference = counted("reference_sweeps", attribute)
-    for module in list(sys.modules.values()):
-        if getattr(module, "attribute", None) is attribute:
-            monkeypatch.setattr(module, "attribute", reference)
+    for function, name in ((attribute, "one_window_references"),
+                           (attribute_windows, "reference_passes")):
+        wrapper = counted(name, function)
+        for module in list(sys.modules.values()):
+            if getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, wrapper)
     return counts
 
 
 def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
-    sample = 5
     for queries in (30, 90):
         server = serve_scenario_server("two_tenant_bursty",
                                        queries=queries)
@@ -134,15 +171,40 @@ def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
         assert server.telemetry.exemplars
         assert dict(calls) == {"raw_intervals": 1, "timeline_builds": 1}
 
-        calls.clear()
         obs = server.observatory
-        assert obs.observatory_violations(
-            server.records, query_sample=sample) == []
-        assert len(obs._completed) > sample
-        # Every tumbling window, the whole horizon, each sampled query
-        # — whatever the number of completed queries.
-        assert dict(calls) == {
-            "reference_sweeps": obs.windows + 1 + sample}
+        for sample in (5, 25):
+            calls.clear()
+            assert obs.observatory_violations(
+                server.records, query_sample=sample) == []
+            assert len(obs._completed) > sample
+            # Every tumbling window, the whole horizon and each sampled
+            # query in one pass — whatever the number of queries.
+            assert dict(calls) == {"reference_passes": 1}
+
+
+def test_finalize_builds_no_fraction_outside_the_window_buckets(
+        monkeypatch):
+    server = serve_scenario_server("two_tenant_bursty", queries=90)
+    obs = server.observatory
+    obs.timeline = WinnerTimeline(server.fabric.trace)
+    built = collections.Counter()
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built["fractions"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    analysis = [module for name, module in list(sys.modules.items())
+                if name.startswith("repro.analysis")
+                and getattr(module, "Fraction", None) is Fraction]
+    assert analysis
+    for module in analysis:
+        monkeypatch.setattr(module, "Fraction", Counted)
+    obs.finalize(server.fabric.sim.now)
+    assert len(obs._bound) > 80 and len(obs._regret) > 80
+    # The 1 000-odd slices, shares, dominants and regret scores of 90
+    # queries are integer work.
+    assert built["fractions"] <= sum(len(w.ticks) for w in obs._windows)
 
 
 def test_payload_is_built_once_and_handed_out_as_copies(server, record):

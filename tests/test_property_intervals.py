@@ -1,21 +1,24 @@
-"""Property test: a winner-timeline slice == the scalar reference sweep.
+"""Property test: a winner-timeline slice == the reference == an oracle.
 
 :class:`repro.analysis.WinnerTimeline` sweeps an interval set once and
 claims that any window sliced out of it equals
-``attribute(trace, q0, q1, intervals=list)`` — the per-window clip and
-sweep it shares nothing with but the interval list — for every
-interval/window shape: zero-width intervals, open (still-running)
-spans, duplicates, equal-priority ties between buckets, edges that
-land exactly on window boundaries, windows before, after, inside and
-across the runs.  Hypothesis drives the claim; buckets must agree
-Fraction-exactly.
+``attribute(trace, q0, q1, intervals=list)`` — the windowed numpy
+reference pass it shares nothing with but the interval list — for
+every interval/window shape: zero-width intervals, open
+(still-running) spans, duplicates, equal-priority ties between
+buckets, edges that land exactly on window boundaries, windows before,
+after, inside and across the runs.  A third oracle shares no algorithm
+with either: it scans every interval at each elementary segment's
+exact ``Fraction`` midpoint.  Hypothesis drives the claims; buckets
+must agree Fraction-exactly and shares bit-for-bit.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import WinnerTimeline, attribute
+from repro.analysis import WinnerTimeline, attribute, attribute_windows
 from repro.sim import EventKind, EventRing, Trace
 
 # A coarse binary grid makes exact window-edge collisions common
@@ -123,6 +126,85 @@ def test_adjacent_slices_telescope(intervals, cuts):
         for name, value in timeline.attribute(q0, q1).buckets.items():
             pieces[name] = pieces.get(name, Fraction(0)) + value
     assert pieces == timeline.attribute(cuts[0], cuts[-1]).buckets
+
+
+def _oracle(intervals, q0, q1):
+    """Buckets and merged segments of ``[q0, q1]``, by brute force.
+
+    Cut the window at every interval endpoint inside it; each piece's
+    winner is the smallest ``(prio, bucket)`` among the intervals that
+    hold its exact midpoint (half-open ``[start, end)``, ``None`` =
+    never ends), and its width is summed as a ``Fraction``.
+    """
+    if q1 <= q0:
+        return {}, []
+    cuts = sorted({q0, q1} | {point for start, end, _b, _p in intervals
+                              for point in (start, end)
+                              if point is not None and q0 < point < q1})
+    buckets: dict[str, Fraction] = {}
+    segments: list[tuple[float, float, str]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (Fraction(lo) + Fraction(hi)) / 2
+        holding = [(prio, bucket) for start, end, bucket, prio in intervals
+                   if Fraction(start) <= mid
+                   and (end is None or mid < Fraction(end))]
+        winner = min(holding)[1] if holding else "wait:other"
+        buckets[winner] = buckets.get(winner, Fraction(0)) \
+            + Fraction(hi) - Fraction(lo)
+        if segments and segments[-1][2] == winner:
+            segments[-1] = (segments[-1][0], hi, winner)
+        else:
+            segments.append((lo, hi, winner))
+    return buckets, segments
+
+
+def _assert_matches_oracle(att, intervals, q0, q1):
+    buckets, segments = _oracle(intervals, q0, q1)
+    assert att.buckets == buckets
+    assert att.segments == segments
+    elapsed = Fraction(q1) - Fraction(q0)
+    ranked = sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))
+    # ``t / total`` over ints is the correctly rounded quotient, bit
+    # for bit the float of the exact one — and in the same order.
+    assert list(att.shares().items()) == [
+        (name, float(value / elapsed)) for name, value in ranked]
+
+
+@st.composite
+def _windows_case(draw):
+    intervals = draw(_intervals())
+    # Overlapping, degenerate, inverted, outside: all in one pass.
+    return intervals, draw(st.lists(_window(intervals), min_size=1,
+                                    max_size=6))
+
+
+@given(case=_windows_case())
+@settings(max_examples=300, deadline=None)
+def test_reference_pass_and_timeline_equal_the_midpoint_oracle(case):
+    intervals, windows = case
+    trace = Trace()
+    timeline = WinnerTimeline(trace, intervals)
+    references = attribute_windows(trace, windows,
+                                   intervals=list(intervals))
+    assert len(references) == len(windows)
+    for (q0, q1), reference in zip(windows, references):
+        _assert_matches_oracle(reference, intervals, q0, q1)
+        _assert_matches_oracle(timeline.attribute(q0, q1), intervals,
+                               q0, q1)
+
+
+def test_instant_finer_than_every_boundary_widens_the_denominator():
+    # Run boundaries in quarters; the window edges need 2**-50 and
+    # 0.1's 2**-56 ticks.
+    intervals = [(0.25, 0.75, "device:cpu", 0), (0.5, 1.0, "link:bus", 3)]
+    timeline = WinnerTimeline(Trace(), intervals)
+    for q0, q1 in ((0.1, 0.5 + 2 ** -50), (0.3, 0.3 + 2 ** -40),
+                   (0.25, math.nextafter(0.75, 1.0))):
+        sliced = timeline.attribute(q0, q1)
+        assert sliced.denom > timeline._denom
+        assert sliced.exact
+        _assert_matches_oracle(sliced, intervals, q0, q1)
+        assert sliced == attribute(Trace(), q0, q1, intervals=intervals)
 
 
 # -- pinned edge cases the strategy must never regress on ------------------
