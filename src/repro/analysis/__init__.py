@@ -45,9 +45,11 @@ from .slo import (
     replay_alerts,
 )
 from .scenarios import (
+    QUERIES,
     SCENARIOS,
     Scenario,
     ScenarioRun,
+    figure_scenario,
     run_digest,
     run_scenario,
 )
@@ -79,9 +81,11 @@ __all__ = [
     "alert_mismatches",
     "burn_rate",
     "replay_alerts",
+    "QUERIES",
     "SCENARIOS",
     "Scenario",
     "ScenarioRun",
+    "figure_scenario",
     "run_digest",
     "run_scenario",
     "DEFAULT_FACTORS",

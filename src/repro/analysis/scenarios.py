@@ -1,4 +1,9 @@
-"""The six figure scenarios (F1–F6) as runnable analysis units.
+"""The query catalog and the six figure scenarios (F1–F6).
+
+:data:`QUERIES` holds every named query shape the product runs — the
+paper's selection/projection, group-by, join and sort/limit classes —
+as factories: the figure scenarios, the bench smoke and scale tiers,
+the serving templates and the CLI demo look shapes up here by name.
 
 Each scenario is a small, deterministic rendition of one of the
 paper's figure experiments — the same query shapes as the
@@ -23,17 +28,86 @@ from ..engine import (
     DataflowEngine,
     Query,
     VolcanoEngine,
-    cpu_only,
-    pushdown,
+    place,
 )
 from ..engine.results import QueryResult
 from ..hardware import build_fabric, conventional_spec, dataflow_spec
 from ..hardware.presets import FabricSpec, HeterogeneousFabric
+from ..obs import table_checksum
 from ..relational import Catalog, col, standard_catalog
 from .critical_path import Attribution, attribute_query
 
-__all__ = ["Scenario", "ScenarioRun", "SCENARIOS", "run_scenario",
-           "run_digest"]
+__all__ = ["QUERIES", "Scenario", "ScenarioRun", "SCENARIOS",
+           "figure_scenario", "run_scenario", "run_digest",
+           "assert_drained", "oracle_checksum"]
+
+
+def _urgent_orders() -> Query:
+    """The build side every join shape shares."""
+    return Query.scan("orders").filter(col("o_priority") <= 2)
+
+
+def _revenue(alias: str) -> AggSpec:
+    return AggSpec("sum", "l_extendedprice", alias)
+
+
+_COUNT = AggSpec("count", alias="n")
+
+QUERIES: dict[str, Callable[[], Query]] = {
+    # The figure shapes (F1–F6).
+    "f1": lambda: (Query.scan("lineitem")
+                   .filter(col("l_quantity") > 30)
+                   .aggregate(["l_returnflag"], [_COUNT])),
+    "f2": lambda: (Query.scan("lineitem")
+                   .filter(col("l_quantity") > 40)
+                   .project(["l_orderkey", "l_extendedprice"])),
+    "f3": lambda: (Query.scan("lineitem")
+                   .filter(col("l_shipdate").between(8500, 10500))
+                   .aggregate(["l_returnflag"],
+                              [_revenue("revenue"), _COUNT])),
+    "f4": lambda: (Query.scan("lineitem")
+                   .filter(col("l_quantity") > 10)
+                   .join(_urgent_orders(), "l_orderkey", "o_orderkey")
+                   .aggregate(["o_priority"], [_COUNT])),
+    "f5": lambda: (Query.scan("uniform")
+                   .filter(col("k0") < 25)
+                   .sort(["k0", "k1"])
+                   .limit(100)),
+    "f6": lambda: (Query.scan("lineitem")
+                   .filter(col("l_shipdate").between(8500, 8800))
+                   .join(_urgent_orders(), "l_orderkey", "o_orderkey")
+                   .aggregate(["o_priority"],
+                              [_revenue("rev"), _COUNT])),
+    # F4's join summing revenue (smoke, scale and serving).
+    "join_agg": lambda: (Query.scan("lineitem")
+                         .filter(col("l_quantity") > 10)
+                         .join(_urgent_orders(), "l_orderkey",
+                               "o_orderkey")
+                         .aggregate(["o_priority"], [_revenue("rev")])),
+    # F2 selecting half as many rows (the 100k-row scale tier).
+    "f2_narrow": lambda: (Query.scan("lineitem")
+                          .filter(col("l_quantity") > 45)
+                          .project(["l_orderkey", "l_extendedprice"])),
+    # ``repro demo`` / ``repro trace``.
+    "demo": lambda: (Query.scan("lineitem")
+                     .filter(col("l_quantity") > 45)
+                     .aggregate(["l_returnflag"], [_revenue("revenue")])),
+    # The hot serving template: a scalar count.
+    "count_hot": lambda: (Query.scan("uniform")
+                          .filter(col("k0") < 5)
+                          .aggregate([], [_COUNT])),
+    # The bench scheduler mix.
+    "q_filter": lambda: (Query.scan("lineitem")
+                         .filter(col("l_quantity") > 40)
+                         .project(["l_orderkey"])),
+    "q_agg": lambda: (Query.scan("lineitem")
+                      .aggregate(["l_returnflag"], [_COUNT])),
+    "q_sort": lambda: (Query.scan("uniform")
+                       .filter(col("k0") < 20)
+                       .sort(["k0"])
+                       .limit(50)),
+}
+"""Every named query shape: name -> a factory of fresh instances."""
 
 
 @dataclass
@@ -43,85 +117,70 @@ class Scenario:
     name: str
     title: str
     spec: Callable[[], FabricSpec]
-    query: Callable[[], Query]
-    placement: str = "optimize"     # optimize | pushdown | cpu
+    placement: str = "optimize"     # a POLICIES name
     rows: int = 3000
 
-
-def _f1_query() -> Query:
-    return (Query.scan("lineitem")
-            .filter(col("l_quantity") > 30)
-            .aggregate(["l_returnflag"],
-                       [AggSpec("count", alias="n")]))
-
-
-def _f2_query() -> Query:
-    return (Query.scan("lineitem")
-            .filter(col("l_quantity") > 40)
-            .project(["l_orderkey", "l_extendedprice"]))
-
-
-def _f3_query() -> Query:
-    return (Query.scan("lineitem")
-            .filter(col("l_shipdate").between(8500, 10500))
-            .aggregate(["l_returnflag"],
-                       [AggSpec("sum", "l_extendedprice", "revenue"),
-                        AggSpec("count", alias="n")]))
-
-
-def _f4_query() -> Query:
-    return (Query.scan("lineitem")
-            .filter(col("l_quantity") > 10)
-            .join(Query.scan("orders")
-                  .filter(col("o_priority") <= 2),
-                  "l_orderkey", "o_orderkey")
-            .aggregate(["o_priority"],
-                       [AggSpec("count", alias="n")]))
-
-
-def _f5_query() -> Query:
-    return (Query.scan("uniform")
-            .filter(col("k0") < 25)
-            .sort(["k0", "k1"])
-            .limit(100))
-
-
-def _f6_query() -> Query:
-    return (Query.scan("lineitem")
-            .filter(col("l_shipdate").between(8500, 8800))
-            .join(Query.scan("orders")
-                  .filter(col("o_priority") <= 2),
-                  "l_orderkey", "o_orderkey")
-            .aggregate(["o_priority"],
-                       [AggSpec("sum", "l_extendedprice", "rev"),
-                        AggSpec("count", alias="n")]))
+    def query(self) -> Query:
+        """A fresh instance of the scenario's shape (``QUERIES[name]``)."""
+        return QUERIES[self.name]()
 
 
 SCENARIOS: dict[str, Scenario] = {
     "f1": Scenario(
         "f1", "conventional data path (Figure 1 node, CPU-only)",
-        conventional_spec, _f1_query, placement="cpu"),
+        conventional_spec, placement="cpu"),
     "f2": Scenario(
         "f2", "storage pushdown of selection/projection",
-        dataflow_spec, _f2_query, placement="pushdown"),
+        dataflow_spec, placement="pushdown"),
     "f3": Scenario(
-        "f3", "staged group-by pipeline across NICs",
-        dataflow_spec, _f3_query),
+        "f3", "staged group-by pipeline across NICs", dataflow_spec),
     "f4": Scenario(
         "f4", "distributed join fabric (two compute nodes)",
-        lambda: dataflow_spec(compute_nodes=2), _f4_query),
+        lambda: dataflow_spec(compute_nodes=2)),
     "f5": Scenario(
-        "f5", "near-memory filter / sort / limit",
-        dataflow_spec, _f5_query),
+        "f5", "near-memory filter / sort / limit", dataflow_spec),
     # 25 Gb/s keeps the network on the critical path next to the SSD
     # (at 100 Gb/s storage drowns it); the host-attached GPU exists
     # but the plan never routes through it — the guaranteed off-path
     # resource the acceptance tests check for.
     "f6": Scenario(
         "f6", "full pipeline storage->cores (25 Gb/s net, idle GPU)",
-        lambda: dataflow_spec(gpu="host", network_gbits=25.0),
-        _f6_query),
+        lambda: dataflow_spec(gpu="host", network_gbits=25.0)),
 }
+
+
+def figure_scenario(name: str) -> Scenario:
+    """``SCENARIOS[name]``; an unknown name is a ``KeyError`` naming
+    every known one."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise KeyError(f"unknown query {name!r} "
+                       f"(have: {sorted(SCENARIOS)})") from None
+
+
+def assert_drained(sim, scenario: str) -> None:
+    """Fail loudly if a scenario's simulator did not drain.
+
+    After a run completes there must be nothing left in the event
+    queues — a pending event means a process, callback, or credit
+    return leaked past the end of the workload, which the fast flow
+    paths could otherwise hide.
+    """
+    pending = sim.pending_events
+    if pending:
+        raise AssertionError(
+            f"scenario {scenario!r} leaked {pending} pending "
+            "simulator event(s) after completion")
+
+
+def oracle_checksum(query: Query, catalog: Catalog,
+                    scenario: str) -> str:
+    """The standalone answer: Volcano on a fresh data-flow fabric."""
+    fabric = build_fabric(dataflow_spec())
+    result = VolcanoEngine(fabric, catalog).execute(query)
+    assert_drained(fabric.sim, scenario)
+    return table_checksum(result.table)
 
 
 @dataclass
@@ -148,18 +207,6 @@ class ScenarioRun:
         return run_digest(self)
 
 
-def _make_placement(policy: str, query: Query,
-                    fabric: HeterogeneousFabric, catalog: Catalog):
-    if policy == "cpu":
-        return cpu_only(query.plan, fabric)
-    if policy == "pushdown":
-        return pushdown(query.plan, fabric)
-    if policy == "optimize":
-        from ..optimizer import Optimizer
-        return Optimizer(fabric, catalog).optimize(query).placement
-    raise ValueError(f"unknown placement policy {policy!r}")
-
-
 def run_scenario(name: str, engine: str = "dataflow",
                  rows: Optional[int] = None,
                  perturbations: tuple = ()) -> ScenarioRun:
@@ -172,10 +219,7 @@ def run_scenario(name: str, engine: str = "dataflow",
     answers the causal question "same plan, different hardware" —
     plan changes never masquerade as hardware sensitivity.
     """
-    if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r} "
-                       f"(have: {sorted(SCENARIOS)})")
-    scenario = SCENARIOS[name]
+    scenario = figure_scenario(name)
     if engine not in ("dataflow", "volcano"):
         raise ValueError(f"unknown engine {engine!r}")
     rows = rows if rows is not None else scenario.rows
@@ -190,8 +234,8 @@ def run_scenario(name: str, engine: str = "dataflow",
         result = VolcanoEngine(fabric, catalog).execute(query)
     else:
         placement_fabric = build_fabric(scenario.spec())
-        placement = _make_placement(scenario.placement, query,
-                                    placement_fabric, catalog)
+        placement = place(scenario.placement, query,
+                          placement_fabric, catalog)
         result = DataflowEngine(fabric, catalog).execute(
             query, placement=placement)
     return ScenarioRun(scenario=scenario, engine=engine, rows=rows,

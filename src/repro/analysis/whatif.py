@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import figure_scenario, run_scenario
 
 __all__ = [
     "WHATIF_SCHEMA",
@@ -100,10 +100,6 @@ def run_whatif(query: str, engine: str = "dataflow",
     verification, exact critical-path attribution, the per-resource
     sensitivity sweep, and (optionally) explicit ``--vary`` runs.
     """
-    if query not in SCENARIOS:
-        raise KeyError(f"unknown query {query!r} "
-                       f"(have: {sorted(SCENARIOS)})")
-
     baseline = run_scenario(query, engine=engine, rows=rows)
     base_elapsed = baseline.result.elapsed
     base_checksum = baseline.result.checksum()
@@ -249,10 +245,7 @@ def optimizer_crosscheck(query: str, rows: Optional[int] = None,
     from ..relational import standard_catalog
     from .critical_path import attribute_query
 
-    if query not in SCENARIOS:
-        raise KeyError(f"unknown query {query!r} "
-                       f"(have: {sorted(SCENARIOS)})")
-    scenario = SCENARIOS[query]
+    scenario = figure_scenario(query)
     rows = rows if rows is not None else scenario.rows
     catalog = standard_catalog(rows)
     plan = scenario.query()
@@ -269,9 +262,7 @@ def optimizer_crosscheck(query: str, rows: Optional[int] = None,
         plans.append({
             "rank": index,
             "placement": candidate.placement.name,
-            "sites": sorted({site for chain in
-                             candidate.placement.sites.values()
-                             for site in chain}),
+            "sites": candidate.placement.used_sites(),
             "predicted_s": candidate.cost.bottleneck_time,
             "simulated_s": result.elapsed,
             "dominant": attribution.dominant(),

@@ -40,13 +40,9 @@ import sys
 from datetime import datetime, timezone
 from typing import Callable, Collection, Iterator, NamedTuple, Optional
 
-from .engine import (
-    AggSpec,
-    DataflowEngine,
-    Query,
-    VolcanoEngine,
-    cpu_only,
-)
+from .analysis import attribute_query
+from .analysis.scenarios import QUERIES, assert_drained, oracle_checksum
+from .engine import DataflowEngine, VolcanoEngine, place
 from .hardware import build_fabric, conventional_spec, dataflow_spec
 from .obs import (
     combine_checksums,
@@ -55,7 +51,9 @@ from .obs import (
     table_checksum,
     validate_report,
 )
-from .relational import col, standard_catalog
+from .relational import standard_catalog
+from .scheduler import Scheduler
+from .serve import SERVE_SCENARIOS, run_scenario
 
 __all__ = ["EXPERIMENTS", "SMOKE_SCENARIOS", "SCALE_CHUNK", "SUITES",
            "suite_tasks", "cli_tasks", "run_tasks", "run_suite",
@@ -85,51 +83,14 @@ def _quiet(_line: str) -> None:
     """The default ``echo``: print nothing."""
 
 
-def _assert_drained(sim, scenario: str) -> None:
-    """Fail loudly if a scenario's simulator did not drain.
-
-    Every bench scenario owns its simulator; after the run completes
-    there must be nothing left in the event queues — a pending event
-    means a process, callback, or credit return leaked past the end
-    of the workload, which the fast flow paths could otherwise hide.
-    """
-    pending = sim.pending_events
-    if pending:
-        raise AssertionError(
-            f"scenario {scenario!r} leaked {pending} pending "
-            "simulator event(s) after completion")
-
-
 # ---------------------------------------------------------------------------
 # Smoke scenarios
 # ---------------------------------------------------------------------------
 
-def _smoke_queries() -> dict[str, Query]:
-    return {
-        "filter_project": (
-            Query.scan("lineitem")
-            .filter(col("l_quantity") > 40)
-            .project(["l_orderkey", "l_extendedprice"])),
-        "group_by_sum": (
-            Query.scan("lineitem")
-            .filter(col("l_shipdate").between(8500, 10500))
-            .aggregate(["l_returnflag"],
-                       [AggSpec("sum", "l_extendedprice", "revenue"),
-                        AggSpec("count", alias="n")])),
-        "join_agg": (
-            Query.scan("lineitem")
-            .filter(col("l_quantity") > 10)
-            .join(Query.scan("orders")
-                  .filter(col("o_priority") <= 2),
-                  "l_orderkey", "o_orderkey")
-            .aggregate(["o_priority"],
-                       [AggSpec("sum", "l_extendedprice", "rev")])),
-        "sort_limit": (
-            Query.scan("uniform")
-            .filter(col("k0") < 25)
-            .sort(["k0", "k1"])
-            .limit(100)),
-    }
+SMOKE_QUERIES = {"filter_project": "f2", "group_by_sum": "f3",
+                 "join_agg": "join_agg", "sort_limit": "f5"}
+"""Smoke scenario -> its :data:`~repro.analysis.scenarios.QUERIES`
+shape; each runs on both engines through :func:`_run_query_scenario`."""
 
 
 def _engine_summary(result) -> dict:
@@ -141,31 +102,31 @@ def _engine_summary(result) -> dict:
     }
 
 
-def _run_query_scenario(name: str, query: Query, rows: int,
+def _run_query_scenario(name: str, shape: str, rows: int,
                         chunk: int = _CHUNK,
                         volcano_spec: Callable = dataflow_spec,
-                        placement_factory: Optional[Callable] = None,
+                        placement: str = "pushdown",
                         headline: str = "dataflow") -> dict:
-    """Run one query on both engines over fresh fabrics; compare.
+    """Run the ``QUERIES[shape]`` query on both engines; compare.
 
-    The ``headline`` engine's fabric is the architecture under study:
-    its snapshot, simulated time and exact critical-path attribution
-    (every simulated nanosecond in a device | link | wait bucket) are
-    the record's top-level movement/utilization figures.
+    Each engine gets a fresh fabric; the data-flow one runs the
+    ``placement`` policy.  The ``headline`` engine's fabric is the
+    architecture under study: its snapshot, simulated time and exact
+    critical-path attribution (every simulated nanosecond in a device
+    | link | wait bucket) are the record's top-level
+    movement/utilization figures.
     """
-    from .analysis import attribute_query
     catalog = standard_catalog(rows, chunk)
+    query = QUERIES[shape]()
 
     fabric_v = build_fabric(volcano_spec())
     res_v = VolcanoEngine(fabric_v, catalog).execute(query)
 
     fabric_d = build_fabric(dataflow_spec())
-    placement = (placement_factory(query.plan, fabric_d)
-                 if placement_factory else None)
     res_d = DataflowEngine(fabric_d, catalog).execute(
-        query, placement=placement)
-    _assert_drained(fabric_v.sim, name)
-    _assert_drained(fabric_d.sim, name)
+        query, placement=place(placement, query, fabric_d, catalog))
+    assert_drained(fabric_v.sim, name)
+    assert_drained(fabric_d.sim, name)
 
     sum_v, sum_d = res_v.checksum(), res_d.checksum()
     if sum_v != sum_d:
@@ -184,8 +145,7 @@ def _run_query_scenario(name: str, query: Query, rows: int,
         "engines": {"volcano": _engine_summary(res_v),
                     "dataflow": _engine_summary(res_d)},
     }
-    record.update({k: v for k, v in fabric_snapshot(fabric).items()
-                   if k != "sim_time_s"})
+    record.update(fabric_snapshot(fabric))
     record["attribution"] = attribute_query(fabric.trace,
                                             result).to_dict()
     return record
@@ -198,13 +158,9 @@ def _conventional_scan(rows: int) -> dict:
     cpu_only placement path; the two answers must still agree, and
     the Volcano fabric is the headline.
     """
-    query = (Query.scan("lineitem")
-             .filter(col("l_quantity") > 30)
-             .aggregate(["l_returnflag"],
-                        [AggSpec("count", alias="n")]))
     record = _run_query_scenario(
-        "conventional_scan", query, rows,
-        volcano_spec=conventional_spec, placement_factory=cpu_only,
+        "conventional_scan", "f1", rows,
+        volcano_spec=conventional_spec, placement="cpu",
         headline="volcano")
     # This record has never pinned its chunking, and the checked-in
     # baseline is exactly what a fresh run writes.
@@ -214,38 +170,20 @@ def _conventional_scan(rows: int) -> dict:
 
 def _run_scheduler_mix(rows: int) -> dict:
     """Concurrent queries through the scheduler, checked per query."""
-    from .scheduler import Scheduler
-
     catalog = standard_catalog(rows, _CHUNK)
-    queries = {
-        "q_filter": (Query.scan("lineitem")
-                     .filter(col("l_quantity") > 40)
-                     .project(["l_orderkey"])),
-        "q_agg": (Query.scan("lineitem")
-                  .aggregate(["l_returnflag"],
-                             [AggSpec("count", alias="n")])),
-        "q_sort": (Query.scan("uniform")
-                   .filter(col("k0") < 20)
-                   .sort(["k0"])
-                   .limit(50)),
-    }
+    queries = {name: QUERIES[name]()
+               for name in ("q_agg", "q_filter", "q_sort")}
     fabric = build_fabric(dataflow_spec())
     scheduler = Scheduler(fabric, catalog,
                           policy="interference+ratelimit")
-    for i, (name, query) in enumerate(sorted(queries.items())):
+    for i, (name, query) in enumerate(queries.items()):
         scheduler.submit(name, query, arrival=i * 1e-4)
     records = scheduler.run()
-    _assert_drained(fabric.sim, "scheduler_mix")
+    assert_drained(fabric.sim, "scheduler_mix")
 
-    checksums, agree = {}, True
-    for rec in records:
-        checksums[rec.name] = table_checksum(rec.table)
-        oracle_fabric = build_fabric(dataflow_spec())
-        oracle = VolcanoEngine(oracle_fabric, catalog).execute(
-            queries[rec.name])
-        _assert_drained(oracle_fabric.sim, "scheduler_mix")
-        agree = agree and (table_checksum(oracle.table)
-                           == checksums[rec.name])
+    checksums = {rec.name: table_checksum(rec.table) for rec in records}
+    agree = all(oracle_checksum(queries[name], catalog, "scheduler_mix")
+                == checksum for name, checksum in checksums.items())
     if not agree:
         raise AssertionError(
             "smoke scenario 'scheduler_mix': a scheduled query's "
@@ -260,14 +198,13 @@ def _run_scheduler_mix(rows: int) -> dict:
                                "variant": rec.variant_name}
                     for rec in records},
     }
-    record.update({k: v for k, v in fabric_snapshot(fabric).items()
-                   if k != "sim_time_s"})
+    record.update(fabric_snapshot(fabric))
     return record
 
 
 SMOKE_SCENARIOS: dict[str, Callable[[int], dict]] = {
-    **{name: functools.partial(_run_query_scenario, name, query)
-       for name, query in _smoke_queries().items()},
+    **{name: functools.partial(_run_query_scenario, name, shape)
+       for name, shape in SMOKE_QUERIES.items()},
     "conventional_scan": _conventional_scan,
     "scheduler_mix": _run_scheduler_mix,
 }
@@ -277,45 +214,25 @@ SMOKE_SCENARIOS: dict[str, Callable[[int], dict]] = {
 # Scale tier (the ``scale`` section; ``repro bench --scale``)
 # ---------------------------------------------------------------------------
 
-def _scale_queries() -> dict[str, tuple[Query, int]]:
-    """The scale-tier scenarios: name -> (query, base rows).
+SCALE_QUERIES: dict[str, tuple[str, int]] = {
+    "scale_f2_pushdown_100k": ("f2_narrow", 100_000),
+    "scale_f4_join_300k": ("join_agg", 300_000),
+    "scale_f6_pipeline_1m": ("f6", 1_000_000),
+}
+"""Scale scenario -> (``QUERIES`` shape, base rows).
 
-    F2/F4/F6-shaped queries (pushdown filter+project, scatter join,
-    full filter+join+aggregate pipeline) at 100k–1M rows with
-    :data:`SCALE_CHUNK`-row chunks.  Each runs through
-    :func:`_run_query_scenario`, so both engines execute it, the
-    checksums must agree, and the simulator must drain.
-    """
-    f2_pushdown = (
-        Query.scan("lineitem")
-        .filter(col("l_quantity") > 45)
-        .project(["l_orderkey", "l_extendedprice"]))
-    f4_join = (
-        Query.scan("lineitem")
-        .filter(col("l_quantity") > 10)
-        .join(Query.scan("orders").filter(col("o_priority") <= 2),
-              "l_orderkey", "o_orderkey")
-        .aggregate(["o_priority"],
-                   [AggSpec("sum", "l_extendedprice", "rev")]))
-    f6_pipeline = (
-        Query.scan("lineitem")
-        .filter(col("l_shipdate").between(8500, 8800))
-        .join(Query.scan("orders").filter(col("o_priority") <= 2),
-              "l_orderkey", "o_orderkey")
-        .aggregate(["o_priority"],
-                   [AggSpec("sum", "l_extendedprice", "rev"),
-                    AggSpec("count", alias="n")]))
-    return {
-        "scale_f2_pushdown_100k": (f2_pushdown, 100_000),
-        "scale_f4_join_300k": (f4_join, 300_000),
-        "scale_f6_pipeline_1m": (f6_pipeline, 1_000_000),
-    }
+F2/F4/F6-shaped queries (pushdown filter+project, scatter join, full
+filter+join+aggregate pipeline) at 100k–1M rows with
+:data:`SCALE_CHUNK`-row chunks.  Each runs through
+:func:`_run_query_scenario`, so both engines execute it, the checksums
+must agree, and the simulator must drain; the record pins
+``chunk_rows`` for compare.
+"""
 
 
 def _run_scale(name: str) -> dict:
-    """One scale scenario; the record pins ``chunk_rows`` for compare."""
-    query, rows = _scale_queries()[name]
-    return _run_query_scenario(name, query, rows, chunk=SCALE_CHUNK)
+    shape, rows = SCALE_QUERIES[name]
+    return _run_query_scenario(name, shape, rows, chunk=SCALE_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +248,6 @@ reproduces the same p50/p99/p999 bit for bit.
 """
 
 
-def _serve_scenarios() -> Collection[str]:
-    from .serve import SERVE_SCENARIOS
-    return SERVE_SCENARIOS
-
-
 def _run_serving(name: str, rows: Optional[int] = None,
                  queries: Optional[int] = SERVE_BENCH_QUERIES) -> dict:
     """One serving run, verified, reduced to its bench record.
@@ -348,7 +260,6 @@ def _run_serving(name: str, rows: Optional[int] = None,
     checksum, and the payload *digests* (bit-reproducible, so
     ``--compare`` gates on them without carrying the payloads).
     """
-    from .serve import run_scenario
     record = run_scenario(name, rows=rows, queries=queries)
     record.pop("records", None)
     record.pop("completion_order", None)
@@ -525,7 +436,7 @@ SUITES: dict[str, Suite] = {
         run=lambda name, rows=DEFAULT_ROWS: SMOKE_SCENARIOS[name](rows),
         line=_query_line),
     "serving": Suite(
-        names=_serve_scenarios,
+        names=lambda: SERVE_SCENARIOS,
         from_args=lambda args: {"queries": args.serve_queries},
         from_record=lambda record: {
             "rows": record.get("rows"),
@@ -538,7 +449,7 @@ SUITES: dict[str, Suite] = {
         run=run_experiment,
         line=lambda record: f"{record['name']:6} ({record['script']})"),
     "scale": Suite(
-        names=_scale_queries,
+        names=lambda: SCALE_QUERIES,
         from_args=lambda args: {},
         from_record=lambda record: {},
         run=_run_scale, line=_query_line),
@@ -722,8 +633,9 @@ def cli_tasks(args: argparse.Namespace) -> list[Task]:
 
 
 def run_cli(args) -> int:
+    """Run the benchmark harness -> BENCH_<tag>.json."""
     echo = _quiet if args.quiet else print
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
     if args.compare:
         return run_compare(args.compare, tolerance=args.tolerance,
                            echo=echo, jobs=jobs)
@@ -750,56 +662,3 @@ def run_cli(args) -> int:
     echo(f"report: {path}  "
          f"({report['totals']['benchmarks']} benchmarks)")
     return 0
-
-
-def positive_int(text: str) -> int:
-    """argparse ``type=`` for row and query counts (every subcommand's)."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)      # argparse: "invalid positive_int value"
-    return value
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the instrumented smoke scenarios "
-                             "(default when no --exp is given)")
-    parser.add_argument("--exp", default="",
-                        help="comma-separated experiment ids "
-                             "(f1..f6,c1..c8,e1..e6) or 'all'")
-    parser.add_argument("--serve", action="store_true",
-                        help="also run the multi-tenant serving "
-                             "scenarios ('serving' section)")
-    parser.add_argument("--serve-queries", type=int,
-                        default=SERVE_BENCH_QUERIES,
-                        dest="serve_queries", metavar="N",
-                        help="requested queries per serving scenario")
-    parser.add_argument("--scale", action="store_true",
-                        help="also run the 100k-1M row scale tier "
-                             "(f2/f4/f6-shaped queries, large "
-                             "chunks; 'scale' section)")
-    parser.add_argument("--tag", default="local",
-                        help="report tag (file is BENCH_<tag>.json)")
-    parser.add_argument("--out", default=".",
-                        help="directory the report is written to")
-    parser.add_argument("--rows", type=positive_int, default=DEFAULT_ROWS,
-                        help="base table rows for smoke scenarios")
-    parser.add_argument("--bench-dir", default=None,
-                        help="override the benchmarks/ directory")
-    parser.add_argument("--compare", default=None, metavar="BASELINE",
-                        help="re-run a baseline report's records and "
-                             "diff them leaf by leaf (exit 1 on "
-                             "regression, 2 on an unusable baseline)")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE,
-                        help="relative tolerance for float leaves in "
-                             "--compare (everything else is exact)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run scenarios/experiments across N "
-                             "worker processes (the report is "
-                             "identical at any job count)")
-    parser.add_argument("--list", action="store_true",
-                        help="list every section's scenarios, then "
-                             "exit")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress output")

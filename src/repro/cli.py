@@ -58,31 +58,84 @@ Commands
     Materialize the deterministic open-tenant arrival schedule of a
     serving scenario as JSON (time, tenant, template per arrival).
 
-Report-producing commands route their outputs under
-``benchmarks/results/`` (gitignored) when the output flag is omitted
-or given bare, so artifacts never land in the repo root by accident.
+The CLI owns no query shape, placement policy or scenario: shapes are
+``repro.analysis.scenarios.QUERIES``, policies
+``repro.engine.placement.place``, and scenarios the ``SCENARIOS`` /
+``SERVE_SCENARIOS`` registries.  Report-producing commands route their
+outputs under ``benchmarks/results/`` (gitignored) when the output
+flag is omitted or given bare, so artifacts never land in the repo
+root by accident.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, add_bench_arguments, positive_int, run_cli
+from .analysis import (
+    DEFAULT_FACTORS,
+    OBSERVATORY_SCHEMA,
+    QUERIES,
+    SCENARIOS,
+    figure_scenario,
+    optimizer_crosscheck,
+    parse_vary,
+    render_top,
+    run_whatif,
+    whatif_violations,
+    write_report,
+)
+from .bench import (
+    DEFAULT_ROWS,
+    DEFAULT_TOLERANCE,
+    EXPERIMENTS,
+    SERVE_BENCH_QUERIES,
+    run_cli,
+)
 from .engine import (
-    AggSpec,
+    POLICIES,
     DataflowEngine,
     Query,
     VolcanoEngine,
-    cpu_only,
     data_path_sites,
-    pushdown,
+    describe_op,
+    place,
 )
+from .engine.fusion import FusedOp
 from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
+from .obs import _observatory_section_violations
 from .optimizer import Optimizer
-from .relational import Catalog, col, make_lineitem, standard_catalog
+from .relational import Catalog, col, make_lineitem, make_orders, \
+    standard_catalog
+from .relational.sql import SqlError, parse_sql
+from .serve import (
+    SERVE_SCENARIOS,
+    run_scenario,
+    schedule_for,
+    serve_scenario,
+    serve_scenario_server,
+    write_dashboard,
+)
+from .sim import export_chrome_trace
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)      # argparse: "invalid positive_int value"
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for a count where 0 means none."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _routed_output(path, default_name: str) -> str:
@@ -99,31 +152,54 @@ def _routed_output(path, default_name: str) -> str:
     return out
 
 
+def _write_json(path, default_name: str, payload, indent: int = 2,
+                sort_keys: bool = True) -> str:
+    """Write a JSON artifact where :func:`_routed_output` routes it."""
+    out = _routed_output(path, default_name)
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
+        handle.write("\n")
+    return out
+
+
 def _input_error(reason) -> int:
     """Bad user input: one ``error:`` line, exit status 2 (as argparse)."""
     print(f"error: {reason}", file=sys.stderr)
     return 2
 
 
+def _violations(title: str, violations: list) -> int:
+    """Print the first ten ``violations`` on stderr; 1 if any, else 0."""
+    if violations:
+        print(f"\n{title}:", file=sys.stderr)
+        for violation in violations[:10]:
+            print(f"  - {violation}", file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _catalog(rows: int) -> Catalog:
+    """lineitem (``rows``) + orders (``rows // 4``), 8192-row chunks."""
+    catalog = Catalog()
+    catalog.register("lineitem", make_lineitem(rows, chunk_rows=8192))
+    catalog.register("orders", make_orders(rows // 4, chunk_rows=8192))
+    return catalog
+
+
 SPECS = {"dataflow": dataflow_spec, "conventional": conventional_spec}
 
 
 def cmd_demo(args) -> int:
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(args.rows,
-                                               chunk_rows=8192))
-    query = (Query.scan("lineitem")
-             .filter(col("l_quantity") > 45)
-             .aggregate(["l_returnflag"],
-                        [AggSpec("sum", "l_extendedprice", "revenue")]))
+    """Baseline vs data-flow demo: one query, both engines."""
+    catalog = _catalog(args.rows)
+    query = QUERIES["demo"]()
 
     fabric = build_fabric(dataflow_spec())
     baseline = VolcanoEngine(fabric, catalog).execute(query)
 
     fabric2 = build_fabric(dataflow_spec())
-    best = Optimizer(fabric2, catalog).optimize(query)
+    placement = place("optimize", query, fabric2, catalog)
     offloaded = DataflowEngine(fabric2, catalog).execute(
-        query, placement=best.placement)
+        query, placement=placement)
 
     assert baseline.table.sorted_rows() == offloaded.table.sorted_rows()
     print(f"rows: {args.rows:,}   result groups: {baseline.rows}")
@@ -135,13 +211,12 @@ def cmd_demo(args) -> int:
               f"{offloaded.movement.get(segment, 0):>14,.0f}")
     print(f"{'elapsed (sim s)':18} {baseline.elapsed:>14.6f} "
           f"{offloaded.elapsed:>14.6f}")
-    used = sorted({s for chain in best.placement.sites.values()
-                   for s in chain})
-    print(f"\n* optimizer-chosen sites: {used}")
+    print(f"\n* optimizer-chosen sites: {placement.used_sites()}")
     return 0
 
 
 def cmd_sites(args) -> int:
+    """List a fabric's sites and the operations each supports."""
     fabric = build_fabric(SPECS[args.spec]())
     print(f"fabric: {args.spec}  "
           f"(data path: {' -> '.join(data_path_sites(fabric))})\n")
@@ -160,9 +235,8 @@ def cmd_sites(args) -> int:
 
 
 def cmd_query(args) -> int:
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(args.rows,
-                                               chunk_rows=8192))
+    """Run a configurable filter/project query under a placement."""
+    catalog = _catalog(args.rows)
     cutoff = max(1, int(50 * args.selectivity))
     query = (Query.scan("lineitem")
              .filter(col("l_quantity") <= cutoff)
@@ -171,12 +245,7 @@ def cmd_query(args) -> int:
     fabric = build_fabric(SPECS[args.spec]())
     engine = DataflowEngine(fabric, catalog,
                             use_zonemaps=args.zonemaps)
-    if args.placement == "optimize":
-        placement = Optimizer(fabric, catalog).optimize(query).placement
-    elif args.placement == "pushdown":
-        placement = pushdown(query.plan, fabric)
-    else:
-        placement = cpu_only(query.plan, fabric)
+    placement = place(args.placement, query, fabric, catalog)
     if args.plan or args.show_kernel:
         graph = engine.compile(query, placement=placement)
         if args.plan:
@@ -207,7 +276,6 @@ def _print_plan(graph, placement) -> None:
     indented under one header, then the channels it emits on (chunks
     cross them lazily: a column is gathered where it is first read).
     """
-    from .engine import describe_op
     print(f"placement: {placement.name}   "
           f"stages: {len(graph.stages)}")
     for stage in graph.stages.values():
@@ -234,7 +302,6 @@ def _print_kernels(graph) -> None:
     (compiled / memory — i.e. miss vs hit), and the generated source
     itself; a segment codegen declined says so.
     """
-    from .engine.fusion import FusedOp
     seen: set = set()
     printed = False
     for stage in graph.stages.values():
@@ -297,10 +364,8 @@ def _print_ledger(trace, max_rows: int = 40) -> None:
 
 
 def cmd_trace(args) -> int:
-    """Run the demo query and export a Chrome trace_events timeline."""
-    from .sim import export_chrome_trace
+    """Export a Chrome/Perfetto trace (the demo query, or --serve)."""
     if args.serve:
-        from .serve import serve_scenario_server
         out = _routed_output(args.out,
                              f"trace_serve_{args.scenario}.json")
         server = serve_scenario_server(args.scenario,
@@ -319,20 +384,14 @@ def cmd_trace(args) -> int:
               f"truncated={stats['truncated']})")
         print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(args.rows,
-                                               chunk_rows=8192))
-    query = (Query.scan("lineitem")
-             .filter(col("l_quantity") > 45)
-             .aggregate(["l_returnflag"],
-                        [AggSpec("sum", "l_extendedprice", "revenue")]))
+    catalog = _catalog(args.rows)
+    query = QUERIES["demo"]()
     fabric = build_fabric(dataflow_spec())
     if args.engine in ("volcano", "both"):
         VolcanoEngine(fabric, catalog).execute(query)
     if args.engine in ("dataflow", "both"):
-        placement = Optimizer(fabric, catalog).optimize(query).placement
-        DataflowEngine(fabric, catalog).execute(query,
-                                                placement=placement)
+        DataflowEngine(fabric, catalog).execute(
+            query, placement=place("optimize", query, fabric, catalog))
     fabric.trace.close_open_spans()
     out = _routed_output(args.out, f"trace_{args.engine}.json")
     payload = export_chrome_trace(fabric.trace, out)
@@ -345,13 +404,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sql(args) -> int:
-    from .relational.sql import SqlError, parse_sql
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(args.rows,
-                                               chunk_rows=8192))
-    from .relational import make_orders
-    catalog.register("orders", make_orders(args.rows // 4,
-                                           chunk_rows=8192))
+    """Run a SQL statement over synthetic lineitem/orders tables."""
+    catalog = _catalog(args.rows)
     try:
         query = parse_sql(args.statement)
         # Bind every name now: an unknown one is a KeyError.
@@ -359,12 +413,7 @@ def cmd_sql(args) -> int:
     except (SqlError, KeyError) as exc:
         return _input_error(exc.args[0])   # str() of a KeyError is a repr
     fabric = build_fabric(dataflow_spec())
-    if args.placement == "optimize":
-        placement = Optimizer(fabric, catalog).optimize(query).placement
-    elif args.placement == "pushdown":
-        placement = pushdown(query.plan, fabric)
-    else:
-        placement = cpu_only(query.plan, fabric)
+    placement = place(args.placement, query, fabric, catalog)
     result = DataflowEngine(fabric, catalog).execute(
         query, placement=placement)
     print(f"placement: {placement.name}   "
@@ -415,14 +464,7 @@ def _print_whatif(payload: dict) -> None:
 
 
 def cmd_whatif(args) -> int:
-    import json as json_mod
-
-    from .analysis import (
-        DEFAULT_FACTORS,
-        parse_vary,
-        run_whatif,
-        whatif_violations,
-    )
+    """Causal what-if profiler (per-resource virtual speedups)."""
     resources = (args.resources.split(",") if args.resources
                  else None)
     try:
@@ -438,52 +480,28 @@ def cmd_whatif(args) -> int:
     except ValueError as exc:
         return _input_error(exc)
     _print_whatif(payload)
-    violations = whatif_violations(payload)
     if args.out is not None:
-        # Bare -o routes under benchmarks/results/; absent -o writes
-        # nothing (the sweep is still printed and gated).
-        out = _routed_output(args.out, f"WHATIF_{args.query}.json")
-        with open(out, "w", encoding="utf-8") as fh:
-            json_mod.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        # Absent -o writes nothing (the sweep is still printed and
+        # gated).
+        out = _write_json(args.out, f"WHATIF_{args.query}.json",
+                          payload, indent=1)
         print(f"\nwrote {out}")
-    if violations:
-        print("\nVIOLATIONS:")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    return 0
+    return _violations("WHAT-IF VIOLATIONS", whatif_violations(payload))
 
 
 def cmd_report(args) -> int:
-    from .analysis import SCENARIOS, run_whatif, write_report
-
-    if args.serve:
-        from .serve import run_scenario, write_dashboard
-        out = _routed_output(
-            args.out, f"serve_dashboard_{args.serve_scenario}.html")
-        record = run_scenario(args.serve_scenario)
-        html_path, json_path = write_dashboard(
-            out, record,
-            title=f"Serving dashboard — {args.serve_scenario}")
-        telemetry = record["telemetry"]
-        print(f"wrote {html_path} and {json_path} "
-              f"({telemetry['windows']} windows, "
-              f"{len(telemetry['alerts'])} alerts, "
-              f"{len(telemetry['exemplars'])} exemplars)")
-        return 0
-
+    """Self-contained HTML attribution report (+ JSON artifact)."""
     out = _routed_output(args.out, "attribution.html")
     names = (sorted(SCENARIOS) if args.queries == "all"
              else [q.strip() for q in args.queries.split(",")])
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        return _input_error(f"unknown query {unknown[0]!r} "
-                            f"(have: {sorted(SCENARIOS)})")
+    try:
+        scenarios = [figure_scenario(name) for name in names]
+    except KeyError as exc:
+        return _input_error(exc.args[0])
     payloads = []
-    for name in names:
-        print(f"analyzing {name}...")
-        payloads.append(run_whatif(name, engine=args.engine,
+    for scenario in scenarios:
+        print(f"analyzing {scenario.name}...")
+        payloads.append(run_whatif(scenario.name, engine=args.engine,
                                    rows=args.rows))
     html_path, json_path = write_report(out, payloads)
     print(f"wrote {html_path} and {json_path} "
@@ -492,11 +510,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .analysis import optimizer_crosscheck
-
+    """Rank placements; --validate-whatif cross-checks them."""
     if not args.validate_whatif:
-        from .analysis.scenarios import SCENARIOS
-        scenario = SCENARIOS[args.query]
+        scenario = figure_scenario(args.query)
         fabric = build_fabric(scenario.spec())
         rows = args.rows or scenario.rows
         ranked = Optimizer(fabric, standard_catalog(rows)).rank(
@@ -504,12 +520,9 @@ def cmd_optimize(args) -> int:
         print(f"top-{len(ranked)} placements for {args.query} "
               f"({rows:,} rows), by predicted makespan:")
         for index, candidate in enumerate(ranked):
-            sites = sorted({site for chain in
-                            candidate.placement.sites.values()
-                            for site in chain})
             print(f"  #{index}: {candidate.placement.name:10} "
                   f"predicted {candidate.cost.bottleneck_time:.6f} s  "
-                  f"sites={sites}")
+                  f"sites={candidate.placement.used_sites()}")
         return 0
 
     check = optimizer_crosscheck(args.query, rows=args.rows,
@@ -539,6 +552,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_experiments(_args) -> int:
+    """List the reproduced experiments."""
     print(f"{'id':4} {'benchmark':36} description")
     for exp_id, description, bench in EXPERIMENTS:
         print(f"{exp_id:4} benchmarks/{bench:36} {description}")
@@ -548,10 +562,7 @@ def cmd_experiments(_args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import json
-
-    from .serve import run_scenario
-
+    """Serve a multi-tenant scenario on one warm fabric."""
     record = run_scenario(args.scenario, rows=args.rows,
                           queries=args.queries,
                           verify=not args.no_verify)
@@ -602,9 +613,6 @@ def cmd_serve(args) -> int:
               "standalone runs; accounting + telemetry + "
               "observatory exact")
     if args.report is not None:
-        from .serve import write_dashboard
-        # Bare --report defaults under benchmarks/results/, which is
-        # gitignored — reports never land in the repo root.
         report = _routed_output(args.report,
                                 f"serve_{record['name']}.html")
         html_path, json_path = write_dashboard(
@@ -612,32 +620,21 @@ def cmd_serve(args) -> int:
             title=f"Serving dashboard — {record['name']}")
         print(f"  dashboard: {html_path} (+ {json_path})")
     if args.out is not None:
-        # Bare -o defaults under benchmarks/results/ (gitignored),
-        # same routing as --report — records never land in the
-        # repo root by accident.
-        out = _routed_output(args.out,
-                             f"serve_{record['name']}.json")
-        with open(out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        out = _write_json(args.out, f"serve_{record['name']}.json",
+                          record)
         print(f"  record: {out}")
     return 0
 
 
 def cmd_top(args) -> int:
-    import json
-
-    from .analysis.observatory import OBSERVATORY_SCHEMA, render_top
-    from .obs import _observatory_section_violations
-
-    if getattr(args, "from_file", None):
+    """Saturation observatory: pools, bound tenants, regret leaders."""
+    if args.from_file:
         try:
             with open(args.from_file) as handle:
                 doc = json.load(handle)
-        except OSError as exc:
-            return _input_error(exc)
-        except json.JSONDecodeError as exc:
-            return _input_error(f"{args.from_file}: {exc}")
+        except (OSError, ValueError) as exc:    # unreadable, not JSON
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            return _input_error(f"{args.from_file}: {reason}")
         # Accept either a bare observatory payload or a wrapper
         # (serving record, `top --json` artifact) that embeds one.
         if not isinstance(doc, dict):
@@ -663,7 +660,6 @@ def cmd_top(args) -> int:
         print(render_top(payload, name=name, follow=args.follow))
         return 0
 
-    from .serve import run_scenario
     record = run_scenario(args.scenario, rows=args.rows,
                           queries=args.queries, verify=False)
     payload = record.get("observatory")
@@ -675,30 +671,21 @@ def cmd_top(args) -> int:
                      follow=args.follow))
     violations = record["observatory_violations"]
     if args.json is not None:
-        out = _routed_output(args.json, f"TOP_{record['name']}.json")
-        with open(out, "w") as handle:
-            json.dump({"schema": OBSERVATORY_SCHEMA,
-                       "name": record["name"],
-                       "digest": record["observatory_digest"],
-                       "observatory": payload,
-                       "violations": violations},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        out = _write_json(args.json, f"TOP_{record['name']}.json",
+                          {"schema": OBSERVATORY_SCHEMA,
+                           "name": record["name"],
+                           "digest": record["observatory_digest"],
+                           "observatory": payload,
+                           "violations": violations})
         print(f"\nwrote {out}")
-    if violations:
-        print("\nOBSERVATORY VIOLATIONS:", file=sys.stderr)
-        for violation in violations[:10]:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _violations("OBSERVATORY VIOLATIONS", violations)
 
 
 def cmd_loadgen(args) -> int:
-    import json
-
-    from .serve import scenario_schedule, schedule_for
-
-    tenants, counts = scenario_schedule(args.scenario, args.queries)
+    """Materialize a scenario's open-tenant arrival schedule."""
+    scenario = serve_scenario(args.scenario)
+    tenants, counts = scenario.build_tenants(args.queries
+                                             or scenario.queries)
     arrivals = schedule_for(tenants, counts)
     closed = [t.name for t in tenants if not t.arrival.is_open]
     payload = {
@@ -706,11 +693,10 @@ def cmd_loadgen(args) -> int:
         "arrivals": [a.to_dict() for a in arrivals],
         "closed_tenants": closed,
     }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"{len(arrivals)} open-loop arrivals -> {args.out}")
+    if args.out is not None:
+        out = _write_json(args.out, f"loadgen_{args.scenario}.json",
+                          payload, sort_keys=False)
+        print(f"{len(arrivals)} open-loop arrivals -> {out}")
     else:
         print(json.dumps(payload, indent=2))
     if closed:
@@ -720,9 +706,33 @@ def cmd_loadgen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .analysis import SCENARIOS
-    from .serve import SERVE_SCENARIOS
-    figures, scenarios = sorted(SCENARIOS), sorted(SERVE_SCENARIOS)
+    # Every flag more than one command takes, defined once; a command
+    # names the ones it takes in its ``command(...)`` line.
+    flags = {
+        "rows": dict(type=positive_int, default=None,
+                     help="base table rows (omitted: the command's or "
+                          "the scenario's own)"),
+        "scenario": dict(default="two_tenant_bursty",
+                         choices=sorted(SERVE_SCENARIOS),
+                         help="serving scenario (see `repro bench "
+                              "--list`)"),
+        "queries": dict(type=positive_int, default=None,
+                        help="requested total queries across tenants"),
+        "placement": dict(default="optimize", choices=POLICIES),
+        "spec": dict(default="dataflow", choices=sorted(SPECS)),
+        "engine": dict(default="dataflow",
+                       choices=["dataflow", "volcano"]),
+        "query": dict(default="f6", choices=sorted(SCENARIOS),
+                      help="figure scenario (f1..f6)"),
+        # Where a command writes its artifact (see _routed_output).
+        "out": dict(options=("-o", "--out"), nargs="?", const="",
+                    default=None, metavar="JSON",
+                    help="write the artifact here (bare -o: under "
+                         "benchmarks/results/; absent: no file)"),
+    }
+    # ...for a command that always writes one.
+    always_out = {"default": "", "help": "output path (omitted or bare "
+                                         "-o: under benchmarks/results/)"}
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -730,22 +740,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "hardware (Lerner & Alonso, ICDE 2024)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="baseline vs data-flow demo")
-    demo.add_argument("--rows", type=positive_int, default=100_000)
-    demo.set_defaults(func=cmd_demo)
+    def command(name: str, func, *names, **changes):
+        """Sub-command ``name`` running ``func`` (its docstring's first
+        line is the help) with the shared flags ``names``; ``changes``
+        adds further shared flags with the keywords they differ by."""
+        added = sub.add_parser(
+            name, help=(func.__doc__ or "").partition("\n")[0])
+        added.set_defaults(func=func)
+        for flag in names + tuple(changes):
+            keywords = {**flags[flag], **changes.get(flag, {})}
+            added.add_argument(*keywords.pop("options", [f"--{flag}"]),
+                               **keywords)
+        return added
 
-    sites = sub.add_parser("sites", help="list fabric sites")
-    sites.add_argument("--spec", default="dataflow",
-                       choices=sorted(SPECS))
-    sites.set_defaults(func=cmd_sites)
+    command("demo", cmd_demo, rows={"default": 100_000})
+    command("sites", cmd_sites, "spec")
 
-    query = sub.add_parser("query", help="run a configurable query")
-    query.add_argument("--rows", type=positive_int, default=100_000)
+    query = command("query", cmd_query, "placement", "spec",
+                    rows={"default": 100_000})
     query.add_argument("--selectivity", type=float, default=0.1)
-    query.add_argument("--placement", default="optimize",
-                       choices=["optimize", "pushdown", "cpu"])
-    query.add_argument("--spec", default="dataflow",
-                       choices=sorted(SPECS))
     query.add_argument("--zonemaps", action="store_true")
     query.add_argument("--show-kernel", action="store_true",
                        help="print each fused segment's generated "
@@ -762,48 +775,22 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--ledger", action="store_true",
                        help="print the movement ledger (bytes x link "
                             "x operator x direction)")
-    query.set_defaults(func=cmd_query)
 
-    trace = sub.add_parser(
-        "trace", help="export a Chrome/Perfetto trace of the demo "
-                      "query")
-    trace.add_argument("-o", "--out", nargs="?", const="",
-                       default="", metavar="JSON",
-                       help="output .json path (trace_events "
-                            "format); omitted or bare -o defaults "
-                            "under benchmarks/results/")
-    trace.add_argument("--rows", type=positive_int, default=50_000)
-    trace.add_argument("--engine", default="dataflow",
-                       choices=["dataflow", "volcano", "both"])
+    trace = command("trace", cmd_trace, "scenario", "queries",
+                    rows={"default": 50_000}, out=always_out,
+                    engine={"choices": ["dataflow", "volcano", "both"]})
     trace.add_argument("--serve", action="store_true",
                        help="trace a multi-tenant serving scenario "
-                            "instead of the demo query (per-tenant "
-                            "lanes, serve lifecycle events)")
-    trace.add_argument("--scenario", default="two_tenant_bursty",
-                       choices=scenarios,
-                       help="serving scenario for --serve")
-    trace.add_argument("--queries", type=positive_int, default=None,
-                       help="requested queries for --serve")
-    trace.set_defaults(func=cmd_trace)
+                            "(--scenario, --queries) instead of the "
+                            "demo query (per-tenant lanes, serve "
+                            "lifecycle events)")
 
-    sql = sub.add_parser(
-        "sql", help="run a SQL statement over synthetic "
-                    "lineitem/orders tables")
+    sql = command("sql", cmd_sql, "placement", rows={"default": 50_000})
     sql.add_argument("statement")
-    sql.add_argument("--rows", type=positive_int, default=50_000)
-    sql.add_argument("--max-rows", type=int, default=20)
-    sql.add_argument("--placement", default="optimize",
-                     choices=["optimize", "pushdown", "cpu"])
-    sql.set_defaults(func=cmd_sql)
+    sql.add_argument("--max-rows", type=non_negative_int, default=20)
 
-    whatif = sub.add_parser(
-        "whatif", help="causal what-if profiler (per-resource "
-                       "virtual speedups)")
-    whatif.add_argument("--query", default="f6", choices=figures,
-                        help="figure scenario (f1..f6)")
-    whatif.add_argument("--engine", default="dataflow",
-                        choices=["dataflow", "volcano"])
-    whatif.add_argument("--rows", type=positive_int, default=None)
+    whatif = command("whatif", cmd_whatif, "query", "engine", "rows",
+                     "out")
     whatif.add_argument("--factors", default=None,
                         help="comma-separated improvement factors "
                              "(default 1.25,1.5,2,4)")
@@ -814,94 +801,76 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit raw perturbations, e.g. "
                              "nic.bw=2x,cxl.lat=0.5x (skips the "
                              "sweep unless --resources is given)")
-    whatif.add_argument("-o", "--out", nargs="?", const="",
-                        default=None, metavar="JSON",
-                        help="write the repro.whatif/v1 JSON here; "
-                             "bare -o defaults under "
-                             "benchmarks/results/ (absent: no file)")
-    whatif.set_defaults(func=cmd_whatif)
 
-    report = sub.add_parser(
-        "report", help="self-contained HTML attribution report "
-                       "(+ JSON artifact)")
-    report.add_argument("-o", "--out", nargs="?", const="",
-                        default="", metavar="HTML",
-                        help="output .html path (JSON lands "
-                             "alongside); omitted or bare -o "
-                             "defaults under benchmarks/results/")
+    report = command("report", cmd_report, "engine", "rows",
+                     out={**always_out, "metavar": "HTML"})
     report.add_argument("--queries", default="all",
                         help="comma-separated scenarios or 'all'")
-    report.add_argument("--engine", default="dataflow",
-                        choices=["dataflow", "volcano"])
-    report.add_argument("--rows", type=positive_int, default=None)
-    report.add_argument("--serve", action="store_true",
-                        help="render the serving telemetry dashboard "
-                             "instead of the attribution report")
-    report.add_argument("--serve-scenario",
-                        default="two_tenant_bursty", choices=scenarios,
-                        help="serving scenario for --serve")
-    report.set_defaults(func=cmd_report)
 
-    optimize = sub.add_parser(
-        "optimize", help="rank placements; --validate-whatif "
-                         "cross-checks against simulation")
-    optimize.add_argument("--query", default="f6", choices=figures,
-                          help="figure scenario (f1..f6)")
-    optimize.add_argument("--rows", type=positive_int, default=None)
-    optimize.add_argument("-k", "--top-k", type=int, default=3)
+    optimize = command("optimize", cmd_optimize, "query", "rows")
+    optimize.add_argument("-k", "--top-k", type=positive_int, default=3)
     optimize.add_argument("--validate-whatif", action="store_true",
                           help="simulate the top-k plans and print "
                                "cost-vs-simulation ranking "
                                "disagreements")
-    optimize.set_defaults(func=cmd_optimize)
 
-    experiments = sub.add_parser("experiments",
-                                 help="list reproduced experiments")
-    experiments.set_defaults(func=cmd_experiments)
+    command("experiments", cmd_experiments)
 
-    bench = sub.add_parser(
-        "bench", help="run the benchmark harness -> BENCH_<tag>.json")
-    add_bench_arguments(bench)
-    bench.set_defaults(func=run_cli)
+    bench = command("bench", run_cli, rows={"default": DEFAULT_ROWS})
+    bench.add_argument("--smoke", action="store_true",
+                       help="run the instrumented smoke scenarios "
+                            "(default when no --exp is given)")
+    bench.add_argument("--exp", default="",
+                       help="comma-separated experiment ids "
+                            "(f1..f6,c1..c8,e1..e6) or 'all'")
+    bench.add_argument("--serve", action="store_true",
+                       help="also run the multi-tenant serving "
+                            "scenarios ('serving' section)")
+    bench.add_argument("--serve-queries", type=positive_int,
+                       default=SERVE_BENCH_QUERIES, metavar="N",
+                       help="requested queries per serving scenario")
+    bench.add_argument("--scale", action="store_true",
+                       help="also run the 100k-1M row scale tier "
+                            "(f2/f4/f6-shaped queries, large "
+                            "chunks; 'scale' section)")
+    bench.add_argument("--tag", default="local",
+                       help="report tag (file is BENCH_<tag>.json)")
+    bench.add_argument("--out", default=".",
+                       help="directory the report is written to")
+    bench.add_argument("--bench-dir", default=None,
+                       help="override the benchmarks/ directory")
+    bench.add_argument("--compare", default=None, metavar="BASELINE",
+                       help="re-run a baseline report's records and "
+                            "diff them leaf by leaf (exit 1 on "
+                            "regression, 2 on an unusable baseline)")
+    bench.add_argument("--tolerance", type=float,
+                       default=DEFAULT_TOLERANCE,
+                       help="relative tolerance for float leaves in "
+                            "--compare (everything else is exact)")
+    bench.add_argument("--jobs", type=positive_int, default=1,
+                       metavar="N",
+                       help="run scenarios/experiments across N "
+                            "worker processes (the report is "
+                            "identical at any job count)")
+    bench.add_argument("--list", action="store_true",
+                       help="list every section's scenarios, then "
+                            "exit")
+    bench.add_argument("--quiet", action="store_true",
+                       help="suppress progress output")
 
-    serve = sub.add_parser(
-        "serve", help="serve a multi-tenant scenario on one warm "
-                      "fabric")
-    serve.add_argument("--scenario", default="two_tenant_bursty",
-                       choices=scenarios,
-                       help="serving scenario (see `repro bench "
-                            "--list`)")
-    serve.add_argument("--rows", type=positive_int, default=None,
-                       help="base table rows (scenario default "
-                            "otherwise)")
-    serve.add_argument("--queries", type=positive_int, default=None,
-                       help="requested total queries across tenants")
+    serve = command("serve", cmd_serve, "scenario", "rows", "queries",
+                    "out")
     serve.add_argument("--no-verify", action="store_true",
                        help="skip the standalone-oracle checksum and "
                             "accounting verification")
-    serve.add_argument("-o", "--out", nargs="?", const="",
-                       default=None, metavar="JSON",
-                       help="write the full repro.bench/v3 serving "
-                            "record (incl. per-query records); bare "
-                            "-o defaults under benchmarks/results/")
     serve.add_argument("--report", nargs="?", const="", default=None,
                        metavar="HTML",
                        help="write the self-contained serving "
                             "dashboard here (telemetry JSON lands "
-                            "alongside)")
-    serve.set_defaults(func=cmd_serve)
+                            "alongside); bare --report defaults under "
+                            "benchmarks/results/")
 
-    top = sub.add_parser(
-        "top", help="saturation observatory snapshot (pools, bound "
-                    "tenants, placement-regret leaders)")
-    top.add_argument("--scenario", default="two_tenant_bursty",
-                     choices=scenarios,
-                     help="serving scenario to observe")
-    top.add_argument("--rows", type=positive_int, default=None,
-                     help="base table rows (scenario default "
-                          "otherwise)")
-    top.add_argument("--queries", type=positive_int, default=None,
-                     help="requested total queries across tenants")
+    top = command("top", cmd_top, "scenario", "rows", "queries")
     top.add_argument("--from", dest="from_file", default=None,
                      metavar="JSON",
                      help="render from a recorded "
@@ -915,19 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the observatory JSON artifact; "
                           "bare --json defaults under "
                           "benchmarks/results/")
-    top.set_defaults(func=cmd_top)
 
-    loadgen = sub.add_parser(
-        "loadgen", help="materialize a scenario's open-tenant "
-                        "arrival schedule as JSON")
-    loadgen.add_argument("--scenario", default="two_tenant_bursty",
-                         choices=scenarios,
-                         help="serving scenario name")
-    loadgen.add_argument("--queries", type=positive_int, default=None,
-                         help="requested total queries")
-    loadgen.add_argument("-o", "--out", default=None,
-                         help="output JSON path (stdout otherwise)")
-    loadgen.set_defaults(func=cmd_loadgen)
+    loadgen = command("loadgen", cmd_loadgen, "scenario", "queries",
+                      "out")
     return parser
 
 

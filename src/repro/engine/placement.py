@@ -19,6 +19,8 @@ Policies:
 
 The optimizer (:mod:`repro.optimizer`) enumerates many placements and
 ranks them; these two are the endpoints of that spectrum.
+:func:`place` is the one switch from a policy name (:data:`POLICIES`)
+to a placement.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from dataclasses import dataclass, field
 
 from ..hardware.device import OpKind
 from ..hardware.presets import HeterogeneousFabric
+from ..relational.catalog import Catalog
 from .logical import (Aggregate, Filter, Join, Limit, Map, PlanNode,
-                      Project, Scan, Sort)
+                      Project, Query, Scan, Sort)
 
 __all__ = ["Placement", "check_chain", "data_path_sites", "cpu_only",
-           "pushdown", "PlacementError"]
+           "pushdown", "place", "POLICIES", "PlacementError"]
+
+POLICIES = ("optimize", "pushdown", "cpu")
+"""The placement policies :func:`place` knows, by name."""
 
 
 class PlacementError(Exception):
@@ -56,6 +62,11 @@ class Placement:
     def site(self, node: PlanNode) -> str:
         """The single (last) site of a node's chain."""
         return self.chain(node)[-1]
+
+    def used_sites(self) -> list[str]:
+        """Every site some chain names, sorted."""
+        return sorted({site for chain in self.sites.values()
+                       for site in chain})
 
     def validate(self, plan: PlanNode,
                  fabric: HeterogeneousFabric) -> None:
@@ -95,9 +106,7 @@ def _node_kind(node: PlanNode) -> str:
         return OpKind.JOIN_PROBE
     if isinstance(node, Sort):
         return OpKind.SORT
-    if isinstance(node, Limit):
-        return OpKind.GENERIC
-    return OpKind.GENERIC
+    return OpKind.GENERIC               # Limit, and any other node
 
 
 def data_path_sites(fabric: HeterogeneousFabric,
@@ -193,3 +202,16 @@ def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
             sites[n.node_id] = [cpu]
             cursors[n.node_id] = len(path) - 1
     return Placement(sites=sites, result_site=cpu, name="pushdown")
+
+
+def place(policy: str, query: Query, fabric: HeterogeneousFabric,
+          catalog: Catalog) -> Placement:
+    """The placement policy ``policy`` (one of :data:`POLICIES`) picks."""
+    if policy == "cpu":
+        return cpu_only(query.plan, fabric)
+    if policy == "pushdown":
+        return pushdown(query.plan, fabric)
+    if policy == "optimize":
+        from ..optimizer import Optimizer
+        return Optimizer(fabric, catalog).optimize(query).placement
+    raise ValueError(f"unknown placement policy {policy!r}")

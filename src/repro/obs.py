@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -109,26 +109,22 @@ def combine_checksums(checksums: dict[str, str]) -> str:
 # Fabric snapshots
 # ---------------------------------------------------------------------------
 
-def fabric_snapshot(fabric, elapsed: Optional[float] = None,
-                    critical_path_top: int = 8) -> dict:
+def fabric_snapshot(fabric) -> dict:
     """Summarize one fabric's run as a JSON-serializable dict.
 
     Includes bytes moved per data-path segment, per-link byte/chunk
-    totals, device and link utilization (clamped to [0, 1]), and the
-    trace's critical-path summary.
+    totals, device and link utilization (clamped to [0, 1]) up to the
+    simulator's clock, and the trace's critical-path summary.
     """
-    horizon = elapsed if elapsed is not None else fabric.sim.now
     utilization = {
-        key: min(1.0, max(0.0, value))
-        for key, value in fabric.utilization_report(horizon).items()}
+        key: min(1.0, max(0.0, value)) for key, value in
+        fabric.utilization_report(fabric.sim.now).items()}
     events = fabric.trace.event_stats()
     return {
-        "sim_time_s": horizon,
         "movement_bytes": fabric.movement_report(),
         "links": fabric.trace.link_report(),
         "utilization": utilization,
-        "critical_path": fabric.trace.critical_path(
-            top=critical_path_top),
+        "critical_path": fabric.trace.critical_path(top=8),
         "stalls": fabric.trace.stall_report(),
         "ledger": fabric.trace.movement_ledger(),
         "events": events,
@@ -184,8 +180,7 @@ _LATENCY_KEYS = ("p50_s", "p99_s", "p999_s")
 
 _TELEMETRY_SCHEMA = "repro.serve-telemetry/v1"
 
-_TELEMETRY_REQUIRED = ("schema", "window_s", "windows", "tenants",
-                       "alerts", "exemplars")
+_TELEMETRY_SHAPE = {"tenants": dict, "alerts": list, "exemplars": list}
 
 _TELEMETRY_SERIES_KEYS = ("window", "arrivals", "completions",
                           "sheds", "violations")
@@ -195,8 +190,7 @@ _ALERT_KEYS = ("tenant", "window", "ts", "kind", "fast_burn",
 
 _OBSERVATORY_SCHEMA = "repro.observatory/v1"
 
-_OBSERVATORY_SHAPE = {"schema": str, "window_s": _NUMBER, "windows": int,
-                      "horizon_s": _NUMBER, "events_dropped": int,
+_OBSERVATORY_SHAPE = {"horizon_s": _NUMBER, "events_dropped": int,
                       "partial": bool, "partial_reason": str,
                       "pools": list, "totals": dict, "series": list,
                       "bound": dict, "regret": dict}
@@ -350,41 +344,56 @@ def report_violations(report) -> list[str]:
     return errors
 
 
+def _dense_series_violations(series: list, windows: int, keys,
+                             where: str) -> list[str]:
+    """A per-window series holds entry ``i`` for window ``i`` of
+    ``windows``, each with every one of ``keys``."""
+    errors = []
+    if len(series) != windows:
+        errors.append(f"{where}: series has {len(series)} entries for "
+                      f"{windows} windows (series must be dense)")
+    for position, entry in enumerate(series):
+        if entry.get("window") != position:
+            errors.append(f"{where}: series entry {position} has "
+                          f"window index {entry.get('window')!r}")
+            break
+        missing = [k for k in keys if k not in entry]
+        if missing:
+            errors.append(f"{where}: window {position} missing "
+                          f"{missing}")
+            break
+    return errors
+
+
+def _windowed_section_violations(section, name: str, shape: dict,
+                                 schema: str) -> list[str]:
+    """What both observer sections are checked for first: an object
+    of ``shape`` (plus ``schema``, ``window_s``, ``windows``) carrying
+    ``schema`` and a positive window.  The rest of a section's checks
+    read what these guarantee."""
+    if not isinstance(section, dict):
+        return [f"{name} section is not an object"]
+    errors = _shape_violations(section, name, {
+        "schema": str, "window_s": _NUMBER, "windows": int, **shape}, {})
+    if not errors and section["schema"] != schema:
+        errors.append(f"{name} schema is {section['schema']!r}, "
+                      f"expected {schema!r}")
+    if not errors and section["window_s"] <= 0:
+        errors.append(f"{name} window_s not positive")
+    return errors
+
+
 def _telemetry_section_violations(telemetry: dict) -> list[str]:
     """Structural checks for one ``repro.serve-telemetry/v1`` section."""
-    errors: list[str] = []
-    if not isinstance(telemetry, dict):
-        return ["telemetry section is not an object"]
-    for key in _TELEMETRY_REQUIRED:
-        if key not in telemetry:
-            errors.append(f"telemetry missing {key!r}")
-    if telemetry.get("schema") not in (None, _TELEMETRY_SCHEMA):
-        errors.append(f"telemetry schema is "
-                      f"{telemetry.get('schema')!r}, expected "
-                      f"{_TELEMETRY_SCHEMA!r}")
-    if telemetry.get("window_s", 1.0) <= 0:
-        errors.append("telemetry window_s not positive")
-    windows = telemetry.get("windows", 0)
-    for tenant, data in telemetry.get("tenants", {}).items():
-        series = data.get("series", [])
-        if len(series) != windows:
-            errors.append(
-                f"telemetry tenant {tenant}: series has "
-                f"{len(series)} entries for {windows} windows "
-                "(series must be dense)")
-        for position, entry in enumerate(series):
-            if entry.get("window") != position:
-                errors.append(f"telemetry tenant {tenant}: series "
-                              f"entry {position} has window index "
-                              f"{entry.get('window')!r}")
-                break
-            missing = [k for k in _TELEMETRY_SERIES_KEYS
-                       if k not in entry]
-            if missing:
-                errors.append(f"telemetry tenant {tenant}: window "
-                              f"{position} missing {missing}")
-                break
-    for index, alert in enumerate(telemetry.get("alerts", [])):
+    errors = _windowed_section_violations(
+        telemetry, "telemetry", _TELEMETRY_SHAPE, _TELEMETRY_SCHEMA)
+    if errors:
+        return errors
+    for tenant, data in telemetry["tenants"].items():
+        errors.extend(_dense_series_violations(
+            data.get("series", []), telemetry["windows"],
+            _TELEMETRY_SERIES_KEYS, f"telemetry tenant {tenant}"))
+    for index, alert in enumerate(telemetry["alerts"]):
         missing = [k for k in _ALERT_KEYS if k not in alert]
         if missing:
             errors.append(f"telemetry alert {index} missing "
@@ -392,7 +401,7 @@ def _telemetry_section_violations(telemetry: dict) -> list[str]:
         if alert.get("kind") not in ("fired", "resolved"):
             errors.append(f"telemetry alert {index} has kind "
                           f"{alert.get('kind')!r}")
-    for exemplar in telemetry.get("exemplars", []):
+    for exemplar in telemetry["exemplars"]:
         name = exemplar.get("name", "<unnamed>")
         attribution = exemplar.get("attribution", {})
         if not attribution.get("exact", False):
@@ -416,39 +425,18 @@ def _observatory_section_violations(observatory: dict,
     missing or wrong-typed member gets those violations only; the
     value checks need the shape.
     """
-    if not isinstance(observatory, dict):
-        return ["observatory section is not an object"]
-    errors = _shape_violations(observatory, "observatory",
-                               _OBSERVATORY_SHAPE, {})
+    errors = _windowed_section_violations(
+        observatory, "observatory", _OBSERVATORY_SHAPE,
+        _OBSERVATORY_SCHEMA)
     if errors:
         return errors
-    if observatory["schema"] != _OBSERVATORY_SCHEMA:
-        errors.append(f"observatory schema is "
-                      f"{observatory['schema']!r}, expected "
-                      f"{_OBSERVATORY_SCHEMA!r}")
-    if observatory["window_s"] <= 0:
-        errors.append("observatory window_s not positive")
     for pool, seconds in observatory["totals"].items():
         if not _is_a(seconds, _NUMBER):
             errors.append(f"observatory totals[{pool}] = {seconds!r} "
                           "is not a number")
-    windows = observatory["windows"]
-    series = observatory["series"]
-    if len(series) != windows:
-        errors.append(f"observatory series has {len(series)} "
-                      f"entries for {windows} windows "
-                      "(series must be dense)")
-    for position, entry in enumerate(series):
-        if entry.get("window") != position:
-            errors.append(f"observatory series entry {position} has "
-                          f"window index {entry.get('window')!r}")
-            break
-        missing = [k for k in _OBSERVATORY_SERIES_KEYS
-                   if k not in entry]
-        if missing:
-            errors.append(f"observatory window {position} missing "
-                          f"{missing}")
-            break
+    errors.extend(_dense_series_violations(
+        observatory["series"], observatory["windows"],
+        _OBSERVATORY_SERIES_KEYS, "observatory"))
     # Partial semantics: dropped ring events imply (and are the only
     # reason for) a partial section, and partial requires a reason.
     dropped = observatory["events_dropped"]

@@ -17,11 +17,13 @@ the SQL layer can run — on either engine, with any placement.
 
 Arithmetic SELECT expressions are supported with an alias
 (``SELECT price * (1 - disc) AS net ...``) and compile to a computed-
-column :class:`~repro.engine.logical.Map` stage.
+column :class:`~repro.engine.logical.Map` stage; so is an aggregate
+over one (``SUM(price * qty) AS r``), whose argument becomes a hidden
+column of a Map placed before the Aggregate.
 
 This is a front-end, not a full SQL implementation: no subqueries, no
-HAVING, no aggregates over expressions, and names are case-sensitive
-exactly as the catalog stores them.
+HAVING, and names are case-sensitive exactly as the catalog stores
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 from typing import Optional
 
 from ..engine.logical import AggSpec, Map, Query
-from .expressions import Expression, col, lit
+from .expressions import Col, Expression, col, lit
 
 __all__ = ["parse_sql", "SqlError"]
 
@@ -188,25 +190,37 @@ class _Parser:
         return items
 
     def _select_item(self):
+        """One item as ``(kind, value, alias)``.
+
+        An aggregate's third slot is ``None`` for a bare column (or
+        ``*``) argument; a computed argument is the ``(name,
+        expression)`` of the hidden column the aggregate reads.
+        """
         token = self.peek()
         if token is not None and token.kind == "keyword" and \
                 token.value in ("SUM", "COUNT", "AVG", "MIN", "MAX"):
-            func = self.next().value
+            func = self.next().value.lower()
             self.expect("op", "(")
-            if func == "COUNT" and self.accept("op", "*"):
-                column = ""
-            else:
-                column = self.expect("name").value
+            argument = None
+            if not (func == "count" and self.accept("op", "*")):
+                argument = self._scalar_expression()
             self.expect("op", ")")
             alias = ""
             if self.accept("keyword", "AS"):
                 alias = self.expect("name").value
-            return ("agg", AggSpec(func.lower(), column, alias), None)
+            if argument is None or isinstance(argument, Col):
+                column = argument.name if argument else ""
+                return ("agg", AggSpec(func, column, alias), None)
+            if not alias:
+                raise SqlError("an aggregate over a computed "
+                               "expression needs an alias (AS ...)")
+            hidden = f"__{alias}"
+            return ("agg", AggSpec(func, hidden, alias),
+                    (hidden, argument))
         expr = self._scalar_expression()
         alias = None
         if self.accept("keyword", "AS"):
             alias = self.expect("name").value
-        from .expressions import Col
         if isinstance(expr, Col):
             return ("column", expr.name, alias)
         if alias is None:
@@ -272,8 +286,8 @@ class _Parser:
         if computed:
             if aggs:
                 raise SqlError("computed expressions cannot be mixed "
-                               "with aggregates (aggregate over a "
-                               "computed column in two steps)")
+                               "with aggregates (aggregate the "
+                               "expression instead)")
             query = Query(Map(query.plan, dict(computed)))
             columns = columns + [name for name, _e in computed]
         if aggs:
@@ -285,6 +299,10 @@ class _Parser:
                 raise SqlError(
                     f"non-aggregated columns {extra} must appear in "
                     "GROUP BY")
+            hidden = dict(item[2] for item in select_list
+                          if item[0] == "agg" and item[2])
+            if hidden:
+                query = Query(Map(query.plan, hidden))
             return query.aggregate(group_by, aggs)
         if group_by:
             raise SqlError("GROUP BY requires at least one aggregate "

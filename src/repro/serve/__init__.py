@@ -31,7 +31,7 @@ from .loadgen import Arrival, open_arrivals, schedule_for
 from .plancache import PlanCache, fabric_fingerprint, plan_fingerprint, \
     schema_fingerprint
 from .scenarios import SERVE_SCENARIOS, run_scenario, \
-    scenario_schedule, serve_scenario_server, serve_templates
+    serve_scenario, serve_scenario_server, serve_templates
 from .server import QueryServer, ServeConfig, ServeRecord
 from .telemetry import QuantileSketch, ServeTelemetry, \
     TELEMETRY_SCHEMA
@@ -59,7 +59,7 @@ __all__ = [
     "plan_fingerprint",
     "render_dashboard",
     "run_scenario",
-    "scenario_schedule",
+    "serve_scenario",
     "schedule_for",
     "schema_fingerprint",
     "serve_scenario_server",

@@ -22,55 +22,30 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..engine import AggSpec, Query, VolcanoEngine
+from ..analysis.scenarios import QUERIES, oracle_checksum
+from ..engine import Query
 from ..hardware import build_fabric, dataflow_spec
-from ..obs import table_checksum
-from ..relational import col, standard_catalog
+from ..relational import standard_catalog
 from .frontend import AsyncFrontEnd, ShedResponse
 from .loadgen import schedule_for
 from .server import QueryServer, ServeConfig
 from .tenants import ArrivalSpec, TenantClass
 
-__all__ = ["SERVE_SCENARIOS", "ServeScenario", "serve_templates",
-           "run_scenario", "serve_scenario_server"]
+__all__ = ["SERVE_SCENARIOS", "ServeScenario", "serve_scenario",
+           "serve_templates", "run_scenario", "serve_scenario_server"]
 
 
 def serve_templates() -> dict[str, Callable[[], Query]]:
-    """The query templates tenants draw from.
+    """The query templates tenants draw from, as ``QUERIES`` shapes.
 
     Factories, not instances: each server calls a factory once and
     keeps the plan (node ids are globally unique across servers); the
     plan cache proves fresh instances fingerprint identically.
     """
-    return {
-        "count_hot": lambda: (
-            Query.scan("uniform")
-            .filter(col("k0") < 5)
-            .aggregate([], [AggSpec("count", alias="n")])),
-        "filter_project": lambda: (
-            Query.scan("lineitem")
-            .filter(col("l_quantity") > 40)
-            .project(["l_orderkey", "l_extendedprice"])),
-        "group_by_flag": lambda: (
-            Query.scan("lineitem")
-            .filter(col("l_shipdate").between(8500, 10500))
-            .aggregate(["l_returnflag"],
-                       [AggSpec("sum", "l_extendedprice", "revenue"),
-                        AggSpec("count", alias="n")])),
-        "topk": lambda: (
-            Query.scan("uniform")
-            .filter(col("k0") < 25)
-            .sort(["k0", "k1"])
-            .limit(100)),
-        "join_priority": lambda: (
-            Query.scan("lineitem")
-            .filter(col("l_quantity") > 10)
-            .join(Query.scan("orders")
-                  .filter(col("o_priority") <= 2),
-                  "l_orderkey", "o_orderkey")
-            .aggregate(["o_priority"],
-                       [AggSpec("sum", "l_extendedprice", "rev")])),
-    }
+    return {template: QUERIES[shape] for template, shape in (
+        ("count_hot", "count_hot"), ("filter_project", "f2"),
+        ("group_by_flag", "f3"), ("topk", "f5"),
+        ("join_priority", "join_agg"))}
 
 
 @dataclass(frozen=True)
@@ -173,6 +148,16 @@ SERVE_SCENARIOS: dict[str, ServeScenario] = {
 }
 
 
+def serve_scenario(name: str) -> ServeScenario:
+    """``SERVE_SCENARIOS[name]``; an unknown name is a ``ValueError``
+    naming every known one."""
+    try:
+        return SERVE_SCENARIOS[name]
+    except KeyError:
+        raise ValueError(f"unknown serve scenario {name!r} "
+                         f"(have {sorted(SERVE_SCENARIOS)})") from None
+
+
 # -- populations -----------------------------------------------------------
 
 async def _open_population(front: AsyncFrontEnd, arrivals) -> None:
@@ -240,12 +225,9 @@ def _verify_against_oracle(server: QueryServer, rows: int) -> dict:
     catalog = standard_catalog(rows)
     templates = serve_templates()
     completed = [r for r in server.records if r.completed]
-    oracle: dict[str, str] = {}
-    for template in sorted({r.template for r in completed}):
-        fabric = build_fabric(dataflow_spec())
-        result = VolcanoEngine(fabric, catalog).execute(
-            templates[template]())
-        oracle[template] = table_checksum(result.table)
+    oracle = {template: oracle_checksum(templates[template](), catalog,
+                                        template)
+              for template in sorted({r.template for r in completed})}
     mismatches = [
         f"{r.name}: served {r.checksum[:12]}... != oracle "
         f"{oracle[r.template][:12]}..."
@@ -269,10 +251,7 @@ def serve_scenario_server(name: str, rows: Optional[int] = None,
     object, records) rather than the JSON record — e.g. ``repro
     trace --serve`` exporting the multi-query event ring.
     """
-    scenario = SERVE_SCENARIOS.get(name)
-    if scenario is None:
-        raise ValueError(f"unknown serve scenario {name!r} "
-                         f"(have {sorted(SERVE_SCENARIOS)})")
+    scenario = serve_scenario(name)
     rows = rows if rows is not None else scenario.rows
     n = queries if queries is not None else scenario.queries
     config = config if config is not None else scenario.config
@@ -299,10 +278,7 @@ def run_scenario(name: str, rows: Optional[int] = None,
     bit-identical checksums against standalone oracle runs — the
     serve-smoke CI contract.
     """
-    scenario = SERVE_SCENARIOS.get(name)
-    if scenario is None:
-        raise ValueError(f"unknown serve scenario {name!r} "
-                         f"(have {sorted(SERVE_SCENARIOS)})")
+    scenario = serve_scenario(name)
     rows = rows if rows is not None else scenario.rows
     n = queries if queries is not None else scenario.queries
 
@@ -315,33 +291,16 @@ def run_scenario(name: str, rows: Optional[int] = None,
     # above it); `repro bench --compare` re-runs with this value.
     record["requested_queries"] = n
     record["description"] = scenario.description
-    violations = server.accounting_violations()
-    record["accounting_violations"] = violations
+    record["accounting_violations"] = server.accounting_violations()
     record["telemetry_violations"] = server.telemetry_violations()
     record["observatory_violations"] = server.observatory_violations()
     if verify:
-        if violations:
-            raise AssertionError(
-                "serving accounting violations:\n  "
-                + "\n  ".join(violations[:10]))
-        if record["telemetry_violations"]:
-            raise AssertionError(
-                "serving telemetry violations:\n  "
-                + "\n  ".join(record["telemetry_violations"][:10]))
-        if record["observatory_violations"]:
-            raise AssertionError(
-                "serving observatory violations:\n  "
-                + "\n  ".join(record["observatory_violations"][:10]))
+        for kind in ("accounting", "telemetry", "observatory"):
+            found = record[f"{kind}_violations"]
+            if found:
+                raise AssertionError(
+                    f"serving {kind} violations:\n  "
+                    + "\n  ".join(found[:10]))
         record["verification"] = _verify_against_oracle(server, rows)
     return record
 
-
-def scenario_schedule(name: str, queries: Optional[int] = None
-                      ) -> "tuple[list[TenantClass], dict[str, int]]":
-    """The tenant mix + counts for ``repro loadgen``."""
-    scenario = SERVE_SCENARIOS.get(name)
-    if scenario is None:
-        raise ValueError(f"unknown serve scenario {name!r} "
-                         f"(have {sorted(SERVE_SCENARIOS)})")
-    n = queries if queries is not None else scenario.queries
-    return scenario.build_tenants(n)

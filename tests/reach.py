@@ -198,6 +198,10 @@ SQL_STATEMENTS = [
     "SELECT o_priority, COUNT(*) AS n FROM orders JOIN lineitem "
     "ON o_orderkey = l_orderkey WHERE l_quantity <= 10 "
     "AND o_priority != 3 GROUP BY o_priority",
+    # Aggregates over expressions: a hidden Map column each.
+    "SELECT l_returnflag, SUM(l_quantity * l_extendedprice) AS r, "
+    "AVG(l_extendedprice * (1 - l_discount)) AS net FROM lineitem "
+    "GROUP BY l_returnflag",
 ]
 
 
@@ -219,11 +223,11 @@ sql {sql2} --rows 8000 --placement pushdown
 sql {sql3} --rows 8000 --placement cpu --max-rows 2
 sql {sql4} --rows 8000
 sql {sql5} --rows 8000
+sql {sql6} --rows 8000 --placement pushdown
 whatif --query f6 --rows 2000 -o {tmp}/whatif.json
 whatif --query f2 --rows 2000 --engine volcano --factors 2 --resources net.bw,ssd.bw
 whatif --query f4 --rows 2000 --vary nic.bw=2x,cxl.lat=0.5x
 report --rows 2000 -o {tmp}/attribution.html
-report --serve -o {tmp}/dashboard.html
 optimize --query f4 --rows 3000
 optimize --query f6 --rows 3000 --validate-whatif -k 4
 experiments

@@ -1,6 +1,5 @@
 """The benchmark harness: smoke scenarios, report schema, CLI."""
 
-import argparse
 import copy
 import json
 import os
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro import bench, obs
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.obs import (
     REPORT_SCHEMA,
@@ -222,9 +222,7 @@ def test_checked_in_baseline_has_no_host_time():
      {"smoke": 6, "serving": 3, "experiments": 20, "scale": 3}),
 ], ids=["default", "exp-only", "exp-all", "everything"])
 def test_cli_selects_sections(argv, sections):
-    parser = argparse.ArgumentParser()
-    bench.add_bench_arguments(parser)
-    tasks = bench.cli_tasks(parser.parse_args(argv))
+    tasks = bench.cli_tasks(build_parser().parse_args(["bench", *argv]))
     counted = {}
     for section, _name, _params in tasks:
         counted[section] = counted.get(section, 0) + 1

@@ -145,6 +145,22 @@ def test_cli_top_json_routes_to_results(capsys, tmp_path,
     assert "bytes moved" in followed
 
 
+def test_cli_loadgen_output_routes_and_creates_its_directory(
+        capsys, tmp_path, monkeypatch):
+    # An explicit path into a missing directory was a
+    # FileNotFoundError traceback; bare -o now routes like the rest.
+    monkeypatch.chdir(tmp_path)
+    nested = os.path.join("missing", "dir", "x.json")
+    assert main(["loadgen", "--queries", "20", "-o", nested]) == 0
+    assert main(["loadgen", "--queries", "20", "-o"]) == 0
+    routed = os.path.join(RESULTS, "loadgen_two_tenant_bursty.json")
+    with open(nested) as one, open(routed) as other:
+        schedule = json.load(one)
+        assert schedule == json.load(other)
+    assert schedule["scenario"] == "two_tenant_bursty"
+    assert routed in capsys.readouterr().out
+
+
 def test_html_pages_are_byte_stable(tmp_path, capsys):
     # Both pages share one skeleton (head, CSS, JSON twin); the bytes
     # were recorded before they did.
@@ -163,6 +179,159 @@ def test_html_pages_are_byte_stable(tmp_path, capsys):
         "d119a10325574207d73996205e980454c3ad41ec5b92ead51378d7a2f1119aee")
     assert sha256(dashboard.with_suffix(".json")) == (
         "5d5145f73d3a57b848898ba673946b0714e5aaf0bc782aa9be647ac28bd1cfda")
+
+
+#: ``tests/reach.py`` command lines too slow to pin in tier-1 (the
+#: full bench run; ``repro bench --compare`` gates its records).
+_UNPINNED = {"bench --serve --scale --exp all --tag reach --out {tmp} --quiet"}
+
+#: sha256 of each command's stdout (scratch directory written as
+#: ``{tmp}``), then of every JSON/HTML file it wrote, by name.
+CLI_PINS = {
+    'demo --rows 20000': (
+        '4c7751e67be1b98dca497f99cce843e19ece06012922259f4a4081f15d2035e5',
+        {}),
+    'sites': (
+        '5931e38c000edb32cd995f490b7ada9242cc861e3e0af7e0141fa086bbb40b5b',
+        {}),
+    'sites --spec conventional': (
+        'c14f663939fbce426627638d62d9d0a3872501db2b7383dd85505a73053473ff',
+        {}),
+    'query --rows 20000': (
+        'f5e41c7c7e3fe76f77646987383d7a66f9525f864311328b8f98b782d758171a',
+        {}),
+    'query --rows 20000 --placement pushdown --zonemaps --explain-stalls --ledger': (
+        '17ac67ed6dab175ce0a0cec77c6f3fb0efff72a2909dcbba77ad0f7b3ee80684',
+        {}),
+    'query --rows 20000 --placement cpu --spec conventional --explain-stalls': (
+        '86cc516fb0174cf1473bd0d9c575441a8f0144afbea99b3f8436bb1d3567a577',
+        {}),
+    'query --rows 20000 --plan --show-kernel': (
+        '1fe09d24d4813b498305e1276116928132868059e2aaff25c110dfccd5294eda',
+        {}),
+    'trace --rows 20000 --engine both -o {tmp}/trace.json': (
+        '91a8fb9becce42ad978170a235c9517d0ba40c4c3b95f0f3d72eacdfd5958ffa',
+        {'trace.json': 'd9406d45460056cb0fd4fb5b92c1f4dfc10e9ded0221634d46e9a4f91096a404'}),
+    'trace --serve --queries 60 -o {tmp}/trace_serve.json': (
+        '32b45f135ed633e3e5095d22b4f0a339aea1883cda75c906becdef1fceb7628b',
+        {'trace_serve.json': 'd40103fcc008308c5d553ff1583e4ed2a6ae3d443d61e530d5632466847edaec'}),
+    'sql {sql0} --rows 8000': (
+        '9cff1d32db24abc11af540ad47661d5684944e84bbbc1177af85d2f921e59ddb',
+        {}),
+    'sql {sql1} --rows 8000': (
+        '964b9835179abcb4cbc9c9ce421a3c988041c96d530027bea58d02975e7ed9d4',
+        {}),
+    'sql {sql2} --rows 8000 --placement pushdown': (
+        '24aa042080469e79d0614e17c79f47a5cf28697ddc50b7e17ed0084dab2ed70c',
+        {}),
+    'sql {sql3} --rows 8000 --placement cpu --max-rows 2': (
+        '099ac986f386d655dd51503b9e197ad2f8096adb04ccb52b6b086252dbe11308',
+        {}),
+    'sql {sql4} --rows 8000': (
+        '2fcb57288945801d070b5a36ae76c9175242ae0dbf5d10713b57af259c15ce88',
+        {}),
+    'sql {sql5} --rows 8000': (
+        'bce87dc23aaf9df45ba2aca3de83e23f7bd5dde1e9091cca8f58eeb534d9acfd',
+        {}),
+    'sql {sql6} --rows 8000 --placement pushdown': (
+        'cb18e1d0d62e19364c67a7161b2f58fc92a380e4f3d550d3a869766e459398d7',
+        {}),
+    'whatif --query f6 --rows 2000 -o {tmp}/whatif.json': (
+        'd2bad32f8d1c3b2a1ab71d22c6dce22013b7b7bfcb9a295d2715cf9271b489fd',
+        {'whatif.json': '9d86048ea6322afeff7bc433be18b7265e697a84d22cdd1e238a502066448913'}),
+    'whatif --query f2 --rows 2000 --engine volcano --factors 2 --resources net.bw,ssd.bw': (
+        'f063ac82defad883ac305f80f2e06ae174a20204195717f009bdd9be514da0b7',
+        {}),
+    'whatif --query f4 --rows 2000 --vary nic.bw=2x,cxl.lat=0.5x': (
+        '49f42735a2e779f7df92348ca7d064e08f0a166f0234e01052710f8294a76f69',
+        {}),
+    'report --rows 2000 -o {tmp}/attribution.html': (
+        '294bdae63cf9b0e45a7eca6e08a67b27870144f250c1e1c88b74e3077c7759a3',
+        {'attribution.html': 'd53809cc0ccb4dc4537024d57a7bb82687a51eecba65b6741a6d0bc3d71c3559', 'attribution.json': 'e74d8cae8692b9e30acab83f753e2a621555257aa11d3cfe28590839804f1ef4'}),
+    'optimize --query f4 --rows 3000': (
+        '258c8fb70f8f6e9515a689d0fcd86edf68690632178cade5ce6e5671281b9bf7',
+        {}),
+    'optimize --query f6 --rows 3000 --validate-whatif -k 4': (
+        'b46747a23750dc42489fd43aefa693b6b3d37c61f02578e5968a690080994880',
+        {}),
+    'experiments': (
+        '82f10c6bc8095a69cf5dc1313d71d1b56a94f7c5fa737b9c94a07e6431a951db',
+        {}),
+    'bench --list': (
+        '4be908f366bfe37be461cb4362068e989d3709fb4a04cd5610f1579487abd95c',
+        {}),
+    'bench --smoke --tag smoke --out {tmp} --quiet': (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        {'BENCH_smoke.json': 'b846a048368be2920578e9e558804af908842af810183a7b8cb1dd15e78d8e85'}),
+    'serve --scenario two_tenant_bursty -o {tmp}/serve.json --report {tmp}/serve.html': (
+        'edbe6cfccc16add3d37bb70b52fe32925c2560ebd7b23e89514485e8e16be4c1',
+        {'serve.html': '8932ec40289b9ee96ddbbaf8d610fe4db910b5d0965e6e963270a0594d74cc7a', 'serve.json': 'f18b1484f47f4d00fa4915132fabfbec802d06827fc0578742bed563ffdc2289'}),
+    'serve --scenario three_tenant_mix --queries 300 --no-verify': (
+        '8f11e6d12e8d03a659352663aa855eb044ed86151eb6913dc004d6d12c09d41c',
+        {}),
+    'serve --scenario overload_shed --queries 200': (
+        '5d603669d336ab749f447564f5ef544598f110206dc028f3589c91ab59cb0b4a',
+        {}),
+    'top --scenario two_tenant_bursty --queries 120 --json {tmp}/top.json': (
+        'd1eeb5b52e448c3c501bea573db2843bc2c5f1229391c7bbaa1ad0dc0203f003',
+        {'top.json': '9b14a76a708a86a3f5d630d17cd99e0c9d8609309afc65931f313b4c3995bc97'}),
+    'top --from {tmp}/top.json --follow': (
+        '332f32c0e16cc2d68c364491db0581594c4c0c0ecc5859a360770f27a3176414',
+        {}),
+    'top --from {tmp}/serve.json': (
+        'f4522104f737cf19123055d14383f7c4d81a8d4b2467fa71b5fe7fcd1ce4dcdb',
+        {}),
+    'loadgen --queries 50': (
+        'a7d755d5032e363077170a1d089b587821ba01ffe74d677fe87e189bcf757b86',
+        {}),
+    'loadgen --scenario three_tenant_mix --queries 50 -o {tmp}/arrivals.json': (
+        'f2ad4cb0f5a6cdcb3d6ce015c3534e94d2ee7ef3581fca3a7b0e5acf5c873218',
+        {'arrivals.json': '7559e232584a55ac0f126c2b5e6bb7ad842da317b94b4a0a104da4a9ffc7ef4e'}),
+}
+
+
+def cli_digests(lines, tmp, capsys):
+    """``{line: (stdout sha256, {artifact: sha256})}`` for ``lines``.
+
+    Runs in order (``top --from`` reads what an earlier line wrote)
+    from an empty kernel cache (``--show-kernel`` prints hit or miss).
+    A bench report's ``created`` stamp is the one host-dependent byte
+    run; it is blanked before hashing.
+    """
+    from repro.engine import codegen
+    codegen.reset()
+    def sha256(data: str) -> str:
+        return hashlib.sha256(data.encode()).hexdigest()
+
+    fill = {"tmp": tmp, **{f"sql{n}": shlex.quote(statement)
+                           for n, statement in
+                           enumerate(reach.SQL_STATEMENTS)}}
+    digests = {}
+    for line in lines:
+        written = {p: p.stat().st_mtime_ns for p in tmp.iterdir()}
+        capsys.readouterr()
+        assert main(shlex.split(line.format(**fill))) == 0, line
+        out = capsys.readouterr().out.replace(str(tmp), "{tmp}")
+        artifacts = {}
+        for path in sorted(tmp.iterdir()):
+            if written.get(path) == path.stat().st_mtime_ns:
+                continue
+            text = path.read_text().replace(str(tmp), "{tmp}")
+            artifacts[path.name] = sha256(re.sub(
+                r'"created": "[^"]*"', '"created": ""', text))
+        digests[line] = (sha256(out), artifacts)
+    return digests
+
+
+def test_cli_stdout_and_artifacts_are_byte_stable(tmp_path, capsys):
+    # Every fast ``tests/reach.py`` line prints and writes the bytes it
+    # did when the pins were recorded.
+    lines = [line for line in reach.COMMANDS.strip().splitlines()
+             if line not in _UNPINNED]
+    assert sorted(CLI_PINS) == sorted(lines)
+    digests = cli_digests(lines, tmp_path, capsys)
+    assert {line: digests[line] for line in lines
+            if digests[line] != CLI_PINS[line]} == {}
 
 
 HOSTILE = {
@@ -213,6 +382,17 @@ HOSTILE = {
                        "could not convert string to float: 'abc'"),
     "query-rows": (["query", "--rows", "-5"],
                    "invalid positive_int value: '-5'"),
+    # Count flags: a negative --max-rows printed all rows but the last,
+    # -k 0 an empty "top-0" ranking.
+    "sql-max-rows": (["sql", "select l_orderkey from lineitem",
+                      "--max-rows", "-1"],
+                     "invalid non_negative_int value: '-1'"),
+    "optimize-top-k": (["optimize", "-k", "0"],
+                       "invalid positive_int value: '0'"),
+    "bench-serve-queries": (["bench", "--serve", "--serve-queries", "0"],
+                            "invalid positive_int value: '0'"),
+    "bench-jobs": (["bench", "--jobs", "-2"],
+                   "invalid positive_int value: '-2'"),
     "top-from-missing": (["top", "--from", "{tmp}/missing.json"],
                          "No such file"),
     "top-from-not-json": (["top", "--from", "{tmp}/bad.json"],

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import bench, obs
+from repro.analysis import QUERIES
 from repro.engine import DataflowEngine, VolcanoEngine
 from repro.engine.operators import JoinState
 from repro.hardware import build_fabric, dataflow_spec
@@ -256,7 +257,8 @@ def test_scale_shapes_render_once_and_never_sort_or_repeat(monkeypatch):
 
     catalog = standard_catalog(20_000, bench.SCALE_CHUNK)
     recorded = []
-    for query, _rows in bench._scale_queries().values():
+    for shape, _rows in bench.SCALE_QUERIES.values():
+        query = QUERIES[shape]()
         pull = VolcanoEngine(build_fabric(dataflow_spec()),
                              catalog).execute(query)
         flow = DataflowEngine(build_fabric(dataflow_spec()),

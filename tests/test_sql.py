@@ -1,5 +1,6 @@
 """Tests for the SQL front-end."""
 
+import numpy as np
 import pytest
 
 from repro.engine import DataflowEngine, Query, VolcanoEngine
@@ -220,3 +221,41 @@ def test_select_expression_requires_alias():
 def test_select_expression_cannot_mix_with_aggregates():
     with pytest.raises(SqlError, match="computed"):
         parse_sql("SELECT a * 2 AS x, SUM(b) AS s FROM t GROUP BY a")
+
+
+@pytest.mark.parametrize("engine", [VolcanoEngine, DataflowEngine])
+def test_aggregate_over_an_expression(engine):
+    # Was "expected ), got '*'": the argument is now a hidden column of
+    # one Map before the Aggregate, and only the aggregate is visible.
+    sql = ("SELECT l_returnflag, SUM(l_quantity * l_extendedprice) AS r, "
+           "MAX(l_extendedprice * (1 - l_discount)) AS m FROM lineitem "
+           "WHERE l_quantity > 10 GROUP BY l_returnflag")
+    fabric, catalog = make_env()
+    res = engine(fabric, catalog).execute(parse_sql(sql))
+    assert res.table.schema.names == ["l_returnflag", "r", "m"]
+    table = catalog.table("lineitem")
+    flag, qty = table.column("l_returnflag"), table.column("l_quantity")
+    price = table.column("l_extendedprice")
+    net = price * (1 - table.column("l_discount"))
+    for row in res.table.sorted_rows():
+        rows = (flag == row[0]) & (qty > 10)
+        assert row[1] == pytest.approx(float(np.sum((qty * price)[rows])),
+                                       rel=1e-12)
+        assert row[2] == float(np.max(net[rows]))
+
+
+def test_scalar_aggregate_over_an_expression():
+    sql = "SELECT SUM(l_quantity * l_extendedprice) AS r FROM lineitem"
+    fabric, catalog = make_env()
+    res = DataflowEngine(fabric, catalog).execute(parse_sql(sql))
+    table = catalog.table("lineitem")
+    expected = np.sum(table.column("l_quantity")
+                      * table.column("l_extendedprice"))
+    assert res.table.schema.names == ["r"]
+    assert res.table.column("r")[0] == pytest.approx(float(expected),
+                                                     rel=1e-12)
+
+
+def test_aggregate_over_an_expression_requires_alias():
+    with pytest.raises(SqlError, match="alias"):
+        parse_sql("SELECT SUM(a * b) FROM t")
