@@ -10,7 +10,6 @@ kernels.
 import numpy as np
 import pytest
 
-from repro.engine.fusion import fuse_ops
 from repro.engine.logical import AggSpec
 from repro.engine.operators import (
     FilterOp,
@@ -137,34 +136,13 @@ def _pipeline_ops():
 
 
 @pytest.mark.parametrize("chunk_rows", [1_000, 10_000, 100_000])
-def test_micro_pipeline_unfused(benchmark, chunk_rows):
-    """Reference path: one dispatch and one intermediate per op."""
+def test_micro_pipeline(benchmark, chunk_rows):
+    """One dispatch and one intermediate per op, through ``run_chain``."""
     chunk = big_chunk().slice(0, chunk_rows)
     ops = _pipeline_ops()
     [emit], _ = benchmark(run_chain, ops, chunk)
     assert emit.chunk.num_rows > 0
     benchmark.extra_info["rows"] = chunk_rows
-    benchmark.extra_info["variant"] = "unfused"
-
-
-@pytest.mark.parametrize("chunk_rows", [1_000, 10_000, 100_000])
-def test_micro_pipeline_fused(benchmark, chunk_rows):
-    """Fused path: the chain lowered to one generated flat function
-    (predicates inlined, no per-step dispatch or chunks).  Compare
-    against ``test_micro_pipeline_unfused`` at the same chunk size."""
-    chunk = big_chunk().slice(0, chunk_rows)
-    ops = _pipeline_ops()
-    [fused] = fuse_ops(ops)
-    [reference], charges = run_chain(_pipeline_ops(), chunk)
-    # Resolve (generate + compile) outside the timed region.
-    fused.run(chunk)
-    assert fused.kernel_origin in ("compiled", "memory")
-    [emit], fused_charges = benchmark(fused.run, chunk)
-    assert fused_charges == charges
-    assert (emit.chunk.materialize().sorted_rows()
-            == reference.chunk.sorted_rows())
-    benchmark.extra_info["rows"] = chunk_rows
-    benchmark.extra_info["variant"] = "fused"
 
 
 STRING_ROWS = 200_000

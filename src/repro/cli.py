@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -100,10 +101,8 @@ from .engine import (
     Query,
     VolcanoEngine,
     data_path_sites,
-    describe_op,
     place,
 )
-from .engine.fusion import FusedOp
 from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
 from .obs import _observatory_section_violations
@@ -136,6 +135,26 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise ValueError(text)
     return value
+
+
+def finite_float(low: float, high: float = math.inf):
+    """argparse ``type=`` for a finite float in ``[low, high]``.
+
+    NaN and infinities are refused: a NaN tolerance would pass any
+    drift (``d > nan`` is never true).
+    """
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and low <= value <= high):
+            bounds = (f"in [{low:g}, {high:g}]" if math.isfinite(high)
+                      else f">= {low:g}")
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {bounds}, got {text!r}")
+        return value
+    return parse
 
 
 def _routed_output(path, default_name: str) -> str:
@@ -246,15 +265,8 @@ def cmd_query(args) -> int:
     engine = DataflowEngine(fabric, catalog,
                             use_zonemaps=args.zonemaps)
     placement = place(args.placement, query, fabric, catalog)
-    if args.plan or args.show_kernel:
-        graph = engine.compile(query, placement=placement)
-        if args.plan:
-            _print_plan(graph, placement)
-        if args.show_kernel:
-            # Kernels resolve lazily against the first real chunk, so
-            # run the graph before reading the resolution state.
-            graph.run()
-            _print_kernels(graph)
+    if args.plan:
+        _print_plan(engine.compile(query, placement=placement), placement)
         return 0
     result = engine.execute(query, placement=placement)
     print(f"placement: {placement.name}   rows out: {result.rows:,}")
@@ -270,11 +282,11 @@ def cmd_query(args) -> int:
 
 
 def _print_plan(graph, placement) -> None:
-    """Render the compiled stage graph with fusion-segment boundaries.
+    """Render the compiled stage graph.
 
-    Each stage lists its operators, a fused segment its parts
-    indented under one header, then the channels it emits on (chunks
-    cross them lazily: a column is gathered where it is first read).
+    Each stage lists its operators, one per line, then the channels it
+    emits on (chunks cross them lazily: a column is gathered where it
+    is first read).
     """
     print(f"placement: {placement.name}   "
           f"stages: {len(graph.stages)}")
@@ -288,44 +300,10 @@ def _print_plan(graph, placement) -> None:
             print(f"  scan {stage.source_table.name} "
                   f"({stage.source_table.num_rows:,} rows)")
         for op in stage.ops:
-            for line in describe_op(op):
-                print(f"  {line}")
+            print(f"  {op.name}")
         if stage.outputs:
             print(f"  -> {len(stage.outputs)} output channel"
                   f"{'s' if len(stage.outputs) != 1 else ''}")
-
-
-def _print_kernels(graph) -> None:
-    """Render each fused segment's generated-kernel resolution.
-
-    Shows the cache fingerprint, where the kernel came from
-    (compiled / memory — i.e. miss vs hit), and the generated source
-    itself; a segment codegen declined says so.
-    """
-    seen: set = set()
-    printed = False
-    for stage in graph.stages.values():
-        for op in stage.ops:
-            if not isinstance(op, FusedOp):
-                continue
-            info = op.kernel_info()
-            key = info["fingerprint"] or info["name"]
-            if key in seen:
-                continue
-            seen.add(key)
-            printed = True
-            print(f"\nkernel for {info['name']}")
-            if info["fingerprint"] is None:
-                print("  pipeline not lowerable; runs its operators "
-                      "unfused")
-                continue
-            hit = "miss" if info["origin"] == "compiled" else "hit"
-            print(f"  fingerprint: {info['fingerprint']}")
-            print(f"  origin: {info['origin']} (cache {hit})")
-            for line in info["source"].rstrip().splitlines():
-                print(f"  | {line}")
-    if not printed:
-        print("\nno fused segments (nothing to lower to kernels)")
 
 
 def _print_stalls(trace) -> None:
@@ -758,16 +736,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = command("query", cmd_query, "placement", "spec",
                     rows={"default": 100_000})
-    query.add_argument("--selectivity", type=float, default=0.1)
+    query.add_argument("--selectivity", type=finite_float(0.0, 1.0),
+                       default=0.1)
     query.add_argument("--zonemaps", action="store_true")
-    query.add_argument("--show-kernel", action="store_true",
-                       help="print each fused segment's generated "
-                            "kernel source with its cache key and "
-                            "hit/miss origin (runs the query)")
     query.add_argument("--plan", action="store_true",
-                       help="print the compiled stage graph with "
-                            "fusion-segment boundaries instead of "
-                            "running the query")
+                       help="print the compiled stage graph, each "
+                            "stage's operators one per line, instead "
+                            "of running the query")
     query.add_argument("--explain-stalls", action="store_true",
                        help="print per-stage stall attribution "
                             "(credit-starved / downstream-full / "
@@ -843,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-run a baseline report's records and "
                             "diff them leaf by leaf (exit 1 on "
                             "regression, 2 on an unusable baseline)")
-    bench.add_argument("--tolerance", type=float,
+    bench.add_argument("--tolerance", type=finite_float(0.0),
                        default=DEFAULT_TOLERANCE,
                        help="relative tolerance for float leaves in "
                             "--compare (everything else is exact)")

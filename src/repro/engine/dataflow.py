@@ -64,7 +64,6 @@ from .operators import (
     SortRuns,
     partial_state_schema,
 )
-from .fusion import fuse_ops, fusion_enabled
 from .placement import Placement, pushdown
 from .results import QueryResult, TraceSnapshot
 
@@ -324,7 +323,6 @@ class PipelineRecipe:
         graph = StageGraph(fabric, name=name,
                            default_credits=engine.default_credits, qid=qid)
         graph.recipe = self
-        fuse = fusion_enabled()
         states: dict = defaultdict(JoinState)
         stages = graph.stages
         for spec in self.stages:
@@ -339,15 +337,9 @@ class PipelineRecipe:
                 graph.source(spec.name, table,
                              medium=fabric.storage.medium)
                 continue
-            ops = [make(states) for make in spec.make_ops]
-            if fuse and len(ops) > 1:
-                # Lower each stage's linear filter/project/map runs (and
-                # the partial aggregate they feed) into fused operators.
-                # Charges are reported per original part, so the stage
-                # graph's simulated behavior is bit-identical either way.
-                ops = fuse_ops(ops)
             graph.stage(
-                spec.name, spec.site, ops, router=spec.router,
+                spec.name, spec.site,
+                [make(states) for make in spec.make_ops], router=spec.router,
                 depends_on=[stages[dep].done for dep in spec.depends_on],
                 is_sink=spec.is_sink)
         for src, dst, controlled in self.channels:
@@ -437,8 +429,6 @@ class DataflowEngine:
         trace.add("engine.dataflow.queries", 1)
         trace.add("engine.dataflow.stages", len(graph.stages))
         trace.add("engine.dataflow.rows_out", table.num_rows)
-        from . import codegen
-        codegen.drain_trace_counters(trace)
         return QueryResult(
             table=table,
             elapsed=flow.elapsed,

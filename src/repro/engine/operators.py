@@ -90,19 +90,12 @@ class PhysicalOp:
 
         The one method executors call.  ``charges`` is the ordered
         ``(kind, nbytes)`` device work the chunk cost, the operator's
-        own charge first; composite operators (a fused pipeline, the
-        data-center-tax egress that serializes, compresses and encrypts
-        in one pass) list every step.
+        own charge first; a composite operator (the data-center-tax
+        egress that serializes, compresses and encrypts in one pass)
+        lists every step.
         """
         nbytes = float(chunk.nbytes)
         return self.process(chunk), [(self.kind, nbytes)]
-
-    def fused_parts(self) -> list["PhysicalOp"]:
-        """The original operators this op stands for (itself, unless
-        fused).  Kernel installation iterates these so a programmable
-        device is configured per original operator — fusion must not
-        change what gets installed or what that costs."""
-        return [self]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"

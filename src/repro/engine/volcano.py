@@ -38,7 +38,6 @@ from .logical import (
     Scan,
     Sort,
 )
-from .fusion import fuse_ops, fusion_enabled
 from .operators import (
     FilterOp,
     HashJoinBuild,
@@ -94,7 +93,7 @@ class _ScanIter(_Iterator):
 
 
 class _StreamIter(_Iterator):
-    """Applies a streaming operator (filter/project/limit) per pull."""
+    """Applies a streaming operator (filter/project/map/limit) per pull."""
 
     def __init__(self, engine: "VolcanoEngine", child: _Iterator, op):
         self.engine = engine
@@ -106,8 +105,6 @@ class _StreamIter(_Iterator):
             chunk = yield from self.child.next()
             if chunk is None:
                 return None
-            # One charge per original operator, fused or not: the CPU
-            # is charged exactly what the unfused chain would be.
             emits, charges = self.op.run(chunk)
             for kind, nbytes in charges:
                 yield from self.engine.charge(kind, nbytes)
@@ -275,56 +272,28 @@ class VolcanoEngine:
 
     # -- plan construction -----------------------------------------------------
 
-    def _stream_op(self, node: PlanNode):
-        """The streaming operator for a fusable plan node, else None."""
+    def _build(self, node: PlanNode) -> _Iterator:
+        if isinstance(node, Scan):
+            return _ScanIter(self, node)
         if isinstance(node, Filter):
-            return FilterOp(node.predicate)
-        if isinstance(node, Project):
-            return ProjectOp(node.columns)
-        if isinstance(node, Map):
-            return MapOp(node.exprs, node.output_schema(self.catalog))
-        return None
-
-    def _build_stream_chain(self, node: PlanNode) -> _Iterator:
-        """A maximal Filter/Project/Map chain, fused when enabled.
-
-        Walks down consecutive streaming nodes, handles the zone-map
-        pruned Filter-over-Scan at the bottom of the chain, then wraps
-        the child iterator with the (possibly fused) operator chain —
-        one :class:`_StreamIter` per lowered operator.
-        """
-        ops = []
-        skip: Optional[set[int]] = None
-        while True:
-            op = self._stream_op(node)
-            if op is None:
-                break
-            ops.append(op)
-            if (isinstance(node, Filter) and self.use_zonemaps
-                    and isinstance(node.child, Scan)):
+            if self.use_zonemaps and isinstance(node.child, Scan):
                 # Zone-map pruning (§2.1): skip chunks whose min/max
                 # bounds refute the predicate; the filter still runs
                 # over surviving chunks for correctness.
                 from ..relational.zonemaps import prunable_chunks
-                zonemap = self.catalog.zonemap(node.child.table)
-                skip = prunable_chunks(zonemap, node.predicate)
-            node = node.child
-        ops.reverse()
-        if skip is not None:
-            child: _Iterator = _ScanIter(self, node, skip=skip)
-        else:
-            child = self._build(node)
-        if fusion_enabled():
-            ops = fuse_ops(ops)
-        for op in ops:
-            child = _StreamIter(self, child, op)
-        return child
-
-    def _build(self, node: PlanNode) -> _Iterator:
-        if isinstance(node, Scan):
-            return _ScanIter(self, node)
-        if isinstance(node, (Filter, Project, Map)):
-            return self._build_stream_chain(node)
+                skip = prunable_chunks(
+                    self.catalog.zonemap(node.child.table), node.predicate)
+                child: _Iterator = _ScanIter(self, node.child, skip=skip)
+            else:
+                child = self._build(node.child)
+            return _StreamIter(self, child, FilterOp(node.predicate))
+        if isinstance(node, Project):
+            return _StreamIter(self, self._build(node.child),
+                               ProjectOp(node.columns))
+        if isinstance(node, Map):
+            return _StreamIter(self, self._build(node.child),
+                               MapOp(node.exprs,
+                                     node.output_schema(self.catalog)))
         if isinstance(node, Limit):
             return _StreamIter(self, self._build(node.child),
                                LimitOp(node.n))
@@ -370,8 +339,6 @@ class VolcanoEngine:
         trace.add("engine.volcano.queries", 1)
         trace.add("engine.volcano.chunks_out", len(collected))
         trace.add("engine.volcano.rows_out", table.num_rows)
-        from . import codegen
-        codegen.drain_trace_counters(trace)
         return QueryResult(
             table=table,
             elapsed=finished - started,

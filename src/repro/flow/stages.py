@@ -118,18 +118,14 @@ class Stage:
             install_kernel,
         )
         for op in self.ops:
-            # Fused ops install per original part: the register writes
-            # and logic bits (and their simulated cost) are a property
-            # of the operators, not of how the host batches them.
-            for part in op.fused_parts():
-                try:
-                    kernel = compile_kernel(part)
-                except KernelUnsupported as exc:
-                    raise RuntimeError(
-                        f"stage {self.name!r}: operator {part.name!r} "
-                        f"cannot run on programmable device "
-                        f"{self.device.name!r}: {exc}") from exc
-                yield from install_kernel(self.device, kernel)
+            try:
+                kernel = compile_kernel(op)
+            except KernelUnsupported as exc:
+                raise RuntimeError(
+                    f"stage {self.name!r}: operator {op.name!r} "
+                    f"cannot run on programmable device "
+                    f"{self.device.name!r}: {exc}") from exc
+            yield from install_kernel(self.device, kernel)
 
     def _run_source(self) -> Generator:
         for chunk in self.source_table.chunks:

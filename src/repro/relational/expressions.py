@@ -59,10 +59,8 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
 class Expression:
     """Base class for all expression nodes.
 
-    ``evaluate`` walks the tree per chunk.  It is the one interpreter:
-    lone operators and the unfused reference path call it, and the
-    kernels :mod:`repro.engine.codegen` generates must return arrays
-    equal to it in value and dtype.
+    ``evaluate`` walks the tree per chunk.  It is the one evaluator:
+    every filter, map and aggregate argument is computed by it.
     """
 
     def evaluate(self, chunk: Chunk) -> np.ndarray:
@@ -188,9 +186,9 @@ class _BinaryOp(Expression):
     def evaluate(self, chunk: Chunk) -> np.ndarray:
         # A lone Const operand is passed as a python scalar, not as the
         # ``np.full`` array its own ``evaluate`` builds: numpy then
-        # keeps the column's dtype (``int32 + 1`` stays int32), which
-        # is also what the generated kernels do.  Both-const stays on
-        # the array path so the output keeps the chunk's row count.
+        # keeps the column's dtype (``int32 + 1`` stays int32).
+        # Both-const stays on the array path so the output keeps the
+        # chunk's row count.
         ufunc, left, right = self._OPS[self.op], self.left, self.right
         if isinstance(right, Const) and not isinstance(left, Const):
             return ufunc(left.evaluate(chunk), right.value)

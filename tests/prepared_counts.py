@@ -5,7 +5,7 @@ it instantiates a ready pipeline.  ``count_served_run`` serves
 ``three_tenant_mix`` with counting wrappers around the derivations —
 the template factories, plan hashing, the compiler's plan walk
 (``PipelineRecipe`` construction), stage-graph construction and the
-two environment switches — and returns the counts beside the drained
+environment switch — and returns the counts beside the drained
 server.  Every count is exact and host-independent, so CI gates on
 them (no wall clock): ``python tests/prepared_counts.py`` exits 1
 unless recipes built == distinct (template, variant) pairs that ran
@@ -27,7 +27,7 @@ from repro.engine.logical import PlanNode
 from repro.flow import stages
 from repro.serve import scenarios
 
-SWITCHES = ("REPRO_NO_FUSE", "REPRO_SLOW_FLOW")
+SWITCHES = ("REPRO_SLOW_FLOW",)
 
 
 def _counting(counts: Counter, key, function):

@@ -4,7 +4,7 @@
 process under ``sys.setprofile`` — all 13 ``repro`` sub-commands with
 every flag that selects a code path (``repro sql`` with every construct
 the parser accepts), the smoke suite again under ``REPRO_SLOW_FLOW=1``
-and under ``REPRO_NO_FUSE=1`` so the reference twins count, the six
+so the reference twin counts, the six
 ``examples/``, and two windows + ``verify()`` of each perfbench
 workload — and matches the code objects that were called against every
 ``def`` under ``src/`` found by ``ast``.
@@ -98,11 +98,8 @@ guards outside input: a --compare baseline may carry the section
     obs.py::_telemetry_section_violations
 frozen perfbench import; goes with ROADMAP item 1
     engine/codegen.py::counters
-resets the module-level kernel cache between tests
-    engine/codegen.py::reset
 reference the tests compare the fast path against
     bench.py::run_suite
-    engine/fusion.py::FusedOp.process
     optimizer/cost.py::CostModel.cost
 branch only a larger input takes: above 256 points per window
     serve/telemetry.py::QuantileSketch._compress
@@ -214,7 +211,7 @@ sites --spec conventional
 query --rows 20000
 query --rows 20000 --placement pushdown --zonemaps --explain-stalls --ledger
 query --rows 20000 --placement cpu --spec conventional --explain-stalls
-query --rows 20000 --plan --show-kernel
+query --rows 20000 --plan
 trace --rows 20000 --engine both -o {tmp}/trace.json
 trace --serve --queries 60 -o {tmp}/trace_serve.json
 sql {sql0} --rows 8000
@@ -244,14 +241,11 @@ loadgen --queries 50
 loadgen --scenario three_tenant_mix --queries 50 -o {tmp}/arrivals.json
 """
 
-#: The reference twins — the generator flows, and the operator-by-
-#: operator path with ``Expression.evaluate`` as the one evaluator —
-#: must reproduce the smoke report leaf for leaf.
-_SMOKE_AGAIN = "bench --compare {tmp}/BENCH_smoke.json --tolerance 0 --quiet"
+#: The reference twin — the generator flows — must reproduce the
+#: smoke report leaf for leaf.
 TWIN_COMMANDS = {
-    "REPRO_SLOW_FLOW": [_SMOKE_AGAIN],
-    "REPRO_NO_FUSE": [_SMOKE_AGAIN] + [
-        f"sql {{sql{n}}} --rows 8000" for n in range(len(SQL_STATEMENTS))],
+    "REPRO_SLOW_FLOW": [
+        "bench --compare {tmp}/BENCH_smoke.json --tolerance 0 --quiet"],
 }
 
 #: Hostile input: one ``error:`` line, exit 2.

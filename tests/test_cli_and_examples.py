@@ -206,8 +206,8 @@ CLI_PINS = {
     'query --rows 20000 --placement cpu --spec conventional --explain-stalls': (
         '86cc516fb0174cf1473bd0d9c575441a8f0144afbea99b3f8436bb1d3567a577',
         {}),
-    'query --rows 20000 --plan --show-kernel': (
-        '1fe09d24d4813b498305e1276116928132868059e2aaff25c110dfccd5294eda',
+    'query --rows 20000 --plan': (
+        '06f2967abbdbb820d56609418dfd35f0beca4c00f318c15d4bc976930c6fa8e2',
         {}),
     'trace --rows 20000 --engine both -o {tmp}/trace.json': (
         '91a8fb9becce42ad978170a235c9517d0ba40c4c3b95f0f3d72eacdfd5958ffa',
@@ -293,13 +293,10 @@ CLI_PINS = {
 def cli_digests(lines, tmp, capsys):
     """``{line: (stdout sha256, {artifact: sha256})}`` for ``lines``.
 
-    Runs in order (``top --from`` reads what an earlier line wrote)
-    from an empty kernel cache (``--show-kernel`` prints hit or miss).
+    Runs in order (``top --from`` reads what an earlier line wrote).
     A bench report's ``created`` stamp is the one host-dependent byte
     run; it is blanked before hashing.
     """
-    from repro.engine import codegen
-    codegen.reset()
     def sha256(data: str) -> str:
         return hashlib.sha256(data.encode()).hexdigest()
 
@@ -382,6 +379,21 @@ HOSTILE = {
                        "could not convert string to float: 'abc'"),
     "query-rows": (["query", "--rows", "-5"],
                    "invalid positive_int value: '-5'"),
+    # Float flags: a NaN tolerance passed any drift (``d > nan * x`` is
+    # never true); a NaN or infinite selectivity was a traceback, and a
+    # negative one ran silently as cutoff 1.
+    "bench-tolerance-nan": (["bench", "--compare", "x.json",
+                             "--tolerance", "nan"],
+                            "expected a finite number >= 0, got 'nan'"),
+    "bench-tolerance-inf": (["bench", "--compare", "x.json",
+                             "--tolerance", "inf"],
+                            "expected a finite number >= 0, got 'inf'"),
+    "query-selectivity-nan": (["query", "--selectivity", "nan"],
+                              "expected a finite number in [0, 1], "
+                              "got 'nan'"),
+    "query-selectivity-negative": (["query", "--selectivity", "-3"],
+                                   "expected a finite number in [0, 1], "
+                                   "got '-3'"),
     # Count flags: a negative --max-rows printed all rows but the last,
     # -k 0 an empty "top-0" ranking.
     "sql-max-rows": (["sql", "select l_orderkey from lineitem",

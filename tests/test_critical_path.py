@@ -1,7 +1,7 @@
 """Critical-path attribution: exactness, priorities, reconciliation.
 
 The headline guarantee: for every figure scenario, on both engines,
-fused or not, the attribution buckets sum EXACTLY (tolerance zero,
+the attribution buckets sum EXACTLY (tolerance zero,
 rational arithmetic) to the query's simulated elapsed time.
 """
 
@@ -109,19 +109,12 @@ def test_to_dict_is_json_shaped():
 
 
 # ---------------------------------------------------------------------------
-# Exact reconciliation: every scenario x engine x fusion mode
+# Exact reconciliation: every scenario x engine
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("engine", ["dataflow", "volcano"])
-@pytest.mark.parametrize("fused", [True, False],
-                         ids=["fused", "nofuse"])
-def test_attribution_reconciles_exactly(scenario, engine, fused,
-                                        monkeypatch):
-    if fused:
-        monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FUSE", "1")
+def test_attribution_reconciles_exactly(scenario, engine):
     run = run_scenario(scenario, engine=engine, rows=ROWS)
     att = run.attribution()
     # Tolerance ZERO: rational bucket sums equal the exact window

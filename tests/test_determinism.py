@@ -6,9 +6,6 @@ Properties the perf work must never erode:
   produces identical checksums, simulated times, movement ledgers,
   and event rings;
 * the kernel fires same-instant events in schedule order;
-* pipeline fusion is an implementation detail — forcing the unfused
-  reference path via ``REPRO_NO_FUSE=1`` yields the exact same trace
-  (see ``tests/test_fusion.py`` for the full matrix);
 * the reference switches are exactly the ones documented.
 """
 
@@ -69,26 +66,6 @@ def test_smoke_records_are_bit_identical():
                                     rows=ROWS)
 
 
-def test_fused_and_unfused_traces_identical(monkeypatch):
-    """Fusion must not change a single simulated quantity."""
-    monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
-    fused = _run_once()
-    monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    unfused = _run_once()
-    assert fused["checksum"] == unfused["checksum"]
-    assert fused["sim_time_s"] == unfused["sim_time_s"]
-    assert fused["ledger"] == unfused["ledger"]
-    assert fused["ring"] == unfused["ring"]
-
-
-def test_fused_and_unfused_smoke_scenarios_identical(monkeypatch):
-    """Guard at harness level too, over the join+agg scenario."""
-    monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
-    fused = bench.run_suite("smoke", ["join_agg"], rows=ROWS)
-    monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    assert fused == bench.run_suite("smoke", ["join_agg"], rows=ROWS)
-
-
 def test_kernel_orders_same_instant_events_by_schedule_order():
     """Interleaved zero-delay and due-now heap events keep seq order."""
     sim = Simulator()
@@ -114,9 +91,8 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
 
 
 def test_env_switch_inventory():
-    """One reference switch per surviving fast path, plus one path."""
+    """One reference switch (the flow fast path's), plus one path."""
     src = Path(__file__).resolve().parent.parent / "src"
     names = {name for path in src.rglob("*.py")
              for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
-    assert names == {"REPRO_BENCH_DIR", "REPRO_NO_FUSE",
-                     "REPRO_SLOW_FLOW"}
+    assert names == {"REPRO_BENCH_DIR", "REPRO_SLOW_FLOW"}

@@ -10,6 +10,7 @@ from repro.engine.operators import (
     HashJoinProbe,
     JoinState,
     LimitOp,
+    MapOp,
     MergeAggregate,
     PartialAggregate,
     PartitionOp,
@@ -37,11 +38,10 @@ def ints_chunk(**cols):
 def test_physical_op_contract_inventory():
     """One executor-facing method; a second cannot creep back unseen."""
     import repro.cloud.tax          # noqa: F401 - defines overrides
-    import repro.engine.fusion      # noqa: F401
 
     public = {name for name, member in vars(PhysicalOp).items()
               if callable(member) and not name.startswith("_")}
-    assert public == {"process", "run", "finish", "fused_parts"}
+    assert public == {"process", "run", "finish"}
 
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -50,7 +50,7 @@ def test_physical_op_contract_inventory():
     composite = {cls.__name__ for cls in subclasses(PhysicalOp)
                  if cls.__module__.startswith("repro.")
                  and "run" in vars(cls)}
-    assert composite == {"FusedOp", "EgressOp", "IngressOp"}
+    assert composite == {"EgressOp", "IngressOp"}
 
 
 def test_run_reports_the_input_bytes_under_the_ops_own_kind():
@@ -73,6 +73,14 @@ def test_run_chain_charges_per_emit_and_stops_at_an_empty_stream():
     # Nothing survives the filter: the projection is never charged.
     assert run_chain([FilterOp(col("a") > 99), ProjectOp(["a"])],
                      chunk) == ([], [(OpKind.FILTER, 64.0)])
+    # Mid-chain: the second filter keeps nothing, so the map behind it
+    # is never charged, and each charge is the bytes that step saw.
+    mapped = Schema.of(("a", DataType.INT64), ("c", DataType.FLOAT64))
+    assert run_chain([FilterOp(col("a") > 5), ProjectOp(["a"]),
+                      FilterOp(col("a") > 99),
+                      MapOp({"c": col("a") * 2}, mapped)], chunk) == (
+        [], [(OpKind.FILTER, 64.0), (OpKind.PROJECT, 32.0),
+             (OpKind.FILTER, 16.0)])
     # No operators: the chunk passes through, free.
     [same], free = run_chain([], chunk)
     assert same.chunk is chunk and free == []

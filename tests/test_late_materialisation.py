@@ -72,12 +72,8 @@ def decodes(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "no-fuse"])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_join_query_never_decodes_a_column_nobody_reads(
-        engine, fused, decodes, monkeypatch):
-    if not fused:
-        monkeypatch.setenv("REPRO_NO_FUSE", "1")
+def test_join_query_never_decodes_a_column_nobody_reads(engine, decodes):
     query = _joined().aggregate(
         ["o_priority"], [AggSpec("sum", "l_extendedprice", "rev"),
                          AggSpec("count", alias="n")])
@@ -229,3 +225,82 @@ def test_lazy_join_output_equals_eager_join_output(seed, sizes, rows,
         **{n: probe.columns[n][probe_idx] for n in SCHEMA.names},
         "w": built.columns["w"][build_idx],
         "r_s": built.columns["s"][build_idx]}))
+
+
+# ---------------------------------------------------------------------------
+# Selection-vector views: lazy, composable, exact in nbytes
+# ---------------------------------------------------------------------------
+
+def _ab_chunk(n):
+    return Chunk(Schema([Field("a", DataType.INT64),
+                         Field("b", DataType.FLOAT64)]), {
+        "a": np.arange(n, dtype=np.int64),
+        "b": np.linspace(0.0, 1.0, n)})
+
+
+def test_filter_returns_lazy_view_with_exact_nbytes():
+    chunk = _ab_chunk(10)
+    view = chunk.filter(chunk.column("a") > 4)
+    assert view._sel is not None
+    assert view.num_rows == 5
+    assert view.nbytes == view.materialize().nbytes
+    assert view.materialize()._sel is None
+    # Dense chunks materialize to themselves.
+    assert chunk.materialize() is chunk
+
+
+def test_empty_and_all_true_masks():
+    chunk = _ab_chunk(6)
+    nothing = chunk.filter(np.zeros(6, dtype=bool))
+    assert nothing.num_rows == 0 and nothing.nbytes == 0
+    assert nothing.materialize().num_rows == 0
+    everything = chunk.filter(np.ones(6, dtype=bool))
+    assert everything.num_rows == 6
+    assert everything.sorted_rows() == chunk.sorted_rows()
+
+
+def test_chained_filters_compose_selection_indices():
+    chunk = _ab_chunk(10)
+    first = chunk.filter(chunk.column("a") >= 2)
+    second = first.filter(first.column("a") < 7)
+    # Still one view over the original dense columns.
+    assert second.columns.base is chunk.columns
+    assert list(second.column("a")) == [2, 3, 4, 5, 6]
+    third = second.filter(np.array([True, False, True, False, True]))
+    assert list(third.column("a")) == [2, 4, 6]
+
+
+def test_view_project_take_slice_stay_lazy():
+    chunk = _ab_chunk(10)
+    view = chunk.filter(chunk.column("a") % 2 == 0)   # 0 2 4 6 8
+    projected = view.project(["b"])
+    assert projected._sel is not None
+    assert projected.schema.names == ["b"]
+    taken = view.take(np.array([4, 0]))
+    assert list(taken.column("a")) == [8, 0]
+    sliced = view.slice(1, 3)
+    assert list(sliced.column("a")) == [2, 4]
+
+
+def test_view_gathers_each_column_once_and_only_when_read():
+    chunk = _ab_chunk(10)
+    view = chunk.filter(chunk.column("a") > 7)
+    cache = view.columns._cache
+    assert cache == {}                       # nothing gathered yet
+    a1 = view.column("a")
+    assert set(cache) == {"a"}               # only the touched column
+    assert view.column("a") is a1            # cached, not re-gathered
+    with pytest.raises(KeyError):
+        view.columns["missing"]
+
+
+def test_boundary_operations_materialize_views():
+    chunk = _ab_chunk(10)
+    view = chunk.filter(chunk.column("a") > 4)
+    wide = view.with_column(Field("d", DataType.FLOAT64),
+                            np.zeros(view.num_rows))
+    assert wide._sel is None                 # with_column settles
+    table = Table(view.schema)
+    table.append(view)                       # table storage settles
+    assert table.chunks[0]._sel is None
+    assert table.num_rows == 5

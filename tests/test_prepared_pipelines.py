@@ -7,7 +7,6 @@ import pytest
 from repro.engine import (
     AggSpec,
     DataflowEngine,
-    FusedOp,
     Query,
     VolcanoEngine,
     pushdown,
@@ -51,7 +50,6 @@ def structure(graph) -> dict:
              stage.device.name if stage.device is not None else None,
              stage.router, stage.is_sink,
              [op.name for op in stage.ops],
-             [[part.name for part in op.fused_parts()] for op in stage.ops],
              [owner[id(event)] for event in stage.depends_on],
              stage.source_table.name if stage.source_table is not None
              else None,
@@ -67,15 +65,14 @@ def structure(graph) -> dict:
 
 
 def operator_ids(graph) -> set[int]:
-    """Identities of every operator, fused part and join state."""
+    """Identities of every operator and join state."""
     found = set()
     for stage in graph.stages.values():
         for op in stage.ops:
-            for part in [op] + op.fused_parts():
-                found.add(id(part))
-                state = getattr(part, "state", None)
-                if state is not None:
-                    found.add(id(state))
+            found.add(id(op))
+            state = getattr(op, "state", None)
+            if state is not None:
+                found.add(id(state))
     return found
 
 
@@ -180,9 +177,6 @@ def test_no_operator_is_shared_between_instances(template):
         ids = [operator_ids(graph) for graph in graphs]
         assert ids[0] and not (ids[0] & ids[1] or ids[0] & ids[2]
                                or ids[1] & ids[2])
-        fused = [op for graph in graphs for stage in graph.stages.values()
-                 for op in stage.ops if isinstance(op, FusedOp)]
-        assert len({id(op) for op in fused}) == len(fused)
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])

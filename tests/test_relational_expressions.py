@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware import OpKind
-from repro.relational import Chunk, DataType, Schema, col, lit
+from repro.relational import Chunk, DataType, Field, Schema, col, lit
 
 
 def chunk():
@@ -32,6 +32,37 @@ def test_arithmetic():
     assert expr.evaluate(c).tolist() == [3.0, 12.0, 23.0, 34.0]
     assert (col("x") - lit(1)).evaluate(c).tolist() == [0, 4, 9, 14]
     assert (col("y") / lit(2)).evaluate(c).tolist() == [0.5, 1.0, 1.5, 2.0]
+
+
+def _scalar_cases():
+    """(expression, the same arithmetic in plain numpy) pairs."""
+    cases = [
+        (col("x") > lit(3), lambda x: x > 3),
+        (lit(3) <= col("x"), lambda x: 3 <= x),
+        (col("x") == lit(2.5), lambda x: x == 2.5),
+        (col("x") + lit(1), lambda x: x + 1),
+        (lit(2) * col("x"), lambda x: 2 * x),
+        (col("x") - lit(0.5), lambda x: x - 0.5),
+        (col("x") / lit(2), lambda x: x / 2),
+        (col("x").between(2, 5), lambda x: (x >= 2) & (x <= 5)),
+        (col("x").between(lit(2), col("x") + lit(1)),
+         lambda x: (x >= 2) & (x <= x + 1)),
+        ((col("x") + lit(1)) * lit(3) > lit(10), lambda x: (x + 1) * 3 > 10),
+    ]
+    return [pytest.param(expr, ref, id=repr(expr)) for expr, ref in cases]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("expr, reference", _scalar_cases())
+def test_evaluate_matches_numpy_in_value_and_dtype(expr, reference, dtype):
+    # A literal operand is a python scalar to numpy, so the column's
+    # dtype survives: int32 + 1 stays int32.
+    schema = Schema([Field("x", DataType.INT64)])
+    # _from_valid keeps the array's own dtype (as dictionary codes do).
+    c = Chunk._from_valid(schema, {"x": np.arange(8).astype(dtype)})
+    got, want = expr.evaluate(c), reference(c.columns["x"])
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 def test_boolean_combinators():
