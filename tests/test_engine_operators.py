@@ -73,17 +73,21 @@ def test_run_chain_charges_per_emit_and_stops_at_an_empty_stream():
     # Nothing survives the filter: the projection is never charged.
     assert run_chain([FilterOp(col("a") > 99), ProjectOp(["a"])],
                      chunk) == ([], [(OpKind.FILTER, 64.0)])
+    # No operators: the chunk passes through, free.
+    [same], free = run_chain([], chunk)
+    assert same.chunk is chunk and free == []
+
+
+def test_run_chain_charges_stop_where_the_stream_empties():
     # Mid-chain: the second filter keeps nothing, so the map behind it
     # is never charged, and each charge is the bytes that step saw.
+    chunk = ints_chunk(a=[1, 5, 9, 13], b=[2, 2, 2, 2])
     mapped = Schema.of(("a", DataType.INT64), ("c", DataType.FLOAT64))
     assert run_chain([FilterOp(col("a") > 5), ProjectOp(["a"]),
                       FilterOp(col("a") > 99),
                       MapOp({"c": col("a") * 2}, mapped)], chunk) == (
         [], [(OpKind.FILTER, 64.0), (OpKind.PROJECT, 32.0),
              (OpKind.FILTER, 16.0)])
-    # No operators: the chunk passes through, free.
-    [same], free = run_chain([], chunk)
-    assert same.chunk is chunk and free == []
 
 
 # ---------------------------------------------------------------------------
