@@ -40,6 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Optional
 
 import numpy as np
@@ -61,17 +62,16 @@ _PRIO_CREDIT = 5
 WAIT_OTHER = "wait:other"
 
 
+_SPAN_PRIO = {"device": _PRIO_DEVICE, "storage": _PRIO_STORAGE,
+              "nic": _PRIO_NIC, "link": _PRIO_LINK}
+
+
 def _span_bucket(name: str) -> Optional[tuple[str, int]]:
     """Map a span name to its attribution bucket (None = structural)."""
-    if name.startswith("device."):
-        return f"device:{name[len('device.'):]}", _PRIO_DEVICE
-    if name.startswith("storage."):
-        return f"storage:{name[len('storage.'):]}", _PRIO_STORAGE
-    if name.startswith("nic."):
-        return f"nic:{name[len('nic.'):]}", _PRIO_NIC
-    if name.startswith("link."):
-        return f"link:{name[len('link.'):]}", _PRIO_LINK
-    return None  # query.*, graph.*, stage.* — structural, not busy.
+    kind, dot, rest = name.partition(".")
+    prio = _SPAN_PRIO.get(kind) if dot else None
+    # query.*, graph.*, stage.* — structural, not busy.
+    return None if prio is None else (f"{kind}:{rest}", prio)
 
 
 @dataclass(eq=False)
@@ -176,22 +176,23 @@ def raw_intervals(trace: Trace
     out: list[tuple[float, Optional[float], str, int]] = []
     for name, spans in trace.spans.items():
         mapped = _span_bucket(name)
-        if mapped is None:
-            continue
-        bucket, prio = mapped
-        for span in spans:
-            out.append((span.start, span.end, bucket, prio))
+        if mapped is not None:
+            bucket, prio = mapped
+            out += [(span.start, span.end, bucket, prio) for span in spans]
 
     # Wire propagation: emit -> recv, paired by flow id.
+    emit, recv = EventKind.CHUNK_EMIT, EventKind.CHUNK_RECV
     emits: dict[int, float] = {}
     for event in trace.events:
-        if event.kind == EventKind.CHUNK_EMIT and event.flow_id:
-            emits[event.flow_id] = event.ts
-        elif event.kind == EventKind.CHUNK_RECV and event.flow_id:
-            sent = emits.pop(event.flow_id, None)
+        kind = event.kind
+        if kind == emit:
+            if event.flow_id:
+                emits[event.flow_id] = event.ts
+        elif kind == recv:
+            sent = emits.pop(event.flow_id, None) if event.flow_id else None
             if sent is not None:
                 out.append((sent, event.ts, "wait:wire", _PRIO_WIRE))
-        elif event.kind == EventKind.CREDIT_STALL and event.dur > 0:
+        elif kind == EventKind.CREDIT_STALL and event.dur > 0:
             out.append((event.ts, event.ts + event.dur,
                         "wait:credit", _PRIO_CREDIT))
     return out
@@ -228,13 +229,13 @@ def attribute_windows(trace: Trace, windows,
         return []
     if intervals is None:
         intervals = raw_intervals(trace)
-    starts, ends, buckets, prios = zip(*intervals) if intervals \
-        else ((),) * 4
+    starts, ends, buckets, prios = (list(map(itemgetter(i), intervals))
+                                    for i in range(4))
     keys = sorted(set(zip(prios, buckets)))
     names = [bucket for _prio, bucket in keys] + [WAIT_OTHER]
     rank = {key: i for i, key in enumerate(keys)}
-    which = np.array([rank[key] for key in zip(prios, buckets)],
-                     dtype=np.intp)
+    which = np.fromiter(map(rank.__getitem__, zip(prios, buckets)),
+                        dtype=np.intp, count=len(starts))
     starts = np.array(starts, dtype=float)
     ends = np.array(ends, dtype=float)          # None (open) -> nan
     ends[np.isnan(ends)] = math.inf
@@ -246,10 +247,11 @@ def attribute_windows(trace: Trace, windows,
 
     # Coverage count of every key over every segment; the last row is
     # ``wait:other``, which covers everything at the lowest priority.
-    cover = np.zeros((len(names), len(points) + 1), dtype=np.int32)
+    row, size = which * (len(points) + 1), len(names) * (len(points) + 1)
+    cover = (np.bincount(row + np.searchsorted(points, starts), None, size)
+             - np.bincount(row + np.searchsorted(points, ends), None, size)
+             ).reshape(len(names), len(points) + 1)
     cover[-1, 0] = 1
-    np.add.at(cover, (which, np.searchsorted(points, starts)), 1)
-    np.add.at(cover, (which, np.searchsorted(points, ends)), -1)
     winner = (np.cumsum(cover, axis=1)[:, :len(points) - 1] > 0
               ).argmax(axis=0)
     change = np.flatnonzero(winner[1:] != winner[:-1]) + 1
@@ -311,18 +313,19 @@ def summed(parts: list[Attribution], started_at: float,
 
 
 class WinnerTimeline:
-    """The winner of every instant of a run, swept once.
+    """The winner of every instant of a run, painted once.
 
     Attribution is linear in the interval stream: which source wins an
     instant does not depend on the window asked about.  So one global
-    priority sweep over :func:`raw_intervals` — the same half-open
+    pass over :func:`raw_intervals` — the same half-open
     ``[start, end)`` intervals, ``(prio, bucket)`` tie-break and
     dropped zero-width intervals as :func:`attribute_windows` — yields
     a step function of maximal same-winner runs covering ``(-inf,
     +inf)`` (a still-open span is held as ending at ``+inf``), and
     :meth:`attribute` answers any window as a slice of it: two
     bisects, two exact edge pieces, and one prefix-sum difference per
-    bucket for the runs wholly inside.
+    bucket for the runs wholly inside.  Per key, intervals merge by a
+    running max of ends; keys paint from the lowest priority up.
 
     Exactness: run boundaries are Python-int ticks over one common
     power-of-two denominator, so the dense per-bucket prefix sums add
@@ -341,42 +344,45 @@ class WinnerTimeline:
         #: The :func:`raw_intervals` list the timeline was swept from.
         self.intervals = (raw_intervals(trace) if intervals is None
                           else intervals)
-        keys = sorted({(prio, bucket)
-                       for _s, _e, bucket, prio in self.intervals})
-        rank = {key: i for i, key in enumerate(keys)}
-        edges: list[tuple[float, int, int]] = []
-        for start, end, bucket, prio in self.intervals:
-            if end is None:
-                end = math.inf
-            if end > start:
-                key = rank[(prio, bucket)]
-                edges.append((start, key, 1))
-                edges.append((end, key, -1))
-        edges.sort()
+        # ``zip(*intervals)`` would hold an iterator per interval.
+        starts, ends, buckets, prios = (
+            list(map(itemgetter(i), self.intervals)) for i in range(4))
+        #: Every ``(prio, bucket)`` source, in winning order.
+        self.keys = sorted(set(zip(prios, buckets)))
+        rank = {key: i for i, key in enumerate(self.keys)}
+        #: Interval columns in list order (an open end is +inf).
+        self.start = np.array(starts, dtype=float)
+        self.end = np.array(ends, dtype=float)          # None -> nan
+        self.end[np.isnan(self.end)] = math.inf
+        self.key = np.fromiter(map(rank.__getitem__, zip(prios, buckets)),
+                               dtype=np.intp, count=len(starts))
+        live = np.flatnonzero(self.end > self.start)
+        points = np.unique(np.concatenate(
+            (self.start[live], self.end[live][self.end[live] < math.inf])))
+        live = live[np.lexsort((self.start[live], self.key[live]))]
+        bounds = np.searchsorted(self.key[live], range(len(self.keys) + 1))
+        # Key holding [points[j], points[j + 1]); len(keys): wait:other.
+        won = np.full(len(points), len(self.keys))
+        for k in range(len(self.keys) - 1, -1, -1):
+            mine = live[bounds[k]:bounds[k + 1]]
+            if not len(mine):
+                continue
+            begin = self.start[mine]
+            reach = np.maximum.accumulate(self.end[mine])
+            opens = np.flatnonzero(np.append(True, begin[1:] > reach[:-1]))
+            paint = np.zeros(len(points) + 1, dtype=np.intp)
+            paint[np.searchsorted(points, begin[opens])] = 1
+            paint[np.searchsorted(points, reach[np.append(
+                opens[1:], len(mine)) - 1])] -= 1
+            won[np.cumsum(paint[:-1]) > 0] = k
 
         # Run ``i`` is ``[starts[i], starts[i + 1])`` won by
         # ``winners[i]``; the last run extends to +inf.
-        starts = self._starts = [-math.inf]
-        winners = self._winners = [WAIT_OTHER]
-        counts = [0] * len(keys)
-        live: set[int] = set()
-        i, n = 0, len(edges)
-        while i < n:
-            point = edges[i][0]
-            if point == math.inf:
-                break  # open spans never close inside any window
-            while i < n and edges[i][0] == point:
-                _point, key, step = edges[i]
-                counts[key] += step
-                if counts[key] == 0:
-                    live.discard(key)
-                else:
-                    live.add(key)
-                i += 1
-            winner = keys[min(live)][1] if live else WAIT_OTHER
-            if winner != winners[-1]:
-                starts.append(point)
-                winners.append(winner)
+        names = [bucket for _prio, bucket in self.keys] + [WAIT_OTHER]
+        cut = np.flatnonzero(won != np.append(len(self.keys), won[:-1]))
+        label = np.append(len(self.keys), won[cut])
+        starts = self._starts = [-math.inf] + points[cut].tolist()
+        winners = self._winners = [names[k] for k in label.tolist()]
         self._segments = list(zip(starts, starts[1:] + [math.inf],
                                   winners))
         #: Every bucket that wins some instant.
@@ -386,7 +392,7 @@ class WinnerTimeline:
         # (index 0, the ``-inf`` start, is never read): every
         # denominator is a power of two, so the largest is their
         # common one.
-        ratios = [point.as_integer_ratio() for point in starts[1:]]
+        ratios = list(map(float.as_integer_ratio, starts[1:]))
         self._denom = max((d for _n, d in ratios), default=1)
         ticks = self._ticks = [0] + [n * (self._denom // d)
                                      for n, d in ratios]
@@ -396,10 +402,36 @@ class WinnerTimeline:
         #: bucket -> ticks it won in the runs before run ``i``, for
         #: every ``i`` (dense, so a slice reads two entries).
         self._prefix: dict[str, list[int]] = {
-            bucket: list(accumulate(
-                (w if won == bucket else 0
-                 for w, won in zip(widths, winners)), initial=0))
-            for bucket in set(winners[1:-1])}
+            names[k]: list(accumulate(
+                map(mul, widths, (label[:-1] == k).tolist()), initial=0))
+            for k in set(label[1:-1].tolist())}
+
+    def charges(self, started_at: float,
+                finished_at: float) -> tuple[dict[str, int], int]:
+        """The slice's bucket -> ticks of ``1 / denom``, and ``denom``."""
+        if finished_at <= started_at:
+            return {}, 1
+        starts, winners, ticks = self._starts, self._winners, self._ticks
+        first = bisect_right(starts, started_at) - 1
+        last = bisect_left(starts, finished_at) - 1
+        n0, d0 = started_at.as_integer_ratio()
+        n1, d1 = finished_at.as_integer_ratio()
+        shift = max(0, max(d0, d1).bit_length()
+                    - self._denom.bit_length())
+        denom = self._denom << shift
+        t0, t1 = n0 * (denom // d0), n1 * (denom // d1)
+        if first == last:
+            return {winners[first]: t1 - t0}, denom
+        charged = {}
+        for bucket, sums in self._prefix.items():
+            inner = sums[last] - sums[first + 1]
+            if inner:
+                charged[bucket] = inner << shift
+        head = (ticks[first + 1] << shift) - t0
+        tail = t1 - (ticks[last] << shift)
+        charged[winners[first]] = charged.get(winners[first], 0) + head
+        charged[winners[last]] = charged.get(winners[last], 0) + tail
+        return charged, denom
 
     def attribute(self, started_at: float,
                   finished_at: float) -> Attribution:
@@ -410,38 +442,17 @@ class WinnerTimeline:
         """
         dropped = self.trace.events.dropped
         attribution = Attribution(
-            started_at=started_at, finished_at=finished_at,
+            started_at, finished_at, *self.charges(started_at, finished_at),
             partial=dropped > 0, partial_reason=partial_reason(dropped))
-        if finished_at <= started_at:
-            return attribution
-        starts, winners, ticks = self._starts, self._winners, self._ticks
+        starts, winners = self._starts, self._winners
         first = bisect_right(starts, started_at) - 1
         last = bisect_left(starts, finished_at) - 1
-        n0, d0 = started_at.as_integer_ratio()
-        n1, d1 = finished_at.as_integer_ratio()
-        shift = max(0, max(d0, d1).bit_length()
-                    - self._denom.bit_length())
-        denom = attribution.denom = self._denom << shift
-        t0, t1 = n0 * (denom // d0), n1 * (denom // d1)
-        if first == last:
-            attribution.ticks = {winners[first]: t1 - t0}
+        if finished_at > started_at:
             attribution.segments = [
-                (started_at, finished_at, winners[first])]
-            return attribution
-
-        charged = attribution.ticks
-        for bucket, sums in self._prefix.items():
-            inner = sums[last] - sums[first + 1]
-            if inner:
-                charged[bucket] = inner << shift
-        head = (ticks[first + 1] << shift) - t0
-        tail = t1 - (ticks[last] << shift)
-        charged[winners[first]] = charged.get(winners[first], 0) + head
-        charged[winners[last]] = charged.get(winners[last], 0) + tail
-        attribution.segments = [
-            (started_at, starts[first + 1], winners[first]),
-            *self._segments[first + 1:last],
-            (starts[last], finished_at, winners[last])]
+                (started_at, finished_at, winners[first])] if first == last \
+                else [(started_at, starts[first + 1], winners[first]),
+                      *self._segments[first + 1:last],
+                      (starts[last], finished_at, winners[last])]
         return attribution
 
 

@@ -48,9 +48,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
+import math
 from functools import partial
 from typing import Optional
+
+import numpy as np
 
 from ..sim import Trace
 from .critical_path import (Attribution, WinnerTimeline,
@@ -122,9 +124,15 @@ def effective_cost(cost, shares: dict[str, float],
     for kind, times in (("device", cost.device_time),
                         ("link", cost.link_time)):
         for key, seconds in times.items():
-            rho = min(max([get(pool, 0.0) for pool in pools_of(kind, key)],
-                          default=0.0), RHO_CAP)
-            worst = max(worst, seconds / max(1.0 - rho, floor))
+            rho = 0.0       # builtin max/min calls cost most of a term
+            for pool in pools_of(kind, key):
+                share = get(pool, 0.0)
+                if share > rho:
+                    rho = share
+            slack = 1.0 - (rho if rho < RHO_CAP else RHO_CAP)
+            term = seconds / (slack if slack > floor else floor)
+            if term > worst:
+                worst = term
     return worst + cost.latency
 
 
@@ -160,6 +168,8 @@ class Observatory:
         self._windows: list[Attribution] = []
         #: (kind, cost-model key) -> the observed pools it lands on.
         self._pool_index: dict[tuple[str, str], tuple[str, ...]] = {}
+        #: (start, end) -> its slice's (ticks, denom), sliced once.
+        self._slices: dict[tuple[float, float], tuple[dict, int]] = {}
         self._link_bytes: list[dict[str, float]] = []
         self._bound: list[dict] = []
         self._regret: list[dict] = []
@@ -177,16 +187,10 @@ class Observatory:
 
     # -- derivation --------------------------------------------------------
 
-    def _window_of(self, ts: float) -> int:
-        """The window index containing ``ts`` (clamped to the run).
-
-        Read off the edges themselves: ``i * window_s`` is rounded, so
-        ``int(ts / window_s)`` can disagree with it within an ulp.
-        """
-        if not self._edges:
-            return 0
-        return max(0, min(bisect_right(self._edges, ts) - 1,
-                          len(self._edges) - 2))
+    def _windows_of(self, instants) -> list[int]:
+        """Each instant's window, read off the (rounded) edges."""
+        return np.clip(np.searchsorted(self._edges, instants, "right") - 1,
+                       0, max(len(self._edges) - 2, 0)).tolist()
 
     def _pools_of(self, kind: str, key: str) -> tuple[str, ...]:
         """The pools a cost-model key lands on, matched once per key."""
@@ -201,14 +205,17 @@ class Observatory:
         if self._finalized:
             return
         self._horizon = max(now, self.trace.clock)
+        self._dropped = self.trace.events.dropped
         if self.timeline is None:
             self.timeline = WinnerTimeline(self.trace)
         self._edges = self._tile(self._horizon)
         self._windows = [self.timeline.attribute(w0, w1) for w0, w1
                          in zip(self._edges, self._edges[1:])]
         self._link_bytes = self._fold_link_bytes()
-        self._classify()
-        self._score_regret()
+        tags = self._tags = self._windows_of([r.finished for r, _v, _d
+                                              in self._completed])
+        self._classify(tags)
+        self._score_regret(tags)
         # Nothing changes after this point: one canonical document
         # serves every payload() and digest() call.
         self._canon = json.dumps(self._payload(), sort_keys=True,
@@ -234,61 +241,74 @@ class Observatory:
         (width = nbytes / bandwidth), so clipped width × bandwidth is
         exactly the bytes that crossed the link inside the window —
         a chunk straddling an edge splits its bytes proportionally.
+        ``np.bincount`` sums each cell's pieces in interval order, as a
+        per-span loop would: the same floats.
         """
-        out: list[dict[str, float]] = [
-            {} for _ in range(len(self._edges) - 1)]
-        links = [(start, end, bucket[len("link:"):])
-                 for start, end, bucket, _prio
-                 in self.timeline.intervals
-                 if bucket.startswith("link:") and end is not None]
-        for start, end, link in links:
-            bandwidth = self.link_bandwidth.get(link)
-            if bandwidth is None:
-                continue
-            first = self._window_of(start)
-            for i in range(first, len(out)):
-                w0, w1 = self._edges[i], self._edges[i + 1]
-                if w0 >= end:
-                    break
-                overlap = min(end, w1) - max(start, w0)
-                if overlap > 0:
-                    cell = out[i]
-                    cell[link] = cell.get(link, 0.0) \
-                        + overlap * bandwidth
+        timeline, windows = self.timeline, len(self._edges) - 1
+        out: list[dict[str, float]] = [{} for _ in range(windows)]
+        rate = np.array([self.link_bandwidth.get(b[5:], math.nan)
+                         if b.startswith("link:") else math.nan
+                         for _prio, b in timeline.keys])[timeline.key]
+        mine = ~np.isnan(rate) & (timeline.end < math.inf)
+        if windows <= 0 or not mine.any():
+            return out
+        start, end = timeline.start[mine], timeline.end[mine]
+        edges = np.array(self._edges)
+        first = np.clip(np.searchsorted(edges, start, side="right") - 1,
+                        0, windows - 1)
+        count = np.maximum(np.minimum(np.searchsorted(edges, end) - 1,
+                                      windows - 1) - first + 1, 0)
+        span = np.repeat(np.arange(len(count)), count)
+        window = first[span] + np.arange(len(span)) \
+            - np.repeat(np.cumsum(count) - count, count)
+        overlap = np.minimum(end[span], edges[window + 1]) \
+            - np.maximum(start[span], edges[window])
+        cut = overlap > 0
+        keys = len(timeline.keys)
+        cell = (window * keys + timeline.key[mine][span])[cut]
+        sums = np.bincount(cell, (overlap * rate[mine][span])[cut],
+                           minlength=windows * keys).tolist()
+        for c in np.unique(cell).tolist():      # link name after "link:"
+            out[c // keys][timeline.keys[c % keys][1][5:]] = sums[c]
         return out
 
     def _query_attribution(self, record, started: float,
                            finished: float) -> Attribution:
-        return self.timeline.attribute(started, finished)
+        if (started, finished) not in self._slices:
+            self._slices[started, finished] = self.timeline.charges(
+                started, finished)
+        return Attribution(started, finished,
+                           *self._slices[started, finished])
 
-    def _classify(self) -> None:
+    def _classify(self, tags: list[int]) -> None:
         """Tag every completed query with its dominant bound bucket."""
-        for record, _variants, _decision in self._completed:
+        for (record, _v, _d), window in zip(self._completed, tags):
             att = self._query_attribution(record, record.arrival,
                                           record.finished)
             dominant = att.dominant()
-            shares = att.shares()
             self._bound.append({
                 "name": record.name,
                 "tenant": record.tenant,
-                "window": self._window_of(record.finished),
+                "window": window,
                 "bucket": dominant,
                 "class": bound_class(dominant),
-                "share": shares.get(dominant, 0.0),
+                "share": (att.ticks[dominant] / sum(att.ticks.values())
+                          if att.ticks else 0.0),
             })
 
-    def _regret_entry(self, record, variants, decision
-                      ) -> Optional[dict]:
-        """Score one executed query against its plan alternatives."""
-        if not variants:
-            return None
-        att = self._query_attribution(record, record.started,
-                                      record.finished)
-        shares = att.shares()
+    def _regret_entry(self, record, window: int, variants, decision,
+                      effs: Optional[list[float]] = None) -> dict:
+        """Score one executed query from its variants' ``effs``; by
+        default the reference :meth:`_score_regret` is checked against,
+        one :func:`effective_cost` per variant."""
+        if effs is None:
+            shares = self._query_attribution(record, record.started,
+                                             record.finished).shares()
+            effs = [effective_cost(v.cost, shares, self._pools_of)
+                    for v in variants]
         chosen_name = (decision.chosen if decision is not None
                        else record.variant_name)
-        effs = [(effective_cost(v.cost, shares, self._pools_of),
-                 v.placement.name) for v in variants]
+        effs = list(zip(effs, (v.placement.name for v in variants)))
         chosen_eff = next((eff for eff, name in effs
                            if name == chosen_name), effs[0][0])
         best_eff, best_name = min(effs)
@@ -296,7 +316,7 @@ class Observatory:
         return {
             "name": record.name,
             "tenant": record.tenant,
-            "window": self._window_of(record.finished),
+            "window": window,
             "chosen": chosen_name,
             "best": best_name,
             "chosen_eff_s": chosen_eff,
@@ -305,11 +325,47 @@ class Observatory:
             "regret_ratio": regret / best_eff if best_eff > 0 else 0.0,
         }
 
-    def _score_regret(self) -> None:
-        for record, variants, decision in self._completed:
-            entry = self._regret_entry(record, variants, decision)
-            if entry is not None:
-                self._regret.append(entry)
+    def _score_regret(self, tags: list[int]) -> None:
+        """Score every query with alternatives, a numpy pass per list.
+
+        Queries sharing a variant list get a saturation row each; every
+        variant's terms, resolved to pool columns once, run down the
+        rows in :func:`effective_cost`'s float64 operations and order.
+        """
+        column = {pool: j for j, pool in enumerate(sorted(
+            self.timeline.buckets))}
+        groups: dict[int, list[int]] = {}
+        for i, (_record, variants, _d) in enumerate(self._completed):
+            if variants:
+                groups.setdefault(id(variants), []).append(i)
+        scored: dict[int, dict] = {}
+        for rows in groups.values():
+            variants = self._completed[rows[0]][1]
+            saturation = np.zeros((len(rows), len(column)))
+            for row, i in enumerate(rows):
+                record = self._completed[i][0]
+                ticks = self._query_attribution(
+                    record, record.started, record.finished).ticks
+                total = sum(ticks.values())
+                for pool, t in ticks.items():
+                    saturation[row, column[pool]] = t / total
+            effs = np.zeros((len(rows), len(variants)))
+            for j, variant in enumerate(variants):
+                for kind, times in (("device", variant.cost.device_time),
+                                    ("link", variant.cost.link_time)):
+                    for key, seconds in times.items():
+                        rho = saturation[:, [
+                            column[pool] for pool in self._pools_of(kind, key)
+                            if pool in column]].max(axis=1, initial=0.0)
+                        np.maximum(effs[:, j], seconds / np.maximum(
+                            1.0 - np.minimum(rho, RHO_CAP), 1.0 - RHO_CAP),
+                            out=effs[:, j])
+                effs[:, j] += variant.cost.latency
+            for i, row in zip(rows, effs.tolist()):
+                record, _variants, decision = self._completed[i]
+                scored[i] = self._regret_entry(record, tags[i], variants,
+                                               decision, row)
+        self._regret = [scored[i] for i in sorted(scored)]
 
     # -- artifacts ---------------------------------------------------------
 
@@ -369,7 +425,7 @@ class Observatory:
         }
 
     def _payload(self) -> dict:
-        dropped = self.trace.events.dropped
+        dropped = self._dropped
         totals = summed(self._windows, 0.0, self._horizon)
         return {
             "schema": OBSERVATORY_SCHEMA,
@@ -419,9 +475,10 @@ class Observatory:
         * the first ``query_sample`` completed queries' timeline
           slices equal their own reference attributions and their
           window-clipped sums;
-        * every bound tag and regret entry is reproduced by an
-          independent recomputation;
-        * the ``partial`` flag agrees with the ring's drop counter.
+        * every bound tag, regret entry (by the scalar reference) and
+          link-byte cell is reproduced by a recomputation;
+        * the ``partial`` flag the payload was built from agrees with
+          the ring's drop counter.
 
         The reference answers every window, the horizon and the
         sampled queries in one pass.
@@ -453,8 +510,14 @@ class Observatory:
             sampled, references[len(windows) + len(horizon):]))
         errors.extend(self._classifier_violations(records))
         errors.extend(self._regret_violations())
-        dropped = self.trace.events.dropped
-        if (dropped > 0) != self.payload()["partial"]:
+        for i, (cell, fresh) in enumerate(zip(self._link_bytes,
+                                              self._fold_link_bytes())):
+            links = sorted(k for k in cell | fresh
+                           if cell.get(k) != fresh.get(k))
+            if links:
+                errors.append(f"window {i}: link bytes on "
+                              f"{', '.join(links)} not reproduced")
+        if (self.trace.events.dropped > 0) != (self._dropped > 0):
             errors.append("partial flag disagrees with the ring's "
                           "drop counter")
         return errors
@@ -463,15 +526,14 @@ class Observatory:
         """Sampled queries: slice == reference == window-clipped sums."""
         errors: list[str] = []
         for (record, _v, _d), whole in zip(sampled, references):
-            sliced = self._query_attribution(record, record.arrival,
+            sliced = self.timeline.attribute(record.arrival,
                                              record.finished)
             if sliced != whole:
                 errors.append(
                     f"{record.name}: timeline slice diverges from "
                     "the reference")
             pieces = []
-            lo = self._window_of(record.arrival)
-            hi = self._window_of(record.finished)
+            lo, hi = self._windows_of([record.arrival, record.finished])
             for i in range(lo, hi + 1):
                 q0 = max(record.arrival, self._edges[i])
                 q1 = min(record.finished, self._edges[i + 1])
@@ -517,15 +579,15 @@ class Observatory:
     def _regret_violations(self) -> list[str]:
         errors: list[str] = []
         by_name = {entry["name"]: entry for entry in self._regret}
-        for record, variants, decision in self._completed:
-            fresh = self._regret_entry(record, variants, decision)
+        for i, (record, variants, decision) in enumerate(self._completed):
             entry = by_name.get(record.name)
-            if fresh is None:
+            if not variants:
                 if entry is not None:
                     errors.append(f"{record.name}: regret entry for "
                                   "a query with no variants")
                 continue
-            if entry != fresh:
+            if entry != self._regret_entry(record, self._tags[i], variants,
+                                           decision):
                 errors.append(f"{record.name}: regret entry is not "
                               "reproduced by recomputation")
                 continue

@@ -44,6 +44,7 @@ from typing import Any, Generator, Optional
 from ..hardware.device import Device, OpKind
 from ..hardware.interconnect import Link
 from ..sim import EventKind, Simulator, Store, Trace
+from ..sim.trace import CounterHandle
 from .ratelimit import RateLimiter
 
 __all__ = ["END", "CreditChannel", "flow_fast_path"]
@@ -231,10 +232,10 @@ class CreditChannel:
         # Counter handles and per-hop terms, resolved once instead of
         # per message (the f-string keys used to dominate trace.add).
         self._stall_credit = self._stall_link = None
-        self._flow_bytes = trace.counter_handle(f"flow.{name}.bytes")
-        self._messages = trace.counter_handle(f"flow.{name}.messages")
-        self._control_bytes = trace.counter_handle(
-            f"flow.{name}.control_bytes")
+        self._flow_bytes = CounterHandle(trace.counters, f"flow.{name}.bytes")
+        self._messages = CounterHandle(trace.counters, f"flow.{name}.messages")
+        self._control_bytes = CounterHandle(
+            trace.counters, f"flow.{name}.control_bytes")
         self._control_total = trace.counter_handle(
             "flow.control.total_bytes")
         self._hops = [
@@ -277,8 +278,8 @@ class CreditChannel:
             # the backpressure attribution report.
             stall = sim.now - credit_wait_from
             if self._stall_credit is None:
-                self._stall_credit = trace.counter_handle(
-                    f"flow.{self.name}.stall.credit_s")
+                self._stall_credit = CounterHandle(
+                    trace.counters, f"flow.{self.name}.stall.credit_s")
             self._stall_credit.add(stall)
             trace.emit(credit_wait_from, EventKind.CREDIT_STALL,
                        self.name, nbytes=nbytes, dur=stall)
@@ -333,8 +334,8 @@ class CreditChannel:
             # contention, CPU mediation) — the "downstream-full"
             # bucket.
             if self._stall_link is None:
-                self._stall_link = trace.counter_handle(
-                    f"flow.{self.name}.stall.link_s")
+                self._stall_link = CounterHandle(
+                    trace.counters, f"flow.{self.name}.stall.link_s")
             self._stall_link.add(wire_overhead)
         flow_id = trace.next_flow_id()
         trace.emit(sim.now, EventKind.CHUNK_EMIT, self.name,

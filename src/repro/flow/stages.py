@@ -30,6 +30,7 @@ from ..hardware.device import Device
 from ..hardware.storage import StorageMedium
 from ..relational.table import Chunk, Table
 from ..sim import Event, EventKind, Simulator, Store, Trace
+from ..sim.trace import CounterHandle
 from .credits import END, CreditChannel, flow_fast_path
 from .ratelimit import RateLimiter
 
@@ -192,7 +193,8 @@ class Stage:
                  - self.device.service_time(kind, nbytes))
         if stall > 1e-12:
             if self._stall_device is None:
-                self._stall_device = self.graph.trace.counter_handle(
+                self._stall_device = CounterHandle(
+                    self.graph.trace.counters,
                     f"{self._metric}.stall.device_s")
             self._stall_device.add(stall)
 

@@ -137,10 +137,10 @@ class Trace:
         key-string construction the hot paths used to pay.  The
         counter itself is *not* materialized here — a handle that is
         never incremented leaves no trace, so constructing hardware
-        cannot change what a report contains.  Handles are interned
-        per name: serving runs construct a fresh flow graph per query
-        against one long-lived trace, so re-binding the same edge
-        names must not allocate.
+        cannot change what a report contains.  Interned per name, for
+        names bound again (links, devices, shared totals); a per-query
+        channel or stage builds its own :class:`CounterHandle`, or each
+        served query's handles would stay here for the rest of the run.
         """
         handle = self._handles.get(name)
         if handle is None:

@@ -9,6 +9,7 @@ import collections
 import copy
 import dataclasses
 import functools
+import gc
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from repro.analysis import (
     attribute_windows,
     bound_class,
     effective_cost,
+    raw_intervals,
     render_top,
 )
 from repro.obs import report_violations, make_report
@@ -121,7 +123,7 @@ def test_window_of_agrees_with_the_edges_it_slices_on():
     for record in records:
         obs.on_complete(record)
     obs.finalize(0.02)
-    assert obs._window_of(below_9) == 8 and obs._window_of(9 * window_s) == 9
+    assert obs._windows_of([below_9, 9 * window_s]) == [8, 9]
     # Query "a"'s first piece, [below_9, edge 9), is one ulp wide.
     assert obs.observatory_violations(records) == []
     payload = obs.payload()
@@ -137,7 +139,8 @@ def test_window_of_agrees_with_the_edges_it_slices_on():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count raw-interval passes, timeline builds, reference passes."""
+    """Count raw-interval passes, timeline builds, reference passes
+    and scalar regret scores."""
     from repro.analysis import critical_path
     counts = collections.Counter()
 
@@ -153,7 +156,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(WinnerTimeline, "__init__", counted(
         "timeline_builds", WinnerTimeline.__init__))
     for function, name in ((attribute, "one_window_references"),
-                           (attribute_windows, "reference_passes")):
+                           (attribute_windows, "reference_passes"),
+                           (effective_cost, "scalar_regret_scores")):
         wrapper = counted(name, function)
         for module in list(sys.modules.values()):
             if getattr(module, function.__name__, None) is function:
@@ -169,17 +173,23 @@ def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
         server.report("budget")  # both observers' finalize
         assert server.telemetry.timeline is server.observatory.timeline
         assert server.telemetry.exemplars
+        # The regret score is the vectorised pass: no scalar
+        # ``effective_cost`` call inside finalize.
         assert dict(calls) == {"raw_intervals": 1, "timeline_builds": 1}
 
         obs = server.observatory
+        variants = sum(len(v) for _r, v, _d in obs._completed)
+        assert variants > 2 * len(obs._regret) > 0
         for sample in (5, 25):
             calls.clear()
             assert obs.observatory_violations(
                 server.records, query_sample=sample) == []
             assert len(obs._completed) > sample
             # Every tumbling window, the whole horizon and each sampled
-            # query in one pass — whatever the number of queries.
-            assert dict(calls) == {"reference_passes": 1}
+            # query in one pass — whatever the number of queries — and
+            # the scalar reference once per variant per scored query.
+            assert dict(calls) == {"reference_passes": 1,
+                                   "scalar_regret_scores": variants}
 
 
 def test_finalize_builds_no_fraction_outside_the_window_buckets(
@@ -205,6 +215,32 @@ def test_finalize_builds_no_fraction_outside_the_window_buckets(
     # The 1 000-odd slices, shares, dominants and regret scores of 90
     # queries are integer work.
     assert built["fractions"] <= sum(len(w.ticks) for w in obs._windows)
+
+
+def test_timeline_build_allocates_per_run_not_per_edge():
+    # Per-edge ``(point, key, step)`` tuples held for the sort would
+    # force a gen-0 collection per 350 intervals; the per-key numpy
+    # pass keeps about one container per run alive.
+    server = serve_scenario_server("two_tenant_bursty", queries=90)
+    intervals = raw_intervals(server.fabric.trace)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        timeline = WinnerTimeline(server.fabric.trace, intervals)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    runs = len(timeline._starts)
+    assert len(intervals) > 4 * runs > 2000
+    assert len(collections) <= runs // 700 + 1 < 2 * len(intervals) // 700
 
 
 def test_payload_is_built_once_and_handed_out_as_copies(server, record):
@@ -284,6 +320,133 @@ def test_regret_entries_scored_for_every_completion(server, record):
     values = [e["regret_s"] for e in leaders]
     assert values == sorted(values, reverse=True)
     assert len(leaders) <= 10
+
+
+def test_payload_regret_equals_the_scalar_reference_bit_for_bit(
+        server, record):
+    obs = server.observatory
+    payload = {e["name"]: e for e in record["observatory"]["regret"][
+        "queries"]}
+    scored = 0
+    for rec, variants, decision in obs._completed:
+        if not variants:
+            assert rec.name not in payload
+            continue
+        fresh = obs._regret_entry(rec, obs._windows_of([rec.finished])[0],
+                                  variants, decision)
+        scored += 1
+        entry = payload[rec.name]
+        assert entry == fresh
+        for key in ("chosen_eff_s", "best_eff_s", "regret_s",
+                    "regret_ratio"):
+            assert entry[key].hex() == fresh[key].hex()
+    assert scored == len(payload) == record["completed"]
+
+
+def _variant(name, device=None, link=None, latency=0.0):
+    return SimpleNamespace(
+        placement=SimpleNamespace(name=name),
+        cost=SimpleNamespace(device_time=device or {},
+                             link_time=link or {}, latency=latency))
+
+
+def _query(name, started, finished, chosen=None):
+    return SimpleNamespace(name=name, tenant="t", arrival=started,
+                           started=started, finished=finished,
+                           completed=True, variant_name=chosen or "")
+
+
+def test_hand_built_regret_ties_empty_lists_and_zero_costs():
+    trace = Trace()
+    trace.close_span(trace.open_span("device.cpu", 0.0), 0.003)
+    trace.close_span(trace.open_span("link.bus", 0.002), 0.006)
+    obs = Observatory(["t"], trace, window_s=0.004,
+                      link_bandwidth={"bus": 1e9})
+    twins = [_variant("zeta", {"cpu": 1e-3}, {"bus": 2e-4}, 1e-5),
+             _variant("alpha", {"cpu": 1e-3}, {"bus": 2e-4}, 1e-5),
+             _variant("mid", {"cpu": 2e-3})]
+    free = [_variant("b"), _variant("a")]
+    cases = [
+        (_query("tie", 0.0, 0.005), twins,
+         SimpleNamespace(chosen="zeta")),
+        (_query("unlisted", 0.001, 0.004, chosen="gone"), twins, None),
+        (_query("none", 0.0, 0.002), [], None),
+        (_query("free", 0.002, 0.006, chosen="b"), free, None),
+        (_query("instant", 0.003, 0.003, chosen="a"), free, None)]
+    for rec, variants, decision in cases:
+        obs.on_complete(rec, variants, decision)
+    obs.finalize(0.006)
+    assert obs.observatory_violations([rec for rec, _v, _d in cases]) == []
+    entries = {e["name"]: e for e in obs.payload()["regret"]["queries"]}
+    assert sorted(entries) == ["free", "instant", "tie", "unlisted"]
+    for rec, variants, decision in cases:
+        if variants:
+            assert entries[rec.name] == obs._regret_entry(
+                rec, obs._windows_of([rec.finished])[0], variants, decision)
+    # Equal effective cost: ``min((eff, name))`` picks the smaller name.
+    tie = entries["tie"]
+    assert (tie["chosen"], tie["best"]) == ("zeta", "alpha")
+    assert tie["regret_s"] == 0.0 and tie["best_eff_s"] > 0
+    # A chosen name no variant carries is scored as the first variant.
+    assert entries["unlisted"]["chosen_eff_s"] == \
+        entries["unlisted"]["best_eff_s"]
+    # No cost at all: best_eff 0, and the ratio is 0, not a division.
+    for name in ("free", "instant"):
+        assert entries[name]["best_eff_s"] == 0.0
+        assert entries[name]["regret_ratio"] == 0.0
+        assert entries[name]["best"] == "a"
+
+
+@pytest.fixture
+def fresh_server():
+    server = serve_scenario_server("two_tenant_bursty", queries=30)
+    server.report("fresh")
+    assert server.observatory_violations() == []
+    return server
+
+
+def test_one_ulp_on_one_regret_entry_is_named(fresh_server):
+    obs = fresh_server.observatory
+    entry = obs._regret[3]
+    entry["regret_s"] = math.nextafter(entry["regret_s"], math.inf)
+    assert fresh_server.observatory_violations() == [
+        f"{entry['name']}: regret entry is not reproduced by "
+        "recomputation"]
+
+
+def test_one_byte_on_one_link_byte_cell_is_named(fresh_server):
+    obs = fresh_server.observatory
+    i, cell = next((i, cell) for i, cell in enumerate(obs._link_bytes)
+                   if cell)
+    link = sorted(cell)[-1]
+    cell[link] += 1.0
+    assert fresh_server.observatory_violations() == [
+        f"window {i}: link bytes on {link} not reproduced"]
+
+
+def test_one_tick_on_one_window_is_named(fresh_server):
+    obs = fresh_server.observatory
+    window = obs._windows[1]
+    window.ticks[window.dominant()] += 1
+    errors = fresh_server.observatory_violations()
+    assert errors[:2] == [
+        "window 1: timeline slice diverges from the reference",
+        "window 1: buckets do not tile the window exactly"]
+    assert all("window 1" in e or "telescope" in e for e in errors)
+
+
+def test_partial_flag_is_read_from_state_not_the_payload(
+        fresh_server, monkeypatch):
+    obs = fresh_server.observatory
+
+    def unparsed():
+        raise AssertionError("observatory_violations parsed the payload")
+
+    monkeypatch.setattr(obs, "payload", unparsed)
+    assert obs.observatory_violations(fresh_server.records) == []
+    obs._dropped = 1
+    assert obs.observatory_violations(fresh_server.records) == [
+        "partial flag disagrees with the ring's drop counter"]
 
 
 def test_effective_cost_reduces_to_bottleneck_when_idle(server):

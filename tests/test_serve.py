@@ -390,3 +390,17 @@ def test_serving_rerun_reproduces_baseline():
         rows=first[0]["rows"],
         queries=first[0]["requested_queries"])
     assert compare_reports(baseline, {"serving": again}) == []
+
+
+def test_counter_handles_do_not_grow_with_served_queries():
+    # A channel's or stage's counter names carry its query's graph name
+    # and never recur; only names a later construction binds again
+    # (links, devices, shared totals) are interned on the trace.
+    from repro.serve import serve_scenario
+    from repro.serve.scenarios import serve_scenario_server
+    config = dataclasses.replace(serve_scenario("three_tenant_mix").config,
+                                 telemetry=False, observatory=False)
+    handles = [len(serve_scenario_server(
+        "three_tenant_mix", queries=n, config=config).fabric.trace._handles)
+        for n in (300, 600)]
+    assert handles[0] == handles[1] < 100
