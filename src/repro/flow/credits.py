@@ -239,8 +239,7 @@ class CreditChannel:
         self._control_total = trace.counter_handle(
             "flow.control.total_bytes")
         self._hops = [
-            (link, link._span_name, link._byte_count, link._chunk_count,
-             link._segment_bytes,
+            (link, link._span_name, *link.counter_handles(),
              # Pre-built movement-ledger key — record_movement's
              # per-call tuple construction, hoisted.
              (link.name, self.actor, self.direction))

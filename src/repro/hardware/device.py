@@ -84,7 +84,8 @@ class Device:
     sim, trace:
         The simulation kernel and metric sink this device reports to.
     name:
-        Unique name; trace counters are keyed ``device.<name>.*``.
+        Unique name; trace counters are keyed ``device.<name>.*`` and
+        bound at the first charge, so an idle device binds none.
     rates:
         Mapping of :class:`OpKind` constants to sustained bytes/second.
         Kinds absent from the map are unsupported unless
@@ -114,16 +115,11 @@ class Device:
     def __post_init__(self):
         self._units = Resource(self.sim, capacity=self.slots,
                                name=f"{self.name}.units")
-        # Interned hot-path trace keys: execute() runs per operator
-        # per chunk, so its counter keys are resolved once here
-        # instead of via f-strings on every call.
+        # Hot-path trace keys: execute() runs per operator per chunk,
+        # so each counter handle is bound at the first charge that adds
+        # to it and reused after.
         self._span_name = f"device.{self.name}"
-        self._slot_wait = self.trace.counter_handle(
-            f"device.{self.name}.slot_wait_s")
-        self._busy = self.trace.counter_handle(
-            f"device.{self.name}.busy_s")
-        self._op_count = self.trace.counter_handle(
-            f"device.{self.name}.ops")
+        self._slot_wait = self._busy = self._op_count = None
         self._bytes_by_kind: dict[str, object] = {}
 
     # -- capability queries ---------------------------------------------
@@ -184,6 +180,9 @@ class Device:
             if self.sim.now > requested:
                 # Cumulative slot-queueing time: the raw material of
                 # the backpressure report's "device-busy" bucket.
+                if self._slot_wait is None:
+                    self._slot_wait = self.trace.counter_handle(
+                        f"device.{self.name}.slot_wait_s")
                 self._slot_wait.add(self.sim.now - requested)
         span = self.trace.open_span(self._span_name, self.sim.now)
         try:
@@ -194,6 +193,11 @@ class Device:
             # Cumulative busy seconds: the serializable counterpart of
             # the span record, from which per-query utilization deltas
             # are computed (see TraceSnapshot.busy_delta).
+            if self._busy is None:
+                self._busy = self.trace.counter_handle(
+                    f"device.{self.name}.busy_s")
+                self._op_count = self.trace.counter_handle(
+                    f"device.{self.name}.ops")
             self._busy.add(now - span.start)
             self._units.release()
         by_kind = self._bytes_by_kind.get(kind)

@@ -68,14 +68,19 @@ class Link:
             raise ValueError(f"link {self.name}: bandwidth must be positive")
         self._ports = Resource(self.sim, capacity=self.ports,
                                name=f"{self.name}.ports")
-        # Interned hot-path trace keys (transfer() runs per chunk).
+        # Hot-path trace keys (transfer() runs per chunk); the counter
+        # handles are bound at first use (:meth:`counter_handles`).
         self._span_name = f"link.{self.name}"
-        self._byte_count = self.trace.counter_handle(
-            f"link.{self.name}.bytes")
-        self._chunk_count = self.trace.counter_handle(
-            f"link.{self.name}.chunks")
-        self._segment_bytes = self.trace.counter_handle(
-            f"movement.{self.segment}.bytes")
+        self._counters: Optional[tuple] = None
+
+    def counter_handles(self) -> tuple:
+        """(bytes, chunks, segment bytes) handles, bound on first call."""
+        if self._counters is None:
+            handle = self.trace.counter_handle
+            self._counters = (handle(f"link.{self.name}.bytes"),
+                              handle(f"link.{self.name}.chunks"),
+                              handle(f"movement.{self.segment}.bytes"))
+        return self._counters
 
     def transfer_time(self, nbytes: float) -> float:
         """Predicted uncontended time for a transfer of ``nbytes``."""
@@ -124,9 +129,11 @@ class Link:
         self.trace.emit(issued, EventKind.DMA_COMPLETE, self.name,
                         label=flow, nbytes=nbytes,
                         dur=self.sim.now - issued)
-        self._byte_count.add(nbytes)
-        self._chunk_count.add(1)
-        self._segment_bytes.add(nbytes)
+        link_bytes, chunks, segment_bytes = (self._counters
+                                             or self.counter_handles())
+        link_bytes.add(nbytes)
+        chunks.add(1)
+        segment_bytes.add(nbytes)
         self.trace.record_movement(self.name, flow or "unattributed",
                                    direction, nbytes)
         if flow:

@@ -26,10 +26,10 @@ site                      device
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .cpu import CPUSocket, default_core_rates
+from .cpu import default_core_rates
 from .device import GIB, Device
 from .interconnect import (
     cache_bus,
@@ -52,7 +52,12 @@ __all__ = ["FabricSpec", "ComputeNode", "HeterogeneousFabric",
 
 @dataclass
 class FabricSpec:
-    """Configuration knobs for :func:`build_fabric`."""
+    """Configuration knobs for :func:`build_fabric`.
+
+    Each knob shapes a device or link a run can reach.  The §5.1
+    socket model is the standalone :class:`~repro.hardware.cpu.CPUSocket`,
+    not part of a fabric.
+    """
 
     # Network.
     network_gbits: float = 100.0
@@ -82,12 +87,12 @@ class FabricSpec:
     gpu: str = "none"
     gpu_hbm_gib_per_s: float = 100.0
 
-    # CPU (§5.1).
+    # CPU (§5.1): ``cores`` slots on the CPU site, ``controllers``
+    # memory-bus ports of ``controller_gib`` GiB/s each.
     cores: int = 8
     controllers: int = 2
     core_ghz: float = 3.0
     controller_gib: float = 20.0
-    single_stream_fraction: float = 0.8
 
     # Optional disaggregated memory node (§5.3).
     disagg_memory: bool = False
@@ -151,16 +156,14 @@ def rack_spec(compute_nodes: int = 4, **overrides) -> FabricSpec:
 
 @dataclass
 class ComputeNode:
-    """Handles to one compute node's devices."""
+    """Handles to one compute node's devices: its sites, NIC and DRAM."""
 
     name: str
     nic: NIC
     dram: DRAM
     accelerator: Optional[NearMemoryAccelerator]
     cpu: Device
-    socket: CPUSocket
     gpu: Optional[GPU] = None
-    locations: dict[str, str] = field(default_factory=dict)
 
 
 def _make_nic(kind: str, sim, trace, name: str, gbits: float) -> NIC:
@@ -202,8 +205,7 @@ class HeterogeneousFabric(Fabric):
     def _register_site(self, site: str, device: Device, location: str):
         self._sites[site] = device
         self._site_locations[site] = location
-        if device.name not in self.devices:
-            self.add_device(device, at=location)
+        self.add_device(device, at=location)
 
     def _build(self) -> None:
         spec = self.spec
@@ -291,12 +293,6 @@ class HeterogeneousFabric(Fabric):
                      startup=0.0, slots=spec.cores)
         self._register_site(f"{name}.cpu", cpu, loc_cpu)
 
-        socket = CPUSocket(
-            sim, trace, f"{name}.socket", cores=spec.cores,
-            controllers=spec.controllers, ghz=spec.core_ghz,
-            controller_bandwidth=spec.controller_gib * GIB,
-            single_stream_fraction=spec.single_stream_fraction)
-
         # Host links: NIC -> DRAM (PCIe/CXL), DRAM -> LLC (memory bus,
         # one port per controller), LLC -> cores (on-chip).
         self.connect(loc_node, loc_dram, self._host_link(f"{name}.host"))
@@ -325,9 +321,7 @@ class HeterogeneousFabric(Fabric):
                              self._host_link(f"{name}.gpudirect"))
 
         return ComputeNode(name=name, nic=nic, dram=dram, accelerator=accel,
-                           cpu=cpu, socket=socket, gpu=gpu,
-                           locations={"node": loc_node, "dram": loc_dram,
-                                      "llc": loc_llc, "cpu": loc_cpu})
+                           cpu=cpu, gpu=gpu)
 
     # -- what-if perturbation registry ---------------------------------------
 
@@ -343,6 +337,10 @@ class HeterogeneousFabric(Fabric):
     def canonical_resource(cls, resource: str) -> str:
         """Resolve aliases (``nic.bw`` -> ``net.bw``)."""
         return cls.RESOURCE_ALIASES.get(resource, resource)
+
+    #: Link segment -> the knob prefix that scales it (``net.bw``).
+    SEGMENT_KNOBS = {"network": "net", "pcie": "pcie", "cxl": "cxl",
+                     "membus": "membus", "cache": "cache"}
 
     def _links_by_segment(self, segment: str) -> list:
         return [link for link in self.links() if link.segment == segment]
@@ -365,11 +363,7 @@ class HeterogeneousFabric(Fabric):
         the spec attaches a GPU).
         """
         out: dict[str, str] = {}
-        segment_desc = {
-            "network": "net", "pcie": "pcie", "cxl": "cxl",
-            "membus": "membus", "cache": "cache", "nvlink": "nvlink",
-        }
-        for segment, prefix in segment_desc.items():
+        for segment, prefix in self.SEGMENT_KNOBS.items():
             links = self._links_by_segment(segment)
             if not links:
                 continue
@@ -417,9 +411,7 @@ class HeterogeneousFabric(Fabric):
                 f"unknown or absent resource {resource!r} "
                 f"(this fabric has: {sorted(available)})")
         prefix, _, knob = resource.rpartition(".")
-        segments = {"net": "network", "pcie": "pcie", "cxl": "cxl",
-                    "membus": "membus", "cache": "cache",
-                    "nvlink": "nvlink"}
+        segments = {p: segment for segment, p in self.SEGMENT_KNOBS.items()}
         if prefix in segments:
             for link in self._links_by_segment(segments[prefix]):
                 if knob == "bw":

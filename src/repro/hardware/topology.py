@@ -38,14 +38,15 @@ class Fabric:
         self._adjacent: dict[str, dict[str, Link]] = {}
         self.devices: dict[str, Device] = {}
         self._locations: dict[str, str] = {}  # device name -> node
-        self._route_cache: dict[tuple[str, str], list[Link]] = {}
+        # dst -> {src: links}, built by one search per destination.
+        self._routes: dict[str, dict[str, list[Link]]] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_location(self, node: str) -> str:
         """Declare a passive location (e.g. ``dram0``, ``ssd0``)."""
         self._adjacent.setdefault(node, {})
-        self._route_cache.clear()
+        self._routes.clear()
         return node
 
     def add_device(self, device: Device, at: str) -> Device:
@@ -90,25 +91,22 @@ class Fabric:
         """
         src = self._locations.get(src, src)
         dst = self._locations.get(dst, dst)
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
-        # Breadth-first from dst: every location reached learns its
-        # next hop toward dst, so the walk from src is in travel order.
-        toward = {dst: dst}
-        for node in (reached := [dst]):
-            for other in self._adjacent.get(node, ()):
-                if other not in toward:
-                    toward[other] = node
-                    reached.append(other)
-        if src not in toward:
-            raise NoRouteError(f"no route {src!r} -> {dst!r}")
-        links = []
-        while src != dst:
-            links.append(self._adjacent[src][toward[src]])
-            src = toward[src]
-        self._route_cache[key] = links
+        routes = self._routes.get(dst)
+        if routes is None and dst in self._adjacent:
+            # Breadth-first from dst: a location reached extends the
+            # route of the one it was reached from by one hop, so one
+            # search builds every route into dst, in travel order.
+            routes = self._routes[dst] = {dst: []}
+            for node in (reached := [dst]):
+                for other, link in self._adjacent[node].items():
+                    if other not in routes:
+                        routes[other] = [link, *routes[node]]
+                        reached.append(other)
+        links = routes.get(src) if routes else None
+        if links is None:
+            unknown = [loc for loc in (src, dst) if loc not in self._adjacent]
+            why = f": unknown location {unknown[0]!r}" if unknown else ""
+            raise NoRouteError(f"no route {src!r} -> {dst!r}{why}")
         return links
 
     # -- movement ------------------------------------------------------------

@@ -76,9 +76,9 @@ class CounterHandle:
 
     Hot paths (per-message flow control, per-op device charges) used
     to rebuild the counter's key string with an f-string and walk the
-    counter dict on every increment.  A handle is bound once — at
-    channel/link/device construction — and after that each
-    :meth:`add` is a single dict update with an interned key.  Handles
+    counter dict on every increment.  A handle is bound once — by a
+    channel's constructor, at a link's or device's first charge — and
+    after that each :meth:`add` is one dict update.  Handles
     write to the same public ``trace.counters`` mapping, so readers
     are unaffected.
     """
@@ -132,7 +132,7 @@ class Trace:
     def counter_handle(self, name: str) -> CounterHandle:
         """A pre-resolved handle for repeatedly incrementing ``name``.
 
-        Bind once at construction time (channel, link, device); the
+        Bind once, at construction or first use; the
         handle's :meth:`~CounterHandle.add` then skips the per-call
         key-string construction the hot paths used to pay.  The
         counter itself is *not* materialized here — a handle that is

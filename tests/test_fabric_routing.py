@@ -11,6 +11,7 @@ each must equal the hop list of an independent reference (and of
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -38,6 +39,9 @@ PRESETS = {
     "no-rdma-10gbit": (
         lambda: dataflow_spec(network_gbits=10, rdma=False), 0),
     "slow-storage-cu": (lambda: dataflow_spec(storage_cu_scale=0.3), 0),
+    "scheduling": (lambda: dataflow_spec(storage_cu_scale=0.3,
+                                         ssd_gib_per_s=16,
+                                         network_gbits=400), 0),
     "pcie": (lambda: dataflow_spec(use_cxl=False), 0),
     "rack-4": (lambda: rack_spec(4), 0),
     "rack-8": (lambda: rack_spec(8), 0),
@@ -94,6 +98,19 @@ def test_preset_routes_are_the_only_shortest_paths(preset):
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_routes_in_any_order_equal_the_reference(preset):
+    # One search per destination builds the routes from every source,
+    # so the order the pairs are asked in must not matter.
+    fabric = build_fabric(PRESETS[preset][0]())
+    adjacent = fabric._adjacent
+    pairs = list(itertools.product(adjacent, repeat=2))
+    random.Random(preset).shuffle(pairs)
+    for src, dst in pairs:
+        assert ([id(link) for link in fabric.route(src, dst)]
+                == [id(link) for link in reference_route(adjacent, src, dst)])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_routes_equal_networkx(preset):
     nx = pytest.importorskip("networkx")
     fabric = build_fabric(PRESETS[preset][0]())
@@ -144,6 +161,35 @@ def test_unknown_and_disconnected_locations_have_no_route():
         with pytest.raises(NoRouteError, match=f"{src!r} -> {dst!r}"):
             fabric.route(src, dst)
     assert fabric.route("island", "island") == []
+
+
+def test_an_unknown_location_is_named_even_routed_to_itself():
+    fabric = ring(3)
+    for src, dst in (("nowhere", "a"), ("a", "nowhere"),
+                     ("nowhere", "nowhere")):
+        with pytest.raises(NoRouteError,
+                           match="unknown location 'nowhere'"):
+            fabric.route(src, dst)
+
+
+def test_a_link_connected_after_routing_is_seen_by_the_next_route():
+    fabric = Fabric()                 # a-b-c-d-e, then a-e closes it
+    names = "abcde"
+
+    def link(a, b):
+        return fabric.connect(a, b, Link(fabric.sim, fabric.trace, a + b,
+                                         bandwidth=1.0, latency=1.0))
+    for a, b in zip(names, names[1:]):
+        link(a, b)
+    assert [hop.name for hop in fabric.route("a", "e")] == [
+        "ab", "bc", "cd", "de"]
+    assert [hop.name for hop in fabric.route("b", "e")] == ["bc", "cd", "de"]
+    link("a", "e")
+    assert [hop.name for hop in fabric.route("a", "e")] == ["ae"]
+    assert [hop.name for hop in fabric.route("b", "e")] == ["ab", "ae"]
+    link("e", "island")
+    assert [hop.name for hop in fabric.route("island", "b")] == [
+        "eisland", "ae", "ab"]
 
 
 def test_importing_repro_leaves_networkx_out():
