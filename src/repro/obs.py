@@ -26,6 +26,8 @@ __all__ = [
     "REPORT_SCHEMA",
     "CHECKSUM_FLOAT_DIGITS",
     "table_checksum",
+    "columns_checksum",
+    "content_key",
     "fabric_snapshot",
     "make_report",
     "report_violations",
@@ -46,6 +48,15 @@ any real wrong answer.
 
 _ROW_SEP = "\x1e"
 _CELL_SEP = "\x1f"
+_ESCAPE = "\x1d"
+# Each separator a cell holds, and the escape itself, becomes the
+# escape plus a letter; a rendered cell then holds no separator, and a
+# bare escape is left free to stand for a lone empty cell.
+_ESCAPES = str.maketrans({_ESCAPE: _ESCAPE + "a", _ROW_SEP: _ESCAPE + "b",
+                          _CELL_SEP: _ESCAPE + "c"})
+_LONE_EMPTY = _ESCAPE
+# The dtype kinds ``Schema`` produces; ``content_key`` keys only these.
+_KEYED_KINDS = "biufU"
 
 
 def _canonical_cell(value) -> str:
@@ -58,12 +69,21 @@ def _canonical_cell(value) -> str:
     return str(value)
 
 
+def _escaped(cells: list[str]) -> list[str]:
+    """``cells`` with every separator escaped (as is when none holds one)."""
+    joined = "".join(cells)
+    if _ESCAPE in joined or _ROW_SEP in joined or _CELL_SEP in joined:
+        return [cell.translate(_ESCAPES) for cell in cells]
+    return cells
+
+
 def _canonical_column(values) -> list[str]:
     """One column rendered cell-by-cell, with per-dtype fast paths.
 
     Produces exactly the strings :func:`_canonical_cell` would for
     each element's python form (``tolist``), without the per-cell
-    isinstance dispatch.
+    isinstance dispatch, with separators escaped.  Numbers never hold
+    a separator, so only strings and generic cells are checked.
     """
     kind = values.dtype.kind
     if kind == "f":
@@ -71,10 +91,28 @@ def _canonical_column(values) -> list[str]:
         return ["nan" if v != v else format(v, fmt)
                 for v in values.tolist()]
     if kind == "U":
-        return values.tolist()
+        return _escaped(values.tolist())
     if kind in "iu":
         return [str(v) for v in values.tolist()]
-    return [_canonical_cell(v) for v in values.tolist()]
+    return _escaped([_canonical_cell(v) for v in values.tolist()])
+
+
+def columns_checksum(names: Sequence[str], columns: Sequence) -> str:
+    """:func:`table_checksum` over already gathered columns.
+
+    ``columns[i]`` is the full column called ``names[i]``, as
+    ``table.column`` returns it.
+    """
+    digest = hashlib.sha256()
+    digest.update(_CELL_SEP.join(names).encode())
+    rendered = [_canonical_column(values) for values in columns]
+    if len(rendered) == 1:
+        rows = [cell or _LONE_EMPTY for cell in rendered[0]]
+    else:
+        rows = [_CELL_SEP.join(cells) for cells in zip(*rendered)]
+    rows.sort()  # canonical order, independent of row layout
+    digest.update(_ROW_SEP.join(rows).encode())
+    return digest.hexdigest()
 
 
 def table_checksum(table) -> str:
@@ -82,19 +120,37 @@ def table_checksum(table) -> str:
 
     Two engines that return the same rows (up to float summation
     order) produce the same checksum; a dropped row, a wrong value, or
-    a changed schema produces a different one.  Rows are rendered
+    changed column names produce a different one.  Only the column
+    names are hashed, not their types: an INT64 ``1`` and a FLOAT64
+    ``1.0`` both render as ``1``.  Rows are rendered
     column-at-a-time and ordered by their final string form — the
     same digest the original row-at-a-time rendering produced, since
-    the string sort is what fixed the hashed order.
+    the string sort is what fixed the hashed order.  A cell holding a
+    separator is escaped and a one-column row of an empty string
+    renders as a bare escape, so under the same column names two
+    different row sets never render alike; every other cell renders
+    as it always has.  Names and rows are hashed back to back with no
+    separator between them, so a name can still run into the rows:
+    ``a`` over ``12`` and ``a1`` over ``2`` share a digest.
     """
-    digest = hashlib.sha256()
     names = table.schema.names
-    digest.update(_CELL_SEP.join(names).encode())
-    columns = [_canonical_column(table.column(name)) for name in names]
-    rows = [_CELL_SEP.join(cells) for cells in zip(*columns)]
-    rows.sort()  # canonical order, independent of row layout
-    digest.update(_ROW_SEP.join(rows).encode())
-    return digest.hexdigest()
+    return columns_checksum(names, [table.column(name) for name in names])
+
+
+def content_key(names: Sequence[str], columns: Sequence):
+    """An exact, hashable key of a result's content, or None.
+
+    Two results with equal keys have the same column names, dtypes,
+    shapes and bytes, so :func:`columns_checksum` renders them alike;
+    a cache of checksums keyed by it returns what a render would.
+    Columns of a kind ``Schema`` does not produce get no key.
+    """
+    key = []
+    for name, values in zip(names, columns):
+        if values.dtype.kind not in _KEYED_KINDS:
+            return None
+        key.append((name, values.dtype.str, values.shape, values.tobytes()))
+    return tuple(key)
 
 
 def combine_checksums(checksums: dict[str, str]) -> str:

@@ -25,7 +25,7 @@ from ..analysis.critical_path import WinnerTimeline
 from ..analysis.observatory import Observatory
 from ..engine.logical import Query
 from ..hardware.presets import HeterogeneousFabric
-from ..obs import combine_checksums, table_checksum
+from ..obs import columns_checksum, combine_checksums, content_key
 from ..relational.catalog import Catalog
 from ..scheduler.scheduler import QueryExecutor
 from ..sim import EventKind
@@ -171,6 +171,10 @@ class QueryServer:
             bandwidth = {link.name: link.bandwidth for link in fabric.links()}
             self.observatory = Observatory(
                 self.tenants, fabric.trace, link_bandwidth=bandwidth)
+        #: Checksum per distinct answer content (``obs.content_key``):
+        #: a run asks a few templates many times, so most answers
+        #: repeat an earlier one and are not rendered again.
+        self._checksums: dict[tuple, str] = {}
         self._running: set[str] = set()
         self._backlog_cost_s = 0.0
         self._seq = 0
@@ -277,7 +281,7 @@ class QueryServer:
         yield from self.executor.execute(
             record.name, pending.query, pending.variants, record,
             qid=record.qid)
-        record.checksum = table_checksum(record.table)
+        record.checksum = self._checksum(record.table)
         self._last_finish = max(self._last_finish, record.finished)
         self._running.discard(record.name)
         self.completion_order.append(record.name)
@@ -297,6 +301,18 @@ class QueryServer:
         if pending.on_done is not None:
             pending.on_done(record)
         self._dispatch()
+
+    def _checksum(self, table) -> str:
+        """``table_checksum(table)``, rendered once per distinct content."""
+        names = table.schema.names
+        columns = [table.column(name) for name in names]
+        key = content_key(names, columns)
+        checksum = self._checksums.get(key) if key is not None else None
+        if checksum is None:
+            checksum = columns_checksum(names, columns)
+            if key is not None:
+                self._checksums[key] = checksum
+        return checksum
 
     # -- state -------------------------------------------------------------
 

@@ -4,12 +4,13 @@ A served template is planned and prepared once; every later query of
 it instantiates a ready pipeline.  ``count_served_run`` serves
 ``three_tenant_mix`` with counting wrappers around the derivations —
 the template factories, plan hashing, the compiler's plan walk
-(``PipelineRecipe`` construction), stage-graph construction and the
-environment switch — and returns the counts beside the drained
-server.  Every count is exact and host-independent, so CI gates on
-them (no wall clock): ``python tests/prepared_counts.py`` exits 1
-unless recipes built == distinct (template, variant) pairs that ran
-and every template factory ran once.  ``tests/
+(``PipelineRecipe`` construction), stage-graph construction, the
+environment switch and the result-checksum render — and returns the
+counts beside the drained server.  Every count is exact and
+host-independent, so CI gates on them (no wall clock): ``python
+tests/prepared_counts.py`` exits 1 unless recipes built == distinct
+(template, variant) pairs that ran, every template factory ran once,
+and checksum renders == distinct served answers.  ``tests/
 test_prepared_pipelines.py`` pins the rest.  Needs ``PYTHONPATH=src``.
 """
 
@@ -25,7 +26,7 @@ from unittest import mock
 from repro.engine import dataflow
 from repro.engine.logical import PlanNode
 from repro.flow import stages
-from repro.serve import scenarios
+from repro.serve import scenarios, server as served
 
 SWITCHES = ("REPRO_SLOW_FLOW",)
 
@@ -42,7 +43,7 @@ def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
 
     ``counts`` keys: ``factory:<template>``, ``hashed`` (plans whose
     fingerprint was computed, not recalled), ``recipes``, ``graphs``,
-    ``env:<switch>``.
+    ``env:<switch>``, ``renders`` (result checksums rendered).
     """
     counts: Counter = Counter()
     roots: set[int] = set()
@@ -82,6 +83,8 @@ def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
             counts, "recipes", dataflow.PipelineRecipe.__init__))
         patch(stages.StageGraph, "__init__", _counting(
             counts, "graphs", stages.StageGraph.__init__))
+        patch(served, "columns_checksum", _counting(
+            counts, "renders", served.columns_checksum))
         # The fingerprint describes every node of the plan it hashes;
         # nothing else on the serving path describes a template's root.
         for cls, describe in describes.items():
@@ -101,6 +104,18 @@ def pairs_that_ran(server) -> set[tuple[str, str]]:
             if r.completed}
 
 
+def distinct_answers(server) -> int:
+    """Distinct answer contents (names, dtypes, values) completed."""
+    answers = set()
+    for r in server.records:
+        if r.completed:
+            columns = [(name, r.table.column(name))
+                       for name in r.table.schema.names]
+            answers.add(tuple((name, values.dtype.str, values.tobytes())
+                              for name, values in columns))
+    return len(answers)
+
+
 def problems(counts, server) -> list[str]:
     """What the CI gate fails on ([] = every derivation ran once)."""
     ran = pairs_that_ran(server)
@@ -112,6 +127,10 @@ def problems(counts, server) -> list[str]:
                      f"{len(ran)} (template, variant) pairs")
     if any(n != 1 for n in factories.values()):
         found.append(f"a template factory ran more than once: {factories}")
+    answers = distinct_answers(server)
+    if counts["renders"] != answers:
+        found.append(f"{counts['renders']} checksum renders for "
+                     f"{answers} distinct served answers")
     return found
 
 
@@ -123,6 +142,8 @@ def main(argv: list[str]) -> int:
     print(f"served {len(server.records)} queries on {counts['graphs']} "
           f"stage graphs: {counts['recipes']} recipes built for "
           f"{len(pairs_that_ran(server))} (template, variant) pairs, "
+          f"{counts['renders']} checksum renders for "
+          f"{distinct_answers(server)} distinct answers, "
           f"{dict(counts)}, plan cache {server.plan_cache.counters()}")
     found = problems(counts, server)
     for line in found:

@@ -1,10 +1,12 @@
 """The benchmark harness: smoke scenarios, report schema, CLI."""
 
 import copy
+import hashlib
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import bench, obs
@@ -17,7 +19,13 @@ from repro.obs import (
     table_checksum,
     validate_report,
 )
-from repro.relational import make_uniform_table
+from repro.relational import (
+    Chunk,
+    DataType,
+    Schema,
+    Table,
+    make_uniform_table,
+)
 
 ROWS = 3000
 
@@ -105,6 +113,27 @@ def test_table_checksum_order_insensitive_and_content_sensitive():
                                  chunk_rows=100)  # different content
     assert table_checksum(table_a) == table_checksum(table_b)
     assert table_checksum(table_a) != table_checksum(table_c)
+
+
+def _strings(**columns):
+    schema = Schema.of(*[(name, DataType.STRING) for name in columns])
+    arrays = {name: np.array(values, dtype="<U8")
+              for name, values in columns.items()}
+    return Table(schema, [Chunk(schema, arrays)])
+
+
+def test_table_checksum_tells_separators_and_empty_cells_apart():
+    pairs = [
+        (_strings(a=["a\x1eb"]), _strings(a=["a", "b"])),
+        (_strings(a=["p\x1fq"], b=["r"]), _strings(a=["p"], b=["q\x1fr"])),
+        (_strings(a=[]), _strings(a=[""])),
+    ]
+    for one, other in pairs:
+        assert table_checksum(one) != table_checksum(other)
+    # A cell without a separator renders as it always has: joined by
+    # cell and row separators, rows sorted, names first.
+    legacy = hashlib.sha256(b"a\x1fb" + b"x\x1fy\x1ez\x1f").hexdigest()
+    assert table_checksum(_strings(a=["z", "x"], b=["", "y"])) == legacy
 
 
 def test_combine_checksums_is_order_insensitive():

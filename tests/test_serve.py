@@ -3,7 +3,9 @@
 import asyncio
 import dataclasses
 import inspect
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.analysis.observatory import Observatory
@@ -404,3 +406,56 @@ def test_counter_handles_do_not_grow_with_served_queries():
         "three_tenant_mix", queries=n, config=config).fabric.trace._handles)
         for n in (300, 600)]
     assert handles[0] == handles[1] < 100
+
+
+# ---------------------------------------------------------------------------
+# Result checksums: one render per distinct answer
+# ---------------------------------------------------------------------------
+
+def _answer(columns: dict):
+    """A stand-in result: the two things a checksum reads of a table."""
+    return SimpleNamespace(schema=SimpleNamespace(names=list(columns)),
+                           column=columns.__getitem__)
+
+
+def test_server_renders_each_distinct_answer_once(monkeypatch):
+    from repro.obs import table_checksum
+    from repro.serve import serve_scenario, server as served
+    from repro.serve.scenarios import serve_scenario_server
+    renders = []
+    render = served.columns_checksum
+    monkeypatch.setattr(served, "columns_checksum",
+                        lambda names, columns: renders.append(names)
+                        or render(names, columns))
+    config = dataclasses.replace(serve_scenario("three_tenant_mix").config,
+                                 telemetry=False, observatory=False)
+    server = serve_scenario_server("three_tenant_mix", queries=300,
+                                   config=config)
+    done = [r for r in server.records if r.completed]
+    assert len(done) == 300
+    for record in done:
+        assert record.checksum == table_checksum(record.table)
+    answers = {tuple((name, record.table.column(name).dtype.str,
+                      tuple(record.table.column(name).tolist()))
+                     for name in record.table.schema.names)
+               for record in done}
+    assert len(renders) == len(answers) == 5
+
+    # Anything but the same names, dtypes and bytes renders afresh.
+    base = np.arange(6, dtype=np.int64)
+    changed = base.copy()
+    changed[3] = 7
+    tables = [
+        _answer({"k": base}),
+        _answer({"k": changed}),                    # one value differs
+        _answer({"j": base}),                       # another column name
+        _answer({"k": base.view(np.float64)}),      # another dtype
+        _answer({"k": base.astype(object)}),        # no key: always renders
+        _answer({"k": base.astype(object)}),
+    ]
+    renders.clear()
+    checksums = [server._checksum(table) for table in tables]
+    assert len(renders) == len(tables)
+    assert checksums == [table_checksum(table) for table in tables]
+    assert server._checksum(_answer({"k": base.copy()})) == checksums[0]
+    assert len(renders) == len(tables)
