@@ -9,7 +9,8 @@ compare them against the active-pipeline alternative.
 :class:`DataCache` is a byte-budgeted LRU over opaque blobs (base
 table chunks, in the bench) parked on a faster medium in front of the
 object store.  :class:`ResultCache` memoizes whole query results
-keyed by a plan fingerprint.
+keyed by a structural plan key, so a rebuilt instance of one query
+hits.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..engine.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    PlanNode,
-    Project,
-    Scan,
-    Sort,
-)
+from ..engine.logical import PlanNode
 from ..relational.table import Table
 from ..sim import EventKind, Trace
 
@@ -90,39 +82,25 @@ class DataCache:
         return self.hits / total if total else 0.0
 
 
-def plan_fingerprint(plan: PlanNode) -> str:
-    """A structural fingerprint of a logical plan (cache key)."""
-    parts = []
-    for node in plan.walk():
-        if isinstance(node, Scan):
-            parts.append(f"scan:{node.table}:{node.columns}")
-        elif isinstance(node, Filter):
-            parts.append(f"filter:{node.predicate!r}")
-        elif isinstance(node, Project):
-            parts.append(f"project:{node.columns}")
-        elif isinstance(node, Aggregate):
-            parts.append(
-                f"agg:{node.group_by}:"
-                f"{[(a.op, a.column, a.alias) for a in node.aggs]}")
-        elif isinstance(node, Join):
-            parts.append(f"join:{node.left_key}:{node.right_key}")
-        elif isinstance(node, Sort):
-            parts.append(f"sort:{node.keys}")
-        elif isinstance(node, Limit):
-            parts.append(f"limit:{node.n}")
-        else:
-            parts.append(type(node).__name__)
-    return "|".join(parts)
+def plan_fingerprint(plan: PlanNode) -> tuple:
+    """A structural key of a logical plan (node-id independent).
+
+    Two instances of one query share it; any operator parameter,
+    predicate, expression, aggregate, column list or tree shape that
+    differs tells them apart (``describe()`` carries every parameter).
+    """
+    return tuple((type(node).__name__, node.describe(), len(node.children))
+                 for node in plan.walk())
 
 
 class ResultCache:
-    """Memoizes query result tables by plan fingerprint."""
+    """Memoizes query result tables by structural plan key."""
 
     def __init__(self, capacity_bytes: int = 64 << 20,
                  trace: Optional[Trace] = None):
         self.capacity_bytes = capacity_bytes
         self.trace = trace
-        self._tables: OrderedDict[str, Table] = OrderedDict()
+        self._tables: OrderedDict[tuple, Table] = OrderedDict()
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0

@@ -98,7 +98,12 @@ class PlanNode:
         yield self
 
     def describe(self) -> str:
-        raise NotImplementedError
+        """Every parameter of this node: each public field but its id
+        and children, by ``repr`` (expressions, aggregates, keys)."""
+        return " ".join(f"{name}={value!r}"
+                        for name, value in vars(self).items()
+                        if name not in ("node_id", "children")
+                        and not name.startswith("_"))
 
     def __repr__(self):
         return f"<{type(self).__name__}#{self.node_id} {self.describe()}>"
@@ -120,10 +125,6 @@ class Scan(PlanNode):
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return float(catalog.stats(self.table).rows)
-
-    def describe(self) -> str:
-        cols = "*" if self.columns is None else ",".join(self.columns)
-        return f"scan {self.table}({cols})"
 
 
 class Filter(PlanNode):
@@ -157,9 +158,6 @@ class Filter(PlanNode):
     def estimate_rows(self, catalog: Catalog) -> float:
         return self.child.estimate_rows(catalog) * self.selectivity(catalog)
 
-    def describe(self) -> str:
-        return f"filter {self.predicate!r}"
-
 
 class Project(PlanNode):
     """Keep a subset of columns."""
@@ -177,9 +175,6 @@ class Project(PlanNode):
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return self.child.estimate_rows(catalog)
-
-    def describe(self) -> str:
-        return f"project {','.join(self.columns)}"
 
 
 class Map(PlanNode):
@@ -214,9 +209,6 @@ class Map(PlanNode):
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return self.child.estimate_rows(catalog)
-
-    def describe(self) -> str:
-        return f"map {','.join(self.exprs)}"
 
 
 class Aggregate(PlanNode):
@@ -259,10 +251,6 @@ class Aggregate(PlanNode):
         else:
             groups = 100.0 ** len(self.group_by)
         return min(groups, self.child.estimate_rows(catalog))
-
-    def describe(self) -> str:
-        aggs = ",".join(a.alias for a in self.aggs)
-        return f"agg [{','.join(self.group_by)}] -> {aggs}"
 
 
 class Join(PlanNode):
@@ -314,9 +302,6 @@ class Join(PlanNode):
                 distinct = max(1, stats.columns[self.right_key].distinct)
         return left_rows * right_rows / distinct
 
-    def describe(self) -> str:
-        return f"join {self.left_key} = {self.right_key}"
-
 
 class Sort(PlanNode):
     """Total order by one or more columns (ascending)."""
@@ -337,9 +322,6 @@ class Sort(PlanNode):
     def estimate_rows(self, catalog: Catalog) -> float:
         return self.child.estimate_rows(catalog)
 
-    def describe(self) -> str:
-        return f"sort {','.join(self.keys)}"
-
 
 class Limit(PlanNode):
     """Keep the first ``n`` rows."""
@@ -359,9 +341,6 @@ class Limit(PlanNode):
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return min(float(self.n), self.child.estimate_rows(catalog))
-
-    def describe(self) -> str:
-        return f"limit {self.n}"
 
 
 class Query:

@@ -131,8 +131,7 @@ def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric,
 
 
 def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
-             node: int = 0, staged_aggregation: bool = True,
-             count_on_nic: bool = True,
+             node: int = 0, count_on_nic: bool = True,
              presort_runs: bool = False) -> Placement:
     """Greedy offload along the data path.
 
@@ -169,8 +168,6 @@ def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
                         default=0)
             chain = [s for s in path[start:]
                      if fabric.site_device(s).supports(OpKind.AGGREGATE)]
-            if not staged_aggregation:
-                chain = chain[:1]
             # Final merge: a NIC can finish scalar aggregates (§4.4);
             # grouped aggregates finish on the CPU.
             if (count_on_nic and not n.group_by

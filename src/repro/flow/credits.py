@@ -49,6 +49,9 @@ from .ratelimit import RateLimiter
 
 __all__ = ["END", "CreditChannel", "flow_fast_path"]
 
+#: Bytes of one credit-return message.
+CONTROL_BYTES = 16
+
 
 def flow_fast_path() -> bool:
     """Whether new stage graphs/channels use the callback fast path."""
@@ -180,10 +183,10 @@ class _CreditReturn:
     def _emit_grant(self) -> None:
         channel = self.channel
         channel.trace.emit(channel.sim.now, EventKind.CREDIT_GRANT,
-                           channel.name, nbytes=channel.control_bytes,
+                           channel.name, nbytes=CONTROL_BYTES,
                            qid=channel.qid)
-        channel._control_bytes.add(channel.control_bytes)
-        channel._control_total.add(channel.control_bytes)
+        channel._control_bytes.add(CONTROL_BYTES)
+        channel._control_total.add(CONTROL_BYTES)
 
 
 class CreditChannel:
@@ -191,7 +194,6 @@ class CreditChannel:
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
                  links: list[Link], inbox: Store, credits: int = 8,
-                 control_bytes: int = 16,
                  rate_limiter: Optional[RateLimiter] = None,
                  cpu_mediator: Optional[Device] = None,
                  actor: str = "", direction: str = "",
@@ -204,7 +206,6 @@ class CreditChannel:
         self.links = list(links)
         self.inbox = inbox
         self.credits = credits
-        self.control_bytes = control_bytes
         self.rate_limiter = rate_limiter
         self.cpu_mediator = cpu_mediator
         # Movement-ledger attribution: the operator (sending stage)
@@ -387,6 +388,6 @@ class CreditChannel:
         self.in_flight_or_queued -= 1
         yield self._tokens.put(True)
         self.trace.emit(self.sim.now, EventKind.CREDIT_GRANT, self.name,
-                        nbytes=self.control_bytes, qid=self.qid)
-        self._control_bytes.add(self.control_bytes)
-        self._control_total.add(self.control_bytes)
+                        nbytes=CONTROL_BYTES, qid=self.qid)
+        self._control_bytes.add(CONTROL_BYTES)
+        self._control_total.add(CONTROL_BYTES)

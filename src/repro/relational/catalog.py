@@ -139,8 +139,8 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._stats: dict[str, TableStats] = {}
         self._zonemaps: dict[str, "ZoneMap"] = {}
-        #: Bumped on every (re-)registration; fingerprint caches key
-        #: on it so a changed table invalidates dependent entries.
+        #: Bumped on every (re-)registration; caches of what was
+        #: derived from the tables re-check their entries when it moves.
         self.version = 0
 
     def register(self, name: str, table: Table) -> Table:

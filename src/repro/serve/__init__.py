@@ -12,7 +12,8 @@ populations through three layers:
   over tenant classes so no tenant starves
   (:mod:`repro.serve.fairqueue`);
 * **plan caching** — repeat queries skip optimization entirely via a
-  cache keyed on (query, schema, placement context)
+  cache keyed by each template's plan object and checked against the
+  schema and placement context its ranking read
   (:mod:`repro.serve.plancache`).
 
 Admitted queries run through the existing interference-aware
@@ -28,8 +29,7 @@ from .dashboard import render_dashboard, write_dashboard
 from .fairqueue import WeightedFairQueue
 from .frontend import AsyncFrontEnd, ShedResponse
 from .loadgen import Arrival, open_arrivals, schedule_for
-from .plancache import PlanCache, fabric_fingerprint, plan_fingerprint, \
-    schema_fingerprint
+from .plancache import PlanCache
 from .scenarios import SERVE_SCENARIOS, run_scenario, \
     serve_scenario, serve_scenario_server, serve_templates
 from .server import QueryServer, ServeConfig, ServeRecord
@@ -54,14 +54,11 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TenantClass",
     "WeightedFairQueue",
-    "fabric_fingerprint",
     "open_arrivals",
-    "plan_fingerprint",
     "render_dashboard",
     "run_scenario",
     "serve_scenario",
     "schedule_for",
-    "schema_fingerprint",
     "serve_scenario_server",
     "serve_templates",
     "write_dashboard",

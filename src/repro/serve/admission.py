@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 
+#: The shortest retry-after hint a shed query gets (simulated seconds).
+MIN_RETRY_AFTER_S = 1e-3
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -27,15 +30,13 @@ class AdmissionDecision:
 class AdmissionController:
     """Bounded waiting room with backlog-proportional retry hints."""
 
-    def __init__(self, max_queue: int, max_concurrency: int,
-                 min_retry_after_s: float = 1e-3):
+    def __init__(self, max_queue: int, max_concurrency: int):
         if max_queue < 0:
             raise ValueError("max_queue must be non-negative")
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         self.max_queue = max_queue
         self.max_concurrency = max_concurrency
-        self.min_retry_after_s = min_retry_after_s
         self.admitted = 0
         self.shed = 0
 
@@ -50,7 +51,7 @@ class AdmissionController:
         if queued >= self.max_queue:
             self.shed += 1
             drain = backlog_cost_s / self.max_concurrency
-            retry = max(self.min_retry_after_s, drain)
+            retry = max(MIN_RETRY_AFTER_S, drain)
             return AdmissionDecision(
                 admitted=False, retry_after_s=retry,
                 reason=f"queue full ({queued}/{self.max_queue} "

@@ -39,8 +39,8 @@ def serve_templates() -> dict[str, Callable[[], Query]]:
     """The query templates tenants draw from, as ``QUERIES`` shapes.
 
     Factories, not instances: each server calls a factory once and
-    keeps the plan (node ids are globally unique across servers); the
-    plan cache proves fresh instances fingerprint identically.
+    keeps the plan (node ids are globally unique across servers), and
+    the plan cache keys its entry by that very plan object.
     """
     return {template: QUERIES[shape] for template, shape in (
         ("count_hot", "count_hot"), ("filter_project", "f2"),

@@ -32,7 +32,7 @@ from ..sim import EventKind
 from .admission import AdmissionController
 from .fairqueue import WeightedFairQueue
 from .plancache import PlanCache
-from .telemetry import ServeTelemetry
+from .telemetry import ServeTelemetry, nearest_rank
 from .tenants import TenantClass
 
 __all__ = ["QueryServer", "ServeConfig", "ServeRecord",
@@ -44,9 +44,7 @@ def latency_percentile(latencies: list[float], q: float) -> float:
     if not latencies:
         return 0.0
     ordered = sorted(latencies)
-    rank = max(1, -(-int(q * 1000) * len(ordered) // 1000))
-    rank = min(len(ordered), max(1, rank))
-    return ordered[rank - 1]
+    return ordered[nearest_rank(len(ordered), q) - 1]
 
 
 @dataclass(frozen=True)

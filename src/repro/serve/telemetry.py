@@ -72,9 +72,9 @@ MAX_EXEMPLARS = 32
 def nearest_rank(total_weight: int, q: float) -> int:
     """The 1-based nearest rank for quantile ``q`` over ``n`` points.
 
-    The same integer formula :func:`~repro.serve.server.
-    latency_percentile` uses, so an uncompressed sketch reproduces the
-    server's percentiles *bit for bit*.
+    The one integer formula: :func:`~repro.serve.server.
+    latency_percentile` indexes with it too, so an uncompressed sketch
+    reproduces the server's percentiles *bit for bit*.
     """
     if total_weight <= 0:
         return 0

@@ -3,13 +3,14 @@
 A served template is planned and prepared once; every later query of
 it instantiates a ready pipeline.  ``count_served_run`` serves
 ``three_tenant_mix`` with counting wrappers around the derivations —
-the template factories, plan hashing, the compiler's plan walk
-(``PipelineRecipe`` construction), stage-graph construction, the
-environment switch and the result-checksum render — and returns the
-counts beside the drained server.  Every count is exact and
-host-independent, so CI gates on them (no wall clock): ``python
-tests/prepared_counts.py`` exits 1 unless recipes built == distinct
-(template, variant) pairs that ran, every template factory ran once,
+the template factories, variant ranking, plan descriptions, the
+compiler's plan walk (``PipelineRecipe`` construction), stage-graph
+construction, the environment switch and the result-checksum render —
+and returns the counts beside the drained server.  Every count is
+exact and host-independent, so CI gates on them (no wall clock):
+``python tests/prepared_counts.py`` exits 1 unless recipes built ==
+distinct (template, variant) pairs that ran, every template factory
+ran once, variants were ranked once per distinct admitted template,
 and checksum renders == distinct served answers.  ``tests/
 test_prepared_pipelines.py`` pins the rest.  Needs ``PYTHONPATH=src``.
 """
@@ -25,6 +26,7 @@ from unittest import mock
 
 from repro.engine import dataflow
 from repro.engine.logical import PlanNode
+from repro.optimizer import Optimizer
 from repro.flow import stages
 from repro.serve import scenarios, server as served
 
@@ -41,9 +43,10 @@ def _counting(counts: Counter, key, function):
 def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
     """Serve ``scenario`` bare; returns ``(counts, server)``.
 
-    ``counts`` keys: ``factory:<template>``, ``hashed`` (plans whose
-    fingerprint was computed, not recalled), ``recipes``, ``graphs``,
-    ``env:<switch>``, ``renders`` (result checksums rendered).
+    ``counts`` keys: ``factory:<template>``, ``hashed`` (template plan
+    nodes described), ``planned`` (``Optimizer.plan_variants`` calls),
+    ``recipes``, ``graphs``, ``env:<switch>``, ``renders`` (result
+    checksums rendered).
     """
     counts: Counter = Counter()
     roots: set[int] = set()
@@ -67,8 +70,6 @@ def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
             counts[f"env:{name}"] += 1
         return environ_get(name, default)
 
-    describes = {cls: cls.__dict__["describe"]
-                 for cls in PlanNode.__subclasses__()}
     config = dataclasses.replace(
         scenarios.SERVE_SCENARIOS[scenario].config,
         telemetry=False, observatory=False)
@@ -83,19 +84,24 @@ def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
             counts, "recipes", dataflow.PipelineRecipe.__init__))
         patch(stages.StageGraph, "__init__", _counting(
             counts, "graphs", stages.StageGraph.__init__))
+        patch(Optimizer, "plan_variants", _counting(
+            counts, "planned", Optimizer.plan_variants))
         patch(served, "columns_checksum", _counting(
             counts, "renders", served.columns_checksum))
-        # The fingerprint describes every node of the plan it hashes;
-        # nothing else on the serving path describes a template's root.
-        for cls, describe in describes.items():
-            patch(cls, "describe", _counting(
-                counts,
-                lambda node: "hashed" if id(node) in roots else "other",
-                describe))
+        # The plan cache keys by the plan object: nothing on the
+        # serving path describes a template's root.
+        patch(PlanNode, "describe", _counting(
+            counts, lambda node: "hashed" if id(node) in roots else "other",
+            PlanNode.describe))
         server = scenarios.serve_scenario_server(
             scenario, queries=queries, config=config)
-    del counts["other"]
+    counts.pop("other", None)
     return counts, server
+
+
+def admitted_templates(server) -> set[str]:
+    """Distinct templates among the admitted queries."""
+    return {r.template for r in server.records if r.admitted}
 
 
 def pairs_that_ran(server) -> set[tuple[str, str]]:
@@ -127,6 +133,10 @@ def problems(counts, server) -> list[str]:
                      f"{len(ran)} (template, variant) pairs")
     if any(n != 1 for n in factories.values()):
         found.append(f"a template factory ran more than once: {factories}")
+    templates = admitted_templates(server)
+    if counts["planned"] != len(templates):
+        found.append(f"variants ranked {counts['planned']} times for "
+                     f"{len(templates)} distinct admitted templates")
     answers = distinct_answers(server)
     if counts["renders"] != answers:
         found.append(f"{counts['renders']} checksum renders for "
@@ -140,7 +150,9 @@ def main(argv: list[str]) -> int:
         return 2
     counts, server = count_served_run()
     print(f"served {len(server.records)} queries on {counts['graphs']} "
-          f"stage graphs: {counts['recipes']} recipes built for "
+          f"stage graphs: variants ranked {counts['planned']} times for "
+          f"{len(admitted_templates(server))} templates, "
+          f"{counts['recipes']} recipes built for "
           f"{len(pairs_that_ran(server))} (template, variant) pairs, "
           f"{counts['renders']} checksum renders for "
           f"{distinct_answers(server)} distinct answers, "

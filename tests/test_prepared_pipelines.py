@@ -216,9 +216,11 @@ def test_a_served_run_derives_each_thing_once():
     cache = server.plan_cache.counters()
     assert (cache["hits"], cache["misses"]) == (295, 5)
     templates = sorted(serve_templates())
-    # Each template factory ran once and its plan was hashed once.
+    # Each template factory ran once and nothing on the serving path
+    # described its plan.
     assert [counts[f"factory:{name}"] for name in templates] == [1] * 5
-    assert counts["hashed"] == len(server._queries) == 5
+    assert len(server._queries) == 5
+    assert counts["hashed"] == 0
     # The plan walker ran once per (template, variant) pair picked.
     ran = prepared_counts.pairs_that_ran(server)
     assert counts["recipes"] == len(ran)
@@ -369,57 +371,14 @@ def test_server_reprepares_when_a_table_is_replaced_in_place():
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: prepared entries, and eviction as documented
+# Plan cache: prepared entries
 # ---------------------------------------------------------------------------
 
-def _plans(n):
-    return [Query.scan("uniform").filter(col("k0") < 10 + i).count()
-            for i in range(n)]
-
-
-def _env():
+def test_same_instance_hit_returns_the_entrys_own_variants():
     fabric = build_fabric(dataflow_spec())
     catalog = standard_catalog(2000)
-    return fabric, catalog, Optimizer(fabric, catalog)
-
-
-def test_same_instance_hit_returns_the_entrys_own_variants():
-    fabric, catalog, optimizer = _env()
+    plan = Query.scan("uniform").filter(col("k0") < 10).count()
+    ranked = Optimizer(fabric, catalog).plan_variants(plan, n=3)
     cache = PlanCache()
-    [plan] = _plans(1)
-    ranked = optimizer.plan_variants(plan, n=3)
     cache.store(plan, catalog, fabric, ranked)
     assert cache.lookup(plan, catalog, fabric) is ranked
-    twin = _plans(1)[0]
-    rebound = cache.lookup(twin, catalog, fabric)
-    assert rebound is not ranked
-    assert all(a.placement is not b.placement and a.cost is b.cost
-               for a, b in zip(rebound, ranked))
-    assert set(rebound[0].placement.sites) == {
-        node.node_id for node in twin.plan.walk()}
-
-
-def test_eviction_is_least_hit_then_oldest():
-    fabric, catalog, optimizer = _env()
-    first, second, third = _plans(3)
-
-    def store(cache, plan):
-        cache.store(plan, catalog, fabric,
-                    optimizer.plan_variants(plan, n=1))
-
-    # Equal hits: the first stored goes, whatever its fingerprint.
-    cache = PlanCache(capacity=2)
-    for plan in (first, second, third):
-        store(cache, plan)
-    assert cache.lookup(first, catalog, fabric) is None
-    assert cache.lookup(second, catalog, fabric) is not None
-    assert cache.lookup(third, catalog, fabric) is not None
-    # Unequal hits: the least-hit goes, however old the others are.
-    cache = PlanCache(capacity=2)
-    store(cache, first)
-    store(cache, second)
-    cache.lookup(first, catalog, fabric)
-    store(cache, third)
-    assert cache.lookup(second, catalog, fabric) is None
-    assert cache.lookup(first, catalog, fabric) is not None
-    assert cache.counters()["entries"] == 2
