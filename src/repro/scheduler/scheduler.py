@@ -87,9 +87,9 @@ class QueryExecutor:
     choice by interference score, per-query rate limiters, dynamic
     fair-share rebalance — plus the simulation process that runs one
     placed query on the shared fabric.  :class:`Scheduler` drives it
-    in batch mode (submit everything, then run); the serving
-    front-end (:mod:`repro.serve`) drives it incrementally while the
-    simulator is already advancing.
+    in batch mode (submit everything, then run); the query server
+    (:mod:`repro.serve`) drives it incrementally while the simulator
+    is already advancing.
     """
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
@@ -107,7 +107,7 @@ class QueryExecutor:
         self._limiters: dict[str, RateLimiter] = {}
         #: Most recent variant decision per query name, recorded by
         #: :meth:`execute` for observers (pure bookkeeping — never
-        #: read by the policy itself).  The serving front-end pops
+        #: read by the policy itself).  The query server pops
         #: entries at completion so the dict stays bounded.
         self.decisions: dict[str, VariantDecision] = {}
 

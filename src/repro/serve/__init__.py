@@ -18,16 +18,15 @@ populations through three layers:
 
 Admitted queries run through the existing interference-aware
 :class:`~repro.scheduler.scheduler.QueryExecutor` on the shared
-fabric.  The :mod:`repro.serve.frontend` module adds the asyncio
-front-end: client populations are ``asyncio`` tasks submitting over
-a deterministic virtual-time bridge, so serving runs are bit-
-reproducible under a fixed seed.
+fabric.  Clients run on the same simulator as everything else:
+open arrivals are absolute-time kernel callbacks and closed-loop
+clients are simulator processes (:mod:`repro.serve.scenarios`), so
+serving runs are bit-reproducible under a fixed seed.
 """
 
 from .admission import AdmissionController, AdmissionDecision
 from .dashboard import render_dashboard, write_dashboard
 from .fairqueue import WeightedFairQueue
-from .frontend import AsyncFrontEnd, ShedResponse
 from .loadgen import Arrival, open_arrivals, schedule_for
 from .plancache import PlanCache
 from .scenarios import SERVE_SCENARIOS, run_scenario, \
@@ -42,7 +41,6 @@ __all__ = [
     "AdmissionDecision",
     "Arrival",
     "ArrivalSpec",
-    "AsyncFrontEnd",
     "PlanCache",
     "QuantileSketch",
     "QueryServer",
@@ -50,7 +48,6 @@ __all__ = [
     "ServeConfig",
     "ServeRecord",
     "ServeTelemetry",
-    "ShedResponse",
     "TELEMETRY_SCHEMA",
     "TenantClass",
     "WeightedFairQueue",

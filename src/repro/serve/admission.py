@@ -46,9 +46,11 @@ class AdmissionController:
 
         ``backlog_cost_s`` is the summed service-time estimate of the
         queued requests; the retry hint is the time the backlog needs
-        to drain through ``max_concurrency`` execution slots.
+        to drain through ``max_concurrency`` execution slots.  A
+        query is shed only when the waiting room is full *and* every
+        slot is busy, so ``max_queue=0`` still admits into a free slot.
         """
-        if queued >= self.max_queue:
+        if queued >= self.max_queue and running >= self.max_concurrency:
             self.shed += 1
             drain = backlog_cost_s / self.max_concurrency
             retry = max(MIN_RETRY_AFTER_S, drain)

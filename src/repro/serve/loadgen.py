@@ -3,10 +3,11 @@
 Open arrival processes (poisson / bursty / diurnal) are fully
 determined by their seed, so they can be materialized up front as an
 :class:`Arrival` schedule — ``repro loadgen`` writes exactly that as
-JSON, and the serving front-end replays it.  Closed populations
-cannot be pre-materialized (each client's next arrival depends on
-its previous completion), so they run live as front-end client tasks
-instead; :func:`schedule_for` covers the open tenants only.
+JSON, and a serving run registers each arrival as a kernel callback
+at its time.  Closed populations cannot be pre-materialized (each
+client's next arrival depends on its previous completion), so they
+run live as simulator processes instead; :func:`schedule_for` covers
+the open tenants only.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ cache must not change its answer.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from ..analysis.scenarios import QUERIES, oracle_checksum
 from ..engine import Query
 from ..hardware import build_fabric, dataflow_spec
 from ..relational import standard_catalog
-from .frontend import AsyncFrontEnd, ShedResponse
 from .loadgen import schedule_for
 from .server import QueryServer, ServeConfig
 from .tenants import ArrivalSpec, TenantClass
@@ -158,25 +157,12 @@ def serve_scenario(name: str) -> ServeScenario:
                          f"(have {sorted(SERVE_SCENARIOS)})") from None
 
 
-# -- populations -----------------------------------------------------------
+# -- clients --------------------------------------------------------------
 
-async def _open_population(front: AsyncFrontEnd, arrivals) -> None:
-    """Replay a pre-materialized open-tenant schedule.
-
-    Open-loop clients do not wait before submitting (that is the
-    definition), so every arrival is registered up front and the
-    population just gathers the responses — shed queries simply keep
-    their ShedResponse; open processes do not retry.
-    """
-    futures = [front.submit(a.tenant, a.template, at=a.time)
-               for a in arrivals]
-    if futures:
-        await asyncio.gather(*futures)
-
-
-async def _closed_client(front: AsyncFrontEnd, tenant: TenantClass,
-                         client_id: int, quota: int) -> None:
-    """One closed-loop client: submit, await, think, repeat."""
+def _closed_client(server: QueryServer, tenant: TenantClass,
+                   client_id: int, quota: int):
+    """One closed-loop client process: submit, wait, think, repeat."""
+    sim = server.fabric.sim
     rng = np.random.default_rng((tenant.seed, client_id))
     spec = tenant.arrival
     names = sorted(tenant.templates)
@@ -185,32 +171,48 @@ async def _closed_client(front: AsyncFrontEnd, tenant: TenantClass,
     done = 0
     while done < quota:
         template = names[rng.choice(len(names), p=probabilities)]
-        response = await front.submit(tenant.name, template)
-        if isinstance(response, ShedResponse):
+        reply = sim.event()
+        record = server.submit(tenant.name, template,
+                               on_done=reply.succeed)
+        yield reply
+        if not record.admitted:
             # Honor the server's retry-after hint, then try again;
             # the retried submission is a new query (new record).
-            await front.sleep_until(
-                front.now + response.retry_after_s)
+            yield sim.timeout(record.retry_after_s)
             continue
         done += 1
-        think = rng.exponential(spec.think_s)
-        await front.sleep_until(front.now + think)
+        yield sim.timeout(rng.exponential(spec.think_s))
 
 
-def _populations(front: AsyncFrontEnd, tenants: list[TenantClass],
-                 counts: dict[str, int]) -> list:
-    populations = [_open_population(
-        front, schedule_for(tenants, counts))]
+def _serve_clients(server: QueryServer, tenants: list[TenantClass],
+                   counts: dict[str, int]) -> None:
+    """Run every tenant's clients on the server's simulator to the end.
+
+    Open arrivals are pre-materialised, so each is one absolute-time
+    kernel callback; open tenants do not retry a shed query.  Closed
+    clients are simulator processes.  A client still waiting once
+    the simulator has drained would wait forever: that is a stalled
+    run, and it raises naming the client.
+    """
+    sim = server.fabric.sim
+    for a in schedule_for(tenants, counts):
+        sim.call_at(a.time, partial(server.submit, a.tenant, a.template))
+    clients = []
     for tenant in tenants:
-        if tenant.arrival.is_open:
-            continue
         spec = tenant.arrival
-        count = counts[tenant.name]
-        quota = max(1, -(-count // spec.population))
-        populations.extend(
-            _closed_client(front, tenant, client_id, quota)
+        if spec.is_open:
+            continue
+        quota = max(1, -(-counts[tenant.name] // spec.population))
+        clients.extend(
+            sim.process(_closed_client(server, tenant, client_id, quota),
+                        name=f"client.{tenant.name}#{client_id}")
             for client_id in range(spec.population))
-    return populations
+    sim.run()
+    for client in clients:
+        if client.is_alive:
+            raise RuntimeError(
+                f"serving run stalled: client {client.name!r} is "
+                "waiting with no pending simulator events")
 
 
 # -- the runner ------------------------------------------------------------
@@ -260,8 +262,7 @@ def serve_scenario_server(name: str, rows: Optional[int] = None,
     tenants, counts = scenario.build_tenants(n)
     server = QueryServer(fabric, catalog, tenants,
                          serve_templates(), config)
-    front = AsyncFrontEnd(server)
-    front.serve(_populations(front, tenants, counts))
+    _serve_clients(server, tenants, counts)
     if not server.idle:
         raise RuntimeError("server not idle after serving run")
     return server

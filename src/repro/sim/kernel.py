@@ -8,8 +8,9 @@ order of execution: events fire in nondecreasing simulated time, and
 events scheduled for the same instant fire in schedule order.
 
 Everything in :mod:`repro` ultimately runs on this kernel: simulated
-CPU cores, NIC processors, DMA engines, and flow-control loops are all
-processes, so their interleaving is explicit and replayable.
+CPU cores, NIC processors, DMA engines, flow-control loops and serving
+clients are all processes, so their interleaving is explicit and
+replayable.
 
 One queue
 ---------
@@ -302,6 +303,17 @@ class AnyOf(_Condition):
         self.succeed(self._results())
 
 
+class _Call:
+    """A callback :meth:`Simulator.call_at` scheduled (raw-callback
+    protocol: class-level ``callbacks = None`` plus ``fn``)."""
+
+    __slots__ = ("fn",)
+    callbacks = None
+
+    def __init__(self, fn: Callable[[], None]):
+        self.fn = fn
+
+
 class Simulator:
     """The event loop: a clock plus a priority queue of pending events."""
 
@@ -310,14 +322,25 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Interrupt flag for :meth:`run_until_wake` (see :meth:`wake`).
-        self.woken = False
 
     # -- scheduling ----------------------------------------------------
 
     def _schedule(self, delay: float, event: Event) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` at absolute simulated time ``when``.
+
+        Absolute, not a delay: a pre-materialised arrival time ``t``
+        must be dispatched at exactly ``t``, and ``now + (t - now)``
+        is not always ``t`` in floating point.
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"call_at({when!r}) is in the past (now={self.now!r})")
+        self._seq += 1
+        heapq.heappush(self._queue, (when, self._seq, _Call(fn)))
 
     # -- factory helpers -----------------------------------------------
 
@@ -366,7 +389,8 @@ class Simulator:
             if callbacks is None:
                 # A raw scheduled callback, not an Event: an object
                 # with class-level ``callbacks = None`` and an ``fn``
-                # (the flow fast path's ``_Delivery`` / ``_CreditReturn``).
+                # (``call_at``'s ``_Call``, the flow fast path's
+                # ``_Delivery`` / ``_CreditReturn``).
                 # A real Event carries a list until it is dispatched
                 # and is scheduled exactly once, so the marker is
                 # unambiguous; the holder occupies the (time, seq)
@@ -383,60 +407,6 @@ class Simulator:
                 raise event._value
         if until is not None:
             self.now = until
-
-    def wake(self) -> None:
-        """Interrupt a :meth:`run_until_wake` in progress.
-
-        Called from an event callback (e.g. a query-completion hook)
-        while the kernel is dispatching; the current event finishes
-        normally and the interruptible run returns before dispatching
-        the next one.  Setting a flag cannot alter the event schedule,
-        so an interrupted run dispatches the same events in the same
-        order as an uninterrupted one — it merely returns control to
-        the caller between two of them.
-        """
-        self.woken = True
-
-    def run_until_wake(self, until: Optional[float] = None) -> None:
-        """Run until :meth:`wake` fires, ``until`` is reached, or idle.
-
-        The interruptible counterpart of :meth:`run`, for external
-        drivers (the serving front-end) that must regain control the
-        moment a completion callback fires — without paying a Python
-        ``peek``/dispatch round-trip per event.  Dispatch order is
-        bit-identical to :meth:`run`; only where control returns
-        differs:
-
-        * :meth:`wake` called during dispatch → return immediately
-          after the current event, clock untouched;
-        * next event due past ``until`` (or queue drained with
-          ``until`` set) → advance the clock to ``until`` and return,
-          exactly like :meth:`run`;
-        * queue drained with no ``until`` → return.
-        """
-        if until is not None and until < self.now:
-            raise SimulationError(
-                f"until={until!r} is in the past (now={self.now!r})")
-        self.woken = False
-        pop, queue = self._pop, self._queue
-        while not self.woken:
-            if not queue or (until is not None and queue[0][0] > until):
-                if until is not None:
-                    self.now = until
-                return
-            event = pop()
-            callbacks = event.callbacks
-            if callbacks is None:
-                event.fn()
-                continue
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
 
     def run_process(self, generator: Generator,
                     until: Optional[float] = None) -> Any:
@@ -457,11 +427,3 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued (for tests/diagnostics)."""
         return len(self._queue)
-
-    def peek_next_time(self) -> Optional[float]:
-        """Due time of the next pending event, or ``None`` if idle.
-
-        External drivers (the serving front-end) use this to advance
-        the clock event-by-event without overshooting a wake-up.
-        """
-        return self._queue[0][0] if self._queue else None

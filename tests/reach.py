@@ -92,7 +92,6 @@ read-only accessor of a public class; no example holds one yet
     relational/zonemaps.py::ZoneMap.bounds
     serve/fairqueue.py::WeightedFairQueue.depth
     serve/fairqueue.py::WeightedFairQueue.virtual_time
-    serve/frontend.py::ShedResponse.retry_after_s
 guards outside input: a --compare baseline may carry the section
     obs.py::_telemetry_section_violations
 frozen perfbench import; goes with ROADMAP item 1

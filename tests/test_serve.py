@@ -1,8 +1,8 @@
 """End-to-end tests for the multi-tenant serving stack."""
 
-import asyncio
 import dataclasses
 import inspect
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,17 +14,17 @@ from repro.obs import make_report, validate_report
 from repro.serve import (
     AdmissionController,
     ArrivalSpec,
-    AsyncFrontEnd,
     QueryServer,
     ServeConfig,
-    ShedResponse,
     TenantClass,
     open_arrivals,
     run_scenario,
     schedule_for,
     serve_templates,
 )
+from repro.serve.scenarios import _serve_clients
 from repro.serve.telemetry import ServeTelemetry
+from repro.sim import SimulationError
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import standard_catalog
 
@@ -74,6 +74,17 @@ def test_admission_retry_after_has_floor():
     verdict = ctrl.decide(queued=0, running=4, backlog_cost_s=0.0)
     assert not verdict.admitted
     assert verdict.retry_after_s >= 1e-3
+
+
+def test_admission_admits_into_a_free_slot_with_no_waiting_room():
+    assert AdmissionController(0, 1).decide(0, 0, 0.0).admitted
+
+
+def test_serving_with_no_waiting_room_completes_queries():
+    record = run_scenario("two_tenant_bursty", queries=20,
+                          config=ServeConfig(max_concurrency=1,
+                                             max_queue=0))
+    assert record["completed"] >= 1
 
 
 def test_admission_rejects_bad_config():
@@ -129,7 +140,7 @@ def test_arrival_kind_validation():
 
 
 # ---------------------------------------------------------------------------
-# QueryServer (batch mode, no asyncio)
+# QueryServer (batch mode, no clients)
 # ---------------------------------------------------------------------------
 
 def test_server_batch_submit_and_drain():
@@ -192,82 +203,112 @@ def test_tenant_validation():
 
 
 # ---------------------------------------------------------------------------
-# Async front-end
+# Clients as simulator processes
 # ---------------------------------------------------------------------------
 
-def test_frontend_closed_loop_client():
+def _closed(name):
+    """A tenant of one closed-loop client."""
+    return TenantClass(name=name, slo_s=0.01, seed=7,
+                       arrival=ArrivalSpec(kind="closed", population=1,
+                                           think_s=0.001),
+                       templates={"count_hot": 1.0})
+
+
+def test_closed_loop_client_process():
     server = make_server()
-    front = AsyncFrontEnd(server)
+    sim = server.fabric.sim
     latencies = []
 
-    async def client():
+    def client():
         for _ in range(5):
-            record = await front.submit("a", "count_hot")
+            reply = sim.event()
+            server.submit("a", "count_hot", on_done=reply.succeed)
+            record = yield reply
             latencies.append(record.latency)
-            await front.sleep_until(front.now + 0.001)
+            yield sim.timeout(0.001)
 
-    front.serve([client()])
+    proc = sim.process(client())
+    sim.run()
+    assert not proc.is_alive
     assert len(latencies) == 5
     assert all(lat > 0 for lat in latencies)
     assert server.idle
 
 
-def test_frontend_open_loop_submissions():
+def test_open_arrivals_land_at_exact_times():
     server = make_server()
-    front = AsyncFrontEnd(server)
-
-    async def replay():
-        futures = [front.submit("a", "count_hot", at=i * 0.001)
-                   for i in range(10)]
-        await asyncio.gather(*futures)
-
-    front.serve([replay()])
+    sim = server.fabric.sim
+    for i in range(10):
+        sim.call_at(i * 0.001, partial(server.submit, "a", "count_hot"))
+    sim.run()
     assert len(server.records) == 10
-    arrivals = [r.arrival for r in server.records]
-    assert arrivals == pytest.approx([i * 0.001 for i in range(10)])
+    assert [r.arrival for r in server.records] \
+        == [i * 0.001 for i in range(10)]
 
 
-def test_frontend_rejects_past_scheduling():
+def test_call_at_in_the_past_raises():
     server = make_server()
-    front = AsyncFrontEnd(server)
+    sim = server.fabric.sim
 
-    async def client():
-        await front.sleep_until(0.01)
-        front.submit("a", "count_hot", at=0.001)  # in the past
+    def client():
+        yield sim.timeout(0.01)
+        sim.call_at(0.001, partial(server.submit, "a", "count_hot"))
 
-    with pytest.raises(ValueError, match="cannot schedule"):
-        front.serve([client()])
+    sim.process(client())
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run()
 
 
-def test_frontend_detects_deadlocked_population():
+def test_serving_run_names_a_client_the_server_never_answers():
     server = make_server()
-    front = AsyncFrontEnd(server)
-
-    async def deadlocked():
-        # Waits on a future nothing will ever resolve.
-        await asyncio.get_running_loop().create_future()
-
-    with pytest.raises(RuntimeError, match="stalled"):
-        front.serve([deadlocked()])
+    # A server that takes the submission and never calls ``on_done``.
+    server.submit = lambda tenant, template, on_done=None: \
+        SimpleNamespace(admitted=True)
+    with pytest.raises(RuntimeError, match=r"stalled.*client\.c#0"):
+        _serve_clients(server, [_closed("c")], {"c": 1})
 
 
-def test_frontend_shed_response_to_closed_client():
-    config = ServeConfig(max_concurrency=1, max_queue=1)
-    server = make_server(config=config)
-    front = AsyncFrontEnd(server)
-    responses = []
+def test_shed_reply_to_a_client_carries_retry_after():
+    server = make_server(config=ServeConfig(max_concurrency=1,
+                                            max_queue=1))
+    sim = server.fabric.sim
+    records = []
 
-    async def eager():
-        # Three concurrent submits at t=0: one runs, one queues, and
-        # the third finds the waiting room full and is shed.
-        futures = [front.submit("a", "count_hot") for _ in range(3)]
-        responses.extend(await asyncio.gather(*futures))
+    def eager():
+        # Three submits at t=0: one runs, one queues, and the third
+        # finds the waiting room full and is shed.
+        replies = [sim.event() for _ in range(3)]
+        for reply in replies:
+            server.submit("a", "count_hot", on_done=reply.succeed)
+        done = yield sim.all_of(replies)
+        records.extend(done.values())
 
-    front.serve([eager()])
-    kinds = [type(r).__name__ for r in responses]
-    assert kinds.count("ShedResponse") == 1
-    shed = next(r for r in responses if isinstance(r, ShedResponse))
-    assert shed.retry_after_s > 0
+    sim.process(eager())
+    sim.run()
+    shed = [r for r in records if not r.admitted]
+    assert len(records) == 3
+    assert len(shed) == 1
+    assert shed[0].retry_after_s > 0
+
+
+def test_closed_client_retries_a_shed_query_after_its_hint():
+    flood = TenantClass(name="flood", slo_s=0.01, seed=3,
+                        arrival=ArrivalSpec(kind="poisson",
+                                            rate=20000.0),
+                        templates={"count_hot": 1.0})
+    server = make_server(config=ServeConfig(max_concurrency=1,
+                                            max_queue=1),
+                         tenants=[_closed("c"), flood])
+    _serve_clients(server, [_closed("c"), flood],
+                   {"c": 5, "flood": 60})
+    mine = [r for r in server.records if r.tenant == "c"]
+    assert sum(r.completed for r in mine) == 5
+    retried = [(shed, after) for shed, after in zip(mine, mine[1:])
+               if not shed.admitted]
+    assert retried
+    for shed, after in retried:
+        assert after.arrival == shed.arrival + shed.retry_after_s
+    assert server.accounting_violations() == []
 
 
 # ---------------------------------------------------------------------------
