@@ -46,7 +46,7 @@ from .engine import (
     data_path_sites,
     pushdown,
 )
-from .flow import CreditChannel, RateLimiter, StageGraph
+from .flow import CreditChannel, StageGraph
 from .hardware import (
     FabricSpec,
     HeterogeneousFabric,
@@ -100,7 +100,6 @@ __all__ = [
     "PlanCost",
     "Query",
     "QueryResult",
-    "RateLimiter",
     "ResultCache",
     "ScheduledQuery",
     "Scheduler",

@@ -174,8 +174,7 @@ def _run_scheduler_mix(rows: int) -> dict:
     queries = {name: QUERIES[name]()
                for name in ("q_agg", "q_filter", "q_sort")}
     fabric = build_fabric(dataflow_spec())
-    scheduler = Scheduler(fabric, catalog,
-                          policy="interference+ratelimit")
+    scheduler = Scheduler(fabric, catalog)
     for i, (name, query) in enumerate(queries.items()):
         scheduler.submit(name, query, arrival=i * 1e-4)
     records = scheduler.run()

@@ -33,7 +33,6 @@ from ..hardware.presets import HeterogeneousFabric
 from ..relational.catalog import Catalog
 from ..relational.table import Table
 from ..sim import EventKind
-from ..flow.ratelimit import RateLimiter
 from ..flow.stages import FlowResult, StageGraph
 from .logical import (
     Aggregate,
@@ -115,11 +114,10 @@ class PipelineRecipe:
         self.derived_from = engine._recipe_stamp()
         self.output_schema = plan.output_schema(engine.catalog)
         self.stages: list[_StageSpec] = []
-        #: (source stage, destination stage, whether the engine's rate
-        #: limiter / CPU mediator applies) per channel.
+        #: (source stage, destination stage, whether the engine's CPU
+        #: mediator applies) per channel.
         self.channels: list[tuple[str, str, bool]] = []
-        # Walk state, dropped below: a recipe must not keep the engine
-        # (and its per-query rate limiter) alive.
+        # Walk state, dropped below: a recipe must not keep the engine alive.
         self._engine = engine
         self._catalog = engine.catalog
         self._fusable: set[str] = set()   # stages safe to append ops to
@@ -345,7 +343,6 @@ class PipelineRecipe:
         for src, dst, controlled in self.channels:
             graph.connect(
                 stages[src], stages[dst], credits=engine.default_credits,
-                rate_limiter=engine.rate_limiter if controlled else None,
                 cpu_mediator=engine.cpu_mediator if controlled else None)
         return graph
 
@@ -364,13 +361,11 @@ class DataflowEngine:
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
                  default_credits: int = 8,
-                 rate_limiter: Optional[RateLimiter] = None,
                  cpu_mediated: bool = False,
                  use_zonemaps: bool = False):
         self.fabric = fabric
         self.catalog = catalog
         self.default_credits = default_credits
-        self.rate_limiter = rate_limiter
         self.use_zonemaps = use_zonemaps
         # Ablation A2: route every hop through the host CPU instead of
         # letting DMA engines move the data.

@@ -1,14 +1,12 @@
-"""Push-based data-flow runtime: channels, credits, rate limits, stages."""
+"""Push-based data-flow runtime: channels, credits, stages."""
 
 from .credits import END, CreditChannel
-from .ratelimit import RateLimiter
 from .stages import FlowResult, Stage, StageGraph
 
 __all__ = [
     "CreditChannel",
     "END",
     "FlowResult",
-    "RateLimiter",
     "Stage",
     "StageGraph",
 ]

@@ -45,7 +45,6 @@ from ..hardware.device import Device, OpKind
 from ..hardware.interconnect import Link
 from ..sim import EventKind, Simulator, Store, Trace
 from ..sim.trace import CounterHandle
-from .ratelimit import RateLimiter
 
 __all__ = ["END", "CreditChannel", "flow_fast_path"]
 
@@ -194,7 +193,6 @@ class CreditChannel:
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
                  links: list[Link], inbox: Store, credits: int = 8,
-                 rate_limiter: Optional[RateLimiter] = None,
                  cpu_mediator: Optional[Device] = None,
                  actor: str = "", direction: str = "",
                  qid: int = 0, fast: Optional[bool] = None):
@@ -206,7 +204,6 @@ class CreditChannel:
         self.links = list(links)
         self.inbox = inbox
         self.credits = credits
-        self.rate_limiter = rate_limiter
         self.cpu_mediator = cpu_mediator
         # Movement-ledger attribution: the operator (sending stage)
         # responsible for this channel's bytes, and the direction the
@@ -251,12 +248,12 @@ class CreditChannel:
     def send(self, payload: Any, nbytes: float) -> Generator:
         """Ship ``payload`` (``nbytes`` on the wire) to the inbox.
 
-        Blocks on the credit window, the optional rate limiter, and
-        link *serialization* (port occupancy for nbytes/bandwidth at
-        each hop).  Propagation latency is paid asynchronously — the
-        message is "on the wire" and the sender may pipeline the next
-        one, which is why a window larger than the bandwidth-delay
-        product is needed to keep a long pipe full (bench C3).
+        Blocks on the credit window and link *serialization* (port
+        occupancy for nbytes/bandwidth at each hop).  Propagation
+        latency is paid asynchronously — the message is "on the wire"
+        and the sender may pipeline the next one, which is why a
+        window larger than the bandwidth-delay product is needed to
+        keep a long pipe full (bench C3).
         """
         sim, trace = self.sim, self.trace
         credit_wait_from = sim.now
@@ -293,8 +290,6 @@ class CreditChannel:
         else:
             serialization = sum(nbytes / link.bandwidth
                                 for link in links)
-        if self.rate_limiter is not None and nbytes > 0:
-            yield from self.rate_limiter.acquire(nbytes)
         propagation = 0.0
         ledger = trace.ledger
         for link, span_name, h_bytes, h_chunks, h_movement, hop_key \
@@ -330,9 +325,8 @@ class CreditChannel:
         wire_overhead = (sim.now - wire_from) - serialization
         if wire_overhead > 1e-12:
             # Time beyond uncontended serialization: queuing behind
-            # other traffic on the route (rate limiter, port
-            # contention, CPU mediation) — the "downstream-full"
-            # bucket.
+            # other traffic on the route (port contention, CPU
+            # mediation) — the "downstream-full" bucket.
             if self._stall_link is None:
                 self._stall_link = CounterHandle(
                     trace.counters, f"flow.{self.name}.stall.link_s")

@@ -32,7 +32,6 @@ from ..relational.table import Chunk, Table
 from ..sim import Event, EventKind, Simulator, Store, Trace
 from ..sim.trace import CounterHandle
 from .credits import END, CreditChannel, flow_fast_path
-from .ratelimit import RateLimiter
 
 __all__ = ["Stage", "StageGraph", "FlowResult"]
 
@@ -360,7 +359,6 @@ class StageGraph:
 
     def connect(self, src: Stage, dst: Stage,
                 credits: Optional[int] = None,
-                rate_limiter: Optional[RateLimiter] = None,
                 cpu_mediator: Optional[Device] = None) -> CreditChannel:
         """Wire ``src`` to ``dst`` across the fabric route between them."""
         links = self.fabric.route(src.location, dst.location)
@@ -370,7 +368,7 @@ class StageGraph:
             links=links, inbox=dst.inbox,
             credits=credits if credits is not None else
             self.default_credits,
-            rate_limiter=rate_limiter, cpu_mediator=cpu_mediator,
+            cpu_mediator=cpu_mediator,
             actor=f"{self.name}.{src.name}",
             direction=f"{src.location}->{dst.location}",
             qid=self.qid, fast=self.fast)

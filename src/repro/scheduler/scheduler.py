@@ -1,33 +1,31 @@
-"""The query scheduler: plan variants + DMA rate limiting (§7.3).
+"""The query scheduler: plan-variant choice under interference (§7.3).
 
 Queries arrive over time and run *concurrently* on one shared fabric.
 For each arriving query the scheduler holds the variant set the
 optimizer produced (§7.3's first requirement: "plans should contain
 several data path alternatives") and picks the one minimizing the
-interference score against the currently running mix.  Its second
-lever is runtime resource adjustment: every query's channels go
-through a :class:`~repro.flow.ratelimit.RateLimiter`, and the
-scheduler rebalances the rates whenever the set of queries sharing
-the network changes ("rate-limiting DMA engines ... can take place
-dynamically").
+interference score against the currently running mix.
+
+§7.3's second lever, dynamically rate-limiting DMA, is not modelled:
+splitting the network among the active queries only restates the cap
+credit-based back-pressure already enforces, so such a limiter never
+throttled a chunk.
 
 Policies:
 
-* ``greedy`` — everyone gets the best (full-offload) plan, no rate
-  control: the naive baseline that interferes with itself.
+* ``greedy`` — everyone gets the best (full-offload) plan: the naive
+  baseline that interferes with itself.
 * ``interference`` — variant choice by interference score.
-* ``interference+ratelimit`` — variant choice plus dynamic fair-share
-  rate limiting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..engine.dataflow import DataflowEngine
 from ..engine.logical import Query
-from ..flow.ratelimit import RateLimiter
 from ..hardware.presets import HeterogeneousFabric
 from ..optimizer.optimizer import Optimizer, RankedPlacement
 from ..relational.catalog import Catalog
@@ -37,7 +35,7 @@ from .interference import LoadTracker, demand_vector
 __all__ = ["QueryExecutor", "Scheduler", "ScheduledQuery",
            "VariantDecision"]
 
-POLICIES = ("greedy", "interference", "interference+ratelimit")
+POLICIES = ("greedy", "interference")
 
 
 @dataclass(frozen=True)
@@ -83,28 +81,29 @@ class _Job:
 class QueryExecutor:
     """The incremental execution core behind scheduling and serving.
 
-    Owns the policy decisions one concurrent query needs — variant
-    choice by interference score, per-query rate limiters, dynamic
-    fair-share rebalance — plus the simulation process that runs one
-    placed query on the shared fabric.  :class:`Scheduler` drives it
-    in batch mode (submit everything, then run); the query server
-    (:mod:`repro.serve`) drives it incrementally while the simulator
-    is already advancing.
+    Owns the policy decision one concurrent query needs — variant
+    choice by interference score — plus the simulation process that
+    runs one placed query on the shared fabric.  :class:`Scheduler`
+    drives it in batch mode (submit everything, then run); the query
+    server (:mod:`repro.serve`) drives it incrementally while the
+    simulator is already advancing.
     """
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
-                 policy: str = "interference+ratelimit",
+                 policy: str = "interference",
                  variants_per_query: int = 3):
         if policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {policy!r} (have {POLICIES})")
+        if variants_per_query < 1:
+            raise ValueError(f"variants_per_query must be >= 1, "
+                             f"got {variants_per_query}")
         self.fabric = fabric
         self.catalog = catalog
         self.policy = policy
         self.variants_per_query = variants_per_query
         self.optimizer = Optimizer(fabric, catalog)
         self.tracker = LoadTracker()
-        self._limiters: dict[str, RateLimiter] = {}
         #: Most recent variant decision per query name, recorded by
         #: :meth:`execute` for observers (pure bookkeeping — never
         #: read by the policy itself).  The query server pops
@@ -147,25 +146,6 @@ class QueryExecutor:
                 for score, v in scored))
         return chosen, decision
 
-    def network_bandwidth(self) -> float:
-        links = self.fabric.route(self.fabric.storage_location,
-                                  "compute0.node")
-        net = [link for link in links if link.segment == "network"]
-        return (min(link.bandwidth for link in net)
-                if net else float("inf"))
-
-    def rebalance(self) -> None:
-        """Fair-share the network among the active queries (§7.3)."""
-        if self.policy != "interference+ratelimit":
-            return
-        active = [name for name in self.tracker.active_jobs
-                  if name in self._limiters]
-        if not active:
-            return
-        share = self.network_bandwidth() / len(active)
-        for name in active:
-            self._limiters[name].set_rate(share)
-
     # -- execution ----------------------------------------------------------
 
     def execute(self, name: str, query: Query,
@@ -193,16 +173,7 @@ class QueryExecutor:
         trace.sample("sched.active", sim.now,
                      len(self.tracker.active_jobs))
 
-        limiter = None
-        if self.policy == "interference+ratelimit":
-            limiter = RateLimiter(sim, rate=self.network_bandwidth(),
-                                  burst=1 << 20, trace=trace,
-                                  name=name)
-            self._limiters[name] = limiter
-        self.rebalance()
-
-        engine = DataflowEngine(self.fabric, self.catalog,
-                                rate_limiter=limiter)
+        engine = DataflowEngine(self.fabric, self.catalog)
         # The recipe stays beside the variant: the next query that
         # picks it instantiates the pipeline instead of re-deriving it.
         graph = engine.compile(query, variant.placement, name=name,
@@ -218,15 +189,13 @@ class QueryExecutor:
         self.tracker.release(name)
         trace.sample("sched.active", sim.now,
                      len(self.tracker.active_jobs))
-        self._limiters.pop(name, None)
-        self.rebalance()
 
 
 class Scheduler:
     """Admits queries onto a shared fabric with interference control."""
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
-                 policy: str = "interference+ratelimit",
+                 policy: str = "interference",
                  variants_per_query: int = 3):
         self.executor = QueryExecutor(
             fabric, catalog, policy=policy,
@@ -245,6 +214,9 @@ class Scheduler:
         """Queue a query to start at simulated time ``arrival``."""
         if any(j.name == name for j in self._jobs):
             raise ValueError(f"duplicate job name {name!r}")
+        if not (math.isfinite(arrival) and arrival >= 0):
+            raise ValueError(f"query {name!r}: arrival must be a finite "
+                             f"time >= 0, got {arrival}")
         variants = self.executor.plan_variants(query)
         self._jobs.append(_Job(name, query, arrival, variants))
 
@@ -277,7 +249,9 @@ class Scheduler:
     # -- reporting ---------------------------------------------------------
 
     def makespan(self) -> float:
-        """Time from first arrival to last completion."""
+        """Time from first arrival to last completion (0 if none ran)."""
         records = list(self.records.values())
+        if not records:
+            return 0.0
         return (max(r.finished for r in records)
                 - min(r.arrival for r in records))

@@ -1,4 +1,4 @@
-"""Tests for credit channels, rate limiting, and stage graphs."""
+"""Tests for credit channels and stage graphs."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from repro.engine.operators import (
     ProjectOp,
     run_chain,
 )
-from repro.flow import END, CreditChannel, RateLimiter, StageGraph
+from repro.flow import END, CreditChannel, StageGraph
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import (
     DataType,
@@ -22,48 +22,6 @@ from repro.relational import (
     make_uniform_table,
 )
 from repro.sim import Simulator, Store, Trace
-
-
-# ---------------------------------------------------------------------------
-# RateLimiter
-# ---------------------------------------------------------------------------
-
-def test_rate_limiter_paces_traffic():
-    sim = Simulator()
-    limiter = RateLimiter(sim, rate=100.0, burst=10.0)
-
-    def proc():
-        for _ in range(5):
-            yield from limiter.acquire(100.0)
-        return sim.now
-
-    elapsed = sim.run_process(proc())
-    # 500 bytes at 100 B/s with a 10-byte burst: ~4.9s.
-    assert elapsed == pytest.approx(4.9, rel=0.05)
-
-
-def test_rate_limiter_set_rate_takes_effect():
-    sim = Simulator()
-    limiter = RateLimiter(sim, rate=100.0, burst=1.0)
-
-    def proc():
-        yield from limiter.acquire(100.0)
-        first = sim.now
-        limiter.set_rate(1000.0)
-        yield from limiter.acquire(100.0)
-        return first, sim.now - first
-
-    first, second = sim.run_process(proc())
-    assert second < first
-
-
-def test_rate_limiter_rejects_bad_rate():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        RateLimiter(sim, rate=0.0)
-    limiter = RateLimiter(sim, rate=1.0)
-    with pytest.raises(ValueError):
-        limiter.set_rate(-1.0)
 
 
 # ---------------------------------------------------------------------------

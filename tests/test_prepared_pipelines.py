@@ -58,7 +58,6 @@ def structure(graph) -> dict:
         "channels": [
             (channel.name, [link.name for link in channel.links],
              channel.credits, channel.actor, channel.direction,
-             channel.rate_limiter is not None,
              channel.cpu_mediator is not None, channel.qid)
             for channel in graph.channels],
     }

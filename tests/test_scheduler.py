@@ -82,8 +82,7 @@ def test_scheduler_runs_single_query():
 
 def test_scheduler_concurrent_queries_all_finish_correctly():
     fabric, catalog = make_env()
-    scheduler = Scheduler(fabric, catalog,
-                          policy="interference+ratelimit")
+    scheduler = Scheduler(fabric, catalog, policy="interference")
     for i in range(4):
         scheduler.submit(f"q{i}", HEAVY, arrival=i * 1e-4)
     records = scheduler.run()
@@ -100,10 +99,23 @@ def test_scheduler_rejects_duplicate_names():
         scheduler.submit("q", LIGHT)
 
 
-def test_scheduler_rejects_unknown_policy():
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(policy="magic"), id="unknown-policy"),
+    pytest.param(dict(variants_per_query=0), id="zero-variants"),
+    pytest.param(dict(variants_per_query=-1), id="negative-variants"),
+])
+def test_scheduler_rejects_bad_arguments(kwargs):
     fabric, catalog = make_env()
     with pytest.raises(ValueError):
-        Scheduler(fabric, catalog, policy="magic")
+        Scheduler(fabric, catalog, **kwargs)
+
+
+@pytest.mark.parametrize("arrival", [-1.0, float("nan"), float("inf")])
+def test_scheduler_rejects_bad_arrival(arrival):
+    fabric, catalog = make_env()
+    scheduler = Scheduler(fabric, catalog)
+    with pytest.raises(ValueError, match="'late'"):
+        scheduler.submit("late", LIGHT, arrival=arrival)
 
 
 def test_scheduler_results_match_solo_execution():
@@ -124,32 +136,52 @@ def test_scheduler_results_match_solo_execution():
         solo3.execute(LIGHT).table.sorted_rows()
 
 
-def test_interference_policy_spreads_variants():
-    """With the shared storage CU as the offload bottleneck, the
-    scheduler should not give everyone the same full-offload plan.
+def run_c4(policy, variants=3):
+    """C4's batch on C4's fabric: (makespan, variant per query, rows).
 
-    A LIKE predicate can only run on the storage CU or the CPU (NICs
-    have no regex engine), so concurrent queries must split between
-    the two — the §7.3 scenario.
+    A modest storage CU behind a fast disk and network is the one
+    contended resource, and a LIKE predicate can only run on the
+    storage CU or the CPU (NICs have no regex engine).
     """
     fabric = build_fabric(dataflow_spec(storage_cu_scale=0.3,
                                         ssd_gib_per_s=16,
                                         network_gbits=400))
     catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(4000, chunk_rows=500))
+    catalog.register("lineitem", make_lineitem(30_000, chunk_rows=4096))
     regex_query = (Query.scan("lineitem")
                    .filter(col("l_comment").like("%express%"))
                    .project(["l_orderkey"]))
-    scheduler = Scheduler(fabric, catalog, policy="interference",
-                          variants_per_query=3)
-    for i in range(4):
-        scheduler.submit(f"q{i}", regex_query, arrival=0.0)
+    scheduler = Scheduler(fabric, catalog, policy=policy,
+                          variants_per_query=variants)
+    for i in range(6):
+        scheduler.submit(f"q{i}", regex_query, arrival=i * 1e-4)
     records = scheduler.run()
-    variants = [r.variant_name for r in records]
-    assert len(set(variants)) >= 2, variants
-    # All four still computed the right answer.
-    tables = [r.table.sorted_rows() for r in records]
-    assert all(t == tables[0] for t in tables)
+    return (scheduler.makespan(), [r.variant_name for r in records],
+            [r.table.sorted_rows() for r in records])
+
+
+def beats_greedy(run, greedy) -> bool:
+    """C4's claim: variant choice spreads the batch and cuts makespan."""
+    makespan, variants, _ = run
+    return len(set(variants)) >= 2 and makespan < 0.8 * greedy[0]
+
+
+def test_interference_policy_spreads_variants():
+    """With the shared storage CU as the offload bottleneck, the
+    interference policy splits concurrent queries between the CU and
+    the CPU and beats greedy full-offload (§7.3, C4).  Restricted to
+    one variant (ablation A1) it *is* greedy, so the claim must fail
+    there — otherwise it would not be measuring variant choice.
+    """
+    greedy = run_c4("greedy")
+    ablation = run_c4("interference", variants=1)
+    interference = run_c4("interference")
+    assert beats_greedy(interference, greedy), interference[:2]
+    assert ablation[:2] == greedy[:2]
+    assert not beats_greedy(ablation, greedy)
+    # Every policy still computed the right answer.
+    for run in (greedy, ablation, interference):
+        assert all(t == greedy[2][0] for t in run[2])
 
 
 def test_greedy_policy_always_picks_best():
@@ -165,6 +197,8 @@ def test_greedy_policy_always_picks_best():
 def test_scheduler_makespan_and_latency_reporting():
     fabric, catalog = make_env()
     scheduler = Scheduler(fabric, catalog, policy="greedy")
+    assert scheduler.run() == []
+    assert scheduler.makespan() == 0.0
     scheduler.submit("a", LIGHT, arrival=0.0)
     scheduler.submit("b", LIGHT, arrival=1e-4)
     scheduler.run()
