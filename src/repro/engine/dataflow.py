@@ -325,15 +325,11 @@ class PipelineRecipe:
         stages = graph.stages
         for spec in self.stages:
             if spec.site is None:
-                table = catalog.table(spec.table)
                 if spec.pruned:
-                    kept = [c for i, c in enumerate(table.chunks)
-                            if i not in spec.pruned]
-                    table = Table(table.schema, kept, name=table.name)
                     fabric.trace.add("zonemap.pruned_chunks",
                                      len(spec.pruned))
-                graph.source(spec.name, table,
-                             medium=fabric.storage.medium)
+                graph.source(spec.name, catalog.table(spec.table),
+                             medium=fabric.storage.medium, skip=spec.pruned)
                 continue
             graph.stage(
                 spec.name, spec.site,

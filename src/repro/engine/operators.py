@@ -265,7 +265,7 @@ def group_inverse(chunk: Chunk,
         g = group_by[0]
         codes = chunk.dict_codes(g)
         if codes is not None:
-            # Dictionary-encoded key: unique over the int32 codes
+            # Dictionary-encoded key: unique over the narrow codes
             # (bincount counting path) and decode just the survivors.
             # The pool is sorted, so ascending codes are ascending
             # values — groups and inverse match the decoded path.
@@ -605,6 +605,12 @@ class HashJoinProbe(PhysicalOp):
                     else build_rows[source])
         return [Emit(Chunk._lazy(self.output_schema, len(probe_idx),
                                  produce))]
+
+    def finish(self) -> list[Emit]:
+        # End of stream: drop the index and build chunks (and their
+        # decodes) now, not with the graph; emitted output keeps views.
+        self.state.__init__()
+        return []
 
 
 # ---------------------------------------------------------------------------

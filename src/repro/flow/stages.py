@@ -46,7 +46,7 @@ class Stage:
                  depends_on: Iterable[Event] = (),
                  source_table: Optional[Table] = None,
                  medium: Optional[StorageMedium] = None,
-                 is_sink: bool = False):
+                 is_sink: bool = False, skip: frozenset = frozenset()):
         if router not in ("single", "partition", "broadcast",
                           "round_robin"):
             raise ValueError(f"unknown router {router!r}")
@@ -58,6 +58,7 @@ class Stage:
         self.router = router
         self.depends_on = list(depends_on)
         self.source_table = source_table
+        self.skip = skip
         self.medium = medium
         self.is_sink = is_sink
         self.inbox = Store(graph.sim, name=f"{graph.name}.{name}.inbox")
@@ -128,8 +129,8 @@ class Stage:
             yield from install_kernel(self.device, kernel)
 
     def _run_source(self) -> Generator:
-        for chunk in self.source_table.chunks:
-            if chunk.num_rows == 0:
+        for index, chunk in enumerate(self.source_table.chunks):
+            if chunk.num_rows == 0 or index in self.skip:
                 continue
             if self.medium is not None:
                 yield from self.medium.read(chunk.nbytes)
@@ -222,7 +223,8 @@ class Stage:
             self.rows_out += emit.chunk.num_rows
             self.chunks_out += 1
             if self.is_sink or not self.outputs:
-                self.collected.append(emit.chunk)
+                # Settled: a kept view would pin its source window.
+                self.collected.append(emit.chunk.materialize())
                 continue
             # Lazy chunks cross the channel as they are: ``nbytes`` is
             # logical, and the consumer gathers the columns it reads.
@@ -323,8 +325,10 @@ class StageGraph:
                location: Optional[str] = None,
                site: Optional[str] = None,
                ops: Sequence[PhysicalOp] = (),
-               router: str = "single") -> Stage:
-        """A stage that reads ``table`` (off ``medium`` if given).
+               router: str = "single",
+               skip: frozenset = frozenset()) -> Stage:
+        """A stage that reads ``table`` (off ``medium`` if given) but
+        the chunks at the indices in ``skip`` (zone-map pruning).
 
         ``site`` optionally charges the ops to a fabric device (e.g.
         a storage CU filtering as it reads); otherwise ops are free —
@@ -336,7 +340,7 @@ class StageGraph:
                         else self.fabric.storage_location)
         return self._add(Stage(self, name, device, location, ops=ops,
                                router=router, source_table=table,
-                               medium=medium))
+                               medium=medium, skip=skip))
 
     def stage(self, name: str, site: str,
               ops: Sequence[PhysicalOp],

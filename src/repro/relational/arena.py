@@ -2,12 +2,12 @@
 
 A :class:`Arena` owns the physical storage of a table built in one
 shot (``Table.from_arrays``): each column is a single contiguous
-array covering every row, and chunks become zero-copy ``[start,
-stop)`` views instead of per-chunk copies.  String columns are
-dictionary-encoded — a *sorted* pool of exactly the distinct values
-that occur plus an ``int32`` code per row — so gathers, group-bys, and
-equality work touch 4-byte codes instead of fixed-width unicode rows.
-Because the pool is sorted, code order equals lexicographic order:
+array covering every row in its narrowest type — integers as the
+narrowest of int8..int64 holding their [min, max], strings
+dictionary-encoded as a *sorted* pool of exactly the distinct values
+that occur plus a code per row in the narrowest signed type indexing
+it.  Every read widens back to the field's dtype.  Because the pool
+is sorted, code order equals lexicographic order:
 ``np.unique`` over codes and ``np.unique`` over the decoded strings
 yield the same groups in the same order, which is what keeps
 dictionary encoding invisible to checksums and simulated byte counts.
@@ -20,11 +20,12 @@ the codes and string work over the pool, never building ``rows x
 width`` unicode.  Both share one dict-or-plain decision and yield
 bit-identical columns for the same values.
 
-The arena is a *physical* layout change only.  Logical byte counts —
-``chunk.nbytes``, the quantity charged to devices and links — are
-still ``rows x schema.row_nbytes`` exactly as if every column were
-dense, so the simulation cannot tell an arena-backed table from a
-dict-of-arrays one (the regression gate compares at tolerance 0).
+The arena is a *physical* layout change only, and caches no read.
+Logical byte counts — ``chunk.nbytes``, the quantity charged to
+devices and links — are still ``rows x schema.row_nbytes`` exactly as
+if every column were dense and wide, so the simulation cannot tell an
+arena-backed table from a dict-of-arrays one (the regression gate
+compares at tolerance 0).
 
 Validity masks ride along structurally (one optional boolean array
 per column, ``True`` = present); the current workloads are NULL-free
@@ -48,12 +49,27 @@ __all__ = ["Arena", "ArenaColumn", "Encoded"]
 #: cost a gather per read and save nothing.
 _DICT_MAX_POOL_FRACTION = 0.75
 
+_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64))
+_INT64 = DataType.numpy_dtype(DataType.INT64)
+
+
+def narrowest(lo: int, hi: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds [lo, hi]."""
+    return next(np.dtype(t.dtype) for t in _INTS
+                if t.min <= lo and hi <= t.max)
+
+
+def narrow(values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` in the narrowest type that holds them."""
+    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    return values.astype(narrowest(lo, hi), order="C", copy=False)
+
 
 class ArenaColumn:
     """One column's physical storage inside an arena.
 
-    Either plain (``buffer`` holds the values) or dictionary-encoded
-    (``codes`` holds int32 indices into the sorted ``pool``).  An
+    Either plain (``buffer`` holds the values, integers narrowed) or
+    dictionary-encoded (``codes`` index the sorted ``pool``).  An
     optional ``validity`` boolean array marks present rows.
     """
 
@@ -78,9 +94,12 @@ class ArenaColumn:
 
     def decode(self, start: int, stop: int) -> np.ndarray:
         """The logical values of rows [start, stop) as a dense array."""
-        if self.buffer is not None:
-            return self.buffer[start:stop]
-        return self.pool[self.codes[start:stop]]
+        if self.buffer is None:
+            return self.pool[self.codes[start:stop]]
+        values = self.buffer[start:stop]
+        if values.dtype.kind == "i":        # narrowed; INT64 fields only
+            return values.astype(_INT64, copy=False)
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +118,8 @@ class Encoded:
         return len(self.codes)
 
     def checked(self, field: Field) -> "Encoded":
-        """In-range integer codes into a ``field``-typed pool, or a
-        ``ValueError`` here rather than an ``IndexError`` in a gather."""
+        """Narrowest in-range integer codes into a ``field``-typed pool,
+        or a ``ValueError`` here rather than an ``IndexError`` later."""
         what = f"encoded column {field.name!r}"
         if field.dtype != DataType.STRING:
             raise ValueError(f"{what}: field is {field.dtype}, only "
@@ -122,7 +141,8 @@ class Encoded:
             raise ValueError(
                 f"{what}: codes span [{codes.min()}, {codes.max()}], "
                 f"outside the pool's [0, {len(pool)})")
-        return Encoded(codes.astype(np.intp, copy=False), pool)
+        return Encoded(codes.astype(narrowest(0, len(pool) - 1),
+                                    copy=False), pool)
 
 
 def _dict_pays(pool_size: int, rows: int) -> bool:
@@ -131,8 +151,10 @@ def _dict_pays(pool_size: int, rows: int) -> bool:
 
 
 def _encode(values: np.ndarray) -> ArenaColumn:
-    """Dense ``values`` stored plain, or, for strings where it pays,
-    dictionary-encoded."""
+    """Dense ``values`` stored plain (integers narrowed), or, for
+    strings where it pays, dictionary-encoded."""
+    if values.dtype.kind in "iu":
+        return ArenaColumn(buffer=narrow(values))
     if values.dtype.kind == "U":
         # Equivalent to np.unique(values, return_inverse=True) but
         # ~3x faster on low-cardinality string columns: hash-dedup
@@ -144,37 +166,35 @@ def _encode(values: np.ndarray) -> ArenaColumn:
         if _dict_pays(len(uniques), len(values)):
             pool = np.array(uniques, dtype=values.dtype)
             codes = np.searchsorted(pool, values)
-            return ArenaColumn(codes=np.ascontiguousarray(
-                codes, dtype=np.int32), pool=pool)
+            return ArenaColumn(codes=codes.astype(
+                narrowest(0, len(pool) - 1)), pool=pool)
     return ArenaColumn(buffer=np.ascontiguousarray(values))
 
 
 def _adopt(column: Encoded) -> ArenaColumn:
     """What :func:`_encode` makes of ``pool[codes]``, without making
     it: ``bincount`` finds the pool entries that occur, ``np.unique``
-    sorts and dedups them, one int32 gather renumbers the codes."""
+    sorts and dedups them, one narrowest-code gather renumbers them."""
     codes, pool = column.codes, column.pool
     used = np.bincount(codes, minlength=len(pool)) > 0
     uniques, rank = np.unique(pool[used], return_inverse=True)
     if not _dict_pays(len(uniques), len(codes)):
         return ArenaColumn(buffer=pool[codes])
-    remap = np.zeros(len(pool), dtype=np.int32)
+    remap = np.zeros(len(pool), dtype=narrowest(0, len(uniques) - 1))
     remap[used] = rank
     return ArenaColumn(codes=remap[codes], pool=uniques)
 
 
 class Arena:
-    """Contiguous SoA storage for one table's rows."""
+    """Contiguous SoA storage for one table's rows; caches no read."""
 
-    __slots__ = ("schema", "num_rows", "columns", "_full_cache")
+    __slots__ = ("schema", "num_rows", "columns")
 
     def __init__(self, schema: Schema, columns: dict[str, ArenaColumn],
                  num_rows: int):
         self.schema = schema
         self.columns = columns
         self.num_rows = num_rows
-        # Full-column decodes (Table.column, checksums) cached once.
-        self._full_cache: dict[str, np.ndarray] = {}
 
     @classmethod
     def build(cls, schema: Schema,
@@ -202,17 +222,7 @@ class Arena:
 
     def column_slice(self, name: str, start: int, stop: int) -> np.ndarray:
         """Decoded values of one column over [start, stop)."""
-        if start == 0 and stop >= self.num_rows:
-            return self.full_column(name)
         return self.columns[name].decode(start, stop)
-
-    def full_column(self, name: str) -> np.ndarray:
-        """The whole column decoded once and cached."""
-        values = self._full_cache.get(name)
-        if values is None:
-            values = self.columns[name].decode(0, self.num_rows)
-            self._full_cache[name] = values
-        return values
 
     def codes_slice(self, name: str, start: int,
                     stop: int) -> Optional[np.ndarray]:

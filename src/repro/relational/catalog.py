@@ -63,10 +63,11 @@ class TableStats:
 
 def _column_stats(table: Table, f) -> ColumnStats:
     """Exact statistics for one column of ``table``."""
-    # Statistics depend on the distinct values only, and an encoded
-    # column's pool is exactly those: no rows x width decode to pin.
-    pool = table.combined().dict_pool(f.name)
-    values = table.column(f.name) if pool is None else pool
+    # Statistics depend on the distinct values only: an encoded
+    # column's pool, or a narrow buffer unwidened, has exactly those.
+    combined = table.combined()
+    pool = combined.dict_pool(f.name)
+    values = combined.stored(f.name) if pool is None else pool
     if f.dtype in (DataType.INT64, DataType.FLOAT64):
         lo = float(values.min()) if len(values) else None
         hi = float(values.max()) if len(values) else None

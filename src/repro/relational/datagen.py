@@ -9,13 +9,14 @@ String columns are born encoded: a generator draws ``n`` indices into
 a small pool of phrases and hands the table exactly that (an
 :class:`~repro.relational.arena.Encoded`); ``n x width`` unicode is
 never built just for the arena to turn it back into those indices.
+Integers and codes are narrowed as drawn (the draws stay int64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arena import Encoded
+from .arena import Encoded, narrowest
 from .catalog import Catalog
 from .schema import DataType, Field, Schema
 from .table import Table
@@ -42,8 +43,9 @@ _WORDS = (
 
 def uniform_ints(rng: np.random.Generator, n: int, low: int,
                  high: int) -> np.ndarray:
-    """``n`` uniform integers in [low, high]."""
-    return rng.integers(low, high + 1, size=n, dtype=np.int64)
+    """``n`` uniform integers in [low, high], narrowest-typed."""
+    return rng.integers(low, high + 1, size=n,
+                        dtype=np.int64).astype(narrowest(low, high))
 
 
 def _phrases(rng: np.random.Generator, n: int, words: int,
@@ -60,7 +62,7 @@ def _phrases(rng: np.random.Generator, n: int, words: int,
     # a per-row ``" ".join(...)[:width]``.
     phrases = np.array([" ".join([_WORDS[j] for j in row])
                         for row in picks.tolist()], dtype=f"<U{width}")
-    return Encoded(rng.integers(0, pool, size=n), phrases)
+    return Encoded(uniform_ints(rng, n, 0, pool - 1), phrases)
 
 
 def lineitem_schema(comment_width: int = 44) -> Schema:
@@ -113,7 +115,8 @@ def make_lineitem(n: int, seed: int = 7, orders: int = 0,
         "l_extendedprice": rng.uniform(1.0, 100000.0, size=n),
         "l_discount": rng.uniform(0.0, 0.1, size=n).round(2),
         "l_shipdate": uniform_ints(rng, n, 8000, 11000),
-        "l_returnflag": Encoded(rng.choice(3, size=n), ["A", "N", "R"]),
+        "l_returnflag": Encoded(rng.choice(3, size=n).astype(np.int8),
+                                ["A", "N", "R"]),
         "l_comment": _phrases(rng, n, words=5, width=44),
     }
     return Table.from_arrays(schema, columns, name="lineitem",
@@ -127,7 +130,7 @@ def make_orders(n: int, seed: int = 11, customers: int = 0,
     customers = customers or max(1, n // 10)
     schema = orders_schema()
     columns = {
-        "o_orderkey": np.arange(n, dtype=np.int64),
+        "o_orderkey": np.arange(n, dtype=narrowest(0, n - 1)),
         "o_custkey": uniform_ints(rng, n, 0, customers - 1),
         "o_totalprice": rng.uniform(100.0, 500000.0, size=n),
         "o_orderdate": uniform_ints(rng, n, 8000, 11000),
@@ -144,12 +147,12 @@ def make_sensor_readings(n: int, sensors: int = 100, seed: int = 17,
     """Time-ordered sensor readings for the streaming example."""
     rng = np.random.default_rng(seed)
     schema = sensor_schema()
-    status = np.zeros(n, dtype=np.int64)
+    status = np.zeros(n, dtype=np.int8)
     noise = rng.uniform(0, 1, size=n)
     status[noise < error_rate * 3] = 1
     status[noise < error_rate] = 2
     columns = {
-        "ts": np.arange(n, dtype=np.int64),
+        "ts": np.arange(n, dtype=narrowest(0, n - 1)),
         "sensor_id": uniform_ints(rng, n, 0, sensors - 1),
         "temperature": rng.normal(20.0, 5.0, size=n),
         "status": status,

@@ -14,18 +14,20 @@ row_nbytes`` — the host pays for the columns a query reads, the
 simulation charges the rows it moves.
 
 A :class:`Table` is a list of chunks with one schema; it is what the
-catalog stores and what scans iterate over.
+catalog stores and what scans iterate over.  An arena-backed table
+makes its windows as they are indexed: what a scan decodes dies with
+the chunk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence as SequenceABC
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .arena import Arena, Encoded
-from .schema import Field, Schema
+from .schema import DataType, Field, Schema
 
 __all__ = ["Chunk", "Table"]
 
@@ -101,9 +103,9 @@ class _SelectionColumns(_LazyColumns):
 class _ArenaColumns(_LazyColumns):
     """Columns backed by a ``[start, stop)`` window of arena storage.
 
-    Zero-copy for plain columns (a contiguous buffer slice) and
-    decode-on-first-read for dictionary-encoded ones.  ``nbytes`` is
-    never the encoded physical size, so the simulation charges
+    A read is a buffer slice, widened if the column is stored narrow,
+    or a decode of a dictionary-encoded one, cached in the window.
+    ``nbytes`` is never the physical size, so the simulation charges
     arena-backed chunks identically to dense ones.
     """
 
@@ -313,10 +315,9 @@ class Chunk:
     def materialize(self) -> "Chunk":
         """This chunk with every column gathered into dense storage.
 
-        Dense and arena-backed chunks return themselves (arena windows
-        already are settled storage — reads are buffer slices or
-        cached decodes); every other lazy chunk produces each column
-        once (through its cache) into a plain dict.  Only owners of
+        Dense and arena-backed chunks return themselves (an arena
+        window reads settled storage); every other lazy chunk produces
+        each column once (through its cache) into a plain dict.  Only owners of
         long-lived data call this (:meth:`Table.append`); everything
         else reads the columns it needs.
         """
@@ -349,7 +350,7 @@ class Chunk:
     def dict_codes(self, name: str) -> Optional[np.ndarray]:
         """Dictionary codes for column ``name``, or None if not encoded.
 
-        Codes are int32 indices into the *sorted* pool returned by
+        Codes are narrowest-type indices into the *sorted* pool of
         :meth:`dict_pool`, so code order equals value order — fast
         paths (group-by, LIKE over the pool) built on codes produce
         results bit-identical to the decoded column.  Selection views
@@ -365,6 +366,15 @@ class Chunk:
         """The sorted dictionary pool for ``name``, or None."""
         window = self._arena_window()
         return None if window is None else window.pool(name)
+
+    def stored(self, name: str) -> np.ndarray:
+        """Column ``name`` unwidened (for min / max / distinct only)."""
+        window = self.columns
+        if type(window) is _ArenaColumns:
+            buffer = window.arena.columns[name].buffer
+            if buffer is not None:
+                return buffer[window.start:window.stop]
+        return window[name]
 
     def validity(self, name: str) -> Optional[np.ndarray]:
         """Row validity mask for ``name`` (None means all valid)."""
@@ -393,6 +403,20 @@ class Chunk:
         return sorted(self.to_rows())
 
 
+class _Windows(SequenceABC):
+    """An arena table's chunks, each window made as it is indexed."""
+
+    def __init__(self, arena: Arena, bounds: list[tuple[int, int]]):
+        self.arena, self.bounds = arena, bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __getitem__(self, index: int) -> Chunk:
+        return Chunk._from_arena(self.arena.schema, self.arena,
+                                 *self.bounds[index])
+
+
 class Table:
     """A named relation: a schema plus a list of chunks."""
 
@@ -400,7 +424,7 @@ class Table:
                  name: str = ""):
         self.schema = schema
         self.name = name
-        self._chunks: list[Chunk] = []
+        self._chunks: Union[list[Chunk], _Windows] = []
         self._arena: Optional[Arena] = None
         for chunk in chunks or []:
             self.append(chunk)
@@ -411,11 +435,12 @@ class Table:
                     name: str = "", chunk_rows: int = 65536) -> "Table":
         """Build a table over arena storage, chunked as window views.
 
-        The columns become one contiguous arena (strings dictionary-
-        encoded when profitable, an :class:`Encoded` one without ever
-        being made dense); each chunk is a zero-copy ``[start, stop)``
-        view of it, so chunking copies nothing and whole-column reads
-        (:meth:`column`, :meth:`combined`) come straight off the arena.
+        The columns become one contiguous arena (integers narrowed —
+        a narrow one taken as it is — strings dictionary-encoded when
+        profitable, an :class:`Encoded` one never made dense); each
+        chunk is a ``[start, stop)`` window of it made per read, and
+        whole-column reads (:meth:`column`, :meth:`combined`) come
+        straight off the arena.
         """
         if set(columns) != set(schema.names):
             raise ValueError(
@@ -424,9 +449,12 @@ class Table:
         arrays = {}
         for field in schema.fields:
             column = columns[field.name]
-            arrays[field.name] = (
-                column.checked(field) if isinstance(column, Encoded)
-                else np.asarray(column, dtype=field.numpy_dtype))
+            if isinstance(column, Encoded):
+                column = column.checked(field)
+            elif not (field.dtype == DataType.INT64 and isinstance(
+                    column, np.ndarray) and column.dtype.kind == "i"):
+                column = np.asarray(column, dtype=field.numpy_dtype)
+            arrays[field.name] = column
         lengths = {name_: len(col) for name_, col in arrays.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"ragged columns: lengths {lengths}")
@@ -437,9 +465,9 @@ class Table:
         """A table of ``chunk_rows``-row windows over ``arena``."""
         schema, rows = arena.schema, arena.num_rows
         table = cls(schema, name=name)
-        for start in range(0, max(rows, 1), chunk_rows):
-            table._chunks.append(Chunk._from_arena(
-                schema, arena, start, min(start + chunk_rows, rows)))
+        table._chunks = _Windows(arena, [
+            (start, min(start + chunk_rows, rows))
+            for start in range(0, max(rows, 1), chunk_rows)])
         table._arena = arena
         return table
 
@@ -450,18 +478,21 @@ class Table:
                 f"table schema {self.schema.names}")
         # An appended chunk breaks the single-arena invariant, so
         # whole-column reads fall back to per-chunk concatenation.
-        self._arena = None
+        if self._arena is not None:
+            self._chunks, self._arena = list(self._chunks), None
         # Tables are long-lived; a lazy chunk appended here would pin
         # whatever it views (a build side, a scanned window), so
         # settle it once.
         self._chunks.append(chunk.materialize())
 
     @property
-    def chunks(self) -> list[Chunk]:
-        return list(self._chunks)
+    def chunks(self) -> Sequence[Chunk]:
+        return self._chunks if self._arena is not None else list(self._chunks)
 
     @property
     def num_rows(self) -> int:
+        if self._arena is not None:
+            return self._arena.num_rows
         return sum(c.num_rows for c in self._chunks)
 
     @property
@@ -472,14 +503,14 @@ class Table:
         """The full column, concatenated across chunks."""
         if self._arena is not None:
             self.schema.field(name)  # same KeyError as the slow path
-            return self._arena.full_column(name)
+            return self._arena.column_slice(name, 0, self._arena.num_rows)
         if not self._chunks:
             return np.empty(0, dtype=self.schema.field(name).numpy_dtype)
         return np.concatenate([c.columns[name] for c in self._chunks])
 
     def combined(self) -> Chunk:
         """All rows as a single chunk."""
-        if self._arena is not None and len(self._chunks) > 1:
+        if self._arena is not None:
             return Chunk._from_arena(self.schema, self._arena, 0,
                                      self._arena.num_rows)
         if not self._chunks:

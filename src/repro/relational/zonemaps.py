@@ -7,7 +7,10 @@ chunk; :func:`may_match` conservatively decides whether a chunk can
 contain rows satisfying a predicate, and scans skip chunks that
 cannot.
 
-Pruning is *sound* (never skips a chunk that could match) but only
+Pruning is *sound* (never skips a chunk that could match): integer
+bounds are exact Python ints (a float would round ``2**53 + 1``), and
+a float column zone holding a NaN records no bounds (every comparison
+with NaN refutes, yet ``nan != x`` holds).  It is only
 *effective* when data is clustered on the filtered column — the
 classic behaviour bench E1 demonstrates: sorted data prunes to
 ~selectivity, shuffled data prunes nothing.
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .expressions import (
     And,
@@ -39,8 +44,7 @@ __all__ = ["ZoneMap", "may_match", "prunable_chunks"]
 class ZoneMap:
     """Min/max bounds per chunk for every numeric column."""
 
-    zones: list[dict[str, tuple[float, float]]] = field(
-        default_factory=list)
+    zones: list[dict[str, tuple]] = field(default_factory=list)
 
     @classmethod
     def build(cls, table: Table) -> "ZoneMap":
@@ -48,25 +52,26 @@ class ZoneMap:
                    if f.dtype in (DataType.INT64, DataType.FLOAT64)]
         zones = []
         for chunk in table.chunks:
-            if chunk.num_rows == 0:
-                zones.append({})
-                continue
-            zones.append({
-                name: (float(chunk.column(name).min()),
-                       float(chunk.column(name).max()))
-                for name in numeric})
+            zone = {}
+            for name in numeric if chunk.num_rows else ():
+                # Off the stored (narrow) buffer: nothing is widened.
+                values = chunk.stored(name)
+                lo, hi = values.min().item(), values.max().item()
+                if not np.isnan(lo):            # min() propagates NaN
+                    zone[name] = (lo, hi)
+            zones.append(zone)
         return cls(zones)
 
     def __len__(self) -> int:
         return len(self.zones)
 
     def bounds(self, chunk_index: int,
-               column: str) -> Optional[tuple[float, float]]:
+               column: str) -> Optional[tuple]:
         zone = self.zones[chunk_index]
         return zone.get(column)
 
 
-def may_match(zone: dict[str, tuple[float, float]],
+def may_match(zone: dict[str, tuple],
               expr: Expression) -> bool:
     """Conservatively: could any row in this zone satisfy ``expr``?
 

@@ -3,8 +3,9 @@
 The arena is a physical-layout change only; these tests pin the
 contracts that keep it invisible to the simulation — logical nbytes
 are always ``rows x schema.row_nbytes``, dictionary encoding
-round-trips values exactly, chunk windows are zero-copy, and the
-sorted pool keeps code order aligned with lexicographic order.
+round-trips values exactly, chunk windows are made per read and keep
+nothing the table outlives, and the sorted pool keeps code order
+aligned with lexicographic order.
 """
 
 import numpy as np
@@ -45,7 +46,8 @@ def test_dict_encoding_round_trips_exactly():
     assert np.array_equal(column.decode(0, 6), values)
     # Sorted pool: code order == lexicographic order.
     assert list(column.pool) == sorted(set(values.tolist()))
-    assert column.codes.dtype == np.int32
+    # Three pool entries: one byte a code.
+    assert column.codes.dtype == np.int8
 
 
 def test_high_cardinality_strings_stay_plain():
@@ -83,18 +85,27 @@ def test_chunks_are_windows_not_copies():
     arena = table._arena
     assert arena is not None
     chunk = table.chunks[1]
-    # Numeric reads are slices of the arena buffer, not copies.
+    # A column stored in its field type reads as a slice of the arena
+    # buffer, not a copy; a narrowed one (k spans 0..99: int8) reads
+    # as a widened copy of its window only.
+    assert chunk.columns["v"].base is arena.columns["v"].buffer
+    assert arena.columns["k"].buffer.dtype == np.int8
     values = chunk.columns["k"]
-    assert values.base is arena.columns["k"].buffer
+    assert values.dtype == np.int64 and values.base is None
     assert np.array_equal(values, np.arange(32, 64))
+    # Each read of ``chunks`` makes its windows: the table holds none.
+    assert table.chunks[1] is not chunk
+    assert table.chunks[1].columns._cache == {}
 
 
-def test_full_column_decodes_once_and_caches():
+def test_full_column_decodes_fresh_and_caches_nothing():
     table = _table(100)
     arena = table._arena
-    first = arena.full_column("tag")
-    assert arena.full_column("tag") is first
+    first = arena.column_slice("tag", 0, 100)
+    again = arena.column_slice("tag", 0, 100)
+    assert again is not first and np.array_equal(again, first)
     assert np.array_equal(first, [f"t{i % 7}" for i in range(100)])
+    assert not hasattr(arena, "_full_cache")
 
 
 def test_chunk_slice_stays_arena_backed():

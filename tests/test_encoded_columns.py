@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro.relational import (Catalog, DataType, Encoded, Field, Schema,
                               Table)
-from repro.relational.arena import _DICT_MAX_POOL_FRACTION, _adopt, _encode
+from repro.relational.arena import (_DICT_MAX_POOL_FRACTION, ArenaColumn,
+                                    _adopt, _encode)
 from repro.relational.datagen import (_WORDS, lineitem_schema,
                                       make_lineitem, make_orders,
                                       orders_schema, uniform_ints)
@@ -74,7 +75,8 @@ def test_adopt_equals_encode_of_the_decoded_column(pool, data):
     if wants_dict:
         assert np.array_equal(adopted.pool, uniques)
         assert np.array_equal(adopted.codes, inverse)
-        assert adopted.codes.dtype == np.int32
+        # At most 12 pool entries: one byte a code.
+        assert adopted.codes.dtype == np.int8
 
 
 @pytest.mark.parametrize("rows,distinct,is_dict", [
@@ -169,14 +171,19 @@ def test_building_a_table_peaks_below_twice_what_it_retains(make):
 # Statistics and re-chunking read the arena they have
 # ---------------------------------------------------------------------------
 
-def test_string_statistics_come_off_the_pool():
+def test_string_statistics_come_off_the_pool(monkeypatch):
     """PR 19 decoded 35 MB of ``l_comment`` into the arena's cache, for
     the catalog's life, to answer ``distinct``."""
     catalog = Catalog()
     table = catalog.register("lineitem", make_lineitem(200_000))
     columns = catalog.stats("lineitem").columns
+    decodes = []
+    original = ArenaColumn.decode
+    monkeypatch.setattr(ArenaColumn, "decode", lambda self, *rows: (
+        decodes.append(rows), original(self, *rows))[1])
     stats = {name: columns[name] for name in ("l_comment", "l_returnflag")}
-    assert table._arena._full_cache == {}              # nothing decoded
+    assert decodes == []                               # nothing decoded
+    monkeypatch.undo()
     for name, got in stats.items():
         assert table._arena.columns[name].is_dict
         assert got.distinct == len(set(table.column(name).tolist()))

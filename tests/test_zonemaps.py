@@ -160,3 +160,54 @@ def test_all_chunks_pruned_yields_empty_result():
     assert result.rows == 0
     assert fabric.trace.counter("zonemap.pruned_chunks") == 10
     assert fabric.trace.counter("movement.storage.bytes") == 0
+
+
+# ---------------------------------------------------------------------------
+# Soundness: zone maps on answer what zone maps off answer
+# ---------------------------------------------------------------------------
+
+SOUNDNESS = {
+    # min() of a zone holding a NaN is NaN, and every comparison with
+    # NaN refuted the chunk: that zone must record no bounds.
+    "nan in a float zone": (
+        [0, 1, 2, 3], [np.nan, 5.0, 0.0, 0.0], col("v") > 1.0),
+    # A float bound rounds 2**53 + 1 to 2**53, and the exact int /
+    # float comparison refuted the chunk: integer bounds stay ints.
+    "int64 past 2**53": (
+        [2**53 + 1, 0, 7, 8], [0.0, 1.0, 2.0, 3.0], col("k") == 2**53 + 1),
+}
+
+
+@pytest.mark.parametrize("engine_cls", [VolcanoEngine, DataflowEngine])
+@pytest.mark.parametrize("case", sorted(SOUNDNESS))
+def test_zone_maps_never_drop_a_matching_row(case, engine_cls):
+    k, v, predicate = SOUNDNESS[case]
+    schema = Schema.of(("k", DataType.INT64), ("v", DataType.FLOAT64))
+    table = Table.from_arrays(schema, {"k": np.array(k, dtype=np.int64),
+                                       "v": np.array(v)}, chunk_rows=2)
+    query = Query.scan("t").filter(predicate)
+    answers = []
+    for zonemaps in (False, True):
+        fabric, catalog = env(table)
+        answers.append(engine_cls(fabric, catalog, use_zonemaps=zonemaps)
+                       .execute(query).table.sorted_rows())
+    assert len(answers[0]) == 1
+    assert answers[1] == answers[0]
+
+
+def test_zone_bounds_are_exact_python_ints_off_the_stored_buffer():
+    schema = Schema.of(("k", DataType.INT64), ("v", DataType.FLOAT64))
+    table = Table.from_arrays(schema, {
+        "k": np.array([2**53 + 1, -3, 7, 8], dtype=np.int64),
+        "v": np.array([np.nan, 1.0, 0.5, 2.5])}, chunk_rows=2)
+    zonemap = ZoneMap.build(table)
+    assert zonemap.bounds(0, "k") == (-3, 2**53 + 1)
+    assert all(type(b) is int for b in zonemap.bounds(0, "k"))
+    assert zonemap.bounds(0, "v") is None          # the zone holds a NaN
+    assert zonemap.bounds(1, "v") == (0.5, 2.5)
+    # 7..8 is stored as int8; the bounds are the values, not the type.
+    assert table._arena.columns["k"].buffer.dtype == np.int64
+    narrow = Table.from_arrays(schema, {
+        "k": np.array([7, 8], dtype=np.int64), "v": np.zeros(2)})
+    assert narrow._arena.columns["k"].buffer.dtype == np.int8
+    assert ZoneMap.build(narrow).bounds(0, "k") == (7, 8)
