@@ -2,11 +2,16 @@
 
 A :class:`Arena` owns the physical storage of a table built in one
 shot (``Table.from_arrays``): each column is a single contiguous
-array covering every row in its narrowest type — integers as the
-narrowest of int8..int64 holding their [min, max], strings
-dictionary-encoded as a *sorted* pool of exactly the distinct values
-that occur plus a code per row in the narrowest signed type indexing
-it.  Every read widens back to the field's dtype.  Because the pool
+array covering every row in its narrowest type, in one of three
+forms.  *Plain*: integers as the narrowest of int8..int64 holding
+their [min, max], any other column as given.  *Scaled*: a float
+column that is bit for bit ``k / 10**d`` for some ``d`` in 0..4 (the
+exact-decimal test of ALP, Afroozeh et al., SIGMOD 2024) as the
+integers ``k`` in the narrowest type below int64, decoded by one
+division by ``10.0**d``.  *Dict*: strings as a *sorted* pool of
+exactly the distinct values that occur plus a code per row in the
+narrowest signed type indexing it.  Every read returns the field's
+dtype, bit-identical to what was stored.  Because the pool
 is sorted, code order equals lexicographic order:
 ``np.unique`` over codes and ``np.unique`` over the decoded strings
 yield the same groups in the same order, which is what keeps
@@ -65,25 +70,55 @@ def narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(narrowest(lo, hi), order="C", copy=False)
 
 
+@np.errstate(over="ignore")            # a huge value times 10**d: inf
+def _scaled(values: np.ndarray, scale: float) -> Optional[np.ndarray]:
+    """Integers ``k`` narrower than int64 whose ``k / scale`` is bit
+    for bit ``values`` (so NaN, ±inf, -0.0 and subnormals fail), or
+    None."""
+    k = np.rint(values * scale)
+    lo, hi = k.min(), k.max()           # NaN fails both comparisons
+    if not (-2**31 <= lo and hi < 2**31):
+        return None
+    k = k.astype(narrowest(int(lo), int(hi)))
+    exact = np.array_equal((k / scale).view(np.int64), values.view(np.int64))
+    return k if exact else None
+
+
+def _decimal(values: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+    """``(k, 10.0**d)`` for the smallest ``d`` in 0..4 that a strided
+    sample of about 32 rows fits, once proven on every row; else None."""
+    if len(values):
+        sample = values[::-(-len(values) // 32)]
+        for scale in (10.0 ** d for d in range(5)):
+            if _scaled(sample, scale) is not None:
+                k = _scaled(values, scale)
+                return None if k is None else (k, scale)
+    return None
+
+
 class ArenaColumn:
     """One column's physical storage inside an arena.
 
-    Either plain (``buffer`` holds the values, integers narrowed) or
-    dictionary-encoded (``codes`` index the sorted ``pool``).  An
-    optional ``validity`` boolean array marks present rows.
+    Plain (``buffer`` holds the values, integers narrowed), scaled
+    (``buffer`` holds integers ``k`` of a float column whose values
+    are ``k / scale``) or dictionary-encoded (``codes`` index the
+    sorted ``pool``).  An optional ``validity`` boolean array marks
+    present rows.
     """
 
-    __slots__ = ("buffer", "codes", "pool", "validity")
+    __slots__ = ("buffer", "scale", "codes", "pool", "validity")
 
     def __init__(self, buffer: Optional[np.ndarray] = None,
                  codes: Optional[np.ndarray] = None,
                  pool: Optional[np.ndarray] = None,
-                 validity: Optional[np.ndarray] = None):
+                 validity: Optional[np.ndarray] = None,
+                 scale: Optional[float] = None):
         if (buffer is None) == (codes is None):
             raise ValueError("column is either plain or dict-encoded")
         if (codes is None) != (pool is None):
             raise ValueError("codes and pool come together")
         self.buffer = buffer
+        self.scale = scale
         self.codes = codes
         self.pool = pool
         self.validity = validity
@@ -97,9 +132,19 @@ class ArenaColumn:
         if self.buffer is None:
             return self.pool[self.codes[start:stop]]
         values = self.buffer[start:stop]
+        if self.scale is not None:          # k / 10**d, never k * 10**-d
+            return values / self.scale
         if values.dtype.kind == "i":        # narrowed; INT64 fields only
             return values.astype(_INT64, copy=False)
         return values
+
+    def stored(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) for min / max / distinct: a plain buffer
+        unwidened; a scaled or dict column decoded, so bounds are
+        values, never codes."""
+        if self.buffer is None or self.scale is not None:
+            return self.decode(start, stop)
+        return self.buffer[start:stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +196,15 @@ def _dict_pays(pool_size: int, rows: int) -> bool:
 
 
 def _encode(values: np.ndarray) -> ArenaColumn:
-    """Dense ``values`` stored plain (integers narrowed), or, for
-    strings where it pays, dictionary-encoded."""
+    """Dense ``values`` stored plain (integers narrowed), scaled for
+    exact decimal floats, or, for strings where it pays,
+    dictionary-encoded."""
     if values.dtype.kind in "iu":
         return ArenaColumn(buffer=narrow(values))
+    if values.dtype.kind == "f":
+        decimal = _decimal(values)
+        if decimal is not None:
+            return ArenaColumn(buffer=decimal[0], scale=decimal[1])
     if values.dtype.kind == "U":
         # Equivalent to np.unique(values, return_inverse=True) but
         # ~3x faster on low-cardinality string columns: hash-dedup

@@ -32,6 +32,26 @@ from .schema import DataType, Field, Schema
 __all__ = ["Chunk", "Table"]
 
 
+def _cast(field: Field, values) -> np.ndarray:
+    """``values`` as ``field``'s dtype, or a ``ValueError`` naming the
+    column when a numeric cast would change a value: a fraction, NaN
+    or ±inf into an integer, an unsigned value past the signed max,
+    an integer a float cannot hold."""
+    values = np.asarray(values)
+    want = field.numpy_dtype
+    if values.dtype == want:
+        return values
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(want)
+        exact = (values.dtype.kind not in "biuf" or want.kind not in "if"
+                 or (np.array_equal(cast.astype(values.dtype), values)
+                     and np.array_equal(cast < 0, values < 0)))
+    if not exact:
+        raise ValueError(f"column {field.name!r}: {values.dtype} values "
+                         f"do not cast exactly to {want}")
+    return cast
+
+
 class _LazyColumns(Mapping):
     """Columns produced on first read and cached: late materialisation.
 
@@ -151,11 +171,8 @@ class Chunk:
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
         self.schema = schema
-        self.columns = {
-            name: np.asarray(columns[name],
-                             dtype=schema.field(name).numpy_dtype)
-            for name in schema.names
-        }
+        self.columns = {name: _cast(schema.field(name), columns[name])
+                        for name in schema.names}
 
     # A dense chunk has ``_sel is None``; a selection-vector view set
     # by :meth:`_view` carries the lazy index instead.
@@ -368,12 +385,12 @@ class Chunk:
         return None if window is None else window.pool(name)
 
     def stored(self, name: str) -> np.ndarray:
-        """Column ``name`` unwidened (for min / max / distinct only)."""
+        """Column ``name`` for min / max / distinct only: an arena's
+        integer buffer unwidened, every other column decoded."""
         window = self.columns
         if type(window) is _ArenaColumns:
-            buffer = window.arena.columns[name].buffer
-            if buffer is not None:
-                return buffer[window.start:window.stop]
+            return window.arena.columns[name].stored(window.start,
+                                                     window.stop)
         return window[name]
 
     def validity(self, name: str) -> Optional[np.ndarray]:
@@ -436,8 +453,10 @@ class Table:
         """Build a table over arena storage, chunked as window views.
 
         The columns become one contiguous arena (integers narrowed —
-        a narrow one taken as it is — strings dictionary-encoded when
-        profitable, an :class:`Encoded` one never made dense); each
+        a narrow one taken as it is — exact decimal floats scaled,
+        strings dictionary-encoded when profitable, an
+        :class:`Encoded` one never made dense); a numeric column of
+        another dtype is cast only when the cast is exact; each
         chunk is a ``[start, stop)`` window of it made per read, and
         whole-column reads (:meth:`column`, :meth:`combined`) come
         straight off the arena.
@@ -453,7 +472,7 @@ class Table:
                 column = column.checked(field)
             elif not (field.dtype == DataType.INT64 and isinstance(
                     column, np.ndarray) and column.dtype.kind == "i"):
-                column = np.asarray(column, dtype=field.numpy_dtype)
+                column = _cast(field, column)
             arrays[field.name] = column
         lengths = {name_: len(col) for name_, col in arrays.items()}
         if len(set(lengths.values())) > 1:

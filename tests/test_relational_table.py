@@ -125,6 +125,41 @@ def test_chunk_dtype_coercion():
     assert chunk.column("a").dtype == np.int64
 
 
+CONSTRUCTORS = {"Chunk": Chunk, "Table.from_arrays": Table.from_arrays}
+
+# Each of these changed a value in the cast instead of failing.
+LOSSY = {
+    "fraction": (DataType.INT64, np.array([1.7, 2.2]), "float64"),
+    "nan": (DataType.INT64, np.array([np.nan, 1.0]), "float64"),
+    "inf": (DataType.INT64, np.array([np.inf]), "float64"),
+    "past int64 max": (DataType.INT64, np.array([2**63 + 5], np.uint64),
+                       "uint64"),
+    "float 2**63": (DataType.INT64, np.array([2.0**63]), "float64"),
+    "int past 2**53": (DataType.FLOAT64, np.array([2**53 + 1]), "int64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSSY))
+@pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+def test_a_lossy_cast_is_refused(constructor, case):
+    dtype, values, source = LOSSY[case]
+    schema = Schema.of(("a", dtype))
+    with pytest.raises(ValueError, match=rf"'a'.*{source}.*{dtype}"):
+        CONSTRUCTORS[constructor](schema, {"a": values})
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1.0, -2.0, 2.0**62]), np.array([5, 2**63 - 1], np.uint64),
+    np.array([True, False]), [3, 4]])
+@pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+def test_an_exact_cast_is_taken(constructor, values):
+    schema = Schema.of(("a", DataType.INT64))
+    built = CONSTRUCTORS[constructor](schema, {"a": values})
+    column = built.column("a")
+    assert column.dtype == np.int64
+    assert column.tolist() == [int(v) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # Table
 # ---------------------------------------------------------------------------
