@@ -7,7 +7,7 @@ the serving templates and the CLI demo look shapes up here by name.
 
 Each scenario is a small, deterministic rendition of one of the
 paper's figure experiments — the same query shapes as the
-``benchmarks/bench_f*.py`` studies, scaled down so the what-if engine
+``repro.experiments`` F1-F6 modules, scaled down so the what-if engine
 can afford dozens of re-simulations.  A scenario pins everything that
 matters for bit-identical replay: the fabric spec, the catalog rows
 (seeded generators), the query, and the placement policy.

@@ -15,9 +15,10 @@ Four sections, one row each in :data:`SUITES`, all run by
 * **scale** — F2/F4/F6-shaped queries at 100k–1M rows (``--scale``).
 * **serving** — the multi-tenant serving scenarios (``--serve``),
   each verified against standalone oracle runs.
-* **experiments** — the ``benchmarks/bench_*.py`` studies (``--exp
-  f1,c3`` or ``--exp all``; opt-in because the full set takes
-  minutes).
+* **experiments** — the paper's figures and claims, one module each
+  in :mod:`repro.experiments` (``--exp f1,c3`` or ``--exp all``); a
+  record carries the rows and the verdict of every check, and a
+  failed check exits 1.
 
 They land in one JSON report (``BENCH_<tag>.json``, schema
 :data:`repro.obs.REPORT_SCHEMA`).  ``--compare BASELINE`` re-runs
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.util
 import json
 import os
 import sys
@@ -43,6 +43,7 @@ from typing import Callable, Collection, Iterator, NamedTuple, Optional
 from .analysis import attribute_query
 from .analysis.scenarios import QUERIES, assert_drained, oracle_checksum
 from .engine import DataflowEngine, VolcanoEngine, place
+from .experiments import EXPERIMENTS, run_experiment
 from .hardware import build_fabric, conventional_spec, dataflow_spec
 from .obs import (
     combine_checksums,
@@ -55,7 +56,7 @@ from .relational import standard_catalog
 from .scheduler import Scheduler
 from .serve import SERVE_SCENARIOS, run_scenario
 
-__all__ = ["EXPERIMENTS", "SMOKE_SCENARIOS", "SCALE_CHUNK", "SUITES",
+__all__ = ["SMOKE_SCENARIOS", "SCALE_CHUNK", "SUITES",
            "suite_tasks", "cli_tasks", "run_tasks", "run_suite",
            "write_report", "compare_reports", "run_compare", "run_cli"]
 
@@ -275,124 +276,6 @@ def _run_serving(name: str, rows: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Experiment scripts (benchmarks/bench_*.py)
-# ---------------------------------------------------------------------------
-
-EXPERIMENTS = [
-    ("F1", "conventional data path amplification",
-     "bench_f1_conventional_path.py"),
-    ("F2", "storage pushdown of selection/projection",
-     "bench_f2_storage_pushdown.py"),
-    ("F3", "staged group-by pipeline across NICs",
-     "bench_f3_nic_pipeline.py"),
-    ("F4", "NIC-scattered distributed join + COUNT on NIC",
-     "bench_f4_scatter_join.py"),
-    ("F5", "near-memory filter / pointer-chase / GC units",
-     "bench_f5_near_memory.py"),
-    ("F6", "full pipeline storage->cores (+A2 DMA ablation)",
-     "bench_f6_full_pipeline.py"),
-    ("C1", "single-core vs controller memory bandwidth",
-     "bench_c1_membw.py"),
-    ("C2", "data-center tax + bytes-scanned billing",
-     "bench_c2_datacenter_tax.py"),
-    ("C3", "credit-based flow control window sweep",
-     "bench_c3_credit_flow.py"),
-    ("C4", "interference-aware scheduling (+A1 ablation)",
-     "bench_c4_scheduling.py"),
-    ("C5", "no more buffer pools", "bench_c5_no_bufferpool.py"),
-    ("C6", "no more data caches", "bench_c6_no_caches.py"),
-    ("C7", "which operators to push down",
-     "bench_c7_pushdown_survey.py"),
-    ("C8", "CXL coherence + PCIe ladder",
-     "bench_c8_cxl_coherence.py"),
-    ("E1", "zone maps (extension)", "bench_e1_zonemaps.py"),
-    ("E2", "disaggregated-memory offload (extension)",
-     "bench_e2_disagg_memory.py"),
-    ("E3", "compressed memory + on-demand decompress (extension)",
-     "bench_e3_compressed_memory.py"),
-    ("E4", "kernel installation break-even (extension)",
-     "bench_e4_kernel_overhead.py"),
-    ("E5", "pre-sorting at storage (extension)",
-     "bench_e5_presort.py"),
-    ("E6", "storage->GPU: GPUDirect vs host staging (extension)",
-     "bench_e6_gpudirect.py"),
-]
-"""(id, description, script under ``benchmarks/``) per experiment."""
-
-
-def default_bench_dir() -> str:
-    """Locate the ``benchmarks/`` directory.
-
-    Priority: ``$REPRO_BENCH_DIR``, then ``benchmarks/`` under the
-    current directory, then ``benchmarks/`` next to the repo's
-    ``src/`` parent (source checkouts).
-    """
-    env = os.environ.get("REPRO_BENCH_DIR")
-    if env:
-        return env
-    cwd_dir = os.path.join(os.getcwd(), "benchmarks")
-    if os.path.isdir(cwd_dir):
-        return cwd_dir
-    here = os.path.dirname(os.path.abspath(__file__))
-    repo_dir = os.path.normpath(
-        os.path.join(here, os.pardir, os.pardir, "benchmarks"))
-    return repo_dir
-
-
-def experiment_index(bench_dir: Optional[str] = None
-                     ) -> dict[str, str]:
-    """Map experiment id (lowercase) -> bench script path."""
-    bench_dir = bench_dir or default_bench_dir()
-    return {exp_id.lower(): os.path.join(bench_dir, script)
-            for exp_id, _desc, script in EXPERIMENTS}
-
-
-def _sanitize(value, depth: int = 0):
-    """Coerce a run_<id>() return value to JSON-safe structures."""
-    if depth > 6:
-        return repr(value)
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v, depth + 1)
-                for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v, depth + 1) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return value if value == value else None
-    try:  # numpy scalars
-        return _sanitize(value.item(), depth + 1)
-    except AttributeError:
-        return repr(value)
-
-
-def run_experiment(exp_id: str, bench_dir: Optional[str] = None
-                   ) -> dict:
-    """Import one bench script and call its ``run_<id>()`` entry."""
-    path = experiment_index(bench_dir)[exp_id]
-    bench_home = os.path.dirname(path)
-    module_name = os.path.splitext(os.path.basename(path))[0]
-    added = bench_home not in sys.path
-    if added:  # bench scripts import their sibling ``common``
-        sys.path.insert(0, bench_home)
-    try:
-        spec = importlib.util.spec_from_file_location(module_name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        rows = getattr(module, f"run_{exp_id}")()
-    finally:
-        if added:
-            sys.path.remove(bench_home)
-    return {
-        "name": exp_id,
-        "script": os.path.basename(path),
-        "rows": _sanitize(rows),
-    }
-
-
-# ---------------------------------------------------------------------------
 # The suite table and its one runner
 # ---------------------------------------------------------------------------
 
@@ -401,14 +284,14 @@ class Suite(NamedTuple):
 
     names: Callable[[], Collection[str]]
     """Every scenario name the section knows."""
-    from_args: Callable[[argparse.Namespace], dict]
-    """``run`` keyword arguments for a CLI invocation..."""
-    from_record: Callable[[dict], dict]
-    """...or the ones that reproduce a (validated) baseline record."""
     run: Callable[..., dict]
     """``run(name, **params) -> record``."""
     line: Callable[[dict], str]
     """The progress line for one record."""
+    from_args: Callable[[argparse.Namespace], dict] = lambda args: {}
+    """``run`` keyword arguments for a CLI invocation..."""
+    from_record: Callable[[dict], dict] = lambda record: {}
+    """...or the ones that reproduce a (validated) baseline record."""
 
 
 def _query_line(record: dict) -> str:
@@ -427,6 +310,11 @@ def _serving_line(record: dict) -> str:
             f"checksum {record['checksum'][:12]}")
 
 
+def _experiment_line(record: dict) -> str:
+    passed = sum(check["passed"] for check in record["checks"])
+    return f"{record['name']:6} {passed}/{len(record['checks'])} checks pass"
+
+
 SUITES: dict[str, Suite] = {
     "smoke": Suite(
         names=lambda: SMOKE_SCENARIOS,
@@ -442,15 +330,10 @@ SUITES: dict[str, Suite] = {
             "queries": record.get("requested_queries")},
         run=_run_serving, line=_serving_line),
     "experiments": Suite(
-        names=experiment_index,
-        from_args=lambda args: {"bench_dir": args.bench_dir},
-        from_record=lambda record: {},
-        run=run_experiment,
-        line=lambda record: f"{record['name']:6} ({record['script']})"),
+        names=lambda: EXPERIMENTS,
+        run=run_experiment, line=_experiment_line),
     "scale": Suite(
         names=lambda: SCALE_QUERIES,
-        from_args=lambda args: {},
-        from_record=lambda record: {},
         run=_run_scale, line=_query_line),
 }
 """Report section -> its row, in the order sections run."""
@@ -632,7 +515,11 @@ def cli_tasks(args: argparse.Namespace) -> list[Task]:
 
 
 def run_cli(args) -> int:
-    """Run the benchmark harness -> BENCH_<tag>.json."""
+    """Run the benchmark harness -> BENCH_<tag>.json.
+
+    Exits 1 when an experiment check fails (one ``FAILED CHECK:``
+    line per failure on stderr; the report is still written).
+    """
     echo = _quiet if args.quiet else print
     jobs = args.jobs
     if args.compare:
@@ -660,4 +547,10 @@ def run_cli(args) -> int:
     path = write_report(report, args.out)
     echo(f"report: {path}  "
          f"({report['totals']['benchmarks']} benchmarks)")
-    return 0
+    failed = [f"experiments[{record['name']}].{check['name']} "
+              f"(value {check['value']!r})"
+              for record in report["experiments"]
+              for check in record["checks"] if not check["passed"]]
+    for line in failed:
+        print(f"FAILED CHECK: {line}", file=sys.stderr)
+    return 1 if failed else 0

@@ -91,7 +91,6 @@ from .analysis import (
 from .bench import (
     DEFAULT_ROWS,
     DEFAULT_TOLERANCE,
-    EXPERIMENTS,
     SERVE_BENCH_QUERIES,
     run_cli,
 )
@@ -103,6 +102,7 @@ from .engine import (
     data_path_sites,
     place,
 )
+from .experiments import EXPERIMENTS
 from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
 from .obs import _observatory_section_violations
@@ -531,11 +531,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_experiments(_args) -> int:
     """List the reproduced experiments."""
-    print(f"{'id':4} {'benchmark':36} description")
-    for exp_id, description, bench in EXPERIMENTS:
-        print(f"{exp_id:4} benchmarks/{bench:36} {description}")
-    print("\nrun all:  repro bench --exp all"
-          "   (or: pytest benchmarks/ --benchmark-only)")
+    print(f"{'id':4} {'section':19} {'module':39} title")
+    for exp_id, (section, title, module) in EXPERIMENTS.items():
+        print(f"{exp_id.upper():4} {section:19} "
+              f"repro.experiments.{module:21} {title}")
+    print("\nrun all:  repro bench --exp all")
     return 0
 
 
@@ -812,8 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report tag (file is BENCH_<tag>.json)")
     bench.add_argument("--out", default=".",
                        help="directory the report is written to")
-    bench.add_argument("--bench-dir", default=None,
-                       help="override the benchmarks/ directory")
     bench.add_argument("--compare", default=None, metavar="BASELINE",
                        help="re-run a baseline report's records and "
                             "diff them leaf by leaf (exit 1 on "

@@ -11,10 +11,9 @@ Sweeps the number of concurrently reading cores on a 2-controller
 socket and reports per-core and aggregate bandwidth.
 """
 
-from common import report
-
-from repro.hardware import GIB, CPUSocket
-from repro.sim import Simulator, Trace
+from ..hardware import GIB, CPUSocket
+from ..sim import Simulator, Trace
+from . import above, at_most, between
 
 CONTROLLERS = 2
 CONTROLLER_GIB = 20.0
@@ -52,31 +51,19 @@ def run_cores(n_cores: int) -> dict:
     }
 
 
-def run_c1() -> list[dict]:
+def run() -> list[dict]:
     return [run_cores(n) for n in (1, 2, 4, 8, 16, 32)]
 
 
-def test_c1_memory_bandwidth(benchmark):
-    rows = benchmark.pedantic(run_c1, rounds=1, iterations=1)
-    report(
-        "C1", "Single-core bandwidth ceiling and controller "
-        "oversubscription",
-        "one core sustains 75-85% of one controller; aggregate "
-        "saturates at the socket's controller bandwidth; per-core "
-        "bandwidth collapses as cores >> controllers",
-        rows)
-    one = rows[0]
+CHECKS = {
     # The 75-85% claim.
-    assert 0.75 <= one["fraction_of_one_controller"] <= 0.85
-    # Aggregate approaches but never exceeds socket bandwidth.
-    for r in rows:
-        assert r["fraction_of_socket"] <= 1.01
-    many = rows[-1]
-    assert many["fraction_of_socket"] > 0.9
-    # Collapse: with 32 cores on 2 controllers, each core gets a
-    # small fraction of what it gets alone.
-    assert many["per_core_gib"] < one["per_core_gib"] / 8
-
-
-if __name__ == "__main__":
-    report("C1", "Memory bandwidth", "75-85% single core", run_c1())
+    "one_core_gets_75_to_85pct": lambda rows: between(
+        rows[0]["fraction_of_one_controller"], 0.75, 0.85),
+    "aggregate_never_exceeds_the_socket": lambda rows: at_most(
+        max(r["fraction_of_socket"] for r in rows), 1.01),
+    "many_cores_saturate_the_socket":
+        lambda rows: above(rows[-1]["fraction_of_socket"], 0.9),
+    # 32 cores on 2 controllers: each gets a sliver of a lone core's.
+    "per_core_bandwidth_collapses_8x": lambda rows: above(
+        rows[0]["per_core_gib"] / rows[-1]["per_core_gib"], 8),
+}

@@ -14,12 +14,11 @@ Two parts:
    difference shows up in what the user pays for movement.
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro.cloud import EgressOp, IngressOp, ObjectStore, TaxConfig
-from repro.flow import StageGraph
-from repro.hardware import build_fabric, dataflow_spec
-from repro.relational import col, make_lineitem
+from ..cloud import EgressOp, IngressOp, ObjectStore, TaxConfig
+from ..flow import StageGraph
+from ..hardware import build_fabric, dataflow_spec
+from ..relational import col, make_lineitem
+from . import above, at_least, below, exactly
 
 ROWS = 60_000
 CHUNK = 4_096
@@ -95,52 +94,32 @@ def run_billing() -> list[dict]:
     return rows
 
 
-def run_c2():
+def run():
     taxes = [run_tax_pipeline(False, False),
              run_tax_pipeline(True, False),
              run_tax_pipeline(True, True)]
     return taxes, run_billing()
 
 
-def test_c2_datacenter_tax(benchmark):
-    taxes, billing = benchmark.pedantic(run_c2, rounds=1, iterations=1)
-    report(
-        "C2a", "The data-center tax on a remote read path",
-        "serialize/compress/encrypt consume a large share of host CPU "
-        "time; offloading them to the NICs frees the CPU entirely and "
-        "puts the compressed form on the wire",
-        [dict(r, elapsed=fmt_time(r["elapsed"]),
-              network=fmt_bytes(r["network"]),
-              cpu_busy=fmt_time(r["cpu_busy"]),
-              cpu_tax_bytes=fmt_bytes(r["cpu_tax_bytes"]))
-         for r in taxes])
-    report(
-        "C2b", "Bytes-scanned billing (QaaS model, §3.2)",
-        "the bill is identical — QaaS charges for bytes scanned, not "
-        "computation — but pushdown returns a fraction of the bytes, "
-        "which is why movement is the quantity to optimize",
-        [dict(r, bytes_scanned=fmt_bytes(r["bytes_scanned"]),
-              bytes_returned=fmt_bytes(r["bytes_returned"]),
-              scan_dollars=f"${r['scan_dollars']:.6f}")
-         for r in billing])
-
-    untaxed, cpu_tax, nic_tax = taxes
+CHECKS = {
     # Tax on the CPU consumes real time there.
-    assert cpu_tax["cpu_tax_bytes"] > 0
-    assert cpu_tax["cpu_busy"] > 5 * untaxed["cpu_busy"]
+    "cpu_tax_runs_on_the_cpu":
+        lambda rows: above(rows[0][1]["cpu_tax_bytes"], 0),
+    "cpu_tax_costs_5x_cpu_time": lambda rows: (
+        rows[0][1]["cpu_busy"] > 5 * rows[0][0]["cpu_busy"],
+        rows[0][1]["cpu_busy"]),
     # Offloading the tax returns the CPU to the untaxed level.
-    assert nic_tax["cpu_tax_bytes"] == 0
-    # With egress on the storage-side NIC the wire carries the
-    # compressed form; with host-side tax the wire is still raw.
-    assert nic_tax["network"] < untaxed["network"]
-    assert cpu_tax["network"] >= untaxed["network"]
+    "nic_offload_frees_the_cpu":
+        lambda rows: exactly(rows[0][2]["cpu_tax_bytes"], 0),
+    # Egress on the storage-side NIC puts the compressed form on the
+    # wire; with host-side tax the wire is still raw.
+    "nic_egress_compresses_the_wire": lambda rows: below(
+        rows[0][2]["network"] / rows[0][0]["network"], 1),
+    "host_side_tax_leaves_the_wire_raw": lambda rows: at_least(
+        rows[0][1]["network"] / rows[0][0]["network"], 1),
     # Billing: same scan bill, far fewer bytes returned.
-    get, select = billing
-    assert abs(get["bytes_scanned"] - select["bytes_scanned"]) < 1
-    assert select["bytes_returned"] < get["bytes_returned"] / 10
-
-
-if __name__ == "__main__":
-    taxes, billing = run_c2()
-    for r in taxes + billing:
-        print(r)
+    "pushdown_bills_the_same_scan": lambda rows: below(
+        abs(rows[1][0]["bytes_scanned"] - rows[1][1]["bytes_scanned"]), 1),
+    "pushdown_returns_under_10pct": lambda rows: below(
+        rows[1][1]["bytes_returned"] / rows[1][0]["bytes_returned"], 0.1),
+}

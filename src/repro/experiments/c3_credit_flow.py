@@ -2,7 +2,7 @@
 
 The paper: queues along the pipeline connected by DMA engines, with
 credit-based flow control — "easy to implement and ... low traffic".
-For that design to be sound, three things must hold, and this bench
+For that design to be sound, three things must hold, and this experiment
 sweeps the credit window to show them:
 
 * receiver-side buffering is bounded by the window (that is the point
@@ -13,11 +13,11 @@ sweeps the credit window to show them:
   the data moved.
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro.flow import CreditChannel
-from repro.hardware import Link
-from repro.sim import Simulator, Store, Trace
+from ..flow import CreditChannel
+from ..flow.credits import END
+from ..hardware import Link
+from ..sim import Simulator, Store, Trace
+from . import above, below, exactly, fmt_bytes
 
 MESSAGES = 400
 CHUNK_BYTES = 16 * 1024.0
@@ -46,7 +46,6 @@ def run_window(credits: int) -> dict:
             ch.ack()
             if payload is None:
                 continue
-            from repro.flow.credits import END
             if payload is END:
                 return
             # Consumer processes at ~link speed.
@@ -67,34 +66,21 @@ def run_window(credits: int) -> dict:
     }
 
 
-def run_c3() -> list[dict]:
+def run() -> list[dict]:
     return [run_window(c) for c in (1, 2, 4, 8, 16, 64, 1024)]
 
 
-def test_c3_credit_flow(benchmark):
-    rows = benchmark.pedantic(run_c3, rounds=1, iterations=1)
-    report(
-        "C3", "Credit-based flow control: window sweep",
-        "occupancy never exceeds the window; a modest window already "
-        "matches unbounded-queue throughput (credits cost ~nothing); "
-        "the credit counter-stream is <0.1% of data moved",
-        [dict(r, elapsed=fmt_time(r["elapsed"])) for r in rows])
-    unbounded = rows[-1]
-    for r in rows:
-        # Bounded occupancy (the §7.1 invariant).
-        assert r["max_outstanding"] <= r["credits"]
-        # Low control traffic.
-        assert r["control_overhead"] < 0.001
+CHECKS = {
+    # Bounded occupancy (the §7.1 invariant).
+    "occupancy_never_exceeds_the_window": lambda rows: exactly(
+        sum(r["max_outstanding"] > r["credits"] for r in rows), 0),
+    "credits_cost_under_0_1pct": lambda rows: below(
+        max(r["control_overhead"] for r in rows), 0.001),
     # Tiny windows throttle the pipe (credits have to round-trip)...
-    assert rows[0]["throughput_mib_s"] < \
-        0.7 * unbounded["throughput_mib_s"]
+    "one_credit_throttles_the_pipe": lambda rows: below(
+        rows[0]["throughput_mib_s"] / rows[-1]["throughput_mib_s"], 0.7),
     # ...but a modest window recovers full throughput.
-    modest = next(r for r in rows if r["credits"] == 8)
-    assert modest["throughput_mib_s"] > \
-        0.95 * unbounded["throughput_mib_s"]
-
-
-if __name__ == "__main__":
-    report("C3", "Credit window sweep", "bounded queues, ~free",
-           [dict(r, elapsed=fmt_time(r["elapsed"]))
-            for r in run_c3()])
+    "eight_credits_match_an_unbounded_queue": lambda rows: above(
+        next(r["throughput_mib_s"] for r in rows if r["credits"] == 8)
+        / rows[-1]["throughput_mib_s"], 0.95),
+}

@@ -13,9 +13,7 @@ buffer-pool peak residency vs the peak of (in-flight channel chunks +
 final operator state).
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro import (
+from .. import (
     AggSpec,
     BufferPool,
     Catalog,
@@ -27,6 +25,7 @@ from repro import (
     dataflow_spec,
     make_uniform_table,
 )
+from . import above, below
 
 CHUNK = 4_096
 CREDITS = 8
@@ -81,32 +80,19 @@ def run_size(rows: int) -> dict:
     }
 
 
-def run_c5() -> list[dict]:
+def run() -> list[dict]:
     return [run_size(n) for n in (20_000, 80_000, 320_000)]
 
 
-def test_c5_no_bufferpool(benchmark):
-    rows = benchmark.pedantic(run_c5, rounds=1, iterations=1)
-    report(
-        "C5", "Compute-node memory: buffer pool vs streaming pipeline",
-        "buffer-pool residency grows with the data (O(table)); the "
-        "data-flow engine's compute memory stays O(pipeline) — flat — "
-        "so the gap widens with scale and the compute layer is "
-        "effectively stateless (elastic)",
-        [dict(r, table=fmt_bytes(r["table"]),
-              bufferpool_peak=fmt_bytes(r["bufferpool_peak"]),
-              dataflow_peak=fmt_bytes(r["dataflow_peak"]),
-              volcano_elapsed=fmt_time(r["volcano_elapsed"]),
-              dataflow_elapsed=fmt_time(r["dataflow_elapsed"]))
-         for r in rows])
-    # Buffer pool grows ~linearly with the table.
-    assert rows[-1]["bufferpool_peak"] > 10 * rows[0]["bufferpool_peak"]
-    # Pipeline memory stays flat (within 2x across a 16x size sweep).
-    assert rows[-1]["dataflow_peak"] < 2 * rows[0]["dataflow_peak"]
-    # And the gap widens.
-    assert rows[-1]["ratio"] > 4 * rows[0]["ratio"]
+def _growth(rows, key):
+    """Largest table's ``key`` over the smallest's (a 16x sweep)."""
+    return rows[-1][key] / rows[0][key]
 
 
-if __name__ == "__main__":
-    for r in run_c5():
-        print(r)
+CHECKS = {
+    "buffer_pool_grows_with_the_table":
+        lambda rows: above(_growth(rows, "bufferpool_peak"), 10),
+    "pipeline_memory_stays_flat":
+        lambda rows: below(_growth(rows, "dataflow_peak"), 2),
+    "the_gap_widens_4x": lambda rows: above(_growth(rows, "ratio"), 4),
+}

@@ -16,11 +16,9 @@ small query set).  Configurations:
 * active pipeline + result cache.
 """
 
-from common import fmt_bytes, fmt_time, report
-
 import numpy as np
 
-from repro import (
+from .. import (
     Catalog,
     DataCache,
     DataflowEngine,
@@ -33,6 +31,7 @@ from repro import (
     make_uniform_table,
     pushdown,
 )
+from . import above, below, exactly
 
 ROWS = 60_000
 CHUNK = 4_096
@@ -126,35 +125,24 @@ def run_active_pipeline(result_cache: bool) -> dict:
     }
 
 
-def run_c6():
+def run():
     return [run_base_table_cache(),
             run_active_pipeline(False),
             run_active_pipeline(True)]
 
 
-def test_c6_no_caches(benchmark):
-    rows = benchmark.pedantic(run_c6, rounds=1, iterations=1)
-    report(
-        "C6", "Base-table caching vs the active pipeline",
-        "the caching layer needs O(table) DRAM to kill its network "
-        "traffic; the active pipeline gets comparable totals with "
-        "zero cache DRAM by filtering at storage; result caching on "
-        "top is nearly free and removes repeat work entirely",
-        [dict(r, network=fmt_bytes(r["network"]),
-              dram_for_cache=fmt_bytes(r["dram_for_cache"]),
-              elapsed_total=fmt_time(r["elapsed_total"]))
-         for r in rows])
-    base, active, cached = rows
+CHECKS = {
     # The caching layer holds the whole table in DRAM...
-    assert base["dram_for_cache"] > 0.9 * (ROWS * 32)
+    "base_cache_holds_the_table": lambda rows: above(
+        rows[0]["dram_for_cache"], 0.9 * (ROWS * 32)),
     # ...while the pipeline needs none and moves far less data.
-    assert active["dram_for_cache"] == 0
-    assert active["network"] < base["network"] / 2
+    "pipeline_needs_no_cache":
+        lambda rows: exactly(rows[1]["dram_for_cache"], 0),
+    "pipeline_moves_under_half": lambda rows: below(
+        rows[1]["network"] / rows[0]["network"], 0.5),
     # Result caching keeps a sliver of DRAM and cuts repeat work.
-    assert cached["dram_for_cache"] < base["dram_for_cache"] / 10
-    assert cached["elapsed_total"] < active["elapsed_total"] / 2
-
-
-if __name__ == "__main__":
-    for r in run_c6():
-        print(r)
+    "result_cache_is_a_sliver": lambda rows: below(
+        rows[2]["dram_for_cache"] / rows[0]["dram_for_cache"], 0.1),
+    "result_cache_halves_the_work": lambda rows: below(
+        rows[2]["elapsed_total"] / rows[1]["elapsed_total"], 0.5),
+}

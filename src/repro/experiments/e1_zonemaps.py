@@ -6,18 +6,16 @@ native engines to fetch as little data as possible" — but these
 mechanisms help only when the physical layout cooperates, and they
 are orthogonal to (and compose with) processing along the data path.
 
-This bench runs a selective filter over the same rows stored
+This experiment runs a selective filter over the same rows stored
 *clustered* (sorted on the filter column) and *shuffled*, with zone
 maps on/off, on both engines, and finally shows zone maps composing
 with storage pushdown: pruning cuts what is read, pushdown cuts what
 is shipped.
 """
 
-from common import fmt_bytes, fmt_time, report
-
 import numpy as np
 
-from repro import (
+from .. import (
     Catalog,
     DataflowEngine,
     DataType,
@@ -31,6 +29,7 @@ from repro import (
     dataflow_spec,
     pushdown,
 )
+from . import above, at_most, below, exactly
 
 ROWS = 200_000
 CHUNK = 8_192
@@ -79,7 +78,7 @@ def run_case(layout: str, engine_name: str, zonemaps: bool,
     }
 
 
-def run_e1() -> list[dict]:
+def run() -> list[dict]:
     rows = []
     for layout in ("clustered", "shuffled"):
         for zonemaps in (False, True):
@@ -89,45 +88,35 @@ def run_e1() -> list[dict]:
     return rows
 
 
-def test_e1_zonemaps(benchmark):
-    rows = benchmark.pedantic(run_e1, rounds=1, iterations=1)
-    report(
-        "E1", "Zone maps: clustered vs shuffled layout, composed "
-        "with pushdown",
-        "pruning cuts storage reads ~to selectivity on clustered "
-        "data and does nothing on shuffled data; composed with "
-        "pushdown, pruning cuts the read and pushdown cuts the "
-        "shipment — orthogonal levers on movement",
-        [dict(r, storage_read=fmt_bytes(r["storage_read"]),
-              network=fmt_bytes(r["network"]),
-              elapsed=fmt_time(r["elapsed"])) for r in rows])
+def _pick(rows, layout, engine, zonemaps, key):
+    return next(r[key] for r in rows if r["layout"] == layout
+                and r["engine"] == engine and r["zonemaps"] == zonemaps)
 
-    def pick(layout, engine, zonemaps):
-        return next(r for r in rows if r["layout"] == layout
-                    and r["engine"] == engine
-                    and r["zonemaps"] == zonemaps)
 
-    # Same answers everywhere.
-    counts = {r["rows"] for r in rows}
-    assert counts == {CUTOFF}
+def _pruned_share(rows, layout, engine, key):
+    """``key`` with zone maps over ``key`` without."""
+    return (_pick(rows, layout, engine, True, key)
+            / _pick(rows, layout, engine, False, key))
+
+
+CHECKS = {
+    "same_answer_everywhere": lambda rows: (
+        {r["rows"] for r in rows} == {CUTOFF}, len({r["rows"] for r in rows})),
     # Clustered: pruning cuts reads by ~the selectivity.
-    on = pick("clustered", "volcano", True)
-    off = pick("clustered", "volcano", False)
-    assert on["storage_read"] < 0.1 * off["storage_read"]
-    assert on["pruned_chunks"] > 20
+    "clustered_pruning_reads_under_10pct": lambda rows: below(
+        _pruned_share(rows, "clustered", "volcano", "storage_read"), 0.1),
+    "clustered_pruning_skips_20_chunks": lambda rows: above(
+        _pick(rows, "clustered", "volcano", True, "pruned_chunks"), 20),
     # Shuffled: pruning is useless.
-    shuffled = pick("shuffled", "volcano", True)
-    assert shuffled["pruned_chunks"] == 0
-    assert shuffled["storage_read"] == pick(
-        "shuffled", "volcano", False)["storage_read"]
-    # Composition: zonemaps + pushdown beats either alone on both
-    # dimensions.
-    combo = pick("clustered", "dataflow+pushdown", True)
-    push_only = pick("clustered", "dataflow+pushdown", False)
-    assert combo["storage_read"] < 0.1 * push_only["storage_read"]
-    assert combo["network"] <= push_only["network"]
-
-
-if __name__ == "__main__":
-    for r in run_e1():
-        print(r)
+    "shuffled_pruning_skips_nothing": lambda rows: exactly(
+        _pick(rows, "shuffled", "volcano", True, "pruned_chunks"), 0),
+    "shuffled_pruning_reads_everything": lambda rows: exactly(
+        _pick(rows, "shuffled", "volcano", True, "storage_read"),
+        _pick(rows, "shuffled", "volcano", False, "storage_read")),
+    # Composition: zone maps + pushdown beat pushdown alone on both.
+    "pruning_composes_with_pushdown_on_reads": lambda rows: below(
+        _pruned_share(rows, "clustered", "dataflow+pushdown",
+                      "storage_read"), 0.1),
+    "pruning_composes_with_pushdown_on_network": lambda rows: at_most(
+        _pruned_share(rows, "clustered", "dataflow+pushdown", "network"), 1),
+}

@@ -19,11 +19,10 @@ zlib-compressed) table:
   small footprint, and only surviving rows cross toward the caches.
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro.hardware import CPUSocket, NearMemoryAccelerator, OpKind
-from repro.relational import col, compress_chunk, make_uniform_table
-from repro.sim import Simulator, Trace
+from ..hardware import CPUSocket, NearMemoryAccelerator, OpKind
+from ..relational import col, compress_chunk, make_uniform_table
+from ..sim import Simulator, Trace
+from . import above, at_least, below, exactly
 
 ROWS = 300_000
 DISTINCT = 40          # low-cardinality columns compress well
@@ -82,40 +81,33 @@ def run_config(config: str) -> dict:
     }
 
 
-def run_e3() -> list[dict]:
+def run() -> list[dict]:
     return [run_config(c) for c in
             ("raw+cpu", "compressed+cpu", "compressed+nearmem")]
 
 
-def test_e3_compressed_memory(benchmark):
-    rows = benchmark.pedantic(run_e3, rounds=1, iterations=1)
-    report(
-        "E3", "Compressed-in-memory with on-demand decompression",
-        "compression shrinks DRAM residency by the ratio; doing the "
-        "decompression on the CPU trades that for core time and full "
-        "cache traffic; the near-memory unit keeps the small "
-        "footprint AND sends only filtered, uncompressed survivors "
-        "up the hierarchy",
-        [dict(r, dram_resident=fmt_bytes(r["dram_resident"]),
-              membus_bytes=fmt_bytes(r["membus_bytes"]),
-              cache_bytes=fmt_bytes(r["cache_bytes"]),
-              elapsed=fmt_time(r["elapsed"]),
-              compression_ratio=f"{r['compression_ratio']:.1f}x")
-         for r in rows])
-    raw, cpu, nearmem = rows
-    ratio = raw["compression_ratio"]
-    assert ratio > 2
+def _share(rows, key, config, reference):
+    """Row ``config``'s ``key`` over row ``reference``'s (0: raw+cpu,
+    1: compressed+cpu, 2: compressed+nearmem)."""
+    return rows[config][key] / rows[reference][key]
+
+
+CHECKS = {
+    "data_compresses_over_2x":
+        lambda rows: above(rows[0]["compression_ratio"], 2),
     # Residency shrinks by the (real) compression ratio.
-    assert cpu["dram_resident"] < raw["dram_resident"] / 2
-    assert nearmem["dram_resident"] == cpu["dram_resident"]
+    "compression_halves_residency":
+        lambda rows: below(_share(rows, "dram_resident", 1, 0), 0.5),
+    "near_memory_keeps_the_small_footprint": lambda rows: exactly(
+        rows[2]["dram_resident"], rows[1]["dram_resident"]),
     # CPU decompression still floods the caches with raw bytes.
-    assert cpu["cache_bytes"] >= raw["cache_bytes"]
+    "cpu_decompression_floods_the_caches":
+        lambda rows: at_least(_share(rows, "cache_bytes", 1, 0), 1),
     # The near-memory unit sends only survivors upward.
-    assert nearmem["membus_bytes"] < 0.1 * raw["membus_bytes"]
-    assert nearmem["cache_bytes"] < 0.1 * cpu["cache_bytes"]
-    assert nearmem["elapsed"] < cpu["elapsed"]
-
-
-if __name__ == "__main__":
-    for r in run_e3():
-        print(r)
+    "near_memory_membus_under_10pct":
+        lambda rows: below(_share(rows, "membus_bytes", 2, 0), 0.1),
+    "near_memory_cache_under_10pct":
+        lambda rows: below(_share(rows, "cache_bytes", 2, 1), 0.1),
+    "near_memory_beats_cpu_decompression":
+        lambda rows: below(_share(rows, "elapsed", 2, 1), 1),
+}

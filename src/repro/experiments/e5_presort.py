@@ -7,14 +7,12 @@ compute layer side change given these pre-processing stages?"
 
 The answer implemented here: the storage CU sorts each chunk (bounded
 state — a run generator), and the compute-side sort *changes from a
-full sort into a linear merge of runs*.  This bench sweeps data size
+full sort into a linear merge of runs*.  This experiment sweeps data size
 and compares full-CPU sorting against run-generation pushdown,
 reporting where the comparison work happens.
 """
 
-from common import fmt_time, report
-
-from repro import (
+from .. import (
     Catalog,
     DataflowEngine,
     Query,
@@ -23,6 +21,7 @@ from repro import (
     make_uniform_table,
     pushdown,
 )
+from . import above, below, exactly
 
 CHUNK = 4_096
 
@@ -51,7 +50,7 @@ def run_case(rows: int, presort: bool) -> dict:
     }
 
 
-def run_e5() -> list[dict]:
+def run() -> list[dict]:
     out = []
     for rows in (20_000, 80_000, 200_000):
         out.append(run_case(rows, presort=False))
@@ -59,34 +58,24 @@ def run_e5() -> list[dict]:
     return out
 
 
-def test_e5_presort(benchmark):
-    rows = benchmark.pedantic(run_e5, rounds=1, iterations=1)
-    report(
-        "E5", "Pre-sorting pushdown: run generation at storage, "
-        "merge at compute",
-        "per-chunk run generation is bounded-state (CU-safe); the "
-        "compute-side operator changes from an O(n log n) sort into "
-        "a linear run merge, cutting host CPU busy time; totals "
-        "improve because the comparison work moved to where the data "
-        "streamed from",
-        [{k: (fmt_time(v) if k in ("elapsed", "cpu_busy") else v)
-          for k, v in r.items() if k != "first_keys"} for r in rows])
-
-    def pick(n, presort):
-        return next(r for r in rows if r["rows"] == n
-                    and r["presort"] == presort)
-
-    for n in (20_000, 80_000, 200_000):
-        base, pre = pick(n, False), pick(n, True)
-        # Both produce the same sorted prefix.
-        assert base["first_keys"] == pre["first_keys"]
-        # The comparison work moved off the host CPU.
-        assert pre["cpu_sort_bytes"] == 0
-        assert pre["cu_sort_bytes"] > 0
-        assert base["cpu_sort_bytes"] > 0
-        assert pre["cpu_busy"] < base["cpu_busy"]
+def _pairs(rows):
+    """(full sort, presorted) rows per size."""
+    by = {(r["rows"], r["presort"]): r for r in rows}
+    return [(by[n, False], by[n, True]) for n in (20_000, 80_000, 200_000)]
 
 
-if __name__ == "__main__":
-    for r in run_e5():
-        print(r)
+CHECKS = {
+    # Both produce the same sorted prefix.
+    "presort_keeps_the_sorted_prefix": lambda rows: exactly(sum(
+        base["first_keys"] != pre["first_keys"]
+        for base, pre in _pairs(rows)), 0),
+    # The comparison work moved off the host CPU.
+    "presort_leaves_the_cpu_no_sorting": lambda rows: exactly(
+        max(pre["cpu_sort_bytes"] for _base, pre in _pairs(rows)), 0),
+    "presort_sorts_on_the_cu": lambda rows: above(
+        min(pre["cu_sort_bytes"] for _base, pre in _pairs(rows)), 0),
+    "full_sort_runs_on_the_cpu": lambda rows: above(
+        min(base["cpu_sort_bytes"] for base, _pre in _pairs(rows)), 0),
+    "presort_cuts_cpu_busy": lambda rows: below(max(
+        pre["cpu_busy"] / base["cpu_busy"] for base, pre in _pairs(rows)), 1),
+}

@@ -15,11 +15,10 @@ with the stream arriving from remote storage, three ways:
 * **GPUDirect**: NIC -> GPU, host memory and CPU untouched.
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro import build_fabric, col, dataflow_spec, make_uniform_table
-from repro.engine.operators import FilterOp, PartitionOp
-from repro.flow import StageGraph
+from .. import build_fabric, col, dataflow_spec, make_uniform_table
+from ..engine.operators import FilterOp, PartitionOp
+from ..flow import StageGraph
+from . import above, exactly
 
 ROWS = 200_000
 CHUNK = 16_384
@@ -51,37 +50,27 @@ def run_case(mode: str) -> dict:
     }
 
 
-def run_e6() -> list[dict]:
+def run() -> list[dict]:
     return [run_case("host+cpu-copies"), run_case("host+dma"),
             run_case("gpudirect")]
 
 
-def test_e6_gpudirect(benchmark):
-    rows = benchmark.pedantic(run_e6, rounds=1, iterations=1)
-    report(
-        "E6", "Storage -> GPU: conventional stack vs GPUDirect",
-        "the conventional stack stages every byte in host DRAM and "
-        "burns CPU on copies; DMA removes the CPU but not the double "
-        "crossing; GPUDirect removes both — 0 bytes through host "
-        "memory, 0 CPU time",
-        [dict(r, elapsed=fmt_time(r["elapsed"]),
-              host_dram_bytes=fmt_bytes(r["host_dram_bytes"]),
-              cpu_busy=fmt_time(r["cpu_busy"]),
-              gpu_busy=fmt_time(r["gpu_busy"])) for r in rows])
-    copies, dma, direct = rows
-    # All three compute the same result.
-    assert copies["rows_out"] == dma["rows_out"] == direct["rows_out"]
+CHECKS = {
+    "every_path_computes_the_same_rows":
+        lambda rows: exactly(len({r["rows_out"] for r in rows}), 1),
     # The conventional stack blocks CPU resources; DMA does not.
-    assert copies["cpu_busy"] > 0
-    assert dma["cpu_busy"] == 0 and direct["cpu_busy"] == 0
+    "cpu_copies_block_the_cpu": lambda rows: above(rows[0]["cpu_busy"], 0),
+    "dma_and_gpudirect_leave_the_cpu_idle": lambda rows: exactly(
+        max(rows[1]["cpu_busy"], rows[2]["cpu_busy"]), 0),
     # Host DRAM is crossed unless GPUDirect is used.
-    assert copies["host_dram_bytes"] > 0
-    assert dma["host_dram_bytes"] > 0
-    assert direct["host_dram_bytes"] == 0
+    "cpu_copies_stage_in_host_dram":
+        lambda rows: above(rows[0]["host_dram_bytes"], 0),
+    "dma_stages_in_host_dram":
+        lambda rows: above(rows[1]["host_dram_bytes"], 0),
+    "gpudirect_bypasses_host_dram":
+        lambda rows: exactly(rows[2]["host_dram_bytes"], 0),
     # Each step of bypass is faster.
-    assert direct["elapsed"] <= dma["elapsed"] <= copies["elapsed"]
-
-
-if __name__ == "__main__":
-    for r in run_e6():
-        print(r)
+    "each_bypass_step_is_faster": lambda rows: (
+        rows[2]["elapsed"] <= rows[1]["elapsed"] <= rows[0]["elapsed"],
+        rows[0]["elapsed"] / rows[2]["elapsed"]),
+}

@@ -6,14 +6,12 @@ crosses the entire path before the CPU can decide it is not needed.
 For a selective query the movement amplification is 1/selectivity:
 the engine moves the whole table to return a sliver of it.
 
-This bench runs a selection on the Volcano engine over the Figure 1
+This experiment runs a selection on the Volcano engine over the Figure 1
 node (local NVMe storage) at decreasing selectivities and reports
 bytes per path segment versus the bytes actually returned.
 """
 
-from common import fmt_bytes, report
-
-from repro import (
+from .. import (
     Catalog,
     Query,
     VolcanoEngine,
@@ -22,6 +20,7 @@ from repro import (
     conventional_spec,
     make_uniform_table,
 )
+from . import above, exactly, fmt_bytes
 
 ROWS = 200_000
 DISTINCT = 10_000
@@ -53,26 +52,16 @@ def run_selectivity(selectivity: float) -> dict:
     }
 
 
-def run_f1() -> list[dict]:
+def run() -> list[dict]:
     return [run_selectivity(s)
             for s in (1.0, 0.5, 0.1, 0.01, 0.001)]
 
 
-def test_f1_conventional_path(benchmark):
-    rows = benchmark.pedantic(run_f1, rounds=1, iterations=1)
-    report(
-        "F1", "Conventional data path movement amplification",
-        "every byte crosses disk->memory->caches->registers; "
-        "amplification ~ 1/selectivity; elapsed barely improves with "
-        "selectivity because movement, not compute, dominates",
-        rows)
-    # Shape checks: full table always crosses the memory bus...
-    membus = [r["membus"] for r in rows]
-    assert len(set(membus)) == 1
+CHECKS = {
+    # The full table crosses the memory bus at every selectivity...
+    "full_table_crosses_the_memory_bus":
+        lambda rows: exactly(len({r["membus"] for r in rows}), 1),
     # ...and amplification explodes as selectivity drops.
-    assert rows[-1]["amplification"] > 100 * rows[0]["amplification"]
-
-
-if __name__ == "__main__":
-    report("F1", "Conventional data path movement amplification",
-           "amplification ~ 1/selectivity", run_f1())
+    "amplification_grows_100x": lambda rows: above(
+        rows[-1]["amplification"] / rows[0]["amplification"], 100),
+}

@@ -10,9 +10,7 @@ pushdown on (storage CU) vs off (filter/project on the CPU), on the
 same network-attached fabric.
 """
 
-from common import fmt_bytes, fmt_time, report
-
-from repro import (
+from .. import (
     Catalog,
     DataflowEngine,
     Query,
@@ -23,6 +21,7 @@ from repro import (
     make_lineitem,
     pushdown,
 )
+from . import above, exactly
 
 ROWS = 100_000
 CHUNK = 8_192
@@ -55,7 +54,7 @@ def run_case(selectivity: float, columns: list[str],
     }
 
 
-def run_f2() -> list[dict]:
+def run() -> list[dict]:
     rows = []
     for selectivity in (1.0, 0.1, 0.01):
         for columns in (WIDE, NARROW):
@@ -64,37 +63,24 @@ def run_f2() -> list[dict]:
     return rows
 
 
-def test_f2_storage_pushdown(benchmark):
-    rows = benchmark.pedantic(run_f2, rounds=1, iterations=1)
-    pretty = [dict(r, network=fmt_bytes(r["network"]),
-                   elapsed=fmt_time(r["elapsed"])) for r in rows]
-    report(
-        "F2", "Selection/projection pushdown to remote storage",
-        "network bytes ~ selectivity x projected width; pushdown "
-        "gains grow as either shrinks; at selectivity 1.0 and full "
-        "width pushdown buys (almost) nothing",
-        pretty)
-
-    def pick(sel, width, push):
-        return next(r for r in rows if r["selectivity"] == sel
-                    and r["width"] == width and r["pushdown"] == push)
-
-    # Selective + narrow: pushdown slashes network traffic >50x.
-    assert pick(0.01, "narrow", True)["network"] < \
-        pick(0.01, "narrow", False)["network"] / 50
-    # Non-selective + wide: pushdown within 25% of no-pushdown.
-    assert pick(1.0, "wide", True)["network"] > \
-        0.75 * pick(1.0, "wide", False)["network"]
-    # Each pushdown case agrees with its baseline on the row count.
-    for sel in (1.0, 0.1, 0.01):
-        for width in ("narrow", "wide"):
-            assert pick(sel, width, True)["rows"] == \
-                pick(sel, width, False)["rows"]
+def _pick(rows, sel, width, push):
+    return next(r for r in rows if r["selectivity"] == sel
+                and r["width"] == width and r["pushdown"] == push)
 
 
-if __name__ == "__main__":
-    rows = run_f2()
-    report("F2", "Selection/projection pushdown",
-           "network ~ selectivity x width",
-           [dict(r, network=fmt_bytes(r["network"]),
-                 elapsed=fmt_time(r["elapsed"])) for r in rows])
+def _kept(rows, sel, width):
+    """Network bytes with pushdown over bytes without it."""
+    return (_pick(rows, sel, width, True)["network"]
+            / _pick(rows, sel, width, False)["network"])
+
+
+CHECKS = {
+    "narrow_selective_pushdown_cuts_network_50x":
+        lambda rows: above(1 / _kept(rows, 0.01, "narrow"), 50),
+    "wide_unselective_pushdown_within_25pct":
+        lambda rows: above(_kept(rows, 1.0, "wide"), 0.75),
+    "pushdown_keeps_every_row_count": lambda rows: exactly(sum(
+        _pick(rows, sel, width, True)["rows"]
+        != _pick(rows, sel, width, False)["rows"]
+        for sel in (1.0, 0.1, 0.01) for width in ("narrow", "wide")), 0),
+}

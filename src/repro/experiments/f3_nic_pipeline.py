@@ -12,14 +12,13 @@ of groups, reporting the rows that reach the CPU's final stage and
 the network bytes.
 """
 
-from common import fmt_bytes, fmt_time, report
-
 import numpy as np
 
-from repro import AggSpec, build_fabric, dataflow_spec
-from repro.engine.operators import MergeAggregate, PartialAggregate
-from repro.flow import StageGraph
-from repro.relational import DataType, Field, Schema, make_uniform_table
+from .. import AggSpec, build_fabric, dataflow_spec
+from ..engine.operators import MergeAggregate, PartialAggregate
+from ..flow import StageGraph
+from ..relational import DataType, Field, Schema, make_uniform_table
+from . import below
 
 ROWS = 100_000
 CHUNK = 2_048
@@ -72,7 +71,7 @@ def run_case(groups: int, stages: int) -> dict:
     }
 
 
-def run_f3() -> list[dict]:
+def run() -> list[dict]:
     rows = []
     for groups in (10, 1_000, 50_000):
         for stages in (0, 1, 2, 3):
@@ -80,36 +79,26 @@ def run_f3() -> list[dict]:
     return rows
 
 
-def test_f3_nic_pipeline(benchmark):
-    rows = benchmark.pedantic(run_f3, rounds=1, iterations=1)
-    pretty = [dict(r, network=fmt_bytes(r["network"]),
-                   elapsed=fmt_time(r["elapsed"]),
-                   cpu_busy=fmt_time(r["cpu_busy"])) for r in rows]
-    report(
-        "F3", "Staged pre-aggregation pipeline across NICs",
-        "each extra stage cuts rows reaching the CPU's final stage; "
-        "gains are large for few groups (near-total reduction at the "
-        "first stage) and shrink as groups approach input rows",
-        pretty)
+def _pick(rows, groups, stages):
+    return next(r for r in rows if r["groups"] == groups
+                and r["pre_stages"] == stages)
 
-    def pick(groups, stages):
-        return next(r for r in rows if r["groups"] == groups
-                    and r["pre_stages"] == stages)
 
-    # Few groups: one pre-agg stage slashes rows into the CPU.
-    assert pick(10, 1)["rows_into_cpu"] < ROWS / 100
-    # Extra merge stages never increase CPU-side rows.
+def _merges_never_add_cpu_rows(rows):
     for groups in (10, 1_000, 50_000):
-        seq = [pick(groups, s)["rows_into_cpu"] for s in (0, 1, 2, 3)]
-        assert seq[1:] == sorted(seq[1:], reverse=True) or \
-            all(v <= seq[0] for v in seq[1:])
-    # CPU busy time falls once pre-aggregation is offloaded.
-    assert pick(1_000, 3)["cpu_busy"] < pick(1_000, 0)["cpu_busy"]
+        seq = [_pick(rows, groups, s)["rows_into_cpu"] for s in (0, 1, 2, 3)]
+        if not (seq[1:] == sorted(seq[1:], reverse=True)
+                or all(v <= seq[0] for v in seq[1:])):
+            return False, None
+    return True, None
 
 
-if __name__ == "__main__":
-    rows = run_f3()
-    report("F3", "Staged pre-aggregation", "stages reduce CPU-side rows",
-           [dict(r, network=fmt_bytes(r["network"]),
-                 elapsed=fmt_time(r["elapsed"]),
-                 cpu_busy=fmt_time(r["cpu_busy"])) for r in rows])
+CHECKS = {
+    # Few groups: one pre-agg stage slashes rows into the CPU.
+    "one_stage_cuts_cpu_rows_below_1pct": lambda rows: below(
+        _pick(rows, 10, 1)["rows_into_cpu"], ROWS / 100),
+    "merge_stages_never_add_cpu_rows": _merges_never_add_cpu_rows,
+    "offload_cuts_cpu_busy": lambda rows: below(
+        _pick(rows, 1_000, 3)["cpu_busy"]
+        / _pick(rows, 1_000, 0)["cpu_busy"], 1),
+}

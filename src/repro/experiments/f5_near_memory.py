@@ -12,11 +12,9 @@ compared against the CPU doing the same work over the memory bus:
   memory.
 """
 
-from common import fmt_bytes, fmt_time, report
-
 import numpy as np
 
-from repro.hardware import (
+from ..hardware import (
     CPUSocket,
     FreeList,
     HierarchicalBlockStore,
@@ -28,7 +26,8 @@ from repro.hardware import (
     gc_near_memory,
     gc_on_cpu,
 )
-from repro.sim import Simulator, Trace
+from ..sim import Simulator, Trace
+from . import above, below, exactly
 
 
 def env():
@@ -140,7 +139,7 @@ def run_gc(nodes: int = 200_000) -> dict:
     }
 
 
-def run_f5():
+def run():
     filters = [run_filter(s, on) for s in (1.0, 0.1, 0.01)
                for on in (False, True)]
     chases = [run_chase(n) for n in (10_000, 1_000_000)]
@@ -149,55 +148,30 @@ def run_f5():
     return filters, chases, gc
 
 
-def test_f5_near_memory(benchmark):
-    filters, chases, gc = benchmark.pedantic(run_f5, rounds=1,
-                                             iterations=1)
-    report(
-        "F5a", "Near-memory filtering on the memory->cache path",
-        "the CPU sees only filtered data: membus/cache bytes drop "
-        "with selectivity when the accelerator filters; on the CPU "
-        "they never drop",
-        [dict(r, membus_bytes=fmt_bytes(r["membus_bytes"]),
-              cache_bytes=fmt_bytes(r["cache_bytes"]),
-              elapsed=fmt_time(r["elapsed"])) for r in filters])
-    report(
-        "F5b", "Pointer-chasing functional unit",
-        "a traversal on the CPU moves height x block per lookup; near "
-        "memory only the leaf moves — the gap grows with tree height "
-        "and shrinks when the LLC already holds the hot upper levels",
-        [dict(r, cpu_membus=fmt_bytes(r["cpu_membus"]),
-              nm_membus=fmt_bytes(r["nm_membus"]),
-              cpu_elapsed=fmt_time(r["cpu_elapsed"]),
-              nm_elapsed=fmt_time(r["nm_elapsed"])) for r in chases])
-    report(
-        "F5c", "List-maintenance (GC) functional unit",
-        "memory-centric maintenance near memory moves nothing toward "
-        "the CPU",
-        [dict(gc, cpu_membus=fmt_bytes(gc["cpu_membus"]),
-              nm_membus=fmt_bytes(gc["nm_membus"]),
-              cpu_elapsed=fmt_time(gc["cpu_elapsed"]),
-              nm_elapsed=fmt_time(gc["nm_elapsed"]))])
+def _filter(rows, sel, site):
+    return next(r["membus_bytes"] for r in rows[0]
+                if r["selectivity"] == sel and r["site"] == site)
 
+
+def _chase(rows, cached):
+    return next(r for r in rows[1] if r["keys"] == 1_000_000
+                and r["llc_cached"] == cached)
+
+
+CHECKS = {
     # Filter: near-memory movement scales with selectivity; CPU's not.
-    def fpick(sel, site):
-        return next(r for r in filters if r["selectivity"] == sel
-                    and r["site"] == site)
-    assert fpick(0.01, "near-memory")["membus_bytes"] < \
-        fpick(0.01, "cpu")["membus_bytes"] / 50
-    assert fpick(0.01, "cpu")["membus_bytes"] == \
-        fpick(1.0, "cpu")["membus_bytes"]
-    # Chase: near-memory moves exactly one block per lookup.
-    big = next(r for r in chases if r["keys"] == 1_000_000
-               and not r["llc_cached"])
-    assert big["nm_membus"] < big["cpu_membus"] / (big["height"] - 1)
+    "near_memory_filter_cuts_membus_50x": lambda rows: above(
+        _filter(rows, 0.01, "cpu") / _filter(rows, 0.01, "near-memory"), 50),
+    "cpu_filter_moves_everything": lambda rows: exactly(
+        _filter(rows, 0.01, "cpu"), _filter(rows, 1.0, "cpu")),
+    # Chase: near-memory moves one block per lookup, the CPU one per level.
+    "near_memory_chase_moves_one_block_per_lookup": lambda rows: above(
+        _chase(rows, False)["cpu_membus"] / _chase(rows, False)["nm_membus"],
+        _chase(rows, False)["height"] - 1),
     # A warm LLC narrows (but here does not erase) the CPU's gap.
-    cached = next(r for r in chases if r["llc_cached"])
-    assert cached["cpu_membus"] < big["cpu_membus"]
-    # GC near memory: zero bytes toward the CPU.
-    assert gc["nm_membus"] == 0
-
-
-if __name__ == "__main__":
-    filters, chases, gc = run_f5()
-    for r in filters + chases + [gc]:
-        print(r)
+    "warm_llc_narrows_the_cpu_gap": lambda rows: below(
+        _chase(rows, True)["cpu_membus"] / _chase(rows, False)["cpu_membus"],
+        1),
+    "near_memory_gc_moves_nothing":
+        lambda rows: exactly(rows[2]["nm_membus"], 0),
+}

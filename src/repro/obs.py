@@ -354,6 +354,21 @@ def _serving_record_violations(record: dict, where: str) -> list[str]:
     return errors
 
 
+def _experiment_record_violations(record: dict, where: str) -> list[str]:
+    """Every check verdict is ``{name: str, passed: bool, value:
+    number | null}``."""
+    errors = []
+    for position, check in enumerate(record["checks"]):
+        at = f"{where}.checks[{position}]"
+        if not isinstance(check, dict):
+            errors.append(f"{at}: not an object")
+            continue
+        errors.extend(_shape_violations(check, at, {
+            "name": str, "passed": bool, "value": (*_NUMBER, type(None))},
+            {}))
+    return errors
+
+
 # Section -> (required keys, keys typed whenever present, value checks).
 # ``--compare`` re-runs a serving record from the two optional keys.
 _SECTION_CHECKS = {
@@ -363,7 +378,8 @@ _SECTION_CHECKS = {
     "serving": (_SERVING_SHAPE,
                 {"rows": int, "requested_queries": int},
                 _serving_record_violations),
-    "experiments": ({"name": str}, {}, lambda record, where: []),
+    "experiments": ({"name": str, "rows": list, "checks": list}, {},
+                    _experiment_record_violations),
 }
 
 

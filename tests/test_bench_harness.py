@@ -4,12 +4,14 @@ import copy
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import bench, obs
+from repro.experiments import EXPERIMENTS, exactly, experiment_module
 from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.obs import (
@@ -203,11 +205,47 @@ def test_validation_reason_string_without_raising(smoke_record):
     assert len(violations) == 2
 
 
-def test_experiment_index_points_at_real_scripts():
-    index = bench.experiment_index()
-    assert len(index) == 20
-    for exp_id, path in index.items():
-        assert os.path.isfile(path), exp_id
+def test_experiment_table_has_20_ids_each_with_a_check():
+    assert len(EXPERIMENTS) == 20
+    for exp_id in EXPERIMENTS:
+        assert len(experiment_module(exp_id).CHECKS) >= 1, exp_id
+
+
+def test_validation_rejects_malformed_experiment_records():
+    record = {"name": "c8", "rows": [],
+              "checks": [{"name": "a", "passed": True, "value": 1.5},
+                         {"name": "b", "passed": False, "value": None}]}
+    assert validate_report(make_report("unit", experiments=[record])) == ""
+    broken = [
+        (dict(record, rows={}), "'rows' is {}, expected list"),
+        ({"name": "c8", "rows": []}, "missing 'checks'"),
+        (dict(record, checks=["ok"]), "checks[0]: not an object"),
+        (dict(record, checks=[{"name": "x", "passed": 1, "value": 0}]),
+         "'passed' is 1, expected bool"),
+        (dict(record, checks=[{"name": "x", "passed": True}]),
+         "missing 'value'"),
+        (dict(record, checks=[{"name": "x", "passed": True,
+                               "value": "2x"}]),
+         "'value' is '2x', expected number"),
+    ]
+    for bad, reason in broken:
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            validate_report(make_report("unit", experiments=[bad]))
+
+
+def test_cli_exp_exits_1_and_names_a_failed_check(tmp_path, capsys,
+                                                 monkeypatch):
+    c8 = experiment_module("c8")
+    monkeypatch.setattr(c8, "CHECKS", {
+        **c8.CHECKS, "three_row_groups": lambda rows: exactly(len(rows), 3)})
+    assert cli_main(["bench", "--exp", "c8", "--quiet",
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("FAILED CHECK: experiments[c8].three_row_groups "
+                   "(value 2)\n")
+    report = json.loads((tmp_path / "BENCH_local.json").read_text())
+    assert [check["passed"] for check in report["experiments"][0]
+            ["checks"]] == [True] * (len(c8.CHECKS) - 1) + [False]
 
 
 def test_cli_smoke_writes_valid_report(tmp_path, capsys):

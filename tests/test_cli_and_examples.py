@@ -255,7 +255,7 @@ CLI_PINS = {
         'b46747a23750dc42489fd43aefa693b6b3d37c61f02578e5968a690080994880',
         {}),
     'experiments': (
-        '82f10c6bc8095a69cf5dc1313d71d1b56a94f7c5fa737b9c94a07e6431a951db',
+        'da5cd7fd5f6fad25bace605ae85a98a2ee80fe0f2142ea28f603d4c192644e4e',
         {}),
     'bench --list': (
         '4be908f366bfe37be461cb4362068e989d3709fb4a04cd5610f1579487abd95c',

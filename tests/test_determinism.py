@@ -91,11 +91,11 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
 
 
 #: Every environment name the package reads.
-ENV_SWITCHES = {"REPRO_BENCH_DIR", "REPRO_SLOW_FLOW"}
+ENV_SWITCHES = {"REPRO_SLOW_FLOW"}
 
 
 def test_env_switch_inventory():
-    """One reference switch (the flow fast path's), plus one path."""
+    """One reference switch (the flow fast path's), nothing else."""
     src = Path(__file__).resolve().parent.parent / "src"
     names = {name for path in src.rglob("*.py")
              for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}

@@ -22,7 +22,8 @@ from repro.engine.operators import (
     run_chain,
 )
 from repro.hardware import OpKind
-from repro.relational import Chunk, DataType, Field, Schema, col
+from repro.relational import (Chunk, DataType, Field, Schema, col,
+                              make_lineitem)
 
 
 def ints_chunk(**cols):
@@ -454,3 +455,23 @@ def test_sort_multi_key_priority():
 
 def test_sort_empty_stream():
     assert SortOp(["x"]).finish() == []
+
+
+# ---------------------------------------------------------------------------
+# Encoded strings
+# ---------------------------------------------------------------------------
+
+def test_string_group_by_same_on_codes_and_decoded_rows():
+    """An arena chunk groups on dictionary codes; the same rows held as
+    decoded strings group to the same three return flags."""
+    arena_chunk = make_lineitem(20_000, chunk_rows=20_000).chunks[0]
+    dict_chunk = Chunk(arena_chunk.schema, dict(arena_chunk.columns))
+    assert arena_chunk.dict_codes("l_returnflag") is not None
+    assert dict_chunk.dict_codes("l_returnflag") is None
+    specs = [AggSpec("sum", "l_extendedprice", "rev"),
+             AggSpec("count", alias="n")]
+    groups = [PartialAggregate(chunk.schema, ["l_returnflag"], specs)
+              .process(chunk)[0].chunk for chunk in (arena_chunk, dict_chunk)]
+    assert [g.num_rows for g in groups] == [3, 3]
+    assert sorted(groups[0].to_rows()) == sorted(groups[1].to_rows())
+

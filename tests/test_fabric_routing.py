@@ -22,8 +22,8 @@ from repro.hardware import (Link, NoRouteError, build_fabric,
                             conventional_spec, dataflow_spec, rack_spec)
 from repro.hardware.topology import Fabric
 
-#: Every preset spec built anywhere in src/, tests/, perfbench/,
-#: benchmarks/ and examples/; ``extra`` is the number of links beyond a
+#: Every preset spec built anywhere in src/ (the experiments too),
+#: tests/, perfbench/ and examples/; ``extra`` is the number of links beyond a
 #: spanning tree (GPUDirect closes the one cycle: nic - dram - gpu).
 PRESETS = {
     "conventional": (conventional_spec, 0),

@@ -136,54 +136,6 @@ def test_scheduler_results_match_solo_execution():
         solo3.execute(LIGHT).table.sorted_rows()
 
 
-def run_c4(policy, variants=3):
-    """C4's batch on C4's fabric: (makespan, variant per query, rows).
-
-    A modest storage CU behind a fast disk and network is the one
-    contended resource, and a LIKE predicate can only run on the
-    storage CU or the CPU (NICs have no regex engine).
-    """
-    fabric = build_fabric(dataflow_spec(storage_cu_scale=0.3,
-                                        ssd_gib_per_s=16,
-                                        network_gbits=400))
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(30_000, chunk_rows=4096))
-    regex_query = (Query.scan("lineitem")
-                   .filter(col("l_comment").like("%express%"))
-                   .project(["l_orderkey"]))
-    scheduler = Scheduler(fabric, catalog, policy=policy,
-                          variants_per_query=variants)
-    for i in range(6):
-        scheduler.submit(f"q{i}", regex_query, arrival=i * 1e-4)
-    records = scheduler.run()
-    return (scheduler.makespan(), [r.variant_name for r in records],
-            [r.table.sorted_rows() for r in records])
-
-
-def beats_greedy(run, greedy) -> bool:
-    """C4's claim: variant choice spreads the batch and cuts makespan."""
-    makespan, variants, _ = run
-    return len(set(variants)) >= 2 and makespan < 0.8 * greedy[0]
-
-
-def test_interference_policy_spreads_variants():
-    """With the shared storage CU as the offload bottleneck, the
-    interference policy splits concurrent queries between the CU and
-    the CPU and beats greedy full-offload (§7.3, C4).  Restricted to
-    one variant (ablation A1) it *is* greedy, so the claim must fail
-    there — otherwise it would not be measuring variant choice.
-    """
-    greedy = run_c4("greedy")
-    ablation = run_c4("interference", variants=1)
-    interference = run_c4("interference")
-    assert beats_greedy(interference, greedy), interference[:2]
-    assert ablation[:2] == greedy[:2]
-    assert not beats_greedy(ablation, greedy)
-    # Every policy still computed the right answer.
-    for run in (greedy, ablation, interference):
-        assert all(t == greedy[2][0] for t in run[2])
-
-
 def test_greedy_policy_always_picks_best():
     fabric, catalog = make_env()
     scheduler = Scheduler(fabric, catalog, policy="greedy")
