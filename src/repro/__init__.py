@@ -25,104 +25,87 @@ Quickstart::
     print(result.rows, result.bytes_on("network"))
 """
 
-from .cloud import (
-    BufferPool,
-    DataCache,
-    EgressOp,
-    IngressOp,
-    ObjectStore,
-    ResultCache,
-    TaxConfig,
-)
-from .engine import (
-    AggSpec,
-    DataflowEngine,
-    Placement,
-    PlacementError,
-    Query,
-    QueryResult,
-    VolcanoEngine,
-    cpu_only,
-    data_path_sites,
-    pushdown,
-)
-from .flow import CreditChannel, StageGraph
-from .hardware import (
-    FabricSpec,
-    HeterogeneousFabric,
-    OpKind,
-    build_fabric,
-    conventional_spec,
-    dataflow_spec,
-    rack_spec,
-)
-from .optimizer import CostModel, Optimizer, PlanCost
-from .relational import (
-    Catalog,
-    Chunk,
-    DataType,
-    Field,
-    Schema,
-    Table,
-    col,
-    lit,
-    make_lineitem,
-    make_orders,
-    make_sensor_readings,
-    make_uniform_table,
-)
-from .relational.sql import SqlError, parse_sql
-from .scheduler import ScheduledQuery, Scheduler
-from .sim import Simulator, Trace
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AggSpec",
-    "BufferPool",
-    "Catalog",
-    "Chunk",
-    "CostModel",
-    "CreditChannel",
-    "DataCache",
-    "DataType",
-    "DataflowEngine",
-    "EgressOp",
-    "FabricSpec",
-    "Field",
-    "HeterogeneousFabric",
-    "IngressOp",
-    "ObjectStore",
-    "OpKind",
-    "Optimizer",
-    "Placement",
-    "PlacementError",
-    "PlanCost",
-    "Query",
-    "QueryResult",
-    "ResultCache",
-    "ScheduledQuery",
-    "Scheduler",
-    "Schema",
-    "Simulator",
-    "StageGraph",
-    "Table",
-    "TaxConfig",
-    "Trace",
-    "VolcanoEngine",
-    "build_fabric",
-    "col",
-    "conventional_spec",
-    "cpu_only",
-    "data_path_sites",
-    "dataflow_spec",
-    "lit",
-    "make_lineitem",
-    "make_orders",
-    "make_sensor_readings",
-    "make_uniform_table",
-    "parse_sql",
-    "pushdown",
-    "rack_spec",
-    "SqlError",
-]
+
+def _lazy_exports(namespace: dict, table: dict[str, str]):
+    """``(__getattr__, __dir__)`` for the package whose globals are
+    ``namespace``, exporting each name of ``table`` from its submodule
+    (PEP 562).
+
+    Every package of ``repro`` lists its exports this way, so importing
+    a package runs none of its submodules: a name imports its submodule
+    the first time it is read, and stays in the package's namespace.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute "
+                                 f"{name!r}") from None
+        value = getattr(importlib.import_module(f"{package}.{module}"),
+                        name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | table.keys())
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "AggSpec": "engine",
+    "BufferPool": "cloud",
+    "Catalog": "relational",
+    "Chunk": "relational",
+    "CostModel": "optimizer",
+    "CreditChannel": "flow",
+    "DataCache": "cloud",
+    "DataType": "relational",
+    "DataflowEngine": "engine",
+    "EgressOp": "cloud",
+    "FabricSpec": "hardware",
+    "Field": "relational",
+    "HeterogeneousFabric": "hardware",
+    "IngressOp": "cloud",
+    "ObjectStore": "cloud",
+    "OpKind": "hardware",
+    "Optimizer": "optimizer",
+    "Placement": "engine",
+    "PlacementError": "engine",
+    "PlanCost": "optimizer",
+    "Query": "engine",
+    "QueryResult": "engine",
+    "ResultCache": "cloud",
+    "ScheduledQuery": "scheduler",
+    "Scheduler": "scheduler",
+    "Schema": "relational",
+    "Simulator": "sim",
+    "StageGraph": "flow",
+    "Table": "relational",
+    "TaxConfig": "cloud",
+    "Trace": "sim",
+    "VolcanoEngine": "engine",
+    "build_fabric": "hardware",
+    "col": "relational",
+    "conventional_spec": "hardware",
+    "cpu_only": "engine",
+    "data_path_sites": "engine",
+    "dataflow_spec": "hardware",
+    "lit": "relational",
+    "make_lineitem": "relational",
+    "make_orders": "relational",
+    "make_sensor_readings": "relational",
+    "make_uniform_table": "relational",
+    "parse_sql": "relational",
+    "pushdown": "engine",
+    "rack_spec": "hardware",
+    "SqlError": "relational",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

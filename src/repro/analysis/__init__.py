@@ -22,79 +22,41 @@ Three layers on top of the observability substrate:
   CI can assert the live alert stream is reconstructible.
 """
 
-from .critical_path import (
-    Attribution,
-    WinnerTimeline,
-    attribute,
-    attribute_query,
-    attribute_windows,
-    raw_intervals,
-)
-from .observatory import (
-    OBSERVATORY_SCHEMA,
-    Observatory,
-    bound_class,
-    effective_cost,
-    render_top,
-)
-from .slo import (
-    BurnRateMonitor,
-    SLOPolicy,
-    alert_mismatches,
-    burn_rate,
-    replay_alerts,
-)
-from .scenarios import (
-    QUERIES,
-    SCENARIOS,
-    Scenario,
-    ScenarioRun,
-    figure_scenario,
-    run_digest,
-    run_scenario,
-)
-from .whatif import (
-    DEFAULT_FACTORS,
-    OFFPATH_GAIN,
-    WHATIF_SCHEMA,
-    optimizer_crosscheck,
-    parse_vary,
-    run_whatif,
-    whatif_violations,
-)
-from .report import render_report, write_report
+from .. import _lazy_exports
 
-__all__ = [
-    "Attribution",
-    "attribute",
-    "attribute_query",
-    "attribute_windows",
-    "WinnerTimeline",
-    "raw_intervals",
-    "OBSERVATORY_SCHEMA",
-    "Observatory",
-    "bound_class",
-    "effective_cost",
-    "render_top",
-    "BurnRateMonitor",
-    "SLOPolicy",
-    "alert_mismatches",
-    "burn_rate",
-    "replay_alerts",
-    "QUERIES",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioRun",
-    "figure_scenario",
-    "run_digest",
-    "run_scenario",
-    "DEFAULT_FACTORS",
-    "OFFPATH_GAIN",
-    "WHATIF_SCHEMA",
-    "optimizer_crosscheck",
-    "parse_vary",
-    "run_whatif",
-    "whatif_violations",
-    "render_report",
-    "write_report",
-]
+_EXPORTS = {
+    "Attribution": "critical_path",
+    "attribute": "critical_path",
+    "attribute_query": "critical_path",
+    "attribute_windows": "critical_path",
+    "WinnerTimeline": "critical_path",
+    "raw_intervals": "critical_path",
+    "OBSERVATORY_SCHEMA": "observatory",
+    "Observatory": "observatory",
+    "bound_class": "observatory",
+    "effective_cost": "observatory",
+    "render_top": "observatory",
+    "BurnRateMonitor": "slo",
+    "SLOPolicy": "slo",
+    "alert_mismatches": "slo",
+    "burn_rate": "slo",
+    "replay_alerts": "slo",
+    "QUERIES": "scenarios",
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "ScenarioRun": "scenarios",
+    "figure_scenario": "scenarios",
+    "run_digest": "scenarios",
+    "run_scenario": "scenarios",
+    "DEFAULT_FACTORS": "whatif",
+    "OFFPATH_GAIN": "whatif",
+    "WHATIF_SCHEMA": "whatif",
+    "optimizer_crosscheck": "whatif",
+    "parse_vary": "whatif",
+    "run_whatif": "whatif",
+    "whatif_violations": "whatif",
+    "render_report": "report",
+    "write_report": "report",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -70,30 +70,16 @@ root by accident.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
+from typing import Optional
 
-from .analysis import (
-    DEFAULT_FACTORS,
-    OBSERVATORY_SCHEMA,
-    QUERIES,
-    SCENARIOS,
-    figure_scenario,
-    optimizer_crosscheck,
-    parse_vary,
-    render_top,
-    run_whatif,
-    whatif_violations,
-    write_report,
-)
-from .bench import (
-    DEFAULT_ROWS,
-    DEFAULT_TOLERANCE,
-    SERVE_BENCH_QUERIES,
-    run_cli,
-)
+# What every command may use.  Serving, the harness, the experiments,
+# the analyses, SQL and the Chrome trace are imported by the commands
+# that run them, so ``repro sites`` loads none of them.
 from .engine import (
     POLICIES,
     DataflowEngine,
@@ -102,23 +88,12 @@ from .engine import (
     data_path_sites,
     place,
 )
-from .experiments import EXPERIMENTS
 from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
 from .obs import _observatory_section_violations
 from .optimizer import Optimizer
 from .relational import Catalog, col, make_lineitem, make_orders, \
     standard_catalog
-from .relational.sql import SqlError, parse_sql
-from .serve import (
-    SERVE_SCENARIOS,
-    run_scenario,
-    schedule_for,
-    serve_scenario,
-    serve_scenario_server,
-    write_dashboard,
-)
-from .sim import export_chrome_trace
 
 
 def positive_int(text: str) -> int:
@@ -209,6 +184,7 @@ SPECS = {"dataflow": dataflow_spec, "conventional": conventional_spec}
 
 def cmd_demo(args) -> int:
     """Baseline vs data-flow demo: one query, both engines."""
+    from .analysis import QUERIES
     catalog = _catalog(args.rows)
     query = QUERIES["demo"]()
 
@@ -343,7 +319,9 @@ def _print_ledger(trace, max_rows: int = 40) -> None:
 
 def cmd_trace(args) -> int:
     """Export a Chrome/Perfetto trace (the demo query, or --serve)."""
+    from .sim import export_chrome_trace
     if args.serve:
+        from .serve import serve_scenario_server
         out = _routed_output(args.out,
                              f"trace_serve_{args.scenario}.json")
         server = serve_scenario_server(args.scenario,
@@ -362,6 +340,7 @@ def cmd_trace(args) -> int:
               f"truncated={stats['truncated']})")
         print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
+    from .analysis import QUERIES
     catalog = _catalog(args.rows)
     query = QUERIES["demo"]()
     fabric = build_fabric(dataflow_spec())
@@ -383,6 +362,7 @@ def cmd_trace(args) -> int:
 
 def cmd_sql(args) -> int:
     """Run a SQL statement over synthetic lineitem/orders tables."""
+    from .relational import SqlError, parse_sql
     catalog = _catalog(args.rows)
     try:
         query = parse_sql(args.statement)
@@ -443,6 +423,8 @@ def _print_whatif(payload: dict) -> None:
 
 def cmd_whatif(args) -> int:
     """Causal what-if profiler (per-resource virtual speedups)."""
+    from .analysis import (DEFAULT_FACTORS, parse_vary, run_whatif,
+                           whatif_violations)
     resources = (args.resources.split(",") if args.resources
                  else None)
     try:
@@ -469,6 +451,8 @@ def cmd_whatif(args) -> int:
 
 def cmd_report(args) -> int:
     """Self-contained HTML attribution report (+ JSON artifact)."""
+    from .analysis import SCENARIOS, figure_scenario, run_whatif, \
+        write_report
     out = _routed_output(args.out, "attribution.html")
     names = (sorted(SCENARIOS) if args.queries == "all"
              else [q.strip() for q in args.queries.split(",")])
@@ -489,6 +473,7 @@ def cmd_report(args) -> int:
 
 def cmd_optimize(args) -> int:
     """Rank placements; --validate-whatif cross-checks them."""
+    from .analysis import figure_scenario, optimizer_crosscheck
     if not args.validate_whatif:
         scenario = figure_scenario(args.query)
         fabric = build_fabric(scenario.spec())
@@ -531,6 +516,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_experiments(_args) -> int:
     """List the reproduced experiments."""
+    from .experiments import EXPERIMENTS
     print(f"{'id':4} {'section':19} {'module':39} title")
     for exp_id, (section, title, module) in EXPERIMENTS.items():
         print(f"{exp_id.upper():4} {section:19} "
@@ -539,8 +525,15 @@ def cmd_experiments(_args) -> int:
     return 0
 
 
+def cmd_bench(args) -> int:
+    """Run the benchmark harness -> BENCH_<tag>.json."""
+    from .bench import run_cli
+    return run_cli(args)
+
+
 def cmd_serve(args) -> int:
     """Serve a multi-tenant scenario on one warm fabric."""
+    from .serve import run_scenario, write_dashboard
     record = run_scenario(args.scenario, rows=args.rows,
                           queries=args.queries,
                           verify=not args.no_verify)
@@ -606,6 +599,7 @@ def cmd_serve(args) -> int:
 
 def cmd_top(args) -> int:
     """Saturation observatory: pools, bound tenants, regret leaders."""
+    from .analysis import OBSERVATORY_SCHEMA, render_top
     if args.from_file:
         try:
             with open(args.from_file) as handle:
@@ -638,6 +632,7 @@ def cmd_top(args) -> int:
         print(render_top(payload, name=name, follow=args.follow))
         return 0
 
+    from .serve import run_scenario
     record = run_scenario(args.scenario, rows=args.rows,
                           queries=args.queries, verify=False)
     payload = record.get("observatory")
@@ -661,6 +656,7 @@ def cmd_top(args) -> int:
 
 def cmd_loadgen(args) -> int:
     """Materialize a scenario's open-tenant arrival schedule."""
+    from .serve import schedule_for, serve_scenario
     scenario = serve_scenario(args.scenario)
     tenants, counts = scenario.build_tenants(args.queries
                                              or scenario.queries)
@@ -683,6 +679,34 @@ def cmd_loadgen(args) -> int:
     return 0
 
 
+def _module(name: str):
+    """``repro.<name>``, imported when a command that reads it parses."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+class _Command(argparse.ArgumentParser):
+    """A sub-command's parser: its arguments are added, in order, when
+    it first parses, and a ``choices`` or ``default`` given as a
+    function is called then — so the module a registry lives in loads
+    only for a command that offers it."""
+
+    pending: Optional[list] = None      # None: add at once (argparse's -h)
+
+    def add_argument(self, *options, **keywords):
+        if self.pending is None:
+            return super().add_argument(*options, **keywords)
+        self.pending.append((options, keywords))
+
+    def parse_known_args(self, args=None, namespace=None):
+        pending, self.pending = self.pending or [], None
+        for options, keywords in pending:
+            super().add_argument(*options, **{
+                key: value() if key in ("choices", "default")
+                and callable(value) else value
+                for key, value in keywords.items()})
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every flag more than one command takes, defined once; a command
     # names the ones it takes in its ``command(...)`` line.
@@ -691,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="base table rows (omitted: the command's or "
                           "the scenario's own)"),
         "scenario": dict(default="two_tenant_bursty",
-                         choices=sorted(SERVE_SCENARIOS),
+                         choices=lambda: sorted(
+                             _module("serve").SERVE_SCENARIOS),
                          help="serving scenario (see `repro bench "
                               "--list`)"),
         "queries": dict(type=positive_int, default=None,
@@ -700,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
         "spec": dict(default="dataflow", choices=sorted(SPECS)),
         "engine": dict(default="dataflow",
                        choices=["dataflow", "volcano"]),
-        "query": dict(default="f6", choices=sorted(SCENARIOS),
+        "query": dict(default="f6", choices=lambda: sorted(
+            _module("analysis").SCENARIOS),
                       help="figure scenario (f1..f6)"),
         # Where a command writes its artifact (see _routed_output).
         "out": dict(options=("-o", "--out"), nargs="?", const="",
@@ -716,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Data-flow query processing on simulated modern "
                     "hardware (Lerner & Alonso, ICDE 2024)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
 
     def command(name: str, func, *names, **changes):
         """Sub-command ``name`` running ``func`` (its docstring's first
@@ -725,6 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         added = sub.add_parser(
             name, help=(func.__doc__ or "").partition("\n")[0])
         added.set_defaults(func=func)
+        added.pending = []
         for flag in names + tuple(changes):
             keywords = {**flags[flag], **changes.get(flag, {})}
             added.add_argument(*keywords.pop("options", [f"--{flag}"]),
@@ -791,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("experiments", cmd_experiments)
 
-    bench = command("bench", run_cli, rows={"default": DEFAULT_ROWS})
+    bench = command("bench", cmd_bench, rows={
+        "default": lambda: _module("bench").DEFAULT_ROWS})
     bench.add_argument("--smoke", action="store_true",
                        help="run the instrumented smoke scenarios "
                             "(default when no --exp is given)")
@@ -802,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run the multi-tenant serving "
                             "scenarios ('serving' section)")
     bench.add_argument("--serve-queries", type=positive_int,
-                       default=SERVE_BENCH_QUERIES, metavar="N",
+                       default=lambda: _module(
+                           "bench").SERVE_BENCH_QUERIES, metavar="N",
                        help="requested queries per serving scenario")
     bench.add_argument("--scale", action="store_true",
                        help="also run the 100k-1M row scale tier "
@@ -817,7 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "diff them leaf by leaf (exit 1 on "
                             "regression, 2 on an unusable baseline)")
     bench.add_argument("--tolerance", type=finite_float(0.0),
-                       default=DEFAULT_TOLERANCE,
+                       default=lambda: _module(
+                           "bench").DEFAULT_TOLERANCE,
                        help="relative tolerance for float leaves in "
                             "--compare (everything else is exact)")
     bench.add_argument("--jobs", type=positive_int, default=1,

@@ -1,21 +1,20 @@
 """Cloud substrate: object store, data-center tax, buffer pool, caches."""
 
-from .bufferpool import BufferPool
-from .caches import DataCache, ResultCache, plan_fingerprint
-from .objectstore import Bill, ObjectStore, StoredObject
-from .tax import EgressOp, IngressOp, TaxConfig, WirePayload, xor_cipher
+from .. import _lazy_exports
 
-__all__ = [
-    "Bill",
-    "BufferPool",
-    "DataCache",
-    "EgressOp",
-    "IngressOp",
-    "ObjectStore",
-    "ResultCache",
-    "StoredObject",
-    "TaxConfig",
-    "WirePayload",
-    "plan_fingerprint",
-    "xor_cipher",
-]
+_EXPORTS = {
+    "Bill": "objectstore",
+    "BufferPool": "bufferpool",
+    "DataCache": "caches",
+    "EgressOp": "tax",
+    "IngressOp": "tax",
+    "ObjectStore": "objectstore",
+    "ResultCache": "caches",
+    "StoredObject": "objectstore",
+    "TaxConfig": "tax",
+    "WirePayload": "tax",
+    "plan_fingerprint": "caches",
+    "xor_cipher": "tax",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

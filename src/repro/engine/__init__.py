@@ -1,80 +1,43 @@
 """Query engines: logical plans, operators, Volcano and data-flow."""
 
-from .dataflow import DataflowEngine
-from .logical import (
-    AggSpec,
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    Map,
-    PlanNode,
-    Project,
-    Query,
-    Scan,
-    Sort,
-)
-from .operators import (
-    Emit,
-    FilterOp,
-    HashJoinBuild,
-    HashJoinProbe,
-    JoinState,
-    LimitOp,
-    MapOp,
-    MergeAggregate,
-    PartialAggregate,
-    PartitionOp,
-    PhysicalOp,
-    ProjectOp,
-    SortOp,
-)
-from .placement import (
-    POLICIES,
-    Placement,
-    PlacementError,
-    cpu_only,
-    data_path_sites,
-    place,
-    pushdown,
-)
-from .results import QueryResult, TraceSnapshot
-from .volcano import VolcanoEngine
+from .. import _lazy_exports
 
-__all__ = [
-    "AggSpec",
-    "Aggregate",
-    "DataflowEngine",
-    "Emit",
-    "Filter",
-    "FilterOp",
-    "HashJoinBuild",
-    "HashJoinProbe",
-    "Join",
-    "JoinState",
-    "Limit",
-    "LimitOp",
-    "Map",
-    "MapOp",
-    "MergeAggregate",
-    "POLICIES",
-    "PartialAggregate",
-    "PartitionOp",
-    "PhysicalOp",
-    "Placement",
-    "PlacementError",
-    "PlanNode",
-    "Project",
-    "ProjectOp",
-    "Query",
-    "QueryResult",
-    "Scan",
-    "Sort",
-    "SortOp",
-    "TraceSnapshot",
-    "VolcanoEngine",
-    "cpu_only",
-    "data_path_sites",
-    "place",
-    "pushdown",
-]
+_EXPORTS = {
+    "AggSpec": "logical",
+    "Aggregate": "logical",
+    "DataflowEngine": "dataflow",
+    "Emit": "operators",
+    "Filter": "logical",
+    "FilterOp": "operators",
+    "HashJoinBuild": "operators",
+    "HashJoinProbe": "operators",
+    "Join": "logical",
+    "JoinState": "operators",
+    "Limit": "logical",
+    "LimitOp": "operators",
+    "Map": "logical",
+    "MapOp": "operators",
+    "MergeAggregate": "operators",
+    "POLICIES": "placement",
+    "PartialAggregate": "operators",
+    "PartitionOp": "operators",
+    "PhysicalOp": "operators",
+    "Placement": "placement",
+    "PlacementError": "placement",
+    "PlanNode": "logical",
+    "Project": "logical",
+    "ProjectOp": "operators",
+    "Query": "logical",
+    "QueryResult": "results",
+    "Scan": "logical",
+    "Sort": "logical",
+    "SortOp": "operators",
+    "TraceSnapshot": "results",
+    "VolcanoEngine": "volcano",
+    "cpu_only": "placement",
+    "data_path_sites": "placement",
+    "place": "placement",
+    "pushdown": "placement",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 __all__ = ["EXPERIMENTS", "Experiment", "above", "at_least", "at_most",
            "below", "between", "exactly", "experiment_module",
-           "fmt_bytes", "run_experiment", "same_answer"]
+           "run_experiment", "same_answer"]
 
 
 class Experiment(NamedTuple):
@@ -81,16 +81,6 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 """Experiment id -> where the paper argues it, what it shows, and the
 module that reproduces it."""
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (F1 and C3 record these strings)."""
-    for scale, unit, digits in ((1024.0 ** 3, "GiB", 2),
-                                (1024.0 ** 2, "MiB", 2),
-                                (1024.0, "KiB", 1)):
-        if n >= scale:
-            return f"{n / scale:.{digits}f}{unit}"
-    return f"{n:.0f}B"
 
 
 def above(value, bound):

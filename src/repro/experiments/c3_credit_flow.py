@@ -17,7 +17,7 @@ from ..flow import CreditChannel
 from ..flow.credits import END
 from ..hardware import Link
 from ..sim import Simulator, Store, Trace
-from . import above, below, exactly, fmt_bytes
+from . import above, below, exactly
 
 MESSAGES = 400
 CHUNK_BYTES = 16 * 1024.0
@@ -61,7 +61,7 @@ def run_window(credits: int) -> dict:
         "elapsed": sim.now,
         "throughput_mib_s": data_bytes / sim.now / (1 << 20),
         "max_outstanding": channel.max_outstanding,
-        "buffer_bound": fmt_bytes(credits * CHUNK_BYTES),
+        "buffer_bound": credits * CHUNK_BYTES,
         "control_overhead": control / data_bytes,
     }
 

@@ -20,7 +20,7 @@ from .. import (
     conventional_spec,
     make_uniform_table,
 )
-from . import above, exactly, fmt_bytes
+from . import above, exactly
 
 ROWS = 200_000
 DISTINCT = 10_000
@@ -40,12 +40,11 @@ def run_selectivity(selectivity: float) -> dict:
     return {
         "selectivity": selectivity,
         "rows_out": result.rows,
-        "storage": fmt_bytes(result.bytes_on("storage")),
-        "pcie_or_cxl": fmt_bytes(result.bytes_on("pcie")
-                                 + result.bytes_on("cxl")),
-        "membus": fmt_bytes(result.bytes_on("membus")),
-        "cache": fmt_bytes(result.bytes_on("cache")),
-        "returned": fmt_bytes(returned),
+        "storage": result.bytes_on("storage"),
+        "pcie_or_cxl": result.bytes_on("pcie") + result.bytes_on("cxl"),
+        "membus": result.bytes_on("membus"),
+        "cache": result.bytes_on("cache"),
+        "returned": returned,
         "amplification": (result.bytes_on("membus") / returned
                           if returned else float("inf")),
         "elapsed": result.elapsed,
@@ -58,7 +57,8 @@ def run() -> list[dict]:
 
 
 CHECKS = {
-    # The full table crosses the memory bus at every selectivity...
+    # The full table crosses the memory bus at every selectivity, to
+    # the byte...
     "full_table_crosses_the_memory_bus":
         lambda rows: exactly(len({r["membus"] for r in rows}), 1),
     # ...and amplification explodes as selectivity drops.

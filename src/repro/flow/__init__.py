@@ -1,12 +1,13 @@
 """Push-based data-flow runtime: channels, credits, stages."""
 
-from .credits import END, CreditChannel
-from .stages import FlowResult, Stage, StageGraph
+from .. import _lazy_exports
 
-__all__ = [
-    "CreditChannel",
-    "END",
-    "FlowResult",
-    "Stage",
-    "StageGraph",
-]
+_EXPORTS = {
+    "CreditChannel": "credits",
+    "END": "credits",
+    "FlowResult": "stages",
+    "Stage": "stages",
+    "StageGraph": "stages",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -50,7 +50,10 @@ class Stage:
         if router not in ("single", "partition", "broadcast",
                           "round_robin"):
             raise ValueError(f"unknown router {router!r}")
-        self.graph = graph
+        # The graph's simulator, trace and flow switch, not the graph:
+        # a back-reference would make every finished query cyclic
+        # garbage that only a full collection frees.
+        self.sim, self.trace, self.fast = graph.sim, graph.trace, graph.fast
         self.name = name
         self.device = device
         self.location = location
@@ -84,8 +87,8 @@ class Stage:
         """The stage's simulation process."""
         for evt in self.depends_on:
             yield evt
-        self.graph.trace.emit(self.graph.sim.now, EventKind.OP_OPEN,
-                              self._metric, label=self.location)
+        self.trace.emit(self.sim.now, EventKind.OP_OPEN, self._metric,
+                        label=self.location)
         if self.device is not None and self.device.programmable:
             yield from self._install_kernels()
         if self.source_table is not None:
@@ -95,8 +98,8 @@ class Stage:
         yield from self._flush()
         for out in self.outputs:
             yield from out.send_end()
-        self.done_at = self.graph.sim.now
-        trace = self.graph.trace
+        self.done_at = self.sim.now
+        trace = self.trace
         trace.emit(self.done_at, EventKind.OP_CLOSE, self._metric,
                    label=self.location)
         trace.add(f"{self._metric}.rows_in", self.rows_in)
@@ -141,8 +144,7 @@ class Stage:
         if remaining == 0:
             raise RuntimeError(
                 f"stage {self.name!r} has no inputs and no source")
-        sim, trace, inbox = self.graph.sim, self.graph.trace, self.inbox
-        fast = self.graph.fast
+        sim, trace, inbox, fast = self.sim, self.trace, self.inbox, self.fast
         # Prebound series list + inlined tick: one sample per message.
         # (A consumer always samples at least once — one END per
         # input — so creating the series entry up front adds no key.)
@@ -171,12 +173,12 @@ class Stage:
         self.chunks_in += 1
         # A busy span per chunk: the per-stage utilization and
         # critical-path evidence the paper's offloading argument needs.
-        trace = self.graph.trace
-        span = trace.open_span(self._metric, self.graph.sim.now)
+        trace = self.trace
+        span = trace.open_span(self._metric, self.sim.now)
         try:
             emits = yield from self._apply(self.ops, chunk)
         finally:
-            trace.close_span(span, self.graph.sim.now)
+            trace.close_span(span, self.sim.now)
         yield from self._route(emits)
 
     def _charge(self, kind: str, nbytes: float) -> Generator:
@@ -187,14 +189,14 @@ class Stage:
         service_time` is time spent queued behind other work on the
         device — the "device-busy" bucket of the backpressure report.
         """
-        before = self.graph.sim.now
+        before = self.sim.now
         yield from self.device.execute(kind, nbytes)
-        stall = ((self.graph.sim.now - before)
+        stall = ((self.sim.now - before)
                  - self.device.service_time(kind, nbytes))
         if stall > 1e-12:
             if self._stall_device is None:
                 self._stall_device = CounterHandle(
-                    self.graph.trace.counters,
+                    self.trace.counters,
                     f"{self._metric}.stall.device_s")
             self._stall_device.add(stall)
 

@@ -1,13 +1,13 @@
 """Movement-aware query optimization: cost model, enumeration, ranking."""
 
-from .cost import CostModel, PlanCost
-from .enumeration import enumerate_placements
-from .optimizer import Optimizer, RankedPlacement
+from .. import _lazy_exports
 
-__all__ = [
-    "CostModel",
-    "Optimizer",
-    "PlanCost",
-    "RankedPlacement",
-    "enumerate_placements",
-]
+_EXPORTS = {
+    "CostModel": "cost",
+    "Optimizer": "optimizer",
+    "PlanCost": "cost",
+    "RankedPlacement": "optimizer",
+    "enumerate_placements": "enumeration",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

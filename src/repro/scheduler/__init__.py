@@ -1,17 +1,17 @@
 """Interference-aware multi-query scheduling (§7.3)."""
 
-from .interference import LoadTracker, demand_vector
-from .scheduler import POLICIES, QueryExecutor, ScheduledQuery, Scheduler
-from .workloads import bursty_arrivals, diurnal_arrivals, poisson_arrivals
+from .. import _lazy_exports
 
-__all__ = [
-    "LoadTracker",
-    "POLICIES",
-    "QueryExecutor",
-    "ScheduledQuery",
-    "Scheduler",
-    "bursty_arrivals",
-    "demand_vector",
-    "diurnal_arrivals",
-    "poisson_arrivals",
-]
+_EXPORTS = {
+    "LoadTracker": "interference",
+    "POLICIES": "scheduler",
+    "QueryExecutor": "scheduler",
+    "ScheduledQuery": "scheduler",
+    "Scheduler": "scheduler",
+    "bursty_arrivals": "workloads",
+    "demand_vector": "interference",
+    "diurnal_arrivals": "workloads",
+    "poisson_arrivals": "workloads",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

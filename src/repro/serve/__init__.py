@@ -24,39 +24,31 @@ clients are simulator processes (:mod:`repro.serve.scenarios`), so
 serving runs are bit-reproducible under a fixed seed.
 """
 
-from .admission import AdmissionController, AdmissionDecision
-from .dashboard import render_dashboard, write_dashboard
-from .fairqueue import WeightedFairQueue
-from .loadgen import Arrival, open_arrivals, schedule_for
-from .plancache import PlanCache
-from .scenarios import SERVE_SCENARIOS, run_scenario, \
-    serve_scenario, serve_scenario_server, serve_templates
-from .server import QueryServer, ServeConfig, ServeRecord
-from .telemetry import QuantileSketch, ServeTelemetry, \
-    TELEMETRY_SCHEMA
-from .tenants import ArrivalSpec, TenantClass
+from .. import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "Arrival",
-    "ArrivalSpec",
-    "PlanCache",
-    "QuantileSketch",
-    "QueryServer",
-    "SERVE_SCENARIOS",
-    "ServeConfig",
-    "ServeRecord",
-    "ServeTelemetry",
-    "TELEMETRY_SCHEMA",
-    "TenantClass",
-    "WeightedFairQueue",
-    "open_arrivals",
-    "render_dashboard",
-    "run_scenario",
-    "serve_scenario",
-    "schedule_for",
-    "serve_scenario_server",
-    "serve_templates",
-    "write_dashboard",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionDecision": "admission",
+    "Arrival": "loadgen",
+    "ArrivalSpec": "tenants",
+    "PlanCache": "plancache",
+    "QuantileSketch": "telemetry",
+    "QueryServer": "server",
+    "SERVE_SCENARIOS": "scenarios",
+    "ServeConfig": "tenants",
+    "ServeRecord": "server",
+    "ServeTelemetry": "telemetry",
+    "TELEMETRY_SCHEMA": "telemetry",
+    "TenantClass": "tenants",
+    "WeightedFairQueue": "fairqueue",
+    "open_arrivals": "loadgen",
+    "render_dashboard": "dashboard",
+    "run_scenario": "scenarios",
+    "serve_scenario": "scenarios",
+    "schedule_for": "loadgen",
+    "serve_scenario_server": "scenarios",
+    "serve_templates": "scenarios",
+    "write_dashboard": "dashboard",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -18,17 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..analysis.scenarios import QUERIES, oracle_checksum
 from ..engine import Query
 from ..hardware import build_fabric, dataflow_spec
 from ..relational import standard_catalog
 from .loadgen import schedule_for
-from .server import QueryServer, ServeConfig
-from .tenants import ArrivalSpec, TenantClass
+from .tenants import ArrivalSpec, ServeConfig, TenantClass
+
+# The server and the figure queries load when a scenario runs, not
+# when one is looked up.
+if TYPE_CHECKING:
+    from .server import QueryServer
 
 __all__ = ["SERVE_SCENARIOS", "ServeScenario", "serve_scenario",
            "serve_templates", "run_scenario", "serve_scenario_server"]
@@ -41,6 +44,7 @@ def serve_templates() -> dict[str, Callable[[], Query]]:
     keeps the plan (node ids are globally unique across servers), and
     the plan cache keys its entry by that very plan object.
     """
+    from ..analysis.scenarios import QUERIES
     return {template: QUERIES[shape] for template, shape in (
         ("count_hot", "count_hot"), ("filter_project", "f2"),
         ("group_by_flag", "f3"), ("topk", "f5"),
@@ -224,6 +228,7 @@ def _verify_against_oracle(server: QueryServer, rows: int) -> dict:
     same catalog) yields the oracle checksum; every served record of
     that template must match it exactly.
     """
+    from ..analysis.scenarios import oracle_checksum
     catalog = standard_catalog(rows)
     templates = serve_templates()
     completed = [r for r in server.records if r.completed]
@@ -253,6 +258,7 @@ def serve_scenario_server(name: str, rows: Optional[int] = None,
     object, records) rather than the JSON record — e.g. ``repro
     trace --serve`` exporting the multi-query event ring.
     """
+    from .server import QueryServer
     scenario = serve_scenario(name)
     rows = rows if rows is not None else scenario.rows
     n = queries if queries is not None else scenario.queries

@@ -33,7 +33,7 @@ from .admission import AdmissionController
 from .fairqueue import WeightedFairQueue
 from .plancache import PlanCache
 from .telemetry import ServeTelemetry, nearest_rank
-from .tenants import TenantClass
+from .tenants import ServeConfig, TenantClass
 
 __all__ = ["QueryServer", "ServeConfig", "ServeRecord",
            "latency_percentile"]
@@ -45,26 +45,6 @@ def latency_percentile(latencies: list[float], q: float) -> float:
         return 0.0
     ordered = sorted(latencies)
     return ordered[nearest_rank(len(ordered), q) - 1]
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Server-wide knobs.
-
-    The ``telemetry`` flag gates only the *derived* telemetry
-    (windowing, sketches, exemplars, burn-rate alerts) — the serve
-    lifecycle events and trace contexts are always recorded, and the
-    observer-effect CI gate asserts that flipping the flag changes
-    neither checksums nor completion order.
-    """
-
-    max_concurrency: int = 4
-    max_queue: int = 32
-    telemetry: bool = True
-    #: The saturation observatory (windowed fabric attribution, bound
-    #: classifier, placement regret) — pure observer like telemetry,
-    #: gated by its own observer-effect CI leg.
-    observatory: bool = True
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Tenant classes and their arrival processes.
+"""Tenant classes, their arrival processes, and the server's knobs.
 
 A :class:`TenantClass` bundles everything the server needs to know
 about one population of users: its fair-queueing weight, its latency
@@ -6,14 +6,15 @@ SLO, which query templates it runs (with weights), and how its
 queries arrive — an *open* process (poisson / bursty / diurnal:
 arrivals do not wait for completions) or a *closed* one (a fixed
 population of clients, each submitting, waiting, thinking, and
-submitting again).
+submitting again).  :class:`ServeConfig` lives here beside them, so a
+scenario can be described without loading the server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ArrivalSpec", "TenantClass"]
+__all__ = ["ArrivalSpec", "ServeConfig", "TenantClass"]
 
 ARRIVAL_KINDS = ("poisson", "bursty", "diurnal", "closed")
 
@@ -97,3 +98,23 @@ class TenantClass:
         probabilities /= probabilities.sum()
         picks = rng.choice(len(names), size=n, p=probabilities)
         return [names[i] for i in picks]
+
+
+@dataclass(frozen=True)
+class ServeConfig:
+    """Server-wide knobs.
+
+    The ``telemetry`` flag gates only the *derived* telemetry
+    (windowing, sketches, exemplars, burn-rate alerts) — the serve
+    lifecycle events and trace contexts are always recorded, and the
+    observer-effect CI gate asserts that flipping the flag changes
+    neither checksums nor completion order.
+    """
+
+    max_concurrency: int = 4
+    max_queue: int = 32
+    telemetry: bool = True
+    #: The saturation observatory (windowed fabric attribution, bound
+    #: classifier, placement regret) — pure observer like telemetry,
+    #: gated by its own observer-effect CI leg.
+    observatory: bool = True

@@ -5,37 +5,26 @@ process model; :mod:`repro.sim.resources` provides queues and counted
 resources; :mod:`repro.sim.trace` provides metric collection.
 """
 
-from .kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from .chrometrace import chrome_trace, export_chrome_trace
-from .events import EventKind, EventRing, TraceEvent
-from .resources import Resource, Store
-from .trace import Span, Trace
+from .. import _lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "EventKind",
-    "EventRing",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "SimulationError",
-    "Simulator",
-    "Span",
-    "Store",
-    "Timeout",
-    "Trace",
-    "TraceEvent",
-    "chrome_trace",
-    "export_chrome_trace",
-]
+_EXPORTS = {
+    "AllOf": "kernel",
+    "AnyOf": "kernel",
+    "Event": "kernel",
+    "EventKind": "events",
+    "EventRing": "events",
+    "Interrupt": "kernel",
+    "Process": "kernel",
+    "Resource": "resources",
+    "SimulationError": "kernel",
+    "Simulator": "kernel",
+    "Span": "trace",
+    "Store": "resources",
+    "Timeout": "kernel",
+    "Trace": "trace",
+    "TraceEvent": "events",
+    "chrome_trace": "chrometrace",
+    "export_chrome_trace": "chrometrace",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -4,10 +4,10 @@
 process under ``sys.setprofile`` — all 13 ``repro`` sub-commands with
 every flag that selects a code path (``repro sql`` with every construct
 the parser accepts), the smoke suite again under ``REPRO_SLOW_FLOW=1``
-so the reference twin counts, the six
-``examples/``, and two windows + ``verify()`` of each perfbench
-workload — and matches the code objects that were called against every
-``def`` under ``src/`` found by ``ast``.
+so the reference twin counts, the six ``examples/``, ``dir()`` of the
+package, and two windows + ``verify()`` of each perfbench workload —
+and matches the code objects that were called against every ``def``
+under ``src/`` found by ``ast``.
 
 ``ALLOWED`` names the functions that may stay unreached, each with the
 reason.  The script exits 1 on an unreached function that is not
@@ -277,6 +277,11 @@ def drive(problems: list[str]) -> None:
 
     for example in sorted((REPO / "examples").glob("*.py")):
         runpy.run_path(str(example), run_name="__main__")
+
+    # What a package offers before any of its names loads (tab
+    # completion lists ``dir()``).
+    import repro
+    dir(repro)
 
     sys.path.insert(0, str(REPO / "perfbench"))
     try:

@@ -73,6 +73,19 @@ def test_f2_network_cut_fails_on_the_pushdown_off_rows():
     assert not passed and cut == 1.0
 
 
+def test_f1_memory_bus_check_sees_one_byte():
+    """F1 records byte counts as numbers: a selectivity whose table
+    crossed the memory bus one byte short fails the claim."""
+    rows = record("f1")["rows"]
+    assert all(isinstance(row[key], (int, float)) for row in rows
+               for key in ("storage", "pcie_or_cxl", "membus", "cache",
+                           "returned"))
+    one_short = [dict(rows[0], membus=rows[0]["membus"] - 1), *rows[1:]]
+    passed, distinct = check("f1", "full_table_crosses_the_memory_bus")(
+        one_short)
+    assert not passed and distinct == 2
+
+
 def test_importing_repro_leaves_the_experiments_out():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
