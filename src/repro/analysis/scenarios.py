@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..engine import (
     AggSpec,
@@ -35,7 +35,9 @@ from ..hardware import build_fabric, conventional_spec, dataflow_spec
 from ..hardware.presets import FabricSpec, HeterogeneousFabric
 from ..obs import table_checksum
 from ..relational import Catalog, col, standard_catalog
-from .critical_path import Attribution, attribute_query
+
+if TYPE_CHECKING:
+    from .critical_path import Attribution
 
 __all__ = ["QUERIES", "Scenario", "ScenarioRun", "SCENARIOS",
            "figure_scenario", "run_scenario", "run_digest",
@@ -199,6 +201,7 @@ class ScenarioRun:
     def attribution(self) -> Attribution:
         """Exact critical-path attribution of the query window."""
         if self._attribution is None:
+            from .critical_path import attribute_query
             self._attribution = attribute_query(self.fabric.trace,
                                                 self.result)
         return self._attribution

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..engine.operators import Emit, PhysicalOp
 from ..hardware.device import OpKind
 from ..relational.formats import (
@@ -34,10 +36,9 @@ __all__ = ["TaxConfig", "WirePayload", "EgressOp", "IngressOp",
 
 def xor_cipher(payload: bytes, key: int = 0x5A) -> bytes:
     """A toy-but-real stream cipher (content actually changes)."""
-    keystream = bytes((key + i) % 256 for i in range(251))
-    reps = len(payload) // len(keystream) + 1
-    stream = (keystream * reps)[:len(payload)]
-    return bytes(a ^ b for a, b in zip(payload, stream))
+    data = np.frombuffer(payload, dtype=np.uint8)
+    keystream = ((key + np.arange(251)) % 256).astype(np.uint8)
+    return (data ^ np.resize(keystream, len(data))).tobytes()
 
 
 @dataclass(frozen=True)

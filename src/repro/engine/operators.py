@@ -215,49 +215,63 @@ class PartitionOp(PhysicalOp):
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _dense_span(values: np.ndarray) -> Optional[tuple[int, int]]:
+def _dense_span(values: np.ndarray, domain: Optional[int] = None,
+                ) -> Optional[tuple[int, int]]:
     """``(lo, span)`` when ``values`` are dense integers, else None.
 
     Dense: integer keys whose value range is comparable to the row
     count (orderkeys, priorities, partition ids, dictionary codes), so
     a table of ``span`` slots addressed by ``value - lo`` beats a sort
-    or a binary search.  The one density rule of the module.
+    or a binary search.  The one density rule of the module.  Codes
+    into a pool of ``domain`` entries span ``[0, domain)``: no min/max.
     """
     n = len(values)
     if n and values.dtype.kind == "i":
-        lo = int(values.min())
-        span = int(values.max()) - lo + 1
+        lo = 0 if domain else int(values.min())
+        span = domain or int(values.max()) - lo + 1
         if span <= max(1024, 4 * n):
             return lo, span
     return None
 
 
-def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unique_inverse(values: np.ndarray, domain: Optional[int] = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)``, faster for dense ints.
 
     Dense keys take a counting path: one ``bincount`` plus two gathers
-    instead of a sort.  The outputs are identical — unique values
-    ascending, inverse indices into them.
+    instead of a sort, and no gather when every slot occurs (the
+    offsets are then the inverse).  The outputs are identical — unique
+    values ascending, inverse indices into them.
     """
-    dense = _dense_span(values)
+    dense = _dense_span(values, domain)
     if dense is None:
         return np.unique(values, return_inverse=True)
     lo, span = dense
     offsets = values - lo
-    counts = np.bincount(offsets, minlength=span)
-    present = np.flatnonzero(counts)
+    present = np.flatnonzero(np.bincount(offsets, minlength=span))
+    if len(present) == span:
+        return present + lo, offsets
     remap = np.empty(span, dtype=np.int64)
     remap[present] = np.arange(len(present), dtype=np.int64)
     return present + lo, remap[offsets]
 
 
-def group_inverse(chunk: Chunk,
-                  group_by: Sequence[str]) -> tuple[Chunk, np.ndarray]:
-    """Distinct group rows of a chunk plus each row's group index."""
+#: The group rows of every scalar aggregate's chunks.
+_NO_GROUPS = Chunk._from_valid(Schema([]), {})
+
+
+def group_inverse(chunk: Chunk, group_by: Sequence[str],
+                  schema: Optional[Schema] = None,
+                  ) -> tuple[Chunk, np.ndarray]:
+    """Distinct group rows of a chunk plus each row's group index.
+
+    ``schema`` is the group rows' schema, derived once by an operator
+    (default: projected from the chunk's).
+    """
     n = chunk.num_rows
     if not group_by:
-        empty = Chunk(Schema([]), {})
-        return empty, np.zeros(n, dtype=np.int64)
+        return _NO_GROUPS, np.zeros(n, dtype=np.int64)
+    schema = schema or chunk.schema.project(group_by)
     if len(group_by) == 1:
         # Single-key fast path: unique over the plain column (sorted
         # ascending, like the structured-record path, so groups and
@@ -265,24 +279,25 @@ def group_inverse(chunk: Chunk,
         g = group_by[0]
         codes = chunk.dict_codes(g)
         if codes is not None:
-            # Dictionary-encoded key: unique over the narrow codes
-            # (bincount counting path) and decode just the survivors.
-            # The pool is sorted, so ascending codes are ascending
-            # values — groups and inverse match the decoded path.
-            unique_codes, inverse = _unique_inverse(codes)
-            unique = chunk.dict_pool(g)[unique_codes]
+            # Dictionary-encoded key: the pool is the key's domain, so
+            # one bincount over the narrow codes finds the groups, and
+            # just those are decoded.  The pool is sorted, so ascending
+            # codes are ascending values — groups and inverse match
+            # the decoded path.
+            pool = chunk.dict_pool(g)
+            unique_codes, inverse = _unique_inverse(codes, len(pool))
+            unique = pool[unique_codes]
         else:
             unique, inverse = _unique_inverse(chunk.columns[g])
-        groups = Chunk(chunk.schema.project([g]), {g: unique})
-        return groups, inverse.astype(np.int64, copy=False)
+        return (Chunk._from_valid(schema, {g: unique}),
+                inverse.astype(np.int64, copy=False))
     dtype = [(g, chunk.columns[g].dtype) for g in group_by]
     records = np.empty(n, dtype=dtype)
     for g in group_by:
         records[g] = chunk.columns[g]
     unique, inverse = np.unique(records, return_inverse=True)
-    schema = chunk.schema.project(group_by)
-    groups = Chunk(schema, {g: np.ascontiguousarray(unique[g])
-                            for g in group_by})
+    groups = Chunk._from_valid(schema, {g: np.ascontiguousarray(unique[g])
+                                        for g in group_by})
     return groups, inverse.astype(np.int64, copy=False)
 
 
@@ -320,7 +335,8 @@ def _reduce_states(groups: Chunk, inverse: np.ndarray, chunk: Chunk,
                    fields, schema: Schema, from_states: bool) -> Chunk:
     """Collapse rows of ``chunk`` into one state row per group.
 
-    ``fields`` is ``_state_fields(aggs)``, derived once per operator.
+    ``fields`` is ``_state_fields(aggs)``, derived once per operator;
+    every column built here already has its field's dtype.
     """
     n_groups = groups.num_rows if groups.schema.names else 1
     columns = dict(groups.columns)
@@ -343,7 +359,7 @@ def _reduce_states(groups: Chunk, inverse: np.ndarray, chunk: Chunk,
             if name.endswith("$cnt"):
                 out = out.astype(np.int64)
         columns[name] = out
-    return Chunk(schema, columns)
+    return Chunk._from_valid(schema, columns)
 
 
 class PartialAggregate(PhysicalOp):
@@ -360,12 +376,13 @@ class PartialAggregate(PhysicalOp):
         self.state_schema = state_schema or partial_state_schema(
             input_schema, group_by, aggs)
         self._fields = _state_fields(aggs)
+        self._groups = self.state_schema.project(self.group_by)
         self.name = f"partial_agg({','.join(group_by) or '*'})"
 
     def process(self, chunk: Chunk) -> list[Emit]:
         if chunk.num_rows == 0:
             return []
-        groups, inverse = group_inverse(chunk, self.group_by)
+        groups, inverse = group_inverse(chunk, self.group_by, self._groups)
         state = _reduce_states(groups, inverse, chunk, self._fields,
                                self.state_schema, from_states=False)
         return [Emit(state)]
@@ -375,7 +392,10 @@ class MergeAggregate(PhysicalOp):
     """Merge partial states; final=True holds state and emits the answer.
 
     Non-final merges are stateless (per-chunk) and idempotent, so they
-    can be chained along the data path (§4.4's staged group-by).
+    can be chained along the data path (§4.4's staged group-by).  A
+    final merge keeps the state chunks it receives and merges them
+    once, at the end of the stream: each chunk holds a group at most
+    once, so every group's sums add in arrival order either way.
     """
 
     kind = OpKind.AGGREGATE
@@ -391,6 +411,7 @@ class MergeAggregate(PhysicalOp):
         self.state_schema = state_schema or partial_state_schema(
             input_schema, group_by, aggs)
         self._fields = _state_fields(aggs)
+        self._groups = self.state_schema.project(self.group_by)
         self.final = final
         self.output_schema = output_schema
         # Non-final merges coalesce a bounded window of `batch` state
@@ -409,34 +430,27 @@ class MergeAggregate(PhysicalOp):
         if final and output_schema is None:
             raise ValueError("final merge requires an output schema")
 
-    def _merge(self, chunk: Chunk) -> Chunk:
-        groups, inverse = group_inverse(chunk, self.group_by)
+    def _merge(self, chunks: list[Chunk]) -> Chunk:
+        chunk = Chunk.concat(chunks)
+        groups, inverse = group_inverse(chunk, self.group_by, self._groups)
         return _reduce_states(groups, inverse, chunk, self._fields,
                               self.state_schema, from_states=True)
 
     def process(self, chunk: Chunk) -> list[Emit]:
         if chunk.num_rows == 0:
             return []
-        if self.final:
-            self._accumulated.append(self._merge(chunk))
-            return []
         self._accumulated.append(chunk)
-        if len(self._accumulated) < self.batch:
+        if self.final or len(self._accumulated) < self.batch:
             return []
         window, self._accumulated = self._accumulated, []
-        return [Emit(self._merge(Chunk.concat(window)))]
+        return [Emit(self._merge(window))]
 
     def finish(self) -> list[Emit]:
+        window, self._accumulated = self._accumulated, []
         if not self.final:
-            if not self._accumulated:
-                return []
-            window, self._accumulated = self._accumulated, []
-            return [Emit(self._merge(Chunk.concat(window)))]
-        if self._accumulated:
-            state = self._merge(Chunk.concat(self._accumulated))
-        else:
-            state = Chunk.empty(self.state_schema)
-        self._accumulated = []
+            return [Emit(self._merge(window))] if window else []
+        state = (self._merge(window) if window
+                 else Chunk.empty(self.state_schema))
         return [Emit(self._finalize(state))]
 
     def _finalize(self, state: Chunk) -> Chunk:

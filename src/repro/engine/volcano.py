@@ -134,7 +134,8 @@ class _AggregateIter(_Iterator):
         final = MergeAggregate(input_schema, self.node.group_by,
                                self.node.aggs, final=True,
                                output_schema=self.node.output_schema(
-                                   catalog))
+                                   catalog),
+                               state_schema=partial.state_schema)
         while True:
             chunk = yield from self.child.next()
             if chunk is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from itertools import chain
 from typing import Sequence
 
 __all__ = [
@@ -105,10 +106,21 @@ def columns_checksum(names: Sequence[str], columns: Sequence) -> str:
     """
     digest = hashlib.sha256()
     digest.update(_CELL_SEP.join(names).encode())
-    rendered = [_canonical_column(values) for values in columns]
-    if len(rendered) == 1:
-        rows = [cell or _LONE_EMPTY for cell in rendered[0]]
+    if columns and all(values.dtype.kind in "iuf" for values in columns):
+        # Numbers only: one ``%`` format renders every row, ``%d`` and
+        # ``%.6g`` printing a python int or float exactly as
+        # :func:`_canonical_column` does (NaN as ``nan``).
+        row = _CELL_SEP.join(f"%.{CHECKSUM_FLOAT_DIGITS}g"
+                             if values.dtype.kind == "f" else "%d"
+                             for values in columns)
+        cells = tuple(chain.from_iterable(zip(*[values.tolist()
+                                                for values in columns])))
+        rows = (_ROW_SEP.join([row] * len(columns[0])) % cells).split(
+            _ROW_SEP) if cells else []
+    elif len(columns) == 1:
+        rows = [cell or _LONE_EMPTY for cell in _canonical_column(columns[0])]
     else:
+        rendered = [_canonical_column(values) for values in columns]
         rows = [_CELL_SEP.join(cells) for cells in zip(*rendered)]
     rows.sort()  # canonical order, independent of row layout
     digest.update(_ROW_SEP.join(rows).encode())

@@ -19,10 +19,8 @@ bookkeeping is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..analysis.critical_path import WinnerTimeline
-from ..analysis.observatory import Observatory
 from ..engine.logical import Query
 from ..hardware.presets import HeterogeneousFabric
 from ..obs import columns_checksum, combine_checksums, content_key
@@ -32,11 +30,28 @@ from ..sim import EventKind
 from .admission import AdmissionController
 from .fairqueue import WeightedFairQueue
 from .plancache import PlanCache
-from .telemetry import ServeTelemetry, nearest_rank
 from .tenants import ServeConfig, TenantClass
 
+if TYPE_CHECKING:
+    from ..analysis.observatory import Observatory
+    from .telemetry import ServeTelemetry
+
 __all__ = ["QueryServer", "ServeConfig", "ServeRecord",
-           "latency_percentile"]
+           "latency_percentile", "nearest_rank"]
+
+
+def nearest_rank(total_weight: int, q: float) -> int:
+    """The 1-based nearest rank for quantile ``q`` over ``n`` points.
+
+    The one integer formula: :func:`latency_percentile` indexes with
+    it, and so does :class:`~repro.serve.telemetry.QuantileSketch`, so
+    an uncompressed sketch reproduces the server's percentiles *bit
+    for bit*.
+    """
+    if total_weight <= 0:
+        return 0
+    rank = max(1, -(-int(q * 1000) * total_weight // 1000))
+    return min(total_weight, rank)
 
 
 def latency_percentile(latencies: list[float], q: float) -> float:
@@ -141,11 +156,14 @@ class QueryServer:
         #: Completion order by record name — bit-identical between
         #: telemetry-on and telemetry-off runs (observer-effect gate).
         self.completion_order: list[str] = []
+        # Observers are imported only by a server that runs them.
         self.telemetry: Optional[ServeTelemetry] = None
         if self.config.telemetry:
+            from .telemetry import ServeTelemetry
             self.telemetry = ServeTelemetry(self.tenants, fabric.trace)
         self.observatory: Optional[Observatory] = None
         if self.config.observatory:
+            from ..analysis.observatory import Observatory
             bandwidth = {link.name: link.bandwidth for link in fabric.links()}
             self.observatory = Observatory(
                 self.tenants, fabric.trace, link_bandwidth=bandwidth)
@@ -385,6 +403,7 @@ class QueryServer:
         observers = [o for o in (self.telemetry, self.observatory)
                      if o is not None]
         if observers and all(o.timeline is None for o in observers):
+            from ..analysis.critical_path import WinnerTimeline
             timeline = WinnerTimeline(self.fabric.trace)
             for observer in observers:
                 observer.timeline = timeline

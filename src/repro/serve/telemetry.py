@@ -56,9 +56,9 @@ from typing import Optional
 from ..analysis.critical_path import WinnerTimeline
 from ..analysis.slo import BurnRateMonitor, SLOPolicy, alert_mismatches
 from ..sim import EventKind, Trace
+from .server import nearest_rank
 
-__all__ = ["QuantileSketch", "ServeTelemetry", "TELEMETRY_SCHEMA",
-           "nearest_rank"]
+__all__ = ["QuantileSketch", "ServeTelemetry", "TELEMETRY_SCHEMA"]
 
 TELEMETRY_SCHEMA = "repro.serve-telemetry/v1"
 
@@ -67,19 +67,6 @@ TELEMETRY_SCHEMA = "repro.serve-telemetry/v1"
 WINDOW_S = 0.005
 EXEMPLARS_PER_WINDOW = 2
 MAX_EXEMPLARS = 32
-
-
-def nearest_rank(total_weight: int, q: float) -> int:
-    """The 1-based nearest rank for quantile ``q`` over ``n`` points.
-
-    The one integer formula: :func:`~repro.serve.server.
-    latency_percentile` indexes with it too, so an uncompressed sketch
-    reproduces the server's percentiles *bit for bit*.
-    """
-    if total_weight <= 0:
-        return 0
-    rank = max(1, -(-int(q * 1000) * total_weight // 1000))
-    return min(total_weight, rank)
 
 
 class QuantileSketch:

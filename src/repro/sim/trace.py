@@ -47,16 +47,16 @@ __all__ = ["Trace", "Span", "CounterHandle"]
 class Span:
     """A named interval of simulated time.
 
-    ``end is None`` marks a span that is still open.  An open span's
-    ``duration`` is measured up to the owning trace's clock watermark
-    (0.0 for an orphan span), so reports taken mid-run never raise.
+    ``end is None`` marks a span that is still open.  A span holds no
+    reference to the trace that lists it (that would make every
+    finished trace cyclic garbage), so an open span's ``duration`` is
+    0.0; :meth:`Trace.duration` measures it up to that trace's clock
+    watermark, so reports taken mid-run never raise.
     """
 
     name: str
     start: float
     end: Optional[float] = None
-    trace: Optional["Trace"] = field(default=None, repr=False,
-                                     compare=False)
 
     @property
     def closed(self) -> bool:
@@ -64,11 +64,7 @@ class Span:
 
     @property
     def duration(self) -> float:
-        if self.end is not None:
-            return self.end - self.start
-        if self.trace is not None:
-            return max(self.trace.clock - self.start, 0.0)
-        return 0.0
+        return 0.0 if self.end is None else self.end - self.start
 
 
 class CounterHandle:
@@ -219,7 +215,7 @@ class Trace:
         """Open a new span; close it with :meth:`close_span`."""
         if time > self.clock:        # tick(), inlined: hot path
             self.clock = time
-        span = Span(name, time, trace=self)
+        span = Span(name, time)
         self.spans[name].append(span)
         return span
 
@@ -255,13 +251,19 @@ class Trace:
         return sum(v for k, v in self.counters.items()
                    if k.startswith(prefix))
 
+    def duration(self, span: Span) -> float:
+        """``span``'s length, an open span's up to the clock watermark."""
+        if span.end is None:
+            return max(self.clock - span.start, 0.0)
+        return span.duration
+
     def busy_time(self, span_name: str) -> float:
         """Total span time under ``span_name``.
 
         Open spans count up to the clock watermark, so a mid-run
         reading reflects work in progress instead of raising.
         """
-        return sum(s.duration for s in self.spans.get(span_name, []))
+        return sum(map(self.duration, self.spans.get(span_name, [])))
 
     def peak(self, series_name: str) -> float:
         """Maximum sampled value of a series (0 if empty)."""
@@ -278,7 +280,7 @@ class Trace:
         for name, spans in sorted(self.spans.items()):
             if not spans:
                 continue
-            durations = [s.duration for s in spans]
+            durations = [self.duration(s) for s in spans]
             total = sum(durations)
             out[name] = {
                 "count": float(len(spans)),

@@ -1,5 +1,6 @@
 """Tests for the cloud substrate: object store, tax, buffer pool, caches."""
 
+import numpy as np
 import pytest
 
 from repro.cloud import (
@@ -153,6 +154,23 @@ def test_objectstore_compression_shrinks_objects():
 # ---------------------------------------------------------------------------
 # Data-center tax
 # ---------------------------------------------------------------------------
+
+def _reference_xor_cipher(payload: bytes, key: int = 0x5A) -> bytes:
+    """The generator cipher ``xor_cipher`` replaced, kept verbatim."""
+    keystream = bytes((key + i) % 256 for i in range(251))
+    reps = len(payload) // len(keystream) + 1
+    stream = (keystream * reps)[:len(payload)]
+    return bytes(a ^ b for a, b in zip(payload, stream))
+
+
+def test_xor_cipher_equals_the_generator_cipher():
+    rng = np.random.default_rng(3)
+    for length in (0, 1, 250, 251, 252, 503, 1999, 10_007):
+        payload = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        for key in (0x5A, 0, 255, 300):
+            assert xor_cipher(payload, key) == \
+                _reference_xor_cipher(payload, key), (length, key)
+
 
 def test_xor_cipher_involution():
     payload = b"the quick brown fox" * 100

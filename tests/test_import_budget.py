@@ -70,6 +70,18 @@ def test_cli_sites_loads_no_serving_analysis_or_harness():
                   "repro.experiments", "repro.bench") == []
 
 
+def test_bare_serving_loads_no_observer():
+    modules = loaded_after(
+        "from repro.serve import ServeConfig, run_scenario\n"
+        "run_scenario('two_tenant_bursty', queries=40, verify=True,\n"
+        "             config=ServeConfig(telemetry=False,\n"
+        "                                observatory=False))")
+    assert "repro.serve.server" in modules
+    assert within(modules, "repro.analysis.critical_path",
+                  "repro.analysis.observatory", "repro.analysis.slo",
+                  "repro.serve.telemetry") == []
+
+
 #: In a fresh interpreter: every package's exports, each resolved as
 #: ``from repro import *`` and attribute access see it, and where its
 #: table says it is defined.

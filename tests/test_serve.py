@@ -518,3 +518,27 @@ def test_served_queries_are_freed_by_reference_counting():
         assert gc.collect() < 1000
     finally:
         gc.enable()
+
+
+def test_finished_queries_leave_no_cyclic_garbage():
+    # A span pointed back at the trace that lists it, so every finished
+    # fabric's trace was cyclic garbage: five F6 queries at 4 000 rows
+    # left 1 135 objects on the dataflow engine and 780 on Volcano.
+    import gc
+
+    from repro.analysis.scenarios import QUERIES
+    from repro.engine import DataflowEngine, VolcanoEngine
+    from repro.hardware import build_fabric, dataflow_spec
+    from repro.relational import standard_catalog
+    catalog = standard_catalog(4000)
+    for engine in (DataflowEngine, VolcanoEngine):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                result = engine(build_fabric(dataflow_spec()),
+                                catalog).execute(QUERIES["f6"]())
+                assert result.rows > 0
+            assert gc.collect() == 0, engine.__name__
+        finally:
+            gc.enable()

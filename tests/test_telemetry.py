@@ -25,8 +25,8 @@ from repro.analysis.slo import (
     replay_alerts,
 )
 from repro.serve import SERVE_SCENARIOS, run_scenario
-from repro.serve.server import latency_percentile
-from repro.serve.telemetry import QuantileSketch, nearest_rank
+from repro.serve.server import latency_percentile, nearest_rank
+from repro.serve.telemetry import QuantileSketch
 
 latencies_lists = st.lists(
     st.floats(min_value=1e-9, max_value=10.0, allow_nan=False,

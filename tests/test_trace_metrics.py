@@ -14,14 +14,15 @@ def test_open_span_duration_uses_clock_watermark():
     trace = Trace()
     span = trace.open_span("work", 2.0)
     assert not span.closed
-    assert span.duration == 0.0          # clock still at 2.0
+    assert trace.duration(span) == 0.0   # clock still at 2.0
     trace.tick(7.5)
-    assert span.duration == pytest.approx(5.5)
+    assert trace.duration(span) == pytest.approx(5.5)
+    assert span.duration == 0.0          # the span alone knows no clock
     trace.tick(3.0)                      # never moves backwards
     assert trace.clock == 7.5
     trace.close_span(span, 9.0)
     assert span.closed
-    assert span.duration == pytest.approx(7.0)
+    assert span.duration == trace.duration(span) == pytest.approx(7.0)
     assert trace.clock == 9.0
 
 
