@@ -11,10 +11,9 @@ proposes near-memory functional units for exactly this gap:
   see the analytic layout.
 
 This example runs a batch of point lookups plus a format conversion
-both ways — CPU-centric and near-memory — over the same real data
-structures, and compares memory-bus traffic and time.  It opens with
-the conventional server's own handicap (§5.1): the same scan homed on
-the neighbour socket pays the NUMA hop.
+both ways — CPU-centric and near-memory — on one compute node of the
+Figure 6 fabric, over the same real data structures, and compares
+memory-bus traffic and time.
 
 Run:  python examples/near_memory_htap.py
 """
@@ -23,16 +22,15 @@ import numpy as np
 
 from repro import Chunk, DataType, Field, Schema
 from repro.hardware import (
-    CPUSocket,
     HierarchicalBlockStore,
-    NearMemoryAccelerator,
     OpKind,
-    Server,
+    build_fabric,
     chase_near_memory,
     chase_on_cpu,
+    dataflow_spec,
+    memory_read,
 )
 from repro.relational import to_column_major, to_row_major
-from repro.sim import Simulator, Trace
 
 N_KEYS = 500_000
 LOOKUPS = 500
@@ -40,11 +38,8 @@ TRANSPOSE_ROWS = 1_000_000
 
 
 def env():
-    sim = Simulator()
-    trace = Trace()
-    socket = CPUSocket(sim, trace, "host", cores=8, controllers=2)
-    accel = NearMemoryAccelerator(sim, trace, "nearmem")
-    return sim, trace, socket, accel
+    fabric = build_fabric(dataflow_spec())
+    return fabric, fabric.compute[0]
 
 
 def lookup_batch(on_accel: bool) -> dict:
@@ -52,26 +47,27 @@ def lookup_batch(on_accel: bool) -> dict:
                                    fanout=16, leaf_capacity=64)
     rng = np.random.default_rng(7)
     probes = rng.integers(0, N_KEYS * 2, size=LOOKUPS).tolist()
-    sim, trace, socket, accel = env()
+    fabric, node = env()
 
     def run():
         found = 0
         for key in probes:
             if on_accel:
-                value = yield from chase_near_memory(store, key, accel,
-                                                     socket)
+                value = yield from chase_near_memory(store, key, fabric,
+                                                     node)
             else:
-                value = yield from chase_on_cpu(store, key, socket)
+                value = yield from chase_on_cpu(store, key, fabric, node)
             if value is not None:
                 found += 1
         return found
 
-    found = sim.run_process(run())
+    found = fabric.sim.run_process(run())
     return {"found": found, "tree_height": store.height,
-            "dram_gib_s": socket.aggregate_bandwidth() / (1 << 30),
-            "membus_mib": trace.counter("movement.membus.bytes")
+            "dram_gib_s": fabric.spec.controllers
+            * fabric.spec.controller_gib,
+            "membus_mib": fabric.trace.counter("movement.membus.bytes")
             / (1 << 20),
-            "elapsed_ms": sim.now * 1e3}
+            "elapsed_ms": fabric.sim.now * 1e3}
 
 
 def transpose(on_accel: bool) -> dict:
@@ -85,45 +81,36 @@ def transpose(on_accel: bool) -> dict:
     }).with_column(schema.field("flag"),
                    rng.uniform(0, 1, TRANSPOSE_ROWS) > 0.5)
     rows = to_row_major(columnar)           # the OLTP-resident layout
-    sim, trace, socket, accel = env()
+    fabric, node = env()
 
     def run():
         nbytes = rows.nbytes
         if on_accel:
             # The transposition unit converts in place near memory;
             # only the (columnar) result streams to the cores.
-            yield from accel.execute(OpKind.TRANSPOSE, nbytes)
+            yield from node.accelerator.execute(OpKind.TRANSPOSE, nbytes)
             back = to_column_major(rows, schema)
-            yield from socket.memory_read(back.nbytes, stream_id=0)
+            yield from memory_read(fabric, "compute0.nearmem",
+                                   "compute0.cpu", back.nbytes)
         else:
-            # CPU-centric: rows cross to the core, get transposed in
-            # software, and the result is written back.
-            yield from socket.memory_read(nbytes, stream_id=0)
-            yield from socket.core(0).execute(OpKind.TRANSPOSE, nbytes)
+            # CPU-centric: rows cross to the cores, get transposed in
+            # software, and the result streams back to DRAM.
+            yield from memory_read(fabric, "compute0.dram", "compute0.cpu",
+                                   nbytes)
+            yield from node.cpu.execute(OpKind.TRANSPOSE, nbytes)
             back = to_column_major(rows, schema)
-            yield from socket.controller_for(0).access(back.nbytes,
-                                                       write=True)
+            yield from memory_read(fabric, "compute0.llc", "compute0.dram",
+                                   back.nbytes)
         return back
 
-    back = sim.run_process(run())
+    back = fabric.sim.run_process(run())
     assert back.sorted_rows() == columnar.sorted_rows()
-    return {"membus_mib": trace.counter("movement.membus.bytes")
+    return {"membus_mib": fabric.trace.counter("movement.membus.bytes")
             / (1 << 20),
-            "elapsed_ms": sim.now * 1e3}
-
-
-def numa_scan_ms(home_socket: int) -> float:
-    """Socket 0 scans 64 MiB homed on ``home_socket`` of a 2-socket box."""
-    sim = Simulator()
-    server = Server(sim, Trace(), "srv", sockets=2)
-    sim.run_process(server.memory_read(64 << 20, socket=0,
-                                       home_socket=home_socket))
-    return sim.now * 1e3
+            "elapsed_ms": fabric.sim.now * 1e3}
 
 
 def main() -> None:
-    print(f"64 MiB scan from socket 0: local {numa_scan_ms(0):.2f} ms, "
-          f"remote (NUMA) {numa_scan_ms(1):.2f} ms\n")
     cpu_lookup = lookup_batch(on_accel=False)
     nm_lookup = lookup_batch(on_accel=True)
     print(f"point lookups ({LOOKUPS} probes, tree height "

@@ -7,37 +7,31 @@ remained constant for a long time", and controllers are
 a controller, but a moderate number of memory-bound cores saturates
 all of them and per-core bandwidth collapses.
 
-Sweeps the number of concurrently reading cores on a 2-controller
-socket and reports per-core and aggregate bandwidth.
+Sweeps the number of concurrently reading cores on the Figure 6
+fabric's node (two controllers): each core streams from DRAM to the
+LLC over the memory bus, and the rows report per-core and aggregate
+bandwidth.
 """
 
-from ..hardware import GIB, CPUSocket
-from ..sim import Simulator, Trace
+from ..hardware import GIB, build_fabric, dataflow_spec, memory_read
 from . import above, at_most, between
 
-CONTROLLERS = 2
-CONTROLLER_GIB = 20.0
-FRACTION = 0.8
 READ_BYTES = 64 << 20
 
 
 def run_cores(n_cores: int) -> dict:
-    sim = Simulator()
-    trace = Trace()
-    socket = CPUSocket(sim, trace, "s", cores=max(n_cores, 1),
-                       controllers=CONTROLLERS,
-                       controller_bandwidth=CONTROLLER_GIB * GIB,
-                       single_stream_fraction=FRACTION)
+    fabric = build_fabric(dataflow_spec(cores=n_cores))
+    controller = fabric.spec.controller_gib * GIB
     finish = {}
 
     def stream(i):
-        yield from socket.memory_read(READ_BYTES, stream_id=i,
-                                      through_caches=False)
-        finish[i] = sim.now
+        yield from memory_read(fabric, "compute0.dram", "compute0.llc",
+                               READ_BYTES)
+        finish[i] = fabric.sim.now
 
     for i in range(n_cores):
-        sim.process(stream(i))
-    sim.run()
+        fabric.sim.process(stream(i))
+    fabric.sim.run()
     per_core = [READ_BYTES / t for t in finish.values()]
     aggregate = n_cores * READ_BYTES / max(finish.values())
     return {
@@ -45,9 +39,9 @@ def run_cores(n_cores: int) -> dict:
         "per_core_gib": sum(per_core) / len(per_core) / GIB,
         "aggregate_gib": aggregate / GIB,
         "fraction_of_one_controller":
-            (sum(per_core) / len(per_core)) / (CONTROLLER_GIB * GIB),
+            (sum(per_core) / len(per_core)) / controller,
         "fraction_of_socket":
-            aggregate / (CONTROLLERS * CONTROLLER_GIB * GIB),
+            aggregate / (fabric.spec.controllers * controller),
     }
 
 

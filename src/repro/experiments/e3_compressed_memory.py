@@ -13,15 +13,14 @@ zlib-compressed) table:
 * raw in DRAM, CPU filters — maximal DRAM footprint, full-table
   memory traffic;
 * compressed in DRAM, CPU decompresses+filters — smaller footprint,
-  but the cores burn time on decompression and the caches still see
-  every raw byte;
+  but the cores burn time on decompression and every raw byte still
+  crosses the cache bus to them;
 * compressed in DRAM, near-memory unit decompresses+filters — same
   small footprint, and only surviving rows cross toward the caches.
 """
 
-from ..hardware import CPUSocket, NearMemoryAccelerator, OpKind
+from ..hardware import OpKind, build_fabric, dataflow_spec, memory_read
 from ..relational import col, compress_chunk, make_uniform_table
-from ..sim import Simulator, Trace
 from . import above, at_least, below, exactly
 
 ROWS = 300_000
@@ -41,42 +40,43 @@ def make_payload():
 
 def run_config(config: str) -> dict:
     chunk, compressed, survivors = make_payload()
-    sim = Simulator()
-    trace = Trace()
-    socket = CPUSocket(sim, trace, "s", cores=8, controllers=2)
-    accel = NearMemoryAccelerator(sim, trace, "accel")
+    fabric = build_fabric(dataflow_spec())
+    cpu = fabric.site_device("compute0.cpu")
+    accel = fabric.site_device("compute0.nearmem")
     raw, packed, kept = (float(chunk.nbytes),
                          float(compressed.nbytes),
                          float(survivors.nbytes))
 
     def raw_cpu():
-        yield from socket.memory_read(raw, stream_id=0)
-        yield from socket.core(0).execute(OpKind.FILTER, raw)
+        yield from memory_read(fabric, "compute0.dram", "compute0.cpu", raw)
+        yield from cpu.execute(OpKind.FILTER, raw)
 
     def compressed_cpu():
-        yield from socket.memory_read(packed, stream_id=0)
-        yield from socket.core(0).execute(OpKind.DECOMPRESS, packed)
-        # The caches then see the full raw stream.
-        socket.caches.charge_stream(raw)
-        yield from socket.core(0).execute(OpKind.FILTER, raw)
+        yield from memory_read(fabric, "compute0.dram", "compute0.cpu",
+                               packed)
+        yield from cpu.execute(OpKind.DECOMPRESS, packed)
+        # The decompressed stream then crosses the caches to the CPU.
+        yield from fabric.transfer("compute0.llc", "compute0.cpu", raw)
+        yield from cpu.execute(OpKind.FILTER, raw)
 
     def compressed_nearmem():
         yield from accel.execute(OpKind.DECOMPRESS, packed)
         yield from accel.execute(OpKind.FILTER, raw)
-        # Only survivors move toward the caches and the core.
-        yield from socket.memory_read(kept, stream_id=0)
+        # Only survivors move toward the caches and the CPU.
+        yield from memory_read(fabric, "compute0.nearmem", "compute0.cpu",
+                               kept)
 
     runner = {"raw+cpu": raw_cpu,
               "compressed+cpu": compressed_cpu,
               "compressed+nearmem": compressed_nearmem}[config]
-    sim.run_process(runner())
+    fabric.sim.run_process(runner())
     return {
         "config": config,
         "dram_resident": packed if config.startswith("compressed")
         else raw,
-        "membus_bytes": trace.counter("movement.membus.bytes"),
-        "cache_bytes": trace.counter("movement.cache.bytes"),
-        "elapsed": sim.now,
+        "membus_bytes": fabric.trace.counter("movement.membus.bytes"),
+        "cache_bytes": fabric.trace.counter("movement.cache.bytes"),
+        "elapsed": fabric.sim.now,
         "compression_ratio": compressed.ratio,
     }
 

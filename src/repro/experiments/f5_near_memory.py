@@ -15,27 +15,25 @@ compared against the CPU doing the same work over the memory bus:
 import numpy as np
 
 from ..hardware import (
-    CPUSocket,
     FreeList,
     HierarchicalBlockStore,
     LRUCache,
-    NearMemoryAccelerator,
     OpKind,
+    build_fabric,
     chase_near_memory,
     chase_on_cpu,
+    dataflow_spec,
     gc_near_memory,
     gc_on_cpu,
+    memory_read,
 )
-from ..sim import Simulator, Trace
 from . import above, below, exactly
 
 
 def env():
-    sim = Simulator()
-    trace = Trace()
-    socket = CPUSocket(sim, trace, "s", cores=8, controllers=2)
-    accel = NearMemoryAccelerator(sim, trace, "accel")
-    return sim, trace, socket, accel
+    """A Figure 6 fabric and its compute node (CPU + near memory)."""
+    fabric = build_fabric(dataflow_spec())
+    return fabric, fabric.compute[0]
 
 
 # ---------------------------------------------------------------------------
@@ -44,28 +42,30 @@ def env():
 
 def run_filter(selectivity: float, on_accel: bool,
                nbytes: int = 64 << 20) -> dict:
-    sim, trace, socket, accel = env()
+    fabric, node = env()
     kept = nbytes * selectivity
 
     def cpu_side():
-        # Everything crosses the controller and caches, then the core
+        # Everything crosses the memory bus and caches, then the CPU
         # filters in software.
-        yield from socket.memory_read(nbytes, stream_id=0)
-        yield from socket.core(0).execute(OpKind.FILTER, nbytes)
+        yield from memory_read(fabric, "compute0.dram", "compute0.cpu",
+                               nbytes)
+        yield from node.cpu.execute(OpKind.FILTER, nbytes)
 
     def accel_side():
         # The accelerator filters at memory bandwidth; only survivors
-        # cross toward the caches/core.
-        yield from accel.execute(OpKind.FILTER, nbytes)
-        yield from socket.memory_read(kept, stream_id=0)
+        # cross toward the caches/CPU.
+        yield from node.accelerator.execute(OpKind.FILTER, nbytes)
+        yield from memory_read(fabric, "compute0.nearmem", "compute0.cpu",
+                               kept)
 
-    sim.run_process(accel_side() if on_accel else cpu_side())
+    fabric.sim.run_process(accel_side() if on_accel else cpu_side())
     return {
         "selectivity": selectivity,
         "site": "near-memory" if on_accel else "cpu",
-        "membus_bytes": trace.counter("movement.membus.bytes"),
-        "cache_bytes": trace.counter("movement.cache.bytes"),
-        "elapsed": sim.now,
+        "membus_bytes": fabric.trace.counter("movement.membus.bytes"),
+        "cache_bytes": fabric.trace.counter("movement.cache.bytes"),
+        "elapsed": fabric.sim.now,
     }
 
 
@@ -80,26 +80,26 @@ def run_chase(n_keys: int, lookups: int = 200, cached: bool = False
     rng = np.random.default_rng(42)
     probes = rng.integers(0, n_keys * 2, size=lookups).tolist()
 
-    sim, trace, socket, _accel = env()
+    fabric, node = env()
     cache = LRUCache(capacity_blocks=256) if cached else None
 
     def cpu_run():
         for key in probes:
-            yield from chase_on_cpu(store, key, socket, cache=cache)
+            yield from chase_on_cpu(store, key, fabric, node, cache=cache)
 
-    sim.run_process(cpu_run())
-    cpu = {"membus": trace.counter("movement.membus.bytes"),
-           "elapsed": sim.now}
+    fabric.sim.run_process(cpu_run())
+    cpu = {"membus": fabric.trace.counter("movement.membus.bytes"),
+           "elapsed": fabric.sim.now}
 
-    sim2, trace2, socket2, accel2 = env()
+    fabric2, node2 = env()
 
     def nm_run():
         for key in probes:
-            yield from chase_near_memory(store, key, accel2, socket2)
+            yield from chase_near_memory(store, key, fabric2, node2)
 
-    sim2.run_process(nm_run())
-    near = {"membus": trace2.counter("movement.membus.bytes"),
-            "elapsed": sim2.now}
+    fabric2.sim.run_process(nm_run())
+    near = {"membus": fabric2.trace.counter("movement.membus.bytes"),
+            "elapsed": fabric2.sim.now}
     return {
         "keys": n_keys,
         "height": store.height,
@@ -118,24 +118,22 @@ def run_chase(n_keys: int, lookups: int = 200, cached: bool = False
 def run_gc(nodes: int = 200_000) -> dict:
     dead = set(range(0, nodes, 10))
 
-    sim, trace, socket, _ = env()
-    removed_cpu = sim.run_process(
-        gc_on_cpu(FreeList(list(range(nodes))), set(dead), socket))
-    cpu = {"membus": trace.counter("movement.membus.bytes"),
-           "elapsed": sim.now}
+    fabric, node = env()
+    removed_cpu = fabric.sim.run_process(
+        gc_on_cpu(FreeList(list(range(nodes))), set(dead), fabric, node))
 
-    sim2, trace2, _s2, accel2 = env()
-    removed_nm = sim2.run_process(
-        gc_near_memory(FreeList(list(range(nodes))), set(dead), accel2,
-                       trace2))
+    fabric2, node2 = env()
+    removed_nm = fabric2.sim.run_process(
+        gc_near_memory(FreeList(list(range(nodes))), set(dead),
+                       node2.accelerator, fabric2.trace))
     assert removed_cpu == removed_nm
     return {
         "scenario": "gc",
         "nodes": nodes,
-        "cpu_membus": cpu["membus"],
-        "nm_membus": trace2.counter("movement.membus.bytes"),
-        "cpu_elapsed": cpu["elapsed"],
-        "nm_elapsed": sim2.now,
+        "cpu_membus": fabric.trace.counter("movement.membus.bytes"),
+        "nm_membus": fabric2.trace.counter("movement.membus.bytes"),
+        "cpu_elapsed": fabric.sim.now,
+        "nm_elapsed": fabric2.sim.now,
     }
 
 

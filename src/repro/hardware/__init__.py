@@ -3,18 +3,17 @@
 Device models follow the paper's taxonomy — computational storage
 (§3), SmartNICs (§4), near-memory accelerators and disaggregated
 memory (§5), PCIe/CXL interconnects with coherence (§6) — plus the
-conventional CPU socket (§2.1, §5.1) they are compared against.
+conventional CPU (§2.1) and memory bus (§5.1) they are compared
+against.
 """
 
 from .. import _lazy_exports
 
 _EXPORTS = {
     "GIB": "device",
-    "CacheHierarchy": "cpu",
     "CoherenceDomain": "interconnect",
     "ComputationalStorage": "storage",
     "ComputeNode": "presets",
-    "CPUSocket": "cpu",
     "Device": "device",
     "DisaggregatedMemoryNode": "memory",
     "DRAM": "memory",
@@ -26,12 +25,10 @@ _EXPORTS = {
     "HierarchicalBlockStore": "functional_units",
     "Link": "interconnect",
     "LRUCache": "cpu",
-    "MemoryController": "cpu",
     "NearMemoryAccelerator": "memory",
     "NIC": "nic",
     "NoRouteError": "topology",
     "OpKind": "device",
-    "Server": "cpu",
     "SmartNIC": "nic",
     "StorageMedium": "storage",
     "UnsupportedOperation": "device",
@@ -48,6 +45,7 @@ _EXPORTS = {
     "gc_on_cpu": "functional_units",
     "gpu_rates": "gpu",
     "memory_bus": "interconnect",
+    "memory_read": "memory",
     "pcie_link": "interconnect",
     "rack_spec": "presets",
     "rdma_link": "interconnect",

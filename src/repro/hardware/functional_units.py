@@ -11,9 +11,9 @@ most importantly :class:`HierarchicalBlockStore`, a B-tree-like block
 layout over sorted keys — and the two traversal strategies the paper
 contrasts:
 
-* :func:`chase_on_cpu`: every visited block crosses the memory
-  controller and the cache hierarchy before the CPU can decide which
-  block to fetch next (a round trip per level);
+* :func:`chase_on_cpu`: every visited block crosses the node's
+  memory bus and cache bus before the CPU can decide which block to
+  fetch next (a round trip per level);
 * :func:`chase_near_memory`: the traversal happens inside the
   memory system and only the matching leaf payload moves up.
 
@@ -25,11 +25,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from ..sim import Trace
-from .cpu import CPUSocket, LRUCache
+from .cpu import LRUCache
 from .device import Device, OpKind
+from .memory import memory_read
+
+if TYPE_CHECKING:
+    from .presets import ComputeNode
+    from .topology import Fabric
 
 __all__ = [
     "Block",
@@ -141,39 +146,40 @@ class HierarchicalBlockStore:
         return None
 
 
-def chase_on_cpu(store: HierarchicalBlockStore, key: int,
-                 socket: CPUSocket, cache: Optional[LRUCache] = None,
-                 stream_id: int = 0) -> Generator:
-    """Traverse on the CPU: each block crosses memory bus + caches.
+def chase_on_cpu(store: HierarchicalBlockStore, key: int, fabric: Fabric,
+                 node: ComputeNode, cache: Optional[LRUCache] = None
+                 ) -> Generator:
+    """Traverse on ``node``'s CPU: each block crosses membus + caches.
 
     An optional :class:`LRUCache` models the LLC holding hot upper
     levels; cached blocks skip the memory-bus crossing (but the CPU
     still inspects them).  Returns the lookup result.
     """
-    core = socket.core(stream_id)
     for block in store.traverse(key):
         hit = cache.access(block.block_id) if cache is not None else False
         if not hit:
-            yield from socket.memory_read(block.nbytes, stream_id=stream_id)
-        yield from core.execute(OpKind.POINTER_CHASE, block.nbytes)
+            yield from memory_read(fabric, f"{node.name}.dram",
+                                   node.cpu.name, block.nbytes)
+        yield from node.cpu.execute(OpKind.POINTER_CHASE, block.nbytes)
     return store.lookup(key)
 
 
 def chase_near_memory(store: HierarchicalBlockStore, key: int,
-                      accelerator: Device, socket: CPUSocket,
-                      stream_id: int = 0) -> Generator:
+                      fabric: Fabric, node: ComputeNode) -> Generator:
     """Traverse near memory: only the leaf moves toward the CPU (§5.4).
 
-    The accelerator walks every level (charged at its pointer-chase
-    rate, internal to the memory system), then a single leaf block
-    crosses the controller and caches to the requesting core.
-    Returns the lookup result.
+    ``node``'s accelerator walks every level (charged at its
+    pointer-chase rate, internal to the memory system), then a single
+    leaf block crosses the memory bus and caches to the CPU.  Returns
+    the lookup result.
     """
     path = store.traverse(key)
     traversal_bytes = sum(block.nbytes for block in path)
-    yield from accelerator.execute(OpKind.POINTER_CHASE, traversal_bytes)
+    yield from node.accelerator.execute(OpKind.POINTER_CHASE,
+                                        traversal_bytes)
     leaf = path[-1]
-    yield from socket.memory_read(leaf.nbytes, stream_id=stream_id)
+    yield from memory_read(fabric, node.accelerator.name, node.cpu.name,
+                           leaf.nbytes)
     return store.lookup(key)
 
 
@@ -196,13 +202,13 @@ class FreeList:
         return before - len(self.nodes)
 
 
-def gc_on_cpu(free_list: FreeList, dead: set[int],
-              socket: CPUSocket, stream_id: int = 0) -> Generator:
-    """Garbage-collect on the CPU: the whole list streams to the core."""
+def gc_on_cpu(free_list: FreeList, dead: set[int], fabric: Fabric,
+              node: ComputeNode) -> Generator:
+    """Garbage-collect on ``node``'s CPU: the whole list streams to it."""
     total = len(free_list.nodes) * free_list.node_bytes
-    yield from socket.memory_read(total, stream_id=stream_id)
-    core = socket.core(stream_id)
-    yield from core.execute(OpKind.LIST_MAINTENANCE, total)
+    yield from memory_read(fabric, f"{node.name}.dram", node.cpu.name,
+                           total)
+    yield from node.cpu.execute(OpKind.LIST_MAINTENANCE, total)
     return free_list.collect(dead)
 
 

@@ -1,5 +1,10 @@
 """DRAM, near-memory accelerators, and disaggregated memory (§5).
 
+:func:`memory_read` is §5.1's memory controller on the fabric: a
+stream of requests over a node's memory bus, each followed by an
+issue gap, so one core sustains only part of a controller while a few
+cores saturate all of them.
+
 :class:`NearMemoryAccelerator` interposes between the memory
 controller and the CPU (the M7-style design of §5.2): it sees data in
 flight and can filter, decompress, transpose, chase pointers, and run
@@ -15,14 +20,25 @@ Farview-style offload the paper cites).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim import EventKind, Simulator, Trace
 from .device import GIB, Device, OpKind
 from .nic import NIC, SmartNIC
 
+if TYPE_CHECKING:
+    from .topology import Fabric
+
 __all__ = ["DRAM", "NearMemoryAccelerator", "DisaggregatedMemoryNode",
-           "nearmem_rates"]
+           "memory_read", "nearmem_rates"]
+
+#: Bytes per memory request: a stream reaches the controller in
+#: requests of this size.
+REQUEST_BYTES = 1 << 20
+
+#: Share of one controller a single stream sustains (§5.1: 75–85 %,
+#: constant for over a decade).
+SINGLE_STREAM_FRACTION = 0.8
 
 
 def nearmem_rates(memory_bandwidth: float) -> dict[str, float]:
@@ -80,6 +96,30 @@ class DRAM:
                         f"dram.{self.name}", nbytes=nbytes)
         self.trace.add(f"dram.{self.name}.frees", 1)
         self.trace.sample(f"dram.{self.name}.used", self.sim.now, self.used)
+
+
+def memory_read(fabric: Fabric, src: str, dst: str,
+                nbytes: float) -> Generator:
+    """Stream ``nbytes`` from ``src`` to ``dst`` (simulation process).
+
+    Each :data:`REQUEST_BYTES` request crosses the route, holding a
+    port of its memory bus at the controller's full bandwidth; the
+    stream then waits an issue gap without a port, so it sustains
+    :data:`SINGLE_STREAM_FRACTION` of one controller while other
+    streams' requests fill the gap.  A few streams thus saturate the
+    bus, and with many, per-stream bandwidth collapses (§5.1).  A read
+    that stops at ``<node>.llc`` crosses no cache; one that stops at
+    ``<node>.cpu`` crosses the cache bus too.
+    """
+    (membus,) = [link for link in fabric.route(src, dst)
+                 if link.segment == "membus"]
+    remaining = float(nbytes)
+    while remaining > 0:
+        piece = min(REQUEST_BYTES, remaining)
+        yield from fabric.transfer(src, dst, piece)
+        yield fabric.sim.timeout(
+            piece / membus.bandwidth * (1 / SINGLE_STREAM_FRACTION - 1))
+        remaining -= piece
 
 
 class NearMemoryAccelerator(Device):

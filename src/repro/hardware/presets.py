@@ -55,8 +55,9 @@ class FabricSpec:
     """Configuration knobs for :func:`build_fabric`.
 
     Each knob shapes a device or link a run can reach.  The §5.1
-    socket model is the standalone :class:`~repro.hardware.cpu.CPUSocket`,
-    not part of a fabric.
+    controllers are the memory bus's ports; a stream read through
+    :func:`~repro.hardware.memory.memory_read` keeps the single-stream
+    ceiling.
     """
 
     # Network.

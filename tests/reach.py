@@ -7,7 +7,7 @@ the parser accepts), the smoke suite again under ``REPRO_SLOW_FLOW=1``
 so the reference twin counts, the six ``examples/``, ``dir()`` of the
 package, and two windows + ``verify()`` of each perfbench workload —
 and matches the code objects that were called against every ``def``
-under ``src/`` found by ``ast``.
+and ``lambda`` under ``src/`` found by ``ast``.
 
 ``ALLOWED`` names the functions that may stay unreached, each with the
 reason.  The script exits 1 on an unreached function that is not
@@ -93,7 +93,11 @@ read-only accessor of a public class; no example holds one yet
     serve/fairqueue.py::WeightedFairQueue.depth
     serve/fairqueue.py::WeightedFairQueue.virtual_time
 guards outside input: a --compare baseline may carry the section
+    obs.py::_serving_record_violations.<lambda>@351
     obs.py::_telemetry_section_violations
+read only by --compare of a baseline with that section; the drive compares smoke
+    bench.py::<lambda>@328
+    bench.py::Suite.<lambda>@293
 frozen perfbench import; goes with ROADMAP item 1
     engine/codegen.py::counters
 reference the tests compare the fast path against
@@ -101,6 +105,11 @@ reference the tests compare the fast path against
     optimizer/cost.py::CostModel.cost
 branch only a larger input takes: above 256 points per window
     serve/telemetry.py::QuantileSketch._compress
+branch only a larger input takes: more exemplars than MAX_EXEMPLARS
+    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@385
+    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@388
+branch only a callback added to an already processed event takes
+    sim/kernel.py::Event.add_callback.<lambda>@111
 branch only a bounded, full inbox takes
     flow/credits.py::_CreditReturn._on_put
     flow/credits.py::_Delivery._on_put
@@ -143,7 +152,9 @@ class Def(NamedTuple):
 
 
 def defined_functions() -> list[Def]:
-    """Every ``def`` under ``src/repro``, nested ones included."""
+    """Every ``def`` and ``lambda`` under ``src/repro``, nested ones
+    included; a lambda is ``<scope>.<lambda>@<line>``, its line being
+    the ``co_firstlineno`` of its code object."""
     found: list[Def] = []
 
     def visit(node, scope: str, key: str, path: str) -> None:
@@ -156,6 +167,11 @@ def defined_functions() -> list[Def]:
                 first = min([child.lineno] + [d.lineno for d in
                                               child.decorator_list])
                 found.append(Def(f"{key}::{name}", path, first,
+                                 child.end_lineno - child.lineno + 1))
+            elif isinstance(child, ast.Lambda):
+                lam = f"<lambda>@{child.lineno}"
+                found.append(Def(f"{key}::{scope}.{lam}" if scope
+                                 else f"{key}::{lam}", path, child.lineno,
                                  child.end_lineno - child.lineno + 1))
             visit(child, name, key, path)
 

@@ -86,6 +86,31 @@ def test_f1_memory_bus_check_sees_one_byte():
     assert not passed and distinct == 2
 
 
+def test_e3_cpu_decompression_pays_for_the_cache_crossing():
+    """The raw stream the CPU decompresses crosses the cache bus to it,
+    and the compressed+cpu row's elapsed includes that crossing."""
+    from repro.experiments.e3_compressed_memory import make_payload
+    from repro.hardware import OpKind, build_fabric, dataflow_spec, \
+        memory_read
+
+    chunk, compressed, _ = make_payload()
+    raw, packed = float(chunk.nbytes), float(compressed.nbytes)
+    row = record("e3")["rows"][1]
+    assert row["config"] == "compressed+cpu"
+    assert row["cache_bytes"] == packed + raw
+
+    fabric = build_fabric(dataflow_spec())
+    fabric.sim.run_process(
+        memory_read(fabric, "compute0.dram", "compute0.cpu", packed))
+    cpu = fabric.site_device("compute0.cpu")
+    (cachebus,) = fabric.route("compute0.llc", "compute0.cpu")
+    crossing = cachebus.transfer_time(raw)
+    expected = (fabric.sim.now + cpu.service_time(OpKind.DECOMPRESS, packed)
+                + crossing + cpu.service_time(OpKind.FILTER, raw))
+    assert row["elapsed"] == pytest.approx(expected, rel=1e-12)
+    assert crossing > 0.01 * row["elapsed"]  # a real share, not rounding
+
+
 def test_importing_repro_leaves_the_experiments_out():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(

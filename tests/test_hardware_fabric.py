@@ -190,25 +190,21 @@ def test_block_store_traverse_ends_at_leaf():
 
 
 def chase_env():
-    from repro.hardware import CPUSocket, NearMemoryAccelerator
-    sim = Simulator()
-    trace = Trace()
-    socket = CPUSocket(sim, trace, "s", cores=2, controllers=1)
-    accel = NearMemoryAccelerator(sim, trace, "accel")
-    return sim, trace, socket, accel
+    fabric = build_fabric(dataflow_spec())
+    return fabric, fabric.compute[0]
 
 
 def test_chase_cpu_and_nearmem_agree():
-    sim, trace, socket, accel = chase_env()
+    fabric, node = chase_env()
     store = HierarchicalBlockStore(list(range(0, 4096, 2)), fanout=8,
                                    leaf_capacity=16)
 
     def run():
-        cpu_result = yield from chase_on_cpu(store, 100, socket)
-        nm_result = yield from chase_near_memory(store, 100, accel, socket)
+        cpu_result = yield from chase_on_cpu(store, 100, fabric, node)
+        nm_result = yield from chase_near_memory(store, 100, fabric, node)
         return cpu_result, nm_result
 
-    cpu_result, nm_result = sim.run_process(run())
+    cpu_result, nm_result = fabric.sim.run_process(run())
     assert cpu_result == nm_result == 201
 
 
@@ -216,13 +212,13 @@ def test_chase_near_memory_moves_fewer_bytes():
     store = HierarchicalBlockStore(list(range(0, 65536, 2)), fanout=8,
                                    leaf_capacity=16)
 
-    sim1, trace1, socket1, _ = chase_env()
-    sim1.run_process(chase_on_cpu(store, 1234, socket1))
-    cpu_moved = trace1.counter("movement.membus.bytes")
+    fabric1, node1 = chase_env()
+    fabric1.sim.run_process(chase_on_cpu(store, 1234, fabric1, node1))
+    cpu_moved = fabric1.trace.counter("movement.membus.bytes")
 
-    sim2, trace2, socket2, accel2 = chase_env()
-    sim2.run_process(chase_near_memory(store, 1234, accel2, socket2))
-    nm_moved = trace2.counter("movement.membus.bytes")
+    fabric2, node2 = chase_env()
+    fabric2.sim.run_process(chase_near_memory(store, 1234, fabric2, node2))
+    nm_moved = fabric2.trace.counter("movement.membus.bytes")
 
     assert nm_moved < cpu_moved
     assert nm_moved == store.block_bytes  # only the leaf crosses
@@ -231,43 +227,44 @@ def test_chase_near_memory_moves_fewer_bytes():
 def test_chase_on_cpu_with_warm_cache_skips_memory():
     store = HierarchicalBlockStore(list(range(0, 4096, 2)), fanout=8,
                                    leaf_capacity=16)
-    sim, trace, socket, _ = chase_env()
+    fabric, node = chase_env()
     cache = LRUCache(capacity_blocks=1024)
 
     def run():
-        yield from chase_on_cpu(store, 100, socket, cache=cache)
-        before = trace.counter("movement.membus.bytes")
-        yield from chase_on_cpu(store, 100, socket, cache=cache)
-        after = trace.counter("movement.membus.bytes")
+        yield from chase_on_cpu(store, 100, fabric, node, cache=cache)
+        before = fabric.trace.counter("movement.membus.bytes")
+        yield from chase_on_cpu(store, 100, fabric, node, cache=cache)
+        after = fabric.trace.counter("movement.membus.bytes")
         return before, after
 
-    before, after = sim.run_process(run())
+    before, after = fabric.sim.run_process(run())
     assert after == before  # second traversal fully cached
 
 
 def test_gc_agreement_and_movement():
-    sim, trace, socket, accel = chase_env()
+    fabric, node = chase_env()
     free_list = FreeList(list(range(1000)))
     dead = set(range(0, 1000, 10))
 
     def run():
         removed_cpu = yield from gc_on_cpu(
-            FreeList(list(range(1000))) and free_list, dead, socket)
+            FreeList(list(range(1000))) and free_list, dead, fabric, node)
         return removed_cpu
 
-    removed = sim.run_process(run())
+    removed = fabric.sim.run_process(run())
     assert removed == 100
-    assert trace.counter("movement.membus.bytes") > 0
+    assert fabric.trace.counter("movement.membus.bytes") > 0
 
-    sim2, trace2, _sock2, accel2 = chase_env()
+    fabric2, node2 = chase_env()
     fl2 = FreeList(list(range(1000)))
 
     def run2():
-        return (yield from gc_near_memory(fl2, dead, accel2, trace2))
+        return (yield from gc_near_memory(fl2, dead, node2.accelerator,
+                                          fabric2.trace))
 
-    removed2 = sim2.run_process(run2())
+    removed2 = fabric2.sim.run_process(run2())
     assert removed2 == 100
-    assert trace2.counter("movement.membus.bytes") == 0
+    assert fabric2.trace.counter("movement.membus.bytes") == 0
 
 
 # ---------------------------------------------------------------------------
