@@ -65,7 +65,6 @@ _EXPORTS = {
     "Chunk": "relational",
     "CostModel": "optimizer",
     "CreditChannel": "flow",
-    "DataCache": "cloud",
     "DataType": "relational",
     "DataflowEngine": "engine",
     "EgressOp": "cloud",
@@ -73,6 +72,7 @@ _EXPORTS = {
     "Field": "relational",
     "HeterogeneousFabric": "hardware",
     "IngressOp": "cloud",
+    "LRUCache": "hardware",
     "ObjectStore": "cloud",
     "OpKind": "hardware",
     "Optimizer": "optimizer",
@@ -81,7 +81,6 @@ _EXPORTS = {
     "PlanCost": "optimizer",
     "Query": "engine",
     "QueryResult": "engine",
-    "ResultCache": "cloud",
     "ScheduledQuery": "scheduler",
     "Scheduler": "scheduler",
     "Schema": "relational",

@@ -92,8 +92,7 @@ from .hardware import OpKind, build_fabric, conventional_spec, \
     dataflow_spec
 from .obs import _observatory_section_violations
 from .optimizer import Optimizer
-from .relational import Catalog, col, make_lineitem, make_orders, \
-    standard_catalog
+from .relational import col, standard_catalog
 
 
 def positive_int(text: str) -> int:
@@ -171,21 +170,13 @@ def _violations(title: str, violations: list) -> int:
     return 1 if violations else 0
 
 
-def _catalog(rows: int) -> Catalog:
-    """lineitem (``rows``) + orders (``rows // 4``), 8192-row chunks."""
-    catalog = Catalog()
-    catalog.register("lineitem", make_lineitem(rows, chunk_rows=8192))
-    catalog.register("orders", make_orders(rows // 4, chunk_rows=8192))
-    return catalog
-
-
 SPECS = {"dataflow": dataflow_spec, "conventional": conventional_spec}
 
 
 def cmd_demo(args) -> int:
     """Baseline vs data-flow demo: one query, both engines."""
     from .analysis import QUERIES
-    catalog = _catalog(args.rows)
+    catalog = standard_catalog(args.rows, chunk_rows=8192)
     query = QUERIES["demo"]()
 
     fabric = build_fabric(dataflow_spec())
@@ -231,7 +222,7 @@ def cmd_sites(args) -> int:
 
 def cmd_query(args) -> int:
     """Run a configurable filter/project query under a placement."""
-    catalog = _catalog(args.rows)
+    catalog = standard_catalog(args.rows, chunk_rows=8192)
     cutoff = max(1, int(50 * args.selectivity))
     query = (Query.scan("lineitem")
              .filter(col("l_quantity") <= cutoff)
@@ -341,7 +332,7 @@ def cmd_trace(args) -> int:
         print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
     from .analysis import QUERIES
-    catalog = _catalog(args.rows)
+    catalog = standard_catalog(args.rows, chunk_rows=8192)
     query = QUERIES["demo"]()
     fabric = build_fabric(dataflow_spec())
     if args.engine in ("volcano", "both"):
@@ -363,7 +354,7 @@ def cmd_trace(args) -> int:
 def cmd_sql(args) -> int:
     """Run a SQL statement over synthetic lineitem/orders tables."""
     from .relational import SqlError, parse_sql
-    catalog = _catalog(args.rows)
+    catalog = standard_catalog(args.rows, chunk_rows=8192)
     try:
         query = parse_sql(args.statement)
         # Bind every name now: an unknown one is a KeyError.

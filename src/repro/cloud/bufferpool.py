@@ -1,99 +1,56 @@
 """The buffer pool — the "main memory addiction" of §7.4.
 
 Conventional engines keep as much data as possible in compute-node
-DRAM.  :class:`BufferPool` models that faithfully: pages (table
-chunks) are cached in the compute node's DRAM under LRU replacement;
-hits cost a local memory-bus crossing, misses pay the full remote path
-(storage read + network + PCIe) and evict under pressure.  The DRAM
-footprint it pins is exactly what the data-flow engine does *not*
-need — the comparison bench C5 draws.
+DRAM.  :class:`BufferPool` models that faithfully: table chunks are
+cached in the compute node's DRAM under LRU replacement, each at its
+own size; hits cost a local memory-bus crossing, misses pay the full
+remote path (storage read + network + PCIe) and evict under pressure.
+The DRAM footprint it pins is exactly what the data-flow engine does
+*not* need — the comparison bench C5 draws.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from ..hardware.cpu import LRUCache
+from ..hardware.memory import LRUCache
 from ..hardware.presets import HeterogeneousFabric
-from ..sim import EventKind
 
 __all__ = ["BufferPool"]
 
 
 class BufferPool:
-    """An LRU page cache in one compute node's DRAM."""
+    """An LRU chunk cache in one compute node's DRAM."""
 
     def __init__(self, fabric: HeterogeneousFabric, node: int = 0,
-                 capacity_bytes: int = 1 << 30,
-                 page_bytes: int = 1 << 20):
-        if capacity_bytes < page_bytes:
-            raise ValueError("capacity smaller than one page")
+                 capacity_bytes: int = 1 << 30):
         self.fabric = fabric
         self.node = node
-        self.page_bytes = page_bytes
-        self.capacity_bytes = capacity_bytes
         self.dram = fabric.compute[node].dram
-        self._lru = LRUCache(max(1, capacity_bytes // page_bytes),
-                             name=f"bufferpool{node}",
-                             trace=fabric.trace)
-        self._page_sizes: dict[tuple, int] = {}
-        self._resident_bytes = 0
+        self.lru = LRUCache(capacity_bytes, name=f"bufferpool{node}",
+                            trace=fabric.trace)
         self.peak_bytes = 0
 
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
+    def fetch(self, table: str, index: int, nbytes: int) -> Generator:
+        """Bring chunk ``index`` of ``table`` to DRAM; True on a hit.
 
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident_bytes
-
-    def fetch(self, table: str, index: int, nbytes: float) -> Generator:
-        """Bring page (table, index) to DRAM; returns hit/miss.
-
-        A hit charges nothing extra (the page is already in DRAM); a
+        A hit charges nothing extra (the chunk is already in DRAM); a
         miss reads storage, crosses the network and host interconnect
-        into DRAM, and may evict.
+        into DRAM, and evicts least-recently-used chunks to make room.
         """
-        key = (table, index)
-        evicted_before = self._lru.evictions
-        hit = self._lru.access(key)
-        if hit:
-            self.fabric.trace.add("bufferpool.hits", 1)
-            self.fabric.trace.emit(
-                self.fabric.sim.now, EventKind.CACHE_HIT,
-                f"bufferpool{self.node}", label=f"{table}[{index}]",
-                nbytes=nbytes)
+        key = f"{table}[{index}]"
+        if self.lru.get(key) is not None:
             return True
-        # Miss: account an eviction if LRU displaced a page.
-        if self._lru.evictions > evicted_before:
-            victim_bytes = self.page_bytes
-            self._resident_bytes -= victim_bytes
-            self.dram.free(victim_bytes)
-            self.fabric.trace.add("bufferpool.evictions", 1)
+        if nbytes > self.lru.capacity_bytes:
+            raise ValueError(f"chunk {key} ({nbytes} B) is larger than "
+                             f"the pool ({self.lru.capacity_bytes} B)")
         yield from self.fabric.storage.medium.read(nbytes)
         yield from self.fabric.transfer(
             self.fabric.storage_location,
             f"compute{self.node}.dram", nbytes,
             flow=f"bufferpool{self.node}")
-        self._page_sizes[key] = int(nbytes)
-        self._resident_bytes += self.page_bytes
-        self.dram.allocate(self.page_bytes)
-        self.peak_bytes = max(self.peak_bytes, self._resident_bytes)
-        self.fabric.trace.add("bufferpool.misses", 1)
-        self.fabric.trace.emit(
-            self.fabric.sim.now, EventKind.CACHE_MISS,
-            f"bufferpool{self.node}", label=f"{table}[{index}]",
-            nbytes=nbytes)
-        self.fabric.trace.sample(f"bufferpool{self.node}.resident",
-                                 self.fabric.sim.now,
-                                 self._resident_bytes)
+        for _victim, victim_bytes in self.lru.put(key, nbytes, nbytes):
+            self.dram.free(victim_bytes)
+        self.dram.allocate(nbytes)
+        self.peak_bytes = max(self.peak_bytes, self.lru.used_bytes)
         return False

@@ -37,6 +37,7 @@ _EXPORTS = {
     "cpu_only": "placement",
     "data_path_sites": "placement",
     "place": "placement",
+    "plan_fingerprint": "logical",
     "pushdown": "placement",
 }
 __all__ = list(_EXPORTS)

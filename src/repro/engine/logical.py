@@ -33,6 +33,7 @@ __all__ = [
     "Sort",
     "Limit",
     "Query",
+    "plan_fingerprint",
 ]
 
 _node_ids = itertools.count()
@@ -107,6 +108,18 @@ class PlanNode:
 
     def __repr__(self):
         return f"<{type(self).__name__}#{self.node_id} {self.describe()}>"
+
+
+def plan_fingerprint(plan: PlanNode) -> tuple:
+    """A structural key of a logical plan (node-id independent).
+
+    Two instances of one query share it; any operator parameter,
+    predicate, expression, aggregate, column list or tree shape that
+    differs tells them apart (``describe()`` carries every parameter).
+    A result cache keys query answers by it (bench C6).
+    """
+    return tuple((type(node).__name__, node.describe(), len(node.children))
+                 for node in plan.walk())
 
 
 class Scan(PlanNode):

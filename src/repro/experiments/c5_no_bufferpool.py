@@ -46,8 +46,7 @@ def run_size(rows: int) -> dict:
     fabric_v = build_fabric(dataflow_spec())
     catalog_v = Catalog()
     catalog_v.register("t", table)
-    pool = BufferPool(fabric_v, capacity_bytes=table.nbytes * 2,
-                      page_bytes=1 << 20)
+    pool = BufferPool(fabric_v, capacity_bytes=table.nbytes * 2)
     volcano = VolcanoEngine(fabric_v, catalog_v, bufferpool=pool)
     res_v = volcano.execute(query())
 

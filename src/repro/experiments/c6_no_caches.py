@@ -20,10 +20,9 @@ import numpy as np
 
 from .. import (
     Catalog,
-    DataCache,
     DataflowEngine,
+    LRUCache,
     Query,
-    ResultCache,
     build_fabric,
     col,
     cpu_only,
@@ -31,6 +30,7 @@ from .. import (
     make_uniform_table,
     pushdown,
 )
+from ..engine import plan_fingerprint
 from . import above, below, exactly
 
 ROWS = 60_000
@@ -61,19 +61,18 @@ def run_base_table_cache() -> dict:
     fabric, catalog = make_env()
     engine = DataflowEngine(fabric, catalog)
     table = catalog.table("t")
-    cache = DataCache(capacity_bytes=table.nbytes * 2,
-                      name="base", trace=fabric.trace)
+    cache = LRUCache(table.nbytes * 2, name="base", trace=fabric.trace)
     total_elapsed = 0.0
     for i, query in enumerate(workload()):
         placement = cpu_only(query.plan, fabric)
         # Model the caching layer: chunks already cached skip the
         # storage+network path — we charge only the local membus.
-        hits = sum(cache.lookup(f"t/{j}") for j, _ in
-                   enumerate(table.chunks))
-        for j, chunk in enumerate(table.chunks):
-            if f"t/{j}" not in cache:
-                cache.insert(f"t/{j}", chunk.nbytes)
-        if hits == len(table.chunks):
+        missed = [j for j in range(len(table.chunks))
+                  if cache.get(f"t/{j}") is None]
+        for j in missed:
+            chunk = table.chunks[j]
+            cache.put(f"t/{j}", chunk, chunk.nbytes)
+        if not missed:
             # Fully cached: run from local memory (no network).
             def local_run():
                 for chunk in table.chunks:
@@ -100,20 +99,19 @@ def run_base_table_cache() -> dict:
 def run_active_pipeline(result_cache: bool) -> dict:
     fabric, catalog = make_env()
     engine = DataflowEngine(fabric, catalog)
-    cache = ResultCache(capacity_bytes=16 << 20) if result_cache else None
+    cache = LRUCache(16 << 20, name="results") if result_cache else None
     total_elapsed = 0.0
     dram_for_results = 0
     for i, query in enumerate(workload()):
-        if cache is not None:
-            cached = cache.get(query.plan)
-            if cached is not None:
-                continue  # free hit: the answer is already local
+        key = plan_fingerprint(query.plan)
+        if cache is not None and cache.get(key) is not None:
+            continue  # free hit: the answer is already local
         result = engine.execute(
             query, placement=pushdown(query.plan, fabric),
             name=f"c6act{i}")
         total_elapsed += result.elapsed
         if cache is not None:
-            cache.put(query.plan, result.table)
+            cache.put(key, result.table, result.table.nbytes)
             dram_for_results = cache.used_bytes
     name = "active pipeline" + (" + result cache" if result_cache
                                 else "")

@@ -81,7 +81,7 @@ def run_chase(n_keys: int, lookups: int = 200, cached: bool = False
     probes = rng.integers(0, n_keys * 2, size=lookups).tolist()
 
     fabric, node = env()
-    cache = LRUCache(capacity_blocks=256) if cached else None
+    cache = LRUCache(256 * store.block_bytes) if cached else None
 
     def cpu_run():
         for key in probes:

@@ -24,7 +24,7 @@ _EXPORTS = {
     "HeterogeneousFabric": "presets",
     "HierarchicalBlockStore": "functional_units",
     "Link": "interconnect",
-    "LRUCache": "cpu",
+    "LRUCache": "memory",
     "NearMemoryAccelerator": "memory",
     "NIC": "nic",
     "NoRouteError": "topology",
@@ -39,7 +39,7 @@ _EXPORTS = {
     "conventional_spec": "presets",
     "cxl_link": "interconnect",
     "dataflow_spec": "presets",
-    "default_core_rates": "cpu",
+    "default_core_rates": "device",
     "ethernet_link": "interconnect",
     "gc_near_memory": "functional_units",
     "gc_on_cpu": "functional_units",

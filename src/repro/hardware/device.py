@@ -15,6 +15,10 @@ supports that kind, and the device charges time for it.  This is the
 paper's "what operators make sense to push down" question made
 executable — a device that lacks a kind simply cannot host the
 operator.
+
+A fabric's CPU site (``compute<i>.cpu``) is one device with a slot per
+core, running at :func:`default_core_rates` — the *software*
+implementations the accelerator offloads are compared against.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Generator, Optional
 
 from ..sim import Resource, Simulator, Trace
 
-__all__ = ["OpKind", "Device", "UnsupportedOperation", "GIB"]
+__all__ = ["OpKind", "Device", "UnsupportedOperation", "GIB",
+           "default_core_rates"]
 
 GIB = float(1 << 30)
 """One gibibyte, for writing rates as ``3.0 * GIB``."""
@@ -73,6 +78,38 @@ class OpKind:
         DECRYPT, SERIALIZE, DESERIALIZE, TRANSPOSE, POINTER_CHASE,
         LIST_MAINTENANCE, GENERIC,
     )
+
+
+def default_core_rates(ghz: float = 3.0) -> dict[str, float]:
+    """Software (per-core) processing rates in bytes/second.
+
+    Calibrated to a ~3 GHz core running vectorized database kernels.
+    Regex is the stand-out laggard — the reason AQUA pushed LIKE to
+    accelerators (§3.3).
+    """
+    scale = ghz / 3.0
+    return {
+        OpKind.FILTER: 8.0 * GIB * scale,
+        OpKind.REGEX: 0.8 * GIB * scale,
+        OpKind.PROJECT: 12.0 * GIB * scale,
+        OpKind.HASH: 6.0 * GIB * scale,
+        OpKind.PARTITION: 5.0 * GIB * scale,
+        OpKind.AGGREGATE: 6.0 * GIB * scale,
+        OpKind.SORT: 2.0 * GIB * scale,
+        OpKind.JOIN_BUILD: 3.0 * GIB * scale,
+        OpKind.JOIN_PROBE: 4.0 * GIB * scale,
+        OpKind.COUNT: 16.0 * GIB * scale,
+        OpKind.COMPRESS: 1.5 * GIB * scale,
+        OpKind.DECOMPRESS: 3.0 * GIB * scale,
+        OpKind.ENCRYPT: 2.0 * GIB * scale,
+        OpKind.DECRYPT: 2.0 * GIB * scale,
+        OpKind.SERIALIZE: 5.0 * GIB * scale,
+        OpKind.DESERIALIZE: 5.0 * GIB * scale,
+        OpKind.TRANSPOSE: 4.0 * GIB * scale,
+        OpKind.POINTER_CHASE: 0.5 * GIB * scale,
+        OpKind.LIST_MAINTENANCE: 2.0 * GIB * scale,
+        OpKind.GENERIC: 8.0 * GIB * scale,
+    }
 
 
 @dataclass

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from ..sim import Trace
-from .cpu import LRUCache
 from .device import Device, OpKind
-from .memory import memory_read
+from .memory import LRUCache, memory_read
 
 if TYPE_CHECKING:
     from .presets import ComputeNode
@@ -156,10 +155,11 @@ def chase_on_cpu(store: HierarchicalBlockStore, key: int, fabric: Fabric,
     still inspects them).  Returns the lookup result.
     """
     for block in store.traverse(key):
-        hit = cache.access(block.block_id) if cache is not None else False
-        if not hit:
+        if cache is None or cache.get(block.block_id) is None:
             yield from memory_read(fabric, f"{node.name}.dram",
                                    node.cpu.name, block.nbytes)
+            if cache is not None:
+                cache.put(block.block_id, block, block.nbytes)
         yield from node.cpu.execute(OpKind.POINTER_CHASE, block.nbytes)
     return store.lookup(key)
 

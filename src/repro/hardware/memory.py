@@ -16,11 +16,16 @@ reduction that motivates the whole architecture.
 DRAM fronted by a NIC, optionally with a near-memory accelerator so
 the bottom of a query plan can execute where the data lives (the
 Farview-style offload the paper cites).
+
+:class:`LRUCache` is the one cache of the model: the buffer pool
+(§7.4), the data and result caches (§7.5) and the LLC of the
+pointer-chasing experiment (§5.4) each keep their entries in one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Generator, Hashable, Optional
 
 from ..sim import EventKind, Simulator, Trace
 from .device import GIB, Device, OpKind
@@ -29,8 +34,8 @@ from .nic import NIC, SmartNIC
 if TYPE_CHECKING:
     from .topology import Fabric
 
-__all__ = ["DRAM", "NearMemoryAccelerator", "DisaggregatedMemoryNode",
-           "memory_read", "nearmem_rates"]
+__all__ = ["DRAM", "LRUCache", "NearMemoryAccelerator",
+           "DisaggregatedMemoryNode", "memory_read", "nearmem_rates"]
 
 #: Bytes per memory request: a stream reaches the controller in
 #: requests of this size.
@@ -96,6 +101,74 @@ class DRAM:
                         f"dram.{self.name}", nbytes=nbytes)
         self.trace.add(f"dram.{self.name}.frees", 1)
         self.trace.sample(f"dram.{self.name}.used", self.sim.now, self.used)
+
+
+class LRUCache:
+    """A byte-budgeted least-recently-used cache of values.
+
+    Each entry is a value (never None) and the bytes it occupies;
+    :attr:`used_bytes` never exceeds :attr:`capacity_bytes`.  Hits,
+    misses and evictions are counted exactly, and with a ``trace`` also
+    as ``cache.<name>.hits`` / ``.misses`` / ``.evictions`` and
+    ``cache_hit`` / ``cache_miss`` events stamped at the trace's clock.
+    """
+
+    def __init__(self, capacity_bytes: int, name: str = "lru",
+                 trace: Optional[Trace] = None):
+        if capacity_bytes <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity_bytes = capacity_bytes
+        self.name = name
+        self.trace = trace
+        self._entries: OrderedDict = OrderedDict()   # key -> (value, bytes)
+        self.used_bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key: Hashable):
+        """``key``'s value, now the most recently used; None on a miss."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            outcome, kind = "misses", EventKind.CACHE_MISS
+        else:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            outcome, kind = "hits", EventKind.CACHE_HIT
+        if self.trace is not None:
+            self.trace.add(f"cache.{self.name}.{outcome}", 1)
+            self.trace.emit(self.trace.clock, kind, f"cache.{self.name}",
+                            label=str(key))
+        return None if entry is None else entry[0]
+
+    def put(self, key: Hashable, value, nbytes: int) -> list:
+        """Store ``value`` (``nbytes`` big) as the most recently used.
+
+        Returns the ``(key, nbytes)`` of every entry evicted to make
+        room, least recently used first.  An older copy of ``key`` is
+        replaced, not evicted; an entry larger than the whole budget is
+        refused, and its older copy dropped all the same.
+        """
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.used_bytes -= old[1]
+        if nbytes > self.capacity_bytes:
+            return []
+        evicted = []
+        while self.used_bytes + nbytes > self.capacity_bytes:
+            victim, (_value, victim_bytes) = self._entries.popitem(
+                last=False)
+            self.used_bytes -= victim_bytes
+            evicted.append((victim, victim_bytes))
+        self._entries[key] = (value, nbytes)
+        self.used_bytes += nbytes
+        if evicted:
+            self.evictions += len(evicted)
+            if self.trace is not None:
+                self.trace.add(f"cache.{self.name}.evictions",
+                               len(evicted))
+        return evicted
 
 
 def memory_read(fabric: Fabric, src: str, dst: str,

@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cpu import default_core_rates
-from .device import GIB, Device
+from .device import GIB, Device, default_core_rates
 from .interconnect import (
     cache_bus,
     cxl_link,

@@ -69,8 +69,6 @@ hash beside a custom __eq__: keeps instances usable as keys
     hardware/interconnect.py::Link.__hash__
     relational/expressions.py::Expression.__hash__
 container protocol of a class the product reads by other means
-    hardware/cpu.py::LRUCache.__contains__
-    hardware/cpu.py::LRUCache.__len__
     relational/catalog.py::_LazyColumnDicts.__iter__
     relational/catalog.py::_LazyColumnStats.__iter__
     relational/schema.py::Schema.__eq__
@@ -80,13 +78,6 @@ container protocol of a class the product reads by other means
     relational/zonemaps.py::ZoneMap.__len__
     sim/events.py::EventRing.__len__
 read-only accessor of a public class; no example holds one yet
-    cloud/bufferpool.py::BufferPool.hit_rate
-    cloud/bufferpool.py::BufferPool.hits
-    cloud/bufferpool.py::BufferPool.misses
-    cloud/bufferpool.py::BufferPool.resident_bytes
-    cloud/caches.py::DataCache.hit_rate
-    cloud/caches.py::ResultCache.hit_rate
-    hardware/cpu.py::LRUCache.hit_rate
     relational/arena.py::ArenaColumn.is_dict
     relational/catalog.py::TableStats.row_nbytes
     relational/zonemaps.py::ZoneMap.bounds
@@ -113,6 +104,8 @@ branch only a callback added to an already processed event takes
 branch only a bounded, full inbox takes
     flow/credits.py::_CreditReturn._on_put
     flow/credits.py::_Delivery._on_put
+branch only a buffer pool smaller than its working set takes: C5 sizes its pool to twice the table
+    hardware/memory.py::DRAM.free
 branch only an empty input takes (ROADMAP item 2c sweeps it)
     relational/table.py::Chunk.empty
 branch only a non-array column takes

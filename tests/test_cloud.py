@@ -5,18 +5,22 @@ import pytest
 
 from repro.cloud import (
     BufferPool,
-    DataCache,
     EgressOp,
     IngressOp,
     ObjectStore,
-    ResultCache,
     TaxConfig,
-    plan_fingerprint,
     xor_cipher,
 )
-from repro.engine import AggSpec, Query
+from repro.engine import AggSpec, Query, plan_fingerprint
+from repro.experiments import c5_no_bufferpool
 from repro.flow import StageGraph
-from repro.hardware import ComputationalStorage, build_fabric, dataflow_spec
+from repro.hardware import (
+    DRAM,
+    ComputationalStorage,
+    LRUCache,
+    build_fabric,
+    dataflow_spec,
+)
 from repro.relational import (
     col,
     make_lineitem,
@@ -277,33 +281,36 @@ def test_tax_event_is_stamped_where_the_ops_work_starts():
 # Buffer pool
 # ---------------------------------------------------------------------------
 
-def bufferpool_env(capacity_pages=4):
+MIB = 1 << 20
+
+
+def bufferpool_env(capacity_bytes=4 * MIB):
     fabric = build_fabric(dataflow_spec())
-    pool = BufferPool(fabric, capacity_bytes=capacity_pages << 20,
-                      page_bytes=1 << 20)
-    return fabric, pool
+    return fabric, BufferPool(fabric, capacity_bytes=capacity_bytes)
 
 
 def test_bufferpool_hit_after_miss():
     fabric, pool = bufferpool_env()
 
     def run():
-        miss = yield from pool.fetch("t", 0, 1 << 20)
-        hit = yield from pool.fetch("t", 0, 1 << 20)
+        miss = yield from pool.fetch("t", 0, MIB)
+        hit = yield from pool.fetch("t", 0, MIB)
         return miss, hit
 
     miss, hit = fabric.sim.run_process(run())
     assert (miss, hit) == (False, True)
-    assert pool.hits == 1 and pool.misses == 1
+    assert pool.lru.hits == 1 and pool.lru.misses == 1
+    assert fabric.trace.counter("cache.bufferpool0.hits") == 1
+    assert fabric.trace.counter("cache.bufferpool0.misses") == 1
 
 
 def test_bufferpool_miss_moves_data_hit_does_not():
     fabric, pool = bufferpool_env()
 
     def run():
-        yield from pool.fetch("t", 0, 1 << 20)
+        yield from pool.fetch("t", 0, MIB)
         before = fabric.trace.counter("movement.network.bytes")
-        yield from pool.fetch("t", 0, 1 << 20)
+        yield from pool.fetch("t", 0, MIB)
         after = fabric.trace.counter("movement.network.bytes")
         return before, after
 
@@ -313,50 +320,88 @@ def test_bufferpool_miss_moves_data_hit_does_not():
 
 
 def test_bufferpool_evicts_and_frees_dram():
-    fabric, pool = bufferpool_env(capacity_pages=2)
+    """Chunks are held at their own size: three 0.75 MiB chunks fit a
+    2 MiB pool twice over, so the fifth fetch evicts the oldest three
+    and DRAM holds exactly what the pool does."""
+    fabric, pool = bufferpool_env(capacity_bytes=2 * MIB)
+    chunk = 3 * MIB // 4
 
     def run():
         for i in range(5):
-            yield from pool.fetch("t", i, 1 << 20)
+            yield from pool.fetch("t", i, chunk)
 
     fabric.sim.run_process(run())
-    assert pool.resident_bytes <= 2 << 20
-    assert pool.peak_bytes <= 2 << 20
-    assert fabric.compute[0].dram.used <= 2 << 20
+    assert pool.lru.evictions == 3
+    assert pool.lru.used_bytes == 2 * chunk
+    assert pool.peak_bytes == 2 * chunk
+    assert fabric.compute[0].dram.used == 2 * chunk
+    assert fabric.trace.counter("cache.bufferpool0.evictions") == 3
 
 
 def test_bufferpool_capacity_validation():
-    fabric = build_fabric(dataflow_spec())
+    """A chunk larger than the whole pool is refused before it moves."""
+    fabric, pool = bufferpool_env(capacity_bytes=100)
     with pytest.raises(ValueError):
-        BufferPool(fabric, capacity_bytes=100, page_bytes=1 << 20)
+        fabric.sim.run_process(pool.fetch("t", 0, MIB))
+    assert fabric.trace.counter("movement.network.bytes") == 0
+
+
+@pytest.mark.parametrize("rows", [20_000, 80_000, 320_000])
+def test_c5_pool_sized_to_twice_the_table_holds_the_table(rows,
+                                                         monkeypatch):
+    """C5's pool holds every chunk at its real size: its peak is the
+    table, and it never evicts (a pool rounding each chunk up to a
+    1 MiB page held a fraction of the table and evicted throughout)."""
+    freed = []      # the pool frees a chunk's DRAM when it evicts it
+    free = DRAM.free
+
+    def counting_free(dram, nbytes):
+        freed.append(nbytes)
+        free(dram, nbytes)
+
+    monkeypatch.setattr(DRAM, "free", counting_free)
+    row = c5_no_bufferpool.run_size(rows)
+    assert row["bufferpool_peak"] == row["table"]
+    assert freed == []
 
 
 # ---------------------------------------------------------------------------
-# Caches
+# Caches: the data cache and result cache of §7.5 are one LRUCache each
 # ---------------------------------------------------------------------------
 
 def test_datacache_byte_budget_respected():
-    cache = DataCache(capacity_bytes=100)
-    cache.insert("a", 60)
-    cache.insert("b", 60)   # evicts a
-    assert "a" not in cache
-    assert "b" in cache
-    assert cache.used_bytes <= 100
+    cache = LRUCache(100, name="base")
+    assert cache.put("a", "chunk a", 60) == []
+    assert cache.put("b", "chunk b", 60) == [("a", 60)]   # evicts a
+    assert cache.get("a") is None
+    assert cache.get("b") == "chunk b"
+    assert cache.used_bytes == 60
     assert cache.evictions == 1
 
 
 def test_datacache_oversized_entry_not_admitted():
-    cache = DataCache(capacity_bytes=100)
-    cache.insert("huge", 200)
-    assert "huge" not in cache
+    """Refused, and an older copy of its key is dropped, not kept."""
+    cache = LRUCache(100)
+    cache.put("huge", "small copy", 10)
+    assert cache.put("huge", "huge copy", 200) == []
+    assert cache.get("huge") is None
+    assert cache.used_bytes == 0
+    assert cache.evictions == 0
 
 
 def test_datacache_hit_tracking():
-    cache = DataCache(capacity_bytes=100)
-    assert cache.lookup("x") is False
-    cache.insert("x", 10)
-    assert cache.lookup("x") is True
-    assert cache.hit_rate == 0.5
+    fabric = build_fabric(dataflow_spec())
+    cache = LRUCache(100, name="base", trace=fabric.trace)
+    assert cache.get("x") is None
+    cache.put("x", "chunk x", 10)
+    assert cache.get("x") == "chunk x"
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert fabric.trace.counter("cache.base.hits") == 1
+    assert fabric.trace.counter("cache.base.misses") == 1
+    events = [(e.kind, e.actor, e.label) for e in fabric.trace.events
+              if e.actor == "cache.base"]
+    assert events == [(EventKind.CACHE_MISS, "cache.base", "x"),
+                      (EventKind.CACHE_HIT, "cache.base", "x")]
 
 
 def test_plan_fingerprint_distinguishes_plans():
@@ -380,22 +425,26 @@ def test_plan_fingerprint_distinguishes_plans():
 
 
 def test_result_cache_roundtrip():
-    cache = ResultCache()
-    plan = (Query.scan("t")
-            .aggregate(["a"], [AggSpec("count", alias="n")]).plan)
+    """A rebuilt instance of one query hits the answer cached for it."""
+    cache = LRUCache(64 << 20, name="results")
+
+    def plan():
+        return (Query.scan("t")
+                .aggregate(["a"], [AggSpec("count", alias="n")]).plan)
+
     table = make_uniform_table(100, chunk_rows=100)
-    assert cache.get(plan) is None
-    cache.put(plan, table)
-    assert cache.get(plan) is table
-    assert cache.hit_rate == 0.5
+    assert cache.get(plan_fingerprint(plan())) is None
+    cache.put(plan_fingerprint(plan()), table, table.nbytes)
+    assert cache.get(plan_fingerprint(plan())) is table
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_result_cache_evicts_by_bytes():
     table = make_uniform_table(1000, chunk_rows=1000)
-    cache = ResultCache(capacity_bytes=int(table.nbytes * 1.5))
-    p1 = Query.scan("a").plan
-    p2 = Query.scan("b").plan
-    cache.put(p1, table)
-    cache.put(p2, table)   # evicts p1
-    assert cache.get(p1) is None
-    assert cache.get(p2) is table
+    cache = LRUCache(int(table.nbytes * 1.5), name="results")
+    k1 = plan_fingerprint(Query.scan("a").plan)
+    k2 = plan_fingerprint(Query.scan("b").plan)
+    cache.put(k1, table, table.nbytes)
+    assert cache.put(k2, table, table.nbytes) == [(k1, table.nbytes)]
+    assert cache.get(k1) is None
+    assert cache.get(k2) is table

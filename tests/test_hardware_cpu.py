@@ -1,4 +1,5 @@
-"""Tests for §5.1's memory bus and the CPU's software rates."""
+"""Tests for §5.1's memory bus, the CPU's software rates and the LRU
+cache."""
 
 import pytest
 
@@ -113,35 +114,37 @@ def test_core_rates_cover_all_kinds():
 
 
 # ---------------------------------------------------------------------------
-# LRUCache
+# LRUCache (byte-budgeted)
 # ---------------------------------------------------------------------------
 
 def test_lru_hit_after_insert():
-    cache = LRUCache(capacity_blocks=2)
-    assert cache.access("a") is False
-    assert cache.access("a") is True
-    assert cache.hit_rate == 0.5
+    cache = LRUCache(2)
+    assert cache.get("a") is None
+    assert cache.put("a", "A", 1) == []
+    assert cache.get("a") == "A"
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_lru_evicts_least_recent():
-    cache = LRUCache(capacity_blocks=2)
-    cache.access("a")
-    cache.access("b")
-    cache.access("a")      # refresh a
-    cache.access("c")      # evicts b
-    assert "b" not in cache
-    assert "a" in cache
+    cache = LRUCache(2)
+    cache.put("a", "A", 1)
+    cache.put("b", "B", 1)
+    cache.get("a")                            # refresh a
+    assert cache.put("c", "C", 1) == [("b", 1)]   # evicts b
+    assert cache.get("b") is None
+    assert cache.get("a") == "A"
     assert cache.evictions == 1
 
 
 def test_lru_occupancy_never_exceeds_capacity():
-    cache = LRUCache(capacity_blocks=3)
+    cache = LRUCache(3)
     for i in range(100):
-        cache.access(i % 7)
-        assert len(cache) <= 3
+        key = i % 7
+        if cache.get(key) is None:
+            cache.put(key, key, 1 + key % 2)
+        assert cache.used_bytes <= 3
 
 
 def test_lru_requires_positive_capacity():
-    import pytest
     with pytest.raises(ValueError):
-        LRUCache(capacity_blocks=0)
+        LRUCache(0)

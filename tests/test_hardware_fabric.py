@@ -228,7 +228,7 @@ def test_chase_on_cpu_with_warm_cache_skips_memory():
     store = HierarchicalBlockStore(list(range(0, 4096, 2)), fanout=8,
                                    leaf_capacity=16)
     fabric, node = chase_env()
-    cache = LRUCache(capacity_blocks=1024)
+    cache = LRUCache(1024 * store.block_bytes)
 
     def run():
         yield from chase_on_cpu(store, 100, fabric, node, cache=cache)

@@ -265,7 +265,7 @@ def test_volcano_bufferpool_warm_run_skips_network():
     assert first.table.sorted_rows() == second.table.sorted_rows()
     assert first.bytes_on("network") > 0
     assert second.bytes_on("network") == 0     # warm pool
-    assert pool.hit_rate >= 0.5
+    assert pool.lru.hits >= pool.lru.misses > 0
 
 
 def test_fabric_utilization_report():

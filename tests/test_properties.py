@@ -8,7 +8,7 @@ round-trips.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.logical import AggSpec
@@ -208,25 +208,70 @@ def test_hash_join_matches_bruteforce(left, right):
 # LRU cache
 # ---------------------------------------------------------------------------
 
-@given(capacity=st.integers(min_value=1, max_value=10),
-       accesses=st.lists(st.integers(min_value=0, max_value=30),
-                         min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_lru_invariants(capacity, accesses):
-    cache = LRUCache(capacity_blocks=capacity)
-    reference: list[int] = []      # most recent last
-    for key in accesses:
-        hit = cache.access(key)
-        assert hit == (key in reference)
-        if key in reference:
-            reference.remove(key)
-        reference.append(key)
-        if len(reference) > capacity:
-            reference.pop(0)
-        assert len(cache) <= capacity
-    # The cache holds exactly the reference working set.
-    for key in reference:
-        assert key in cache
+class ListLRU:
+    """The reference: a plain list of (key, value, nbytes), oldest first."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries = capacity, []
+
+    def get(self, key):
+        for i, entry in enumerate(self.entries):
+            if entry[0] == key:
+                self.entries.append(self.entries.pop(i))
+                return entry[1]
+        return None
+
+    def put(self, key, value, nbytes):
+        self.entries = [e for e in self.entries if e[0] != key]
+        if nbytes > self.capacity:
+            return []
+        evicted = []
+        while self.used() + nbytes > self.capacity:
+            victim, _value, victim_bytes = self.entries.pop(0)
+            evicted.append((victim, victim_bytes))
+        self.entries.append((key, value, nbytes))
+        return evicted
+
+    def used(self):
+        return sum(entry[2] for entry in self.entries)
+
+
+cache_ops = st.lists(
+    st.one_of(st.tuples(st.just("get"), st.integers(0, 12)),
+              st.tuples(st.just("put"), st.integers(0, 12),
+                        st.integers(1, 25))),
+    min_size=1, max_size=120)
+
+
+@given(capacity=st.integers(min_value=1, max_value=20), ops=cache_ops)
+@example(capacity=10, ops=[("put", 1, 4), ("put", 1, 11), ("get", 1)])
+@settings(max_examples=100, deadline=None)
+def test_lru_invariants(capacity, ops):
+    """The byte-budgeted LRU agrees with a list model, op for op: same
+    values, same victims in least-recently-used order, used bytes
+    within the budget, exact hit / miss / eviction counts (also as
+    trace counters), and an entry larger than the budget refused with
+    any older copy of its key dropped."""
+    trace = Trace()
+    cache = LRUCache(capacity, name="c", trace=trace)
+    reference = ListLRU(capacity)
+    gets = evictions = 0
+    for n, (op, key, *size) in enumerate(ops):
+        if op == "get":
+            gets += 1
+            assert cache.get(key) == reference.get(key)
+        else:
+            value = f"v{n}"
+            evicted = cache.put(key, value, size[0])
+            assert evicted == reference.put(key, value, size[0])
+            evictions += len(evicted)
+        assert cache.used_bytes == reference.used() <= capacity
+    assert cache.hits + cache.misses == gets
+    assert cache.evictions == evictions
+    assert trace.counter("cache.c.hits") == cache.hits
+    assert trace.counter("cache.c.misses") == cache.misses
+    assert trace.counter("cache.c.evictions") == evictions
+    assert len(trace.events) == gets
 
 
 # ---------------------------------------------------------------------------
