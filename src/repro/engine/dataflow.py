@@ -417,15 +417,11 @@ class DataflowEngine:
         trace.emit(self.fabric.sim.now, EventKind.OP_CLOSE,
                    "query.dataflow", label=graph.name)
         table = graph.recipe.result_table(graph)
-        trace.add("engine.dataflow.queries", 1)
-        trace.add("engine.dataflow.stages", len(graph.stages))
-        trace.add("engine.dataflow.rows_out", table.num_rows)
         return QueryResult(
             table=table,
             elapsed=flow.elapsed,
             engine="dataflow",
             movement=snapshot.delta_prefix("movement."),
-            counters=snapshot.delta_prefix(""),
             utilization=snapshot.utilization_delta(
                 flow.elapsed, self.fabric.device_slots()),
             started_at=flow.started_at,

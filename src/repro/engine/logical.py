@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..relational.catalog import Catalog
 from ..relational.expressions import Expression
@@ -159,13 +159,13 @@ class Filter(PlanNode):
         stats = self._column_stats(catalog)
         return self.predicate.estimate_selectivity(stats)
 
-    def _column_stats(self, catalog: Catalog) -> Optional[dict]:
+    def _column_stats(self, catalog: Catalog) -> Optional[Mapping]:
         # Find the base table below to source column stats.
         node = self.child
         while node.children:
             node = node.children[0]
         if isinstance(node, Scan) and node.table in catalog:
-            return catalog.stats(node.table).column_dict()
+            return catalog.stats(node.table).columns
         return None
 
     def estimate_rows(self, catalog: Catalog) -> float:

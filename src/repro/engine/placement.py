@@ -131,8 +131,7 @@ def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric,
 
 
 def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
-             node: int = 0, count_on_nic: bool = True,
-             presort_runs: bool = False) -> Placement:
+             node: int = 0, presort_runs: bool = False) -> Placement:
     """Greedy offload along the data path.
 
     Walks each pipeline from its scan upward, keeping a cursor into
@@ -170,8 +169,7 @@ def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
                      if fabric.site_device(s).supports(OpKind.AGGREGATE)]
             # Final merge: a NIC can finish scalar aggregates (§4.4);
             # grouped aggregates finish on the CPU.
-            if (count_on_nic and not n.group_by
-                    and fabric.has_site(nic_site)):
+            if not n.group_by and fabric.has_site(nic_site):
                 final = nic_site
             else:
                 final = cpu

@@ -71,8 +71,6 @@ class QueryResult:
     elapsed: float
     engine: str
     movement: dict[str, float] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
-    peak_compute_dram: float = 0.0
     utilization: dict[str, float] = field(default_factory=dict)
     #: Simulation-clock query window (span boundaries).  Several
     #: queries can share one fabric clock, so the critical-path walker

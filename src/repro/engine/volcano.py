@@ -167,18 +167,13 @@ class _JoinIter(_Iterator):
         catalog = self.engine.catalog
         state = JoinState()
         build = HashJoinBuild(self.node.right_key, state)
-        build_bytes = 0.0
         while True:
             chunk = yield from self.right.next()
             if chunk is None:
                 break
             yield from self.engine.charge(OpKind.JOIN_BUILD, chunk.nbytes)
-            build_bytes += chunk.nbytes
             build.process(chunk)
         build.finish()
-        # The hash table lives in compute-node DRAM for the whole
-        # probe phase — the state that anchors conventional engines.
-        self.engine.note_dram(build_bytes)
         right_schema = self.node.right.output_schema(catalog)
         rename = {name: self.node.right_output_name(name, catalog)
                   for name in right_schema.names}
@@ -221,7 +216,6 @@ class _SortIter(_Iterator):
                 break
             total += chunk.nbytes
             op.process(chunk)
-        self.engine.note_dram(total)
         yield from self.engine.charge(OpKind.SORT, total)
         self._done = True
         out = op.finish()
@@ -241,7 +235,6 @@ class VolcanoEngine:
         self.use_zonemaps = use_zonemaps
         self.cpu: Device = fabric.site_device(fabric.cpu_site(node))
         self.cpu_location = fabric.site_location(fabric.cpu_site(node))
-        self._dram_noted = 0.0
 
     # -- cost plumbing -----------------------------------------------------
 
@@ -263,13 +256,6 @@ class VolcanoEngine:
             yield from self.fabric.transfer(
                 self.fabric.storage_location, self.cpu_location,
                 chunk.nbytes, flow="volcano")
-
-    def note_dram(self, nbytes: float) -> None:
-        """Record operator state held in compute-node DRAM."""
-        self._dram_noted += nbytes
-        self.fabric.trace.sample(
-            f"engine.volcano.node{self.node}.state",
-            self.fabric.sim.now, self._dram_noted)
 
     # -- plan construction -----------------------------------------------------
 
@@ -318,7 +304,6 @@ class VolcanoEngine:
         started = self.fabric.sim.now
         span = trace.open_span("query.volcano", started)
         trace.emit(started, EventKind.OP_OPEN, "query.volcano")
-        self._dram_noted = 0.0
         root = self._build(plan)
         schema = plan.output_schema(self.catalog)
         collected: list[Chunk] = []
@@ -337,16 +322,11 @@ class VolcanoEngine:
         table = Table(schema)
         for chunk in collected:
             table.append(chunk)
-        trace.add("engine.volcano.queries", 1)
-        trace.add("engine.volcano.chunks_out", len(collected))
-        trace.add("engine.volcano.rows_out", table.num_rows)
         return QueryResult(
             table=table,
             elapsed=finished - started,
             engine="volcano",
             movement=snapshot.delta_prefix("movement."),
-            counters=snapshot.delta_prefix(""),
-            peak_compute_dram=self._dram_noted,
             utilization=snapshot.utilization_delta(
                 finished - started, self.fabric.device_slots()),
             started_at=started,

@@ -55,7 +55,7 @@ def run_window(credits: int) -> dict:
     sim.process(consumer())
     sim.run()
     data_bytes = MESSAGES * CHUNK_BYTES
-    control = trace.counter("flow.ch.control_bytes")
+    control = trace.counter("flow.control.total_bytes")
     return {
         "credits": credits,
         "elapsed": sim.now,

@@ -87,7 +87,7 @@ def run_count_on_nic() -> dict:
     catalog = make_catalog()
     engine = DataflowEngine(fabric, catalog)
     query = Query.scan("lineitem").count()
-    placement = pushdown(query.plan, fabric, count_on_nic=True)
+    placement = pushdown(query.plan, fabric)
     result = engine.execute(query, placement=placement)
     return {
         "scenario": "count_on_nic",

@@ -11,7 +11,7 @@ stage's inbox across a path of fabric links.  Sends block until a
 credit is available, so the consumer-side queue occupancy can never
 exceed the credit window — the invariant bench C3 sweeps.  Credit
 returns travel the reverse path as tiny control messages: they pay
-latency and are counted (``flow.<name>.control_bytes``) but do not
+latency and are counted (``flow.control.total_bytes``) but do not
 occupy link bandwidth, matching their negligible size.
 
 Hot path
@@ -184,7 +184,6 @@ class _CreditReturn:
         channel.trace.emit(channel.sim.now, EventKind.CREDIT_GRANT,
                            channel.name, nbytes=CONTROL_BYTES,
                            qid=channel.qid)
-        channel._control_bytes.add(CONTROL_BYTES)
         channel._control_total.add(CONTROL_BYTES)
 
 
@@ -230,10 +229,6 @@ class CreditChannel:
         # Counter handles and per-hop terms, resolved once instead of
         # per message (the f-string keys used to dominate trace.add).
         self._stall_credit = self._stall_link = None
-        self._flow_bytes = CounterHandle(trace.counters, f"flow.{name}.bytes")
-        self._messages = CounterHandle(trace.counters, f"flow.{name}.messages")
-        self._control_bytes = CounterHandle(
-            trace.counters, f"flow.{name}.control_bytes")
         self._control_total = trace.counter_handle(
             "flow.control.total_bytes")
         self._hops = [
@@ -311,7 +306,6 @@ class CreditChannel:
             h_bytes.add(nbytes)
             h_chunks.add(1)
             h_movement.add(nbytes)
-            self._flow_bytes.add(nbytes)
             # record_movement, inlined with the pre-built key.
             cell = ledger.get(hop_key)
             if cell is None:
@@ -340,7 +334,6 @@ class CreditChannel:
         else:
             sim.process(self._deliver(payload, propagation, flow_id),
                         name=f"{self.name}.wire")
-        self._messages.add(1)
 
     def _deliver(self, payload: Any, propagation: float,
                  flow_id: int = 0) -> Generator:
@@ -383,5 +376,4 @@ class CreditChannel:
         yield self._tokens.put(True)
         self.trace.emit(self.sim.now, EventKind.CREDIT_GRANT, self.name,
                         nbytes=CONTROL_BYTES, qid=self.qid)
-        self._control_bytes.add(CONTROL_BYTES)
         self._control_total.add(CONTROL_BYTES)

@@ -74,11 +74,12 @@ class Stage:
         self.rows_out = 0
         self.chunks_in = 0
         self.chunks_out = 0
+        #: Most messages left waiting in the inbox when this stage took
+        #: one: the queue the credit windows bound (bench C5).
+        self.inbox_peak = 0
         self._rr = itertools.count()
         self._metric = f"stage.{graph.name}.{name}"
-        # Hot-path interning: the per-message series key and the
-        # device-stall counter handle (bound at the first stall).
-        self._inbox_series = f"{self._metric}.inbox"
+        # The device-stall counter handle, bound at the first stall.
         self._stall_device = None
 
     # -- execution ---------------------------------------------------------
@@ -102,10 +103,7 @@ class Stage:
         trace = self.trace
         trace.emit(self.done_at, EventKind.OP_CLOSE, self._metric,
                    label=self.location)
-        trace.add(f"{self._metric}.rows_in", self.rows_in)
-        trace.add(f"{self._metric}.rows_out", self.rows_out)
         trace.add(f"{self._metric}.chunks_in", self.chunks_in)
-        trace.add(f"{self._metric}.chunks_out", self.chunks_out)
         self.done.succeed(self.name)
 
     def _install_kernels(self) -> Generator:
@@ -144,11 +142,7 @@ class Stage:
         if remaining == 0:
             raise RuntimeError(
                 f"stage {self.name!r} has no inputs and no source")
-        sim, trace, inbox, fast = self.sim, self.trace, self.inbox, self.fast
-        # Prebound series list + inlined tick: one sample per message.
-        # (A consumer always samples at least once — one END per
-        # input — so creating the series entry up front adds no key.)
-        samples = trace.series[self._inbox_series]
+        sim, inbox, fast = self.sim, self.inbox, self.fast
         while remaining > 0:
             if fast and inbox.items and not inbox._putters:
                 # Message already queued: pop it directly and claim
@@ -158,10 +152,9 @@ class Stage:
                 yield sim.timeout(0.0)
             else:
                 channel, payload = yield inbox.get()
-            now = sim.now
-            if now > trace.clock:
-                trace.clock = now
-            samples.append((now, len(inbox)))
+            depth = len(inbox)
+            if depth > self.inbox_peak:
+                self.inbox_peak = depth
             if payload is END:
                 remaining -= 1
             else:
@@ -394,9 +387,6 @@ class StageGraph:
         self.started_at = self.sim.now
         self._span = self.trace.open_span(f"graph.{self.name}",
                                           self.sim.now)
-        self.trace.add(f"graph.{self.name}.stages", len(self.stages))
-        self.trace.add(f"graph.{self.name}.channels",
-                       len(self.channels))
         for stage in self.stages.values():
             proc = self.sim.process(stage.run(),
                                     name=f"{self.name}.{stage.name}")

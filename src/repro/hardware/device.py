@@ -156,7 +156,7 @@ class Device:
         # so each counter handle is bound at the first charge that adds
         # to it and reused after.
         self._span_name = f"device.{self.name}"
-        self._slot_wait = self._busy = self._op_count = None
+        self._busy = self._op_count = None
         self._bytes_by_kind: dict[str, object] = {}
 
     # -- capability queries ---------------------------------------------
@@ -209,18 +209,10 @@ class Device:
         inside a process, or wrap with ``sim.process``.
         """
         duration = self.service_time(kind, nbytes)
-        requested = self.sim.now
         # Uncontended admission grants inline (no event, no queue
         # slot); only a busy device pays the request/grant round-trip.
         if not self._units.try_acquire():
             yield self._units.request()
-            if self.sim.now > requested:
-                # Cumulative slot-queueing time: the raw material of
-                # the backpressure report's "device-busy" bucket.
-                if self._slot_wait is None:
-                    self._slot_wait = self.trace.counter_handle(
-                        f"device.{self.name}.slot_wait_s")
-                self._slot_wait.add(self.sim.now - requested)
         span = self.trace.open_span(self._span_name, self.sim.now)
         try:
             yield self.sim.timeout(duration)

@@ -90,7 +90,6 @@ class DRAM:
                         f"dram.{self.name}", nbytes=nbytes)
         self.trace.add(f"dram.{self.name}.allocs", 1)
         self.trace.add(f"dram.{self.name}.allocated", nbytes)
-        self.trace.sample(f"dram.{self.name}.used", self.sim.now, self.used)
 
     def free(self, nbytes: int) -> None:
         """Release ``nbytes`` previously allocated."""
@@ -100,7 +99,6 @@ class DRAM:
         self.trace.emit(self.sim.now, EventKind.MEM_FREE,
                         f"dram.{self.name}", nbytes=nbytes)
         self.trace.add(f"dram.{self.name}.frees", 1)
-        self.trace.sample(f"dram.{self.name}.used", self.sim.now, self.used)
 
 
 class LRUCache:

@@ -35,10 +35,6 @@ class ColumnStats:
     distinct: int = 0
     value_nbytes: int = 8
 
-    def as_dict(self) -> dict:
-        """The shape expression selectivity estimation expects."""
-        return {"min": self.min, "max": self.max, "distinct": self.distinct}
-
 
 @dataclass
 class TableStats:
@@ -51,14 +47,6 @@ class TableStats:
     @property
     def row_nbytes(self) -> float:
         return self.nbytes / self.rows if self.rows else 0.0
-
-    def column_dict(self) -> Mapping:
-        """Per-column stats dicts keyed by name, for expressions.
-
-        Lazy like :attr:`columns`: the stats of a column are computed
-        (and its dict built) only when an expression looks it up.
-        """
-        return _LazyColumnDicts(self.columns)
 
 
 def _column_stats(table: Table, f) -> ColumnStats:
@@ -104,27 +92,6 @@ class _LazyColumnStats(Mapping):
 
     def __len__(self) -> int:
         return len(self._fields)
-
-
-class _LazyColumnDicts(Mapping):
-    """``column_dict()`` form of a lazy stats mapping."""
-
-    def __init__(self, columns: Mapping):
-        self._columns = columns
-        self._cache: dict[str, dict] = {}
-
-    def __getitem__(self, name: str) -> dict:
-        entry = self._cache.get(name)
-        if entry is None:
-            entry = self._columns[name].as_dict()
-            self._cache[name] = entry
-        return entry
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._columns)
-
-    def __len__(self) -> int:
-        return len(self._columns)
 
 
 def compute_stats(table: Table) -> TableStats:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -73,8 +73,9 @@ class Expression:
         """The device capability this expression needs (FILTER/REGEX)."""
         return OpKind.FILTER
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
-        """Fraction of rows expected to pass (predicates only)."""
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
+        """Fraction of rows expected to pass (predicates only), given
+        ``stats``: column name -> :class:`~.catalog.ColumnStats`."""
         return 1.0
 
     # -- operator sugar ---------------------------------------------------
@@ -211,16 +212,16 @@ class Compare(_BinaryOp):
         "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
     }
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         # Range predicates over known min/max interpolate; equality
         # uses 1/distinct; otherwise textbook defaults.
         if isinstance(self.left, Col) and isinstance(self.right, Const) \
                 and stats and self.left.name in stats:
             cstats = stats[self.left.name]
-            lo, hi = cstats.get("min"), cstats.get("max")
+            lo, hi = cstats.min, cstats.max
             value = self.right.value
             if self.op == "==":
-                distinct = cstats.get("distinct", 0)
+                distinct = cstats.distinct
                 return 1.0 / distinct if distinct else 0.1
             if lo is not None and hi is not None and hi > lo \
                     and isinstance(value, (int, float)):
@@ -256,7 +257,7 @@ class And(Expression):
         kinds = {self.left.op_kind(), self.right.op_kind()}
         return OpKind.REGEX if OpKind.REGEX in kinds else OpKind.FILTER
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         return (self.left.estimate_selectivity(stats)
                 * self.right.estimate_selectivity(stats))
 
@@ -280,7 +281,7 @@ class Or(Expression):
         kinds = {self.left.op_kind(), self.right.op_kind()}
         return OpKind.REGEX if OpKind.REGEX in kinds else OpKind.FILTER
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         a = self.left.estimate_selectivity(stats)
         b = self.right.estimate_selectivity(stats)
         return min(1.0, a + b - a * b)
@@ -302,7 +303,7 @@ class Not(Expression):
     def op_kind(self) -> str:
         return self.operand.op_kind()
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         return 1.0 - self.operand.estimate_selectivity(stats)
 
     def __repr__(self):
@@ -356,7 +357,7 @@ class Like(Expression):
     def op_kind(self) -> str:
         return OpKind.REGEX
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         return 0.05 if not self.pattern.startswith("%") else 0.1
 
     def __repr__(self):
@@ -386,12 +387,12 @@ class Between(Expression):
                 | self.low.required_columns()
                 | self.high.required_columns())
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         if isinstance(self.operand, Col) and isinstance(self.low, Const) \
                 and isinstance(self.high, Const) and stats \
                 and self.operand.name in stats:
             cstats = stats[self.operand.name]
-            lo, hi = cstats.get("min"), cstats.get("max")
+            lo, hi = cstats.min, cstats.max
             if lo is not None and hi is not None and hi > lo:
                 frac = (self.high.value - self.low.value) / (hi - lo)
                 return min(max(frac, 0.0), 1.0)
@@ -414,10 +415,10 @@ class InSet(Expression):
     def required_columns(self) -> set[str]:
         return self.operand.required_columns()
 
-    def estimate_selectivity(self, stats: Optional[dict] = None) -> float:
+    def estimate_selectivity(self, stats: Optional[Mapping] = None) -> float:
         if isinstance(self.operand, Col) and stats \
                 and self.operand.name in stats:
-            distinct = stats[self.operand.name].get("distinct", 0)
+            distinct = stats[self.operand.name].distinct
             if distinct:
                 return min(1.0, len(self.values) / distinct)
         return min(1.0, 0.1 * len(self.values))

@@ -54,10 +54,6 @@ class LoadTracker:
         self._loads.pop(job_name, None)
         self._total = None
 
-    @property
-    def active_jobs(self) -> list[str]:
-        return sorted(self._loads)
-
     def load(self) -> dict[str, float]:
         """Current total demand per resource (summed once per mix: one
         pick scores every variant against it; do not mutate)."""

@@ -169,9 +169,6 @@ class QueryExecutor:
         record.started = sim.now
         self.tracker.admit(name, demand_vector(variant.cost))
         span = trace.open_span(f"sched.query.{name}", sim.now)
-        trace.add("sched.admitted", 1)
-        trace.sample("sched.active", sim.now,
-                     len(self.tracker.active_jobs))
 
         engine = DataflowEngine(self.fabric, self.catalog)
         # The recipe stays beside the variant: the next query that
@@ -184,11 +181,8 @@ class QueryExecutor:
 
         record.finished = sim.now
         trace.close_span(span, sim.now)
-        trace.add("sched.completed", 1)
         record.table = graph.recipe.result_table(graph)
         self.tracker.release(name)
-        trace.sample("sched.active", sim.now,
-                     len(self.tracker.active_jobs))
 
 
 class Scheduler:

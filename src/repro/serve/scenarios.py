@@ -10,8 +10,8 @@ Verification is built in: after the run, every *distinct template*
 that completed is executed once standalone (Volcano engine, fresh
 fabric — exactly what ``repro query`` does) and every served record's
 checksum must match its template's oracle bit for bit.  Serving a
-query concurrently under fair queueing, rate limiting, and the plan
-cache must not change its answer.
+query concurrently under fair queueing, admission control and the
+plan cache must not change its answer.
 """
 
 from __future__ import annotations

@@ -204,8 +204,6 @@ class QueryServer:
         trace = self.fabric.trace
         record.qid = trace.register_context(record.name,
                                             tenant=tenant_name)
-        trace.add("serve.submitted", 1)
-        trace.add(f"serve.tenant.{tenant_name}.submitted", 1)
         trace.emit(sim.now, EventKind.SERVE_ARRIVE,
                    f"serve.{tenant_name}", label=template,
                    qid=record.qid)
@@ -218,8 +216,6 @@ class QueryServer:
         if not decision.admitted:
             record.admitted = False
             record.retry_after_s = decision.retry_after_s
-            trace.add("serve.shed", 1)
-            trace.add(f"serve.tenant.{tenant_name}.shed", 1)
             trace.emit(sim.now, EventKind.SERVE_SHED,
                        f"serve.{tenant_name}", label=template,
                        qid=record.qid)
@@ -241,7 +237,6 @@ class QueryServer:
                                   variants)
         else:
             record.plan_cache = "hit"
-        trace.add(f"serve.plan_cache.{record.plan_cache}", 1)
 
         cost_s = variants[0].cost.bottleneck_time
         pending = _Pending(record, query, variants, cost_s, on_done)
@@ -281,10 +276,6 @@ class QueryServer:
         self._last_finish = max(self._last_finish, record.finished)
         self._running.discard(record.name)
         self.completion_order.append(record.name)
-        trace.add("serve.completed", 1)
-        trace.add(f"serve.tenant.{record.tenant}.completed", 1)
-        if record.slo_violated:
-            trace.add("serve.slo_violations", 1)
         trace.emit(sim.now, EventKind.SERVE_DONE,
                    f"serve.{record.tenant}", label=record.name,
                    dur=record.latency, qid=record.qid)

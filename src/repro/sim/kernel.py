@@ -198,7 +198,6 @@ class Process(Event):
         if not self.is_alive:
             return
         self._target = None
-        self.sim._active_process = self
         scope = self._scope
         if scope is not None:
             scope[0].current_qid = scope[1]
@@ -209,7 +208,6 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
             if scope is not None:
                 scope[0].current_qid = 0
             self._ok = True
@@ -217,14 +215,12 @@ class Process(Event):
             self.sim._schedule(0.0, self)
             return
         except BaseException as exc:
-            self.sim._active_process = None
             if scope is not None:
                 scope[0].current_qid = 0
             self._ok = False
             self._value = exc
             self.sim._schedule(0.0, self)
             return
-        self.sim._active_process = None
         if scope is not None:
             scope[0].current_qid = 0
         if not isinstance(next_event, Event):
@@ -321,7 +317,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- scheduling ----------------------------------------------------
 

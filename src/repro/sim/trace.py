@@ -2,12 +2,11 @@
 
 Every experiment in the paper reduces to the same questions — how many
 bytes crossed each segment of the data path, how busy each device was,
-and how long the query took — so the tracer is organized around three
+and how long the query took — so the tracer is organized around four
 kinds of records:
 
 * **counters** — monotonically increasing totals (bytes per link,
-  chunks per channel, cache hits, dollars billed);
-* **series** — (time, value) samples (queue occupancy over time);
+  stall seconds per channel, cache hits, dollars billed);
 * **spans** — named intervals (per-stage busy periods), from which
   busy time and critical-path summaries are derived;
 * **events** — a bounded ring of typed :class:`~repro.sim.events.
@@ -94,12 +93,10 @@ class CounterHandle:
 
 @dataclass
 class Trace:
-    """Accumulates counters, series and spans during a run."""
+    """Accumulates counters, spans, events and the ledger of a run."""
 
     counters: dict[str, float] = field(
         default_factory=lambda: defaultdict(float))
-    series: dict[str, list[tuple[float, float]]] = field(
-        default_factory=lambda: defaultdict(list))
     spans: dict[str, list[Span]] = field(
         default_factory=lambda: defaultdict(list))
     events: EventRing = field(default_factory=EventRing)
@@ -205,12 +202,6 @@ class Trace:
         if time > self.clock:
             self.clock = time
 
-    def sample(self, series: str, time: float, value: float) -> None:
-        """Append a (time, value) sample to a series."""
-        if time > self.clock:        # tick(), inlined: hot path
-            self.clock = time
-        self.series[series].append((time, value))
-
     def open_span(self, name: str, time: float) -> Span:
         """Open a new span; close it with :meth:`close_span`."""
         if time > self.clock:        # tick(), inlined: hot path
@@ -264,13 +255,6 @@ class Trace:
         reading reflects work in progress instead of raising.
         """
         return sum(map(self.duration, self.spans.get(span_name, [])))
-
-    def peak(self, series_name: str) -> float:
-        """Maximum sampled value of a series (0 if empty)."""
-        samples = self.series.get(series_name, [])
-        if not samples:
-            return 0.0
-        return max(v for _t, v in samples)
 
     # -- derived reports ---------------------------------------------------
 

@@ -69,7 +69,6 @@ hash beside a custom __eq__: keeps instances usable as keys
     hardware/interconnect.py::Link.__hash__
     relational/expressions.py::Expression.__hash__
 container protocol of a class the product reads by other means
-    relational/catalog.py::_LazyColumnDicts.__iter__
     relational/catalog.py::_LazyColumnStats.__iter__
     relational/schema.py::Schema.__eq__
     relational/table.py::Chunk.__len__
@@ -104,8 +103,6 @@ branch only a callback added to an already processed event takes
 branch only a bounded, full inbox takes
     flow/credits.py::_CreditReturn._on_put
     flow/credits.py::_Delivery._on_put
-branch only a buffer pool smaller than its working set takes: C5 sizes its pool to twice the table
-    hardware/memory.py::DRAM.free
 branch only an empty input takes (ROADMAP item 2c sweeps it)
     relational/table.py::Chunk.empty
 branch only a non-array column takes

@@ -146,7 +146,7 @@ def test_count_completes_on_nic():
     fabric, catalog = make_env()
     engine = DataflowEngine(fabric, catalog)
     query = Query.scan("lineitem").count()
-    placement = pushdown(query.plan, fabric, count_on_nic=True)
+    placement = pushdown(query.plan, fabric)
     agg_node = query.plan
     chain = placement.sites[agg_node.node_id]
     assert chain[-1] == "compute0.nic"

@@ -114,7 +114,7 @@ def test_channel_counts_control_traffic():
     sim.process(producer())
     sim.process(consumer())
     sim.run()
-    assert trace.counter("flow.ch.control_bytes") == 4 * 16
+    assert trace.counter("flow.control.total_bytes") == 4 * 16
 
 
 def test_channel_requires_positive_credits():

@@ -59,15 +59,6 @@ def test_trace_spans_and_busy_time():
     assert open_span.end == pytest.approx(9.0)
 
 
-def test_trace_series_peak():
-    trace = Trace()
-    trace.sample("q", 0.0, 1.0)
-    trace.sample("q", 1.0, 5.0)
-    trace.sample("q", 2.0, 2.0)
-    assert trace.peak("q") == 5.0
-    assert trace.peak("missing") == 0.0
-
-
 def test_trace_snapshot_delta():
     trace = Trace()
     trace.add("m.bytes", 100)

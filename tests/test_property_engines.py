@@ -112,6 +112,24 @@ def test_random_queries_agree(query, use_pushdown):
                 assert va == vb
 
 
+@given(query=query_plans(), credits=st.integers(min_value=1, max_value=8),
+       use_pushdown=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_inbox_never_holds_more_than_its_credits(query, credits,
+                                                 use_pushdown):
+    fabric, catalog = fresh_env()
+    placement = (pushdown(query.plan, fabric) if use_pushdown
+                 else cpu_only(query.plan, fabric))
+    engine = DataflowEngine(fabric, catalog, default_credits=credits)
+    flow = engine.compile(query, placement).run()
+    consumers = [s for s in flow.stages.values() if s.inputs]
+    assert consumers
+    for stage in consumers:
+        # Every queued message holds one of its channel's credits, and
+        # the one the stage just took holds another until it is acked.
+        assert stage.inbox_peak < sum(ch.credits for ch in stage.inputs)
+
+
 @given(query=query_plans())
 @settings(max_examples=10, deadline=None)
 def test_pushdown_never_moves_more_network_bytes(query):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hardware import OpKind
-from repro.relational import Chunk, DataType, Field, Schema, col, lit
+from repro.relational import (Chunk, ColumnStats, DataType, Field, Schema,
+                              col, lit)
 
 
 def chunk():
@@ -119,34 +120,38 @@ def test_op_kind_regex_propagates():
     assert negated.op_kind() == OpKind.REGEX
 
 
+def _stats(name, min=None, max=None, distinct=0):
+    return ColumnStats(name, DataType.INT64, min=min, max=max,
+                       distinct=distinct)
+
+
 def test_selectivity_range_interpolation():
-    stats = {"x": {"min": 0, "max": 100, "distinct": 100}}
+    stats = {"x": _stats("x", 0, 100, 100)}
     assert (col("x") < 25).estimate_selectivity(stats) == pytest.approx(0.25)
     assert (col("x") > 25).estimate_selectivity(stats) == pytest.approx(0.75)
     assert (col("x") == 7).estimate_selectivity(stats) == pytest.approx(0.01)
 
 
 def test_selectivity_between():
-    stats = {"x": {"min": 0, "max": 100, "distinct": 100}}
+    stats = {"x": _stats("x", 0, 100, 100)}
     sel = col("x").between(10, 30).estimate_selectivity(stats)
     assert sel == pytest.approx(0.2)
 
 
 def test_selectivity_conjunction_multiplies():
-    stats = {"x": {"min": 0, "max": 100, "distinct": 100},
-             "y": {"min": 0, "max": 10, "distinct": 10}}
+    stats = {"x": _stats("x", 0, 100, 100), "y": _stats("y", 0, 10, 10)}
     expr = (col("x") < 50) & (col("y") < 5)
     assert expr.estimate_selectivity(stats) == pytest.approx(0.25)
 
 
 def test_selectivity_disjunction_inclusion_exclusion():
-    stats = {"x": {"min": 0, "max": 100, "distinct": 100}}
+    stats = {"x": _stats("x", 0, 100, 100)}
     expr = (col("x") < 50) | (col("x") < 50)
     assert expr.estimate_selectivity(stats) == pytest.approx(0.75)
 
 
 def test_selectivity_clamped_to_unit_interval():
-    stats = {"x": {"min": 0, "max": 100}}
+    stats = {"x": _stats("x", 0, 100)}
     assert (col("x") < 200).estimate_selectivity(stats) == 1.0
     assert (col("x") < -5).estimate_selectivity(stats) == 0.0
 
@@ -157,7 +162,7 @@ def test_selectivity_without_stats_uses_defaults():
 
 
 def test_selectivity_isin_uses_distinct():
-    stats = {"x": {"distinct": 20}}
+    stats = {"x": _stats("x", distinct=20)}
     assert col("x").isin([1, 2]).estimate_selectivity(stats) == \
         pytest.approx(0.1)
 

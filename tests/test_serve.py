@@ -520,6 +520,26 @@ def test_served_queries_are_freed_by_reference_counting():
         gc.enable()
 
 
+def test_a_served_query_adds_few_trace_counters():
+    # Per-query trace records that nothing read (per-channel bytes and
+    # messages, per-stage row counts, serve.*/sched.*/engine.* copies
+    # of the serving record) made each served query add about 20
+    # counter keys; what is left is each stage's chunks_in and the
+    # stall counters of the channels and stages that stalled.
+    from repro.serve.scenarios import serve_scenario_server
+
+    def census(queries):
+        server = serve_scenario_server("three_tenant_mix", queries=queries)
+        served = sum(r.completed for r in server.records)
+        return len(server.fabric.trace.counters), served
+
+    keys_small, served_small = census(100)
+    keys_large, served_large = census(200)
+    assert served_large > served_small
+    per_query = (keys_large - keys_small) / (served_large - served_small)
+    assert per_query <= 4.0, per_query
+
+
 def test_finished_queries_leave_no_cyclic_garbage():
     # A span pointed back at the trace that lists it, so every finished
     # fabric's trace was cyclic garbage: five F6 queries at 4 000 rows

@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from repro.engine.operators import FilterOp
+from repro.flow import StageGraph
 from repro.flow.credits import CreditChannel
+from repro.hardware import build_fabric, dataflow_spec
 from repro.hardware.device import Device, OpKind
 from repro.hardware.interconnect import Link
+from repro.relational import col, make_uniform_table
 from repro.sim import (
     EventKind,
     EventRing,
@@ -129,18 +133,25 @@ def test_credit_stall_attributed_to_sending_stage():
 
 
 def test_device_slot_contention_counter():
-    sim = Simulator()
-    trace = Trace()
-    device = Device(sim, trace, "cpu", rates={OpKind.GENERIC: 1e6},
-                    slots=1)
-
-    def worker():
-        yield from device.execute(OpKind.GENERIC, 1e6)
-
-    sim.process(worker())
-    sim.process(worker())    # queues behind the single slot
-    sim.run()
-    assert trace.counter("device.cpu.slot_wait_s") > 0.0
+    """Two stages charging a one-core CPU at once: the one that queues
+    for the slot shows up in the report's device-busy bucket."""
+    fabric = build_fabric(dataflow_spec(cores=1))
+    table = make_uniform_table(8192, columns=2, chunk_rows=4096)
+    graph = StageGraph(fabric, name="g")
+    cpu = fabric.cpu_site(0)
+    sink = graph.sink("sink", cpu)
+    for name in ("a", "b"):
+        source = graph.source(name, table, site=cpu,
+                              ops=[FilterOp(col("k0") >= 0)])
+        graph.connect(source, sink)
+    graph.run()
+    report = fabric.trace.stall_report()
+    assert {"g.a", "g.b"} <= set(report)
+    assert sum(stats["device_busy_s"] for stats in report.values()) > 0.0
+    for stats in report.values():
+        assert stats["total_s"] == pytest.approx(
+            stats["credit_starved_s"] + stats["downstream_full_s"]
+            + stats["device_busy_s"])
 
 
 # ---------------------------------------------------------------------------
