@@ -30,7 +30,7 @@ def run(pushdown: bool) -> dict:
     # shared, and the network is the contended resource (§3.2).
     fabric = build_fabric(dataflow_spec(network_gbits=10, rdma=False))
     table = make_lineitem(150_000, chunk_rows=8_192)
-    store = ObjectStore(fabric.storage, fabric.trace, compress=True)
+    store = ObjectStore(fabric.storage, compress=True)
     keys = store.put_table("sales/lineitem", table)
     cpu = fabric.site_device("compute0.cpu")
 

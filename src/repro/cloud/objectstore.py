@@ -25,7 +25,6 @@ from ..relational.formats import (
     serialize_chunk,
 )
 from ..relational.table import Chunk, Table
-from ..sim import Trace
 
 __all__ = ["ObjectStore", "StoredObject", "Bill"]
 
@@ -65,10 +64,9 @@ class Bill:
 class ObjectStore:
     """Objects on a (computational) storage backend, billed per scan."""
 
-    def __init__(self, storage: ComputationalStorage, trace: Trace,
+    def __init__(self, storage: ComputationalStorage,
                  compress: bool = True):
         self.storage = storage
-        self.trace = trace
         self.compress = compress
         self.objects: dict[str, StoredObject] = {}
         self.bill = Bill()
@@ -110,7 +108,6 @@ class ObjectStore:
         obj = self._lookup(key)
         yield from self.storage.medium.read(obj.nbytes)
         self.bill.charge(obj.nbytes)
-        self.trace.add("objectstore.bytes_scanned", obj.nbytes)
         from ..relational.formats import CompressedChunk
         if obj.compressed:
             return decompress_chunk(CompressedChunk(
@@ -128,7 +125,6 @@ class ObjectStore:
         obj = self._lookup(key)
         yield from self.storage.medium.read(obj.nbytes)
         self.bill.charge(obj.nbytes)
-        self.trace.add("objectstore.bytes_scanned", obj.nbytes)
         from ..hardware.device import OpKind
         from ..relational.formats import CompressedChunk
         if obj.compressed:

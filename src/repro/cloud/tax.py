@@ -15,7 +15,6 @@ proposition, §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from ..relational.formats import (
     serialize_chunk,
 )
 from ..relational.table import Chunk
-from ..sim import EventKind, Trace
 
 __all__ = ["TaxConfig", "WirePayload", "EgressOp", "IngressOp",
            "xor_cipher"]
@@ -64,12 +62,9 @@ class TaxConfig:
 class WirePayload:
     """A chunk in wire form: what actually crosses the network."""
 
-    def __init__(self, payload: bytes, num_rows: int,
-                 original_nbytes: int, config: TaxConfig):
+    def __init__(self, payload: bytes, num_rows: int):
         self.payload = payload
         self.num_rows = num_rows
-        self.original_nbytes = original_nbytes
-        self.config = config
 
     @property
     def nbytes(self) -> int:
@@ -81,10 +76,8 @@ class EgressOp(PhysicalOp):
 
     kind = OpKind.SERIALIZE
 
-    def __init__(self, config: TaxConfig = TaxConfig(),
-                 trace: Optional[Trace] = None):
+    def __init__(self, config: TaxConfig = TaxConfig()):
         self.config = config
-        self.trace = trace
         self.name = f"egress({'+'.join(config.steps) or 'none'})"
 
     def process(self, chunk: Chunk) -> list[Emit]:
@@ -95,18 +88,7 @@ class EgressOp(PhysicalOp):
             payload = compress_bytes(payload)
         if self.config.encrypt:
             payload = xor_cipher(payload)
-        if self.trace is not None:
-            self.trace.add("tax.egress.raw_bytes", chunk.nbytes)
-            self.trace.add("tax.egress.wire_bytes", len(payload))
-            self.trace.add("tax.egress.chunks", 1)
-            # Ops hold no sim handle, so the trace clock watermark is
-            # the best available timestamp: executors run an op before
-            # they replay its charges, so it reads the start of that work.
-            self.trace.emit(self.trace.clock, EventKind.TAX_EGRESS,
-                            "tax.egress", label=self.name,
-                            nbytes=float(len(payload)))
-        return [Emit(WirePayload(payload, chunk.num_rows, chunk.nbytes,
-                                 self.config))]
+        return [Emit(WirePayload(payload, chunk.num_rows))]
 
     def run(self, chunk):
         nbytes = float(chunk.nbytes)
@@ -123,10 +105,8 @@ class IngressOp(PhysicalOp):
 
     kind = OpKind.DESERIALIZE
 
-    def __init__(self, config: TaxConfig = TaxConfig(),
-                 trace: Optional[Trace] = None):
+    def __init__(self, config: TaxConfig = TaxConfig()):
         self.config = config
-        self.trace = trace
         self.name = f"ingress({'+'.join(config.steps) or 'none'})"
 
     def process(self, payload) -> list[Emit]:
@@ -139,14 +119,6 @@ class IngressOp(PhysicalOp):
             raw = xor_cipher(raw)
         if self.config.compress:
             raw = decompress_bytes(raw)
-        if self.trace is not None:
-            self.trace.add("tax.ingress.wire_bytes", payload.nbytes)
-            self.trace.add("tax.ingress.raw_bytes",
-                           payload.original_nbytes)
-            self.trace.add("tax.ingress.chunks", 1)
-            self.trace.emit(self.trace.clock, EventKind.TAX_INGRESS,
-                            "tax.ingress", label=self.name,
-                            nbytes=float(payload.nbytes))
         return [Emit(deserialize_chunk(raw))]
 
     def run(self, payload):

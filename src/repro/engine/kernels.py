@@ -264,6 +264,5 @@ def install_kernel(device: Device, kernel: Kernel):
         yield device.sim.timeout(duration)
     finally:
         device._units.release()
-    device.trace.add(f"device.{device.name}.kernel_installs", 1)
     device.trace.add(f"device.{device.name}.kernel_install_time",
                      duration)

@@ -456,9 +456,12 @@ class MergeAggregate(PhysicalOp):
     def _finalize(self, state: Chunk) -> Chunk:
         n = state.num_rows
         if not self.group_by and n == 0:
-            # Scalar aggregate over an empty stream: count 0, sums 0.
+            # Scalar aggregate over an empty stream: count 0, sums 0,
+            # and no value (NaN) for min and max, as for avg.
             state = Chunk(self.state_schema, {
-                f.name: np.zeros(1, dtype=f.numpy_dtype)
+                f.name: (np.full(1, np.nan)
+                         if f.name.endswith(("$min", "$max"))
+                         else np.zeros(1, dtype=f.numpy_dtype))
                 for f in self.state_schema.fields})
             n = 1
         columns = {g: state.column(g) for g in self.group_by}

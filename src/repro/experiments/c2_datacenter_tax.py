@@ -69,7 +69,7 @@ def run_billing() -> list[dict]:
 
     rows = []
     for pushdown in (False, True):
-        store = ObjectStore(fabric.storage, fabric.trace)
+        store = ObjectStore(fabric.storage)
         keys = store.put_table("lineitem", table)
 
         def run():

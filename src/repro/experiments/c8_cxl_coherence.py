@@ -55,7 +55,9 @@ def run_coherence(mode: str, sharers: int) -> dict:
     return {
         "mode": mode,
         "sharers": sharers,
-        "coherence_bytes": trace.total("flow.coherence"),
+        "coherence_bytes": sum(row["bytes"]
+                               for row in trace.movement_ledger()
+                               if row["actor"].startswith("coherence")),
         "elapsed": sim.now,
         "cpu_busy": trace.busy_time("device.hostcpu"),
     }

@@ -10,7 +10,9 @@ This experiment runs a selective filter over the same rows stored
 *clustered* (sorted on the filter column) and *shuffled*, with zone
 maps on/off, on both engines, and finally shows zone maps composing
 with storage pushdown: pruning cuts what is read, pushdown cuts what
-is shipped.
+is shipped.  The clustered Volcano case runs once more per spelling
+of the same range (``<``, ``BETWEEN``, ``AND``, ``OR``, ``IN``): each
+must prune alike.
 """
 
 import numpy as np
@@ -35,6 +37,15 @@ ROWS = 200_000
 CHUNK = 8_192
 CUTOFF = ROWS // 20          # 5% selectivity
 
+#: The same 5 % range, spelled every way a zone map can prune it.
+SPELLINGS = {
+    "k0 < c": col("k0") < CUTOFF,
+    "k0 BETWEEN 0 AND c-1": col("k0").between(0, CUTOFF - 1),
+    "k0 >= 0 AND k0 < c": (col("k0") >= 0) & (col("k0") < CUTOFF),
+    "k0 < c OR k0 > ROWS": (col("k0") < CUTOFF) | (col("k0") > ROWS),
+    "k0 IN (0, ..., c-1)": col("k0").isin(range(CUTOFF)),
+}
+
 
 def make_table(clustered: bool) -> Table:
     schema = Schema.of(("k0", DataType.INT64), ("k1", DataType.INT64),
@@ -50,25 +61,15 @@ def make_table(clustered: bool) -> Table:
     }, chunk_rows=CHUNK)
 
 
-def run_case(layout: str, engine_name: str, zonemaps: bool,
-             push: bool = False) -> dict:
+def _load(clustered: bool):
     fabric = build_fabric(dataflow_spec())
     catalog = Catalog()
-    catalog.register("t", make_table(clustered=layout == "clustered"))
-    query = (Query.scan("t").filter(col("k0") < CUTOFF)
-             .project(["k1"]))
-    if engine_name == "volcano":
-        engine = VolcanoEngine(fabric, catalog, use_zonemaps=zonemaps)
-        result = engine.execute(query)
-    else:
-        engine = DataflowEngine(fabric, catalog, use_zonemaps=zonemaps)
-        placement = (pushdown(query.plan, fabric) if push
-                     else cpu_only(query.plan, fabric))
-        result = engine.execute(query, placement=placement)
+    catalog.register("t", make_table(clustered))
+    return fabric, catalog
+
+
+def _measured(fabric, result) -> dict:
     return {
-        "layout": layout,
-        "engine": engine_name + ("+pushdown" if push else ""),
-        "zonemaps": zonemaps,
         "rows": result.rows,
         "storage_read": fabric.trace.counter("movement.storage.bytes"),
         "network": result.bytes_on("network"),
@@ -78,6 +79,32 @@ def run_case(layout: str, engine_name: str, zonemaps: bool,
     }
 
 
+def run_case(layout: str, engine_name: str, zonemaps: bool,
+             push: bool = False) -> dict:
+    fabric, catalog = _load(clustered=layout == "clustered")
+    query = Query.scan("t").filter(SPELLINGS["k0 < c"]).project(["k1"])
+    if engine_name == "volcano":
+        engine = VolcanoEngine(fabric, catalog, use_zonemaps=zonemaps)
+        result = engine.execute(query)
+    else:
+        engine = DataflowEngine(fabric, catalog, use_zonemaps=zonemaps)
+        placement = (pushdown(query.plan, fabric) if push
+                     else cpu_only(query.plan, fabric))
+        result = engine.execute(query, placement=placement)
+    return {"layout": layout,
+            "engine": engine_name + ("+pushdown" if push else ""),
+            "zonemaps": zonemaps, **_measured(fabric, result)}
+
+
+def run_spelling(spelling: str) -> dict:
+    """Clustered, Volcano, zone maps on: the range as ``spelling``."""
+    fabric, catalog = _load(clustered=True)
+    query = Query.scan("t").filter(SPELLINGS[spelling]).project(["k1"])
+    result = VolcanoEngine(fabric, catalog, use_zonemaps=True).execute(query)
+    return {"layout": "clustered", "engine": "volcano", "zonemaps": True,
+            "spelling": spelling, **_measured(fabric, result)}
+
+
 def run() -> list[dict]:
     rows = []
     for layout in ("clustered", "shuffled"):
@@ -85,12 +112,23 @@ def run() -> list[dict]:
             rows.append(run_case(layout, "volcano", zonemaps))
             rows.append(run_case(layout, "dataflow", zonemaps,
                                  push=True))
-    return rows
+    return rows + [run_spelling(spelling) for spelling in SPELLINGS]
 
 
 def _pick(rows, layout, engine, zonemaps, key):
     return next(r[key] for r in rows if r["layout"] == layout
-                and r["engine"] == engine and r["zonemaps"] == zonemaps)
+                and r["engine"] == engine and r["zonemaps"] == zonemaps
+                and "spelling" not in r)
+
+
+def _spellings_alike(rows):
+    """Every spelling returns the range and prunes as ``k0 < c`` does."""
+    spelled = [r for r in rows if "spelling" in r]
+    pruned = _pick(rows, "clustered", "volcano", True, "pruned_chunks")
+    return (len(spelled) == len(SPELLINGS)
+            and all(r["rows"] == CUTOFF and r["pruned_chunks"] == pruned
+                    for r in spelled),
+            min(r["pruned_chunks"] for r in spelled))
 
 
 def _pruned_share(rows, layout, engine, key):
@@ -119,4 +157,5 @@ CHECKS = {
                       "storage_read"), 0.1),
     "pruning_composes_with_pushdown_on_network": lambda rows: at_most(
         _pruned_share(rows, "clustered", "dataflow+pushdown", "network"), 1),
+    "every_spelling_of_the_range_prunes_alike": _spellings_alike,
 }

@@ -43,8 +43,8 @@ def run_case(mode: str) -> dict:
         "mode": mode,
         "rows_out": rows_out,
         "elapsed": result.elapsed,
-        "host_dram_bytes": fabric.trace.counter(
-            "link.compute0.host.bytes"),
+        "host_dram_bytes": fabric.trace.link_report().get(
+            "compute0.host", {"bytes": 0.0})["bytes"],
         "cpu_busy": fabric.trace.busy_time("device.compute0.cpu"),
         "gpu_busy": fabric.trace.busy_time("device.compute0.gpu"),
     }

@@ -125,7 +125,7 @@ def run_gc(nodes: int = 200_000) -> dict:
     fabric2, node2 = env()
     removed_nm = fabric2.sim.run_process(
         gc_near_memory(FreeList(list(range(nodes))), set(dead),
-                       node2.accelerator, fabric2.trace))
+                       node2.accelerator))
     assert removed_cpu == removed_nm
     return {
         "scenario": "gc",

@@ -232,7 +232,7 @@ class CreditChannel:
         self._control_total = trace.counter_handle(
             "flow.control.total_bytes")
         self._hops = [
-            (link, link._span_name, *link.counter_handles(),
+            (link, link._span_name, link.segment_handle(),
              # Pre-built movement-ledger key — record_movement's
              # per-call tuple construction, hoisted.
              (link.name, self.actor, self.direction))
@@ -287,8 +287,7 @@ class CreditChannel:
                                 for link in links)
         propagation = 0.0
         ledger = trace.ledger
-        for link, span_name, h_bytes, h_chunks, h_movement, hop_key \
-                in self._hops:
+        for link, span_name, h_movement, hop_key in self._hops:
             if not link._ports.try_acquire():
                 yield link._ports.request()
             # Mirror Link.transfer: a busy span per port-occupancy
@@ -303,8 +302,6 @@ class CreditChannel:
             now = sim.now
             if now > trace.clock:       # tick(), inlined
                 trace.clock = now
-            h_bytes.add(nbytes)
-            h_chunks.add(1)
             h_movement.add(nbytes)
             # record_movement, inlined with the pre-built key.
             cell = ledger.get(hop_key)

@@ -21,7 +21,6 @@ hash joins need.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence
 
@@ -47,8 +46,7 @@ class Stage:
                  source_table: Optional[Table] = None,
                  medium: Optional[StorageMedium] = None,
                  is_sink: bool = False, skip: frozenset = frozenset()):
-        if router not in ("single", "partition", "broadcast",
-                          "round_robin"):
+        if router not in ("single", "partition"):
             raise ValueError(f"unknown router {router!r}")
         # The graph's simulator, trace and flow switch, not the graph:
         # a back-reference would make every finished query cyclic
@@ -71,13 +69,10 @@ class Stage:
         self.done_at: Optional[float] = None
         self.collected: list[Chunk] = []
         self.rows_in = 0
-        self.rows_out = 0
         self.chunks_in = 0
-        self.chunks_out = 0
         #: Most messages left waiting in the inbox when this stage took
         #: one: the queue the credit windows bound (bench C5).
         self.inbox_peak = 0
-        self._rr = itertools.count()
         self._metric = f"stage.{graph.name}.{name}"
         # The device-stall counter handle, bound at the first stall.
         self._stall_device = None
@@ -215,8 +210,6 @@ class Stage:
 
     def _route(self, emits: list[Emit]) -> Generator:
         for emit in emits:
-            self.rows_out += emit.chunk.num_rows
-            self.chunks_out += 1
             if self.is_sink or not self.outputs:
                 # Settled: a kept view would pin its source window.
                 self.collected.append(emit.chunk.materialize())
@@ -226,22 +219,16 @@ class Stage:
             nbytes = float(emit.chunk.nbytes)
             if self.router == "single":
                 yield from self.outputs[0].send(emit.chunk, nbytes)
-            elif self.router == "round_robin":
-                out = self.outputs[next(self._rr) % len(self.outputs)]
-                yield from out.send(emit.chunk, nbytes)
-            elif self.router == "broadcast":
-                for out in self.outputs:
-                    yield from out.send(emit.chunk, nbytes)
-            elif self.router == "partition":
-                if emit.route is None:
-                    raise RuntimeError(
-                        f"stage {self.name!r}: partition router needs "
-                        f"routed emits (last op must be a PartitionOp)")
-                if emit.route >= len(self.outputs):
-                    raise RuntimeError(
-                        f"stage {self.name!r}: route {emit.route} but "
-                        f"only {len(self.outputs)} outputs")
-                yield from self.outputs[emit.route].send(emit.chunk, nbytes)
+                continue
+            if emit.route is None:
+                raise RuntimeError(
+                    f"stage {self.name!r}: partition router needs "
+                    f"routed emits (last op must be a PartitionOp)")
+            if emit.route >= len(self.outputs):
+                raise RuntimeError(
+                    f"stage {self.name!r}: route {emit.route} but "
+                    f"only {len(self.outputs)} outputs")
+            yield from self.outputs[emit.route].send(emit.chunk, nbytes)
 
     # -- results ---------------------------------------------------------
 

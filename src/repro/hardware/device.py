@@ -156,7 +156,7 @@ class Device:
         # so each counter handle is bound at the first charge that adds
         # to it and reused after.
         self._span_name = f"device.{self.name}"
-        self._busy = self._op_count = None
+        self._busy = None
         self._bytes_by_kind: dict[str, object] = {}
 
     # -- capability queries ---------------------------------------------
@@ -225,8 +225,6 @@ class Device:
             if self._busy is None:
                 self._busy = self.trace.counter_handle(
                     f"device.{self.name}.busy_s")
-                self._op_count = self.trace.counter_handle(
-                    f"device.{self.name}.ops")
             self._busy.add(now - span.start)
             self._units.release()
         by_kind = self._bytes_by_kind.get(kind)
@@ -235,7 +233,6 @@ class Device:
                 f"device.{self.name}.bytes.{kind}")
             self._bytes_by_kind[kind] = by_kind
         by_kind.add(nbytes)
-        self._op_count.add(1)
 
     # -- reporting ---------------------------------------------------------
 

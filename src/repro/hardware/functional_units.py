@@ -27,7 +27,6 @@ import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
-from ..sim import Trace
 from .device import Device, OpKind
 from .memory import LRUCache, memory_read
 
@@ -80,7 +79,6 @@ class HierarchicalBlockStore:
             raise ValueError("keys must be sorted")
         if not sorted_keys:
             raise ValueError("store requires at least one key")
-        self.fanout = fanout
         self.block_bytes = block_bytes
         self.blocks: dict[int, Block] = {}
         self._next_id = 0
@@ -213,10 +211,8 @@ def gc_on_cpu(free_list: FreeList, dead: set[int], fabric: Fabric,
 
 
 def gc_near_memory(free_list: FreeList, dead: set[int],
-                   accelerator: Device, trace: Trace) -> Generator:
+                   accelerator: Device) -> Generator:
     """Garbage-collect near memory: nothing crosses toward the CPU."""
     total = len(free_list.nodes) * free_list.node_bytes
     yield from accelerator.execute(OpKind.LIST_MAINTENANCE, total)
-    removed = free_list.collect(dead)
-    trace.add("nearmem.gc.removed", removed)
-    return removed
+    return free_list.collect(dead)

@@ -69,18 +69,20 @@ class Link:
         self._ports = Resource(self.sim, capacity=self.ports,
                                name=f"{self.name}.ports")
         # Hot-path trace keys (transfer() runs per chunk); the counter
-        # handles are bound at first use (:meth:`counter_handles`).
+        # handle is bound at first use (:meth:`segment_handle`).
         self._span_name = f"link.{self.name}"
-        self._counters: Optional[tuple] = None
+        self._segment_bytes = None
 
-    def counter_handles(self) -> tuple:
-        """(bytes, chunks, segment bytes) handles, bound on first call."""
-        if self._counters is None:
-            handle = self.trace.counter_handle
-            self._counters = (handle(f"link.{self.name}.bytes"),
-                              handle(f"link.{self.name}.chunks"),
-                              handle(f"movement.{self.segment}.bytes"))
-        return self._counters
+    def segment_handle(self):
+        """The ``movement.<segment>.bytes`` handle, bound on first call.
+
+        Per-link bytes and chunks are the movement ledger's, summed by
+        :meth:`~repro.sim.trace.Trace.link_report`.
+        """
+        if self._segment_bytes is None:
+            self._segment_bytes = self.trace.counter_handle(
+                f"movement.{self.segment}.bytes")
+        return self._segment_bytes
 
     def transfer_time(self, nbytes: float) -> float:
         """Predicted uncontended time for a transfer of ``nbytes``."""
@@ -129,15 +131,9 @@ class Link:
         self.trace.emit(issued, EventKind.DMA_COMPLETE, self.name,
                         label=flow, nbytes=nbytes,
                         dur=self.sim.now - issued)
-        link_bytes, chunks, segment_bytes = (self._counters
-                                             or self.counter_handles())
-        link_bytes.add(nbytes)
-        chunks.add(1)
-        segment_bytes.add(nbytes)
+        (self._segment_bytes or self.segment_handle()).add(nbytes)
         self.trace.record_movement(self.name, flow or "unattributed",
                                    direction, nbytes)
-        if flow:
-            self.trace.add(f"flow.{flow}.bytes", nbytes)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time at least one port was busy."""
@@ -252,8 +248,6 @@ class CoherenceDomain:
             if sharers:
                 yield from self.link.transfer(
                     invalidation_bytes, flow=f"coherence.{self.name}")
-            self.trace.add(f"coherence.{self.name}.hw_invalidations",
-                           lines * len(sharers))
         else:
             # Software coherence: RPC per sharer, CPU work both ends,
             # then each sharer re-fetches the whole region.
@@ -268,5 +262,3 @@ class CoherenceDomain:
                         OpKind.GENERIC, self.rpc_bytes)
                 yield from self.link.transfer(
                     nbytes, flow=f"coherence.{self.name}.refetch")
-            self.trace.add(f"coherence.{self.name}.sw_rpcs", len(sharers))
-        self.trace.add(f"coherence.{self.name}.writes", 1)

@@ -88,8 +88,6 @@ class DRAM:
         self.used += nbytes
         self.trace.emit(self.sim.now, EventKind.MEM_ALLOC,
                         f"dram.{self.name}", nbytes=nbytes)
-        self.trace.add(f"dram.{self.name}.allocs", 1)
-        self.trace.add(f"dram.{self.name}.allocated", nbytes)
 
     def free(self, nbytes: int) -> None:
         """Release ``nbytes`` previously allocated."""

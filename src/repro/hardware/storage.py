@@ -110,8 +110,6 @@ class StorageMedium:
         self.trace.emit(issued, EventKind.DMA_COMPLETE,
                         f"storage.{self.name}", label="read",
                         nbytes=nbytes, dur=self.sim.now - issued)
-        self.trace.add(f"storage.{self.name}.reads", 1)
-        self.trace.add(f"storage.{self.name}.bytes.read", nbytes)
         self.trace.add("movement.storage.bytes", nbytes)
 
 

@@ -19,7 +19,6 @@ classic behaviour bench E1 demonstrates: sorted data prunes to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .expressions import (
     Const,
     Expression,
     InSet,
-    Not,
     Or,
 )
 from .schema import DataType
@@ -62,20 +60,13 @@ class ZoneMap:
             zones.append(zone)
         return cls(zones)
 
-    def __len__(self) -> int:
-        return len(self.zones)
-
-    def bounds(self, chunk_index: int,
-               column: str) -> Optional[tuple]:
-        zone = self.zones[chunk_index]
-        return zone.get(column)
-
 
 def may_match(zone: dict[str, tuple],
               expr: Expression) -> bool:
     """Conservatively: could any row in this zone satisfy ``expr``?
 
     Unknown constructs answer True (no pruning) — soundness first.
+    So does a negation: refuting one needs must-match analysis.
     """
     if isinstance(expr, Compare):
         if isinstance(expr.left, Col) and isinstance(expr.right, Const):
@@ -122,10 +113,6 @@ def may_match(zone: dict[str, tuple],
         return may_match(zone, expr.left) and may_match(zone, expr.right)
     if isinstance(expr, Or):
         return may_match(zone, expr.left) or may_match(zone, expr.right)
-    if isinstance(expr, Not):
-        # Correct refutation of a negation needs must-match analysis;
-        # stay conservative.
-        return True
     return True
 
 

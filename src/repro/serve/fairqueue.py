@@ -19,7 +19,7 @@ same order.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["WeightedFairQueue"]
 
@@ -32,21 +32,10 @@ class WeightedFairQueue:
         self._finish: dict[str, float] = {}
         self._heap: list[tuple[float, int, str, float, Any]] = []
         self._seq = 0
-        self._depth: dict[str, int] = {}
         self.max_depth = 0
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def virtual_time(self) -> float:
-        return self._virtual
-
-    def depth(self, tenant: Optional[str] = None) -> int:
-        """Queued requests, total or for one tenant."""
-        if tenant is None:
-            return len(self._heap)
-        return self._depth.get(tenant, 0)
 
     def push(self, tenant: str, weight: float, cost: float,
              item: Any) -> float:
@@ -61,7 +50,6 @@ class WeightedFairQueue:
         self._seq += 1
         heapq.heappush(self._heap,
                        (finish, self._seq, tenant, start, item))
-        self._depth[tenant] = self._depth.get(tenant, 0) + 1
         self.max_depth = max(self.max_depth, len(self._heap))
         return finish
 
@@ -77,7 +65,4 @@ class WeightedFairQueue:
             raise IndexError("pop from empty fair queue")
         _finish, _seq, tenant, start, item = heapq.heappop(self._heap)
         self._virtual = max(self._virtual, start)
-        self._depth[tenant] -= 1
-        if not self._depth[tenant]:
-            del self._depth[tenant]
         return tenant, item

@@ -36,8 +36,6 @@ kind                emitted when
 ``op_close``        it finished
 ``mem_alloc``       DRAM was allocated
 ``mem_free``        DRAM was freed
-``tax_egress``      a chunk was serialized+compressed+encrypted for the wire
-``tax_ingress``     a wire payload was decoded back into a chunk
 ``serve_arrive``    a tenant query arrived at the serving front door
 ``serve_shed``      admission control rejected it (load shedding)
 ``serve_start``     an admitted query left the fair queue and started
@@ -79,8 +77,6 @@ class EventKind:
     OP_CLOSE = "op_close"
     MEM_ALLOC = "mem_alloc"
     MEM_FREE = "mem_free"
-    TAX_EGRESS = "tax_egress"
-    TAX_INGRESS = "tax_ingress"
     SERVE_ARRIVE = "serve_arrive"
     SERVE_SHED = "serve_shed"
     SERVE_START = "serve_start"
@@ -91,7 +87,6 @@ class EventKind:
         CHUNK_EMIT, CHUNK_RECV, CREDIT_GRANT, CREDIT_STALL,
         DMA_ISSUE, DMA_COMPLETE, CACHE_HIT, CACHE_MISS,
         OP_OPEN, OP_CLOSE, MEM_ALLOC, MEM_FREE,
-        TAX_EGRESS, TAX_INGRESS,
         SERVE_ARRIVE, SERVE_SHED, SERVE_START, SERVE_DONE, ALERT,
     )
 

@@ -49,8 +49,6 @@ class Store:
         self.items: list[Any] = []
         self._putters: list[_StorePut] = []
         self._getters: list[_StoreGet] = []
-        # High-water mark, for flow-control experiments.
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self.items)
@@ -85,8 +83,6 @@ class Store:
         if self._putters or len(self.items) >= self.capacity:
             return False
         self.items.append(item)
-        if len(self.items) > self.max_occupancy:
-            self.max_occupancy = len(self.items)
         return True
 
     def wake_getters(self) -> None:
@@ -107,7 +103,6 @@ class Store:
             while self._putters and len(self.items) < self.capacity:
                 put = self._putters.pop(0)
                 self.items.append(put.item)
-                self.max_occupancy = max(self.max_occupancy, len(self.items))
                 put.succeed()
                 progressed = True
             # Serve pending gets while there are items.

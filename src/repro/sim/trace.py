@@ -5,8 +5,8 @@ bytes crossed each segment of the data path, how busy each device was,
 and how long the query took — so the tracer is organized around four
 kinds of records:
 
-* **counters** — monotonically increasing totals (bytes per link,
-  stall seconds per channel, cache hits, dollars billed);
+* **counters** — monotonically increasing totals (bytes per
+  segment, stall seconds per channel, cache hits, busy seconds);
 * **spans** — named intervals (per-stage busy periods), from which
   busy time and critical-path summaries are derived;
 * **events** — a bounded ring of typed :class:`~repro.sim.events.
@@ -21,9 +21,10 @@ kinds of records:
 
 A single :class:`Trace` is threaded through a fabric.  On top of the
 raw records it derives the quantities reports need: per-span busy
-time (:meth:`Trace.busy_time`), per-link byte/chunk totals
-(:meth:`Trace.link_report`), and a critical-path summary ranking span
-names by total busy time (:meth:`Trace.critical_path`).
+time (:meth:`Trace.busy_time`), per-link byte/chunk totals summed
+from the ledger (:meth:`Trace.link_report`), and a critical-path
+summary ranking span names by total busy time
+(:meth:`Trace.critical_path`).
 
 The trace keeps a *clock watermark* — the largest simulated time it
 has seen — so that spans still open at report time have a well-defined
@@ -189,8 +190,7 @@ class Trace:
         """Attribute ``nbytes`` on ``link`` to ``actor``.
 
         The ledger is an exact aggregate (unlike the event ring it is
-        never truncated); its per-link byte totals reconcile with
-        :meth:`link_report`.
+        never truncated); :meth:`link_report` sums it per link.
         """
         cell = self.ledger.setdefault((link, actor, direction),
                                       [0.0, 0.0])
@@ -302,7 +302,6 @@ class Trace:
         One row per (link, actor, direction) cell, sorted by link
         then actor then direction — every plan's movement cost,
         attributable line by line (the paper's §3.3 cost metric).
-        Per-link byte sums reconcile with :meth:`link_report`.
         """
         return [{"link": link, "actor": actor, "direction": direction,
                  "bytes": cell[0], "chunks": cell[1]}
@@ -360,16 +359,13 @@ class Trace:
         return self.events.stats()
 
     def link_report(self) -> dict[str, dict[str, float]]:
-        """Per-link totals: ``{link: {"bytes": ..., "chunks": ...}}``."""
+        """Per-link totals ``{link: {"bytes": ..., "chunks": ...}}``,
+        summed from the movement ledger (the one record of link
+        traffic), sorted by link name."""
         out: dict[str, dict[str, float]] = {}
-        prefix = "link."
-        for key, value in sorted(self.counters.items()):
-            if not key.startswith(prefix):
-                continue
-            rest = key[len(prefix):]
-            name, _, metric = rest.rpartition(".")
-            if metric not in ("bytes", "chunks") or not name:
-                continue
-            out.setdefault(name, {"bytes": 0.0, "chunks": 0.0})
-            out[name][metric] += value
+        for (link, _actor, _direction), (nbytes, chunks) in sorted(
+                self.ledger.items()):
+            totals = out.setdefault(link, {"bytes": 0.0, "chunks": 0.0})
+            totals["bytes"] += nbytes
+            totals["chunks"] += chunks
         return out

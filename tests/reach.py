@@ -1,21 +1,30 @@
 """Reach ratchet: ``src/`` is what the product runs.
 
 ``python tests/reach.py`` drives every product entry point in one
-process under ``sys.setprofile`` — all 13 ``repro`` sub-commands with
+process under ``sys.settrace`` — all 13 ``repro`` sub-commands with
 every flag that selects a code path (``repro sql`` with every construct
 the parser accepts), the smoke suite again under ``REPRO_SLOW_FLOW=1``
 so the reference twin counts, the six ``examples/``, ``dir()`` of the
-package, and two windows + ``verify()`` of each perfbench workload —
-and matches the code objects that were called against every ``def``
-and ``lambda`` under ``src/`` found by ``ast``.
+package, and two windows (the second traced, as ``--trace 1`` runs it)
++ ``verify()`` of each perfbench workload.
+It checks two things against what ``ast`` finds under ``src/``:
 
-``ALLOWED`` names the functions that may stay unreached, each with the
-reason.  The script exits 1 on an unreached function that is not
-listed, and on a listed function that is reached or no longer exists,
-so the set can only shrink: a new never-called function needs a caller
-(or a reason), and a listed function that gains a caller is de-listed
-in the same change.  No wall clock is read.  Needs ``PYTHONPATH=src``;
-``tests/test_cli_and_examples.py`` checks the list's form without a
+* **Functions.**  The code objects that were called (``call`` events)
+  against every ``def`` and ``lambda``.  ``ALLOWED`` names the
+  functions that may stay unreached, each with the reason.  An
+  unreached function that is not listed fails, and so does a listed
+  function that is reached or no longer exists, so the set can only
+  shrink.
+* **Lines.**  The lines that ran (``line`` events, ``src/`` frames
+  only) against every statement inside a function body; docstrings,
+  ``raise`` statements and ``global`` / ``nonlocal`` (no code) are not
+  counted.  ``NEVER_RUN`` holds, per file, how many statements never
+  ran.  A file whose count differs from its entry fails, with the
+  lines: a new never-run line needs a run that reaches it, and a lower
+  count is written down in the same change.
+
+No wall clock is read.  Needs ``PYTHONPATH=src``;
+``tests/test_cli_and_examples.py`` checks both tables' form without a
 drive.
 """
 
@@ -74,14 +83,10 @@ container protocol of a class the product reads by other means
     relational/table.py::Chunk.__len__
     relational/table.py::Table.__iter__
     relational/table.py::_LazyColumns.__len__
-    relational/zonemaps.py::ZoneMap.__len__
     sim/events.py::EventRing.__len__
 read-only accessor of a public class; no example holds one yet
     relational/arena.py::ArenaColumn.is_dict
     relational/catalog.py::TableStats.row_nbytes
-    relational/zonemaps.py::ZoneMap.bounds
-    serve/fairqueue.py::WeightedFairQueue.depth
-    serve/fairqueue.py::WeightedFairQueue.virtual_time
 guards outside input: a --compare baseline may carry the section
     obs.py::_serving_record_violations.<lambda>@351
     obs.py::_telemetry_section_violations
@@ -133,6 +138,62 @@ def _parse_allowed(text: str) -> dict[str, str]:
 
 ALLOWED: dict[str, str] = _parse_allowed(_ALLOWED)
 
+#: Statements inside function bodies that no drive runs, per file
+#: (``<path under src/repro>``); a file not named has none.
+NEVER_RUN: dict[str, int] = {
+    "analysis/critical_path.py": 8,
+    "analysis/observatory.py": 26,
+    "analysis/report.py": 7,
+    "analysis/slo.py": 3,
+    "analysis/whatif.py": 11,
+    "bench.py": 18,
+    "cli.py": 23,
+    "cloud/bufferpool.py": 1,
+    "cloud/objectstore.py": 5,
+    "cloud/tax.py": 1,
+    "engine/codegen.py": 1,
+    "engine/dataflow.py": 3,
+    "engine/kernels.py": 6,
+    "engine/logical.py": 4,
+    "engine/operators.py": 19,
+    "engine/placement.py": 3,
+    "engine/results.py": 1,
+    "engine/volcano.py": 7,
+    "experiments/__init__.py": 1,
+    "experiments/c3_credit_flow.py": 1,
+    "experiments/c7_pushdown_survey.py": 1,
+    "experiments/f3_nic_pipeline.py": 1,
+    "flow/credits.py": 6,
+    "flow/stages.py": 3,
+    "hardware/device.py": 3,
+    "hardware/interconnect.py": 2,
+    "hardware/memory.py": 2,
+    "hardware/presets.py": 3,
+    "hardware/storage.py": 1,
+    "hardware/topology.py": 2,
+    "obs.py": 77,
+    "optimizer/cost.py": 4,
+    "optimizer/enumeration.py": 2,
+    "relational/arena.py": 11,
+    "relational/catalog.py": 3,
+    "relational/expressions.py": 10,
+    "relational/schema.py": 3,
+    "relational/sql.py": 6,
+    "relational/table.py": 35,
+    "relational/zonemaps.py": 9,
+    "scheduler/scheduler.py": 2,
+    "serve/dashboard.py": 7,
+    "serve/plancache.py": 6,
+    "serve/scenarios.py": 2,
+    "serve/server.py": 16,
+    "serve/telemetry.py": 43,
+    "sim/chrometrace.py": 5,
+    "sim/events.py": 6,
+    "sim/kernel.py": 48,
+    "sim/resources.py": 4,
+    "sim/trace.py": 9,
+}
+
 
 class Def(NamedTuple):
     name: str           # ``ALLOWED``-style
@@ -169,6 +230,83 @@ def defined_functions() -> list[Def]:
         visit(ast.parse(source.read_text()), "",
               source.relative_to(SRC).as_posix(), str(source))
     return found
+
+
+#: Statements that emit no line event of their own, or that belong to
+#: the failure paths ROADMAP item 2(c) drives.
+_UNCOUNTED = (ast.Raise, ast.Global, ast.Nonlocal)
+
+
+def _is_docstring(node: ast.stmt) -> bool:
+    return (isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _blocks(node: ast.AST) -> list[list[ast.stmt]]:
+    """The statement blocks directly inside a compound statement."""
+    blocks = [getattr(node, name) for name in ("body", "orelse",
+                                                 "finalbody")
+              if getattr(node, name, None)]
+    return blocks + [handler.body for handler in getattr(node, "handlers",
+                                                         ())]
+
+
+def _header(node: ast.stmt) -> range:
+    """The lines whose events show ``node`` ran: all of a simple
+    statement, up to its first inner statement for a compound one."""
+    first = min([node.lineno] + [d.lineno for d in
+                                 getattr(node, "decorator_list", ())])
+    body = getattr(node, "body", None)
+    if not body:
+        return range(first, node.end_lineno + 1)
+    return range(first, max(node.lineno, body[0].lineno - 1) + 1)
+
+
+def body_statements() -> dict[str, dict[int, range]]:
+    """Per file under ``src/repro``: every counted statement inside a
+    function body, by first line, with the lines that show it ran."""
+    found: dict[str, dict[int, range]] = {}
+
+    def in_body(block: list[ast.stmt], spans: dict, function: bool):
+        for index, node in enumerate(block):
+            if function and index == 0 and _is_docstring(node):
+                continue
+            if isinstance(node, _UNCOUNTED):
+                continue
+            if not isinstance(node, ast.Try):   # ``try:`` runs nothing
+                spans[node.lineno] = _header(node)
+            defines = isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+            for inner in _blocks(node):
+                in_body(inner, spans, defines)
+
+    def outside(block: list[ast.stmt], spans: dict):
+        for node in block:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_body(node.body, spans, True)
+            else:
+                for inner in _blocks(node):
+                    outside(inner, spans)
+
+    for source in sorted(SRC.rglob("*.py")):
+        spans: dict[int, range] = {}
+        outside(ast.parse(source.read_text()).body, spans)
+        found[source.relative_to(SRC).as_posix()] = spans
+    return found
+
+
+def never_run(ran: dict[str, set[int]]) -> dict[str, list[int]]:
+    """Per file, the first lines of the counted statements that did
+    not run (``ran``: the lines of each absolute file name that did)."""
+    out = {}
+    for key, spans in body_statements().items():
+        lines = ran.get(str(SRC / key), set())
+        missed = [first for first, span in sorted(spans.items())
+                  if lines.isdisjoint(span)]
+        if missed:
+            out[key] = missed
+    return out
 
 
 # -- the drive ---------------------------------------------------------------
@@ -291,31 +429,57 @@ def drive(problems: list[str]) -> None:
 
     sys.path.insert(0, str(REPO / "perfbench"))
     try:
+        from spans import Tracer
         from workloads import WORKLOADS, make_workload
+        tracer = Tracer()
+        tracer.plan()
         for name in WORKLOADS:
             workload = make_workload(name, 0)
             workload.build()
-            for k in range(2):
-                for op in workload.window(k):
-                    if op.digest is None:
-                        problems.append(f"perfbench {name}: {op.error}")
+            ops = list(workload.window(0))
+            # The second window as ``--trace 1`` runs it: its per-layer
+            # counts read the fabrics' trace records.
+            root = tracer.begin_window(1)
+            tracer.install()
+            try:
+                ops += workload.window(1)
+            finally:
+                tracer.uninstall()
+                tracer.close(root)
+            tracer.fabric_counts()
+            problems += [f"perfbench {name}: {op.error}"
+                         for op in ops if op.digest is None]
             problems += [f"perfbench {name}: {why}"
                          for why in workload.verify()]
     finally:
         sys.path.remove(str(REPO / "perfbench"))
 
 
-def reached_lines() -> tuple[set[tuple[str, int]], list[str]]:
-    """``(file, first line)`` of every code object the drive called."""
+def traced_drive() -> tuple[set[tuple[str, int]], dict[str, set[int]],
+                             list[str]]:
+    """``(file, first line)`` of every code object the drive called,
+    the lines that ran in each ``src/`` file, and the drive's
+    problems."""
     called: set = set()
+    ran: dict[str, set[int]] = {}
+    prefix = str(SRC)
 
-    def profile(frame, event, _arg):
-        if event == "call":
-            called.add(frame.f_code)
+    def on_line(frame, event, _arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, _event, _arg):
+        code = frame.f_code
+        called.add(code)
+        if code.co_filename.startswith(prefix):
+            ran.setdefault(code.co_filename, set())
+            return on_line
+        return None
 
     problems: list[str] = []
     sink = io.StringIO()
-    sys.setprofile(profile)
+    sys.settrace(on_call)
     try:
         with contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
@@ -324,14 +488,14 @@ def reached_lines() -> tuple[set[tuple[str, int]], list[str]]:
         sys.stderr.write(sink.getvalue()[-4000:])   # the last it said
         raise
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
     return ({(code.co_filename, code.co_firstlineno) for code in called},
-            problems)
+            ran, problems)
 
 
 def main() -> int:
     defined = defined_functions()
-    called, problems = reached_lines()
+    called, ran, problems = traced_drive()
     unreached = [d for d in defined
                  if (d.path, d.first_line) not in called]
     names = {d.name for d in defined}
@@ -342,9 +506,20 @@ def main() -> int:
     problems += [f"listed but {'reached' if name in names else 'gone'}: "
                  f"{name}" for name in sorted(set(ALLOWED) - missed)]
 
+    census = never_run(ran)
+    for key in sorted(set(census) | set(NEVER_RUN)):
+        lines = census.get(key, [])
+        if len(lines) != NEVER_RUN.get(key, 0):
+            problems.append(
+                f"never-run lines in {key}: {len(lines)}, NEVER_RUN says "
+                f"{NEVER_RUN.get(key, 0)} (lines "
+                f"{', '.join(map(str, lines)) or 'none'})")
+
     print(f"reached {len(defined) - len(unreached)}/{len(defined)} "
           f"functions, unreached {sum(d.lines for d in unreached)} "
-          f"body lines (allowed {len(ALLOWED)})")
+          f"body lines (allowed {len(ALLOWED)}); never-run statement "
+          f"lines {sum(map(len, census.values()))} in {len(census)} of "
+          f"{len(list(SRC.rglob('*.py')))} files")
     for problem in problems:
         print(f"  {problem}")
     return 1 if problems else 0

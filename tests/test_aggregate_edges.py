@@ -1,7 +1,10 @@
 """Edge cases in aggregation semantics across both engines."""
 
 
+import math
+
 import numpy as np
+import pytest
 
 from repro.engine import AggSpec, DataflowEngine, Query, VolcanoEngine
 from repro.engine.logical import Aggregate
@@ -40,6 +43,21 @@ def test_count_star_empty_table():
     factory = lambda: env_with({"x": []})
     result = run_both(factory, Query.scan("t").count())
     assert result.table.column("count").tolist() == [0]
+
+
+@pytest.mark.parametrize("engine_cls", [VolcanoEngine, DataflowEngine])
+def test_scalar_aggregates_over_no_rows(engine_cls):
+    # MIN, MAX and AVG of nothing have no value (NaN); SUM is 0 and
+    # COUNT 0.
+    fabric, catalog = env_with({"v": [1, 2, 3, 4]})
+    query = Query.scan("t").filter(col("v") > 100).aggregate([], [
+        AggSpec("min", "v", "lo"), AggSpec("max", "v", "hi"),
+        AggSpec("avg", "v", "m"), AggSpec("sum", "v", "s"),
+        AggSpec("count", "v", "n")])
+    [(lo, hi, mean, total, count)] = engine_cls(
+        fabric, catalog).execute(query).table.sorted_rows()
+    assert math.isnan(lo) and math.isnan(hi) and math.isnan(mean)
+    assert (total, count) == (0.0, 0)
 
 
 def test_grouped_aggregate_empty_table():

@@ -513,6 +513,15 @@ def test_reach_allowed_list_names_one_def_each_with_a_reason():
         assert reason.strip(), name
 
 
+def test_reach_never_run_table_names_files_with_counts():
+    # One positive count per file, in file order, and never more than
+    # the statements the file's function bodies hold.
+    statements = reach.body_statements()
+    assert list(reach.NEVER_RUN) == sorted(reach.NEVER_RUN)
+    for key, count in reach.NEVER_RUN.items():
+        assert type(count) is int and 0 < count <= len(statements[key]), key
+
+
 def _repro_modules():
     yield "repro"
     for info in pkgutil.walk_packages(repro.__path__, "repro."):

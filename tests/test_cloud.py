@@ -42,7 +42,7 @@ def storage_env():
 
 def test_objectstore_put_get_roundtrip():
     sim, trace, storage = storage_env()
-    store = ObjectStore(storage, trace)
+    store = ObjectStore(storage)
     table = make_uniform_table(1000, chunk_rows=250)
     keys = store.put_table("t", table)
     assert len(keys) == 4
@@ -61,7 +61,7 @@ def test_objectstore_put_get_roundtrip():
 
 def test_objectstore_bills_bytes_scanned():
     sim, trace, store_backend = storage_env()
-    store = ObjectStore(store_backend, trace, compress=False)
+    store = ObjectStore(store_backend, compress=False)
     table = make_uniform_table(1000, chunk_rows=1000)
     keys = store.put_table("t", table)
 
@@ -75,7 +75,7 @@ def test_objectstore_bills_bytes_scanned():
 
 def test_objectstore_select_pushdown_reduces_returned_bytes():
     sim, trace, storage = storage_env()
-    store = ObjectStore(storage, trace)
+    store = ObjectStore(storage)
     table = make_uniform_table(2000, distinct=100, chunk_rows=2000)
     keys = store.put_table("t", table)
 
@@ -100,7 +100,7 @@ def test_objectstore_select_pushdown_reduces_returned_bytes():
 
 def test_objectstore_select_on_empty_match():
     sim, trace, storage = storage_env()
-    store = ObjectStore(storage, trace)
+    store = ObjectStore(storage)
     table = make_uniform_table(100, distinct=10, chunk_rows=100)
     keys = store.put_table("t", table)
 
@@ -116,7 +116,7 @@ def test_objectstore_select_empty_match_keeps_the_requested_schema():
     # Zero selectivity used to return before the projection: all of the
     # object's columns came back instead of the ones asked for.
     sim, trace, storage = storage_env()
-    store = ObjectStore(storage, trace)
+    store = ObjectStore(storage)
     table = make_uniform_table(100, distinct=10, chunk_rows=100)
     [key] = store.put_table("t", table)
 
@@ -139,7 +139,7 @@ def test_objectstore_select_empty_match_keeps_the_requested_schema():
 
 def test_objectstore_missing_key():
     sim, trace, storage = storage_env()
-    store = ObjectStore(storage, trace)
+    store = ObjectStore(storage)
     with pytest.raises(KeyError):
         sim.run_process(store.get("nope"))
 
@@ -147,8 +147,8 @@ def test_objectstore_missing_key():
 def test_objectstore_compression_shrinks_objects():
     sim, trace, storage = storage_env()
     table = make_uniform_table(5000, distinct=3, chunk_rows=5000)
-    plain = ObjectStore(storage, trace, compress=False)
-    packed = ObjectStore(storage, trace, compress=True)
+    plain = ObjectStore(storage, compress=False)
+    packed = ObjectStore(storage, compress=True)
     key_plain = plain.put_table("p", table)[0]
     key_packed = packed.put_table("c", table)[0]
     assert packed.objects[key_packed].nbytes < \
@@ -252,29 +252,6 @@ def test_tax_stages_roundtrip_across_a_channel():
     result = graph.run()
     assert result.table().sorted_rows() == table.sorted_rows()
     assert fabric.sim.pending_events == 0
-
-
-def test_tax_event_is_stamped_where_the_ops_work_starts():
-    # Tax ops hold no sim handle and stamp their ring event from the
-    # trace clock as they run; an executor runs an op first and then
-    # replays its charges, so that is the start of the chunk's work on
-    # the device (it used to be the end of it).
-    fabric = build_fabric(dataflow_spec())
-    table = make_lineitem(1000, chunk_rows=1000)
-    graph = StageGraph(fabric, name="tax")
-    src = graph.source("scan", table, medium=fabric.storage.medium)
-    egress = graph.stage("egress", "storage.nic",
-                         [EgressOp(TaxConfig(), trace=fabric.trace)])
-    sink = graph.sink("out", "compute0.cpu", [IngressOp(TaxConfig())])
-    graph.connect(src, egress)
-    graph.connect(egress, sink)
-    graph.run()
-    [event] = [e for e in fabric.trace.events
-               if e.kind == EventKind.TAX_EGRESS]
-    serialize, compress, encrypt = fabric.trace.spans[
-        f"device.{egress.device.name}"]
-    assert event.ts == serialize.start < serialize.end
-    assert serialize.end <= compress.start < encrypt.end
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ def test_stage_charges_its_device_exactly_what_run_chain_returns():
     for kind in ("partition", "project"):
         assert trace.counter(f"device.{device.name}.bytes.{kind}") == sum(
             nbytes for k, nbytes in expected if k == kind)
-    assert trace.counter(f"device.{device.name}.ops") == len(expected)
+    # One busy span per op the device ran.
+    assert len(busy) == len(expected)
     # The source has no device: its filter ran and cost nothing.
     assert not [name for name in trace.counters
                 if name.endswith(".bytes.filter")]

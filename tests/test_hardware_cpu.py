@@ -87,7 +87,7 @@ def test_controller_counts_movement():
     nbytes = (3 << 20) + 1
     fabric, _ = run_streams(1, nbytes)
     assert fabric.trace.counter("movement.membus.bytes") == nbytes
-    assert fabric.trace.counter("link.compute0.membus.chunks") == 4
+    assert fabric.trace.link_report()["compute0.membus"]["chunks"] == 4
 
 
 def test_socket_memory_read_crosses_caches():

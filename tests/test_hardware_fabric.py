@@ -67,8 +67,9 @@ def test_transfer_crosses_all_links():
 
     fabric.sim.process(proc())
     fabric.run()
-    assert fabric.trace.counter("link.ab.bytes") == 100.0
-    assert fabric.trace.counter("link.bc.bytes") == 100.0
+    assert fabric.trace.link_report() == {
+        "ab": {"bytes": 100.0, "chunks": 1.0},
+        "bc": {"bytes": 100.0, "chunks": 1.0}}
     # (1 + 100/100) + (2 + 100/50) = 2 + 4 = 6
     assert fabric.sim.now == pytest.approx(6.0)
 
@@ -259,8 +260,7 @@ def test_gc_agreement_and_movement():
     fl2 = FreeList(list(range(1000)))
 
     def run2():
-        return (yield from gc_near_memory(fl2, dead, node2.accelerator,
-                                          fabric2.trace))
+        return (yield from gc_near_memory(fl2, dead, node2.accelerator))
 
     removed2 = fabric2.sim.run_process(run2())
     assert removed2 == 100
@@ -288,12 +288,12 @@ def test_hardware_coherence_cheaper_than_software():
 
     sim_hw, trace_hw, dom_hw = coherence_env("hardware")
     sim_hw.run_process(dom_hw.write(region, writer="host"))
-    hw_bytes = trace_hw.total("flow.coherence")
+    hw_bytes = trace_hw.link_report()["lk"]["bytes"]
     hw_time = sim_hw.now
 
     sim_sw, trace_sw, dom_sw = coherence_env("software")
     sim_sw.run_process(dom_sw.write(region, writer="host"))
-    sw_bytes = trace_sw.total("flow.coherence")
+    sw_bytes = trace_sw.link_report()["lk"]["bytes"]
     sw_time = sim_sw.now
 
     assert hw_bytes < sw_bytes  # no region re-fetch with HW coherence

@@ -131,24 +131,6 @@ def router_graph(router):
     return graph, table
 
 
-def test_round_robin_router_splits_chunks():
-    graph, table = router_graph("round_robin")
-    result = graph.run()
-    rows0 = result.tables["s0"].num_rows
-    rows1 = result.tables["s1"].num_rows
-    assert rows0 + rows1 == 600
-    assert rows0 == rows1 == 300  # 6 chunks alternate evenly
-
-
-def test_broadcast_router_duplicates():
-    graph, table = router_graph("broadcast")
-    result = graph.run()
-    assert result.tables["s0"].num_rows == 600
-    assert result.tables["s1"].num_rows == 600
-    assert result.tables["s0"].sorted_rows() == \
-        result.tables["s1"].sorted_rows()
-
-
 def test_partition_router_requires_routed_emits():
     graph, _table = router_graph("partition")  # ProjectOp sets no route
     with pytest.raises(RuntimeError, match="partition router"):

@@ -7,10 +7,13 @@ Volcano plan, which drags whole chunks up to the host before
 filtering.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.engine import DataflowEngine, VolcanoEngine
-from repro.hardware import build_fabric, dataflow_spec
+from repro.flow.credits import CreditChannel
+from repro.hardware import Link, build_fabric, dataflow_spec
 from repro.relational import Catalog, make_lineitem
 from repro.relational.sql import parse_sql
 from repro.sim import Trace
@@ -33,13 +36,6 @@ def ledger_bytes(trace, link):
                if row["link"] == link)
 
 
-def ledger_link_totals(trace):
-    totals = {}
-    for row in trace.movement_ledger():
-        totals[row["link"]] = totals.get(row["link"], 0.0) + row["bytes"]
-    return totals
-
-
 def test_record_movement_accumulates_cells():
     trace = Trace()
     trace.record_movement("net0", "g.scan", "a->b", 100.0)
@@ -52,7 +48,7 @@ def test_record_movement_accumulates_cells():
         {"link": "net0", "actor": "g.scan", "direction": "a->b",
          "bytes": 150.0, "chunks": 2.0},
     ]
-    assert ledger_link_totals(trace) == {"net0": 175.0}
+    assert trace.link_report() == {"net0": {"bytes": 175.0, "chunks": 3.0}}
 
 
 def test_dataflow_ledger_moves_fewer_cpu_side_bytes():
@@ -76,15 +72,28 @@ def test_dataflow_ledger_moves_fewer_cpu_side_bytes():
 
 
 @pytest.mark.parametrize("engine_cls", [VolcanoEngine, DataflowEngine])
-def test_ledger_reconciles_with_link_report(engine_cls):
-    """Per-link ledger byte totals equal the link.* byte counters."""
+def test_ledger_reconciles_with_link_report(engine_cls, monkeypatch):
+    """``link_report`` (the ledger summed per link) equals what was
+    handed to each link: every ``Link.transfer`` and, per hop of its
+    route, every message a channel sent (end-of-stream included)."""
+    sent, hops = Counter(), Counter()
+    transfer, send = Link.transfer, CreditChannel.send
+
+    def counted_transfer(link, nbytes, *args, **kwargs):
+        sent[link.name] += nbytes
+        hops[link.name] += 1
+        return transfer(link, nbytes, *args, **kwargs)
+
+    def counted_send(channel, payload, nbytes):
+        for link in channel.links:
+            sent[link.name] += nbytes
+            hops[link.name] += 1
+        return send(channel, payload, nbytes)
+
+    monkeypatch.setattr(Link, "transfer", counted_transfer)
+    monkeypatch.setattr(CreditChannel, "send", counted_send)
     _result, trace = run_engine(engine_cls)
-    totals = ledger_link_totals(trace)
-    report = trace.link_report()
-    assert totals, "ledger is empty"
-    for link, nbytes in totals.items():
-        assert nbytes == pytest.approx(report[link]["bytes"]), link
-    # Every link that carried bytes is in the ledger too.
-    for link, entry in report.items():
-        if entry["bytes"] > 0:
-            assert link in totals, link
+    assert sent, "nothing moved"
+    assert trace.link_report() == {
+        link: {"bytes": sent[link], "chunks": float(hops[link])}
+        for link in sorted(sent)}

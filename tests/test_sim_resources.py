@@ -75,27 +75,15 @@ def test_store_capacity_must_be_positive():
         Store(sim, capacity=0)
 
 
-def test_store_max_occupancy_tracked():
-    sim = Simulator()
-    store = Store(sim, capacity=10)
-
-    def producer():
-        for i in range(4):
-            yield store.put(i)
-
-    sim.process(producer())
-    sim.run()
-    assert store.max_occupancy == 4
-    assert len(store) == 4
-
-
 def test_store_occupancy_never_exceeds_capacity():
     sim = Simulator()
     store = Store(sim, capacity=3)
+    seen = []
 
     def producer():
         for i in range(20):
             yield store.put(i)
+            seen.append(len(store))
 
     def consumer():
         for _ in range(20):
@@ -105,7 +93,7 @@ def test_store_occupancy_never_exceeds_capacity():
     sim.process(producer())
     sim.process(consumer())
     sim.run()
-    assert store.max_occupancy <= 3
+    assert max(seen) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,14 @@ def test_span_summary_and_critical_path():
 
 def test_link_report_groups_bytes_and_chunks():
     trace = Trace()
-    trace.add("link.net0.bytes", 4096.0)
-    trace.add("link.net0.chunks", 4)
-    trace.add("link.pcie0.bytes", 1024.0)
-    trace.add("movement.network.bytes", 4096.0)  # ignored
+    trace.record_movement("net0", "g.scan", "a->b", 1024.0, chunks=2)
+    trace.record_movement("net0", "g.filter", "a->b", 3072.0, chunks=2)
+    trace.record_movement("pcie0", "g.scan", "b->c", 1024.0)
+    trace.add("movement.network.bytes", 4096.0)  # a counter: ignored
     report = trace.link_report()
-    assert report["net0"] == {"bytes": 4096.0, "chunks": 4.0}
-    assert report["pcie0"] == {"bytes": 1024.0, "chunks": 0.0}
-    assert "movement.network" not in report
+    assert report == {"net0": {"bytes": 4096.0, "chunks": 4.0},
+                      "pcie0": {"bytes": 1024.0, "chunks": 1.0}}
+    assert list(report) == ["net0", "pcie0"]
 
 
 def test_snapshot_busy_and_utilization_delta():

@@ -43,16 +43,16 @@ def shuffled_table(n=1000, chunk_rows=100):
 def test_zonemap_bounds_exact():
     table = clustered_table()
     zonemap = ZoneMap.build(table)
-    assert len(zonemap) == 10
-    assert zonemap.bounds(0, "k0") == (0.0, 99.0)
-    assert zonemap.bounds(9, "k0") == (900.0, 999.0)
+    assert len(zonemap.zones) == 10
+    assert zonemap.zones[0].get("k0") == (0.0, 99.0)
+    assert zonemap.zones[9].get("k0") == (900.0, 999.0)
 
 
 def test_zonemap_ignores_string_columns():
     schema = Schema.of(("s", DataType.STRING, 8))
     table = Table(schema, [Chunk(schema, {"s": np.array(["a", "b"])})])
     zonemap = ZoneMap.build(table)
-    assert zonemap.bounds(0, "s") is None
+    assert zonemap.zones[0].get("s") is None
 
 
 def test_may_match_comparisons():
@@ -201,13 +201,13 @@ def test_zone_bounds_are_exact_python_ints_off_the_stored_buffer():
         "k": np.array([2**53 + 1, -3, 7, 8], dtype=np.int64),
         "v": np.array([np.nan, 1.0, 0.5, 2.5])}, chunk_rows=2)
     zonemap = ZoneMap.build(table)
-    assert zonemap.bounds(0, "k") == (-3, 2**53 + 1)
-    assert all(type(b) is int for b in zonemap.bounds(0, "k"))
-    assert zonemap.bounds(0, "v") is None          # the zone holds a NaN
-    assert zonemap.bounds(1, "v") == (0.5, 2.5)
+    assert zonemap.zones[0].get("k") == (-3, 2**53 + 1)
+    assert all(type(b) is int for b in zonemap.zones[0].get("k"))
+    assert zonemap.zones[0].get("v") is None          # the zone holds a NaN
+    assert zonemap.zones[1].get("v") == (0.5, 2.5)
     # 7..8 is stored as int8; the bounds are the values, not the type.
     assert table._arena.columns["k"].buffer.dtype == np.int64
     narrow = Table.from_arrays(schema, {
         "k": np.array([7, 8], dtype=np.int64), "v": np.zeros(2)})
     assert narrow._arena.columns["k"].buffer.dtype == np.int8
-    assert ZoneMap.build(narrow).bounds(0, "k") == (7, 8)
+    assert ZoneMap.build(narrow).zones[0].get("k") == (7, 8)
