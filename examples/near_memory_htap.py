@@ -43,8 +43,7 @@ def env():
 
 
 def lookup_batch(on_accel: bool) -> dict:
-    store = HierarchicalBlockStore(list(range(0, N_KEYS * 2, 2)),
-                                   fanout=16, leaf_capacity=64)
+    store = HierarchicalBlockStore(list(range(0, N_KEYS * 2, 2)))
     rng = np.random.default_rng(7)
     probes = rng.integers(0, N_KEYS * 2, size=LOOKUPS).tolist()
     fabric, node = env()

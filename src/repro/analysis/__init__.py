@@ -37,7 +37,6 @@ _EXPORTS = {
     "effective_cost": "observatory",
     "render_top": "observatory",
     "BurnRateMonitor": "slo",
-    "SLOPolicy": "slo",
     "alert_mismatches": "slo",
     "burn_rate": "slo",
     "replay_alerts": "slo",

@@ -57,6 +57,7 @@ import numpy as np
 from ..sim import Trace
 from .critical_path import (Attribution, WinnerTimeline,
                             attribute_windows, partial_reason, summed)
+from .slo import WINDOW_S
 
 __all__ = ["Observatory", "OBSERVATORY_SCHEMA", "bound_class",
            "effective_cost", "render_top"]
@@ -70,6 +71,12 @@ instead of dividing by zero."""
 
 REGRET_LEADERS = 10
 """How many worst-regret queries the payload keeps ranked."""
+
+QUERY_SAMPLE = 25
+"""Completed queries whose timeline slices the self-check re-derives."""
+
+TOP_POOLS = 12
+"""Pools ``repro top`` lists."""
 
 
 def bound_class(bucket: str) -> str:
@@ -151,12 +158,8 @@ class Observatory:
     """
 
     def __init__(self, tenants, trace: Trace,
-                 window_s: float = 0.005,
                  link_bandwidth: Optional[dict[str, float]] = None):
-        if window_s <= 0:
-            raise ValueError("observatory window must be positive")
         self.trace = trace
-        self.window_s = window_s
         self.link_bandwidth = dict(link_bandwidth or {})
         self.tenant_names = sorted(tenants)
         #: (record, variants, decision) per completed query, in
@@ -228,8 +231,8 @@ class Observatory:
             return []
         edges = [0.0]
         i = 1
-        while i * self.window_s < horizon:
-            edges.append(i * self.window_s)
+        while i * WINDOW_S < horizon:
+            edges.append(i * WINDOW_S)
             i += 1
         edges.append(horizon)
         return edges
@@ -429,7 +432,7 @@ class Observatory:
         totals = summed(self._windows, 0.0, self._horizon)
         return {
             "schema": OBSERVATORY_SCHEMA,
-            "window_s": self.window_s,
+            "window_s": WINDOW_S,
             "windows": self.windows,
             "horizon_s": self._horizon,
             "events_dropped": dropped,
@@ -461,8 +464,7 @@ class Observatory:
 
     # -- self-validation ---------------------------------------------------
 
-    def observatory_violations(self, records,
-                               query_sample: int = 25) -> list[str]:
+    def observatory_violations(self, records) -> list[str]:
         """Every observatory invariant, recomputed from scratch.
 
         [] = exact.  All at tolerance 0 (exact values):
@@ -472,7 +474,7 @@ class Observatory:
           tiles its window exactly;
         * window sums telescope to the reference's whole-horizon
           attribution;
-        * the first ``query_sample`` completed queries' timeline
+        * the first :data:`QUERY_SAMPLE` completed queries' timeline
           slices equal their own reference attributions and their
           window-clipped sums;
         * every bound tag, regret entry (by the scalar reference) and
@@ -488,7 +490,7 @@ class Observatory:
         errors: list[str] = []
         windows = list(zip(self._edges, self._edges[1:]))
         horizon = [(self._edges[0], self._edges[-1])] if windows else []
-        sampled = self._completed[:query_sample]
+        sampled = self._completed[:QUERY_SAMPLE]
         references = attribute_windows(
             self.trace, windows + horizon
             + [(r.arrival, r.finished) for r, _v, _d in sampled],
@@ -610,7 +612,7 @@ def _fmt_bytes(value: float) -> str:
 
 
 def render_top(payload: dict, name: str = "",
-               follow: bool = False, max_pools: int = 12) -> str:
+               follow: bool = False) -> str:
     """Render one ``repro.observatory/v1`` payload as a text snapshot.
 
     Needs nothing but the payload (zero external fetches): the pool
@@ -652,7 +654,7 @@ def render_top(payload: dict, name: str = "",
     lines.append(f"{'pool':34} {'busy (s)':>12} {'share':>7} "
                  f"{'peak win':>9} {'peak sat':>9}")
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    for pool, seconds in ranked[:max_pools]:
+    for pool, seconds in ranked[:TOP_POOLS]:
         peak_win, peak_sat = 0, 0.0
         for entry in series:
             sat = entry.get("saturation", {}).get(pool, 0.0)

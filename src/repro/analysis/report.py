@@ -18,6 +18,10 @@ from .whatif import WHATIF_SCHEMA
 
 __all__ = ["render_report", "write_report"]
 
+TITLE = "Bottleneck attribution report"
+LEDGER_ROWS = 30
+"""Movement-ledger rows a query section shows."""
+
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
        margin: 2rem auto; max-width: 72rem; color: #1c2733;
@@ -109,13 +113,14 @@ def _stalls_table(stalls: dict) -> list[str]:
     return out
 
 
-def _ledger_table(ledger: list, max_rows: int = 30) -> list[str]:
+def _ledger_table(ledger: list) -> list[str]:
+    """The first :data:`LEDGER_ROWS` rows of the movement ledger."""
     if not ledger:
         return ["<p class=meta>no link crossings recorded</p>"]
     out = ["<table><tr><th class=name>link</th>"
            "<th class=name>operator</th><th class=name>direction</th>"
            "<th>bytes</th><th>chunks</th></tr>"]
-    for row in ledger[:max_rows]:
+    for row in ledger[:LEDGER_ROWS]:
         out.append(
             f"<tr><td class=name>{_esc(row['link'])}</td>"
             f"<td class=name>{_esc(row['actor'])}</td>"
@@ -123,7 +128,7 @@ def _ledger_table(ledger: list, max_rows: int = 30) -> list[str]:
             f"<td>{row['bytes']:,.0f}</td>"
             f"<td>{row['chunks']:,.0f}</td></tr>")
     out.append("</table>")
-    if len(ledger) > max_rows:
+    if len(ledger) > LEDGER_ROWS:
         out.append(f"<p class=meta>&hellip; {len(ledger)} ledger "
                    "rows total</p>")
     return out
@@ -186,11 +191,10 @@ def _write_page(path: str, html_text: str, twin: dict) -> tuple[str, str]:
     return path, json_path
 
 
-def render_report(payloads: Sequence[dict],
-                  title: str = "Bottleneck attribution report") -> str:
+def render_report(payloads: Sequence[dict]) -> str:
     """Render what-if payloads as one self-contained HTML page."""
-    parts = _page_head(title) + [
-        f"<h1>{_esc(title)}</h1>",
+    parts = _page_head(TITLE) + [
+        f"<h1>{_esc(TITLE)}</h1>",
         f"<p class=meta>schema {_esc(WHATIF_SCHEMA)} &middot; "
         f"{len(payloads)} quer"
         f"{'y' if len(payloads) == 1 else 'ies'}</p>",
@@ -201,14 +205,12 @@ def render_report(payloads: Sequence[dict],
     return "\n".join(parts)
 
 
-def write_report(path: str, payloads: Sequence[dict],
-                 title: str = "Bottleneck attribution report"
-                 ) -> tuple[str, str]:
+def write_report(path: str, payloads: Sequence[dict]) -> tuple[str, str]:
     """Write the HTML report and its JSON twin; return both paths.
 
     The JSON lands next to the HTML (same basename, ``.json``) and
     carries the raw ``repro.whatif/v1`` payloads for CI consumption.
     """
-    return _write_page(path, render_report(payloads, title=title),
-                       {"schema": WHATIF_SCHEMA, "title": title,
+    return _write_page(path, render_report(payloads),
+                       {"schema": WHATIF_SCHEMA, "title": TITLE,
                         "queries": list(payloads)})

@@ -1,22 +1,24 @@
 """Multi-window SLO burn-rate monitoring for serving runs.
 
 The serving telemetry (:mod:`repro.serve.telemetry`) folds every
-completion into tumbling virtual-time windows; this module watches
-those windows and answers the on-call question: *is this tenant
-spending its error budget faster than it can afford?*
+completion into tumbling virtual-time windows of :data:`WINDOW_S`
+(the observatory tiles the run with the same width); this module
+watches those windows and answers the on-call question: *is this
+tenant spending its error budget faster than it can afford?*
 
-The mechanics are the standard SRE multi-window burn-rate alert:
+The mechanics are the standard SRE multi-window burn-rate alert, with
+one policy for every tenant (the module constants below):
 
-* A tenant's **error budget** is ``1 - slo_target`` — the fraction of
+* A tenant's **error budget** is ``1 - SLO_TARGET`` — the fraction of
   completions allowed to miss their latency SLO.
 * The **burn rate** over a span of windows is the observed violation
   fraction divided by the budget: burn 1.0 means the budget is being
   spent exactly as provisioned; burn 2.0 means twice as fast.
 * An alert **fires** when the burn rate over the *fast* span (last
-  ``fast_windows`` windows) **and** the *slow* span (last
-  ``slow_windows`` windows) both reach the threshold — the fast span
-  makes the alert responsive, the slow span keeps one bad window from
-  paging — and **resolves** when either drops back below it.
+  ``FAST_WINDOWS`` windows) **and** the *slow* span (last
+  ``SLOW_WINDOWS`` windows) both reach ``BURN_THRESHOLD`` — the fast
+  span makes the alert responsive, the slow span keeps one bad window
+  from paging — and **resolves** when either drops back below it.
 
 Edge semantics (pinned by tests):
 
@@ -24,8 +26,7 @@ Edge semantics (pinned by tests):
   threshold is alerting, not "one violation away";
 * a span with zero completions has burn 0.0 — empty windows are
   silence, not division by zero (and an ongoing alert resolves);
-* ``slo_target == 1.0`` means zero budget: any violation in the span
-  is an infinite burn;
+* a zero budget makes any violation in the span an infinite burn;
 * a tenant that never completes anything never alerts.
 
 Everything here is pure arithmetic over the windowed series, so the
@@ -36,35 +37,19 @@ live monitor and the replay agree alert for alert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = ["BurnRateMonitor", "burn_rate", "replay_alerts",
+           "alert_mismatches", "WINDOW_S"]
 
-__all__ = ["SLOPolicy", "BurnRateMonitor", "burn_rate",
-           "replay_alerts", "alert_mismatches"]
-
-
-@dataclass(frozen=True)
-class SLOPolicy:
-    """Burn-rate alerting knobs for one tenant class."""
-
-    target: float = 0.99       # fraction of completions within SLO
-    threshold: float = 1.0     # burn rate at/above which alerts fire
-    fast_windows: int = 3      # responsive span (windows)
-    slow_windows: int = 12     # confirmation span (windows)
-
-    def __post_init__(self):
-        if not 0.0 < self.target <= 1.0:
-            raise ValueError("slo target must be in (0, 1]")
-        if self.threshold < 0.0:
-            raise ValueError("burn threshold must be >= 0")
-        if self.fast_windows < 1 or self.slow_windows < 1:
-            raise ValueError("window spans must be >= 1")
-        if self.fast_windows > self.slow_windows:
-            raise ValueError("fast span must not exceed slow span")
-
-    @property
-    def budget(self) -> float:
-        """The error budget: allowed violation fraction."""
-        return 1.0 - self.target
+WINDOW_S = 0.005
+"""Tumbling-window width (simulated seconds) of both serving observers."""
+SLO_TARGET = 0.99
+"""Fraction of a tenant's completions that must meet the latency SLO."""
+BURN_THRESHOLD = 1.0
+"""Burn rate at or above which an alert fires."""
+FAST_WINDOWS = 3
+"""The responsive span, in windows."""
+SLOW_WINDOWS = 12
+"""The confirmation span, in windows."""
 
 
 def burn_rate(violations: int, completions: int,
@@ -84,24 +69,19 @@ class BurnRateMonitor:
     Feed it *dense* windows in index order via :meth:`observe` — one
     call per tumbling window, empty windows included.  Each call
     returns the alert transition it caused (a dict) or ``None``.
-    The full evaluation history stays on :attr:`evaluations`, so the
-    windowed series a report serializes carries everything needed to
-    replay the alert stream (:func:`replay_alerts`).
+    The windowed series a report serializes carries everything needed
+    to replay the alert stream (:func:`replay_alerts`).
     """
 
-    def __init__(self, policy: SLOPolicy):
-        self.policy = policy
+    def __init__(self):
         self.burning = False
-        #: One entry per observed window, in order:
-        #: {"window", "fast_burn", "slow_burn", "burning"}.
-        self.evaluations: list[dict] = []
         self._completions: list[int] = []
         self._violations: list[int] = []
 
     def _span_burn(self, span: int) -> float:
         completions = sum(self._completions[-span:])
         violations = sum(self._violations[-span:])
-        return burn_rate(violations, completions, self.policy.budget)
+        return burn_rate(violations, completions, 1.0 - SLO_TARGET)
 
     def observe(self, index: int, completions: int, violations: int,
                 at: float) -> dict | None:
@@ -117,16 +97,9 @@ class BurnRateMonitor:
                 f"index {index}, expected {len(self._completions)}")
         self._completions.append(completions)
         self._violations.append(violations)
-        fast = self._span_burn(self.policy.fast_windows)
-        slow = self._span_burn(self.policy.slow_windows)
-        burning = (fast >= self.policy.threshold
-                   and slow >= self.policy.threshold)
-        self.evaluations.append({
-            "window": index,
-            "fast_burn": fast,
-            "slow_burn": slow,
-            "burning": burning,
-        })
+        fast = self._span_burn(FAST_WINDOWS)
+        slow = self._span_burn(SLOW_WINDOWS)
+        burning = fast >= BURN_THRESHOLD and slow >= BURN_THRESHOLD
         if burning == self.burning:
             return None
         self.burning = burning
@@ -136,12 +109,11 @@ class BurnRateMonitor:
             "kind": "fired" if burning else "resolved",
             "fast_burn": fast,
             "slow_burn": slow,
-            "threshold": self.policy.threshold,
+            "threshold": BURN_THRESHOLD,
         }
 
 
-def replay_alerts(series: list[dict], policy: SLOPolicy,
-                  window_s: float) -> list[dict]:
+def replay_alerts(series: list[dict], window_s: float) -> list[dict]:
     """Recompute one tenant's alert stream from its windowed series.
 
     ``series`` is the dense per-window list the telemetry payload
@@ -149,7 +121,7 @@ def replay_alerts(series: list[dict], policy: SLOPolicy,
     ``violations``).  Pure arithmetic — the reconstruction the
     alert-accounting CI gate diffs against the live alerts.
     """
-    monitor = BurnRateMonitor(policy)
+    monitor = BurnRateMonitor()
     out: list[dict] = []
     for entry in series:
         index = entry["window"]
@@ -162,9 +134,7 @@ def replay_alerts(series: list[dict], policy: SLOPolicy,
 
 
 def alert_mismatches(tenant_series: dict[str, list[dict]],
-                     policies: dict[str, SLOPolicy],
-                     alerts: list[dict],
-                     window_s: float) -> list[str]:
+                     alerts: list[dict], window_s: float) -> list[str]:
     """Diff a live alert stream against the series replay.
 
     ``alerts`` carry a ``tenant`` key; every alert must be
@@ -174,8 +144,7 @@ def alert_mismatches(tenant_series: dict[str, list[dict]],
     """
     errors: list[str] = []
     for tenant in sorted(tenant_series):
-        expected = replay_alerts(tenant_series[tenant],
-                                 policies[tenant], window_s)
+        expected = replay_alerts(tenant_series[tenant], window_s)
         got = [
             {k: v for k, v in alert.items() if k != "tenant"}
             for alert in alerts if alert.get("tenant") == tenant]

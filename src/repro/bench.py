@@ -383,11 +383,10 @@ def run_tasks(tasks: list[Task],
 
 
 def run_suite(section: str, only: Optional[list[str]] = None,
-              echo: Callable[[str], None] = _quiet, jobs: int = 1,
               **params) -> list[dict]:
-    """Run one section (``only``: a subset); one record per scenario."""
-    tasks = suite_tasks(section, only, **params)
-    return run_tasks(tasks, echo, jobs)[section]
+    """Run one section (``only``: a subset) in this process, quietly;
+    one record per scenario."""
+    return run_tasks(suite_tasks(section, only, **params))[section]
 
 
 # ---------------------------------------------------------------------------

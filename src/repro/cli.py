@@ -291,8 +291,9 @@ def _print_stalls(trace) -> None:
               f"{stats['total_s']:>10.6f}")
 
 
-def _print_ledger(trace, max_rows: int = 40) -> None:
-    """Render the movement ledger (bytes × link × actor × direction)."""
+def _print_ledger(trace) -> None:
+    """Render the movement ledger (bytes × link × actor × direction),
+    the first 40 rows."""
     rows = trace.movement_ledger()
     print("\nmovement ledger:")
     if not rows:
@@ -300,11 +301,11 @@ def _print_ledger(trace, max_rows: int = 40) -> None:
         return
     print(f"  {'link':20} {'operator':28} {'direction':30} "
           f"{'bytes':>14} {'chunks':>7}")
-    for row in rows[:max_rows]:
+    for row in rows[:40]:
         print(f"  {row['link']:20} {row['actor']:28} "
               f"{row['direction']:30} {row['bytes']:>14,.0f} "
               f"{row['chunks']:>7,.0f}")
-    if len(rows) > max_rows:
+    if len(rows) > 40:
         print(f"  ... ({len(rows)} rows total)")
 
 
@@ -357,9 +358,10 @@ def cmd_sql(args) -> int:
     catalog = standard_catalog(args.rows, chunk_rows=8192)
     try:
         query = parse_sql(args.statement)
-        # Bind every name now: an unknown one is a KeyError.
+        # Bind every name now: an unknown one is a KeyError, a repeated
+        # or shadowing output name a ValueError.
         query.plan.output_schema(catalog)
-    except (SqlError, KeyError) as exc:
+    except (SqlError, KeyError, ValueError) as exc:
         return _input_error(exc.args[0])   # str() of a KeyError is a repr
     fabric = build_fabric(dataflow_spec())
     placement = place(args.placement, query, fabric, catalog)

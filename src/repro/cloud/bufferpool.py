@@ -20,14 +20,13 @@ __all__ = ["BufferPool"]
 
 
 class BufferPool:
-    """An LRU chunk cache in one compute node's DRAM."""
+    """An LRU chunk cache in the result node's DRAM."""
 
-    def __init__(self, fabric: HeterogeneousFabric, node: int = 0,
+    def __init__(self, fabric: HeterogeneousFabric,
                  capacity_bytes: int = 1 << 30):
         self.fabric = fabric
-        self.node = node
-        self.dram = fabric.compute[node].dram
-        self.lru = LRUCache(capacity_bytes, name=f"bufferpool{node}",
+        self.dram = fabric.compute[0].dram
+        self.lru = LRUCache(capacity_bytes, name="bufferpool0",
                             trace=fabric.trace)
         self.peak_bytes = 0
 
@@ -47,8 +46,7 @@ class BufferPool:
         yield from self.fabric.storage.medium.read(nbytes)
         yield from self.fabric.transfer(
             self.fabric.storage_location,
-            f"compute{self.node}.dram", nbytes,
-            flow=f"bufferpool{self.node}")
+            "compute0.dram", nbytes, flow="bufferpool0")
         for _victim, victim_bytes in self.lru.put(key, nbytes, nbytes):
             self.dram.free(victim_bytes)
         self.dram.allocate(nbytes)

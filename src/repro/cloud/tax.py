@@ -32,10 +32,11 @@ __all__ = ["TaxConfig", "WirePayload", "EgressOp", "IngressOp",
            "xor_cipher"]
 
 
-def xor_cipher(payload: bytes, key: int = 0x5A) -> bytes:
-    """A toy-but-real stream cipher (content actually changes)."""
+def xor_cipher(payload: bytes) -> bytes:
+    """A toy-but-real stream cipher (content actually changes): XOR
+    with the 251-byte keystream ``0x5A, 0x5B, ...`` modulo 256."""
     data = np.frombuffer(payload, dtype=np.uint8)
-    keystream = ((key + np.arange(251)) % 256).astype(np.uint8)
+    keystream = ((0x5A + np.arange(251)) % 256).astype(np.uint8)
     return (data ^ np.resize(keystream, len(data))).tobytes()
 
 

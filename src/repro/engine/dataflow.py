@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..hardware.presets import HeterogeneousFabric
+from ..hardware.presets import CPU_SITE, HeterogeneousFabric
 from ..relational.catalog import Catalog
 from ..relational.table import Table
 from ..sim import EventKind
@@ -217,14 +217,8 @@ class PipelineRecipe:
             from ..relational.zonemaps import prunable_chunks
             pruned = frozenset(prunable_chunks(
                 self._catalog.zonemap(node.table), predicate))
-        branches = [self._stage("scan", None, [], table=node.table,
-                                pruned=pruned)]
-        if node.columns is not None:
-            # Early projection runs at the scan's placed site.
-            branches = self._extend(branches, self.placement.site(node),
-                                    [_make(ProjectOp, node.columns)],
-                                    "scan_project")
-        return branches
+        return [self._stage("scan", None, [], table=node.table,
+                            pruned=pruned)]
 
     def _build_aggregate(self, node: Aggregate) -> list[_StageSpec]:
         branches = self._build(node.child)
@@ -318,8 +312,7 @@ class PipelineRecipe:
                     qid: int = 0) -> StageGraph:
         """A fresh, unstarted stage graph called ``name``."""
         fabric, catalog = engine.fabric, engine.catalog
-        graph = StageGraph(fabric, name=name,
-                           default_credits=engine.default_credits, qid=qid)
+        graph = StageGraph(fabric, name=name, qid=qid)
         graph.recipe = self
         states: dict = defaultdict(JoinState)
         stages = graph.stages
@@ -338,7 +331,7 @@ class PipelineRecipe:
                 is_sink=spec.is_sink)
         for src, dst, controlled in self.channels:
             graph.connect(
-                stages[src], stages[dst], credits=engine.default_credits,
+                stages[src], stages[dst],
                 cpu_mediator=engine.cpu_mediator if controlled else None)
         return graph
 
@@ -356,23 +349,21 @@ class DataflowEngine:
     """Compile-and-run interface for the data-flow architecture."""
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
-                 default_credits: int = 8,
                  cpu_mediated: bool = False,
                  use_zonemaps: bool = False):
         self.fabric = fabric
         self.catalog = catalog
-        self.default_credits = default_credits
         self.use_zonemaps = use_zonemaps
         # Ablation A2: route every hop through the host CPU instead of
         # letting DMA engines move the data.
-        self.cpu_mediator = (fabric.site_device(fabric.cpu_site(0))
+        self.cpu_mediator = (fabric.site_device(CPU_SITE)
                              if cpu_mediated else None)
         self._graph_counter = 0
 
     def _recipe_stamp(self) -> tuple:
         """Everything but (plan, placement) a recipe depends on."""
         return (self.fabric, self.catalog, self.catalog.version,
-                self.default_credits, self.use_zonemaps,
+                self.use_zonemaps,
                 self.cpu_mediator is not None)
 
     def compile(self, plan, placement: Optional[Placement] = None,

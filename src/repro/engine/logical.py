@@ -125,16 +125,12 @@ def plan_fingerprint(plan: PlanNode) -> tuple:
 class Scan(PlanNode):
     """Read a named table from storage."""
 
-    def __init__(self, table: str, columns: Optional[list[str]] = None):
+    def __init__(self, table: str):
         super().__init__([])
         self.table = table
-        self.columns = columns
 
     def output_schema(self, catalog: Catalog) -> Schema:
-        schema = catalog.schema(self.table)
-        if self.columns is not None:
-            schema = schema.project(self.columns)
-        return schema
+        return catalog.schema(self.table)
 
     def estimate_rows(self, catalog: Catalog) -> float:
         return float(catalog.stats(self.table).rows)
@@ -370,9 +366,8 @@ class Query:
         self.plan = plan
 
     @classmethod
-    def scan(cls, table: str,
-             columns: Optional[list[str]] = None) -> "Query":
-        return cls(Scan(table, columns))
+    def scan(cls, table: str) -> "Query":
+        return cls(Scan(table))
 
     def filter(self, predicate: Expression) -> "Query":
         return Query(Filter(self.plan, predicate))

@@ -388,6 +388,12 @@ class PartialAggregate(PhysicalOp):
         return [Emit(state)]
 
 
+MERGE_BATCH = 8
+"""State chunks a non-final merge coalesces before it merges them:
+what makes *chained* merge stages compound (§4.4) while keeping state
+bounded, which a NIC can afford."""
+
+
 class MergeAggregate(PhysicalOp):
     """Merge partial states; final=True holds state and emits the answer.
 
@@ -403,7 +409,6 @@ class MergeAggregate(PhysicalOp):
     def __init__(self, input_schema: Schema, group_by: Sequence[str],
                  aggs, final: bool = False,
                  output_schema: Optional[Schema] = None,
-                 batch: int = 8,
                  expected_groups: Optional[int] = None,
                  state_schema: Optional[Schema] = None):
         self.group_by = list(group_by)
@@ -414,11 +419,6 @@ class MergeAggregate(PhysicalOp):
         self._groups = self.state_schema.project(self.group_by)
         self.final = final
         self.output_schema = output_schema
-        # Non-final merges coalesce a bounded window of `batch` state
-        # chunks before merging: that is what makes *chained* merge
-        # stages compound (§4.4) while keeping state bounded, which a
-        # NIC can afford.
-        self.batch = max(1, batch)
         # For final merges on accelerators: a declared bound on the
         # number of groups.  §4.4 allows aggregates with small results
         # to finish on a NIC; the kernel compiler uses this bound to
@@ -440,7 +440,7 @@ class MergeAggregate(PhysicalOp):
         if chunk.num_rows == 0:
             return []
         self._accumulated.append(chunk)
-        if self.final or len(self._accumulated) < self.batch:
+        if self.final or len(self._accumulated) < MERGE_BATCH:
             return []
         window, self._accumulated = self._accumulated, []
         return [Emit(self._merge(window))]

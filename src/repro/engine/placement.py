@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hardware.device import OpKind
-from ..hardware.presets import HeterogeneousFabric
+from ..hardware.presets import CPU_SITE, HeterogeneousFabric
 from ..relational.catalog import Catalog
 from .logical import (Aggregate, Filter, Join, Limit, Map, PlanNode,
                       Project, Query, Scan, Sort)
@@ -49,7 +49,7 @@ class Placement:
     """Assignment of logical nodes to site chains."""
 
     sites: dict[int, list[str]] = field(default_factory=dict)
-    result_site: str = "compute0.cpu"
+    result_site: str = CPU_SITE
     partitions: int = 1          # n-way distributed join (F4)
     name: str = "custom"
 
@@ -109,18 +109,16 @@ def _node_kind(node: PlanNode) -> str:
     return OpKind.GENERIC               # Limit, and any other node
 
 
-def data_path_sites(fabric: HeterogeneousFabric,
-                    node: int = 0) -> list[str]:
-    """Sites in data-path order for compute node ``node`` (Figure 6)."""
-    candidates = ["storage.cu", "storage.nic", f"compute{node}.nic",
-                  f"compute{node}.nearmem", f"compute{node}.cpu"]
+def data_path_sites(fabric: HeterogeneousFabric) -> list[str]:
+    """Sites in data-path order to the result node (Figure 6)."""
+    candidates = ["storage.cu", "storage.nic", "compute0.nic",
+                  "compute0.nearmem", CPU_SITE]
     return [s for s in candidates if fabric.has_site(s)]
 
 
-def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric,
-             node: int = 0) -> Placement:
+def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric) -> Placement:
     """Everything on the host CPU — the conventional placement."""
-    cpu = fabric.cpu_site(node)
+    cpu = CPU_SITE
     sites = {}
     for n in plan.walk():
         if isinstance(n, Aggregate):
@@ -131,7 +129,7 @@ def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric,
 
 
 def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
-             node: int = 0, presort_runs: bool = False) -> Placement:
+             presort_runs: bool = False) -> Placement:
     """Greedy offload along the data path.
 
     Walks each pipeline from its scan upward, keeping a cursor into
@@ -139,9 +137,9 @@ def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
     site at-or-after the cursor whose device supports its kind, and
     the cursor advances there (data never flows backward).
     """
-    path = data_path_sites(fabric, node)
-    cpu = fabric.cpu_site(node)
-    nic_site = f"compute{node}.nic"
+    path = data_path_sites(fabric)
+    cpu = CPU_SITE
+    nic_site = "compute0.nic"
     sites: dict[int, list[str]] = {}
     cursors: dict[int, int] = {}     # node_id -> path index reached
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..hardware.device import Device, OpKind
-from ..hardware.presets import HeterogeneousFabric
+from ..hardware.presets import CPU_SITE, HeterogeneousFabric
 from ..relational.catalog import Catalog
 from ..relational.table import Chunk, Table
 from ..sim import EventKind
@@ -68,7 +68,6 @@ class _ScanIter(_Iterator):
     def __init__(self, engine: "VolcanoEngine", node: Scan,
                  skip: Optional[set[int]] = None):
         self.engine = engine
-        self.node = node
         self.table = engine.catalog.table(node.table)
         self.skip = skip or set()
         self._index = 0
@@ -85,9 +84,6 @@ class _ScanIter(_Iterator):
                 continue
             yield from self.engine.fetch_chunk(self.table.name,
                                                self._index - 1, chunk)
-            if self.node.columns is not None:
-                yield from self.engine.charge(OpKind.PROJECT, chunk.nbytes)
-                chunk = chunk.project(self.node.columns)
             return chunk
         return None
 
@@ -223,18 +219,16 @@ class _SortIter(_Iterator):
 
 
 class VolcanoEngine:
-    """Pull-based execution on the host CPU of one compute node."""
+    """Pull-based execution on the host CPU of the result node."""
 
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
-                 node: int = 0, bufferpool=None,
-                 use_zonemaps: bool = False):
+                 bufferpool=None, use_zonemaps: bool = False):
         self.fabric = fabric
         self.catalog = catalog
-        self.node = node
         self.bufferpool = bufferpool
         self.use_zonemaps = use_zonemaps
-        self.cpu: Device = fabric.site_device(fabric.cpu_site(node))
-        self.cpu_location = fabric.site_location(fabric.cpu_site(node))
+        self.cpu: Device = fabric.site_device(CPU_SITE)
+        self.cpu_location = fabric.site_location(CPU_SITE)
 
     # -- cost plumbing -----------------------------------------------------
 
@@ -249,7 +243,7 @@ class VolcanoEngine:
             yield from self.bufferpool.fetch(table, index, chunk.nbytes)
             # Pool hit or miss, the chunk still crosses DRAM->caches->CPU.
             yield from self.fabric.transfer(
-                f"compute{self.node}.dram", self.cpu_location,
+                "compute0.dram", self.cpu_location,
                 chunk.nbytes, flow="volcano")
         else:
             yield from self.fabric.storage.medium.read(chunk.nbytes)

@@ -29,11 +29,12 @@ from .. import (
     dataflow_spec,
     make_uniform_table,
 )
+from ..flow.stages import CREDITS
 from . import above, below
 
 CHUNK = 4_096
-CREDITS = 8
 SIZES = (20_000, 80_000, 320_000)
+FLOODING_ROWS = 80_000
 
 
 def query():
@@ -63,9 +64,7 @@ def run_size(rows: int) -> dict:
     fabric_d = build_fabric(dataflow_spec())
     catalog_d = Catalog()
     catalog_d.register("t", table)
-    engine = DataflowEngine(fabric_d, catalog_d,
-                            default_credits=CREDITS)
-    flow = engine.compile(query()).run()
+    flow = DataflowEngine(fabric_d, catalog_d).compile(query()).run()
     result = flow.table()
     # Pipeline memory bound: inflight chunks x chunk bytes + result
     # state held by the final aggregate.
@@ -86,13 +85,13 @@ def run_size(rows: int) -> dict:
     }
 
 
-def run_flooding(rows: int = 80_000) -> dict:
+def run_flooding() -> dict:
     """One Volcano scan through a pool a quarter of the table."""
-    table = make_uniform_table(rows, columns=4, distinct=1000,
+    table = make_uniform_table(FLOODING_ROWS, columns=4, distinct=1000,
                                chunk_rows=CHUNK)
     pool, _result = run_volcano(table, table.nbytes // 4)
     return {
-        "rows": rows,
+        "rows": FLOODING_ROWS,
         "table": table.nbytes,
         "pool_capacity": pool.lru.capacity_bytes,
         "bufferpool_peak": pool.peak_bytes,

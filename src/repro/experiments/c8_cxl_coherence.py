@@ -63,7 +63,7 @@ def run_coherence(mode: str, sharers: int) -> dict:
     }
 
 
-def run_pcie_ladder(working_set: int = 1 << 30) -> list[dict]:
+def run_pcie_ladder() -> list[dict]:
     rows = []
     for gen in sorted(PCIE_LANE_GBPS):
         sim = Simulator()
@@ -71,7 +71,7 @@ def run_pcie_ladder(working_set: int = 1 << 30) -> list[dict]:
         link = pcie_link(sim, trace, f"gen{gen}", generation=gen)
 
         def run():
-            yield from link.transfer(working_set)
+            yield from link.transfer(1 << 30)
 
         sim.run_process(run())
         rows.append({

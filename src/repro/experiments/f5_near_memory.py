@@ -27,7 +27,15 @@ from ..hardware import (
     gc_on_cpu,
     memory_read,
 )
+from ..hardware.functional_units import BLOCK_BYTES
 from . import above, below, exactly
+
+FILTER_BYTES = 64 << 20
+"""Bytes the filter scenario reads out of DRAM."""
+LOOKUPS = 200
+"""Probes per pointer-chasing run."""
+GC_NODES = 200_000
+"""Free-list length the GC scenario cleans."""
 
 
 def env():
@@ -40,22 +48,21 @@ def env():
 # Filter on the memory -> cache path
 # ---------------------------------------------------------------------------
 
-def run_filter(selectivity: float, on_accel: bool,
-               nbytes: int = 64 << 20) -> dict:
+def run_filter(selectivity: float, on_accel: bool) -> dict:
     fabric, node = env()
-    kept = nbytes * selectivity
+    kept = FILTER_BYTES * selectivity
 
     def cpu_side():
         # Everything crosses the memory bus and caches, then the CPU
         # filters in software.
         yield from memory_read(fabric, "compute0.dram", "compute0.cpu",
-                               nbytes)
-        yield from node.cpu.execute(OpKind.FILTER, nbytes)
+                               FILTER_BYTES)
+        yield from node.cpu.execute(OpKind.FILTER, FILTER_BYTES)
 
     def accel_side():
         # The accelerator filters at memory bandwidth; only survivors
         # cross toward the caches/CPU.
-        yield from node.accelerator.execute(OpKind.FILTER, nbytes)
+        yield from node.accelerator.execute(OpKind.FILTER, FILTER_BYTES)
         yield from memory_read(fabric, "compute0.nearmem", "compute0.cpu",
                                kept)
 
@@ -73,15 +80,14 @@ def run_filter(selectivity: float, on_accel: bool,
 # Pointer chasing
 # ---------------------------------------------------------------------------
 
-def run_chase(n_keys: int, lookups: int = 200, cached: bool = False
-              ) -> dict:
+def run_chase(n_keys: int, cached: bool = False) -> dict:
     keys = list(range(0, n_keys * 2, 2))
-    store = HierarchicalBlockStore(keys, fanout=16, leaf_capacity=64)
+    store = HierarchicalBlockStore(keys)
     rng = np.random.default_rng(42)
-    probes = rng.integers(0, n_keys * 2, size=lookups).tolist()
+    probes = rng.integers(0, n_keys * 2, size=LOOKUPS).tolist()
 
     fabric, node = env()
-    cache = LRUCache(256 * store.block_bytes) if cached else None
+    cache = LRUCache(256 * BLOCK_BYTES) if cached else None
 
     def cpu_run():
         for key in probes:
@@ -115,21 +121,21 @@ def run_chase(n_keys: int, lookups: int = 200, cached: bool = False
 # List maintenance (GC)
 # ---------------------------------------------------------------------------
 
-def run_gc(nodes: int = 200_000) -> dict:
-    dead = set(range(0, nodes, 10))
+def run_gc() -> dict:
+    dead = set(range(0, GC_NODES, 10))
 
     fabric, node = env()
     removed_cpu = fabric.sim.run_process(
-        gc_on_cpu(FreeList(list(range(nodes))), set(dead), fabric, node))
+        gc_on_cpu(FreeList(list(range(GC_NODES))), set(dead), fabric, node))
 
     fabric2, node2 = env()
     removed_nm = fabric2.sim.run_process(
-        gc_near_memory(FreeList(list(range(nodes))), set(dead),
+        gc_near_memory(FreeList(list(range(GC_NODES))), set(dead),
                        node2.accelerator))
     assert removed_cpu == removed_nm
     return {
         "scenario": "gc",
-        "nodes": nodes,
+        "nodes": GC_NODES,
         "cpu_membus": fabric.trace.counter("movement.membus.bytes"),
         "nm_membus": fabric2.trace.counter("movement.membus.bytes"),
         "cpu_elapsed": fabric.sim.now,

@@ -32,7 +32,10 @@ from ..sim import Event, EventKind, Simulator, Store, Trace
 from ..sim.trace import CounterHandle
 from .credits import END, CreditChannel, flow_fast_path
 
-__all__ = ["Stage", "StageGraph", "FlowResult"]
+__all__ = ["Stage", "StageGraph", "FlowResult", "CREDITS"]
+
+CREDITS = 8
+"""Credits per channel: the chunks a sender may have in flight."""
 
 
 class Stage:
@@ -271,8 +274,7 @@ class FlowResult:
 class StageGraph:
     """A set of stages plus the channels wiring them together."""
 
-    def __init__(self, fabric, name: str = "q0",
-                 default_credits: int = 8, qid: int = 0):
+    def __init__(self, fabric, name: str = "q0", qid: int = 0):
         self.fabric = fabric
         self.sim: Simulator = fabric.sim
         self.trace: Trace = fabric.trace
@@ -281,7 +283,6 @@ class StageGraph:
         # under it so every event they cause — including ones emitted
         # from shared hardware code — is tenant-attributable.
         self.qid = qid
-        self.default_credits = default_credits
         # The flow fast-path switch, read once for every stage and
         # channel of this graph.
         self.fast = flow_fast_path()
@@ -305,24 +306,14 @@ class StageGraph:
     def source(self, name: str, table: Table,
                medium: Optional[StorageMedium] = None,
                location: Optional[str] = None,
-               site: Optional[str] = None,
-               ops: Sequence[PhysicalOp] = (),
-               router: str = "single",
                skip: frozenset = frozenset()) -> Stage:
-        """A stage that reads ``table`` (off ``medium`` if given) but
-        the chunks at the indices in ``skip`` (zone-map pruning).
-
-        ``site`` optionally charges the ops to a fabric device (e.g.
-        a storage CU filtering as it reads); otherwise ops are free —
-        pass none in that case.
-        """
-        device = self.fabric.site_device(site) if site else None
-        if location is None:
-            location = (self.fabric.site_location(site) if site
-                        else self.fabric.storage_location)
-        return self._add(Stage(self, name, device, location, ops=ops,
-                               router=router, source_table=table,
-                               medium=medium, skip=skip))
+        """A stage that reads ``table`` (off ``medium`` if given) at
+        ``location`` (default: storage) but the chunks at the indices
+        in ``skip`` (zone-map pruning).  It runs no operators: work at
+        the data's origin is a stage of its own at that site."""
+        return self._add(Stage(
+            self, name, None, location or self.fabric.storage_location,
+            source_table=table, medium=medium, skip=skip))
 
     def stage(self, name: str, site: str,
               ops: Sequence[PhysicalOp],
@@ -337,23 +328,18 @@ class StageGraph:
                                is_sink=is_sink))
 
     def sink(self, name: str, site: str,
-             ops: Sequence[PhysicalOp] = (),
-             depends_on: Iterable[Event] = ()) -> Stage:
+             ops: Sequence[PhysicalOp] = ()) -> Stage:
         """A terminal stage that collects its output chunks."""
-        return self.stage(name, site, ops, depends_on=depends_on,
-                          is_sink=True)
+        return self.stage(name, site, ops, is_sink=True)
 
     def connect(self, src: Stage, dst: Stage,
-                credits: Optional[int] = None,
                 cpu_mediator: Optional[Device] = None) -> CreditChannel:
         """Wire ``src`` to ``dst`` across the fabric route between them."""
         links = self.fabric.route(src.location, dst.location)
         channel = CreditChannel(
             self.sim, self.trace,
             name=f"{self.name}.{src.name}->{dst.name}",
-            links=links, inbox=dst.inbox,
-            credits=credits if credits is not None else
-            self.default_credits,
+            links=links, inbox=dst.inbox, credits=CREDITS,
             cpu_mediator=cpu_mediator,
             actor=f"{self.name}.{src.name}",
             direction=f"{src.location}->{dst.location}",

@@ -80,35 +80,34 @@ class OpKind:
     )
 
 
-def default_core_rates(ghz: float = 3.0) -> dict[str, float]:
+def default_core_rates() -> dict[str, float]:
     """Software (per-core) processing rates in bytes/second.
 
     Calibrated to a ~3 GHz core running vectorized database kernels.
     Regex is the stand-out laggard — the reason AQUA pushed LIKE to
     accelerators (§3.3).
     """
-    scale = ghz / 3.0
     return {
-        OpKind.FILTER: 8.0 * GIB * scale,
-        OpKind.REGEX: 0.8 * GIB * scale,
-        OpKind.PROJECT: 12.0 * GIB * scale,
-        OpKind.HASH: 6.0 * GIB * scale,
-        OpKind.PARTITION: 5.0 * GIB * scale,
-        OpKind.AGGREGATE: 6.0 * GIB * scale,
-        OpKind.SORT: 2.0 * GIB * scale,
-        OpKind.JOIN_BUILD: 3.0 * GIB * scale,
-        OpKind.JOIN_PROBE: 4.0 * GIB * scale,
-        OpKind.COUNT: 16.0 * GIB * scale,
-        OpKind.COMPRESS: 1.5 * GIB * scale,
-        OpKind.DECOMPRESS: 3.0 * GIB * scale,
-        OpKind.ENCRYPT: 2.0 * GIB * scale,
-        OpKind.DECRYPT: 2.0 * GIB * scale,
-        OpKind.SERIALIZE: 5.0 * GIB * scale,
-        OpKind.DESERIALIZE: 5.0 * GIB * scale,
-        OpKind.TRANSPOSE: 4.0 * GIB * scale,
-        OpKind.POINTER_CHASE: 0.5 * GIB * scale,
-        OpKind.LIST_MAINTENANCE: 2.0 * GIB * scale,
-        OpKind.GENERIC: 8.0 * GIB * scale,
+        OpKind.FILTER: 8.0 * GIB,
+        OpKind.REGEX: 0.8 * GIB,
+        OpKind.PROJECT: 12.0 * GIB,
+        OpKind.HASH: 6.0 * GIB,
+        OpKind.PARTITION: 5.0 * GIB,
+        OpKind.AGGREGATE: 6.0 * GIB,
+        OpKind.SORT: 2.0 * GIB,
+        OpKind.JOIN_BUILD: 3.0 * GIB,
+        OpKind.JOIN_PROBE: 4.0 * GIB,
+        OpKind.COUNT: 16.0 * GIB,
+        OpKind.COMPRESS: 1.5 * GIB,
+        OpKind.DECOMPRESS: 3.0 * GIB,
+        OpKind.ENCRYPT: 2.0 * GIB,
+        OpKind.DECRYPT: 2.0 * GIB,
+        OpKind.SERIALIZE: 5.0 * GIB,
+        OpKind.DESERIALIZE: 5.0 * GIB,
+        OpKind.TRANSPOSE: 4.0 * GIB,
+        OpKind.POINTER_CHASE: 0.5 * GIB,
+        OpKind.LIST_MAINTENANCE: 2.0 * GIB,
+        OpKind.GENERIC: 8.0 * GIB,
     }
 
 

@@ -44,6 +44,15 @@ __all__ = [
     "gc_near_memory",
 ]
 
+BLOCK_BYTES = 4096
+"""Bytes per block of a :class:`HierarchicalBlockStore` (a page)."""
+FANOUT = 16
+"""Children per internal block."""
+LEAF_CAPACITY = 64
+"""Keys per leaf block."""
+NODE_BYTES = 64
+"""Bytes per :class:`FreeList` node (a cache line)."""
+
 
 @dataclass
 class Block:
@@ -53,7 +62,7 @@ class Block:
     keys: list[int]
     children: list[int] = field(default_factory=list)  # internal only
     values: list[int] = field(default_factory=list)    # leaf only
-    nbytes: int = 4096
+    nbytes: int = BLOCK_BYTES
     min_key: int = 0
 
     @property
@@ -64,28 +73,23 @@ class Block:
 class HierarchicalBlockStore:
     """A static B-tree-like index over sorted integer keys.
 
-    Built bottom-up with a fixed fanout; blocks live in a flat
+    Built bottom-up, :data:`FANOUT` children per internal block and
+    :data:`LEAF_CAPACITY` keys per leaf; blocks live in a flat
     dictionary addressed by block id, mimicking pages in memory.
     """
 
-    def __init__(self, keys: Sequence[int], fanout: int = 16,
-                 leaf_capacity: int = 64, block_bytes: int = 4096):
-        if fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        if leaf_capacity < 1:
-            raise ValueError("leaf_capacity must be >= 1")
+    def __init__(self, keys: Sequence[int]):
         sorted_keys = sorted(keys)
         if sorted_keys != list(keys):
             raise ValueError("keys must be sorted")
         if not sorted_keys:
             raise ValueError("store requires at least one key")
-        self.block_bytes = block_bytes
         self.blocks: dict[int, Block] = {}
         self._next_id = 0
         # Leaves: key -> value is identity*2+1 so tests can check payloads.
         level = []
-        for start in range(0, len(sorted_keys), leaf_capacity):
-            chunk = sorted_keys[start:start + leaf_capacity]
+        for start in range(0, len(sorted_keys), LEAF_CAPACITY):
+            chunk = sorted_keys[start:start + LEAF_CAPACITY]
             leaf = self._new_block(keys=chunk,
                                    values=[k * 2 + 1 for k in chunk],
                                    min_key=chunk[0])
@@ -95,8 +99,8 @@ class HierarchicalBlockStore:
         # blocks and deep trees route correctly.
         while len(level) > 1:
             parents = []
-            for start in range(0, len(level), fanout):
-                group = level[start:start + fanout]
+            for start in range(0, len(level), FANOUT):
+                group = level[start:start + FANOUT]
                 separators = [blk.min_key for blk in group[1:]]
                 parent = self._new_block(
                     keys=separators,
@@ -109,7 +113,7 @@ class HierarchicalBlockStore:
     def _new_block(self, keys: list[int], children: list[int] = None,
                    values: list[int] = None, min_key: int = 0) -> Block:
         block = Block(self._next_id, keys, children or [], values or [],
-                      nbytes=self.block_bytes, min_key=min_key)
+                      min_key=min_key)
         self.blocks[self._next_id] = block
         self._next_id += 1
         return block
@@ -189,9 +193,8 @@ class FreeList:
     offloaded version is checkable.
     """
 
-    def __init__(self, node_ids: Sequence[int], node_bytes: int = 64):
+    def __init__(self, node_ids: Sequence[int]):
         self.nodes = list(node_ids)
-        self.node_bytes = node_bytes
 
     def collect(self, dead: set[int]) -> int:
         """Unlink all nodes in ``dead``; returns how many were removed."""
@@ -203,7 +206,7 @@ class FreeList:
 def gc_on_cpu(free_list: FreeList, dead: set[int], fabric: Fabric,
               node: ComputeNode) -> Generator:
     """Garbage-collect on ``node``'s CPU: the whole list streams to it."""
-    total = len(free_list.nodes) * free_list.node_bytes
+    total = len(free_list.nodes) * NODE_BYTES
     yield from memory_read(fabric, f"{node.name}.dram", node.cpu.name,
                            total)
     yield from node.cpu.execute(OpKind.LIST_MAINTENANCE, total)
@@ -213,6 +216,6 @@ def gc_on_cpu(free_list: FreeList, dead: set[int], fabric: Fabric,
 def gc_near_memory(free_list: FreeList, dead: set[int],
                    accelerator: Device) -> Generator:
     """Garbage-collect near memory: nothing crosses toward the CPU."""
-    total = len(free_list.nodes) * free_list.node_bytes
+    total = len(free_list.nodes) * NODE_BYTES
     yield from accelerator.execute(OpKind.LIST_MAINTENANCE, total)
     return free_list.collect(dead)

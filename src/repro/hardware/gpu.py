@@ -24,8 +24,11 @@ from .device import GIB, Device, OpKind
 
 __all__ = ["GPU", "gpu_rates"]
 
+HBM_BANDWIDTH = 100.0 * GIB
+"""A data-center GPU's memory bandwidth in bytes/second."""
 
-def gpu_rates(hbm_bandwidth: float = 100.0 * GIB) -> dict[str, float]:
+
+def gpu_rates(hbm_bandwidth: float) -> dict[str, float]:
     """Throughput of database kernels on a data-center GPU.
 
     Massively parallel streaming kinds run near HBM bandwidth; regex
@@ -57,11 +60,8 @@ class GPU(Device):
     install cost, which is larger than for fixed-function NIC units.
     """
 
-    def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 hbm_bandwidth: float = 100.0 * GIB, slots: int = 4,
-                 launch_latency: float = 5e-6):
+    def __init__(self, sim: Simulator, trace: Trace, name: str):
+        # Four concurrent kernels, 5 us to launch one.
         super().__init__(sim, trace, name,
-                         rates=gpu_rates(hbm_bandwidth),
-                         startup=launch_latency, slots=slots,
-                         programmable=True)
-        self.hbm_bandwidth = hbm_bandwidth
+                         rates=gpu_rates(HBM_BANDWIDTH),
+                         startup=5e-6, slots=4, programmable=True)

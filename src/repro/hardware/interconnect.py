@@ -150,38 +150,36 @@ class Link:
 # Protocol factories
 # ---------------------------------------------------------------------------
 
-def pcie_link(sim: Simulator, trace: Trace, name: str, generation: int = 5,
-              lanes: int = 16, ports: int = 2) -> Link:
-    """A PCIe link of the given generation and width (§6.1–6.2)."""
+def pcie_link(sim: Simulator, trace: Trace, name: str,
+              generation: int = 5) -> Link:
+    """An x16 PCIe link of the given generation (§6.1–6.2)."""
     if generation not in PCIE_LANE_GBPS:
         raise ValueError(f"unknown PCIe generation {generation}")
-    bandwidth = PCIE_LANE_GBPS[generation] * lanes * GIB
+    bandwidth = PCIE_LANE_GBPS[generation] * 16 * GIB
     return Link(sim, trace, name, bandwidth=bandwidth, latency=500e-9,
-                segment="pcie", ports=ports)
+                segment="pcie", ports=2)
 
 
-def cxl_link(sim: Simulator, trace: Trace, name: str, generation: int = 5,
-             lanes: int = 16, ports: int = 2) -> Link:
-    """A CXL link — PCIe 5/6 electricals, lower protocol latency (§6.2)."""
-    if generation not in (5, 6, 7):
-        raise ValueError("CXL requires PCIe generation >= 5")
-    bandwidth = PCIE_LANE_GBPS[generation] * lanes * GIB
+def cxl_link(sim: Simulator, trace: Trace, name: str) -> Link:
+    """An x16 CXL link — PCIe 5 electricals, lower protocol latency
+    (§6.2)."""
+    bandwidth = PCIE_LANE_GBPS[5] * 16 * GIB
     return Link(sim, trace, name, bandwidth=bandwidth, latency=250e-9,
-                segment="cxl", ports=ports)
+                segment="cxl", ports=2)
 
 
 def ethernet_link(sim: Simulator, trace: Trace, name: str,
-                  gbits: float = 100.0, ports: int = 2) -> Link:
+                  gbits: float) -> Link:
     """A datacenter Ethernet link; 100–1600 Gb/s NICs per §2.2."""
     return Link(sim, trace, name, bandwidth=gbits / 8.0 * 1e9,
-                latency=10e-6, segment="network", ports=ports)
+                latency=10e-6, segment="network", ports=2)
 
 
 def rdma_link(sim: Simulator, trace: Trace, name: str,
-              gbits: float = 100.0, ports: int = 2) -> Link:
+              gbits: float) -> Link:
     """An RDMA (RoCE-style) link: Ethernet speeds, much lower latency."""
     return Link(sim, trace, name, bandwidth=gbits / 8.0 * 1e9,
-                latency=2e-6, segment="network", ports=ports)
+                latency=2e-6, segment="network", ports=2)
 
 
 def memory_bus(sim: Simulator, trace: Trace, name: str,
@@ -191,11 +189,11 @@ def memory_bus(sim: Simulator, trace: Trace, name: str,
                 latency=90e-9, segment="membus", ports=ports)
 
 
-def cache_bus(sim: Simulator, trace: Trace, name: str,
-              gib_per_s: float = 200.0, ports: int = 4) -> Link:
-    """On-chip path between cache levels / cores (Figure 1)."""
-    return Link(sim, trace, name, bandwidth=gib_per_s * GIB,
-                latency=5e-9, segment="cache", ports=ports)
+def cache_bus(sim: Simulator, trace: Trace, name: str) -> Link:
+    """On-chip path between cache levels / cores (Figure 1): 200 GiB/s
+    on each of four ports."""
+    return Link(sim, trace, name, bandwidth=200.0 * GIB,
+                latency=5e-9, segment="cache", ports=4)
 
 
 # ---------------------------------------------------------------------------

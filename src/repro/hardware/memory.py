@@ -45,6 +45,9 @@ REQUEST_BYTES = 1 << 20
 #: constant for over a decade).
 SINGLE_STREAM_FRACTION = 0.8
 
+#: The bandwidth a near-memory accelerator streams at, in bytes/second.
+NEARMEM_BANDWIDTH = 40.0 * GIB
+
 
 def nearmem_rates(memory_bandwidth: float) -> dict[str, float]:
     """Rates of a near-memory accelerator.
@@ -104,9 +107,9 @@ class LRUCache:
 
     Each entry is a value (never None) and the bytes it occupies;
     :attr:`used_bytes` never exceeds :attr:`capacity_bytes`.  Hits,
-    misses and evictions are counted exactly, and with a ``trace`` also
-    as ``cache.<name>.hits`` / ``.misses`` / ``.evictions`` and
-    ``cache_hit`` / ``cache_miss`` events stamped at the trace's clock.
+    misses and evictions are counted exactly; with a ``trace`` each
+    lookup is also a ``cache_hit`` / ``cache_miss`` event stamped at
+    the trace's clock.
     """
 
     def __init__(self, capacity_bytes: int, name: str = "lru",
@@ -127,13 +130,12 @@ class LRUCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            outcome, kind = "misses", EventKind.CACHE_MISS
+            kind = EventKind.CACHE_MISS
         else:
             self._entries.move_to_end(key)
             self.hits += 1
-            outcome, kind = "hits", EventKind.CACHE_HIT
+            kind = EventKind.CACHE_HIT
         if self.trace is not None:
-            self.trace.add(f"cache.{self.name}.{outcome}", 1)
             self.trace.emit(self.trace.clock, kind, f"cache.{self.name}",
                             label=str(key))
         return None if entry is None else entry[0]
@@ -159,11 +161,7 @@ class LRUCache:
             evicted.append((victim, victim_bytes))
         self._entries[key] = (value, nbytes)
         self.used_bytes += nbytes
-        if evicted:
-            self.evictions += len(evicted)
-            if self.trace is not None:
-                self.trace.add(f"cache.{self.name}.evictions",
-                               len(evicted))
+        self.evictions += len(evicted)
         return evicted
 
 
@@ -194,12 +192,10 @@ def memory_read(fabric: Fabric, src: str, dst: str,
 class NearMemoryAccelerator(Device):
     """An accelerator on the memory controller's data path (§5.2)."""
 
-    def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 memory_bandwidth: float = 40.0 * GIB, slots: int = 2):
+    def __init__(self, sim: Simulator, trace: Trace, name: str):
         super().__init__(sim, trace, name,
-                         rates=nearmem_rates(memory_bandwidth),
-                         startup=0.5e-6, slots=slots, programmable=True)
-        self.memory_bandwidth = memory_bandwidth
+                         rates=nearmem_rates(NEARMEM_BANDWIDTH),
+                         startup=0.5e-6, slots=2, programmable=True)
 
 
 class DisaggregatedMemoryNode:

@@ -70,9 +70,8 @@ class SmartNIC(NIC):
     """A NIC with a bump-in-the-wire stream processor (§4.3)."""
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 gbits: float = 100.0, processor_slots: int = 2):
+                 gbits: float = 100.0):
         super().__init__(sim, trace, name, gbits=gbits)
         self.processor = Device(sim, trace, f"{name}.proc",
                                 rates=smartnic_rates(self.line_rate),
-                                startup=1e-6, slots=processor_slots,
-                                programmable=True)
+                                startup=1e-6, slots=2, programmable=True)

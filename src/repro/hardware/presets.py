@@ -4,8 +4,8 @@
 storage node, a network switch, and one or more compute nodes, each
 with a NIC, DRAM, an optional near-memory accelerator, a cache level,
 and a CPU — with every knob of the paper exposed on
-:class:`FabricSpec`: smart vs dumb storage and NICs, PCIe generation
-vs CXL, network speed, core/controller counts.
+:class:`FabricSpec`: smart vs dumb storage and NICs, PCIe vs CXL,
+network speed, core/controller counts.
 
 Setting ``storage_attachment='local'`` collapses the topology to the
 conventional von Neumann node of Figure 1 (local disk on PCIe), which
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .device import GIB, Device, default_core_rates
+from .device import Device, default_core_rates
 from .interconnect import (
     cache_bus,
     cxl_link,
@@ -46,7 +46,10 @@ from .topology import Fabric
 
 __all__ = ["FabricSpec", "ComputeNode", "HeterogeneousFabric",
            "build_fabric", "conventional_spec", "dataflow_spec",
-           "rack_spec"]
+           "rack_spec", "CPU_SITE"]
+
+CPU_SITE = "compute0.cpu"
+"""The result node's CPU: where every query's answer lands."""
 
 
 @dataclass
@@ -63,8 +66,7 @@ class FabricSpec:
     network_gbits: float = 100.0
     rdma: bool = True
 
-    # Host interconnect (§6): PCIe generation, or CXL on PCIe 5/6.
-    pcie_generation: int = 5
+    # Host interconnect (§6): PCIe 5, or CXL on its electricals.
     use_cxl: bool = False
 
     # Storage layer (§3).
@@ -78,20 +80,17 @@ class FabricSpec:
     compute_nodes: int = 1
     compute_nic: str = "smart"                # "smart" or "dumb"
     near_memory: bool = True
-    nearmem_gib_per_s: float = 40.0
     dram_capacity: int = 64 << 30
 
     # Optional GPU per compute node (§2.3, §4.2):
     # "none", "host" (reachable only through DRAM), or
     # "direct" (additionally NIC->GPU, i.e. GPUDirect).
     gpu: str = "none"
-    gpu_hbm_gib_per_s: float = 100.0
 
     # CPU (§5.1): ``cores`` slots on the CPU site, ``controllers``
     # memory-bus ports of ``controller_gib`` GiB/s each.
     cores: int = 8
     controllers: int = 2
-    core_ghz: float = 3.0
     controller_gib: float = 20.0
 
     # Optional disaggregated memory node (§5.3).
@@ -192,10 +191,8 @@ class HeterogeneousFabric(Fabric):
 
     def _host_link(self, name: str):
         if self.spec.use_cxl:
-            return cxl_link(self.sim, self.trace, name,
-                            generation=max(self.spec.pcie_generation, 5))
-        return pcie_link(self.sim, self.trace, name,
-                         generation=self.spec.pcie_generation)
+            return cxl_link(self.sim, self.trace, name)
+        return pcie_link(self.sim, self.trace, name)
 
     def _net_link(self, name: str):
         factory = rdma_link if self.spec.rdma else ethernet_link
@@ -283,13 +280,11 @@ class HeterogeneousFabric(Fabric):
                     capacity=spec.dram_capacity)
         accel = None
         if spec.near_memory:
-            accel = NearMemoryAccelerator(
-                sim, trace, f"{name}.nearmem",
-                memory_bandwidth=spec.nearmem_gib_per_s * GIB)
+            accel = NearMemoryAccelerator(sim, trace, f"{name}.nearmem")
             self._register_site(f"{name}.nearmem", accel, loc_dram)
 
         cpu = Device(sim, trace, f"{name}.cpu",
-                     rates=default_core_rates(spec.core_ghz),
+                     rates=default_core_rates(),
                      startup=0.0, slots=spec.cores)
         self._register_site(f"{name}.cpu", cpu, loc_cpu)
 
@@ -308,8 +303,7 @@ class HeterogeneousFabric(Fabric):
                 raise ValueError(f"unknown gpu mode {spec.gpu!r}")
             loc_gpu = f"{name}.gpu"
             self.add_location(loc_gpu)
-            gpu = GPU(sim, trace, f"{name}.gpu",
-                      hbm_bandwidth=spec.gpu_hbm_gib_per_s * GIB)
+            gpu = GPU(sim, trace, f"{name}.gpu")
             self._register_site(f"{name}.gpu", gpu, loc_gpu)
             # Conventional attachment: behind host DRAM.
             self.connect(loc_dram, loc_gpu,
@@ -473,9 +467,6 @@ class HeterogeneousFabric(Fabric):
     def storage_location(self) -> str:
         """Where table data originates."""
         return "storage.node"
-
-    def cpu_site(self, node: int = 0) -> str:
-        return f"compute{node}.cpu"
 
 
 def build_fabric(spec: Optional[FabricSpec] = None) -> HeterogeneousFabric:

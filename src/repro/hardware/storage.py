@@ -51,23 +51,20 @@ class StorageMedium:
     """A passive storage device: bandwidth + per-request latency."""
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
-                 read_bandwidth: float = 3.0 * GIB,
-                 access_latency: float = 80e-6,
-                 queue_depth: int = 8):
+                 read_bandwidth: float):
         self.sim = sim
         self.trace = trace
         self.name = name
         self.read_bandwidth = read_bandwidth
-        self.access_latency = access_latency
-        self._channel = Resource(sim, capacity=queue_depth,
-                                 name=f"{name}.chan")
+        self.access_latency = 80e-6
+        self._channel = Resource(sim, capacity=8, name=f"{name}.chan")
 
     @classmethod
     def nvme_ssd(cls, sim: Simulator, trace: Trace, name: str,
                  gib_per_s: float = 3.0) -> "StorageMedium":
-        """A modern Flash SSD (§2.1)."""
-        return cls(sim, trace, name, read_bandwidth=gib_per_s * GIB,
-                   access_latency=80e-6, queue_depth=8)
+        """A modern Flash SSD (§2.1): 80 us per request, eight in
+        flight."""
+        return cls(sim, trace, name, read_bandwidth=gib_per_s * GIB)
 
     def read_time(self, nbytes: float) -> float:
         """Predicted uncontended read time."""
@@ -123,7 +120,7 @@ class ComputationalStorage:
 
     def __init__(self, sim: Simulator, trace: Trace, name: str,
                  medium: Optional[StorageMedium] = None,
-                 cu_scale: float = 1.0, cu_slots: int = 2):
+                 cu_scale: float = 1.0):
         self.sim = sim
         self.trace = trace
         self.name = name
@@ -131,5 +128,5 @@ class ComputationalStorage:
             sim, trace, f"{name}.media")
         self.cu = Device(sim, trace, f"{name}.cu",
                          rates=storage_cu_rates(cu_scale),
-                         startup=2e-6, slots=cu_slots,
+                         startup=2e-6, slots=2,
                          programmable=True)

@@ -31,10 +31,9 @@ class NoRouteError(Exception):
 class Fabric:
     """A named collection of devices and links with routing."""
 
-    def __init__(self, sim: Optional[Simulator] = None,
-                 trace: Optional[Trace] = None):
-        self.sim = sim if sim is not None else Simulator()
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self):
+        self.sim = Simulator()
+        self.trace = Trace()
         self._adjacent: dict[str, dict[str, Link]] = {}
         self.devices: dict[str, Device] = {}
         self._locations: dict[str, str] = {}  # device name -> node

@@ -561,20 +561,14 @@ def _observatory_section_violations(observatory: dict,
     return errors
 
 
-def validate_report(report, strict: bool = True) -> str:
+def validate_report(report) -> None:
     """Check a benchmark report against :data:`REPORT_SCHEMA`.
 
     Runs before every report is written and on every baseline load.
-    Returns the reason string — ``""`` when the report is valid,
-    otherwise every violation joined with ``"; "``.  With ``strict``
-    (the default) an invalid report raises :class:`ValueError`
-    carrying the same reason instead.  Deliberately dependency-free
-    (no jsonschema in the image).
+    An invalid report raises :class:`ValueError` carrying every
+    violation joined with ``"; "``.  Deliberately dependency-free (no
+    jsonschema in the image).
     """
     errors = report_violations(report)
-    if not errors:
-        return ""
-    reason = "invalid benchmark report: " + "; ".join(errors)
-    if strict:
-        raise ValueError(reason)
-    return reason
+    if errors:
+        raise ValueError("invalid benchmark report: " + "; ".join(errors))

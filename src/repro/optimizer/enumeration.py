@@ -33,7 +33,7 @@ from ..engine.logical import (
 from ..engine.placement import (Placement, PlacementError, _node_kind,
                                 check_chain, data_path_sites)
 from ..hardware.device import OpKind
-from ..hardware.presets import HeterogeneousFabric
+from ..hardware.presets import CPU_SITE, HeterogeneousFabric
 
 __all__ = ["enumerate_placements"]
 
@@ -86,12 +86,11 @@ def _valid(node: PlanNode, chain: list[str],
 
 
 def enumerate_placements(plan: PlanNode, fabric: HeterogeneousFabric,
-                         node: int = 0,
                          max_placements: int = 256) -> Iterator[Placement]:
     """Yield valid, monotone candidate placements for ``plan``."""
-    path = data_path_sites(fabric, node)
-    cpu = fabric.cpu_site(node)
-    nic_site = f"compute{node}.nic"
+    path = data_path_sites(fabric)
+    cpu = CPU_SITE
+    nic_site = "compute0.nic"
     cpu_index = len(path) - 1 if path else 0
     index_of = {site: i for i, site in enumerate(path)}
 

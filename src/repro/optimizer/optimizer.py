@@ -51,17 +51,17 @@ class Optimizer:
     def _plan_of(self, plan) -> PlanNode:
         return plan.plan if isinstance(plan, Query) else plan
 
-    def rank(self, plan, node: int = 0) -> list[RankedPlacement]:
+    def rank(self, plan) -> list[RankedPlacement]:
         """All candidate placements, best (lowest makespan) first."""
         plan = self._plan_of(plan)
         # One estimate of the plan prices every candidate of this call.
         coster = self.model.for_plan(plan)
         ranked = [RankedPlacement(placement, coster.cost(placement))
                   for placement in enumerate_placements(
-                      plan, self.fabric, node=node,
+                      plan, self.fabric,
                       max_placements=self.max_placements)]
         # The CPU-only fallback is always a candidate.
-        fallback = cpu_only(plan, self.fabric, node=node)
+        fallback = cpu_only(plan, self.fabric)
         ranked.append(RankedPlacement(fallback, coster.cost(fallback)))
         # Makespan first; among equal-makespan plans (a pipeline is
         # often bottlenecked on the scan), prefer less total movement —
@@ -70,19 +70,18 @@ class Optimizer:
                                    r.cost.total_bytes))
         return ranked
 
-    def optimize(self, plan, node: int = 0) -> RankedPlacement:
+    def optimize(self, plan) -> RankedPlacement:
         """The best placement for ``plan``."""
-        return self.rank(plan, node=node)[0]
+        return self.rank(plan)[0]
 
-    def plan_variants(self, plan, n: int = 3,
-                      node: int = 0) -> list[RankedPlacement]:
+    def plan_variants(self, plan, n: int = 3) -> list[RankedPlacement]:
         """A diverse variant set for the scheduler (§7.3).
 
         Always includes the best plan and the CPU-only plan (the two
         endpoints the paper names), padding with the next-best
         placements that differ in their site usage.
         """
-        ranked = self.rank(plan, node=node)
+        ranked = self.rank(plan)
         best = ranked[0]
         cpu = next(r for r in ranked
                    if r.placement.name == "cpu-only")

@@ -32,10 +32,7 @@ if every column were dense and wide, so the simulation cannot tell an
 arena-backed table from a dict-of-arrays one (the regression gate
 compares at tolerance 0).
 
-Validity masks ride along structurally (one optional boolean array
-per column, ``True`` = present); the current workloads are NULL-free
-so no operator consults them yet, but the storage, slicing, and
-round-trip contracts are in place and tested.
+Every workload is NULL-free: an arena stores no validity masks.
 """
 
 from __future__ import annotations
@@ -102,16 +99,14 @@ class ArenaColumn:
     Plain (``buffer`` holds the values, integers narrowed), scaled
     (``buffer`` holds integers ``k`` of a float column whose values
     are ``k / scale``) or dictionary-encoded (``codes`` index the
-    sorted ``pool``).  An optional ``validity`` boolean array marks
-    present rows.
+    sorted ``pool``).
     """
 
-    __slots__ = ("buffer", "scale", "codes", "pool", "validity")
+    __slots__ = ("buffer", "scale", "codes", "pool")
 
     def __init__(self, buffer: Optional[np.ndarray] = None,
                  codes: Optional[np.ndarray] = None,
                  pool: Optional[np.ndarray] = None,
-                 validity: Optional[np.ndarray] = None,
                  scale: Optional[float] = None):
         if (buffer is None) == (codes is None):
             raise ValueError("column is either plain or dict-encoded")
@@ -121,7 +116,6 @@ class ArenaColumn:
         self.scale = scale
         self.codes = codes
         self.pool = pool
-        self.validity = validity
 
     @property
     def is_dict(self) -> bool:
@@ -248,26 +242,16 @@ class Arena:
 
     @classmethod
     def build(cls, schema: Schema,
-              columns: dict[str, Union[np.ndarray, Encoded]],
-              validity: Optional[dict[str, np.ndarray]] = None) -> "Arena":
+              columns: dict[str, Union[np.ndarray, Encoded]]) -> "Arena":
         """Arena storage for already-validated, schema-typed columns."""
-        validity = validity or {}
         store: dict[str, ArenaColumn] = {}
         rows = 0
         for field in schema.fields:
             values = columns[field.name]
             rows = len(values)
-            column = (_adopt(values) if isinstance(values, Encoded)
-                      else _encode(values))
-            mask = validity.get(field.name)
-            if mask is not None:
-                mask = np.ascontiguousarray(mask, dtype=bool)
-                if len(mask) != rows:
-                    raise ValueError(
-                        f"validity length {len(mask)} != rows {rows} "
-                        f"for column {field.name!r}")
-                column.validity = mask
-            store[field.name] = column
+            store[field.name] = (_adopt(values)
+                                 if isinstance(values, Encoded)
+                                 else _encode(values))
         return cls(schema, store, rows)
 
     def column_slice(self, name: str, start: int, stop: int) -> np.ndarray:
@@ -284,14 +268,6 @@ class Arena:
 
     def pool(self, name: str) -> Optional[np.ndarray]:
         return self.columns[name].pool
-
-    def validity_slice(self, name: str, start: int,
-                       stop: int) -> Optional[np.ndarray]:
-        """Validity mask over [start, stop), or None if all-valid."""
-        mask = self.columns[name].validity
-        if mask is None:
-            return None
-        return mask[start:stop]
 
     def __repr__(self) -> str:
         encoded = sum(1 for c in self.columns.values() if c.is_dict)

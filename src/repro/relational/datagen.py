@@ -49,14 +49,14 @@ def uniform_ints(rng: np.random.Generator, n: int, low: int,
 
 
 def _phrases(rng: np.random.Generator, n: int, words: int,
-             width: int, pool: int = 4096) -> Encoded:
+             width: int) -> Encoded:
     """``n`` phrases of ``words`` dictionary words, truncated to width.
 
-    Phrases are drawn from a pre-built pool of ``pool`` combinations
+    Phrases are drawn from a pre-built pool of up to 4096 combinations
     (a bounded vocabulary, like real comment columns), which keeps
     generation vectorized and the column encoded from birth.
     """
-    pool = min(pool, max(1, n))
+    pool = min(4096, max(1, n))
     picks = rng.integers(0, len(_WORDS), size=(pool, words))
     # The <U{width} dtype truncates each joined phrase, identical to
     # a per-row ``" ".join(...)[:width]``.
@@ -65,7 +65,7 @@ def _phrases(rng: np.random.Generator, n: int, words: int,
     return Encoded(uniform_ints(rng, n, 0, pool - 1), phrases)
 
 
-def lineitem_schema(comment_width: int = 44) -> Schema:
+def lineitem_schema() -> Schema:
     return Schema([
         Field("l_orderkey", DataType.INT64),
         Field("l_partkey", DataType.INT64),
@@ -74,18 +74,18 @@ def lineitem_schema(comment_width: int = 44) -> Schema:
         Field("l_discount", DataType.FLOAT64),
         Field("l_shipdate", DataType.INT64),       # days since epoch
         Field("l_returnflag", DataType.STRING, 1),
-        Field("l_comment", DataType.STRING, comment_width),
+        Field("l_comment", DataType.STRING, 44),
     ])
 
 
-def orders_schema(comment_width: int = 32) -> Schema:
+def orders_schema() -> Schema:
     return Schema([
         Field("o_orderkey", DataType.INT64),
         Field("o_custkey", DataType.INT64),
         Field("o_totalprice", DataType.FLOAT64),
         Field("o_orderdate", DataType.INT64),
         Field("o_priority", DataType.INT64),       # 1..5
-        Field("o_comment", DataType.STRING, comment_width),
+        Field("o_comment", DataType.STRING, 32),
     ])
 
 
@@ -123,11 +123,12 @@ def make_lineitem(n: int, seed: int = 7, orders: int = 0,
                              chunk_rows=chunk_rows)
 
 
-def make_orders(n: int, seed: int = 11, customers: int = 0,
+def make_orders(n: int, seed: int = 11,
                 chunk_rows: int = 65536) -> Table:
-    """An orders-flavoured table; o_orderkey is the dense key 0..n-1."""
+    """An orders-flavoured table; o_orderkey is the dense key 0..n-1,
+    o_custkey one of ``n // 10`` customers."""
     rng = np.random.default_rng(seed)
-    customers = customers or max(1, n // 10)
+    customers = max(1, n // 10)
     schema = orders_schema()
     columns = {
         "o_orderkey": np.arange(n, dtype=narrowest(0, n - 1)),

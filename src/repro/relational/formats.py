@@ -72,9 +72,9 @@ def deserialize_chunk(payload: bytes) -> Chunk:
     return Chunk._from_valid(schema, columns)
 
 
-def compress_bytes(payload: bytes, level: int = 1) -> bytes:
+def compress_bytes(payload: bytes) -> bytes:
     """Real zlib compression (fast level — inline engines are fast)."""
-    return zlib.compress(payload, level)
+    return zlib.compress(payload, 1)
 
 
 def decompress_bytes(payload: bytes) -> bytes:
@@ -100,10 +100,10 @@ class CompressedChunk:
         return self.uncompressed_nbytes / max(1, self.nbytes)
 
 
-def compress_chunk(chunk: Chunk, level: int = 1) -> CompressedChunk:
+def compress_chunk(chunk: Chunk) -> CompressedChunk:
     """Serialize then compress a chunk."""
     raw = serialize_chunk(chunk)
-    return CompressedChunk(compress_bytes(raw, level=level),
+    return CompressedChunk(compress_bytes(raw),
                            uncompressed_nbytes=chunk.nbytes,
                            num_rows=chunk.num_rows)
 

@@ -153,11 +153,6 @@ class _ArenaColumns(_LazyColumns):
             return None
         return self.arena.pool(name)
 
-    def validity(self, name: str) -> Optional[np.ndarray]:
-        if name not in self.schema:
-            return None
-        return self.arena.validity_slice(name, self.start, self.stop)
-
 
 class Chunk:
     """A batch of rows in columnar layout."""
@@ -356,7 +351,7 @@ class Chunk:
         columns[field.name] = values
         return Chunk._from_valid(schema, columns)
 
-    # -- dictionary / validity introspection -----------------------------------
+    # -- dictionary introspection ---------------------------------------------
 
     def _arena_window(self) -> Optional[_ArenaColumns]:
         """The arena window this chunk reads, directly or through a
@@ -392,14 +387,6 @@ class Chunk:
             return window.arena.columns[name].stored(window.start,
                                                      window.stop)
         return window[name]
-
-    def validity(self, name: str) -> Optional[np.ndarray]:
-        """Row validity mask for ``name`` (None means all valid)."""
-        window = self._arena_window()
-        mask = None if window is None else window.validity(name)
-        if mask is None or self._sel is None:
-            return mask
-        return mask[self._sel]
 
     # -- test/oracle helpers ---------------------------------------------------
 
@@ -437,14 +424,11 @@ class _Windows(SequenceABC):
 class Table:
     """A named relation: a schema plus a list of chunks."""
 
-    def __init__(self, schema: Schema, chunks: Optional[list[Chunk]] = None,
-                 name: str = ""):
+    def __init__(self, schema: Schema, *, name: str = ""):
         self.schema = schema
         self.name = name
         self._chunks: Union[list[Chunk], _Windows] = []
         self._arena: Optional[Arena] = None
-        for chunk in chunks or []:
-            self.append(chunk)
 
     @classmethod
     def from_arrays(cls, schema: Schema,

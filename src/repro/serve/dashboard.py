@@ -35,9 +35,9 @@ _CSS = _REPORT_CSS + """\
 """
 
 
-def _sparkline(values: list[float], color: str = "#4078c0",
-               height: int = 28) -> str:
-    """An inline SVG sparkline over per-window values."""
+def _sparkline(values: list[float], color: str = "#4078c0") -> str:
+    """An inline SVG sparkline, 28 px high, over per-window values."""
+    height = 28
     n = len(values)
     if not n:
         return '<span class="meta">no windows</span>'

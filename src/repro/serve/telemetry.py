@@ -6,7 +6,7 @@ virtual clock advances, the way a production serving system's
 telemetry pipeline would:
 
 * **Per-tenant tumbling windows.**  Every arrival / shed / start /
-  completion is folded into the window ``int(ts / window_s)`` of the
+  completion is folded into the window ``int(ts / WINDOW_S)`` of the
   tenant that caused it.  Windows are *dense*: quiet windows exist
   with zero counts, which is what lets the burn-rate monitor resolve
   alerts during lulls and lets CI replay the alert stream from the
@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..analysis.critical_path import WinnerTimeline
-from ..analysis.slo import BurnRateMonitor, SLOPolicy, alert_mismatches
+from ..analysis import slo
+from ..analysis.slo import WINDOW_S, BurnRateMonitor, alert_mismatches
 from ..sim import EventKind, Trace
 from .server import nearest_rank
 
@@ -62,23 +63,25 @@ __all__ = ["QuantileSketch", "ServeTelemetry", "TELEMETRY_SCHEMA"]
 
 TELEMETRY_SCHEMA = "repro.serve-telemetry/v1"
 
-#: Tumbling-window width (simulated seconds) and the exemplar budget,
-#: per window and per run.
-WINDOW_S = 0.005
+#: The exemplar budget, per window and per run.
 EXEMPLARS_PER_WINDOW = 2
 MAX_EXEMPLARS = 32
+
+#: Distinct points a :class:`QuantileSketch` holds exactly.
+SKETCH_CAPACITY = 256
 
 
 class QuantileSketch:
     """Deterministic mergeable nearest-rank quantile sketch.
 
     Holds ``(value, weight)`` points.  While the number of distinct
-    points is within ``capacity`` the sketch is *exact*: quantiles use
+    points is within :data:`SKETCH_CAPACITY` the sketch is *exact*:
+    quantiles use
     the same integer nearest-rank formula as the serving report, so
     they agree bit for bit.  Past capacity, a deterministic
     compression pass groups weight-adjacent points and keeps each
     group's weighted-median value; every such pass adds
-    ``ceil(W / capacity)`` to :attr:`rank_error_bound` — the sketch
+    ``ceil(W / SKETCH_CAPACITY)`` to :attr:`rank_error_bound` — the sketch
     carries its own worst-case rank error, and the telemetry
     validation checks observed percentiles against exact ones within
     exactly that bound.
@@ -89,10 +92,7 @@ class QuantileSketch:
     result is reproducible across hosts.
     """
 
-    def __init__(self, capacity: int = 256):
-        if capacity < 2:
-            raise ValueError("sketch capacity must be >= 2")
-        self.capacity = capacity
+    def __init__(self):
         self._points: list[tuple[float, int]] = []  # settled, sorted
         self._buffer: list[float] = []              # unsorted adds
         self.count = 0            # total weight
@@ -104,7 +104,7 @@ class QuantileSketch:
     def add(self, value: float) -> None:
         self._buffer.append(value)
         self.count += 1
-        if len(self._buffer) + len(self._points) > 4 * self.capacity:
+        if len(self._buffer) + len(self._points) > 4 * SKETCH_CAPACITY:
             self._settle()
 
     def _settle(self) -> None:
@@ -114,18 +114,18 @@ class QuantileSketch:
             self._buffer = []
             merged.sort(key=lambda p: p[0])
             self._points = _coalesce(merged)
-        if len(self._points) > self.capacity:
+        if len(self._points) > SKETCH_CAPACITY:
             self._compress()
 
     def _compress(self) -> None:
-        """Group weight-adjacent points down to ``capacity`` points.
+        """Group weight-adjacent points down to the capacity.
 
         Deterministic: greedy groups of cumulative weight
         ``ceil(W / capacity)``; each group is represented by its
         weighted-median point with the group's total weight.  Any
         rank query moves by at most the group weight, hence the bound.
         """
-        target = -(-self.count // self.capacity)  # ceil
+        target = -(-self.count // SKETCH_CAPACITY)  # ceil
         groups: list[list[tuple[float, int]]] = []
         acc = 0
         for point in self._points:
@@ -160,7 +160,7 @@ class QuantileSketch:
         self.count += other.count
         self.rank_error_bound += other.rank_error_bound
         self.compactions += other.compactions
-        if len(self._points) > self.capacity:
+        if len(self._points) > SKETCH_CAPACITY:
             self._compress()
         return self
 
@@ -188,7 +188,7 @@ class QuantileSketch:
         """Canonical JSON form (settled, sorted, coalesced)."""
         self._settle()
         return {
-            "capacity": self.capacity,
+            "capacity": SKETCH_CAPACITY,
             "count": self.count,
             "rank_error_bound": self.rank_error_bound,
             "compactions": self.compactions,
@@ -219,7 +219,6 @@ class _Window:
     completions: int = 0
     violations: int = 0
     queue_depth_max: int = 0
-    latencies: list[float] = field(default_factory=list)
     sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
     def series_entry(self, index: int) -> dict:
@@ -263,7 +262,6 @@ class ServeTelemetry:
 
     def __init__(self, tenants: dict[str, "object"], trace: Trace):
         self.trace = trace
-        self.policies: dict[str, SLOPolicy] = {}
         self.monitors: dict[str, BurnRateMonitor] = {}
         #: tenant -> dense list of closed windows (index = position).
         self.closed: dict[str, list[_Window]] = {}
@@ -277,9 +275,7 @@ class ServeTelemetry:
         self.timeline: Optional[WinnerTimeline] = None
         self._finalized = False
         for name in sorted(tenants):
-            tenant = tenants[name]
-            self.policies[name] = SLOPolicy(target=tenant.slo_target)
-            self.monitors[name] = BurnRateMonitor(self.policies[name])
+            self.monitors[name] = BurnRateMonitor()
             self.closed[name] = []
             self._open[name] = {}
 
@@ -344,7 +340,6 @@ class ServeTelemetry:
         window.completions += 1
         if record.slo_violated:
             window.violations += 1
-        window.latencies.append(record.latency)
         window.sketch.add(record.latency)
         self._candidates.append(_Exemplar(
             self._index(record.finished), record.latency, record))
@@ -437,13 +432,12 @@ class ServeTelemetry:
             merged = QuantileSketch()
             for window in windows:
                 merged.merge(window.sketch)
-            policy = self.policies[name]
             tenants[name] = {
                 "policy": {
-                    "target": policy.target,
-                    "threshold": policy.threshold,
-                    "fast_windows": policy.fast_windows,
-                    "slow_windows": policy.slow_windows,
+                    "target": slo.SLO_TARGET,
+                    "threshold": slo.BURN_THRESHOLD,
+                    "fast_windows": slo.FAST_WINDOWS,
+                    "slow_windows": slo.SLOW_WINDOWS,
                 },
                 "series": [w.series_entry(i)
                            for i, w in enumerate(windows)],
@@ -487,8 +481,15 @@ class ServeTelemetry:
         if not self._finalized:
             return ["telemetry never finalized"]
         by_tenant: dict[str, list] = {t: [] for t in self.closed}
+        # Completed latencies by (tenant, window), indexed as
+        # :meth:`on_complete` indexed them.
+        latencies: dict[tuple[str, int], list[float]] = {}
         for record in records:
             by_tenant.setdefault(record.tenant, []).append(record)
+            if record.completed:
+                latencies.setdefault(
+                    (record.tenant, self._index(record.finished)),
+                    []).append(record.latency)
         for tenant in sorted(self.closed):
             windows = self.closed[tenant]
             mine = by_tenant.get(tenant, [])
@@ -518,18 +519,17 @@ class ServeTelemetry:
                 if not window.sketch.count:
                     continue
                 merged.merge(window.sketch)
-                all_latencies.extend(window.latencies)
+                mine_here = latencies.get((tenant, i), [])
+                all_latencies.extend(mine_here)
                 errors.extend(self._sketch_errors(
-                    f"{tenant} window {i}", window.sketch,
-                    window.latencies))
+                    f"{tenant} window {i}", window.sketch, mine_here))
             if merged.count:
                 errors.extend(self._sketch_errors(
                     f"{tenant} merged", merged, all_latencies))
         series = {t: [w.series_entry(i)
                       for i, w in enumerate(ws)]
                   for t, ws in self.closed.items()}
-        errors.extend(alert_mismatches(series, self.policies,
-                                       self.alerts, WINDOW_S))
+        errors.extend(alert_mismatches(series, self.alerts, WINDOW_S))
         for exemplar in self.exemplars:
             label = exemplar["name"]
             if not exemplar["attribution"]["exact"]:

@@ -60,10 +60,9 @@ class TenantClass:
     """One tenant population sharing the served fabric.
 
     ``weight`` is the fair-queueing share; ``slo_s`` the per-query
-    latency SLO (arrival to completion, simulated seconds);
-    ``slo_target`` the fraction of completions that must meet it
-    (the error budget the burn-rate monitor spends against);
-    ``templates`` maps template names to draw weights.
+    latency SLO (arrival to completion, simulated seconds), which
+    :data:`~repro.analysis.slo.SLO_TARGET` of its completions must
+    meet; ``templates`` maps template names to draw weights.
     """
 
     name: str
@@ -72,7 +71,6 @@ class TenantClass:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     templates: dict[str, float] = field(default_factory=dict)
     seed: int = 0
-    slo_target: float = 0.99
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -81,9 +79,6 @@ class TenantClass:
         if self.slo_s <= 0:
             raise ValueError(f"tenant {self.name!r}: slo_s must be "
                              "positive")
-        if not 0.0 < self.slo_target <= 1.0:
-            raise ValueError(f"tenant {self.name!r}: slo_target must "
-                             "be in (0, 1]")
         if not self.templates:
             raise ValueError(f"tenant {self.name!r}: needs at least "
                              "one template")

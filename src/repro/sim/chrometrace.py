@@ -36,7 +36,6 @@ one simulated second reads as one second in the viewer.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .events import EventKind
 from .trace import Trace
@@ -277,11 +276,10 @@ def chrome_trace(trace: Trace) -> dict:
             "otherData": {"event_ring": trace.events.stats()}}
 
 
-def export_chrome_trace(trace: Trace, path: str,
-                        indent: Optional[int] = None) -> dict:
+def export_chrome_trace(trace: Trace, path: str) -> dict:
     """Write :func:`chrome_trace` output as JSON to ``path``."""
     payload = chrome_trace(trace)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=indent)
+        json.dump(payload, fh)
         fh.write("\n")
     return payload

@@ -122,11 +122,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires (with no value) after a fixed simulated
+    delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         # Flattened Event.__init__ (no super() call): a Timeout is
@@ -134,9 +135,8 @@ class Timeout(Event):
         self.sim = sim
         self.callbacks = []
         self._defused = False
-        self.delay = delay
         self._ok = True
-        self._value = value
+        self._value = None
         sim._schedule(delay, self)
 
 
@@ -339,9 +339,9 @@ class Simulator:
 
     # -- factory helpers -----------------------------------------------
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def event(self) -> Event:
         """A fresh untriggered event (trigger with ``succeed``/``fail``)."""
@@ -403,14 +403,14 @@ class Simulator:
         if until is not None:
             self.now = until
 
-    def run_process(self, generator: Generator,
-                    until: Optional[float] = None) -> Any:
-        """Convenience: start ``generator`` as a process, run, return value.
+    def run_process(self, generator: Generator) -> Any:
+        """Convenience: start ``generator`` as a process, run until the
+        queue drains, return its value.
 
         Raises the process's exception if it failed.
         """
         proc = self.process(generator)
-        self.run(until=until)
+        self.run()
         if not proc.triggered:
             raise SimulationError(
                 f"process {proc.name!r} did not finish by t={self.now}")

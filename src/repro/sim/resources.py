@@ -112,21 +112,11 @@ class Store:
                 progressed = True
 
 
-class _Request(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.sim)
-        self.amount = amount
-
-
 class Resource:
     """A counted resource (e.g. device execution slots) with FIFO grants.
 
-    ``capacity`` is the number of concurrently grantable units.  A
-    request may ask for several units at once (e.g. a wide DMA
-    transfer); grants are strictly FIFO, so a large request at the
-    head of the line blocks smaller ones behind it — matching how
+    ``capacity`` is the number of concurrently grantable units; a
+    request takes one.  Grants are strictly FIFO, matching how
     hardware arbitration queues behave.
     """
 
@@ -137,59 +127,52 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiting: list[_Request] = []
+        self._waiting: list[Event] = []
         # Accounting for utilization reports.
         self.busy_time = 0.0
         self._busy_since: Optional[float] = None
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    def try_acquire(self, amount: int = 1) -> bool:
+    def try_acquire(self) -> bool:
         """Allocation-free grant fast path; ``True`` if granted now.
 
-        Grants ``amount`` units immediately — without creating a
-        ``_Request`` event or consuming a queue slot — when no earlier
-        request is waiting and capacity is free.  The caller simply
-        continues instead of yielding, so an uncontended acquire costs
-        zero events.  Returns ``False`` under contention (or when the
-        queue is non-empty, preserving FIFO fairness), in which case
-        the caller must fall back to ``yield request()``.
+        Grants a unit immediately — without creating a request event
+        or consuming a queue slot — when no earlier request is waiting
+        and a unit is free.  The caller simply continues instead of
+        yielding, so an uncontended acquire costs zero events.  Returns
+        ``False`` under contention (or when the queue is non-empty,
+        preserving FIFO fairness), in which case the caller must fall
+        back to ``yield request()``.
         """
-        if self._waiting or amount > self.capacity - self.in_use:
+        if self._waiting or self.in_use >= self.capacity:
             return False
         if self.in_use == 0:
             self._busy_since = self.sim.now
-        self.in_use += amount
+        self.in_use += 1
         return True
 
-    def request(self, amount: int = 1) -> Event:
-        """Event that fires when ``amount`` units have been granted."""
-        if amount < 1 or amount > self.capacity:
-            raise SimulationError(
-                f"cannot request {amount} of capacity {self.capacity}")
-        event = _Request(self, amount)
+    def request(self) -> Event:
+        """Event that fires when a unit has been granted."""
+        event = Event(self.sim)
         self._waiting.append(event)
         self._grant()
         return event
 
-    def release(self, amount: int = 1) -> None:
-        """Return ``amount`` previously granted units."""
-        if amount > self.in_use:
+    def release(self) -> None:
+        """Return a previously granted unit."""
+        if self.in_use == 0:
             raise SimulationError("releasing more than in use")
-        self.in_use -= amount
+        self.in_use -= 1
         if self.in_use == 0 and self._busy_since is not None:
             self.busy_time += self.sim.now - self._busy_since
             self._busy_since = None
         self._grant()
 
     def _grant(self) -> None:
-        while self._waiting and self._waiting[0].amount <= self.available:
+        while self._waiting and self.in_use < self.capacity:
             req = self._waiting.pop(0)
             if self.in_use == 0:
                 self._busy_since = self.sim.now
-            self.in_use += req.amount
+            self.in_use += 1
             req.succeed()
 
     def utilization(self, elapsed: Optional[float] = None) -> float:

@@ -186,8 +186,8 @@ class Trace:
         return self._flow_seq
 
     def record_movement(self, link: str, actor: str, direction: str,
-                        nbytes: float, chunks: float = 1.0) -> None:
-        """Attribute ``nbytes`` on ``link`` to ``actor``.
+                        nbytes: float) -> None:
+        """Attribute ``nbytes`` (one chunk) on ``link`` to ``actor``.
 
         The ledger is an exact aggregate (unlike the event ring it is
         never truncated); :meth:`link_report` sums it per link.
@@ -195,7 +195,7 @@ class Trace:
         cell = self.ledger.setdefault((link, actor, direction),
                                       [0.0, 0.0])
         cell[0] += nbytes
-        cell[1] += chunks
+        cell[1] += 1.0
 
     def tick(self, time: float) -> None:
         """Advance the clock watermark (never moves backwards)."""
@@ -215,14 +215,13 @@ class Trace:
             self.clock = time
         span.end = time
 
-    def close_open_spans(self, time: Optional[float] = None) -> int:
-        """Close every still-open span at ``time`` (default: the clock).
+    def close_open_spans(self) -> int:
+        """Close every still-open span at the clock.
 
         Returns the number of spans closed.  Used before exporting a
         trace mid-run so the snapshot is self-contained.
         """
-        when = self.clock if time is None else time
-        self.tick(when)
+        when = self.clock
         closed = 0
         for spans in self.spans.values():
             for span in spans:

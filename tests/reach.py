@@ -39,7 +39,7 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,8 +101,8 @@ reference the tests compare the fast path against
 branch only a larger input takes: above 256 points per window
     serve/telemetry.py::QuantileSketch._compress
 branch only a larger input takes: more exemplars than MAX_EXEMPLARS
-    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@385
-    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@388
+    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@380
+    serve/telemetry.py::ServeTelemetry._build_exemplars.<lambda>@383
 branch only a callback added to an already processed event takes
     sim/kernel.py::Event.add_callback.<lambda>@111
 branch only a bounded, full inbox takes
@@ -113,10 +113,6 @@ branch only an empty input takes (ROADMAP item 2c sweeps it)
 branch only a non-array column takes
     obs.py::_canonical_cell
     relational/expressions.py::Const.evaluate
-validity-mask read side (ROADMAP item 2c sweeps all-null masks)
-    relational/arena.py::Arena.validity_slice
-    relational/table.py::Chunk.validity
-    relational/table.py::_ArenaColumns.validity
 failure path no healthy run takes (ROADMAP item 2c injects it)
     sim/kernel.py::AnyOf._check
     sim/kernel.py::Event.fail
@@ -146,19 +142,19 @@ NEVER_RUN: dict[str, int] = {
     "analysis/report.py": 7,
     "analysis/slo.py": 3,
     "analysis/whatif.py": 11,
-    "bench.py": 18,
+    "bench.py": 17,
     "cli.py": 23,
     "cloud/bufferpool.py": 1,
     "cloud/objectstore.py": 5,
     "cloud/tax.py": 1,
     "engine/codegen.py": 1,
-    "engine/dataflow.py": 3,
+    "engine/dataflow.py": 2,
     "engine/kernels.py": 6,
-    "engine/logical.py": 4,
+    "engine/logical.py": 3,
     "engine/operators.py": 19,
     "engine/placement.py": 3,
     "engine/results.py": 1,
-    "engine/volcano.py": 7,
+    "engine/volcano.py": 5,
     "experiments/__init__.py": 1,
     "experiments/c3_credit_flow.py": 1,
     "experiments/c7_pushdown_survey.py": 1,
@@ -171,15 +167,15 @@ NEVER_RUN: dict[str, int] = {
     "hardware/presets.py": 3,
     "hardware/storage.py": 1,
     "hardware/topology.py": 2,
-    "obs.py": 77,
+    "obs.py": 74,
     "optimizer/cost.py": 4,
     "optimizer/enumeration.py": 2,
-    "relational/arena.py": 11,
+    "relational/arena.py": 4,
     "relational/catalog.py": 3,
     "relational/expressions.py": 10,
     "relational/schema.py": 3,
     "relational/sql.py": 6,
-    "relational/table.py": 35,
+    "relational/table.py": 26,
     "relational/zonemaps.py": 9,
     "scheduler/scheduler.py": 2,
     "serve/dashboard.py": 7,
@@ -193,6 +189,48 @@ NEVER_RUN: dict[str, int] = {
     "sim/resources.py": 4,
     "sim/trace.py": 9,
 }
+
+
+#: Defaulted parameters that no call in ``src/`` or ``perfbench/``
+#: passes (tests and examples are not callers), each with the reason it
+#: stays, as ``<path under src/repro>::<qualified name>(<parameter>)``.
+_KNOBS_ALLOWED = """
+test seam: property tests feed interval lists with no trace behind them
+    analysis/critical_path.py::WinnerTimeline.__init__(intervals)
+    analysis/critical_path.py::attribute(intervals)
+test seam: DESIGN.md's exact-cardinality invariant
+    optimizer/optimizer.py::Optimizer.__init__(cardinalities)
+test seam: the per-rank estimate-call pins (ROADMAP item 13 lifts the cap)
+    optimizer/optimizer.py::Optimizer.__init__(max_placements)
+test seam: ring overflow (ROADMAP item 2c)
+    sim/events.py::EventRing.__init__(capacity)
+test seam: the tests run one scenario of a section
+    bench.py::run_suite(only)
+passed by keyword through Suite.run(**params)
+    bench.py::_run_serving(queries)
+    bench.py::_run_serving(rows)
+passed through the data-flow compiler's _make(...)
+    engine/operators.py::PartialAggregate.__init__(state_schema)
+passed through super().__init__(...)
+    relational/table.py::_LazyColumns.__init__(cache)
+passed through cls(...)
+    relational/table.py::Table.__init__(name)
+set only by an example
+    cloud/objectstore.py::ObjectStore.__init__(compress)
+    cloud/objectstore.py::ObjectStore.keys(prefix)
+    engine/operators.py::MergeAggregate.__init__(expected_groups)
+    hardware/presets.py::rack_spec(compute_nodes)
+    relational/datagen.py::make_sensor_readings(chunk_rows)
+    relational/datagen.py::make_sensor_readings(error_rate)
+    relational/datagen.py::make_sensor_readings(seed)
+    relational/datagen.py::make_sensor_readings(sensors)
+the command line's entry point: python -m repro reads sys.argv
+    cli.py::main(argv)
+failure path no healthy run takes (ROADMAP item 2c injects it)
+    sim/kernel.py::Process.interrupt(cause)
+"""
+
+KNOBS_ALLOWED: dict[str, str] = _parse_allowed(_KNOBS_ALLOWED)
 
 
 class Def(NamedTuple):
@@ -230,6 +268,88 @@ def defined_functions() -> list[Def]:
         visit(ast.parse(source.read_text()), "",
               source.relative_to(SRC).as_posix(), str(source))
     return found
+
+
+# -- the knob census (``ast`` only, no drive) --------------------------------
+
+class Knob(NamedTuple):
+    name: str               # ``KNOBS_ALLOWED``-style
+    callee: str             # the name a call goes by
+    position: Optional[int]  # positional index after self / cls
+
+
+def defaulted_parameters() -> list[Knob]:
+    """Every parameter with a default of every ``def`` under
+    ``src/repro``.  A call to ``C.__init__`` goes by ``C``; a
+    ``__call__`` has no name to match and is left out."""
+    found: list[Knob] = []
+
+    def visit(node, scope: str, cls: Optional[str], key: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}.{child.name}" if scope
+                      else child.name, child.name, key)
+            elif isinstance(child, (ast.FunctionDef,
+                                    ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                visit(child, name, None, key)
+                if child.name == "__call__":
+                    continue
+                callee = cls if child.name == "__init__" and cls \
+                    else child.name
+                args = child.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index in range(first, len(positional)):
+                    found.append(Knob(
+                        f"{key}::{name}({positional[index].arg})",
+                        callee, index - skip))
+                found.extend(Knob(f"{key}::{name}({arg.arg})", callee,
+                                  None)
+                             for arg, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                             if default is not None)
+            else:
+                visit(child, scope, cls, key)
+
+    for source in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(source.read_text()), "", None,
+              source.relative_to(SRC).as_posix())
+    return found
+
+
+def _passes(call: ast.Call, knob: Knob) -> bool:
+    """Whether ``call`` may pass ``knob``: by keyword, by position, or
+    through ``*`` / ``**``, which count as passing everything."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    for keyword in call.keywords:
+        if keyword.arg is None or keyword.arg == knob.name.rsplit(
+                "(", 1)[1][:-1]:
+            return True
+    return knob.position is not None and len(call.args) > knob.position
+
+
+def unset_knobs() -> list[str]:
+    """The defaulted parameters no call in ``src/`` or ``perfbench/``
+    passes, matching calls by callee name (``f(...)`` or
+    ``x.f(...)``).  Calls made through ``cls(...)``, ``super()`` or a
+    function held in a variable go unmatched, so such a hit is a
+    knob only after a look at its callers."""
+    calls: dict[str, list[ast.Call]] = {}
+    for root in (REPO / "src", REPO / "perfbench"):
+        for source in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    return sorted(knob.name for knob in defaulted_parameters()
+                  if not any(_passes(call, knob)
+                             for call in calls.get(knob.callee, ())))
 
 
 #: Statements that emit no line event of their own, or that belong to

@@ -14,6 +14,8 @@ merged chunks again at the end.  The final merge that merges once
 must answer bit for bit alike.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,9 +114,10 @@ def test_partial_and_merge_equal_the_replaced_implementation(group_by):
     groups, inverse = _reference_inverse(both, group_by)
     merged_want = _reference_reduce(groups, inverse, both, AGGS, schema,
                                     True)
-    merge = MergeAggregate(chunk.schema, group_by, AGGS, batch=2)
-    assert merge.process(want) == []
-    [merged] = merge.process(other)
+    merge = MergeAggregate(chunk.schema, group_by, AGGS)
+    with mock.patch.object(operators, "MERGE_BATCH", 2):
+        assert merge.process(want) == []
+        [merged] = merge.process(other)
     _same(merged.chunk, merged_want)
 
 
@@ -216,8 +219,10 @@ def test_final_merge_equals_merge_on_arrival(chunks, group_by, staged):
     states = [e.chunk for c in chunks for e in partial.process(c)]
     if staged:
         # A non-final merge on the way, as the staged group-by places.
-        middle = MergeAggregate(RAW, group_by, FINAL_AGGS, batch=2)
-        states = [e.chunk for s in states for e in middle.process(s)]
+        middle = MergeAggregate(RAW, group_by, FINAL_AGGS)
+        with mock.patch.object(operators, "MERGE_BATCH", 2):
+            states = [e.chunk for s in states
+                      for e in middle.process(s)]
         states += [e.chunk for e in middle.finish()]
     merge, reference = _final(MergeAggregate, group_by), \
         _final(_MergeOnArrival, group_by)
@@ -287,10 +292,12 @@ def test_group_and_state_columns_carry_their_schema_dtypes():
     for group_by in ([], ["l_returnflag"], ["l_orderkey"],
                      ["l_returnflag", "l_quantity"]):
         partial = PartialAggregate(table.schema, group_by, aggs)
-        merge = MergeAggregate(table.schema, group_by, aggs, batch=2)
+        merge = MergeAggregate(table.schema, group_by, aggs)
         states = [e.chunk for c in table.chunks
                   for e in partial.process(c)]
-        states += [e.chunk for s in states for e in merge.process(s)]
+        with mock.patch.object(operators, "MERGE_BATCH", 2):
+            states += [e.chunk for s in states
+                       for e in merge.process(s)]
         states += [e.chunk for e in merge.finish()]
         for state in states:
             for field in state.schema.fields:

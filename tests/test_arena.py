@@ -152,38 +152,6 @@ def test_arena_and_dict_tables_checksum_identically():
 
 
 # ---------------------------------------------------------------------------
-# Validity masks
-# ---------------------------------------------------------------------------
-
-def test_validity_masks_ride_along_and_slice():
-    schema = _schema()
-    rows = 10
-    mask = np.ones(rows, dtype=bool)
-    mask[3] = False
-    arena = Arena.build(schema, {
-        "k": np.arange(rows, dtype=np.int64),
-        "v": np.zeros(rows),
-        "tag": np.array(["x"] * rows, dtype="<U8"),
-    }, validity={"v": mask})
-    assert arena.validity_slice("k", 0, rows) is None
-    got = arena.validity_slice("v", 2, 6)
-    assert got is not None and not got[1] and got[0]
-    chunk = Chunk._from_arena(schema, arena, 0, rows)
-    assert chunk.validity("k") is None
-    assert not chunk.validity("v")[3]
-
-
-def test_validity_length_mismatch_rejected():
-    schema = _schema()
-    with pytest.raises(ValueError, match="validity length"):
-        Arena.build(schema, {
-            "k": np.arange(4, dtype=np.int64),
-            "v": np.zeros(4),
-            "tag": np.array(["x"] * 4, dtype="<U8"),
-        }, validity={"k": np.ones(3, dtype=bool)})
-
-
-# ---------------------------------------------------------------------------
 # Table integration
 # ---------------------------------------------------------------------------
 

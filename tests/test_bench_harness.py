@@ -89,7 +89,7 @@ def test_experiment_record_is_deterministic():
     first = bench.run_suite("experiments", ["c8"])
     assert first == bench.run_suite("experiments", ["c8"])
     assert first[0]["name"] == "c8" and first[0]["rows"]
-    assert validate_report(make_report("unit", experiments=first)) == ""
+    validate_report(make_report("unit", experiments=first))
 
 
 def test_run_smoke_rejects_unknown_scenario():
@@ -121,7 +121,9 @@ def _strings(**columns):
     schema = Schema.of(*[(name, DataType.STRING) for name in columns])
     arrays = {name: np.array(values, dtype="<U8")
               for name, values in columns.items()}
-    return Table(schema, [Chunk(schema, arrays)])
+    table = Table(schema)
+    table.append(Chunk(schema, arrays))
+    return table
 
 
 def test_table_checksum_tells_separators_and_empty_cells_apart():
@@ -149,11 +151,11 @@ def test_combine_checksums_is_order_insensitive():
 def test_report_round_trip_and_validation(smoke_record, tmp_path):
     report = make_report("unit", [smoke_record], created="2026-08-06")
     assert report["schema"] == REPORT_SCHEMA
-    assert validate_report(report) == ""
+    validate_report(report)
     path = bench.write_report(report, str(tmp_path))
     assert os.path.basename(path) == "BENCH_unit.json"
     with open(path) as handle:
-        assert validate_report(json.load(handle)) == ""
+        validate_report(json.load(handle))
 
 
 def test_validation_rejects_bad_reports(smoke_record):
@@ -193,16 +195,19 @@ def test_validation_rejects_bad_reports(smoke_record):
 
 def test_validation_reason_string_without_raising(smoke_record):
     report = make_report("unit", [smoke_record])
-    assert validate_report(report, strict=False) == ""
+    assert obs.report_violations(report) == []
 
     broken = copy.deepcopy(report)
     del broken["smoke"][0]["checksum"]
     broken["smoke"][0]["sim_time_s"] = 0.0
-    reason = validate_report(broken, strict=False)
-    assert "checksum missing" in reason
-    assert "sim_time_s" in reason
     violations = obs.report_violations(broken)
     assert len(violations) == 2
+    with pytest.raises(ValueError) as raised:
+        validate_report(broken)
+    assert str(raised.value) == ("invalid benchmark report: "
+                                 + "; ".join(violations))
+    assert "checksum missing" in str(raised.value)
+    assert "sim_time_s" in str(raised.value)
 
 
 def test_experiment_table_has_20_ids_each_with_a_check():
@@ -215,7 +220,7 @@ def test_validation_rejects_malformed_experiment_records():
     record = {"name": "c8", "rows": [],
               "checks": [{"name": "a", "passed": True, "value": 1.5},
                          {"name": "b", "passed": False, "value": None}]}
-    assert validate_report(make_report("unit", experiments=[record])) == ""
+    validate_report(make_report("unit", experiments=[record]))
     broken = [
         (dict(record, rows={}), "'rows' is {}, expected list"),
         ({"name": "c8", "rows": []}, "missing 'checks'"),
@@ -256,7 +261,7 @@ def test_cli_smoke_writes_valid_report(tmp_path, capsys):
     assert "BENCH_clitest.json" in out
     path = tmp_path / "BENCH_clitest.json"
     report = json.loads(path.read_text())
-    assert validate_report(report) == ""
+    validate_report(report)
     assert report["tag"] == "clitest"
     names = {record["name"] for record in report["smoke"]}
     assert names == set(bench.SMOKE_SCENARIOS)

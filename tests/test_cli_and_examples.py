@@ -357,6 +357,22 @@ HOSTILE = {
                                "= nope group by o_priority",
                                "--rows", "400"],
                               "no column 'nope' (have: ['o_orderkey', "),
+    # An output name given twice, or one that shadows an input column
+    # (each was a ValueError traceback from the schema or the binder).
+    "sql-repeated-alias": (["sql", "SELECT COUNT(*) AS n, SUM(l_quantity) "
+                            "AS n FROM lineitem", "--rows", "400"],
+                           "duplicate column names in ['n', 'n']"),
+    "sql-alias-repeats-group-key": (
+        ["sql", "SELECT l_returnflag, COUNT(*) AS l_returnflag FROM "
+         "lineitem GROUP BY l_returnflag", "--rows", "400"],
+        "duplicate column names in ['l_returnflag', 'l_returnflag']"),
+    "sql-repeated-column": (["sql", "SELECT l_quantity, l_quantity FROM "
+                             "lineitem LIMIT 2", "--rows", "400"],
+                            "duplicate column names in ['l_quantity', "),
+    "sql-shadowing-alias": (["sql", "SELECT l_quantity + 1 AS l_quantity "
+                             "FROM lineitem LIMIT 2", "--rows", "400"],
+                            "computed column 'l_quantity' shadows an "
+                            "input column"),
     "bench-rows": (["bench", "--smoke", "--rows", "-5"],
                    "invalid positive_int value: '-5'"),
     "whatif-query": (["whatif", "--query", "nope"], "'f1', 'f2'"),
@@ -511,6 +527,20 @@ def test_reach_allowed_list_names_one_def_each_with_a_reason():
     for name, reason in reach.ALLOWED.items():
         assert defined.count(name) == 1, name
         assert reason.strip(), name
+
+
+def test_reach_every_unset_knob_is_listed_with_a_reason():
+    # A defaulted parameter no call in src/ or perfbench/ passes is a
+    # setting with one value: it becomes a constant, or KNOBS_ALLOWED
+    # says why it stays.  A listed one that is now passed or gone is
+    # struck off.
+    defaulted = {knob.name for knob in reach.defaulted_parameters()}
+    unset = set(reach.unset_knobs())
+    listed = set(reach.KNOBS_ALLOWED)
+    assert sorted(unset - listed) == [], "unset and not listed"
+    assert sorted(listed - defaulted) == [], "listed but gone"
+    assert sorted(listed & defaulted - unset) == [], "listed but passed"
+    assert all(reach.KNOBS_ALLOWED.values())
 
 
 def test_reach_never_run_table_names_files_with_counts():

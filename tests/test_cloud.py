@@ -160,7 +160,8 @@ def test_objectstore_compression_shrinks_objects():
 # ---------------------------------------------------------------------------
 
 def _reference_xor_cipher(payload: bytes, key: int = 0x5A) -> bytes:
-    """The generator cipher ``xor_cipher`` replaced, kept verbatim."""
+    """The generator cipher ``xor_cipher`` replaced, kept verbatim
+    (``xor_cipher`` has the one key ``0x5A``)."""
     keystream = bytes((key + i) % 256 for i in range(251))
     reps = len(payload) // len(keystream) + 1
     stream = (keystream * reps)[:len(payload)]
@@ -171,9 +172,8 @@ def test_xor_cipher_equals_the_generator_cipher():
     rng = np.random.default_rng(3)
     for length in (0, 1, 250, 251, 252, 503, 1999, 10_007):
         payload = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
-        for key in (0x5A, 0, 255, 300):
-            assert xor_cipher(payload, key) == \
-                _reference_xor_cipher(payload, key), (length, key)
+        assert xor_cipher(payload) == _reference_xor_cipher(payload), \
+            length
 
 
 def test_xor_cipher_involution():
@@ -277,8 +277,9 @@ def test_bufferpool_hit_after_miss():
     miss, hit = fabric.sim.run_process(run())
     assert (miss, hit) == (False, True)
     assert pool.lru.hits == 1 and pool.lru.misses == 1
-    assert fabric.trace.counter("cache.bufferpool0.hits") == 1
-    assert fabric.trace.counter("cache.bufferpool0.misses") == 1
+    assert [e.kind for e in fabric.trace.events
+            if e.actor == "cache.bufferpool0"] == [EventKind.CACHE_MISS,
+                                                   EventKind.CACHE_HIT]
 
 
 def test_bufferpool_miss_moves_data_hit_does_not():
@@ -312,7 +313,6 @@ def test_bufferpool_evicts_and_frees_dram():
     assert pool.lru.used_bytes == 2 * chunk
     assert pool.peak_bytes == 2 * chunk
     assert fabric.compute[0].dram.used == 2 * chunk
-    assert fabric.trace.counter("cache.bufferpool0.evictions") == 3
 
 
 def test_bufferpool_capacity_validation():
@@ -373,8 +373,6 @@ def test_datacache_hit_tracking():
     cache.put("x", "chunk x", 10)
     assert cache.get("x") == "chunk x"
     assert (cache.hits, cache.misses) == (1, 1)
-    assert fabric.trace.counter("cache.base.hits") == 1
-    assert fabric.trace.counter("cache.base.misses") == 1
     events = [(e.kind, e.actor, e.label) for e in fabric.trace.events
               if e.actor == "cache.base"]
     assert events == [(EventKind.CACHE_MISS, "cache.base", "x"),

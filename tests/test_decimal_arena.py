@@ -107,10 +107,11 @@ def _clustered_lineitem(chunk_rows=200):
     arrays = {f.name: lineitem.column(f.name)[order]
               for f in lineitem.schema.fields}
     arena = Table.from_arrays(lineitem.schema, arrays, chunk_rows=chunk_rows)
-    dense = Table(lineitem.schema, [
-        Chunk(lineitem.schema, {name: values[start:start + chunk_rows]
-                                for name, values in arrays.items()})
-        for start in range(0, 3000, chunk_rows)])
+    dense = Table(lineitem.schema)
+    for start in range(0, 3000, chunk_rows):
+        dense.append(Chunk(lineitem.schema,
+                           {name: values[start:start + chunk_rows]
+                            for name, values in arrays.items()}))
     return arena, dense
 
 

@@ -78,7 +78,7 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
     def driver():
         # A timeout due at t=1 and a succeed() issued at t=1 race at
         # the same instant; sequence order wins.
-        t = sim.timeout(1.0, "t")
+        t = sim.timeout(1.0)
         e = sim.event()
         sim.process(waiter("a", t))
         sim.process(waiter("b", e))
@@ -87,7 +87,7 @@ def test_kernel_orders_same_instant_events_by_schedule_order():
         yield sim.timeout(0.0)
 
     sim.run_process(driver())
-    assert order == [("a", 1.0, "t"), ("b", 1.0, "e")]
+    assert order == [("a", 1.0, None), ("b", 1.0, "e")]
 
 
 #: Every environment name the package reads.

@@ -1,8 +1,11 @@
 """Tests for physical operators against naive Python oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.engine import operators
 from repro.engine.logical import AggSpec
 from repro.engine.operators import (
     FilterOp,
@@ -171,12 +174,13 @@ def test_partition_invalid_n():
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def agg_pipeline(chunks, group_by, aggs, output_schema, merge_hops=0,
-                 batch=3):
-    """Run partial -> merge^n -> final and return the result chunk."""
+@mock.patch.object(operators, "MERGE_BATCH", 3)
+def agg_pipeline(chunks, group_by, aggs, output_schema, merge_hops=0):
+    """Run partial -> merge^n -> final (merges of three state chunks)
+    and return the result chunk."""
     input_schema = chunks[0].schema
     partial = PartialAggregate(input_schema, group_by, aggs)
-    merges = [MergeAggregate(input_schema, group_by, aggs, batch=batch)
+    merges = [MergeAggregate(input_schema, group_by, aggs)
               for _ in range(merge_hops)]
     final = MergeAggregate(input_schema, group_by, aggs, final=True,
                            output_schema=output_schema)
@@ -255,8 +259,9 @@ def test_merge_hops_do_not_change_result():
     assert base.sorted_rows() == staged.sorted_rows()
 
 
-def test_merge_stage_reduces_rows():
+def test_merge_stage_reduces_rows(monkeypatch):
     """A merge stage collapses duplicate groups across its window."""
+    monkeypatch.setattr(operators, "MERGE_BATCH", 4)
     schema = ints_chunk(g=[0], v=[0]).schema
     specs = [AggSpec("sum", "v", "t")]
     partial = PartialAggregate(schema, ["g"], specs)
@@ -264,7 +269,7 @@ def test_merge_stage_reduces_rows():
     for base in range(4):
         chunk = ints_chunk(g=[1, 2], v=[base, base * 10])
         states.extend(e.chunk for e in partial.process(chunk))
-    merge = MergeAggregate(schema, ["g"], specs, batch=4)
+    merge = MergeAggregate(schema, ["g"], specs)
     out = []
     for state in states:
         out.extend(merge.process(state))
@@ -274,12 +279,13 @@ def test_merge_stage_reduces_rows():
     assert out[0].chunk.num_rows == 2
 
 
-def test_merge_batch_buffers_until_window_full():
+def test_merge_batch_buffers_until_window_full(monkeypatch):
+    monkeypatch.setattr(operators, "MERGE_BATCH", 3)
     schema = ints_chunk(g=[0], v=[0]).schema
     specs = [AggSpec("count", alias="n")]
     partial = PartialAggregate(schema, ["g"], specs)
     state = partial.process(ints_chunk(g=[1], v=[1]))[0].chunk
-    merge = MergeAggregate(schema, ["g"], specs, batch=3)
+    merge = MergeAggregate(schema, ["g"], specs)
     assert merge.process(state) == []
     assert merge.process(state) == []
     out = merge.process(state)

@@ -241,43 +241,37 @@ def test_stage_charges_its_device_exactly_what_run_chain_returns():
     table = make_uniform_table(1200, columns=2, distinct=50, seed=13,
                                chunk_rows=400)
 
-    def free_ops():
-        return [FilterOp(col("k0") < 30)]
-
-    def charged_ops():
+    def ops():
         # Several emits per input: the projection runs once per
         # partition, and is charged once per partition.
-        return [PartitionOp("k1", 3), ProjectOp(["k0"])]
+        return [FilterOp(col("k0") < 30), PartitionOp("k1", 3),
+                ProjectOp(["k0"])]
 
     graph = StageGraph(fabric, name="charges")
-    src = graph.source("scan", table, ops=free_ops())   # no site
-    sink = graph.sink("work", "compute0.cpu", charged_ops())
+    src = graph.source("scan", table)
+    sink = graph.sink("work", "compute0.cpu", ops())
     graph.connect(src, sink)
     result = graph.run()
     assert result.table().num_rows == int((table.column("k0") < 30).sum())
 
     expected = []
     for chunk in table.chunks:
-        [survivors], _ = run_chain(free_ops(), chunk)
-        emits, charges = run_chain(charged_ops(), survivors.chunk)
+        emits, charges = run_chain(ops(), chunk)
         assert len(emits) == 3
         expected += charges
     assert [kind for kind, _ in expected] == (
-        ["partition", "project", "project", "project"] * 3)
+        ["filter", "partition", "project", "project", "project"] * 3)
 
     device, trace = sink.device, fabric.trace
     busy = [span.end - span.start
             for span in trace.spans[f"device.{device.name}"]]
     assert busy == pytest.approx(
         [device.service_time(kind, nbytes) for kind, nbytes in expected])
-    for kind in ("partition", "project"):
+    for kind in ("filter", "partition", "project"):
         assert trace.counter(f"device.{device.name}.bytes.{kind}") == sum(
             nbytes for k, nbytes in expected if k == kind)
     # One busy span per op the device ran.
     assert len(busy) == len(expected)
-    # The source has no device: its filter ran and cost nothing.
-    assert not [name for name in trace.counters
-                if name.endswith(".bytes.filter")]
 
 
 def test_stage_graph_rejects_unconnected_stage():

@@ -180,8 +180,11 @@ def test_remaining_link_factories():
     assert cache.latency < mem.latency < eth.latency
 
 
-def test_cxl_requires_gen5_plus():
+def test_cxl_runs_on_pcie5_electricals():
     from repro.hardware import cxl_link
     sim, trace = make_env()
-    with pytest.raises(ValueError):
-        cxl_link(sim, trace, "bad", generation=4)
+    cxl = cxl_link(sim, trace, "x")
+    pcie = pcie_link(sim, trace, "p", generation=5)
+    assert cxl.bandwidth == pcie.bandwidth
+    assert cxl.latency < pcie.latency
+    assert cxl.segment == "cxl"

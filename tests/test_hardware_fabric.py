@@ -19,6 +19,7 @@ from repro.hardware import (
     gc_near_memory,
     gc_on_cpu,
 )
+from repro.hardware import functional_units
 from repro.hardware.presets import FabricSpec
 from repro.hardware.topology import Fabric
 from repro.sim import Simulator, Trace
@@ -161,19 +162,25 @@ def test_cxl_spec_lowers_latency():
 # Functional units (§5.4)
 # ---------------------------------------------------------------------------
 
-def test_block_store_lookup_correct():
+def _shape(monkeypatch, fanout, leaf_capacity):
+    """Build block stores with this fanout and leaf size."""
+    monkeypatch.setattr(functional_units, "FANOUT", fanout)
+    monkeypatch.setattr(functional_units, "LEAF_CAPACITY", leaf_capacity)
+
+
+def test_block_store_lookup_correct(monkeypatch):
+    _shape(monkeypatch, 4, 8)
     keys = list(range(0, 1000, 3))
-    store = HierarchicalBlockStore(keys, fanout=4, leaf_capacity=8)
+    store = HierarchicalBlockStore(keys)
     assert store.lookup(999) == 999 * 2 + 1
     assert store.lookup(0) == 1
     assert store.lookup(1) is None  # not a multiple of 3
 
 
-def test_block_store_height_grows_with_keys():
-    small = HierarchicalBlockStore(list(range(10)), fanout=4,
-                                   leaf_capacity=4)
-    large = HierarchicalBlockStore(list(range(10000)), fanout=4,
-                                   leaf_capacity=4)
+def test_block_store_height_grows_with_keys(monkeypatch):
+    _shape(monkeypatch, 4, 4)
+    small = HierarchicalBlockStore(list(range(10)))
+    large = HierarchicalBlockStore(list(range(10000)))
     assert large.height > small.height
 
 
@@ -182,9 +189,9 @@ def test_block_store_requires_sorted_keys():
         HierarchicalBlockStore([3, 1, 2])
 
 
-def test_block_store_traverse_ends_at_leaf():
-    store = HierarchicalBlockStore(list(range(100)), fanout=4,
-                                   leaf_capacity=4)
+def test_block_store_traverse_ends_at_leaf(monkeypatch):
+    _shape(monkeypatch, 4, 4)
+    store = HierarchicalBlockStore(list(range(100)))
     path = store.traverse(42)
     assert path[-1].is_leaf
     assert all(not b.is_leaf for b in path[:-1])
@@ -195,10 +202,10 @@ def chase_env():
     return fabric, fabric.compute[0]
 
 
-def test_chase_cpu_and_nearmem_agree():
+def test_chase_cpu_and_nearmem_agree(monkeypatch):
+    _shape(monkeypatch, 8, 16)
     fabric, node = chase_env()
-    store = HierarchicalBlockStore(list(range(0, 4096, 2)), fanout=8,
-                                   leaf_capacity=16)
+    store = HierarchicalBlockStore(list(range(0, 4096, 2)))
 
     def run():
         cpu_result = yield from chase_on_cpu(store, 100, fabric, node)
@@ -209,9 +216,9 @@ def test_chase_cpu_and_nearmem_agree():
     assert cpu_result == nm_result == 201
 
 
-def test_chase_near_memory_moves_fewer_bytes():
-    store = HierarchicalBlockStore(list(range(0, 65536, 2)), fanout=8,
-                                   leaf_capacity=16)
+def test_chase_near_memory_moves_fewer_bytes(monkeypatch):
+    _shape(monkeypatch, 8, 16)
+    store = HierarchicalBlockStore(list(range(0, 65536, 2)))
 
     fabric1, node1 = chase_env()
     fabric1.sim.run_process(chase_on_cpu(store, 1234, fabric1, node1))
@@ -222,14 +229,15 @@ def test_chase_near_memory_moves_fewer_bytes():
     nm_moved = fabric2.trace.counter("movement.membus.bytes")
 
     assert nm_moved < cpu_moved
-    assert nm_moved == store.block_bytes  # only the leaf crosses
+    # Only the leaf crosses.
+    assert nm_moved == functional_units.BLOCK_BYTES
 
 
-def test_chase_on_cpu_with_warm_cache_skips_memory():
-    store = HierarchicalBlockStore(list(range(0, 4096, 2)), fanout=8,
-                                   leaf_capacity=16)
+def test_chase_on_cpu_with_warm_cache_skips_memory(monkeypatch):
+    _shape(monkeypatch, 8, 16)
+    store = HierarchicalBlockStore(list(range(0, 4096, 2)))
     fabric, node = chase_env()
-    cache = LRUCache(1024 * store.block_bytes)
+    cache = LRUCache(1024 * functional_units.BLOCK_BYTES)
 
     def run():
         yield from chase_on_cpu(store, 100, fabric, node, cache=cache)

@@ -74,7 +74,8 @@ def test_trace_snapshot_delta():
 
 def test_query_result_summary(monkeypatch):
     schema = Schema.of(("a", DataType.INT64))
-    table = Table(schema, [Chunk(schema, {"a": np.array([1, 2])})])
+    table = Table(schema)
+    table.append(Chunk(schema, {"a": np.array([1, 2])}))
     result = QueryResult(table=table, elapsed=0.5, engine="x",
                          movement={"network.bytes": 10.0,
                                    "pcie.bytes": 5.0})
@@ -89,7 +90,8 @@ def test_query_result_summary(monkeypatch):
                         lambda t: rendered.append(t) or render(t))
     assert result.checksum() == result.checksum() == render(table)
     assert rendered == [table]
-    result.table = Table(schema, [Chunk(schema, {"a": np.array([1, 3])})])
+    result.table = Table(schema)
+    result.table.append(Chunk(schema, {"a": np.array([1, 3])}))
     assert result.checksum() == render(result.table) != render(table)
     assert rendered == [table, result.table]
 
@@ -164,16 +166,6 @@ def test_empty_result_queries_agree():
     fabric_d, catalog_d = env()
     res_d = DataflowEngine(fabric_d, catalog_d).execute(query)
     assert res_v.rows == res_d.rows == 0
-
-
-def test_scan_column_pruning_in_both_engines():
-    query = Query.scan("t", columns=["k1"])
-    fabric_v, catalog_v = env()
-    res_v = VolcanoEngine(fabric_v, catalog_v).execute(query)
-    fabric_d, catalog_d = env()
-    res_d = DataflowEngine(fabric_d, catalog_d).execute(query)
-    assert res_v.table.schema.names == ["k1"]
-    assert res_v.table.sorted_rows() == res_d.table.sorted_rows()
 
 
 def test_limit_in_dataflow_engine():

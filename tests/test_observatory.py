@@ -26,6 +26,7 @@ from repro.analysis import (
     attribute_windows,
     bound_class,
     effective_cost,
+    observatory,
     raw_intervals,
     render_top,
 )
@@ -100,8 +101,9 @@ def test_per_query_attribution_equals_window_clipped_sums(server):
                                   rec.finished).buckets == whole.buckets
 
 
-def test_window_of_agrees_with_the_edges_it_slices_on():
+def test_window_of_agrees_with_the_edges_it_slices_on(monkeypatch):
     window_s = 0.001
+    monkeypatch.setattr(observatory, "WINDOW_S", window_s)
     # One ulp below the edges 9 * window_s and 13 * window_s, where
     # ``int(ts / window_s)`` rounds up into the next window.
     below_9 = math.nextafter(9 * window_s, 0.0)
@@ -111,8 +113,7 @@ def test_window_of_agrees_with_the_edges_it_slices_on():
     trace = Trace()
     trace.close_span(trace.open_span("device.cpu", 0.0085), 0.0095)
     trace.close_span(trace.open_span("link.bus", below_9), 0.0095)
-    obs = Observatory(["t"], trace, window_s=window_s,
-                      link_bandwidth={"bus": 1e9})
+    obs = Observatory(["t"], trace, link_bandwidth={"bus": 1e9})
     records = [
         SimpleNamespace(name="a", tenant="t", arrival=below_9,
                         started=below_9, finished=0.0105,
@@ -165,7 +166,8 @@ def calls(monkeypatch):
     return counts
 
 
-def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
+def test_observers_share_one_sweep_and_verify_cost_ignores_queries(
+        calls, monkeypatch):
     for queries in (30, 90):
         server = serve_scenario_server("two_tenant_bursty",
                                        queries=queries)
@@ -182,8 +184,8 @@ def test_observers_share_one_sweep_and_verify_cost_ignores_queries(calls):
         assert variants > 2 * len(obs._regret) > 0
         for sample in (5, 25):
             calls.clear()
-            assert obs.observatory_violations(
-                server.records, query_sample=sample) == []
+            monkeypatch.setattr(observatory, "QUERY_SAMPLE", sample)
+            assert obs.observatory_violations(server.records) == []
             assert len(obs._completed) > sample
             # Every tumbling window, the whole horizon and each sampled
             # query in one pass — whatever the number of queries — and
@@ -356,12 +358,12 @@ def _query(name, started, finished, chosen=None):
                            completed=True, variant_name=chosen or "")
 
 
-def test_hand_built_regret_ties_empty_lists_and_zero_costs():
+def test_hand_built_regret_ties_empty_lists_and_zero_costs(monkeypatch):
+    monkeypatch.setattr(observatory, "WINDOW_S", 0.004)
     trace = Trace()
     trace.close_span(trace.open_span("device.cpu", 0.0), 0.003)
     trace.close_span(trace.open_span("link.bus", 0.002), 0.006)
-    obs = Observatory(["t"], trace, window_s=0.004,
-                      link_bandwidth={"bus": 1e9})
+    obs = Observatory(["t"], trace, link_bandwidth={"bus": 1e9})
     twins = [_variant("zeta", {"cpu": 1e-3}, {"bus": 2e-4}, 1e-5),
              _variant("alpha", {"cpu": 1e-3}, {"bus": 2e-4}, 1e-5),
              _variant("mid", {"cpu": 2e-3})]
@@ -543,9 +545,10 @@ def test_attribute_not_partial_on_complete_ring():
     assert not att.partial and att.partial_reason == ""
 
 
-def test_observatory_marks_partial_on_overflowed_ring():
+def test_observatory_marks_partial_on_overflowed_ring(monkeypatch):
+    monkeypatch.setattr(observatory, "WINDOW_S", 0.5)
     trace = _overflowed_trace()
-    obs = Observatory([], trace, window_s=0.5)
+    obs = Observatory([], trace)
     obs.finalize(1.0)
     payload = obs.payload()
     assert payload["partial"]

@@ -7,10 +7,13 @@ join correctness against brute force, LRU behaviour, and format
 round-trips.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import operators
 from repro.engine.logical import AggSpec
 from repro.engine.operators import (
     HashJoinBuild,
@@ -34,7 +37,7 @@ from repro.relational import (
     to_column_major,
     to_row_major,
 )
-from repro.sim import Simulator, Store, Trace
+from repro.sim import EventKind, Simulator, Store, Trace
 
 ints = st.integers(min_value=-1000, max_value=1000)
 small_ints = st.integers(min_value=0, max_value=20)
@@ -147,15 +150,16 @@ def test_staged_aggregation_matches_oracle(rows, chunk_size, merge_hops):
                      Field("lo", DataType.FLOAT64),
                      Field("hi", DataType.FLOAT64)])
     partial = PartialAggregate(schema, ["g"], specs)
-    merges = [MergeAggregate(schema, ["g"], specs, batch=3)
+    merges = [MergeAggregate(schema, ["g"], specs)
               for _ in range(merge_hops)]
     final = MergeAggregate(schema, ["g"], specs, final=True,
                            output_schema=output)
     stream = [e for chunk in chunks for e in partial.process(chunk)]
     for merge in merges:
         out = []
-        for e in stream:
-            out.extend(merge.process(e.chunk))
+        with mock.patch.object(operators, "MERGE_BATCH", 3):
+            for e in stream:
+                out.extend(merge.process(e.chunk))
         out.extend(merge.finish())
         stream = out
     for e in stream:
@@ -249,29 +253,33 @@ cache_ops = st.lists(
 def test_lru_invariants(capacity, ops):
     """The byte-budgeted LRU agrees with a list model, op for op: same
     values, same victims in least-recently-used order, used bytes
-    within the budget, exact hit / miss / eviction counts (also as
-    trace counters), and an entry larger than the budget refused with
-    any older copy of its key dropped."""
+    within the budget, exact hit / miss / eviction counts (each hit
+    and miss also one ``cache_hit`` / ``cache_miss`` event), and an
+    entry larger than the budget refused with any older copy of its
+    key dropped."""
     trace = Trace()
     cache = LRUCache(capacity, name="c", trace=trace)
     reference = ListLRU(capacity)
-    gets = evictions = 0
+    gets = hits = evictions = 0
     for n, (op, key, *size) in enumerate(ops):
         if op == "get":
             gets += 1
-            assert cache.get(key) == reference.get(key)
+            want = reference.get(key)
+            hits += want is not None
+            assert cache.get(key) == want
         else:
             value = f"v{n}"
             evicted = cache.put(key, value, size[0])
             assert evicted == reference.put(key, value, size[0])
             evictions += len(evicted)
         assert cache.used_bytes == reference.used() <= capacity
-    assert cache.hits + cache.misses == gets
+    assert (cache.hits, cache.misses) == (hits, gets - hits)
     assert cache.evictions == evictions
-    assert trace.counter("cache.c.hits") == cache.hits
-    assert trace.counter("cache.c.misses") == cache.misses
-    assert trace.counter("cache.c.evictions") == evictions
-    assert len(trace.events) == gets
+    kinds = [event.kind for event in trace.events]
+    assert kinds.count(EventKind.CACHE_HIT) == hits
+    assert kinds.count(EventKind.CACHE_MISS) == gets - hits
+    assert len(kinds) == gets
+    assert not trace.counters
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ placements; the Volcano engine and the data-flow engine must agree on
 every one of them.  This is the repo's strongest end-to-end oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.engine import (
     cpu_only,
     pushdown,
 )
+from repro.flow import stages
 from repro.hardware import build_fabric, dataflow_spec
 from repro.relational import Catalog, col, make_uniform_table
 
@@ -120,8 +123,9 @@ def test_inbox_never_holds_more_than_its_credits(query, credits,
     fabric, catalog = fresh_env()
     placement = (pushdown(query.plan, fabric) if use_pushdown
                  else cpu_only(query.plan, fabric))
-    engine = DataflowEngine(fabric, catalog, default_credits=credits)
-    flow = engine.compile(query, placement).run()
+    with mock.patch.object(stages, "CREDITS", credits):
+        flow = DataflowEngine(fabric, catalog).compile(query,
+                                                       placement).run()
     consumers = [s for s in flow.stages.values() if s.inputs]
     assert consumers
     for stage in consumers:

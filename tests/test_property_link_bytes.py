@@ -12,10 +12,11 @@ equality of every cell — including which cells exist at all.
 
 import math
 from bisect import bisect_right
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import Observatory, WinnerTimeline
+from repro.analysis import Observatory, WinnerTimeline, observatory
 from repro.sim import Trace
 
 _BANDWIDTH = {"bus": 12.5e9, "alt": 3.0e9, "slow": 0.1}
@@ -46,10 +47,12 @@ def _oracle(intervals, edges, bandwidths):
 
 
 def _fold(intervals, window_s, horizon):
-    obs = Observatory([], Trace(), window_s=window_s,
-                      link_bandwidth=_BANDWIDTH)
+    """Fold over windows ``window_s`` wide (the observatory's width
+    set for the call)."""
+    obs = Observatory([], Trace(), link_bandwidth=_BANDWIDTH)
     obs.timeline = WinnerTimeline(obs.trace, intervals)
-    obs._edges = obs._tile(horizon)
+    with mock.patch.object(observatory, "WINDOW_S", window_s):
+        obs._edges = obs._tile(horizon)
     return obs._fold_link_bytes(), obs._edges
 
 
@@ -131,6 +134,6 @@ def test_straddling_span_splits_in_interval_order():
 
 def test_no_windows_and_no_links():
     assert _fold([(0.0, 1.0, "device:cpu", 0)], 1.0, 2.0)[0] == [{}, {}]
-    obs = Observatory([], Trace(), window_s=1.0)
+    obs = Observatory([], Trace())
     obs.timeline = WinnerTimeline(obs.trace, [(0.0, 1.0, "link:bus", 3)])
     assert obs._fold_link_bytes() == []

@@ -52,7 +52,7 @@ def test_serve_plane_option_inventory():
     assert list(inspect.signature(ServeTelemetry).parameters) == [
         "tenants", "trace"]
     assert list(inspect.signature(Observatory).parameters) == [
-        "tenants", "trace", "window_s", "link_bandwidth"]
+        "tenants", "trace", "link_bandwidth"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_v3_report_with_serving_validates():
     serving = run_suite("serving", ["two_tenant_bursty"], queries=40)
     report = make_report("t", smoke=[], serving=serving)
     assert report["schema"] == "repro.bench/v3"
-    assert validate_report(report) == ""
+    validate_report(report)
 
 
 def test_v3_report_missing_serving_section_fails():
@@ -387,8 +387,9 @@ def test_serving_record_schema_violations_detected():
     report = make_report("t", smoke=[], serving=serving)
     report["serving"][0]["slo_violations"] = \
         report["serving"][0]["completed"] + 1
-    reason = validate_report(report, strict=False)
-    assert "more SLO violations than completions" in reason
+    with pytest.raises(ValueError,
+                       match="more SLO violations than completions"):
+        validate_report(report)
 
 
 def test_compare_gates_serving_metrics():

@@ -36,14 +36,14 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
-def test_timeout_carries_value():
+def test_timeout_fires_with_no_value():
     sim = Simulator()
 
     def proc():
-        value = yield sim.timeout(1.0, value="payload")
-        return value
+        value = yield sim.timeout(1.0)
+        return sim.now, value
 
-    assert sim.run_process(proc()) == "payload"
+    assert sim.run_process(proc()) == (1.0, None)
 
 
 def test_events_fire_in_time_order():
@@ -184,12 +184,12 @@ def test_all_of_waits_for_every_event():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(3.0, value="b")
+        t1 = sim.timeout(1.0)
+        t2 = sim.timeout(3.0)
         results = yield sim.all_of([t1, t2])
-        return sim.now, sorted(results.values())
+        return sim.now, results
 
-    assert sim.run_process(proc()) == (3.0, ["a", "b"])
+    assert sim.run_process(proc()) == (3.0, {0: None, 1: None})
 
 
 def test_all_of_empty_fires_immediately():
@@ -206,14 +206,13 @@ def test_any_of_fires_on_first():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(1.0, value="fast")
-        t2 = sim.timeout(9.0, value="slow")
+        t1 = sim.timeout(1.0)
+        t2 = sim.timeout(9.0)
         results = yield sim.any_of([t1, t2])
-        return sim.now, list(results.values())
+        return sim.now, results
 
-    now, values = sim.run_process(proc())
-    assert now == 1.0
-    assert values == ["fast"]
+    # The first event (index 0) alone has fired.
+    assert sim.run_process(proc()) == (1.0, {0: None})
 
 
 def test_interrupt_delivers_cause():

@@ -140,71 +140,43 @@ def test_resource_parallel_when_capacity_two():
     assert ends == [2.0, 2.0]
 
 
-def test_resource_multi_unit_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=4)
-    log = []
-
-    def wide():
-        yield res.request(3)
-        log.append((sim.now, "wide"))
-        yield sim.timeout(2.0)
-        res.release(3)
-
-    def narrow():
-        yield sim.timeout(0.5)
-        yield res.request(2)  # only 1 free until wide releases
-        log.append((sim.now, "narrow"))
-        res.release(2)
-
-    sim.process(wide())
-    sim.process(narrow())
-    sim.run()
-    assert log == [(0.0, "wide"), (2.0, "narrow")]
-
-
 def test_resource_fifo_head_of_line():
-    """A big request at the head blocks later small ones (hardware FIFO)."""
+    """Grants follow request order: the request at the head of the
+    line is served first (hardware FIFO)."""
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    res = Resource(sim, capacity=1)
     order = []
 
     def holder():
-        yield res.request(1)
+        yield res.request()
         yield sim.timeout(10.0)
-        res.release(1)
+        res.release()
 
-    def big():
+    def first():
         yield sim.timeout(1.0)
-        yield res.request(2)
-        order.append("big")
-        res.release(2)
+        yield res.request()
+        order.append(("first", sim.now))
+        yield sim.timeout(1.0)
+        res.release()
 
-    def small():
+    def second():
         yield sim.timeout(2.0)
-        yield res.request(1)
-        order.append("small")
-        res.release(1)
+        yield res.request()
+        order.append(("second", sim.now))
+        res.release()
 
     sim.process(holder())
-    sim.process(big())
-    sim.process(small())
+    sim.process(first())
+    sim.process(second())
     sim.run()
-    assert order == ["big", "small"]
-
-
-def test_resource_request_exceeding_capacity_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    with pytest.raises(SimulationError):
-        res.request(3)
+    assert order == [("first", 10.0), ("second", 11.0)]
 
 
 def test_resource_over_release_rejected():
     sim = Simulator()
     res = Resource(sim, capacity=2)
     with pytest.raises(SimulationError):
-        res.release(1)
+        res.release()
 
 
 def test_resource_utilization():

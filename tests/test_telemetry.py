@@ -12,20 +12,22 @@ payload digest is bit-reproducible.
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import slo
 from repro.analysis.slo import (
     BurnRateMonitor,
-    SLOPolicy,
     alert_mismatches,
     burn_rate,
     replay_alerts,
 )
 from repro.serve import SERVE_SCENARIOS, run_scenario
 from repro.serve.server import latency_percentile, nearest_rank
+from repro.serve import telemetry
 from repro.serve.telemetry import QuantileSketch
 
 latencies_lists = st.lists(
@@ -40,10 +42,10 @@ latencies_lists = st.lists(
 @settings(max_examples=50, deadline=None)
 def test_sketch_bit_equal_to_latency_percentile_uncompressed(
         values, q):
-    sketch = QuantileSketch(capacity=256)
+    sketch = QuantileSketch()
     for value in values:
         sketch.add(value)
-    if len(values) <= 256:
+    if len(values) <= telemetry.SKETCH_CAPACITY:
         assert sketch.exact
         assert sketch.quantile(q) == latency_percentile(values, q)
 
@@ -51,39 +53,41 @@ def test_sketch_bit_equal_to_latency_percentile_uncompressed(
 @given(latencies_lists, latencies_lists)
 @settings(max_examples=50, deadline=None)
 def test_sketch_merge_equals_bulk_build_in_exact_regime(a, b):
-    left = QuantileSketch(capacity=1024)
-    right = QuantileSketch(capacity=1024)
-    for value in a:
-        left.add(value)
-    for value in b:
-        right.add(value)
-    left.merge(right)
-    assert left.exact
-    for q in (0.5, 0.99):
-        assert left.quantile(q) == latency_percentile(a + b, q)
+    with mock.patch.object(telemetry, "SKETCH_CAPACITY", 1024):
+        left = QuantileSketch()
+        right = QuantileSketch()
+        for value in a:
+            left.add(value)
+        for value in b:
+            right.add(value)
+        left.merge(right)
+        assert left.exact
+        for q in (0.5, 0.99):
+            assert left.quantile(q) == latency_percentile(a + b, q)
 
 
 @given(latencies_lists, latencies_lists, latencies_lists)
 @settings(max_examples=30, deadline=None)
 def test_sketch_merge_associative_in_exact_regime(a, b, c):
     def build(values):
-        sketch = QuantileSketch(capacity=2048)
+        sketch = QuantileSketch()
         for value in values:
             sketch.add(value)
         return sketch
 
-    left = build(a).merge(build(b)).merge(build(c))
-    right = build(a).merge(build(b).merge(build(c)))
-    assert left.to_dict() == right.to_dict()
+    with mock.patch.object(telemetry, "SKETCH_CAPACITY", 2048):
+        left = build(a).merge(build(b)).merge(build(c))
+        right = build(a).merge(build(b).merge(build(c)))
+        assert left.to_dict() == right.to_dict()
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0,
-                          allow_nan=False), min_size=50,
-                max_size=2000),
-       st.integers(min_value=4, max_value=64))
+                          allow_nan=False), min_size=300,
+                max_size=4000))
 @settings(max_examples=30, deadline=None)
-def test_sketch_rank_error_within_documented_bound(values, capacity):
-    sketch = QuantileSketch(capacity=capacity)
+def test_sketch_rank_error_within_documented_bound(values):
+    # Past the capacity's 256 distinct points the sketch compresses.
+    sketch = QuantileSketch()
     for value in values:
         sketch.add(value)
     ordered = sorted(values)
@@ -106,7 +110,7 @@ def test_sketch_adversarial_distributions():
         [2.0 ** -i for i in range(1, 300)],          # geometric tail
     ]
     for values in adversarial:
-        sketch = QuantileSketch(capacity=32)
+        sketch = QuantileSketch()
         for value in values:
             sketch.add(value)
         ordered = sorted(values)
@@ -122,8 +126,8 @@ def test_sketch_adversarial_distributions():
 def test_sketch_deterministic_and_serializable():
     values = [((i * 2654435761) % 1000) / 1000 + 1e-6
               for i in range(5000)]
-    a = QuantileSketch(capacity=64)
-    b = QuantileSketch(capacity=64)
+    a = QuantileSketch()
+    b = QuantileSketch()
     for value in values:
         a.add(value)
         b.add(value)
@@ -132,7 +136,7 @@ def test_sketch_deterministic_and_serializable():
 
 
 def test_sketch_counts_weights_not_points():
-    sketch = QuantileSketch(capacity=4)
+    sketch = QuantileSketch()
     for _ in range(100):
         sketch.add(0.5)
     assert sketch.count == 100
@@ -143,22 +147,27 @@ def test_sketch_counts_weights_not_points():
 
 # -- burn-rate edge cases --------------------------------------------------
 
-def test_burn_exactly_at_threshold_fires():
+def _policy(monkeypatch, target, fast_windows, slow_windows):
+    """Set the module's alerting policy for one test."""
+    monkeypatch.setattr(slo, "SLO_TARGET", target)
+    monkeypatch.setattr(slo, "FAST_WINDOWS", fast_windows)
+    monkeypatch.setattr(slo, "SLOW_WINDOWS", slow_windows)
+
+
+def test_burn_exactly_at_threshold_fires(monkeypatch):
     # target .75 -> budget .25 (exact in binary); 1 violation per 4
     # completions is a burn of exactly 1.0, and >= semantics means
     # it FIRES.
-    policy = SLOPolicy(target=0.75, threshold=1.0, fast_windows=1,
-                       slow_windows=1)
-    monitor = BurnRateMonitor(policy)
+    _policy(monkeypatch, 0.75, 1, 1)
+    monitor = BurnRateMonitor()
     alert = monitor.observe(0, completions=4, violations=1, at=1.0)
     assert alert is not None and alert["kind"] == "fired"
     assert alert["fast_burn"] == 1.0
 
 
-def test_burn_empty_windows_are_silence_and_resolve():
-    policy = SLOPolicy(target=0.9, threshold=1.0, fast_windows=1,
-                       slow_windows=1)
-    monitor = BurnRateMonitor(policy)
+def test_burn_empty_windows_are_silence_and_resolve(monkeypatch):
+    _policy(monkeypatch, 0.9, 1, 1)
+    monitor = BurnRateMonitor()
     assert monitor.observe(0, 0, 0, at=1.0) is None  # idle: no 0/0
     fired = monitor.observe(1, 10, 10, at=2.0)
     assert fired is not None and fired["kind"] == "fired"
@@ -166,31 +175,28 @@ def test_burn_empty_windows_are_silence_and_resolve():
     assert resolved is not None and resolved["kind"] == "resolved"
 
 
-def test_burn_zero_completion_tenant_never_alerts():
-    policy = SLOPolicy(target=0.99, threshold=1.0, fast_windows=2,
-                       slow_windows=4)
-    monitor = BurnRateMonitor(policy)
+def test_burn_zero_completion_tenant_never_alerts(monkeypatch):
+    _policy(monkeypatch, 0.99, 2, 4)
+    monitor = BurnRateMonitor()
     for index in range(20):
         assert monitor.observe(index, 0, 0, at=float(index)) is None
     assert not monitor.burning
 
 
-def test_burn_zero_budget_any_violation_is_infinite():
+def test_burn_zero_budget_any_violation_is_infinite(monkeypatch):
     assert burn_rate(1, 100, budget=0.0) == float("inf")
     assert burn_rate(0, 100, budget=0.0) == 0.0
-    policy = SLOPolicy(target=1.0, threshold=1.0, fast_windows=1,
-                       slow_windows=1)
-    monitor = BurnRateMonitor(policy)
+    _policy(monkeypatch, 1.0, 1, 1)
+    monitor = BurnRateMonitor()
     alert = monitor.observe(0, completions=5, violations=1, at=1.0)
     assert alert is not None and alert["kind"] == "fired"
 
 
-def test_burn_slow_window_suppresses_one_bad_window():
+def test_burn_slow_window_suppresses_one_bad_window(monkeypatch):
     # One terrible window out of many good ones must not page when
     # the slow span still has budget.
-    policy = SLOPolicy(target=0.9, threshold=1.0, fast_windows=1,
-                       slow_windows=10)
-    monitor = BurnRateMonitor(policy)
+    _policy(monkeypatch, 0.9, 1, 10)
+    monitor = BurnRateMonitor()
     for index in range(9):
         assert monitor.observe(index, 100, 0,
                                at=float(index)) is None
@@ -199,7 +205,7 @@ def test_burn_slow_window_suppresses_one_bad_window():
 
 
 def test_monitor_rejects_sparse_windows():
-    monitor = BurnRateMonitor(SLOPolicy())
+    monitor = BurnRateMonitor()
     monitor.observe(0, 1, 0, at=1.0)
     with pytest.raises(ValueError, match="densely"):
         monitor.observe(2, 1, 0, at=3.0)
@@ -210,32 +216,29 @@ def test_monitor_rejects_sparse_windows():
        st.floats(min_value=0.5, max_value=0.999))
 @settings(max_examples=50, deadline=None)
 def test_alert_stream_reconstructible_from_series(pairs, target):
-    policy = SLOPolicy(target=target, threshold=1.0, fast_windows=2,
-                       slow_windows=6)
-    monitor = BurnRateMonitor(policy)
-    series, live = [], []
-    for index, (completions, extra) in enumerate(pairs):
-        violations = min(extra, completions)
-        alert = monitor.observe(index, completions, violations,
-                                at=(index + 1) * 0.005)
-        if alert is not None:
-            live.append({"tenant": "t", **alert})
-        series.append({"window": index, "completions": completions,
-                       "violations": violations})
-    assert replay_alerts(series, policy, 0.005) == [
-        {k: v for k, v in alert.items() if k != "tenant"}
-        for alert in live]
-    assert alert_mismatches({"t": series}, {"t": policy}, live,
-                            0.005) == []
+    with mock.patch.multiple(slo, SLO_TARGET=target, FAST_WINDOWS=2,
+                             SLOW_WINDOWS=6):
+        monitor = BurnRateMonitor()
+        series, live = [], []
+        for index, (completions, extra) in enumerate(pairs):
+            violations = min(extra, completions)
+            alert = monitor.observe(index, completions, violations,
+                                    at=(index + 1) * 0.005)
+            if alert is not None:
+                live.append({"tenant": "t", **alert})
+            series.append({"window": index, "completions": completions,
+                           "violations": violations})
+        assert replay_alerts(series, 0.005) == [
+            {k: v for k, v in alert.items() if k != "tenant"}
+            for alert in live]
+        assert alert_mismatches({"t": series}, live, 0.005) == []
 
 
-def test_alert_mismatch_detected():
-    policy = SLOPolicy(target=0.9, threshold=1.0, fast_windows=1,
-                       slow_windows=1)
+def test_alert_mismatch_detected(monkeypatch):
+    _policy(monkeypatch, 0.9, 1, 1)
     series = [{"window": 0, "completions": 10, "violations": 10}]
     forged = []  # the live stream "lost" the fired alert
-    errors = alert_mismatches({"t": series}, {"t": policy}, forged,
-                              0.005)
+    errors = alert_mismatches({"t": series}, forged, 0.005)
     assert errors and "not reconstructible" in errors[0]
 
 
@@ -308,14 +311,18 @@ def test_alerts_fire_and_reconcile_on_bursty_scenario():
     # alerts arrive window-ordered, tenants sorted within a window.
     keys = [(a["window"], a["tenant"]) for a in telemetry["alerts"]]
     assert keys == sorted(keys)
-    # Independent replay from the *serialized* payload alone: policies
-    # rebuilt from their JSON form, the alert stream from the series.
+    # Independent replay from the *serialized* payload alone: the
+    # policy it records is the module's, the alert stream comes from
+    # the series.
     stored = json.loads(json.dumps(telemetry))
-    policies = {tenant: SLOPolicy(**data["policy"])
-                for tenant, data in stored["tenants"].items()}
+    for data in stored["tenants"].values():
+        assert data["policy"] == {
+            "target": slo.SLO_TARGET, "threshold": slo.BURN_THRESHOLD,
+            "fast_windows": slo.FAST_WINDOWS,
+            "slow_windows": slo.SLOW_WINDOWS}
     series = {tenant: data["series"]
               for tenant, data in stored["tenants"].items()}
-    assert alert_mismatches(series, policies, stored["alerts"],
+    assert alert_mismatches(series, stored["alerts"],
                             stored["window_s"]) == []
 
 

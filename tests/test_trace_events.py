@@ -138,12 +138,13 @@ def test_device_slot_contention_counter():
     fabric = build_fabric(dataflow_spec(cores=1))
     table = make_uniform_table(8192, columns=2, chunk_rows=4096)
     graph = StageGraph(fabric, name="g")
-    cpu = fabric.cpu_site(0)
+    cpu = "compute0.cpu"
     sink = graph.sink("sink", cpu)
     for name in ("a", "b"):
-        source = graph.source(name, table, site=cpu,
-                              ops=[FilterOp(col("k0") >= 0)])
-        graph.connect(source, sink)
+        source = graph.source(f"scan_{name}", table)
+        stage = graph.stage(name, cpu, [FilterOp(col("k0") >= 0)])
+        graph.connect(source, stage)
+        graph.connect(stage, sink)
     graph.run()
     report = fabric.trace.stall_report()
     assert {"g.a", "g.b"} <= set(report)

@@ -37,7 +37,8 @@ def test_close_open_spans():
     trace.close_span(done, 1.0)
     trace.open_span("a", 2.0)
     trace.open_span("b", 3.0)
-    assert trace.close_open_spans(5.0) == 2
+    trace.tick(5.0)
+    assert trace.close_open_spans() == 2
     assert all(s.closed for spans in trace.spans.values()
                for s in spans)
     assert trace.busy_time("a") == pytest.approx(1.0 + 3.0)
@@ -68,8 +69,9 @@ def test_span_summary_and_critical_path():
 
 def test_link_report_groups_bytes_and_chunks():
     trace = Trace()
-    trace.record_movement("net0", "g.scan", "a->b", 1024.0, chunks=2)
-    trace.record_movement("net0", "g.filter", "a->b", 3072.0, chunks=2)
+    for _ in range(2):
+        trace.record_movement("net0", "g.scan", "a->b", 512.0)
+        trace.record_movement("net0", "g.filter", "a->b", 1536.0)
     trace.record_movement("pcie0", "g.scan", "b->c", 1024.0)
     trace.add("movement.network.bytes", 4096.0)  # a counter: ignored
     report = trace.link_report()

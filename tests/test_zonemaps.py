@@ -50,7 +50,8 @@ def test_zonemap_bounds_exact():
 
 def test_zonemap_ignores_string_columns():
     schema = Schema.of(("s", DataType.STRING, 8))
-    table = Table(schema, [Chunk(schema, {"s": np.array(["a", "b"])})])
+    table = Table(schema)
+    table.append(Chunk(schema, {"s": np.array(["a", "b"])}))
     zonemap = ZoneMap.build(table)
     assert zonemap.zones[0].get("s") is None
 
