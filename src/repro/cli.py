@@ -291,9 +291,13 @@ def _print_stalls(trace) -> None:
               f"{stats['total_s']:>10.6f}")
 
 
+LEDGER_ROWS = 40
+"""Movement-ledger rows ``--ledger`` prints."""
+
+
 def _print_ledger(trace) -> None:
     """Render the movement ledger (bytes × link × actor × direction),
-    the first 40 rows."""
+    the first :data:`LEDGER_ROWS` rows."""
     rows = trace.movement_ledger()
     print("\nmovement ledger:")
     if not rows:
@@ -301,11 +305,11 @@ def _print_ledger(trace) -> None:
         return
     print(f"  {'link':20} {'operator':28} {'direction':30} "
           f"{'bytes':>14} {'chunks':>7}")
-    for row in rows[:40]:
+    for row in rows[:LEDGER_ROWS]:
         print(f"  {row['link']:20} {row['actor']:28} "
               f"{row['direction']:30} {row['bytes']:>14,.0f} "
               f"{row['chunks']:>7,.0f}")
-    if len(rows) > 40:
+    if len(rows) > LEDGER_ROWS:
         print(f"  ... ({len(rows)} rows total)")
 
 

@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..hardware.presets import CPU_SITE, HeterogeneousFabric
+from ..hardware.presets import HeterogeneousFabric
 from ..relational.catalog import Catalog
 from ..relational.table import Table
 from ..sim import EventKind
@@ -356,7 +356,7 @@ class DataflowEngine:
         self.use_zonemaps = use_zonemaps
         # Ablation A2: route every hop through the host CPU instead of
         # letting DMA engines move the data.
-        self.cpu_mediator = (fabric.site_device(CPU_SITE)
+        self.cpu_mediator = (fabric.site_device("compute0.cpu")
                              if cpu_mediated else None)
         self._graph_counter = 0
 

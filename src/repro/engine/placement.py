@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hardware.device import OpKind
-from ..hardware.presets import CPU_SITE, HeterogeneousFabric
+from ..hardware.presets import HeterogeneousFabric
 from ..relational.catalog import Catalog
 from .logical import (Aggregate, Filter, Join, Limit, Map, PlanNode,
                       Project, Query, Scan, Sort)
@@ -49,7 +49,7 @@ class Placement:
     """Assignment of logical nodes to site chains."""
 
     sites: dict[int, list[str]] = field(default_factory=dict)
-    result_site: str = CPU_SITE
+    result_site: str = "compute0.cpu"
     partitions: int = 1          # n-way distributed join (F4)
     name: str = "custom"
 
@@ -112,13 +112,13 @@ def _node_kind(node: PlanNode) -> str:
 def data_path_sites(fabric: HeterogeneousFabric) -> list[str]:
     """Sites in data-path order to the result node (Figure 6)."""
     candidates = ["storage.cu", "storage.nic", "compute0.nic",
-                  "compute0.nearmem", CPU_SITE]
+                  "compute0.nearmem", "compute0.cpu"]
     return [s for s in candidates if fabric.has_site(s)]
 
 
 def cpu_only(plan: PlanNode, fabric: HeterogeneousFabric) -> Placement:
     """Everything on the host CPU — the conventional placement."""
-    cpu = CPU_SITE
+    cpu = "compute0.cpu"
     sites = {}
     for n in plan.walk():
         if isinstance(n, Aggregate):
@@ -138,7 +138,7 @@ def pushdown(plan: PlanNode, fabric: HeterogeneousFabric,
     the cursor advances there (data never flows backward).
     """
     path = data_path_sites(fabric)
-    cpu = CPU_SITE
+    cpu = "compute0.cpu"
     nic_site = "compute0.nic"
     sites: dict[int, list[str]] = {}
     cursors: dict[int, int] = {}     # node_id -> path index reached

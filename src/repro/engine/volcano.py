@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..hardware.device import Device, OpKind
-from ..hardware.presets import CPU_SITE, HeterogeneousFabric
+from ..hardware.presets import HeterogeneousFabric
 from ..relational.catalog import Catalog
 from ..relational.table import Chunk, Table
 from ..sim import EventKind
@@ -227,8 +227,8 @@ class VolcanoEngine:
         self.catalog = catalog
         self.bufferpool = bufferpool
         self.use_zonemaps = use_zonemaps
-        self.cpu: Device = fabric.site_device(CPU_SITE)
-        self.cpu_location = fabric.site_location(CPU_SITE)
+        self.cpu: Device = fabric.site_device("compute0.cpu")
+        self.cpu_location = fabric.site_location("compute0.cpu")
 
     # -- cost plumbing -----------------------------------------------------
 

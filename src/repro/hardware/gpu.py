@@ -28,7 +28,7 @@ HBM_BANDWIDTH = 100.0 * GIB
 """A data-center GPU's memory bandwidth in bytes/second."""
 
 
-def gpu_rates(hbm_bandwidth: float) -> dict[str, float]:
+def gpu_rates() -> dict[str, float]:
     """Throughput of database kernels on a data-center GPU.
 
     Massively parallel streaming kinds run near HBM bandwidth; regex
@@ -36,19 +36,19 @@ def gpu_rates(hbm_bandwidth: float) -> dict[str, float]:
     there is no stateless constraint — a GPU has real memory.
     """
     return {
-        OpKind.FILTER: hbm_bandwidth,
-        OpKind.PROJECT: hbm_bandwidth,
-        OpKind.HASH: 0.8 * hbm_bandwidth,
-        OpKind.PARTITION: 0.6 * hbm_bandwidth,
-        OpKind.AGGREGATE: 0.6 * hbm_bandwidth,
-        OpKind.JOIN_BUILD: 0.3 * hbm_bandwidth,
-        OpKind.JOIN_PROBE: 0.5 * hbm_bandwidth,
-        OpKind.COUNT: hbm_bandwidth,
-        OpKind.SORT: 0.25 * hbm_bandwidth,
-        OpKind.REGEX: 0.05 * hbm_bandwidth,   # divergence-bound
-        OpKind.COMPRESS: 0.3 * hbm_bandwidth,
-        OpKind.DECOMPRESS: 0.5 * hbm_bandwidth,
-        OpKind.GENERIC: 0.2 * hbm_bandwidth,
+        OpKind.FILTER: HBM_BANDWIDTH,
+        OpKind.PROJECT: HBM_BANDWIDTH,
+        OpKind.HASH: 0.8 * HBM_BANDWIDTH,
+        OpKind.PARTITION: 0.6 * HBM_BANDWIDTH,
+        OpKind.AGGREGATE: 0.6 * HBM_BANDWIDTH,
+        OpKind.JOIN_BUILD: 0.3 * HBM_BANDWIDTH,
+        OpKind.JOIN_PROBE: 0.5 * HBM_BANDWIDTH,
+        OpKind.COUNT: HBM_BANDWIDTH,
+        OpKind.SORT: 0.25 * HBM_BANDWIDTH,
+        OpKind.REGEX: 0.05 * HBM_BANDWIDTH,   # divergence-bound
+        OpKind.COMPRESS: 0.3 * HBM_BANDWIDTH,
+        OpKind.DECOMPRESS: 0.5 * HBM_BANDWIDTH,
+        OpKind.GENERIC: 0.2 * HBM_BANDWIDTH,
     }
 
 
@@ -63,5 +63,5 @@ class GPU(Device):
     def __init__(self, sim: Simulator, trace: Trace, name: str):
         # Four concurrent kernels, 5 us to launch one.
         super().__init__(sim, trace, name,
-                         rates=gpu_rates(HBM_BANDWIDTH),
+                         rates=gpu_rates(),
                          startup=5e-6, slots=4, programmable=True)

@@ -49,7 +49,7 @@ SINGLE_STREAM_FRACTION = 0.8
 NEARMEM_BANDWIDTH = 40.0 * GIB
 
 
-def nearmem_rates(memory_bandwidth: float) -> dict[str, float]:
+def nearmem_rates() -> dict[str, float]:
     """Rates of a near-memory accelerator.
 
     The unit sits on the controller, so streaming kinds run at full
@@ -58,16 +58,16 @@ def nearmem_rates(memory_bandwidth: float) -> dict[str, float]:
     without round trips to the CPU (§5.4).
     """
     return {
-        OpKind.FILTER: memory_bandwidth,
-        OpKind.PROJECT: memory_bandwidth,
-        OpKind.DECOMPRESS: 0.8 * memory_bandwidth,
-        OpKind.COMPRESS: 0.5 * memory_bandwidth,
-        OpKind.TRANSPOSE: 0.7 * memory_bandwidth,
-        OpKind.POINTER_CHASE: 0.5 * memory_bandwidth,
-        OpKind.LIST_MAINTENANCE: 0.6 * memory_bandwidth,
-        OpKind.AGGREGATE: 0.5 * memory_bandwidth,
-        OpKind.HASH: 0.6 * memory_bandwidth,
-        OpKind.COUNT: memory_bandwidth,
+        OpKind.FILTER: NEARMEM_BANDWIDTH,
+        OpKind.PROJECT: NEARMEM_BANDWIDTH,
+        OpKind.DECOMPRESS: 0.8 * NEARMEM_BANDWIDTH,
+        OpKind.COMPRESS: 0.5 * NEARMEM_BANDWIDTH,
+        OpKind.TRANSPOSE: 0.7 * NEARMEM_BANDWIDTH,
+        OpKind.POINTER_CHASE: 0.5 * NEARMEM_BANDWIDTH,
+        OpKind.LIST_MAINTENANCE: 0.6 * NEARMEM_BANDWIDTH,
+        OpKind.AGGREGATE: 0.5 * NEARMEM_BANDWIDTH,
+        OpKind.HASH: 0.6 * NEARMEM_BANDWIDTH,
+        OpKind.COUNT: NEARMEM_BANDWIDTH,
     }
 
 
@@ -194,7 +194,7 @@ class NearMemoryAccelerator(Device):
 
     def __init__(self, sim: Simulator, trace: Trace, name: str):
         super().__init__(sim, trace, name,
-                         rates=nearmem_rates(NEARMEM_BANDWIDTH),
+                         rates=nearmem_rates(),
                          startup=0.5e-6, slots=2, programmable=True)
 
 

@@ -46,10 +46,7 @@ from .topology import Fabric
 
 __all__ = ["FabricSpec", "ComputeNode", "HeterogeneousFabric",
            "build_fabric", "conventional_spec", "dataflow_spec",
-           "rack_spec", "CPU_SITE"]
-
-CPU_SITE = "compute0.cpu"
-"""The result node's CPU: where every query's answer lands."""
+           "rack_spec"]
 
 
 @dataclass

@@ -33,7 +33,7 @@ from ..engine.logical import (
 from ..engine.placement import (Placement, PlacementError, _node_kind,
                                 check_chain, data_path_sites)
 from ..hardware.device import OpKind
-from ..hardware.presets import CPU_SITE, HeterogeneousFabric
+from ..hardware.presets import HeterogeneousFabric
 
 __all__ = ["enumerate_placements"]
 
@@ -89,7 +89,7 @@ def enumerate_placements(plan: PlanNode, fabric: HeterogeneousFabric,
                          max_placements: int = 256) -> Iterator[Placement]:
     """Yield valid, monotone candidate placements for ``plan``."""
     path = data_path_sites(fabric)
-    cpu = CPU_SITE
+    cpu = "compute0.cpu"
     nic_site = "compute0.nic"
     cpu_index = len(path) - 1 if path else 0
     index_of = {site: i for i, site in enumerate(path)}

@@ -82,14 +82,17 @@ def test_sketch_merge_associative_in_exact_regime(a, b, c):
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0,
-                          allow_nan=False), min_size=300,
-                max_size=4000))
+                          allow_nan=False), min_size=50,
+                max_size=2000),
+       st.integers(min_value=4, max_value=64))
 @settings(max_examples=30, deadline=None)
-def test_sketch_rank_error_within_documented_bound(values):
-    # Past the capacity's 256 distinct points the sketch compresses.
-    sketch = QuantileSketch()
-    for value in values:
-        sketch.add(value)
+def test_sketch_rank_error_within_documented_bound(values, capacity):
+    # A small capacity forces several compaction rounds.
+    with mock.patch.object(telemetry, "SKETCH_CAPACITY", capacity):
+        sketch = QuantileSketch()
+        for value in values:
+            sketch.add(value)
+        sketch.quantile(0.5)  # settles the buffered points
     ordered = sorted(values)
     for q in (0.5, 0.9, 0.99):
         got = sketch.quantile(q)
@@ -110,9 +113,11 @@ def test_sketch_adversarial_distributions():
         [2.0 ** -i for i in range(1, 300)],          # geometric tail
     ]
     for values in adversarial:
-        sketch = QuantileSketch()
-        for value in values:
-            sketch.add(value)
+        with mock.patch.object(telemetry, "SKETCH_CAPACITY", 32):
+            sketch = QuantileSketch()
+            for value in values:
+                sketch.add(value)
+            sketch.quantile(0.5)  # settles the buffered points
         ordered = sorted(values)
         for q in (0.5, 0.99):
             got = sketch.quantile(q)
@@ -126,19 +131,22 @@ def test_sketch_adversarial_distributions():
 def test_sketch_deterministic_and_serializable():
     values = [((i * 2654435761) % 1000) / 1000 + 1e-6
               for i in range(5000)]
-    a = QuantileSketch()
-    b = QuantileSketch()
-    for value in values:
-        a.add(value)
-        b.add(value)
-    assert a.to_dict() == b.to_dict()
-    assert json.loads(json.dumps(a.to_dict())) == a.to_dict()
+    with mock.patch.object(telemetry, "SKETCH_CAPACITY", 64):
+        a = QuantileSketch()
+        b = QuantileSketch()
+        for value in values:
+            a.add(value)
+            b.add(value)
+        assert a.to_dict() == b.to_dict()
+        assert json.loads(json.dumps(a.to_dict())) == a.to_dict()
 
 
 def test_sketch_counts_weights_not_points():
-    sketch = QuantileSketch()
-    for _ in range(100):
-        sketch.add(0.5)
+    with mock.patch.object(telemetry, "SKETCH_CAPACITY", 4):
+        sketch = QuantileSketch()
+        for _ in range(100):
+            sketch.add(0.5)
+        sketch.quantile(0.5)  # settles the buffered points
     assert sketch.count == 100
     # 100 equal values coalesce to one point: no compression needed.
     assert sketch.exact
