@@ -43,6 +43,9 @@ __all__ = ["QUERIES", "Scenario", "ScenarioRun", "SCENARIOS",
            "figure_scenario", "run_scenario", "run_digest",
            "assert_drained", "oracle_checksum"]
 
+#: Catalog rows a figure scenario runs at unless the caller gives rows.
+SCENARIO_ROWS = 3000
+
 
 def _urgent_orders() -> Query:
     """The build side every join shape shares."""
@@ -120,7 +123,6 @@ class Scenario:
     title: str
     spec: Callable[[], FabricSpec]
     placement: str = "optimize"     # a POLICIES name
-    rows: int = 3000
 
     def query(self) -> Query:
         """A fresh instance of the scenario's shape (``QUERIES[name]``)."""
@@ -225,7 +227,7 @@ def run_scenario(name: str, engine: str = "dataflow",
     scenario = figure_scenario(name)
     if engine not in ("dataflow", "volcano"):
         raise ValueError(f"unknown engine {engine!r}")
-    rows = rows if rows is not None else scenario.rows
+    rows = rows if rows is not None else SCENARIO_ROWS
     catalog = standard_catalog(rows)
     query = scenario.query()
 

@@ -25,9 +25,10 @@ touches".
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
-from .scenarios import figure_scenario, run_scenario
+from .scenarios import SCENARIO_ROWS, figure_scenario, run_scenario
 
 __all__ = [
     "WHATIF_SCHEMA",
@@ -72,10 +73,10 @@ def parse_vary(text: str) -> list[tuple[str, float]]:
             raise ValueError(
                 f"bad --vary factor {factor_text!r} "
                 f"for {resource.strip()!r}") from exc
-        if factor <= 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise ValueError(
-                f"--vary factor for {resource.strip()!r} must be "
-                "positive")
+                f"--vary factor for {resource.strip()!r} must be a "
+                f"finite positive number, got {factor_text!r}")
         out.append((resource.strip(), factor))
     return out
 
@@ -246,7 +247,7 @@ def optimizer_crosscheck(query: str, rows: Optional[int] = None,
     from .critical_path import attribute_query
 
     scenario = figure_scenario(query)
-    rows = rows if rows is not None else scenario.rows
+    rows = rows if rows is not None else SCENARIO_ROWS
     catalog = standard_catalog(rows)
     plan = scenario.query()
 

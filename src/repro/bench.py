@@ -351,6 +351,10 @@ def suite_tasks(section: str, only: Optional[list[str]] = None,
     if unknown:
         raise ValueError(f"unknown {section} scenario {unknown} "
                          f"(have {sorted(have)})")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # Records are compared by name, so a repeat has no twin.
+        raise ValueError(f"repeated {section} scenario {repeated}")
     return [(section, name, params) for name in names]
 
 

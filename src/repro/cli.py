@@ -429,6 +429,10 @@ def cmd_whatif(args) -> int:
         vary = parse_vary(args.vary) if args.vary else []
         factors = ([float(f) for f in args.factors.split(",")]
                    if args.factors else DEFAULT_FACTORS)
+        for factor in factors:
+            if not (math.isfinite(factor) and factor > 0):
+                raise ValueError(f"--factors must be finite positive "
+                                 f"numbers, got {factor:g}")
         payload = run_whatif(args.query, engine=args.engine,
                              rows=args.rows, factors=factors,
                              resources=[] if vary and resources is None
@@ -471,10 +475,11 @@ def cmd_report(args) -> int:
 def cmd_optimize(args) -> int:
     """Rank placements; --validate-whatif cross-checks them."""
     from .analysis import figure_scenario, optimizer_crosscheck
+    from .analysis.scenarios import SCENARIO_ROWS
     if not args.validate_whatif:
         scenario = figure_scenario(args.query)
         fabric = build_fabric(scenario.spec())
-        rows = args.rows or scenario.rows
+        rows = args.rows or SCENARIO_ROWS
         ranked = Optimizer(fabric, standard_catalog(rows)).rank(
             scenario.query())[:args.top_k]
         print(f"top-{len(ranked)} placements for {args.query} "

@@ -22,8 +22,7 @@ __all__ = ["BufferPool"]
 class BufferPool:
     """An LRU chunk cache in the result node's DRAM."""
 
-    def __init__(self, fabric: HeterogeneousFabric,
-                 capacity_bytes: int = 1 << 30):
+    def __init__(self, fabric: HeterogeneousFabric, capacity_bytes: int):
         self.fabric = fabric
         self.dram = fabric.compute[0].dram
         self.lru = LRUCache(capacity_bytes, name="bufferpool0",

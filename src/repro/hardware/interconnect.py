@@ -183,7 +183,7 @@ def rdma_link(sim: Simulator, trace: Trace, name: str,
 
 
 def memory_bus(sim: Simulator, trace: Trace, name: str,
-               gib_per_s: float = 20.0, ports: int = 1) -> Link:
+               gib_per_s: float, ports: int) -> Link:
     """One DDR channel's worth of DRAM bandwidth (§5.1)."""
     return Link(sim, trace, name, bandwidth=gib_per_s * GIB,
                 latency=90e-9, segment="membus", ports=ports)

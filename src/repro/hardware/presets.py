@@ -26,6 +26,7 @@ site                      device
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -393,8 +394,12 @@ class HeterogeneousFabric(Fabric):
         improvements.  ``factor=1.0`` is an exact no-op on every hook,
         which the what-if engine relies on to verify bit-identical
         baselines.  Raises ``ValueError`` for knobs absent from this
-        fabric (see :meth:`perturbable_resources`).
+        fabric (see :meth:`perturbable_resources`) and for a factor
+        that is not finite (a NaN would pass every hook's sign test).
         """
+        if not math.isfinite(factor):
+            raise ValueError(f"perturbation factor for {resource!r} "
+                             f"must be finite, got {factor!r}")
         resource = self.canonical_resource(resource)
         available = self.perturbable_resources()
         if resource not in available:

@@ -104,11 +104,6 @@ class QueryExecutor:
         self.variants_per_query = variants_per_query
         self.optimizer = Optimizer(fabric, catalog)
         self.tracker = LoadTracker()
-        #: Most recent variant decision per query name, recorded by
-        #: :meth:`execute` for observers (pure bookkeeping — never
-        #: read by the policy itself).  The query server pops
-        #: entries at completion so the dict stays bounded.
-        self.decisions: dict[str, VariantDecision] = {}
 
     # -- planning -----------------------------------------------------------
 
@@ -159,12 +154,13 @@ class QueryExecutor:
         ``qid`` is the serving trace context (0 in batch mode) —
         passed through to the stage graph so the query's events are
         tenant-attributable.  Generator — start it with
-        ``sim.process``/yield from.
+        ``sim.process``/yield from; it returns the pick's
+        :class:`VariantDecision` (the query server hands it to the
+        observatory).
         """
         sim = self.fabric.sim
         trace = self.fabric.trace
         variant, decision = self._pick_scored(variants)
-        self.decisions[name] = decision
         record.variant_name = variant.placement.name
         record.started = sim.now
         self.tracker.admit(name, demand_vector(variant.cost))
@@ -183,6 +179,7 @@ class QueryExecutor:
         trace.close_span(span, sim.now)
         record.table = graph.recipe.result_table(graph)
         self.tracker.release(name)
+        return decision
 
 
 class Scheduler:

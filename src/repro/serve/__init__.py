@@ -6,15 +6,18 @@ behave that way.  A :class:`~repro.serve.server.QueryServer` keeps
 one warm fabric + catalog and serves whole simulated user
 populations through three layers:
 
-* **admission control** — a bounded queue with load shedding and
-  retry-after hints (:mod:`repro.serve.admission`);
+* **admission** — a bounded waiting room: a query arriving when it is
+  full and every slot is busy is shed with a retry-after hint;
 * **per-tenant weighted fair queueing** — start-time fair queueing
   over tenant classes so no tenant starves
   (:mod:`repro.serve.fairqueue`);
-* **plan caching** — repeat queries skip optimization entirely via a
-  cache keyed by each template's plan object and checked against the
-  schema and placement context its ranking read
-  (:mod:`repro.serve.plancache`).
+* **prepared templates** — each template's ``Query`` is built and its
+  variants ranked once, at its first admitted submission, and every
+  later submission reuses them.
+
+The server keeps one record per query, and the records are the
+ledger: admitted and shed counts, plan-cache hits and misses and the
+makespan are all read off them.
 
 Admitted queries run through the existing interference-aware
 :class:`~repro.scheduler.scheduler.QueryExecutor` on the shared
@@ -27,11 +30,8 @@ serving runs are bit-reproducible under a fixed seed.
 from .. import _lazy_exports
 
 _EXPORTS = {
-    "AdmissionController": "admission",
-    "AdmissionDecision": "admission",
     "Arrival": "loadgen",
     "ArrivalSpec": "tenants",
-    "PlanCache": "plancache",
     "QuantileSketch": "telemetry",
     "QueryServer": "server",
     "SERVE_SCENARIOS": "scenarios",

@@ -35,7 +35,7 @@ _CSS = _REPORT_CSS + """\
 """
 
 
-def _sparkline(values: list[float], color: str = "#4078c0") -> str:
+def _sparkline(values: list[float], color: str) -> str:
     """An inline SVG sparkline, 28 px high, over per-window values."""
     height = 28
     n = len(values)

@@ -2,17 +2,18 @@
 
 :class:`QueryServer` is the simulation-domain core of serving: it
 accepts submissions *while the simulator is running* (unlike the
-batch :class:`~repro.scheduler.scheduler.Scheduler`), pushes them
-through admission control and the per-tenant weighted fair queue,
-plans them via the plan cache, and executes admitted queries on the
-shared fabric through the interference-aware
+batch :class:`~repro.scheduler.scheduler.Scheduler`), sheds what the
+waiting room cannot hold, queues the rest in the per-tenant weighted
+fair queue, prepares each template once, and executes admitted
+queries on the shared fabric through the interference-aware
 :class:`~repro.scheduler.scheduler.QueryExecutor`.
 
-Every query leaves a :class:`ServeRecord`; :meth:`QueryServer.report`
-aggregates them into the ``repro.bench/v3`` serving record (latency
+Every query leaves a :class:`ServeRecord`, and the records are the
+ledger: every serving counter is read off them.
+:meth:`QueryServer.report` aggregates them into the ``repro.bench/v3`` serving record (latency
 percentiles, goodput, shed and SLO-violation counts, per-tenant
 breakdowns), and :meth:`QueryServer.accounting_violations`
-recomputes every aggregate from the raw records so CI can assert the
+re-derives the aggregates independently so CI can assert the
 bookkeeping is exact.
 """
 
@@ -27,9 +28,7 @@ from ..obs import columns_checksum, combine_checksums, content_key
 from ..relational.catalog import Catalog
 from ..scheduler.scheduler import QueryExecutor
 from ..sim import EventKind
-from .admission import AdmissionController
 from .fairqueue import WeightedFairQueue
-from .plancache import PlanCache
 from .tenants import ServeConfig, TenantClass
 
 if TYPE_CHECKING:
@@ -38,6 +37,9 @@ if TYPE_CHECKING:
 
 __all__ = ["QueryServer", "ServeConfig", "ServeRecord",
            "latency_percentile", "nearest_rank"]
+
+#: The shortest retry-after hint a shed query gets (simulated seconds).
+MIN_RETRY_AFTER_S = 1e-3
 
 
 def nearest_rank(total_weight: int, q: float) -> int:
@@ -129,18 +131,18 @@ class QueryServer:
     def __init__(self, fabric: HeterogeneousFabric, catalog: Catalog,
                  tenants: list[TenantClass],
                  templates: dict[str, Callable[[], Query]],
-                 config: Optional[ServeConfig] = None):
+                 config: ServeConfig):
         self.fabric = fabric
         self.catalog = catalog
-        self.config = config or ServeConfig()
+        self.config = config
         self.tenants = {t.name: t for t in tenants}
         if len(self.tenants) != len(tenants):
             raise ValueError("duplicate tenant names")
         self.templates = dict(templates)
-        #: One ``Query`` per template name, built at its first admitted
-        #: submission: the plan instance its plan-cache entry is stored
-        #: with, so a hit hands back the entry's own prepared variants.
-        self._queries: dict[str, Query] = {}
+        #: Per template name, built at its first admitted submission:
+        #: its ``Query`` and ranked variants, on which demand vectors
+        #: and pipeline recipes (each checking its own stamp) are kept.
+        self._prepared: dict[str, tuple[Query, list]] = {}
         for tenant in tenants:
             missing = set(tenant.templates) - set(self.templates)
             if missing:
@@ -148,10 +150,7 @@ class QueryServer:
                     f"tenant {tenant.name!r} references unknown "
                     f"templates {sorted(missing)}")
         self.executor = QueryExecutor(fabric, catalog)
-        self.admission = AdmissionController(
-            self.config.max_queue, self.config.max_concurrency)
         self.queue = WeightedFairQueue()
-        self.plan_cache = PlanCache()
         self.records: list[ServeRecord] = []
         #: Completion order by record name — bit-identical between
         #: telemetry-on and telemetry-off runs (observer-effect gate).
@@ -174,8 +173,6 @@ class QueryServer:
         self._running: set[str] = set()
         self._backlog_cost_s = 0.0
         self._seq = 0
-        self._first_arrival: Optional[float] = None
-        self._last_finish = 0.0
 
     # -- submission (call at the arrival's simulated time) -----------------
 
@@ -186,8 +183,10 @@ class QueryServer:
 
         Returns the record immediately; for admitted queries the
         terminal fields are filled in when execution finishes and
-        ``on_done`` (if given) fires.  For shed queries ``on_done``
-        fires before this returns, with ``retry_after_s`` set.
+        ``on_done`` (if given) fires.  A query is shed only when the
+        waiting room is full *and* every slot is busy; ``on_done``
+        then fires before this returns, with ``retry_after_s`` the
+        queued demand drained through every slot.
         """
         tenant = self.tenants[tenant_name]
         if template not in self.templates:
@@ -199,8 +198,6 @@ class QueryServer:
             tenant=tenant_name, template=template,
             arrival=sim.now, slo_s=tenant.slo_s)
         self.records.append(record)
-        if self._first_arrival is None:
-            self._first_arrival = sim.now
         trace = self.fabric.trace
         record.qid = trace.register_context(record.name,
                                             tenant=tenant_name)
@@ -210,12 +207,13 @@ class QueryServer:
         if self.telemetry is not None:
             self.telemetry.on_arrival(record, len(self.queue))
 
-        decision = self.admission.decide(
-            queued=len(self.queue), running=len(self._running),
-            backlog_cost_s=self._backlog_cost_s)
-        if not decision.admitted:
+        config = self.config
+        if (len(self.queue) >= config.max_queue
+                and len(self._running) >= config.max_concurrency):
             record.admitted = False
-            record.retry_after_s = decision.retry_after_s
+            record.retry_after_s = max(
+                MIN_RETRY_AFTER_S,
+                self._backlog_cost_s / config.max_concurrency)
             trace.emit(sim.now, EventKind.SERVE_SHED,
                        f"serve.{tenant_name}", label=template,
                        qid=record.qid)
@@ -225,18 +223,15 @@ class QueryServer:
                 on_done(record)
             return record
 
-        query = self._queries.get(template)
-        if query is None:
-            query = self._queries[template] = self.templates[template]()
-        variants = self.plan_cache.lookup(query, self.catalog,
-                                          self.fabric)
-        if variants is None:
+        prepared = self._prepared.get(template)
+        if prepared is None:
             record.plan_cache = "miss"
-            variants = self.executor.plan_variants(query)
-            self.plan_cache.store(query, self.catalog, self.fabric,
-                                  variants)
+            query = self.templates[template]()
+            prepared = self._prepared[template] = (
+                query, self.executor.plan_variants(query))
         else:
             record.plan_cache = "hit"
+        query, variants = prepared
 
         cost_s = variants[0].cost.bottleneck_time
         pending = _Pending(record, query, variants, cost_s, on_done)
@@ -269,11 +264,10 @@ class QueryServer:
                    qid=record.qid)
         if self.telemetry is not None:
             self.telemetry.on_start(record, len(self.queue), sim.now)
-        yield from self.executor.execute(
+        decision = yield from self.executor.execute(
             record.name, pending.query, pending.variants, record,
             qid=record.qid)
         record.checksum = self._checksum(record.table)
-        self._last_finish = max(self._last_finish, record.finished)
         self._running.discard(record.name)
         self.completion_order.append(record.name)
         trace.emit(sim.now, EventKind.SERVE_DONE,
@@ -281,7 +275,6 @@ class QueryServer:
                    dur=record.latency, qid=record.qid)
         if self.telemetry is not None:
             self.telemetry.on_complete(record)
-        decision = self.executor.decisions.pop(record.name, None)
         if self.observatory is not None:
             self.observatory.on_complete(record, pending.variants,
                                          decision)
@@ -311,14 +304,17 @@ class QueryServer:
     # -- reporting ---------------------------------------------------------
 
     def metrics(self) -> dict:
-        """Aggregate serving metrics over all records so far."""
+        """Aggregate serving metrics, all read off the records so far.
+
+        A server's catalog and fabric never change, so no prepared
+        template is ever invalidated."""
         completed = [r for r in self.records if r.completed]
         shed = [r for r in self.records if not r.admitted]
         latencies = [r.latency for r in completed]
         violations = sum(1 for r in completed if r.slo_violated)
-        makespan = (self._last_finish - self._first_arrival
-                    if completed and self._first_arrival is not None
-                    else 0.0)
+        makespan = (max(r.finished for r in completed)
+                    - self.records[0].arrival if completed else 0.0)
+        plan_cache = [r.plan_cache for r in self.records]
         good = sum(1 for r in completed if not r.slo_violated)
         per_tenant = {}
         for name, tenant in sorted(self.tenants.items()):
@@ -355,8 +351,12 @@ class QueryServer:
             "goodput_qps": good / makespan if makespan > 0 else 0.0,
             "makespan_s": makespan,
             "tenants": per_tenant,
-            "plan_cache": self.plan_cache.counters(),
-            "admission": self.admission.counters(),
+            "plan_cache": {"hits": plan_cache.count("hit"),
+                           "misses": plan_cache.count("miss"),
+                           "invalidations": 0,
+                           "entries": len(self._prepared)},
+            "admission": {"admitted": len(self.records) - len(shed),
+                          "shed": len(shed)},
             "queue_max_depth": self.queue.max_depth,
         }
 
@@ -402,11 +402,12 @@ class QueryServer:
             observer.finalize(self.fabric.sim.now)
 
     def accounting_violations(self) -> list[str]:
-        """Recompute every aggregate from raw records; [] = exact.
+        """Re-derive the aggregates from raw records; [] = exact.
 
         The serve-smoke CI job asserts this is empty: percentiles,
-        goodput, shed and SLO counts must all be re-derivable from
-        the per-query records with zero discrepancy.
+        shed and SLO counts, monotone times and completion order must
+        all be re-derivable from the per-query records with zero
+        discrepancy.
         """
         errors: list[str] = []
         metrics = self.metrics()
@@ -418,14 +419,9 @@ class QueryServer:
                           "shed on an idle server")
         if metrics["completed"] != len(completed):
             errors.append("completed count mismatch")
-        if metrics["shed"] != len(shed) or \
-                metrics["shed"] != self.admission.shed:
-            errors.append(
-                f"shed count mismatch (metrics {metrics['shed']}, "
-                f"records {len(shed)}, "
-                f"admission {self.admission.shed})")
-        if self.admission.admitted != len(self.records) - len(shed):
-            errors.append("admission admitted != submitted - shed")
+        if metrics["shed"] != len(shed):
+            errors.append(f"shed count mismatch (metrics "
+                          f"{metrics['shed']}, records {len(shed)})")
         violations = sum(1 for r in completed if r.slo_violated)
         if metrics["slo_violations"] != violations:
             errors.append("slo violation count mismatch")
@@ -448,11 +444,6 @@ class QueryServer:
                 errors.append(f"latency {key} mismatch")
         if latencies and metrics["latency"]["max_s"] != latencies[-1]:
             errors.append("latency max mismatch")
-        cache = self.plan_cache.counters()
-        planned = sum(1 for r in self.records
-                      if r.plan_cache in ("hit", "miss"))
-        if cache["hits"] + cache["misses"] != planned:
-            errors.append("plan cache hits+misses != planned queries")
         finishes = {r.name: r.finished for r in completed}
         if sorted(self.completion_order) != sorted(finishes):
             errors.append("completion order does not cover exactly "

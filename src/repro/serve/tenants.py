@@ -99,6 +99,9 @@ class TenantClass:
 class ServeConfig:
     """Server-wide knobs.
 
+    ``max_concurrency`` execution slots run admitted queries; up to
+    ``max_queue`` more wait in the fair queue, and a query arriving
+    when both are full is shed.
     The ``telemetry`` flag gates only the *derived* telemetry
     (windowing, sketches, exemplars, burn-rate alerts) — the serve
     lifecycle events and trace contexts are always recorded, and the
@@ -113,3 +116,9 @@ class ServeConfig:
     #: classifier, placement regret) — pure observer like telemetry,
     #: gated by its own observer-effect CI leg.
     observatory: bool = True
+
+    def __post_init__(self):
+        if self.max_queue < 0:
+            raise ValueError("max_queue must be non-negative")
+        if self.max_concurrency < 1:
+            raise ValueError("max_concurrency must be >= 1")

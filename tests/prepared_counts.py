@@ -88,8 +88,8 @@ def count_served_run(queries: int = 300, scenario: str = "three_tenant_mix"):
             counts, "planned", Optimizer.plan_variants))
         patch(served, "columns_checksum", _counting(
             counts, "renders", served.columns_checksum))
-        # The plan cache keys by the plan object: nothing on the
-        # serving path describes a template's root.
+        # Prepared templates are keyed by template name: nothing on
+        # the serving path describes a template's root.
         patch(PlanNode, "describe", _counting(
             counts, lambda node: "hashed" if id(node) in roots else "other",
             PlanNode.describe))
@@ -156,7 +156,7 @@ def main(argv: list[str]) -> int:
           f"{len(pairs_that_ran(server))} (template, variant) pairs, "
           f"{counts['renders']} checksum renders for "
           f"{distinct_answers(server)} distinct answers, "
-          f"{dict(counts)}, plan cache {server.plan_cache.counters()}")
+          f"{dict(counts)}, plan cache {server.metrics()['plan_cache']}")
     found = problems(counts, server)
     for line in found:
         print("PREPARED COUNT", line)

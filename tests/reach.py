@@ -179,9 +179,8 @@ NEVER_RUN: dict[str, int] = {
     "relational/zonemaps.py": 9,
     "scheduler/scheduler.py": 2,
     "serve/dashboard.py": 7,
-    "serve/plancache.py": 6,
     "serve/scenarios.py": 2,
-    "serve/server.py": 16,
+    "serve/server.py": 14,
     "serve/telemetry.py": 43,
     "sim/chrometrace.py": 5,
     "sim/events.py": 6,
@@ -231,6 +230,90 @@ failure path no healthy run takes (ROADMAP item 2c injects it)
 """
 
 KNOBS_ALLOWED: dict[str, str] = _parse_allowed(_KNOBS_ALLOWED)
+
+#: Defaulted parameters that every call in ``src/`` and ``perfbench/``
+#: passes (``overridden_defaults()``), each with the reason its default
+#: stays, in the ``_KNOBS_ALLOWED`` form.
+_OVERRIDES_ALLOWED = """
+tests or examples call it with the default
+    analysis/observatory.py::Observatory.__init__(link_bandwidth)
+    analysis/observatory.py::effective_cost(pools_of)
+    analysis/observatory.py::render_top(follow)
+    analysis/observatory.py::render_top(name)
+    analysis/whatif.py::run_whatif(engine)
+    bench.py::compare_reports(tolerance)
+    bench.py::run_compare(echo)
+    bench.py::run_compare(jobs)
+    bench.py::run_compare(tolerance)
+    cloud/objectstore.py::ObjectStore.select(columns)
+    cloud/tax.py::IngressOp.__init__(config)
+    engine/operators.py::group_inverse(schema)
+    engine/results.py::TraceSnapshot.utilization_delta(slots)
+    flow/stages.py::StageGraph.__init__(name)
+    hardware/device.py::Device.utilization(elapsed)
+    hardware/functional_units.py::chase_on_cpu(cache)
+    hardware/interconnect.py::Link.utilization(elapsed)
+    hardware/storage.py::ComputationalStorage.__init__(cu_scale)
+    hardware/storage.py::ComputationalStorage.__init__(medium)
+    hardware/topology.py::Fabric.utilization_report(elapsed)
+    optimizer/cost.py::CostModel.__init__(cardinalities)
+    optimizer/enumeration.py::enumerate_placements(max_placements)
+    relational/datagen.py::make_lineitem(chunk_rows)
+    relational/datagen.py::make_orders(chunk_rows)
+    relational/datagen.py::make_uniform_table(chunk_rows)
+    relational/datagen.py::make_uniform_table(columns)
+    relational/table.py::Table.from_arrays(chunk_rows)
+    scheduler/workloads.py::poisson_arrivals(seed)
+    serve/dashboard.py::render_dashboard(title)
+    serve/dashboard.py::write_dashboard(title)
+    sim/resources.py::Resource.__init__(name)
+    sim/resources.py::Resource.utilization(elapsed)
+    sim/trace.py::Trace.critical_path(top)
+the signature of the argparse method it overrides
+    cli.py::_Command.parse_known_args(args)
+    cli.py::_Command.parse_known_args(namespace)
+dead default: no test or example omits it either (ROADMAP item 12)
+    analysis/critical_path.py::attribute_windows(intervals)
+    analysis/whatif.py::optimizer_crosscheck(k)
+    analysis/whatif.py::optimizer_crosscheck(rows)
+    analysis/whatif.py::run_whatif(rows)
+    cloud/objectstore.py::ObjectStore.select(predicate)
+    cloud/tax.py::EgressOp.__init__(config)
+    engine/dataflow.py::PipelineRecipe.instantiate(qid)
+    flow/credits.py::CreditChannel.__init__(credits)
+    flow/credits.py::CreditChannel._deliver(flow_id)
+    hardware/functional_units.py::HierarchicalBlockStore._new_block(min_key)
+    hardware/memory.py::DRAM.__init__(capacity)
+    hardware/memory.py::DisaggregatedMemoryNode.__init__(accelerator)
+    hardware/memory.py::DisaggregatedMemoryNode.__init__(capacity)
+    hardware/memory.py::DisaggregatedMemoryNode.__init__(nic_gbits)
+    hardware/memory.py::DisaggregatedMemoryNode.__init__(smart_nic)
+    hardware/nic.py::NIC.__init__(gbits)
+    hardware/nic.py::SmartNIC.__init__(gbits)
+    hardware/presets.py::build_fabric(spec)
+    hardware/storage.py::storage_cu_rates(scale)
+    relational/expressions.py::And.estimate_selectivity(stats)
+    relational/expressions.py::Between.estimate_selectivity(stats)
+    relational/expressions.py::Compare.estimate_selectivity(stats)
+    relational/expressions.py::Expression.estimate_selectivity(stats)
+    relational/expressions.py::InSet.estimate_selectivity(stats)
+    relational/expressions.py::Like.estimate_selectivity(stats)
+    relational/expressions.py::Not.estimate_selectivity(stats)
+    relational/expressions.py::Or.estimate_selectivity(stats)
+    relational/sql.py::_Parser.accept(value)
+    relational/table.py::_ArenaColumns.__init__(cache)
+    relational/table.py::_LazyColumns.__init__(produce)
+    scheduler/workloads.py::bursty_arrivals(seed)
+    scheduler/workloads.py::diurnal_arrivals(seed)
+    serve/scenarios.py::serve_scenario_server(queries)
+    sim/kernel.py::Interrupt.__init__(cause)
+    sim/kernel.py::Process.__init__(name)
+    sim/resources.py::Resource.__init__(capacity)
+    sim/trace.py::CounterHandle.add(amount)
+    sim/trace.py::Trace.register_context(tenant)
+"""
+
+OVERRIDES_ALLOWED: dict[str, str] = _parse_allowed(_OVERRIDES_ALLOWED)
 
 
 class Def(NamedTuple):
@@ -333,12 +416,9 @@ def _passes(call: ast.Call, knob: Knob) -> bool:
     return knob.position is not None and len(call.args) > knob.position
 
 
-def unset_knobs() -> list[str]:
-    """The defaulted parameters no call in ``src/`` or ``perfbench/``
-    passes, matching calls by callee name (``f(...)`` or
-    ``x.f(...)``).  Calls made through ``cls(...)``, ``super()`` or a
-    function held in a variable go unmatched, so such a hit is a
-    knob only after a look at its callers."""
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/`` and ``perfbench/``, by callee name
+    (``f(...)`` or ``x.f(...)``)."""
     calls: dict[str, list[ast.Call]] = {}
     for root in (REPO / "src", REPO / "perfbench"):
         for source in sorted(root.rglob("*.py")):
@@ -347,9 +427,38 @@ def unset_knobs() -> list[str]:
                     func = node.func
                     name = getattr(func, "id", getattr(func, "attr", None))
                     calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unset_knobs() -> list[str]:
+    """The defaulted parameters no call in ``src/`` or ``perfbench/``
+    passes, matching calls by callee name.  Calls made through
+    ``cls(...)``, ``super()`` or a function held in a variable go
+    unmatched, so such a hit is a knob only after a look at its
+    callers."""
+    calls = _calls()
     return sorted(knob.name for knob in defaulted_parameters()
                   if not any(_passes(call, knob)
                              for call in calls.get(knob.callee, ())))
+
+
+def overridden_defaults() -> list[str]:
+    """The defaulted parameters that every matched call in ``src/`` and
+    ``perfbench/`` passes, by keyword or by position: a default no
+    product run reads.  A call through ``*`` / ``**`` counts as not
+    passing, so only an explicit value at every call site is a hit."""
+    calls = _calls()
+
+    def explicit(call: ast.Call, knob: Knob) -> bool:
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                keyword.arg is None for keyword in call.keywords):
+            return False
+        return _passes(call, knob)
+
+    return sorted(knob.name for knob in defaulted_parameters()
+                  if calls.get(knob.callee)
+                  and all(explicit(call, knob)
+                          for call in calls[knob.callee]))
 
 
 #: Statements that emit no line event of their own, or that belong to

@@ -393,6 +393,28 @@ HOSTILE = {
                              "(this fabric has: ['cache.bw'"),
     "whatif-factors": (["whatif", "--query", "f2", "--factors", "abc"],
                        "could not convert string to float: 'abc'"),
+    # A NaN factor passed every sign test and printed a speedup (or an
+    # infinite time), exit 0.
+    "whatif-vary-nan": (["whatif", "--query", "f2", "--rows", "500",
+                         "--vary", "net.bw=nanx"],
+                        "--vary factor for 'net.bw' must be a finite "
+                        "positive number, got 'nan'"),
+    "whatif-vary-inf": (["whatif", "--query", "f2", "--rows", "500",
+                         "--vary", "net.lat=infx"],
+                        "--vary factor for 'net.lat' must be a finite "
+                        "positive number, got 'inf'"),
+    "whatif-factors-nan": (["whatif", "--query", "f2", "--rows", "500",
+                            "--factors", "nan"],
+                           "--factors must be finite positive numbers, "
+                           "got nan"),
+    "whatif-factors-inf": (["whatif", "--query", "f2", "--rows", "500",
+                            "--factors", "inf"],
+                           "--factors must be finite positive numbers, "
+                           "got inf"),
+    # A repeated experiment ran twice and wrote two records of one
+    # name, which a comparison pairs with one twin.
+    "bench-exp-repeated": (["bench", "--exp", "F1,f1"],
+                           "repeated experiments scenario ['f1']"),
     "query-rows": (["query", "--rows", "-5"],
                    "invalid positive_int value: '-5'"),
     # Float flags: a NaN tolerance passed any drift (``d > nan * x`` is
@@ -541,6 +563,21 @@ def test_reach_every_unset_knob_is_listed_with_a_reason():
     assert sorted(listed - defaulted) == [], "listed but gone"
     assert sorted(listed & defaulted - unset) == [], "listed but passed"
     assert all(reach.KNOBS_ALLOWED.values())
+
+
+def test_reach_every_overridden_default_is_listed_with_a_reason():
+    # A default that every call in src/ or perfbench/ overrides is read
+    # by no product run: it becomes a required parameter, or
+    # OVERRIDES_ALLOWED says why it stays.  A listed one that some call
+    # now omits, or that is gone, is struck off.
+    defaulted = {knob.name for knob in reach.defaulted_parameters()}
+    overridden = set(reach.overridden_defaults())
+    listed = set(reach.OVERRIDES_ALLOWED)
+    assert sorted(overridden - listed) == [], "overridden and not listed"
+    assert sorted(listed - defaulted) == [], "listed but gone"
+    assert sorted(listed & defaulted - overridden) == [], \
+        "listed but some call omits it"
+    assert all(reach.OVERRIDES_ALLOWED.values())
 
 
 def test_reach_never_run_table_names_files_with_counts():

@@ -173,7 +173,7 @@ def test_remaining_link_factories():
     eth = ethernet_link(sim, trace, "e", gbits=400.0)
     assert eth.bandwidth == pytest.approx(50e9)
     assert eth.segment == "network"
-    mem = memory_bus(sim, trace, "m", gib_per_s=20.0)
+    mem = memory_bus(sim, trace, "m", gib_per_s=20.0, ports=1)
     assert mem.segment == "membus"
     cache = cache_bus(sim, trace, "c")
     assert cache.segment == "cache"

@@ -30,7 +30,9 @@ from repro.analysis import (
     raw_intervals,
     render_top,
 )
+from repro.hardware import build_fabric, dataflow_spec
 from repro.obs import report_violations, make_report
+from repro.scheduler import QueryExecutor, ScheduledQuery
 from repro.serve import SERVE_SCENARIOS, run_scenario
 from repro.serve.dashboard import render_dashboard, write_dashboard
 from repro.serve.scenarios import serve_scenario_server
@@ -468,10 +470,23 @@ def test_effective_cost_reduces_to_bottleneck_when_idle(server):
 
 
 def test_scheduler_records_variant_decisions(server):
-    # The server pops each decision at completion, so the executor's
-    # dict is empty after a drained run — the decisions landed in the
-    # observatory instead.
-    assert server.executor.decisions == {}
+    # ``execute`` returns its decision and keeps no copy; the server
+    # hands each one to the observatory.
+    assert not hasattr(server.executor, "decisions")
+    fabric = build_fabric(dataflow_spec())
+    executor = QueryExecutor(fabric, server.catalog)
+    query = server.templates["count_hot"]()
+    record = ScheduledQuery("q", 0.0)
+    returned = []
+
+    def run():
+        returned.append((yield from executor.execute(
+            "q", query, executor.plan_variants(query), record)))
+
+    fabric.sim.process(run())
+    fabric.run()
+    [decision] = returned
+    assert decision.chosen == record.variant_name
     considered = [
         decision for _r, _v, decision in server.observatory._completed]
     assert all(d is not None for d in considered)

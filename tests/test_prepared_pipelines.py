@@ -25,7 +25,6 @@ from repro.relational import (
 )
 from repro.serve import (
     ArrivalSpec,
-    PlanCache,
     QueryServer,
     ServeConfig,
     TenantClass,
@@ -199,10 +198,10 @@ def test_later_instances_return_the_first_instances_answer(template,
         build_fabric(dataflow_spec()), catalog).execute(
             serve_templates()[template]()).table)
     assert [r.checksum for r in server.records] == [oracle] * 6
-    assert server.plan_cache.counters()["hits"] == 5
+    assert server.metrics()["plan_cache"]["hits"] == 5
     recipes = [variant.recipe
-               for entry in server.plan_cache._entries.values()
-               for variant in entry.ranked if variant.recipe is not None]
+               for _query, ranked in server._prepared.values()
+               for variant in ranked if variant.recipe is not None]
     assert len(recipes) == len({r.variant_name for r in server.records})
 
 
@@ -212,19 +211,19 @@ def test_later_instances_return_the_first_instances_answer(template,
 
 def test_a_served_run_derives_each_thing_once():
     counts, server = prepared_counts.count_served_run(queries=300)
-    cache = server.plan_cache.counters()
+    cache = server.metrics()["plan_cache"]
     assert (cache["hits"], cache["misses"]) == (295, 5)
     templates = sorted(serve_templates())
     # Each template factory ran once and nothing on the serving path
     # described its plan.
     assert [counts[f"factory:{name}"] for name in templates] == [1] * 5
-    assert len(server._queries) == 5
+    assert len(server._prepared) == 5
     assert counts["hashed"] == 0
     # The plan walker ran once per (template, variant) pair picked.
     ran = prepared_counts.pairs_that_ran(server)
     assert counts["recipes"] == len(ran)
-    variants = max(len(entry.ranked)
-                   for entry in server.plan_cache._entries.values())
+    variants = max(len(ranked) for _query, ranked
+                   in server._prepared.values())
     assert cache["misses"] <= counts["recipes"] <= cache["misses"] * variants
     # One stage graph per completed query; each environment switch is
     # read at most once per graph.
@@ -368,14 +367,35 @@ def test_server_reprepares_when_a_table_is_replaced_in_place():
 
 
 # ---------------------------------------------------------------------------
-# Plan cache: prepared entries
+# Prepared templates: the server's entries
 # ---------------------------------------------------------------------------
 
-def test_same_instance_hit_returns_the_entrys_own_variants():
-    fabric = build_fabric(dataflow_spec())
-    catalog = standard_catalog(2000)
-    plan = Query.scan("uniform").filter(col("k0") < 10).count()
-    ranked = Optimizer(fabric, catalog).plan_variants(plan, n=3)
-    cache = PlanCache()
-    cache.store(plan, catalog, fabric, ranked)
-    assert cache.lookup(plan, catalog, fabric) is ranked
+def test_same_instance_hit_returns_the_entrys_own_variants(monkeypatch):
+    """The entry is the optimizer's own list; every hit hands it on."""
+    returned, ran = [], []
+    plan_variants = Optimizer.plan_variants
+
+    def ranking(*args, **kwargs):
+        returned.append(plan_variants(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(Optimizer, "plan_variants", ranking)
+    tenant = TenantClass(name="t", weight=1.0, slo_s=1.0, seed=1,
+                         arrival=ArrivalSpec(kind="poisson", rate=100.0),
+                         templates={"count_hot": 1.0})
+    server = QueryServer(
+        build_fabric(dataflow_spec()), standard_catalog(2000), [tenant],
+        serve_templates(), ServeConfig(telemetry=False, observatory=False))
+    execute = server.executor.execute
+
+    def executing(name, query, variants, *args, **kwargs):
+        ran.append(variants)
+        return execute(name, query, variants, *args, **kwargs)
+
+    monkeypatch.setattr(server.executor, "execute", executing)
+    for _ in range(3):
+        server.submit("t", "count_hot")
+    server.fabric.run()
+    [ranked] = returned
+    assert server._prepared["count_hot"][1] is ranked
+    assert len(ran) == 3 and all(variants is ranked for variants in ran)

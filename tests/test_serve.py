@@ -12,7 +12,6 @@ from repro.analysis.observatory import Observatory
 from repro.bench import compare_reports, run_suite
 from repro.obs import make_report, validate_report
 from repro.serve import (
-    AdmissionController,
     ArrivalSpec,
     QueryServer,
     ServeConfig,
@@ -23,6 +22,7 @@ from repro.serve import (
     serve_templates,
 )
 from repro.serve.scenarios import _serve_clients
+from repro.serve.server import MIN_RETRY_AFTER_S
 from repro.serve.telemetry import ServeTelemetry
 from repro.sim import SimulationError
 from repro.hardware import build_fabric, dataflow_spec
@@ -60,24 +60,38 @@ def test_serve_plane_option_inventory():
 # ---------------------------------------------------------------------------
 
 def test_admission_sheds_when_queue_full():
-    ctrl = AdmissionController(max_queue=2, max_concurrency=2)
-    assert ctrl.decide(queued=1, running=2, backlog_cost_s=0.1).admitted
-    verdict = ctrl.decide(queued=2, running=2, backlog_cost_s=0.1)
-    assert not verdict.admitted
-    assert verdict.retry_after_s == pytest.approx(0.05)
-    assert "queue full" in verdict.reason
-    assert ctrl.counters() == {"admitted": 1, "shed": 1}
+    # Two slots busy and two queued: the fifth arrival is shed, and
+    # its hint is the queued demand drained through the two slots.
+    server = make_server(config=ServeConfig(max_concurrency=2,
+                                            max_queue=2))
+    records = [server.submit("b", "topk") for _ in range(5)]
+    assert [r.admitted for r in records] == [True] * 4 + [False]
+    cost = server._prepared["topk"][1][0].cost.bottleneck_time
+    assert records[-1].retry_after_s == max(MIN_RETRY_AFTER_S,
+                                            2 * cost / 2)
+    assert server.metrics()["admission"] == {"admitted": 4, "shed": 1}
+    server.fabric.run()
+    assert server.metrics()["admission"] == {"admitted": 4, "shed": 1}
+    assert server.accounting_violations() == []
 
 
 def test_admission_retry_after_has_floor():
-    ctrl = AdmissionController(max_queue=0, max_concurrency=4)
-    verdict = ctrl.decide(queued=0, running=4, backlog_cost_s=0.0)
-    assert not verdict.admitted
-    assert verdict.retry_after_s >= 1e-3
+    # Nothing queued behind the busy slot: the hint is the floor.
+    server = make_server(config=ServeConfig(max_concurrency=1,
+                                            max_queue=0))
+    _running, shed = (server.submit("a", "count_hot") for _ in range(2))
+    assert not shed.admitted
+    assert shed.retry_after_s == MIN_RETRY_AFTER_S == 1e-3
 
 
 def test_admission_admits_into_a_free_slot_with_no_waiting_room():
-    assert AdmissionController(0, 1).decide(0, 0, 0.0).admitted
+    server = make_server(config=ServeConfig(max_concurrency=1,
+                                            max_queue=0))
+    assert server.submit("a", "count_hot").admitted
+    server.fabric.run()
+    assert server.submit("a", "count_hot").admitted
+    server.fabric.run()
+    assert server.metrics()["admission"] == {"admitted": 2, "shed": 0}
 
 
 def test_serving_with_no_waiting_room_completes_queries():
@@ -88,10 +102,10 @@ def test_serving_with_no_waiting_room_completes_queries():
 
 
 def test_admission_rejects_bad_config():
-    with pytest.raises(ValueError):
-        AdmissionController(max_queue=-1, max_concurrency=1)
-    with pytest.raises(ValueError):
-        AdmissionController(max_queue=1, max_concurrency=0)
+    with pytest.raises(ValueError, match="max_queue"):
+        ServeConfig(max_queue=-1, max_concurrency=1)
+    with pytest.raises(ValueError, match="max_concurrency"):
+        ServeConfig(max_queue=1, max_concurrency=0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_server_plan_cache_hits_after_first():
         server.submit("a", "count_hot")
     server.fabric.run()
     assert server.idle
-    counters = server.plan_cache.counters()
+    counters = server.metrics()["plan_cache"]
     assert counters["misses"] == 1
     assert counters["hits"] == 3
     kinds = [r.plan_cache for r in server.records]

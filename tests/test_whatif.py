@@ -1,6 +1,7 @@
 """The causal what-if engine: perturbations, sensitivity, reports."""
 
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,10 @@ def test_apply_perturbation_rejects_unknown_and_absent():
         fabric.apply_perturbation("quantum.bw", 2.0)
     with pytest.raises(ValueError, match="positive"):
         fabric.apply_perturbation("net.bw", 0.0)
+    # NaN passes every hook's sign test; the fabric refuses it first.
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            fabric.apply_perturbation("net.lat", factor)
 
 
 def test_alias_resolution():
@@ -84,6 +89,9 @@ def test_parse_vary():
         parse_vary("nic.bw=fast")
     with pytest.raises(ValueError, match="positive"):
         parse_vary("nic.bw=-1x")
+    for text in ("nic.bw=nanx", "nic.bw=inf", "cxl.lat=-infx"):
+        with pytest.raises(ValueError, match="finite positive"):
+            parse_vary(text)
 
 
 # ---------------------------------------------------------------------------
